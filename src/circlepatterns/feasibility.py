@@ -8,13 +8,23 @@ nonempty subset including the full face set.  Both are equivalent to the
 existence of a coherent angle system, which this module finds by reducing
 to a feasible-flow problem on a small network and extracting the
 half-angles from the face-to-edge branch flows.
+
+The network is held as arrays, one entry per branch.  Its max-flow runs in
+scipy's compiled Dinic, which takes int32 capacities only, so the float
+problem is solved in a few refinement rounds: each round caps the residual
+capacities at a bound on the flow still to be sent, scales them to fewer
+than 2**28 units, refuses a summed capacity that would not fit int32, and
+adds the integer flow back onto the float network.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .functional import (CoherentAngleSystem, PatternSpec, EUCLIDEAN,
                          validate_cas)
@@ -30,146 +40,199 @@ STRICT_TOL = 1e-9  # margins at or below this count as violations
 class FlowNetwork:
     """Nodes are faces, unoriented edges and one collector node ('box').
 
-    Branches carry capacity intervals [lower, upper]; the oriented edge a
-    face-to-edge branch stands for is recorded so half-angles can be read
-    off a feasible flow.
+    Branch i runs from ``tail[i]`` to ``head[i]`` and carries a flow in
+    ``[lower[i], upper[i]]``.  Branches 0..F-1 run from the box to the
+    faces, branch F + h is the face-to-edge branch of oriented edge h, and
+    the last 2E are the edge-to-box and box-to-edge branches, so the
+    half-angles of a feasible flow are the slice ``flows[F:F + n_oe]``.
     """
     n_nodes: int
     box: int
-    branches: list = field(default_factory=list)   # (u, v, lower, upper)
-    branch_oriented_edge: dict = field(default_factory=dict)  # branch index -> oe
+    tail: np.ndarray
+    head: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
 
 
 def build_flow_network(spec: PatternSpec, eps: float) -> FlowNetwork:
     srf = spec.surface
     F, E = srf.n_faces, srf.n_edges
     box = F + E
-    net = FlowNetwork(n_nodes=F + E + 1, box=box)
+    faces = np.arange(F)
+    edges = F + np.arange(E)
+    boxes_f = np.full(F, box)
+    boxes_e = np.full(E, box)
     half_phi = 0.5 * spec.phi
-    for f in range(F):
-        upper = half_phi[f] if spec.is_hyperbolic else np.inf
-        net.branches.append((box, f, half_phi[f], upper))
-    for h in range(srf.n_oriented_edges):
-        idx = len(net.branches)
-        net.branches.append((srf.oe_left[h], F + srf.oe_edge[h], eps, np.inf))
-        net.branch_oriented_edge[idx] = h
-    for e in range(E):
-        upper = spec.theta_star[e] - (eps if spec.is_hyperbolic else 0.0)
-        net.branches.append((F + e, box, 0.0, upper))
-        net.branches.append((box, F + e, 0.0, np.inf))  # lower bound -inf
-    return net
+    theta_upper = spec.theta_star - (eps if spec.is_hyperbolic else 0.0)
+    return FlowNetwork(
+        n_nodes=F + E + 1, box=box,
+        tail=np.concatenate([boxes_f, srf.oe_left, edges, boxes_e]),
+        head=np.concatenate([faces, F + srf.oe_edge, boxes_e, edges]),
+        lower=np.concatenate([half_phi, np.full(srf.n_oriented_edges, eps),
+                              np.zeros(2 * E)]),
+        # the box-to-edge branches stand for a lower bound of -inf on the
+        # edge-to-box branches
+        upper=np.concatenate([half_phi if spec.is_hyperbolic else np.full(F, np.inf),
+                              np.full(srf.n_oriented_edges, np.inf),
+                              theta_upper, np.full(E, np.inf)]),
+    )
 
 
-class _Dinic:
-    def __init__(self, n):
-        self.n = n
-        self.to = []
-        self.cap = []
-        self.head = [[] for _ in range(n)]
-
-    def add(self, u, v, c):
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0.0)
-        return len(self.to) - 2
-
-    def maxflow(self, s, t, tol):
-        total = 0.0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for a in self.head[u]:
-                    v = self.to[a]
-                    if self.cap[a] > tol and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                return total
-            it = [0] * self.n
-
-            def dfs(u, pushed):
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    a = self.head[u][it[u]]
-                    v = self.to[a]
-                    if self.cap[a] > tol and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[a]))
-                        if got > 0.0:
-                            self.cap[a] -= got
-                            self.cap[a ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0.0
-
-            while True:
-                pushed = dfs(s, np.inf)
-                if pushed <= 0.0:
-                    break
-                total += pushed
-
-    def reachable(self, s, tol):
-        seen = [False] * self.n
-        seen[s] = True
-        queue = [s]
-        for u in queue:
-            for a in self.head[u]:
-                v = self.to[a]
-                if self.cap[a] > tol and not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        return seen
+@dataclass
+class FlowStats:
+    """What one call of :func:`solve_feasible_flow` did."""
+    rounds: int = 0          # integer max-flow rounds run
+    pushed: float = 0.0      # flow sent from the excess nodes
+    shortfall: float = 0.0   # demand left unmet
 
 
-def solve_feasible_flow(net: FlowNetwork, shortfall_tol=None):
+# A round scales its capacity cap to fewer than 2**28 units, so a summed CSR
+# entry of up to eight parallel residual arcs fits scipy's int32 capacities.
+_ROUND_BITS = 28
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+class _ResidualNetwork:
+    """Both directions of every arc of a max-flow network.
+
+    Residual arc j < m is the reverse of arc j, whose capacity is the flow
+    on arc j; residual arc m + j is arc j itself, whose capacity is the
+    part left unused.  Residual arcs between the same ordered node pair
+    share one entry of the CSR matrix that scipy's max-flow reads.
+    """
+
+    def __init__(self, tail, head, n_nodes):
+        self.n = n_nodes
+        self.m = len(tail)
+        self.tails = np.concatenate([head, tail])
+        self.heads = np.concatenate([tail, head])
+        self.keys, self.pair = np.unique(self.tails * n_nodes + self.heads,
+                                         return_inverse=True)
+        self.indices = (self.keys % n_nodes).astype(np.int32)
+        self.indptr = np.searchsorted(self.keys, np.arange(n_nodes + 1) * n_nodes
+                                      ).astype(np.int32)
+        # the arcs of one pair in arc order, so reverse arcs come first and
+        # net flow cancels flow already sent before it sends more
+        self.by_pair = np.argsort(self.pair, kind="stable")
+        sorted_pair = self.pair[self.by_pair]
+        self.group_first = np.searchsorted(sorted_pair, sorted_pair)
+
+    def augment(self, residual, s, t, level, unit):
+        """Flow change of one integer max-flow round, or None if it sends nothing.
+
+        Capacities are capped at ``level`` and floored to multiples of
+        ``unit``.  scipy returns one antisymmetric net flow per node pair;
+        the net flow from a to b is handed to the residual arcs from a to b
+        in order, each taking at most its own units.
+        """
+        units = np.floor(np.minimum(residual, level) / unit)
+        pair_units = np.bincount(self.pair, units, minlength=len(self.keys))
+        if pair_units.max() > _INT32_MAX:
+            raise OverflowError("a summed residual capacity does not fit int32")
+        graph = sp.csr_array((pair_units.astype(np.int32), self.indices, self.indptr),
+                             shape=(self.n, self.n))
+        result = maximum_flow(graph, s, t)
+        if result.flow_value == 0:
+            return None
+        net = result.flow
+        net.sort_indices()
+        net_keys = (np.repeat(np.arange(self.n), np.diff(net.indptr)) * self.n
+                    + net.indices)
+        pos = np.minimum(np.searchsorted(net_keys, self.keys), len(net_keys) - 1)
+        wanted = np.where(net_keys[pos] == self.keys, np.maximum(net.data[pos], 0), 0)
+        sorted_units = units[self.by_pair]
+        before = np.cumsum(sorted_units) - sorted_units
+        before -= before[self.group_first]
+        taken = np.empty_like(units)
+        taken[self.by_pair] = np.clip(wanted[self.pair[self.by_pair]] - before,
+                                      0.0, sorted_units)
+        return (taken[self.m:] - taken[:self.m]) * unit
+
+    def reachable(self, residual, s, tol):
+        """Nodes reachable from s through residual capacities above tol."""
+        open_ = residual > tol
+        graph = sp.csr_array((np.ones(int(open_.sum())),
+                              (self.tails[open_], self.heads[open_])),
+                             shape=(self.n, self.n))
+        return breadth_first_order(graph, s, return_predecessors=False)
+
+
+def solve_feasible_flow(net: FlowNetwork, shortfall_tol=None,
+                        stats: FlowStats | None = None):
     """Feasible flow respecting the lower bounds, or None plus a min cut.
 
-    Uses the standard excess-node transformation to a single max-flow;
-    infinite upper bounds are clamped to the sum of all finite demands
-    plus one, which any feasible flow can be rerouted below.  The flow is
-    accepted when the unmet demand is at most ``shortfall_tol``
-    (rounding-level relative to the demand by default).
+    Uses the standard excess-node transformation to a single max-flow:
+    the lower bounds become demands from a super source and to a super
+    sink.  That max-flow is found in rounds on the float residual network.
+    A round caps every residual capacity at a bound on the flow still to
+    be sent, at first the unmet demand D, scales it to fewer than 2**28
+    units, floors, and runs scipy's compiled integer Dinic; its net flow
+    is added back onto the float arcs.  A summed capacity that does not
+    fit int32 raises OverflowError instead of overflowing silently.  A
+    round leaves less than a unit per residual arc sendable, so the next
+    round's bound is the smaller of D and that, and the shortfall shrinks
+    geometrically: feasible networks reach rounding level in about three
+    rounds.  No unit falls below about 2**-50 of the largest demand of one
+    node, so a unit sent from the source is never lost to rounding.  The
+    rounds end once the shortfall is at the residual tolerance, or when a
+    round with the smallest unit sends nothing.  The flow is accepted when the unmet demand is at
+    most ``shortfall_tol`` (rounding-level relative to the demand by
+    default).
 
-    Returns (flows, cut) where flows is a per-branch array on success and
-    cut is the source-side node set when infeasible.
+    Returns (flows, cut): flows is a per-branch array on success and cut
+    is the set of network nodes reachable from the source through residual
+    capacities above the tolerance when infeasible.  ``stats``, when
+    given, receives the rounds run, the flow pushed and the shortfall.
     """
-    finite_total = sum(b[2] for b in net.branches)
-    finite_total += sum(b[3] for b in net.branches if np.isfinite(b[3]))
-    big = finite_total + 1.0
     n = net.n_nodes
     s, t = n, n + 1
-    dinic = _Dinic(n + 2)
-    excess = np.zeros(n)
-    arc_of_branch = []
-    for (u, v, low, high) in net.branches:
-        cap = (high if np.isfinite(high) else big) - low
-        if cap < 0:
-            return None, set(range(n))
-        arc_of_branch.append(dinic.add(u, v, cap))
-        excess[v] += low
-        excess[u] -= low
-    demand = 0.0
-    for node in range(n):
-        if excess[node] > 0:
-            dinic.add(s, node, excess[node])
-            demand += excess[node]
-        elif excess[node] < 0:
-            dinic.add(node, t, -excess[node])
+    stats = stats if stats is not None else FlowStats()
+    stats.rounds, stats.pushed, stats.shortfall = 0, 0.0, 0.0
+    cap = net.upper - net.lower
+    if np.any(cap < 0):
+        stats.shortfall = np.inf
+        return None, set(range(n))
+    excess = (np.bincount(net.head, net.lower, minlength=n)
+              - np.bincount(net.tail, net.lower, minlength=n))
+    sources = np.flatnonzero(excess > 0)
+    sinks = np.flatnonzero(excess < 0)
+    n_branches = len(cap)
+    from_source = slice(n_branches, n_branches + len(sources))
+    residual_net = _ResidualNetwork(
+        np.concatenate([net.tail, np.full(len(sources), s), sinks]),
+        np.concatenate([net.head, sources, np.full(len(sinks), t)]), n + 2)
+    cap = np.concatenate([cap, excess[sources], -excess[sinks]])
+    demand = float(excess[sources].sum())
     tol = 1e-13 * max(1.0, demand)
     if shortfall_tol is None:
         shortfall_tol = 1e-10 * max(1.0, demand)
-    pushed = dinic.maxflow(s, t, tol)
-    if pushed < demand - shortfall_tol:
-        reach = dinic.reachable(s, tol)
-        return None, {v for v in range(n) if reach[v]}
-    flows = np.array([net.branches[i][2] + dinic.cap[arc_of_branch[i] ^ 1]
-                      for i in range(len(net.branches))])
-    return flows, None
+    # no unit falls below 2**-50 of the largest source capacity, so every
+    # round that sends flow lowers the unmet demand in floats too
+    floor_level = math.ldexp(max(1.0, float(excess.max(initial=0.0))), _ROUND_BITS - 50)
+    flow = np.zeros(len(cap))
+    unmet = demand
+    level = max(demand, floor_level)
+    while unmet > tol:
+        # the power of two just above level / 2**28 keeps the scaling exact,
+        # so integer capacities give an exact max-flow in the first round
+        unit = math.ldexp(1.0, math.frexp(level)[1] - _ROUND_BITS)
+        delta = residual_net.augment(np.concatenate([flow, cap - flow]), s, t,
+                                     level, unit)
+        stats.rounds += 1
+        if delta is not None:
+            flow += delta
+            unmet = float((cap - flow)[from_source].sum())
+        elif level == floor_level:
+            break
+        # no residual path is left with every arc at a unit or more, so the
+        # flow still to be sent is below a unit per residual arc
+        level = max(floor_level, min(unmet, unit * 2 * len(cap)))
+    stats.pushed = demand - unmet
+    stats.shortfall = unmet
+    if unmet > shortfall_tol:
+        reach = residual_net.reachable(np.concatenate([flow, cap - flow]), s, tol)
+        return None, {int(v) for v in reach if v < n}
+    return net.lower + flow[:n_branches], None
 
 
 # -- certificates and the theorem-level checks --------------------------------
@@ -189,6 +252,10 @@ class FeasibilityCertificate:
     theta_sum: float = 0.0
     kind: str = ""
     message: str = ""
+    # what the flow search did; not part of the verdict
+    flow_solves: int = 0
+    flow_rounds: int = 0
+    shortfall: float = 0.0   # unmet demand of the last flow solve
 
 
 def _incident_edges(spec: PatternSpec, faces) -> tuple:
@@ -281,22 +348,30 @@ def find_coherent_angle_system(spec: PatternSpec,
     max_deg = max(len(srf.face_walk(f)) for f in range(srf.n_faces))
     eps = min(float(spec.phi.min()) / (4.0 * max_deg),
               float(spec.theta_star.min()) / 4.0)
+    half_angles = slice(srf.n_faces, srf.n_faces + srf.n_oriented_edges)
     cut = None
+    solves = rounds = 0
+    flow_stats = FlowStats()
     while eps >= eps_floor:
         net = build_flow_network(spec, eps)
         # a genuinely infeasible network at this eps is short by at least
         # ~eps, so accepting only below eps/2 cannot mask the deficit
-        flows, cut = solve_feasible_flow(net, shortfall_tol=0.5 * eps)
+        flows, cut = solve_feasible_flow(net, shortfall_tol=0.5 * eps,
+                                         stats=flow_stats)
+        solves += 1
+        rounds += flow_stats.rounds
         if flows is not None:
-            phi = np.zeros(srf.n_oriented_edges)
-            for idx, h in net.branch_oriented_edge.items():
-                phi[h] = flows[idx]
-            cas = CoherentAngleSystem(phi=phi)
+            cas = CoherentAngleSystem(phi=flows[half_angles])
             report = validate_cas(spec, cas)
             if report.is_valid(1e-8):
-                return FeasibilityCertificate(feasible=True, cas=cas)
+                cert = FeasibilityCertificate(feasible=True, cas=cas)
+                break
         eps *= 0.5
-    return _certificate_from_cut(spec, cut)
+    else:
+        cert = _certificate_from_cut(spec, cut)
+    cert.flow_solves, cert.flow_rounds = solves, rounds
+    cert.shortfall = flow_stats.shortfall
+    return cert
 
 
 def _certificate_from_cut(spec: PatternSpec, cut) -> FeasibilityCertificate:

@@ -88,9 +88,13 @@ def _newton_direction(spec, rho, grad):
 def minimize(spec: PatternSpec, opts: SolveOptions | None = None) -> SolveResult:
     """Minimize the pattern functional to its critical point.
 
-    Assumes a feasible specification; on infeasible data the iteration
-    drifts and the result is returned with ``converged=False``.  Euclidean
-    results are normalized to sum(rho) = 0.
+    Assumes a feasible specification.  On infeasible data S has no
+    minimiser, yet ``converged=True`` does not show feasibility: where a
+    face subset fails the conditions only by equality, the gradient decays
+    as rho runs off to infinity and falls below ``grad_tol`` at a finite
+    rho, whose angle system then also validates at 1e-8.  Decide existence
+    with ``feasibility.find_coherent_angle_system``.  Euclidean results are
+    normalized to sum(rho) = 0.
     """
     opts = opts or SolveOptions()
     if opts.method == THURSTON:
@@ -175,12 +179,12 @@ def thurston_step(spec: PatternSpec, rho, f: int):
         from .specfun import im_li2_dx
         phi = im_li2_dx(x, thetas)
         # d phi/dt: self edges have constant x
-        w = _weight(x, thetas)
+        w = fn._edge_weights(x, thetas)
         dphi = np.where(rights == f, 0.0, -0.5 * w)
         if hyperbolic:
             sig = others + t
             phi = phi - im_li2_dx(sig, thetas)
-            wp = _weight(sig, thetas)
+            wp = fn._edge_weights(sig, thetas)
             dphi = dphi - np.where(rights == f, wp, 0.5 * wp)
         return target - 2.0 * phi.sum(), -2.0 * dphi.sum()
 
@@ -217,12 +221,6 @@ def thurston_step(spec: PatternSpec, rho, f: int):
             break
         t = t_new
     return t
-
-
-def _weight(x, theta):
-    with np.errstate(over="ignore"):
-        w = np.sin(theta) / (np.cosh(x) - np.cos(theta))
-    return np.where(np.abs(x) > 700.0, 0.0, w)
 
 
 def _minimize_thurston(spec: PatternSpec, opts: SolveOptions) -> SolveResult:

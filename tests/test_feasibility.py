@@ -47,22 +47,29 @@ def test_network_structure():
     eps = 1e-3
     net = build_flow_network(spec, eps)
     F, E = 16, 32
+    srf = spec.surface
     assert net.n_nodes == F + E + 1
-    box_to_face = [b for b in net.branches if b[0] == net.box and b[1] < F]
-    assert len(box_to_face) == F
-    assert all(b[2] == b[3] == 0.5 * spec.phi[b[1]] for b in box_to_face)
-    face_to_edge = [b for b in net.branches if b[0] < F]
-    assert len(face_to_edge) == 2 * E  # one branch per oriented edge
-    assert all(b[2] == eps and np.isinf(b[3]) for b in face_to_edge)
-    edge_to_box = [b for b in net.branches if F <= b[0] < F + E and b[1] == net.box]
-    assert len(edge_to_box) == E
-    assert all(abs(b[3] - (spec.theta_star[b[0] - F] - eps)) < 1e-15
-               for b in edge_to_box)
+    box_to_face = (net.tail == net.box) & (net.head < F)
+    assert box_to_face.sum() == F
+    assert np.all(net.lower[box_to_face] == 0.5 * spec.phi[net.head[box_to_face]])
+    assert np.all(net.upper[box_to_face] == net.lower[box_to_face])
+    face_to_edge = net.tail < F
+    assert face_to_edge.sum() == 2 * E  # one branch per oriented edge
+    assert np.all(net.lower[face_to_edge] == eps)
+    assert np.all(np.isinf(net.upper[face_to_edge]))
+    # the branch of oriented edge h sits at F + h
+    assert np.array_equal(np.flatnonzero(face_to_edge), F + np.arange(2 * E))
+    assert np.array_equal(net.tail[F:F + 2 * E], srf.oe_left)
+    assert np.array_equal(net.head[F:F + 2 * E], F + srf.oe_edge)
+    edge_to_box = (F <= net.tail) & (net.tail < F + E) & (net.head == net.box)
+    assert edge_to_box.sum() == E
+    assert np.all(np.abs(net.upper[edge_to_box]
+                         - (spec.theta_star[net.tail[edge_to_box] - F] - eps)) < 1e-15)
     spec_e = torus_spec()
     net_e = build_flow_network(spec_e, eps)
-    box_to_face = [b for b in net_e.branches if b[0] == net_e.box and b[1] < F]
-    assert all(b[2] == 0.5 * spec_e.phi[b[1]] and np.isinf(b[3])
-               for b in box_to_face)
+    box_to_face = (net_e.tail == net_e.box) & (net_e.head < F)
+    assert np.all(net_e.lower[box_to_face] == 0.5 * spec_e.phi[net_e.head[box_to_face]])
+    assert np.all(np.isinf(net_e.upper[box_to_face]))
     flows, cut = solve_feasible_flow(net_e)
     assert flows is not None and cut is None
 
@@ -313,3 +320,23 @@ def test_region_decomposition_identity_random_cuts():
 def test_region_decomposition_requires_nonempty_cut():
     with pytest.raises(ValueError):
         region_decomposition(dual(meshes.torus_grid(2, 2)), [])
+
+
+def test_certificate_records_the_flow_search():
+    from circlepatterns.cli import _certificate_dict
+    feasible = find_coherent_angle_system(torus_spec())
+    assert feasible.flow_solves == 1
+    assert feasible.flow_rounds >= 1
+    assert 0.0 <= feasible.shortfall <= 1e-10 * torus_spec().phi.sum()
+    # the hyperbolic full-set equality fails at every eps down to the floor
+    spec = torus_spec(HYPERBOLIC)
+    infeasible = find_coherent_angle_system(spec)
+    eps = min(spec.phi.min() / 16.0, spec.theta_star.min() / 4.0)
+    assert infeasible.flow_solves == int(np.floor(np.log2(eps / 1e-12))) + 1
+    assert infeasible.flow_rounds > infeasible.flow_solves
+    assert infeasible.shortfall > 0.0
+    equality = find_coherent_angle_system(torus_spec(EUCLIDEAN, phi=2 * np.pi + 0.1))
+    assert (equality.flow_solves, equality.flow_rounds) == (0, 0)
+    # the stats stay out of the deterministic report
+    for cert in (feasible, infeasible):
+        assert not {"flow_solves", "flow_rounds", "shortfall"} & set(_certificate_dict(cert))
