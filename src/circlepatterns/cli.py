@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import jsonio, solver, specfun
-from .feasibility import check_conditions_bruteforce, find_coherent_angle_system
+from .feasibility import find_coherent_angle_system
 from .functional import EUCLIDEAN, HYPERBOLIC, PatternSpec, radii_from_rho
 from .layout import NotDevelopableError, export_json, export_svg, layout
 from .spherical import (SphereConditionError, SphericalProblem, planar_layout,
@@ -29,8 +29,6 @@ EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_NOT_DEVELOPABLE = 4
-
-log = logging.getLogger("circlepatterns")
 
 
 class InputError(ValueError):
@@ -95,10 +93,6 @@ def _certificate_dict(cert):
 def cmd_check(args):
     spec, _ = _load_problem(args.problem)
     cert = find_coherent_angle_system(spec)
-    if spec.surface.n_faces <= 8:
-        brute = check_conditions_bruteforce(spec)
-        if brute.feasible != cert.feasible:
-            log.error("flow and brute-force verdicts disagree; report this")
     _print(_certificate_dict(cert))
     return EXIT_OK if cert.feasible else EXIT_INFEASIBLE
 
@@ -139,11 +133,11 @@ def cmd_solve(args):
     spec, options = _load_problem(args.problem)
     if args.geometry:
         spec = PatternSpec(spec.surface, args.geometry, spec.theta_star, spec.phi)
+    opts = _solve_options(args, options)
     cert = find_coherent_angle_system(spec)
     if not cert.feasible:
         _print(_certificate_dict(cert))
         return EXIT_INFEASIBLE
-    opts = _solve_options(args, options)
     result = solver.minimize(spec, opts)
     report = _solve_report(spec, result, opts.method)
     if args.report or not args.output:

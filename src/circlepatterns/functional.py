@@ -13,7 +13,7 @@ oriented edge is
 with theta = pi - theta*, f_j/f_k the faces left/right of e, and
 y(x, theta) = atan2(e^x sin theta, 1 - e^x cos theta).  The functionals
 are convex with gradient Phi_f - 2 sum phi_e over the boundary of f; their
-closed forms use Clausen's integral and are the default evaluation path.
+values are evaluated in closed form with Clausen's integral.
 """
 
 from __future__ import annotations
@@ -114,40 +114,29 @@ def edge_auxiliaries(spec: PatternSpec, rho):
     return p, s
 
 
-def value(spec: PatternSpec, rho, form="clausen"):
-    """Functional value S(rho).
+def value(spec: PatternSpec, rho):
+    """Functional value S(rho), from the closed form in Clausen's integral.
 
-    ``form='clausen'`` (default) evaluates the closed form built from
-    Clausen's integral; ``form='dilog'`` sums imaginary parts of
-    dilogarithms directly.  Both agree to ~1e-9 and the cross-check is
-    exercised in the tests.
+    Per edge, p*x + Cl(theta* + p) + Cl(theta* - p) - Cl(2 theta*) with
+    x = rho_k - rho_j is Im Li2(e^{x + i theta}) + Im Li2(e^{-x + i theta});
+    the hyperbolic functional adds the same term at rho_k + rho_j.
     """
     rho = _check_rho(spec, rho)
     srf = spec.surface
     ts = spec.theta_star
-    th = spec.theta
     rj = rho[srf.edge_left]
     rk = rho[srf.edge_right]
     x = rk - rj
     sig = rk + rj
-    if form == "clausen":
-        p, s = edge_auxiliaries(spec, rho)
-        edge_terms = (p * x + specfun.clausen(ts + p) + specfun.clausen(ts - p)
-                      - specfun.clausen(2.0 * ts))
-        if spec.is_hyperbolic:
-            edge_terms = edge_terms + (
-                s * sig + specfun.clausen(ts + s) + specfun.clausen(ts - s)
-                - specfun.clausen(2.0 * ts))
-        else:
-            edge_terms = edge_terms - ts * sig
-    elif form == "dilog":
-        edge_terms = specfun.im_li2(x, th) + specfun.im_li2(-x, th)
-        if spec.is_hyperbolic:
-            edge_terms = edge_terms + specfun.im_li2(sig, th) + specfun.im_li2(-sig, th)
-        else:
-            edge_terms = edge_terms - ts * sig
+    p, s = edge_auxiliaries(spec, rho)
+    edge_terms = (p * x + specfun.clausen(ts + p) + specfun.clausen(ts - p)
+                  - specfun.clausen(2.0 * ts))
+    if spec.is_hyperbolic:
+        edge_terms = edge_terms + (
+            s * sig + specfun.clausen(ts + s) + specfun.clausen(ts - s)
+            - specfun.clausen(2.0 * ts))
     else:
-        raise ValueError(f"unknown form {form!r}")
+        edge_terms = edge_terms - ts * sig
     return float(edge_terms.sum() + spec.phi @ rho)
 
 

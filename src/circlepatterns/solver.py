@@ -1,21 +1,27 @@
 """Minimization of the circle pattern functionals.
 
 Two independent methods: a damped Newton iteration with backtracking line
-search (the Euclidean Newton system is solved on the zero-sum subspace,
-where the functional is strictly convex), and coordinate descent in the
-style of the classical radius-adjustment iteration, which minimizes the
-functional in one radius at a time.  The stopping rule is the gradient
-max-norm, i.e. the largest per-face angle defect |Phi_f - 2 sum(phi)|.
+search, and coordinate descent in the style of the classical
+radius-adjustment iteration, which minimizes the functional in one radius
+at a time.  The stopping rule is the gradient max-norm, i.e. the largest
+per-face angle defect |Phi_f - 2 sum(phi)|.
+
+The Euclidean functional does not change when a constant is added to every
+rho, so its Hessian is a weighted Laplacian of the dual graph whose kernel
+is exactly the constants.  The Newton system is then solved grounded: face
+0 is held fixed, the remaining faces solve the nonsingular system for the
+mean-free gradient, and the direction is shifted onto the zero-sum
+subspace, where the functional is strictly convex.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import functional as fn
@@ -39,8 +45,10 @@ class SolveOptions:
     def __post_init__(self):
         if self.method not in (NEWTON, THURSTON):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol!r}")
+        if self.max_iter is not None and self.max_iter < 0:
+            raise ValueError(f"max_iter must be nonnegative, got {self.max_iter!r}")
 
 
 @dataclass
@@ -69,20 +77,22 @@ def _initial_rho(spec: PatternSpec, opts: SolveOptions):
 
 
 def _newton_direction(spec, rho, grad):
-    H = fn.hessian(spec, rho)
-    n = len(rho)
+    H = fn.hessian(spec, rho).tocsc()
+    direction = np.zeros(len(rho))
+    if spec.is_hyperbolic:
+        keep, rhs = slice(None), -grad
+    else:
+        # grounded at face 0; the dropped first equation holds once the
+        # gradient is mean-free, because every column of H sums to zero
+        keep, rhs = slice(1, None), -(grad - grad.mean())
     # far-drifted iterates can zero out edge weights and make the system
     # exactly singular; the NaN direction is rejected by the slope check
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", spla.MatrixRankWarning)
-        if spec.is_hyperbolic:
-            return spla.spsolve(H.tocsc(), -grad)
-        # restrict to the zero-sum subspace through a bordered system
-        ones = np.ones((n, 1))
-        kkt = sp.bmat([[H, ones], [ones.T, None]], format="csc")
-        rhs = np.concatenate([-(grad - grad.mean()), [0.0]])
-        sol = spla.spsolve(kkt, rhs)
-    return sol[:n]
+        direction[keep] = spla.spsolve(H[keep, keep], rhs[keep])
+    if not spec.is_hyperbolic:
+        direction -= direction.mean()
+    return direction
 
 
 def minimize(spec: PatternSpec, opts: SolveOptions | None = None) -> SolveResult:

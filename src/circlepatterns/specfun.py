@@ -59,11 +59,6 @@ def clausen(x):
     return float(val) if arr.ndim == 0 else val
 
 
-def lobachevsky(x):
-    """Milnor's Lobachevsky function, the alias Cl(2x)/2."""
-    return 0.5 * clausen(2.0 * np.asarray(x, dtype=float)) if np.ndim(x) else 0.5 * clausen(2.0 * x)
-
-
 def im_li2_dx(x, theta):
     """d/dx Im Li2(exp(x + i*theta)) as a branch-free angle in (-pi, pi).
 
@@ -89,21 +84,4 @@ def im_li2(x, theta):
         raise ValueError(f"theta must lie strictly in (0, 2*pi), got {theta!r}")
     y = im_li2_dx(xa, ta)
     out = y * xa + 0.5 * (clausen(2.0 * y) - clausen(2.0 * y + 2.0 * ta) + clausen(2.0 * ta))
-    return float(out) if (xa.ndim == 0 and ta.ndim == 0) else out
-
-
-def im_li2_symmetric(x, theta):
-    """The even combination Im Li2(e^{x+i theta}) + Im Li2(e^{-x+i theta}).
-
-    Uses the closed form p*x + Cl(theta* + p) + Cl(theta* - p) - Cl(2 theta*)
-    with theta* = pi - theta and tan(p/2) = tanh(x/2) tan(theta*/2).
-    Requires theta in (0, pi).
-    """
-    xa = _as_float_array(x, "x")
-    ta = _as_float_array(theta, "theta")
-    if np.any(ta <= 0.0) or np.any(ta >= np.pi):
-        raise ValueError(f"theta must lie strictly in (0, pi), got {theta!r}")
-    tstar = np.pi - ta
-    p = 2.0 * np.arctan(np.tan(0.5 * tstar) * np.tanh(0.5 * xa))
-    out = p * xa + clausen(tstar + p) + clausen(tstar - p) - clausen(2.0 * tstar)
     return float(out) if (xa.ndim == 0 and ta.ndim == 0) else out

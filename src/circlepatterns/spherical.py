@@ -16,22 +16,26 @@ circles are stored as an oriented cap (unit axis, angular radius in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import solver
-from .feasibility import (FeasibilityCertificate, check_conditions_bruteforce,
-                          find_coherent_angle_system)
+from .feasibility import FeasibilityCertificate, find_coherent_angle_system
 from .functional import EUCLIDEAN, PatternSpec
 from .layout import Circle, Line, LayoutResult, layout
-from .surface import CellularSurface, euler_characteristic, surface_from_walks
+from .surface import (CellularSurface, DisconnectedSurfaceError,
+                      euler_characteristic, surface_from_walks)
 
 TWO_PI = 2.0 * math.pi
 
 
 class SphereConditionError(ValueError):
     """The data do not admit a spherical pattern."""
+
+
+_DISCONNECTED = ("removing the faces around v_infinity disconnects the "
+                 "dual 1-skeleton")
 
 
 @dataclass
@@ -103,8 +107,7 @@ def reduce_to_plane(p: SphericalProblem) -> Reduction:
 
     if not kept_edges:
         if len(kept_faces) != 1:
-            raise SphereConditionError(
-                "removal disconnects the pattern (no edges survive)")
+            raise SphereConditionError(_DISCONNECTED)
         return Reduction(elementary=True,
                          removed_faces=tuple(sorted(f_inf)),
                          removed_edges=tuple(sorted(removed_edges)),
@@ -119,6 +122,8 @@ def reduce_to_plane(p: SphericalProblem) -> Reduction:
     for f in kept_faces:
         walk = s.face_walk(f)
         kept_flags = [s.edge_of(h) not in removed_edges for h in walk]
+        if not any(kept_flags):
+            raise SphereConditionError(_DISCONNECTED)
         k = len(walk)
         if all(kept_flags):
             arc = list(walk)
@@ -146,13 +151,16 @@ def reduce_to_plane(p: SphericalProblem) -> Reduction:
                               if s.edge_of(h) in removed_edges]
         phi.append(TWO_PI - 2.0 * sum(p.theta_star[e] for e in removed_incidences))
 
+    try:
+        reduced = surface_from_walks(walks, edge_order=range(len(kept_edges)))
+    except DisconnectedSurfaceError as exc:
+        raise SphereConditionError(_DISCONNECTED) from exc
     phi = np.asarray(phi)
     if np.any(phi <= 0.0):
         f = kept_faces[int(np.argmin(phi))]
         raise SphereConditionError(
             f"boundary face {f} would get nonpositive cone angle "
             f"{phi.min():.12g}; the subset conditions fail")
-    reduced = surface_from_walks(walks, edge_order=range(len(kept_edges)))
     spec = PatternSpec(reduced, EUCLIDEAN, p.theta_star[kept_edges], phi)
     return Reduction(elementary=False,
                      removed_faces=tuple(sorted(f_inf)),
@@ -169,72 +177,44 @@ class SphereVerdict:
     ok: bool
     message: str = ""
     certificate: FeasibilityCertificate | None = None
+    reduction: Reduction | None = None
 
 
-def check_sphere_conditions(p: SphericalProblem, max_bruteforce=20) -> SphereVerdict:
-    """The three reduction conditions: connectivity of the kept dual
-    1-skeleton, the total-angle equality and the strict subset
-    inequalities (brute force for small face counts, flow-based else)."""
-    s = p.surface
-    f_inf = _faces_around(s, p.v_infinity)
-    kept_faces = sorted(f for f in range(s.n_faces) if f not in f_inf)
-    if not kept_faces:
-        return SphereVerdict(False, "every face touches v_infinity")
-    removed_edges = {s.edge_of(h) for h in range(s.n_oriented_edges)
-                     if s.left_face(h) in f_inf}
-    # (i) connectivity through surviving edges
-    parent = {f: f for f in kept_faces}
+def check_sphere_conditions(p: SphericalProblem) -> SphereVerdict:
+    """Decide whether the reduction of p admits a Euclidean pattern.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in range(s.n_edges):
-        if e in removed_edges:
-            continue
-        h = s.edge_rep(e)
-        ra, rb = find(s.left_face(h)), find(s.right_face(h))
-        if ra != rb:
-            parent[ra] = rb
-    if len({find(f) for f in kept_faces}) != 1:
-        return SphereVerdict(False, "removing the faces around v_infinity "
-                                    "disconnects the dual 1-skeleton")
-    # (ii) equality over edges incident with kept faces
-    incident = sorted({s.edge_of(h) for h in range(s.n_oriented_edges)
-                       if s.left_face(h) not in f_inf})
-    lhs = TWO_PI * len(kept_faces)
-    rhs = float(2.0 * p.theta_star[incident].sum())
-    if abs(lhs - rhs) > 1e-9 * max(1.0, rhs):
-        return SphereVerdict(False, f"angle total {rhs:.12g} != 2*pi*|F0| = {lhs:.12g}")
-    # (iii) strict subset inequalities
-    if len(kept_faces) <= max_bruteforce:
-        oe_by_face = {}
-        for h in range(s.n_oriented_edges):
-            oe_by_face.setdefault(s.left_face(h), set()).add(s.edge_of(h))
-        n = len(kept_faces)
-        for mask in range(1, (1 << n) - 1):
-            faces = [kept_faces[i] for i in range(n) if mask >> i & 1]
-            edges = set().union(*(oe_by_face[f] for f in faces))
-            margin = 2.0 * p.theta_star[sorted(edges)].sum() - TWO_PI * len(faces)
-            if margin <= 1e-9:
-                return SphereVerdict(
-                    False, f"subset of {len(faces)} faces violates the strict "
-                           f"inequality (margin {margin:.3g})",
-                    FeasibilityCertificate(
-                        feasible=False, violating_faces=tuple(faces),
-                        violating_edges=tuple(sorted(edges)),
-                        phi_sum=TWO_PI * len(faces),
-                        theta_sum=float(2.0 * p.theta_star[sorted(edges)].sum()),
-                        kind="subset"))
-        return SphereVerdict(True)
-    red = reduce_to_plane(p)
+    Runs :func:`reduce_to_plane`, whose failures (every face around
+    v_inf, a disconnected dual 1-skeleton, a nonpositive boundary cone
+    angle) are failing verdicts; an elementary reduction passes; otherwise
+    the flow check of the reduced problem decides the total-angle equality
+    and the strict subset inequalities.  A violating subset is reported in
+    the faces and edges of p.
+    """
+    try:
+        red = reduce_to_plane(p)
+    except SphereConditionError as exc:
+        return SphereVerdict(False, str(exc))
     if red.elementary:
-        return SphereVerdict(True)
+        return SphereVerdict(True, reduction=red)
     cert = find_coherent_angle_system(red.spec)
-    return SphereVerdict(cert.feasible,
-                         "" if cert.feasible else cert.message, cert)
+    if cert.feasible:
+        return SphereVerdict(True, certificate=cert, reduction=red)
+    return SphereVerdict(False, cert.message, _original_certificate(p, red, cert), red)
+
+
+def _original_certificate(p, red, cert):
+    """A violating subset of the reduced surface, in the numbering of p.
+
+    Each kept face has Phi = 2*pi less 2 theta* over its removed edges, so
+    the inequality over the original incident edges has the same margin.
+    """
+    s = p.surface
+    faces = tuple(sorted(red.face_map[f] for f in cert.violating_faces))
+    edges = tuple(sorted({s.edge_of(h) for f in faces for h in s.face_walk(f)}))
+    return replace(
+        cert, violating_faces=faces, violating_edges=edges,
+        phi_sum=TWO_PI * len(faces),
+        theta_sum=float(2.0 * p.theta_star[list(edges)].sum()))
 
 
 # -- stereographic projection --------------------------------------------------
@@ -485,16 +465,12 @@ def solve_sphere(p: SphericalProblem, options=None) -> SphericalLayout:
     verdict = check_sphere_conditions(p)
     if not verdict.ok:
         raise SphereConditionError(verdict.message)
-    red = reduce_to_plane(p)
-    s = p.surface
+    red = verdict.reduction
     planar_result = None
     solve_result = None
     if red.elementary:
         circles, points, line_residual = _elementary_planar(p, red)
     else:
-        cert = find_coherent_angle_system(red.spec)
-        if not cert.feasible:
-            raise SphereConditionError(f"reduced problem infeasible: {cert.message}")
         solve_result = solver.minimize(red.spec, options)
         if not solve_result.converged:
             raise SphereConditionError(

@@ -96,6 +96,35 @@ def subdivide_edge(surface, e):
     return surface_from_walks(walks)
 
 
+def pinched_sphere(isolated=False):
+    """A sphere whose faces around vertex 0 separate the other faces.
+
+    Face 0 walks v a b v c d (it meets v = 0 twice); each of the two
+    triangles v b a and v d c left over is filled by a fan of faces.  Two
+    faces of each fan meet v; the rest form a connected piece that only
+    faces at v join to the other piece.  With ``isolated`` the second
+    piece is a single face whose every edge touches a face at v.
+    """
+    def fill(x, y, p, r, split):
+        # the triangle v -> y -> x -> v, with an interior vertex p
+        xy, vx, yv = x + y, "v" + x, y + "v"
+        faces = [[("v", yv, -1), (y, y + p, 1), (p, "v" + p, -1)],
+                 [(x, vx, -1), ("v", "v" + p, 1), (p, x + p, -1)]]
+        if not split:
+            return faces + [[(y, xy, -1), (x, x + p, 1), (p, y + p, -1)]]
+        # and the triangle y -> x -> p split around a second vertex r
+        return faces + [[(y, xy, -1), (x, x + r, 1), (r, y + r, -1)],
+                        [(x, x + p, 1), (p, p + r, 1), (r, x + r, -1)],
+                        [(p, y + p, -1), (y, y + r, 1), (r, p + r, -1)]]
+
+    walks = [[("v", "va", 1), ("a", "ab", 1), ("b", "bv", 1),
+              ("v", "vc", 1), ("c", "cd", 1), ("d", "dv", 1)]]
+    walks += fill("a", "b", "p", "r", True) + fill("c", "d", "q", "s", not isolated)
+    ids = {}
+    return surface_from_walks([([(ids.setdefault(v, len(ids)), e, sign)
+                                 for v, e, sign in w], True) for w in walks])
+
+
 def fd_gradient(func, x, h=1e-5):
     g = np.zeros_like(x)
     for i in range(len(x)):

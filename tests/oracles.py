@@ -4,9 +4,11 @@ The Clausen oracle sums the Fourier series sum sin(n x)/n^2 directly and
 closes it with the exact first summation-by-parts remainder term; the
 neglected rest is bounded rigorously and the bound is enforced.  The
 dilogarithm oracle integrates the defining integral with adaptive
-quadrature.  The feasible-flow oracle runs the excess-node transformation
-on a pure-Python Dinic over float capacities, augmenting each path by its
-full bottleneck.  None shares code with the implementation under test.
+quadrature, and the functional-value oracle sums those quadratures in
+place of the Clausen closed form.  The feasible-flow oracle runs the
+excess-node transformation on a pure-Python Dinic over float capacities,
+augmenting each path by its full bottleneck.  None shares code with the
+implementation under test.
 """
 
 import numpy as np
@@ -64,6 +66,29 @@ def im_li2_quadrature(x, theta, tol=1e-11):
     if err > 50 * tol:
         raise RuntimeError(f"quadrature error estimate {err} too large")
     return val
+
+
+def value_im_li2_sum(spec, rho):
+    """The pattern functional as a sum of dilogarithms, one quadrature each.
+
+    Per edge with x = rho_k - rho_j and sigma = rho_k + rho_j:
+    Im Li2(e^{x + i theta}) + Im Li2(e^{-x + i theta}), plus the same pair
+    at sigma (hyperbolic) or minus theta* sigma (Euclidean); then Phi . rho.
+    """
+    srf = spec.surface
+    rho = np.asarray(rho, dtype=float)
+    x = rho[srf.edge_right] - rho[srf.edge_left]
+    sigma = rho[srf.edge_right] + rho[srf.edge_left]
+    total = 0.0
+    for e in range(srf.n_edges):
+        theta = spec.theta[e]
+        total += im_li2_quadrature(x[e], theta) + im_li2_quadrature(-x[e], theta)
+        if spec.is_hyperbolic:
+            total += (im_li2_quadrature(sigma[e], theta)
+                      + im_li2_quadrature(-sigma[e], theta))
+        else:
+            total -= spec.theta_star[e] * sigma[e]
+    return total + float(spec.phi @ rho)
 
 
 # -- feasible flow ---------------------------------------------------------------

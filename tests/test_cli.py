@@ -7,6 +7,7 @@ import pytest
 
 from circlepatterns import cli, meshes
 from circlepatterns.surface import medial, surface_to_json_dict
+from helpers import pinched_sphere, random_feasible_spec, random_flat_theta
 
 
 def _write_problem(path, surface, geometry, theta_star, phi):
@@ -80,3 +81,66 @@ def test_missing_input_file(capsys, tmp_path):
     code = cli.main(["check", str(tmp_path / "absent.json")])
     assert code == cli.EXIT_INPUT
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--tol", "nan"], ["--tol", "inf"],
+                                  ["--max-iter", "-3"]])
+def test_solve_rejects_invalid_options(capsys, torus_problem, flag):
+    code = cli.main(["solve", torus_problem, *flag])
+    assert code == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_solve_without_iterations_does_not_converge(capsys, tmp_path):
+    rng = np.random.default_rng(5)
+    spec = random_feasible_spec(meshes.torus_grid(3, 3), "euclidean", rng)
+    problem = _write_problem(tmp_path / "random.json", spec.surface, "euclidean",
+                             spec.theta_star, spec.phi)
+    code, out = _run(capsys, "solve", problem, "--max-iter", "0")
+    assert code == cli.EXIT_NO_CONVERGENCE
+    doc = json.loads(out)
+    assert doc["converged"] is False and doc["iterations"] == 0
+
+
+def test_layout_of_closed_hyperbolic_problem(capsys, tmp_path):
+    s = meshes.genus2_octagon()
+    problem = _write_problem(tmp_path / "genus2.json", s, "hyperbolic",
+                             np.full(s.n_edges, 0.75 * np.pi), np.full(s.n_faces, 2 * np.pi))
+    report = str(tmp_path / "report.json")
+    assert _run(capsys, "solve", problem, "-o", report)[0] == cli.EXIT_OK
+    code = cli.main(["layout", problem, report])
+    assert code == cli.EXIT_NOT_DEVELOPABLE
+    assert "not developable" in capsys.readouterr().err
+
+
+def test_layout_svg_is_repeatable(capsys, tmp_path, torus_problem):
+    report = str(tmp_path / "report.json")
+    _run(capsys, "solve", torus_problem, "-o", report)
+    svgs = []
+    for name in ("first.svg", "second.svg"):
+        path = tmp_path / name
+        assert _run(capsys, "layout", torus_problem, report, "--svg", str(path),
+                    "--kites")[0] == cli.EXIT_OK
+        svgs.append(path.read_bytes())
+    assert svgs[0] == svgs[1]
+
+
+def test_pack_octahedron(capsys, tmp_path):
+    path = tmp_path / "octahedron.json"
+    path.write_text(json.dumps({"mesh": surface_to_json_dict(meshes.octahedron())}))
+    code, out = _run(capsys, "pack", str(path))
+    assert code == cli.EXIT_OK
+    doc = json.loads(out)
+    assert doc["kind"] == "spherical"
+    assert len(doc["vertex_circles"]) == 6 and len(doc["face_circles"]) == 8
+
+
+def test_sphere_with_disconnecting_reduction_is_infeasible(capsys, tmp_path):
+    s = pinched_sphere()
+    path = tmp_path / "pinched.json"
+    theta = random_flat_theta(s, np.random.default_rng(43), spread=0.0)
+    path.write_text(json.dumps({"mesh": surface_to_json_dict(s), "v_infinity": 0,
+                                "theta": [float(t) for t in theta]}))
+    code = cli.main(["sphere", str(path)])
+    assert code == cli.EXIT_INFEASIBLE
+    assert "disconnects the dual 1-skeleton" in capsys.readouterr().err

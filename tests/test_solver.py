@@ -4,10 +4,10 @@ import pytest
 from circlepatterns import meshes
 from circlepatterns.feasibility import find_coherent_angle_system
 from circlepatterns.functional import (EUCLIDEAN, HYPERBOLIC, PatternSpec,
-                                       gradient, value)
-from circlepatterns.solver import (NEWTON, THURSTON, SolveOptions, minimize,
-                                   thurston_step)
-from helpers import random_feasible_spec, surface_pool
+                                       gradient, hessian, value)
+from circlepatterns.solver import (NEWTON, THURSTON, SolveOptions, _newton_direction,
+                                   minimize, thurston_step)
+from helpers import random_feasible_spec, random_spec, surface_pool
 
 
 def torus_spec(geometry=EUCLIDEAN, phi=2 * np.pi):
@@ -123,6 +123,12 @@ def test_solve_options_validation():
         SolveOptions(method="gradient-descent")
     with pytest.raises(ValueError):
         SolveOptions(grad_tol=0.0)
+    for tol in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="grad_tol"):
+            SolveOptions(grad_tol=tol)
+    with pytest.raises(ValueError, match="max_iter"):
+        SolveOptions(max_iter=-3)
+    assert SolveOptions(max_iter=0).max_iter == 0
 
 
 def test_newton_monotone_descent():
@@ -131,7 +137,6 @@ def test_newton_monotone_descent():
     rho = rng.uniform(-1, 1, 8)
     rho -= rho.mean()
     values = [value(spec, rho)]
-    from circlepatterns.solver import _newton_direction
     for _ in range(8):
         g = gradient(spec, rho)
         if np.abs(g).max() < 1e-12:
@@ -145,3 +150,20 @@ def test_newton_monotone_descent():
         values.append(value(spec, rho))
     drops = np.diff(values)
     assert np.all(drops <= 1e-12)
+
+
+def test_newton_direction_solves_the_newton_system():
+    # arbitrary data: the Euclidean gradient need not sum to zero, and the
+    # direction must still be the zero-sum solution of H d = -(g - mean g)
+    rng = np.random.default_rng(25)
+    for surf in surface_pool(max_faces=9):
+        for geometry in (EUCLIDEAN, HYPERBOLIC):
+            spec = random_spec(surf, geometry, rng)
+            rho = rng.uniform(-2.0, -0.2, surf.n_faces)
+            g = gradient(spec, rho)
+            d = _newton_direction(spec, rho, g)
+            rhs = -g if geometry == HYPERBOLIC else -(g - g.mean())
+            residual = np.abs(hessian(spec, rho) @ d - rhs).max()
+            assert residual <= 1e-10 * max(1.0, np.abs(g).max())
+            if geometry == EUCLIDEAN:
+                assert abs(d.sum()) <= 1e-12 * max(1.0, np.abs(d).max()) * surf.n_faces

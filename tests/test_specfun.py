@@ -42,12 +42,6 @@ def test_clausen_rejects_non_finite():
         specfun.clausen(np.inf)
 
 
-def test_lobachevsky_alias():
-    rng = np.random.default_rng(3)
-    for x in rng.uniform(-3, 3, 20):
-        assert specfun.lobachevsky(x) == 0.5 * specfun.clausen(2 * x)
-
-
 def test_im_li2_on_unit_circle():
     for theta in (0.3, 1.0, 2.5, 4.0, 6.0):
         assert abs(specfun.im_li2(0.0, theta) - specfun.clausen(theta)) < 1e-14
@@ -91,35 +85,3 @@ def test_im_li2_dx_overflow_safe():
     val = specfun.im_li2_dx(705.0, 1.2)
     assert abs(val - (np.pi - 1.2)) < 1e-12
     assert abs(specfun.im_li2_dx(-705.0, 1.2)) < 1e-300
-
-
-def test_im_li2_symmetric_matches_sum():
-    v = specfun.im_li2_symmetric(3.0, np.pi / 2)
-    s = specfun.im_li2(3.0, np.pi / 2) + specfun.im_li2(-3.0, np.pi / 2)
-    assert abs(v - s) <= 1e-10
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        x = rng.uniform(-4, 4)
-        theta = rng.uniform(0.05, np.pi - 0.05)
-        v = specfun.im_li2_symmetric(x, theta)
-        s = specfun.im_li2(x, theta) + specfun.im_li2(-x, theta)
-        assert abs(v - s) <= 1e-10
-
-
-def test_im_li2_symmetric_even_and_at_zero():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        x = rng.uniform(-5, 5)
-        theta = rng.uniform(0.05, np.pi - 0.05)
-        assert abs(specfun.im_li2_symmetric(x, theta)
-                   - specfun.im_li2_symmetric(-x, theta)) < 1e-13
-    for theta in (0.4, 1.2, 2.8):
-        assert abs(specfun.im_li2_symmetric(0.0, theta)
-                   - 2.0 * specfun.clausen(theta)) < 1e-13
-
-
-def test_im_li2_symmetric_domain():
-    with pytest.raises(ValueError):
-        specfun.im_li2_symmetric(1.0, np.pi)
-    with pytest.raises(ValueError):
-        specfun.im_li2_symmetric(1.0, 0.0)

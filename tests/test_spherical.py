@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from circlepatterns import meshes
+from circlepatterns.feasibility import STRICT_TOL, check_conditions_bruteforce
 from circlepatterns.layout import Circle, Line
 from circlepatterns.spherical import (
     SphereConditionError, SphericalCircle, SphericalProblem, circle_to_sphere,
@@ -10,6 +11,7 @@ from circlepatterns.spherical import (
     stereographic_inverse,
 )
 from circlepatterns.surface import vertex_angle_sums
+from helpers import pinched_sphere, random_flat_theta
 
 
 def cube_problem(v_inf=7):
@@ -64,21 +66,81 @@ def test_conditions_cube_and_octa():
     assert check_sphere_conditions(tetra_problem()).ok
 
 
-def test_conditions_detect_short_cocycle():
+def cube_cocycle_theta(vertical):
+    """Cube exterior angles: `vertical` on the four edges between the top
+    and bottom squares, the rest so that every vertex sums to 2*pi; the
+    equatorial cocycle is short when `vertical` is small."""
     s = meshes.cube()
     theta = np.empty(12)
-    ring = 0.5 * (2 * np.pi - 0.3)
     for e in range(12):
         h = s.edge_rep(e)
-        vertical = (s.origin(h) < 4) != (s.terminus(h) < 4)
-        theta[e] = 0.3 if vertical else ring
+        upright = (s.origin(h) < 4) != (s.terminus(h) < 4)
+        theta[e] = vertical if upright else 0.5 * (2 * np.pi - vertical)
     assert np.abs(vertex_angle_sums(s, theta) - 2 * np.pi).max() < 1e-12
+    return theta
+
+
+def assert_certificate_violates(p, cert):
+    """The certificate names faces and edges of p, and the subset
+    inequality recomputed from p fails on them."""
+    s = p.surface
+    faces = cert.violating_faces
+    assert faces and set(faces) <= set(range(s.n_faces))
+    incident = sorted({s.edge_of(h) for f in faces for h in s.face_walk(f)})
+    assert list(cert.violating_edges) == incident
+    phi_sum = 2 * np.pi * len(faces)
+    theta_sum = 2.0 * p.theta_star[incident].sum()
+    assert abs(cert.phi_sum - phi_sum) < 1e-12
+    assert abs(cert.theta_sum - theta_sum) < 1e-12
+    assert theta_sum - phi_sum <= STRICT_TOL
+
+
+def test_conditions_detect_short_cocycle():
     # project from a vertex: the cheap equatorial cocycle violates the
     # subset conditions of the reduction
-    verdict = check_sphere_conditions(SphericalProblem(s, theta, 0))
+    p = SphericalProblem(meshes.cube(), cube_cocycle_theta(0.3), 0)
+    verdict = check_sphere_conditions(p)
     assert not verdict.ok
+    # the top square, in the cube's own numbering, not the reduced one
+    assert verdict.certificate.violating_faces == (1,)
+    assert verdict.certificate.violating_edges == (4, 5, 6, 7)
+    assert_certificate_violates(p, verdict.certificate)
     with pytest.raises(SphereConditionError):
-        solve_sphere(SphericalProblem(s, theta, 0))
+        solve_sphere(p)
+
+
+def test_conditions_agree_with_bruteforce_on_the_reduction():
+    rng = np.random.default_rng(42)
+    cases = []
+    for surface in (meshes.tetrahedron(), meshes.cube(), meshes.octahedron()):
+        for _ in range(6):
+            cases.append((surface, random_flat_theta(surface, rng, spread=0.9)))
+    for vertical in (0.3, 1.0, np.pi / 2, 1.7, 2.5):
+        cases.append((meshes.cube(), cube_cocycle_theta(vertical)))
+    outcomes = set()
+    for surface, theta in cases:
+        for v in range(surface.n_vertices):
+            p = SphericalProblem(surface, theta, v)
+            verdict = check_sphere_conditions(p)
+            red = reduce_to_plane(p)
+            expected = red.elementary or check_conditions_bruteforce(red.spec).feasible
+            assert verdict.ok == expected
+            if not verdict.ok:
+                assert_certificate_violates(p, verdict.certificate)
+            outcomes.add(verdict.ok)
+    assert outcomes == {True, False}
+
+
+def test_disconnecting_reduction_is_a_failing_verdict():
+    for isolated in (False, True):
+        s = pinched_sphere(isolated)
+        theta = random_flat_theta(s, np.random.default_rng(43), spread=0.0)
+        p = SphericalProblem(s, theta, 0)
+        verdict = check_sphere_conditions(p)
+        assert not verdict.ok
+        assert "disconnects the dual 1-skeleton" in verdict.message
+        with pytest.raises(SphereConditionError, match="disconnects"):
+            reduce_to_plane(p)
 
 
 def test_cube_pattern_angles():
