@@ -9,6 +9,14 @@ existence of a coherent angle system, which this module finds by reducing
 to a feasible-flow problem on a small network and extracting the
 half-angles from the face-to-edge branch flows.
 
+The verdict comes from one cut.  A flow at the first floor eps on the
+face-to-edge branches settles feasible data.  When it fails, one max flow
+with eps = 0 solves a maximum-closure problem whose min cuts are the face
+sets that break the inequalities most; the strongly connected components
+of its residual graph list them, ties included, and one of them that
+exact sums confirm is the certificate.  Only data that the cut shows
+feasible go on to bisect eps, which serves to build the angle system.
+
 The network is held as arrays, one entry per branch.  Its max-flow runs in
 scipy's compiled Dinic, which takes int32 capacities only, so the float
 problem is solved in a few refinement rounds: each round caps the residual
@@ -24,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+from scipy.sparse.csgraph import (breadth_first_order, connected_components,
+                                  maximum_flow)
 
 from .functional import (CoherentAngleSystem, PatternSpec, EUCLIDEAN,
                          validate_cas)
@@ -84,6 +93,9 @@ class FlowStats:
     rounds: int = 0          # integer max-flow rounds run
     pushed: float = 0.0      # flow sent from the excess nodes
     shortfall: float = 0.0   # demand left unmet
+    # the final residual network as (tails, heads, capacities); nodes
+    # n_nodes and n_nodes + 1 are the super source and the super sink
+    residual: tuple | None = None
 
 
 # A round scales its capacity cap to fewer than 2**28 units, so a summed CSR
@@ -150,11 +162,15 @@ class _ResidualNetwork:
 
     def reachable(self, residual, s, tol):
         """Nodes reachable from s through residual capacities above tol."""
-        open_ = residual > tol
-        graph = sp.csr_array((np.ones(int(open_.sum())),
-                              (self.tails[open_], self.heads[open_])),
-                             shape=(self.n, self.n))
+        graph = _open_arcs(self.tails, self.heads, residual, tol, self.n)
         return breadth_first_order(graph, s, return_predecessors=False)
+
+
+def _open_arcs(tails, heads, residual, tol, n):
+    """Adjacency matrix of the residual arcs whose capacity exceeds tol."""
+    open_ = residual > tol
+    return sp.csr_array((np.ones(int(open_.sum())), (tails[open_], heads[open_])),
+                        shape=(n, n))
 
 
 def solve_feasible_flow(net: FlowNetwork, shortfall_tol=None,
@@ -182,12 +198,13 @@ def solve_feasible_flow(net: FlowNetwork, shortfall_tol=None,
     Returns (flows, cut): flows is a per-branch array on success and cut
     is the set of network nodes reachable from the source through residual
     capacities above the tolerance when infeasible.  ``stats``, when
-    given, receives the rounds run, the flow pushed and the shortfall.
+    given, receives the rounds run, the flow pushed, the shortfall and the
+    final residual network.
     """
     n = net.n_nodes
     s, t = n, n + 1
     stats = stats if stats is not None else FlowStats()
-    stats.rounds, stats.pushed, stats.shortfall = 0, 0.0, 0.0
+    stats.rounds, stats.pushed, stats.shortfall, stats.residual = 0, 0.0, 0.0, None
     cap = net.upper - net.lower
     if np.any(cap < 0):
         stats.shortfall = np.inf
@@ -227,10 +244,12 @@ def solve_feasible_flow(net: FlowNetwork, shortfall_tol=None,
         # no residual path is left with every arc at a unit or more, so the
         # flow still to be sent is below a unit per residual arc
         level = max(floor_level, min(unmet, unit * 2 * len(cap)))
+    residual = np.concatenate([flow, cap - flow])
     stats.pushed = demand - unmet
     stats.shortfall = unmet
+    stats.residual = (residual_net.tails, residual_net.heads, residual)
     if unmet > shortfall_tol:
-        reach = residual_net.reachable(np.concatenate([flow, cap - flow]), s, tol)
+        reach = residual_net.reachable(residual, s, tol)
         return None, {int(v) for v in reach if v < n}
     return net.lower + flow[:n_branches], None
 
@@ -258,14 +277,6 @@ class FeasibilityCertificate:
     shortfall: float = 0.0   # unmet demand of the last flow solve
 
 
-def _incident_edges(spec: PatternSpec, faces) -> tuple:
-    srf = spec.surface
-    fa = set(faces)
-    out = {srf.oe_edge[h] for h in range(srf.n_oriented_edges)
-           if srf.oe_left[h] in fa}
-    return tuple(sorted(out))
-
-
 def _equality_certificate(spec):
     phi_sum = float(spec.phi.sum())
     theta_sum = float(2.0 * spec.theta_star.sum())
@@ -279,66 +290,20 @@ def _equality_certificate(spec):
         message="sum(Phi) != sum(2 theta*)")
 
 
-def check_conditions_bruteforce(spec: PatternSpec) -> FeasibilityCertificate:
-    """Exact verdict by enumerating all nonempty face subsets.
-
-    Guarded to |F| <= 20; larger instances must use the flow-based check.
-    Does not construct an angle system; ``cas`` is None even when feasible.
-    """
-    srf = spec.surface
-    F = srf.n_faces
-    if F > 20:
-        raise ValueError("brute force enumeration is limited to |F| <= 20; "
-                         "use find_coherent_angle_system")
-    if not spec.is_hyperbolic:
-        cert = _equality_certificate(spec)
-        if cert is not None:
-            return cert
-    face_edge_mask = [0] * F
-    for h in range(srf.n_oriented_edges):
-        face_edge_mask[srf.oe_left[h]] |= 1 << int(srf.oe_edge[h])
-    n_sub = 1 << F
-    edge_masks = [0] * n_sub
-    phi_sums = np.zeros(n_sub)
-    theta_sums = np.zeros(n_sub)
-    theta2 = 2.0 * spec.theta_star
-    for sub in range(1, n_sub):
-        low = sub & -sub
-        rest = sub ^ low
-        f = low.bit_length() - 1
-        mask = edge_masks[rest] | face_edge_mask[f]
-        edge_masks[sub] = mask
-        phi_sums[sub] = phi_sums[rest] + spec.phi[f]
-        new_bits = mask & ~edge_masks[rest]
-        extra = 0.0
-        while new_bits:
-            b = new_bits & -new_bits
-            extra += theta2[b.bit_length() - 1]
-            new_bits ^= b
-        theta_sums[sub] = theta_sums[rest] + extra
-        proper = sub != n_sub - 1
-        if proper or spec.is_hyperbolic:
-            if theta_sums[sub] - phi_sums[sub] <= STRICT_TOL:
-                faces = tuple(f for f in range(F) if sub >> f & 1)
-                edges = tuple(e for e in range(srf.n_edges) if mask >> e & 1)
-                return FeasibilityCertificate(
-                    feasible=False, violating_faces=faces, violating_edges=edges,
-                    phi_sum=float(phi_sums[sub]), theta_sum=float(theta_sums[sub]),
-                    kind="subset",
-                    message=f"subset of {len(faces)} faces violates the "
-                            f"strict inequality")
-    return FeasibilityCertificate(feasible=True)
-
-
 def find_coherent_angle_system(spec: PatternSpec,
                                eps_floor: float = 1e-12) -> FeasibilityCertificate:
-    """Construct a coherent angle system via the feasible flow theorem.
+    """Decide existence by one min cut; construct a coherent angle system.
 
-    The floor for a face-to-edge branch is lowered by bisection from
-    min(Phi)/4 per boundary-walk step until a feasible flow appears; the
-    searched floor shrinking below ``eps_floor`` is reported as
-    (numerically) infeasible.  On success the half-angle of an oriented
-    edge is the flow on its face-to-edge branch.
+    The face-to-edge branches get the floor eps = min(Phi)/4 per
+    boundary-walk step (at most min(theta*)/4).  A feasible flow there is
+    the answer: the half-angle of an oriented edge is the flow on its
+    face-to-edge branch.  Otherwise the verdict comes from one max flow on
+    the eps = 0 network: a violating face set is read off its residual
+    graph (see :func:`_certificate_from_residual`) and reported as
+    ``kind="subset"``.  Only when the cut finds none, so that the strict
+    inequalities hold, is eps halved until a feasible flow appears; the
+    floor falling below ``eps_floor`` is then reported as
+    ``kind="numeric"``.
     """
     srf = spec.surface
     if not spec.is_hyperbolic:
@@ -349,58 +314,113 @@ def find_coherent_angle_system(spec: PatternSpec,
     eps = min(float(spec.phi.min()) / (4.0 * max_deg),
               float(spec.theta_star.min()) / 4.0)
     half_angles = slice(srf.n_faces, srf.n_faces + srf.n_oriented_edges)
-    cut = None
     solves = rounds = 0
     flow_stats = FlowStats()
-    while eps >= eps_floor:
-        net = build_flow_network(spec, eps)
-        # a genuinely infeasible network at this eps is short by at least
-        # ~eps, so accepting only below eps/2 cannot mask the deficit
-        flows, cut = solve_feasible_flow(net, shortfall_tol=0.5 * eps,
-                                         stats=flow_stats)
+
+    def flow(net, shortfall_tol):
+        nonlocal solves, rounds
+        flows, _ = solve_feasible_flow(net, shortfall_tol, flow_stats)
         solves += 1
         rounds += flow_stats.rounds
-        if flows is not None:
-            cas = CoherentAngleSystem(phi=flows[half_angles])
-            report = validate_cas(spec, cas)
-            if report.is_valid(1e-8):
-                cert = FeasibilityCertificate(feasible=True, cas=cas)
-                break
+        return flows
+
+    def cas_at(eps):
+        # a genuinely infeasible network at this eps is short by at least
+        # ~eps, so accepting only below eps/2 cannot mask the deficit
+        flows = flow(build_flow_network(spec, eps), 0.5 * eps)
+        if flows is None:
+            return None
+        cas = CoherentAngleSystem(phi=flows[half_angles])
+        return cas if validate_cas(spec, cas).is_valid(1e-8) else None
+
+    cas = cas_at(eps) if eps >= eps_floor else None
+    cert = None
+    if cas is None:
+        net = build_flow_network(spec, 0.0)
+        flow(net, None)
+        cert = _certificate_from_residual(spec, net, flow_stats)
+    while cas is None and cert is None:
         eps *= 0.5
-    else:
-        cert = _certificate_from_cut(spec, cut)
+        if eps < eps_floor:
+            cert = FeasibilityCertificate(
+                feasible=False, kind="numeric",
+                message="no feasible flow above the floor and no exact "
+                        "certificate found")
+        else:
+            cas = cas_at(eps)
+    if cas is not None:
+        cert = FeasibilityCertificate(feasible=True, cas=cas)
     cert.flow_solves, cert.flow_rounds = solves, rounds
     cert.shortfall = flow_stats.shortfall
     return cert
 
 
-def _certificate_from_cut(spec: PatternSpec, cut) -> FeasibilityCertificate:
+# Residual arcs at or below this share of the demand count as saturated
+# when the min cut of the eps = 0 network is read off.
+_CUT_TOL = 1e-10
+
+
+def _certificate_from_residual(spec: PatternSpec, net: FlowNetwork,
+                              stats: FlowStats) -> FeasibilityCertificate | None:
+    """Violating face set from the residual of the eps = 0 max flow, or None.
+
+    At eps = 0 the network is Picard's maximum-closure network scaled by
+    1/2: face f has profit Phi_f/2, edge e costs theta*_e, and the
+    unbounded face-to-edge branches make a face require its edges.  A face
+    set F' with its edges, without the box, is a cut of capacity D - w(F'),
+    where D = sum(Phi)/2 is the demand and w(F') = sum(Phi over F')/2 -
+    sum(theta* over the edges of F'); F' violates its inequality iff
+    w(F') >= 0.  So when some F' violates, the min cuts maximise w, and F'
+    is one of them if the maximum is 0.  The min cuts are exactly the node
+    sets that hold the source, not the sink, and are closed under residual
+    arcs (Picard & Queyranne 1980), so they are unions of strongly
+    connected components.  For a component K that holds a face and cannot
+    reach the sink, the least such set holding K is reach(K) |
+    reach(source), and a violating min cut contains the one of each of its
+    faces.  The components are taken in the order of their least face, and
+    the first set whose face set is nonempty, proper in the Euclidean
+    case, and violates by exact sums is the certificate.
+    """
+    if stats.residual is None:
+        return None
+    F = spec.surface.n_faces
+    n = net.n_nodes + 2
+    s, t = n - 2, n - 1
+    tails, heads, residual = stats.residual
+    tol = _CUT_TOL * max(1.0, stats.pushed + stats.shortfall)
+    graph = _open_arcs(tails, heads, residual, tol, n)
+    blocked = np.zeros(n, dtype=bool)
+    blocked[breadth_first_order(graph.T.tocsr(), t, return_predecessors=False)] = True
+    if blocked[s]:
+        return None
+    from_source = breadth_first_order(graph, s, return_predecessors=False)
+    _, labels = connected_components(graph, directed=True, connection="strong")
+    free = np.flatnonzero(~blocked[:F])
+    _, first = np.unique(labels[free], return_index=True)
+    for f in np.sort(free[first]):
+        reach = np.union1d(from_source, breadth_first_order(
+            graph, f, return_predecessors=False))
+        faces = reach[reach < F]
+        if spec.is_hyperbolic or len(faces) < F:
+            cert = _subset_certificate(spec, faces)
+            if cert is not None:
+                return cert
+    return None
+
+
+def _subset_certificate(spec: PatternSpec, faces) -> FeasibilityCertificate | None:
+    """The certificate of a sorted face set if exact sums show it violates."""
     srf = spec.surface
-    candidates = []
-    if cut:
-        inside = tuple(sorted(f for f in range(srf.n_faces) if f in cut))
-        outside = tuple(sorted(f for f in range(srf.n_faces) if f not in cut))
-        candidates = [c for c in (inside, outside) if 0 < len(c)]
-        if spec.is_hyperbolic:
-            candidates.append(tuple(range(srf.n_faces)))
-    for faces in candidates:
-        if len(faces) == srf.n_faces and not spec.is_hyperbolic:
-            continue
-        edges = _incident_edges(spec, faces)
-        phi_sum = float(spec.phi[list(faces)].sum())
-        theta_sum = float(2.0 * spec.theta_star[list(edges)].sum())
-        if theta_sum - phi_sum <= STRICT_TOL:
-            return FeasibilityCertificate(
-                feasible=False, violating_faces=faces, violating_edges=edges,
-                phi_sum=phi_sum, theta_sum=theta_sum, kind="subset",
-                message="flow cut yields a violating face subset")
-    if srf.n_faces <= 20:
-        cert = check_conditions_bruteforce(spec)
-        if not cert.feasible:
-            return cert
+    edges = np.unique(srf.oe_edge[np.isin(srf.oe_left, faces)])
+    phi_sum = float(spec.phi[faces].sum())
+    theta_sum = float(2.0 * spec.theta_star[edges].sum())
+    if theta_sum - phi_sum > STRICT_TOL:
+        return None
     return FeasibilityCertificate(
-        feasible=False, kind="numeric",
-        message="no feasible flow above the floor and no exact certificate found")
+        feasible=False, violating_faces=tuple(map(int, faces)),
+        violating_edges=tuple(map(int, edges)), phi_sum=phi_sum,
+        theta_sum=theta_sum, kind="subset",
+        message="flow cut yields a violating face subset")
 
 
 # -- Rivin's cocycle condition ------------------------------------------------

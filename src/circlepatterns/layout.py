@@ -368,7 +368,29 @@ def _extract_periods(diffs, scale):
         k = np.round(c)
         r = d - (k[0] * v1 + k[1] * v2)
         residual = max(residual, abs(r))
-    return (v1, v2), residual
+    return _canonical_basis(v1, v2, tol), residual
+
+
+def _canonical_basis(v1, v2, tol):
+    """The lattice basis fixed by the lattice alone, not by the input order.
+
+    p1 is the shortest lattice vector and p2 the shortest one with
+    cross(p1, p2) > 0; lengths within tol tie, and ties go to the larger
+    real part, then to the larger imaginary part (again within tol).  Both
+    are among the combinations a v1 + b v2, |a|, |b| <= 2, of the reduced
+    basis (v1, v2).
+    """
+    vectors = [a * v1 + b * v2 for a in range(-2, 3) for b in range(-2, 3)
+               if (a, b) != (0, 0)]
+
+    def first(vs):
+        vs = [v for v in vs if abs(v) <= min(map(abs, vs)) + tol]
+        vs = [v for v in vs if v.real >= max(v.real for v in vs) - tol]
+        return max(vs, key=lambda v: v.imag)
+
+    p1 = first(vectors)
+    return p1, first([v for v in vectors
+                      if (np.conj(p1) * v).imag > tol * abs(p1)])
 
 
 # -- export -------------------------------------------------------------------

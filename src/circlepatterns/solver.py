@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -45,10 +46,15 @@ class SolveOptions:
     def __post_init__(self):
         if self.method not in (NEWTON, THURSTON):
             raise ValueError(f"unknown method {self.method!r}")
-        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
-            raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol!r}")
-        if self.max_iter is not None and self.max_iter < 0:
-            raise ValueError(f"max_iter must be nonnegative, got {self.max_iter!r}")
+        if (not isinstance(self.grad_tol, numbers.Real) or isinstance(self.grad_tol, bool)
+                or not (math.isfinite(self.grad_tol) and self.grad_tol > 0)):
+            raise ValueError(f"grad_tol must be a finite positive number, "
+                             f"got {self.grad_tol!r}")
+        if self.max_iter is not None and (
+                not isinstance(self.max_iter, numbers.Integral)
+                or isinstance(self.max_iter, bool) or self.max_iter < 0):
+            raise ValueError(f"max_iter must be None or a nonnegative integer, "
+                             f"got {self.max_iter!r}")
 
 
 @dataclass

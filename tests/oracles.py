@@ -7,12 +7,16 @@ dilogarithm oracle integrates the defining integral with adaptive
 quadrature, and the functional-value oracle sums those quadratures in
 place of the Clausen closed form.  The feasible-flow oracle runs the
 excess-node transformation on a pure-Python Dinic over float capacities,
-augmenting each path by its full bottleneck.  None shares code with the
-implementation under test.
+augmenting each path by its full bottleneck.  The existence oracle
+enumerates every face subset.  None shares logic with the implementation
+under test; the existence oracle only reports in its certificate type and
+with its tolerances.
 """
 
 import numpy as np
 from scipy.integrate import quad
+
+from circlepatterns.feasibility import EQ_TOL, STRICT_TOL, FeasibilityCertificate
 
 TWO_PI = 2.0 * np.pi
 _CHUNK = 1_000_000
@@ -203,3 +207,55 @@ def feasible_flow_dinic(net, shortfall_tol=None):
     flows = np.array([branches[i][2] + dinic.cap[arcs[i] ^ 1]
                       for i in range(len(branches))])
     return flows, None, pushed, demand
+
+
+# -- existence by enumeration ----------------------------------------------------
+
+def check_conditions_bruteforce(spec):
+    """Exact verdict by enumerating all nonempty face subsets.
+
+    Guarded to |F| <= 20.  Does not construct an angle system; ``cas`` is
+    None even when feasible.
+    """
+    srf = spec.surface
+    F = srf.n_faces
+    if F > 20:
+        raise ValueError("brute force enumeration is limited to |F| <= 20")
+    theta2 = 2.0 * spec.theta_star
+    if not spec.is_hyperbolic:
+        phi_sum, theta_sum = float(spec.phi.sum()), float(theta2.sum())
+        if abs(phi_sum - theta_sum) > EQ_TOL * max(1.0, abs(theta_sum)):
+            return FeasibilityCertificate(
+                feasible=False, violating_faces=tuple(range(F)),
+                violating_edges=tuple(range(srf.n_edges)),
+                phi_sum=phi_sum, theta_sum=theta_sum, kind="equality")
+    face_edge_mask = [0] * F
+    for h in range(srf.n_oriented_edges):
+        face_edge_mask[srf.oe_left[h]] |= 1 << int(srf.oe_edge[h])
+    n_sub = 1 << F
+    edge_masks = [0] * n_sub
+    phi_sums = np.zeros(n_sub)
+    theta_sums = np.zeros(n_sub)
+    for sub in range(1, n_sub):
+        low = sub & -sub
+        rest = sub ^ low
+        f = low.bit_length() - 1
+        mask = edge_masks[rest] | face_edge_mask[f]
+        edge_masks[sub] = mask
+        phi_sums[sub] = phi_sums[rest] + spec.phi[f]
+        new_bits = mask & ~edge_masks[rest]
+        extra = 0.0
+        while new_bits:
+            b = new_bits & -new_bits
+            extra += theta2[b.bit_length() - 1]
+            new_bits ^= b
+        theta_sums[sub] = theta_sums[rest] + extra
+        proper = sub != n_sub - 1
+        if (proper or spec.is_hyperbolic) and theta_sums[sub] - phi_sums[sub] <= STRICT_TOL:
+            return FeasibilityCertificate(
+                feasible=False,
+                violating_faces=tuple(f for f in range(F) if sub >> f & 1),
+                violating_edges=tuple(e for e in range(srf.n_edges) if mask >> e & 1),
+                phi_sum=float(phi_sums[sub]), theta_sum=float(theta_sums[sub]),
+                kind="subset")
+    return FeasibilityCertificate(feasible=True)

@@ -56,6 +56,9 @@ def test_check_single_face_violation(capsys, single_face_problem):
     assert code == cli.EXIT_INFEASIBLE
     doc = json.loads(out)
     assert doc["feasible"] is False
+    assert doc["kind"] == "subset"
+    assert len(doc["violating_faces"]) == 1
+    assert len(doc["violating_edges"]) == 3
     assert _run(capsys, "check", single_face_problem) == (code, out)
 
 
@@ -87,6 +90,20 @@ def test_missing_input_file(capsys, tmp_path):
                                   ["--max-iter", "-3"]])
 def test_solve_rejects_invalid_options(capsys, torus_problem, flag):
     code = cli.main(["solve", torus_problem, *flag])
+    assert code == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("options", [{"max_iter": 2.5}, {"max_iter": "3"},
+                                     {"tol": "1e-8"}, {"tol": True}])
+def test_solve_rejects_invalid_file_options(capsys, tmp_path, options):
+    s = meshes.torus_grid(2, 2)
+    path = tmp_path / "options.json"
+    path.write_text(json.dumps({
+        "mesh": surface_to_json_dict(s), "geometry": "euclidean",
+        "theta_star": [np.pi / 2] * s.n_edges, "phi": [2 * np.pi] * s.n_faces,
+        "options": options}))
+    code = cli.main(["solve", str(path)])
     assert code == cli.EXIT_INPUT
     assert capsys.readouterr().err.startswith("error:")
 

@@ -3,15 +3,17 @@ import pytest
 
 from circlepatterns import meshes
 from circlepatterns.feasibility import (
-    build_flow_network, check_conditions_bruteforce,
-    check_higher_genus_condition, check_rivin_condition,
-    find_coherent_angle_system, region_decomposition, solve_feasible_flow,
+    STRICT_TOL, build_flow_network, check_higher_genus_condition,
+    check_rivin_condition, find_coherent_angle_system, region_decomposition,
+    solve_feasible_flow,
 )
 from circlepatterns.functional import (EUCLIDEAN, HYPERBOLIC, PatternSpec,
                                        validate_cas)
-from circlepatterns.surface import dual, euler_characteristic, vertex_angle_sums
+from circlepatterns.surface import (dual, euler_characteristic, medial,
+                                   vertex_angle_sums)
 from helpers import (random_feasible_spec, random_flat_theta, random_spec,
                      surface_pool)
+from oracles import check_conditions_bruteforce
 
 
 def torus_spec(geometry=EUCLIDEAN, phi=2 * np.pi):
@@ -74,13 +76,43 @@ def test_network_structure():
     assert flows is not None and cut is None
 
 
+def _own_theta_sum(spec, f):
+    srf = spec.surface
+    return 2.0 * spec.theta_star[np.unique(srf.oe_edge[srf.oe_left == f])].sum()
+
+
+def _tie_spec(surf, geometry, rng):
+    """Data with many subsets failing by equality: theta* on a pi/4 grid,
+    Phi on a pi/2 grid, some faces at exactly sum(2 theta*) over their own
+    edges, and Euclidean totals rebalanced onto a few faces."""
+    theta_star = (np.full(surf.n_edges, np.pi / 2) if rng.random() < 0.5 else
+                  rng.choice([np.pi / 4, np.pi / 2, 3 * np.pi / 4], surf.n_edges))
+    phi = rng.choice([0.5, 1.0, 1.5, 2.0, 2.5, 3.0], surf.n_faces) * np.pi
+    spec = PatternSpec(surf, geometry, theta_star, phi)
+    for f in rng.choice(surf.n_faces, rng.integers(surf.n_faces + 1), replace=False):
+        phi[f] = _own_theta_sum(spec, f)
+    if geometry == EUCLIDEAN:
+        takers = rng.choice(surf.n_faces, rng.integers(1, surf.n_faces + 1), replace=False)
+        phi[takers] += (2.0 * theta_star.sum() - phi.sum()) / len(takers)
+        if phi.min() <= 0.05:
+            return None
+    return PatternSpec(surf, geometry, theta_star, phi)
+
+
 def test_flow_agrees_with_bruteforce_randomized():
     rng = np.random.default_rng(100)
-    pool = surface_pool(max_faces=8)
-    for i in range(80):
+    small, tie_pool = surface_pool(max_faces=8), surface_pool(max_faces=12)
+    outcomes = {"feasible": 0, "subset": 0, "bisected": 0}
+    for i in range(380):
+        # 80 random or random feasible cases, then 300 with many ties
+        pool = small if i < 80 else tie_pool
         surf = pool[rng.integers(len(pool))]
         geometry = EUCLIDEAN if rng.random() < 0.5 else HYPERBOLIC
-        if rng.random() < 0.5:
+        if i >= 80:
+            spec = _tie_spec(surf, geometry, rng)
+            if spec is None:
+                continue
+        elif rng.random() < 0.5:
             spec = random_feasible_spec(surf, geometry, rng)
         else:
             spec = random_spec(surf, geometry, rng)
@@ -91,12 +123,43 @@ def test_flow_agrees_with_bruteforce_randomized():
             report = validate_cas(spec, flow.cas)
             assert report.is_valid(1e-8)
             assert report.min_phi > 0
-        elif flow.kind == "subset":
+            outcomes["feasible"] += 1
+            # the first floor failed, the cut found nothing, bisection went on
+            outcomes["bisected"] += flow.flow_solves > 2
+        elif brute.kind == "equality":
+            assert flow.kind == "equality"
+        else:
+            # every subset violation is certified exactly by the one cut
+            assert (flow.kind, flow.flow_solves) == ("subset", 2), (i, surf, geometry)
             faces = list(flow.violating_faces)
-            edges = list(flow.violating_edges)
-            lhs = spec.phi[faces].sum()
-            rhs = 2.0 * spec.theta_star[edges].sum()
-            assert lhs >= rhs - 1e-7
+            assert faces and faces == sorted(set(faces))
+            assert geometry == HYPERBOLIC or len(faces) < surf.n_faces
+            edges = np.unique(surf.oe_edge[np.isin(surf.oe_left, faces)])
+            assert flow.violating_edges == tuple(edges)
+            assert 2.0 * spec.theta_star[edges].sum() - spec.phi[faces].sum() <= STRICT_TOL
+            outcomes["subset"] += 1
+    assert min(outcomes.values()) >= 1 and outcomes["subset"] >= 100, outcomes
+
+
+def test_full_size_certificates_from_one_cut():
+    # one triangle of medial(triangulated_torus(8, 8)) at exactly 3 pi, the
+    # sum of 2 theta* over its edges; the others rebalance the total
+    med = medial(meshes.triangulated_torus(8, 8))
+    n_f = med.n_faces
+    triangle = [f for f in range(n_f) if len(med.face_walk(f)) == 3][-1]
+    phi = np.full(n_f, 2 * np.pi - np.pi / (n_f - 1))
+    phi[triangle] = 3 * np.pi
+    cert = find_coherent_angle_system(
+        PatternSpec(med, EUCLIDEAN, np.full(med.n_edges, np.pi / 2), phi))
+    assert (cert.kind, cert.violating_faces, cert.flow_solves) == ("subset", (triangle,), 2)
+    assert abs(cert.phi_sum - cert.theta_sum) < 1e-9
+    # the hyperbolic full set fails by equality
+    med = medial(meshes.triangulated_torus(12, 12))
+    cert = find_coherent_angle_system(PatternSpec(
+        med, HYPERBOLIC, np.full(med.n_edges, np.pi / 2), np.full(med.n_faces, 2 * np.pi)))
+    assert cert.kind == "subset" and cert.flow_solves == 2
+    assert cert.violating_faces == tuple(range(med.n_faces))
+    assert cert.violating_edges == tuple(range(med.n_edges))
 
 
 def test_bruteforce_guard():
@@ -328,11 +391,12 @@ def test_certificate_records_the_flow_search():
     assert feasible.flow_solves == 1
     assert feasible.flow_rounds >= 1
     assert 0.0 <= feasible.shortfall <= 1e-10 * torus_spec().phi.sum()
-    # the hyperbolic full-set equality fails at every eps down to the floor
+    # the hyperbolic full-set equality fails at the first floor, and the
+    # eps = 0 cut certifies it: two flow solves, no bisection
     spec = torus_spec(HYPERBOLIC)
     infeasible = find_coherent_angle_system(spec)
-    eps = min(spec.phi.min() / 16.0, spec.theta_star.min() / 4.0)
-    assert infeasible.flow_solves == int(np.floor(np.log2(eps / 1e-12))) + 1
+    assert infeasible.kind == "subset"
+    assert infeasible.flow_solves == 2
     assert infeasible.flow_rounds > infeasible.flow_solves
     assert infeasible.shortfall > 0.0
     equality = find_coherent_angle_system(torus_spec(EUCLIDEAN, phi=2 * np.pi + 0.1))

@@ -7,8 +7,9 @@ from circlepatterns import meshes
 from circlepatterns.functional import (EUCLIDEAN, HYPERBOLIC, PatternSpec,
                                        phi_of_rho)
 from circlepatterns.layout import (Circle, Line, LayoutResult,
-                                   NotDevelopableError, export_json,
-                                   export_svg, layout, layout_to_dict)
+                                   NotDevelopableError, _extract_periods,
+                                   export_json, export_svg, layout,
+                                   layout_to_dict)
 from circlepatterns.solver import minimize
 from circlepatterns.spherical import SphericalProblem, reduce_to_plane
 from helpers import random_feasible_spec
@@ -90,6 +91,38 @@ def test_intersection_points_on_both_circles():
             worst = max(worst, abs(abs(p - cj) - rj) / rj,
                         abs(abs(p - ck) - rk) / rk)
     assert worst < 1e-9
+
+
+def test_period_basis_is_canonical():
+    # hexagonal lattices, where six shortest vectors tie: the basis must not
+    # depend on the order, the signs or the last bits of the mismatches
+    rng = np.random.default_rng(31)
+    w = np.exp(1j * np.pi / 3)
+    for a, turn in ((92.30, 1.0), (1.0, 1.0), (3.7, np.exp(0.4j))):
+        u, v = a * turn, a * w * turn
+        diffs = [k * u + m * v for k in range(-3, 4) for m in range(-3, 4)]
+        bases = []
+        for _ in range(12):
+            noise = 1e-13 * a * (rng.standard_normal(len(diffs))
+                                 + 1j * rng.standard_normal(len(diffs)))
+            flips = rng.choice([-1, 1], len(diffs))
+            shuffled = [diffs[i] * flips[i] + noise[i]
+                        for i in rng.permutation(len(diffs))]
+            (p1, p2), residual = _extract_periods(shuffled, 10 * a)
+            assert residual < 1e-11 * a
+            bases.append((p1, p2))
+        # the shortest vector with the largest real part, then the shortest
+        # one to its left with the largest real part
+        best = max((u * w ** j for j in range(6)), key=lambda z: (round(z.real, 6), z.imag))
+        for p1, p2 in bases:
+            assert abs(p1 - best) < 1e-9 * a
+            assert abs(p2 - best * w) < 1e-9 * a
+    # square lattice: (1, 0), then (0, 1)
+    square = [complex(k, m) for k in range(-2, 3) for m in range(-2, 3)]
+    for _ in range(5):
+        (p1, p2), _ = _extract_periods([square[i] * rng.choice([-1, 1])
+                                        for i in rng.permutation(len(square))], 10.0)
+        assert (p1, p2) == (1, 1j)
 
 
 def test_path_independence_up_to_isometry():

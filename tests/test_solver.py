@@ -128,7 +128,15 @@ def test_solve_options_validation():
             SolveOptions(grad_tol=tol)
     with pytest.raises(ValueError, match="max_iter"):
         SolveOptions(max_iter=-3)
+    for tol in ("1e-8", None, True, [1e-8]):
+        with pytest.raises(ValueError, match="grad_tol"):
+            SolveOptions(grad_tol=tol)
+    for max_iter in (2.5, 3.0, "3", True, np.float64(2.0)):
+        with pytest.raises(ValueError, match="max_iter"):
+            SolveOptions(max_iter=max_iter)
     assert SolveOptions(max_iter=0).max_iter == 0
+    assert SolveOptions(max_iter=np.int64(4), grad_tol=np.float32(1e-6)).max_iter == 4
+    assert SolveOptions(grad_tol=1).grad_tol == 1
 
 
 def test_newton_monotone_descent():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from circlepatterns import meshes
-from circlepatterns.feasibility import STRICT_TOL, check_conditions_bruteforce
+from circlepatterns.feasibility import STRICT_TOL
 from circlepatterns.layout import Circle, Line
 from circlepatterns.spherical import (
     SphereConditionError, SphericalCircle, SphericalProblem, circle_to_sphere,
@@ -12,6 +12,7 @@ from circlepatterns.spherical import (
 )
 from circlepatterns.surface import vertex_angle_sums
 from helpers import pinched_sphere, random_flat_theta
+from oracles import check_conditions_bruteforce
 
 
 def cube_problem(v_inf=7):
