@@ -274,7 +274,7 @@ class FeasibilityCertificate:
     # what the flow search did; not part of the verdict
     flow_solves: int = 0
     flow_rounds: int = 0
-    shortfall: float = 0.0   # unmet demand of the last flow solve
+    shortfall: float = 0.0   # unmet demand of the flow at the first floor eps
 
 
 def _equality_certificate(spec):
@@ -334,6 +334,7 @@ def find_coherent_angle_system(spec: PatternSpec,
         return cas if validate_cas(spec, cas).is_valid(1e-8) else None
 
     cas = cas_at(eps) if eps >= eps_floor else None
+    shortfall = flow_stats.shortfall
     cert = None
     if cas is None:
         net = build_flow_network(spec, 0.0)
@@ -351,7 +352,7 @@ def find_coherent_angle_system(spec: PatternSpec,
     if cas is not None:
         cert = FeasibilityCertificate(feasible=True, cas=cas)
     cert.flow_solves, cert.flow_rounds = solves, rounds
-    cert.shortfall = flow_stats.shortfall
+    cert.shortfall = shortfall
     return cert
 
 

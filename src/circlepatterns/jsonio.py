@@ -1,30 +1,55 @@
 """Deterministic JSON emission with fixed float formatting.
 
 All numbers are written with 17 significant digits so that reports are
-byte-identical across repeated runs and round-trip exactly.
+byte-identical across repeated runs and round-trip exactly.  ``dumps``
+dispatches on ``type(obj)`` for the built-in JSON types and formats a list
+of plain floats in one ``map``; None, bools, NumPy values and subclasses go
+through an ``isinstance`` chain to the same output.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
 FLOAT_FORMAT = "%.17g"
+_FLOATS = {float}
 
 
 def _format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite float {x}")
     return FLOAT_FORMAT % x
 
 
+def _join(opening, items, closing, indent, level):
+    if not indent:
+        return opening + ", ".join(items) + closing
+    pad = "\n" + " " * (indent * (level + 1))
+    return opening + pad + ("," + pad).join(items) + "\n" + " " * (indent * level) + closing
+
+
 def dumps(obj, indent=0, _level=0) -> str:
-    pad = " " * (indent * (_level + 1)) if indent else ""
-    closing = " " * (indent * _level) if indent else ""
-    nl = "\n" if indent else ""
-    sep = "," + (nl if indent else " ")
+    kind = type(obj)
+    if kind is float:
+        return _format_float(obj)
+    if kind is int:
+        return str(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == _FLOATS:
+            return _join("[", map(_format_float, obj), "]", indent, _level)
+        return _join("[", [dumps(v, indent, _level + 1) for v in obj], "]", indent, _level)
+    if kind is dict:
+        if not obj:
+            return "{}"
+        return _join("{", [_quote(str(k)) + ": " + dumps(v, indent, _level + 1)
+                           for k, v in obj.items()], "}", indent, _level)
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -34,20 +59,11 @@ def dumps(obj, indent=0, _level=0) -> str:
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
+        return _quote(obj)
+    if isinstance(obj, np.ndarray) and obj.ndim:
+        return dumps(obj.tolist(), indent, _level)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [dumps(v, indent, _level + 1) for v in obj]
-        return "[" + nl + sep.join(pad + s for s in items) + nl + closing + "]" \
-            if indent else "[" + ", ".join(items) + "]"
+        return dumps(list(obj), indent, _level)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f"{json.dumps(str(k))}: {dumps(v, indent, _level + 1)}"
-                 for k, v in obj.items()]
-        return "{" + nl + sep.join(pad + s for s in items) + nl + closing + "}" \
-            if indent else "{" + ", ".join(items) + "}"
+        return dumps(dict(obj), indent, _level)
     raise TypeError(f"cannot serialize {type(obj)!r}")

@@ -1,10 +1,22 @@
 """Geometric realization of solved circle patterns.
 
 Each unoriented edge contributes a kite built from the two circle centers
-and the edge's two intersection points.  The kites are assembled by a
-breadth-first developing map over shared sides; a flat torus is cut open
-and laid out as a fundamental domain with the two translation periods
-reported.  Hyperbolic patterns live in the Poincare disk.
+and the edge's two intersection points.  The kites are the rows of one
+complex ``(E, 4)`` array of corners ``(P_u, C_k, P_w, C_j)``, built in one
+vectorised pass in each kite's own frame (C_j at the origin, C_k on the
+positive real axis).  Every corner c of a face walk that has a successor
+glues the kite of edge(c) to the kite of edge(next(c)) along the segment
+from the point at terminus(c) to the center of face left(c).
+
+The developing map is a breadth-first search of the kite adjacency, whose
+row e lists edge(next(h)), edge(next(twin h)), edge(prev(h)) and
+edge(prev(twin h)) for the representative h of e, in that order.  The scan
+order fixes the spanning tree, and with it the fundamental domain into
+which a flat torus is cut open; the two translation periods are reported.
+Frames (similarities z -> a z + b in the plane, isometries of the Poincare
+disk for hyperbolic patterns) are computed one BFS level at a time from the
+frames of the parents, and the first placement of a circle center or an
+intersection point in BFS order wins.
 
 Only patterns without cone-like singularities are developable: all
 interior cone angles (Phi at faces, Theta at vertices) must equal 2*pi.
@@ -19,12 +31,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order
 
 from . import jsonio
 from .functional import PatternSpec, phi_of_rho, radii_from_rho
 from .surface import OPEN, vertex_angle_sums
 
 TWO_PI = 2.0 * math.pi
+_PU, _CK, _PW, _CJ = range(4)     # corner columns of a kite row
 
 
 class NotDevelopableError(ValueError):
@@ -44,29 +59,6 @@ class Line:
     normal: complex
 
 
-@dataclass(frozen=True)
-class Kite:
-    """Kite of one edge: centers C_j (left), C_k (right), points P_u, P_w.
-
-    Corner angles are 2*phi_j at C_j, 2*phi_k at C_k and theta at both
-    vertex corners; the center distance d satisfies the (Euclidean or
-    hyperbolic) law of cosines with the two radii and theta.
-    """
-    edge: int
-    rep: int
-    face_left: int
-    face_right: int
-    vertex_from: int
-    vertex_to: int
-    r_left: float
-    r_right: float
-    theta: float
-    phi_left: float
-    phi_right: float
-    center_distance: float
-    corners_local: tuple  # (P_u, C_k, P_w, C_j) in the kite's own frame
-
-
 @dataclass
 class LayoutResult:
     geometry: str
@@ -84,54 +76,6 @@ class LayoutResult:
         return self.closure_residual > 1e-7 * max(self.diameter, 1e-30)
 
 
-# -- geometry backends --------------------------------------------------------
-
-class _EuclideanFrame:
-    """Orientation-preserving similarities z -> a z + b with |a| = 1."""
-
-    @staticmethod
-    def from_sides(q1, q2, z1, z2):
-        a = (z2 - z1) / (q2 - q1)
-        return a, z1 - a * q1
-
-    @staticmethod
-    def apply(t, z):
-        a, b = t
-        return a * z + b
-
-    @staticmethod
-    def dist(z, w):
-        return abs(z - w)
-
-
-class _HyperbolicFrame:
-    """Disk isometries z -> (a z + b) / (conj(b) z + conj(a))."""
-
-    @staticmethod
-    def _translation(w):
-        return np.array([[1.0, w], [np.conj(w), 1.0]], dtype=complex)
-
-    @classmethod
-    def from_sides(cls, q1, q2, z1, z2):
-        to_origin_q = np.array([[1.0, -q1], [-np.conj(q1), 1.0]], dtype=complex)
-        to_origin_z = np.array([[1.0, -z1], [-np.conj(z1), 1.0]], dtype=complex)
-        q2p = cls.apply(to_origin_q, q2)
-        z2p = cls.apply(to_origin_z, z2)
-        beta = np.angle(z2p) - np.angle(q2p)
-        rot = np.array([[np.exp(0.5j * beta), 0.0], [0.0, np.exp(-0.5j * beta)]])
-        m = cls._translation(z1) @ rot @ to_origin_q
-        return m / np.sqrt(abs(np.linalg.det(m)))
-
-    @staticmethod
-    def apply(t, z):
-        return (t[0, 0] * z + t[0, 1]) / (t[1, 0] * z + t[1, 1])
-
-    @staticmethod
-    def dist(z, w):
-        q = abs((z - w) / (1.0 - np.conj(w) * z))
-        return 2.0 * np.arctanh(min(q, 1.0 - 1e-16))
-
-
 def hyperbolic_circle_to_euclidean(center: complex, radius: float) -> Circle:
     """Render a hyperbolic circle (disk-model center, hyperbolic radius)
     as the Euclidean circle it traces in the Poincare disk."""
@@ -141,73 +85,147 @@ def hyperbolic_circle_to_euclidean(center: complex, radius: float) -> Circle:
     return Circle(center * (1.0 - t * t) / denom, t * (1.0 - s2) / denom)
 
 
-# -- kite construction --------------------------------------------------------
+# -- frames: one row per kite ---------------------------------------------------
 
-def _build_kites(spec: PatternSpec, rho, radii, phi):
+def _apply_similarity(t, z):
+    """z -> a z + b row by row, for rows t = (a, b) with |a| = 1."""
+    return t[:, :1] * z + t[:, 1:]
+
+
+def _similarity_from_sides(q1, q2, z1, z2):
+    a = (z2 - z1) / (q2 - q1)
+    return np.stack([a, z1 - a * q1], axis=1)
+
+
+def _apply_isometry(m, z):
+    """z -> (a z + b) / (conj(b) z + conj(a)) row by row, for the matrix
+    rows m = (a, b, conj(b), conj(a)) of disk isometries."""
+    return (m[:, :1] * z + m[:, 1:2]) / (m[:, 2:3] * z + m[:, 3:])
+
+
+def _isometry_from_sides(q1, q2, z1, z2):
+    """The isometry taking q1 to z1 and the geodesic ray towards q2 onto the
+    one towards z2: translate q1 to 0, rotate, translate 0 to z1."""
+    cq1, cz1 = np.conj(q1), np.conj(z1)
+    beta = (np.angle((z2 - z1) / (1.0 - cz1 * z2))
+            - np.angle((q2 - q1) / (1.0 - cq1 * q2)))
+    u, v = np.exp(0.5j * beta), np.exp(-0.5j * beta)
+    m = np.stack([u - z1 * v * cq1, z1 * v - u * q1,
+                  cz1 * u - v * cq1, v - cz1 * u * q1], axis=1)
+    return m / np.sqrt(np.abs(m[:, :1] * m[:, 3:] - m[:, 1:2] * m[:, 2:3]))
+
+
+# -- kites, glue records and the spanning tree -------------------------------
+
+def _kite_corners(spec: PatternSpec, radii, phi):
+    """Local corners (P_u, C_k, P_w, C_j) of every kite, one row per edge.
+
+    Corner angles are 2*phi_j at C_j, 2*phi_k at C_k and theta at both
+    vertex corners; the center distance satisfies the (Euclidean or
+    hyperbolic) law of cosines with the two radii and theta.  Hyperbolic
+    kites are drawn in the disk, so distances from C_j = 0 become tanh(d/2).
+    """
     srf = spec.surface
-    kites = []
-    hyperbolic = spec.is_hyperbolic
-    for e in range(srf.n_edges):
-        h = srf.edge_rep(e)
-        t = srf.twin(h)
-        fj, fk = srf.left_face(h), srf.right_face(h)
-        rj, rk = float(radii[fj]), float(radii[fk])
-        theta = float(spec.theta[e])
-        pj, pk = float(phi[h]), float(phi[t])
-        if hyperbolic:
-            cd = math.acosh(math.cosh(rj) * math.cosh(rk)
-                            - math.sinh(rj) * math.sinh(rk) * math.cos(theta))
-            ck = math.tanh(0.5 * cd)
-            rad = math.tanh(0.5 * rj)
-        else:
-            cd = math.sqrt(rj * rj + rk * rk - 2.0 * rj * rk * math.cos(theta))
-            ck = cd
-            rad = rj
-        pu = rad * complex(math.cos(pj), -math.sin(pj))
-        pw = rad * complex(math.cos(pj), math.sin(pj))
-        kites.append(Kite(
-            edge=e, rep=h, face_left=fj, face_right=fk,
-            vertex_from=srf.origin(h), vertex_to=srf.terminus(h),
-            r_left=rj, r_right=rk, theta=theta, phi_left=pj, phi_right=pk,
-            center_distance=cd,
-            corners_local=(pu, complex(ck, 0.0), pw, complex(0.0, 0.0))))
-    return kites
+    rj, rk = radii[srf.edge_left], radii[srf.edge_right]
+    pj = phi[srf.edge_reps]
+    cos_theta = np.cos(spec.theta)
+    if spec.is_hyperbolic:
+        ck = np.tanh(0.5 * np.arccosh(np.cosh(rj) * np.cosh(rk)
+                                      - np.sinh(rj) * np.sinh(rk) * cos_theta))
+        rad = np.tanh(0.5 * rj)
+    else:
+        ck = np.sqrt(rj * rj + rk * rk - 2.0 * rj * rk * cos_theta)
+        rad = rj
+    corners = np.zeros((srf.n_edges, 4), dtype=complex)
+    corners.real[:, _PU] = corners.real[:, _PW] = rad * np.cos(pj)
+    corners.imag[:, _PW] = rad * np.sin(pj)
+    corners.imag[:, _PU] = -corners.imag[:, _PW]
+    corners.real[:, _CK] = ck
+    return corners
 
 
-def _side_plus(srf, kite, corner):
-    """Local (vertex point, center point) of the side this corner names,
-    for the kite of corner's own edge."""
-    pu, ck, pw, cj = kite.corners_local
-    if corner == kite.rep:
-        return pw, cj
-    if corner == srf.twin(kite.rep):
-        return pu, ck
-    raise ValueError("corner does not belong to this kite")
+def _glue_records(srf):
+    """One record per corner c with a successor in its face walk.
+
+    Returns (corner, a, b, cols): kite a = edge(c) and kite b =
+    edge(next(c)) share the side (vertex point, circle center) held in
+    columns cols[:, 0:2] of kite a and cols[:, 2:4] of kite b.
+    """
+    n = srf.n_oriented_edges
+    nxt = np.fromiter(map(srf.next_in_face, range(n)), np.intp, n)
+    corner = np.flatnonzero(nxt != OPEN)
+    is_rep = srf.edge_reps[srf.oe_edge] == np.arange(n)
+    a_rep, b_rep = is_rep[corner], is_rep[nxt[corner]]
+    cols = np.stack([np.where(a_rep, _PW, _PU), np.where(a_rep, _CJ, _CK),
+                     np.where(b_rep, _PU, _PW), np.where(b_rep, _CJ, _CK)], axis=1)
+    return corner, srf.oe_edge[corner], srf.oe_edge[nxt[corner]], cols
 
 
-def _side_minus(srf, kite, corner):
-    """Local side points in the kite of edge(next(corner))."""
-    nxt = srf.next_in_face(corner)
-    pu, ck, pw, cj = kite.corners_local
-    if nxt == kite.rep:
-        return pu, cj
-    if nxt == srf.twin(kite.rep):
-        return pw, ck
-    raise ValueError("corner does not glue into this kite")
+def _spanning_tree(srf, corner, a, b, root_edge):
+    """BFS order of the kites and, for each kite after the root, its parent,
+    the glue record that places it and whether the parent is its kite a.
+
+    Row e of the adjacency lists, for h = rep(e), the kite b of the records
+    of h and twin(h) and the kite a of the records of prev(h) and
+    prev(twin(h)).  breadth_first_order scans each row in its stored order,
+    so this order fixes the tree.
+    """
+    n, n_edges = srf.n_oriented_edges, srf.n_edges
+    record = np.full(n + 1, -1)       # the last entry answers for OPEN (-1)
+    record[corner] = np.arange(len(corner))
+    prv = np.fromiter(map(srf.prev_in_face, range(n)), np.intp, n)
+    h = srf.edge_reps
+    tw = srf.oe_twin[h]
+    slot = record[np.stack([h, tw, prv[h], prv[tw]], axis=1)]
+    valid = slot >= 0
+    nbr = np.where(np.arange(4) < 2, b[slot], a[slot])
+    graph = sp.csr_matrix(
+        (np.ones(int(valid.sum())), nbr[valid],
+         np.concatenate([[0], np.cumsum(valid.sum(axis=1))])),
+        shape=(n_edges, n_edges))
+    order, pred = breadth_first_order(graph, root_edge, directed=True,
+                                      return_predecessors=True)
+    if len(order) < n_edges:
+        raise NotDevelopableError("kite adjacency graph is disconnected")
+    child = order[1:]
+    parent = pred[child]
+    first = np.argmax((nbr[parent] == child[:, None]) & valid[parent], axis=1)
+    return order, parent, slot[parent, first], first < 2
+
+
+def _levels(order, parent):
+    """Slices of order[1:] holding one BFS depth each."""
+    pos = np.empty_like(order)
+    pos[order] = np.arange(len(order))
+    parent_pos = pos[parent]          # nondecreasing along a BFS order
+    bounds = [0]
+    while bounds[-1] < len(parent):
+        bounds.append(int(np.searchsorted(parent_pos, bounds[-1] + 1)))
+    return [slice(s, t) for s, t in zip(bounds, bounds[1:])]
+
+
+def _first_placed(order, keys, points):
+    """key -> point of its first placement, kites taken in BFS order."""
+    keys, points = keys[order].ravel(), points[order].ravel()
+    seq = np.arange(len(keys))
+    first = np.full(keys.max() + 1, len(keys))
+    np.minimum.at(first, keys, seq)
+    is_first = first[keys] == seq
+    return dict(zip(keys[is_first].tolist(), points[is_first].tolist()))
 
 
 def _check_developable(spec: PatternSpec):
     srf = spec.surface
-    theta = spec.theta
-    sums = vertex_angle_sums(srf, theta)
-    for v in range(srf.n_vertices):
-        if not srf.vertex_is_boundary(v) and abs(sums[v] - TWO_PI) > 1e-8:
+    nv, nf = srf.n_vertices, srf.n_faces
+    for kind, cone, boundary in (
+            ("vertex", vertex_angle_sums(srf, spec.theta),
+             np.fromiter(map(srf.vertex_is_boundary, range(nv)), bool, nv)),
+            ("face", np.asarray(spec.phi),
+             np.fromiter(map(srf.face_is_boundary, range(nf)), bool, nf))):
+        bad = np.flatnonzero(~boundary & (np.abs(cone - TWO_PI) > 1e-8))
+        if bad.size:
             raise NotDevelopableError(
-                f"interior vertex {v} has cone angle {sums[v]:.12g} != 2*pi")
-    for f in range(srf.n_faces):
-        if not srf.face_is_boundary(f) and abs(spec.phi[f] - TWO_PI) > 1e-8:
-            raise NotDevelopableError(
-                f"interior face {f} has cone angle {spec.phi[f]:.12g} != 2*pi")
+                f"interior {kind} {bad[0]} has cone angle {cone[bad[0]]:.12g} != 2*pi")
     if spec.is_hyperbolic and srf.is_closed:
         raise NotDevelopableError(
             "closed hyperbolic patterns have no global chart in the disk")
@@ -222,153 +240,114 @@ def layout(spec: PatternSpec, rho, root_edge: int = 0) -> LayoutResult:
     """Develop the kites of a solved pattern into the plane or disk.
 
     ``rho`` may be a SolveResult or an array of logarithmic radii.  The
-    developing map is a breadth-first traversal of the kite adjacency;
-    repeated placements of the same center or intersection point are
-    compared and the largest discrepancy reported as closure residual
-    (after reducing by the period lattice on the torus).
+    kites are one array of local corners.  A breadth-first search of the
+    kite adjacency, scanned in the fixed order of the module docstring,
+    gives the spanning tree from ``root_edge``; all frames of one BFS level
+    are computed in one step from the frames of their parents, by matching
+    the side each kite shares with its parent.  Every glued side is then
+    compared with its other placement: the largest discrepancy is the
+    closure residual (after reducing by the period lattice on the torus).
     """
     rho = np.asarray(getattr(rho, "rho", rho), dtype=float)
-    _check_developable(spec)
     srf = spec.surface
+    if not 0 <= root_edge < srf.n_edges:
+        raise ValueError(f"root edge {root_edge} is not in [0, {srf.n_edges})")
+    _check_developable(spec)
     radii = radii_from_rho(spec.geometry, rho)
     phi = phi_of_rho(spec, rho)
     if np.any(phi <= 0.0) or np.any(phi >= np.pi):
         raise NotDevelopableError("half-angles outside (0, pi); solve first")
-    kites = _build_kites(spec, rho, radii, phi)
-    frame = _HyperbolicFrame if spec.is_hyperbolic else _EuclideanFrame
+    corners = _kite_corners(spec, radii, phi)
+    corner, a, b, cols = _glue_records(srf)
+    order, parent, rec, parent_is_a = _spanning_tree(srf, corner, a, b, root_edge)
 
-    transforms = [None] * srf.n_edges
-    k0 = kites[root_edge]
-    pu, ck, pw, cj = k0.corners_local
     if spec.is_hyperbolic:
-        transforms[root_edge] = np.eye(2, dtype=complex)
+        apply, from_sides = _apply_isometry, _isometry_from_sides
+        frames = np.zeros((srf.n_edges, 4), dtype=complex)
+        frames[root_edge] = (1.0, 0.0, 0.0, 1.0)
     else:
+        apply, from_sides = _apply_similarity, _similarity_from_sides
+        frames = np.zeros((srf.n_edges, 2), dtype=complex)
+        pu, pw = complex(corners[root_edge, _PU]), complex(corners[root_edge, _PW])
         mid = 0.5 * (pu + pw)
-        direction = (pw - pu) / abs(pw - pu)
-        a = 1.0 / direction
-        transforms[root_edge] = (a, -a * mid)
+        scale = 1.0 / ((pw - pu) / abs(pw - pu))
+        frames[root_edge] = (scale, -scale * mid)
+    # each kite's side on the shared segment, and its parent's
+    child = order[1:]
+    rc = cols[rec]
+    own = np.where(parent_is_a[:, None], rc[:, 2:], rc[:, :2])
+    theirs = np.where(parent_is_a[:, None], rc[:, :2], rc[:, 2:])
+    q = np.take_along_axis(corners[child], own, axis=1)
+    z_parent = np.take_along_axis(corners[parent], theirs, axis=1)
+    for level in _levels(order, parent):
+        z = apply(frames[parent[level]], z_parent[level])
+        frames[child[level]] = from_sides(q[level, 0], q[level, 1], z[:, 0], z[:, 1])
+    placed = apply(frames, corners)
 
-    order = [root_edge]
-    queue = [root_edge]
-    while queue:
-        e = queue.pop(0)
-        kite = kites[e]
-        t_e = transforms[e]
-        h, tw = kite.rep, srf.twin(kite.rep)
-        for corner in (h, tw):
-            if srf.next_in_face(corner) == OPEN:
-                continue
-            other = srf.edge_of(srf.next_in_face(corner))
-            if transforms[other] is None:
-                q1, q2 = _side_minus(srf, kites[other], corner)
-                z1 = frame.apply(t_e, _side_plus(srf, kite, corner)[0])
-                z2 = frame.apply(t_e, _side_plus(srf, kite, corner)[1])
-                transforms[other] = frame.from_sides(q1, q2, z1, z2)
-                order.append(other)
-                queue.append(other)
-        for corner in (srf.prev_in_face(h), srf.prev_in_face(tw)):
-            if corner == OPEN:
-                continue
-            other = srf.edge_of(corner)
-            if transforms[other] is None:
-                q1, q2 = _side_plus(srf, kites[other], corner)
-                z1 = frame.apply(t_e, _side_minus(srf, kite, corner)[0])
-                z2 = frame.apply(t_e, _side_minus(srf, kite, corner)[1])
-                transforms[other] = frame.from_sides(q1, q2, z1, z2)
-                order.append(other)
-                queue.append(other)
-    if any(t is None for t in transforms):
-        raise NotDevelopableError("kite adjacency graph is disconnected")
-
-    # first placement wins for every cell position
-    vertex_points: dict[int, complex] = {}
-    circles: dict[int, Circle | Line] = {}
-    hyp_circles: dict[int, tuple] = {}
-    placed_kites = []
-    for e in order:
-        kite = kites[e]
-        t_e = transforms[e]
-        corners = tuple(frame.apply(t_e, q) for q in kite.corners_local)
-        placed_kites.append((e, corners))
-        gu, gk, gw, gj = corners
-        vertex_points.setdefault(kite.vertex_from, gu)
-        vertex_points.setdefault(kite.vertex_to, gw)
-        for f, center in ((kite.face_left, gj), (kite.face_right, gk)):
-            if f not in circles:
-                if spec.is_hyperbolic:
-                    hyp_circles[f] = (center, float(radii[f]))
-                    circles[f] = hyperbolic_circle_to_euclidean(center, float(radii[f]))
-                else:
-                    circles[f] = Circle(center, float(radii[f]))
-    placed_kites.sort(key=lambda item: item[0])
+    reps = srf.edge_reps
+    vertex_points = _first_placed(
+        order, np.stack([srf.oe_origin[reps], srf.oe_origin[srf.oe_twin[reps]]], axis=1),
+        placed[:, [_PU, _PW]])
+    centers = _first_placed(order, np.stack([srf.edge_left, srf.edge_right], axis=1),
+                            placed[:, [_CJ, _CK]])
+    radius = radii.tolist()
+    hyp_circles = {}
+    if spec.is_hyperbolic:
+        hyp_circles = {f: (c, radius[f]) for f, c in centers.items()}
+        circles = {f: hyperbolic_circle_to_euclidean(c, radius[f])
+                   for f, c in centers.items()}
+    else:
+        circles = {f: Circle(c, radius[f]) for f, c in centers.items()}
 
     # closure mismatches across every glued side
-    pairs = []
-    for corner in range(srf.n_oriented_edges):
-        nxt = srf.next_in_face(corner)
-        if nxt == OPEN:
-            continue
-        ea, eb = srf.edge_of(corner), srf.edge_of(nxt)
-        pa = [frame.apply(transforms[ea], q) for q in _side_plus(srf, kites[ea], corner)]
-        pb = [frame.apply(transforms[eb], q) for q in _side_minus(srf, kites[eb], corner)]
-        pairs.append((pa, pb))
-
-    all_points = [z for _, cs in placed_kites for z in cs]
+    side_a = placed[a[:, None], cols[:, :2]]
+    side_b = placed[b[:, None], cols[:, 2:]]
     if spec.is_hyperbolic:
         diameter = 2.0
         periods = None
-        residual = max((frame.dist(pa[i], pb[i])
-                        for pa, pb in pairs for i in range(2)), default=0.0)
+        ratio = np.abs((side_a - side_b) / (1.0 - np.conj(side_b) * side_a))
+        residual = 2.0 * np.arctanh(np.minimum(ratio, 1.0 - 1e-16)).max(initial=0.0)
     else:
-        xs = np.array(all_points)
-        diameter = float(abs(xs - xs.mean()).max() * 2.0) if len(xs) else 0.0
-        flat = [pa[i] - pb[i] for pa, pb in pairs for i in range(2)]
+        diameter = float(np.abs(placed - placed.mean()).max() * 2.0)
+        flat = (side_a - side_b).ravel()
         if srf.is_closed:
             periods, residual = _extract_periods(flat, diameter)
         else:
             periods = None
-            residual = max((abs(d) for d in flat), default=0.0)
+            residual = np.abs(flat).max(initial=0.0)
     return LayoutResult(
         geometry=spec.geometry, circles=circles, vertex_points=vertex_points,
-        kites=placed_kites, closure_residual=float(residual),
-        diameter=diameter, periods=periods, root_edge=root_edge,
-        hyperbolic_circles=hyp_circles)
+        kites=list(enumerate(map(tuple, placed.tolist()))),
+        closure_residual=float(residual), diameter=diameter, periods=periods,
+        root_edge=root_edge, hyperbolic_circles=hyp_circles)
 
 
 def _extract_periods(diffs, scale):
     """Two lattice generators explaining the translation mismatches."""
     tol = 1e-9 * max(scale, 1e-30)
-    vs = sorted((d for d in diffs if abs(d) > tol), key=abs)
-    if not vs:
-        return None, max((abs(d) for d in diffs), default=0.0)
-    v1 = vs[0]
-    v2 = None
-    for v in vs:
-        if abs((np.conj(v1) * v).imag) > tol * abs(v1):
-            v2 = v
-            break
-    if v2 is None:
+    diffs = np.asarray(diffs, dtype=complex).ravel()
+    length = np.abs(diffs)
+    long = np.flatnonzero(length > tol)
+    if not long.size:
+        return None, float(length.max(initial=0.0))
+    vs = diffs[long[np.argsort(length[long], kind="stable")]]
+    v1 = complex(vs[0])
+    independent = np.flatnonzero(np.abs((np.conj(v1) * vs).imag) > tol * abs(v1))
+    if not independent.size:
         # rank-1 holonomy: reduce along v1 only
-        residual = 0.0
-        for d in diffs:
-            k = round((np.conj(v1) * d).real / abs(v1) ** 2)
-            residual = max(residual, abs(d - k * v1))
-        return (v1, v1), residual
+        k = np.round((np.conj(v1) * diffs).real / abs(v1) ** 2)
+        return (v1, v1), float(np.abs(diffs - k * v1).max())
+    v2 = complex(vs[independent[0]])
     for _ in range(60):
-        k = round((np.conj(v1) * v2).real / abs(v1) ** 2)
+        k = round((v1.conjugate() * v2).real / abs(v1) ** 2)
         v2 = v2 - k * v1
         if abs(v2) >= abs(v1):
             break
         v1, v2 = v2, v1
-    mat = np.array([[v1.real, v2.real], [v1.imag, v2.imag]])
-    inv = np.linalg.inv(mat)
-    residual = 0.0
-    for d in diffs:
-        c = inv @ np.array([d.real, d.imag])
-        k = np.round(c)
-        r = d - (k[0] * v1 + k[1] * v2)
-        residual = max(residual, abs(r))
-    return _canonical_basis(v1, v2, tol), residual
+    inv = np.linalg.inv(np.array([[v1.real, v2.real], [v1.imag, v2.imag]]))
+    k = np.round(inv @ np.array([diffs.real, diffs.imag]))
+    residual = np.abs(diffs - (k[0] * v1 + k[1] * v2)).max()
+    return _canonical_basis(v1, v2, tol), float(residual)
 
 
 def _canonical_basis(v1, v2, tol):

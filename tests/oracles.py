@@ -8,15 +8,26 @@ quadrature, and the functional-value oracle sums those quadratures in
 place of the Clausen closed form.  The feasible-flow oracle runs the
 excess-node transformation on a pure-Python Dinic over float capacities,
 augmenting each path by its full bottleneck.  The existence oracle
-enumerates every face subset.  None shares logic with the implementation
-under test; the existence oracle only reports in its certificate type and
-with its tolerances.
+enumerates every face subset.  The developing-map oracle builds one kite at
+a time and places it by a scalar breadth-first search, one complex number
+at a time.  The JSON oracle is the emitter's first, isinstance-chain
+version.  None shares logic with the implementation under test; the
+existence oracle only reports in its certificate type and with its
+tolerances, and the developing-map oracle in the layout's result type and
+its canonical choice of period basis.
 """
+
+import json
+import math
 
 import numpy as np
 from scipy.integrate import quad
 
 from circlepatterns.feasibility import EQ_TOL, STRICT_TOL, FeasibilityCertificate
+from circlepatterns.functional import phi_of_rho, radii_from_rho
+from circlepatterns.layout import (Circle, LayoutResult, _canonical_basis,
+                                   hyperbolic_circle_to_euclidean)
+from circlepatterns.surface import OPEN
 
 TWO_PI = 2.0 * np.pi
 _CHUNK = 1_000_000
@@ -259,3 +270,233 @@ def check_conditions_bruteforce(spec):
                 phi_sum=float(phi_sums[sub]), theta_sum=float(theta_sums[sub]),
                 kind="subset")
     return FeasibilityCertificate(feasible=True)
+
+
+# -- developing map, one kite at a time ------------------------------------------
+
+class EuclideanFrame:
+    """Orientation-preserving similarities z -> a z + b with |a| = 1."""
+
+    @staticmethod
+    def from_sides(q1, q2, z1, z2):
+        a = (z2 - z1) / (q2 - q1)
+        return a, z1 - a * q1
+
+    @staticmethod
+    def apply(t, z):
+        a, b = t
+        return a * z + b
+
+    @staticmethod
+    def dist(z, w):
+        return abs(z - w)
+
+
+class HyperbolicFrame:
+    """Disk isometries z -> (a z + b) / (conj(b) z + conj(a))."""
+
+    @staticmethod
+    def _translation(w):
+        return np.array([[1.0, w], [np.conj(w), 1.0]], dtype=complex)
+
+    @classmethod
+    def from_sides(cls, q1, q2, z1, z2):
+        to_origin_q = np.array([[1.0, -q1], [-np.conj(q1), 1.0]], dtype=complex)
+        to_origin_z = np.array([[1.0, -z1], [-np.conj(z1), 1.0]], dtype=complex)
+        q2p = cls.apply(to_origin_q, q2)
+        z2p = cls.apply(to_origin_z, z2)
+        beta = np.angle(z2p) - np.angle(q2p)
+        rot = np.array([[np.exp(0.5j * beta), 0.0], [0.0, np.exp(-0.5j * beta)]])
+        m = cls._translation(z1) @ rot @ to_origin_q
+        return m / np.sqrt(abs(np.linalg.det(m)))
+
+    @staticmethod
+    def apply(t, z):
+        return (t[0, 0] * z + t[0, 1]) / (t[1, 0] * z + t[1, 1])
+
+    @staticmethod
+    def dist(z, w):
+        q = abs((z - w) / (1.0 - np.conj(w) * z))
+        return 2.0 * np.arctanh(min(q, 1.0 - 1e-16))
+
+
+def _scalar_kite(spec, radii, phi, e):
+    """Local corners (P_u, C_k, P_w, C_j) of the kite of edge e."""
+    srf = spec.surface
+    h = srf.edge_rep(e)
+    rj, rk = float(radii[srf.left_face(h)]), float(radii[srf.right_face(h)])
+    theta, pj = float(spec.theta[e]), float(phi[h])
+    if spec.is_hyperbolic:
+        cd = math.acosh(math.cosh(rj) * math.cosh(rk)
+                        - math.sinh(rj) * math.sinh(rk) * math.cos(theta))
+        ck, rad = math.tanh(0.5 * cd), math.tanh(0.5 * rj)
+    else:
+        ck = math.sqrt(rj * rj + rk * rk - 2.0 * rj * rk * math.cos(theta))
+        rad = rj
+    return (rad * complex(math.cos(pj), -math.sin(pj)), complex(ck, 0.0),
+            rad * complex(math.cos(pj), math.sin(pj)), 0j)
+
+
+def _side_plus(srf, e, kite, corner):
+    """(vertex point, center) of corner's side in the kite of edge(corner)."""
+    pu, ck, pw, cj = kite
+    return (pw, cj) if corner == srf.edge_rep(e) else (pu, ck)
+
+
+def _side_minus(srf, e, kite, corner):
+    """The same side in the kite of edge(next(corner))."""
+    pu, ck, pw, cj = kite
+    return (pu, cj) if srf.next_in_face(corner) == srf.edge_rep(e) else (pw, ck)
+
+
+def extract_periods_scalar(diffs, scale):
+    """Sorted scan and lattice reduction, one mismatch at a time."""
+    tol = 1e-9 * max(scale, 1e-30)
+    vs = sorted((d for d in diffs if abs(d) > tol), key=abs)
+    if not vs:
+        return None, max((abs(d) for d in diffs), default=0.0)
+    v1 = vs[0]
+    v2 = next((v for v in vs if abs((np.conj(v1) * v).imag) > tol * abs(v1)), None)
+    if v2 is None:
+        return (v1, v1), max(abs(d - round((np.conj(v1) * d).real / abs(v1) ** 2) * v1)
+                             for d in diffs)
+    for _ in range(60):
+        v2 = v2 - round((np.conj(v1) * v2).real / abs(v1) ** 2) * v1
+        if abs(v2) >= abs(v1):
+            break
+        v1, v2 = v2, v1
+    inv = np.linalg.inv(np.array([[v1.real, v2.real], [v1.imag, v2.imag]]))
+    residual = 0.0
+    for d in diffs:
+        k = np.round(inv @ np.array([d.real, d.imag]))
+        residual = max(residual, abs(d - (k[0] * v1 + k[1] * v2)))
+    return _canonical_basis(v1, v2, tol), residual
+
+
+def develop_scalar(spec, rho, root_edge=0):
+    """Reference for ``layout.layout``: a queue-driven BFS over the kites.
+
+    A kite with representative h looks at edge(next(h)), edge(next(twin h)),
+    edge(prev(h)), edge(prev(twin h)) in that order and places each one not
+    yet placed from its own frame; every corner, center and closure
+    mismatch is computed one complex number at a time.
+    """
+    srf = spec.surface
+    rho = np.asarray(getattr(rho, "rho", rho), dtype=float)
+    radii = radii_from_rho(spec.geometry, rho)
+    phi = phi_of_rho(spec, rho)
+    kites = [_scalar_kite(spec, radii, phi, e) for e in range(srf.n_edges)]
+    frame = HyperbolicFrame if spec.is_hyperbolic else EuclideanFrame
+    transforms = [None] * srf.n_edges
+    if spec.is_hyperbolic:
+        transforms[root_edge] = np.eye(2, dtype=complex)
+    else:
+        pu, _, pw, _ = kites[root_edge]
+        mid = 0.5 * (pu + pw)
+        a = 1.0 / ((pw - pu) / abs(pw - pu))
+        transforms[root_edge] = (a, -a * mid)
+
+    def place(e, other, corner, e_has_corner):
+        if e_has_corner:
+            q = _side_minus(srf, other, kites[other], corner)
+            z = _side_plus(srf, e, kites[e], corner)
+        else:
+            q = _side_plus(srf, other, kites[other], corner)
+            z = _side_minus(srf, e, kites[e], corner)
+        z1, z2 = (frame.apply(transforms[e], w) for w in z)
+        transforms[other] = frame.from_sides(q[0], q[1], z1, z2)
+
+    order, queue = [root_edge], [root_edge]
+    while queue:
+        e = queue.pop(0)
+        h = srf.edge_rep(e)
+        scan = [(c, True) for c in (h, srf.twin(h)) if srf.next_in_face(c) != OPEN]
+        scan += [(c, False) for c in (srf.prev_in_face(h), srf.prev_in_face(srf.twin(h)))
+                 if c != OPEN]
+        for corner, forward in scan:
+            other = srf.edge_of(srf.next_in_face(corner) if forward else corner)
+            if transforms[other] is None:
+                place(e, other, corner, forward)
+                order.append(other)
+                queue.append(other)
+    assert all(t is not None for t in transforms), "kite adjacency is disconnected"
+
+    placed = {e: tuple(frame.apply(transforms[e], q) for q in kites[e]) for e in order}
+    vertex_points, circles, hyp = {}, {}, {}
+    for e in order:
+        h = srf.edge_rep(e)
+        gu, gk, gw, gj = placed[e]
+        vertex_points.setdefault(srf.origin(h), gu)
+        vertex_points.setdefault(srf.terminus(h), gw)
+        for f, center in ((srf.left_face(h), gj), (srf.right_face(h), gk)):
+            if f not in circles:
+                r = float(radii[f])
+                if spec.is_hyperbolic:
+                    hyp[f] = (center, r)
+                    circles[f] = hyperbolic_circle_to_euclidean(center, r)
+                else:
+                    circles[f] = Circle(center, r)
+    pairs = []
+    for corner in range(srf.n_oriented_edges):
+        if srf.next_in_face(corner) == OPEN:
+            continue
+        ea, eb = srf.edge_of(corner), srf.edge_of(srf.next_in_face(corner))
+        pa = _side_plus(srf, ea, placed[ea], corner)
+        pb = _side_minus(srf, eb, placed[eb], corner)
+        pairs += [(pa[0], pb[0]), (pa[1], pb[1])]
+    kites_out = [(e, placed[e]) for e in range(srf.n_edges)]
+    periods = None
+    if spec.is_hyperbolic:
+        diameter = 2.0
+        residual = max((frame.dist(z, w) for z, w in pairs), default=0.0)
+    else:
+        xs = np.array([z for _, cs in kites_out for z in cs])
+        diameter = float(abs(xs - xs.mean()).max() * 2.0)
+        flat = [z - w for z, w in pairs]
+        if srf.is_closed:
+            periods, residual = extract_periods_scalar(flat, diameter)
+        else:
+            residual = max((abs(d) for d in flat), default=0.0)
+    return LayoutResult(
+        geometry=spec.geometry, circles=circles, vertex_points=vertex_points,
+        kites=kites_out, closure_residual=float(residual), diameter=diameter,
+        periods=periods, root_edge=root_edge, hyperbolic_circles=hyp)
+
+
+# -- JSON emission ------------------------------------------------------------------
+
+def dumps_reference(obj, indent=0, _level=0):
+    """The emitter as an isinstance chain, every string through json.dumps."""
+    pad = " " * (indent * (_level + 1)) if indent else ""
+    closing = " " * (indent * _level) if indent else ""
+    nl = "\n" if indent else ""
+    sep = "," + (nl if indent else " ")
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isnan(x) or math.isinf(x):
+            raise ValueError(f"cannot serialize non-finite float {x}")
+        return "%.17g" % x
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [dumps_reference(v, indent, _level + 1) for v in obj]
+        return "[" + nl + sep.join(pad + s for s in items) + nl + closing + "]" \
+            if indent else "[" + ", ".join(items) + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{json.dumps(str(k))}: {dumps_reference(v, indent, _level + 1)}"
+                 for k, v in obj.items()]
+        return "{" + nl + sep.join(pad + s for s in items) + nl + closing + "}" \
+            if indent else "{" + ", ".join(items) + "}"
+    raise TypeError(f"cannot serialize {type(obj)!r}")

@@ -12,7 +12,9 @@ from circlepatterns.layout import (Circle, Line, LayoutResult,
                                    layout_to_dict)
 from circlepatterns.solver import minimize
 from circlepatterns.spherical import SphericalProblem, reduce_to_plane
-from helpers import random_feasible_spec
+from circlepatterns.surface import medial
+from helpers import random_feasible_spec, random_flat_theta
+from oracles import develop_scalar, extract_periods_scalar
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -125,6 +127,25 @@ def test_period_basis_is_canonical():
         assert (p1, p2) == (1, 1j)
 
 
+def test_extract_periods_matches_scalar_reduction():
+    # rank 2, rank 1 (collinear mismatches) and no period above the tolerance
+    rng = np.random.default_rng(36)
+    v, w = 3.0 * np.exp(0.3j), 2.0 * np.exp(1.4j)
+    noise = 1e-12 * rng.standard_normal(40)
+    cases = [[k * v + m * w + e for k, m, e in zip(rng.integers(-3, 4, 40),
+                                                    rng.integers(-3, 4, 40), noise)],
+             [k * v + e for k, e in zip(rng.integers(-3, 4, 40), noise)],
+             list(noise + 0j)]
+    for diffs in cases:
+        periods, residual = _extract_periods(diffs, 10.0)
+        want_periods, want_residual = extract_periods_scalar(diffs, 10.0)
+        assert abs(residual - want_residual) <= 1e-14
+        if want_periods is None:
+            assert periods is None
+        else:
+            assert np.abs(np.subtract(periods, want_periods)).max() <= 1e-12
+
+
 def test_path_independence_up_to_isometry():
     spec, res, lay = torus_layout()
     lay2 = layout(spec, res, root_edge=7)
@@ -171,7 +192,7 @@ def test_hyperbolic_disc_layout():
     for f, c in lay.circles.items():
         assert abs(c.center) + c.radius < 1.0
     # kite sides have the correct hyperbolic lengths
-    from circlepatterns.layout import _HyperbolicFrame
+    from oracles import HyperbolicFrame as _HyperbolicFrame
     from circlepatterns.functional import radii_from_rho
     radii = radii_from_rho(HYPERBOLIC, res.rho)
     s = spec.surface
@@ -183,6 +204,64 @@ def test_hyperbolic_disc_layout():
                         abs(_HyperbolicFrame.dist(p, cj) - radii[s.left_face(h)]),
                         abs(_HyperbolicFrame.dist(p, ck) - radii[s.right_face(h)]))
     assert worst <= 1e-7
+
+
+def _assert_same_layout(lay, ref):
+    """Every placement of the array map is the scalar map's, up to rounding:
+    the same spanning tree, so the same fundamental domain."""
+    tol = 1e-10 * ref.diameter
+    assert [e for e, _ in lay.kites] == [e for e, _ in ref.kites]
+    assert np.abs(np.array([cs for _, cs in lay.kites])
+                  - np.array([cs for _, cs in ref.kites])).max() <= tol
+    centers = [{f: c.center for f, c in r.circles.items()} for r in (lay, ref)]
+    for got, want in ((lay.vertex_points, ref.vertex_points), centers,
+                      (lay.hyperbolic_circles, ref.hyperbolic_circles)):
+        assert list(got) == list(want)   # first placements in the same order
+        assert max((abs(np.subtract(got[k], want[k])).max() for k in want),
+                   default=0.0) <= tol
+    assert [c.radius for c in lay.circles.values()] == pytest.approx(
+        [c.radius for c in ref.circles.values()], rel=1e-12)
+    assert abs(lay.diameter - ref.diameter) <= tol
+    assert abs(lay.closure_residual - ref.closure_residual) <= tol
+    assert lay.flagged == ref.flagged
+    if ref.periods is None:
+        assert lay.periods is None
+    else:
+        assert np.abs(np.subtract(lay.periods, ref.periods)).max() <= tol
+
+
+def test_array_map_matches_scalar_map_on_random_tori():
+    rng = np.random.default_rng(34)
+    for s in (medial(meshes.triangulated_torus(3, 3)), medial(meshes.triangulated_torus(3, 4)),
+              meshes.torus_grid(4, 5), meshes.hexagonal_torus()):
+        theta = random_flat_theta(s, rng, spread=0.5)
+        spec = PatternSpec(s, EUCLIDEAN, np.pi - theta, np.full(s.n_faces, 2 * np.pi))
+        res = minimize(spec)
+        assert res.converged
+        n = s.n_edges
+        for root in sorted({0, n // 3, n - 1, int(rng.integers(n))}):
+            lay = layout(spec, res, root_edge=root)
+            assert not lay.flagged and lay.periods is not None
+            _assert_same_layout(lay, develop_scalar(spec, res, root_edge=root))
+
+
+def test_array_map_matches_scalar_map_on_disc_and_plane():
+    spec = disc_spec()
+    res = minimize(spec)
+    red = reduce_to_plane(SphericalProblem(meshes.octahedron(),
+                                           np.full(12, np.pi / 2), 4))
+    res_red = minimize(red.spec)
+    for spec, res in ((spec, res), (red.spec, res_red)):
+        for root in (0, spec.surface.n_edges - 1):
+            _assert_same_layout(layout(spec, res, root_edge=root),
+                                develop_scalar(spec, res, root_edge=root))
+    # unsolved radii: both maps flag the same closure defect
+    s = meshes.torus_grid(4, 4)
+    spec = PatternSpec(s, EUCLIDEAN, np.full(32, np.pi / 2), np.full(16, 2 * np.pi))
+    rho = np.random.default_rng(35).uniform(-0.3, 0.3, 16)
+    lay = layout(spec, rho)
+    assert lay.flagged
+    _assert_same_layout(lay, develop_scalar(spec, rho))
 
 
 def test_cone_singularities_rejected():
@@ -199,6 +278,13 @@ def test_cone_singularities_rejected():
     res = minimize(spec2)
     with pytest.raises(NotDevelopableError):
         layout(spec2, res)
+
+
+def test_root_edge_out_of_range_rejected():
+    spec, res, _ = torus_layout()
+    for root in (-1, spec.surface.n_edges):
+        with pytest.raises(ValueError, match="root edge"):
+            layout(spec, res, root_edge=root)
 
 
 def test_closed_sphere_rejected():
