@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import jsonio, solver, specfun
-from .feasibility import find_coherent_angle_system
+from .feasibility import certify_angles, find_coherent_angle_system
 from .functional import EUCLIDEAN, HYPERBOLIC, PatternSpec, radii_from_rho
 from .layout import NotDevelopableError, export_json, export_svg, layout
 from .spherical import (SphereConditionError, SphericalProblem, planar_layout,
@@ -219,11 +219,14 @@ def cmd_pack(args):
         return EXIT_OK
     geometry = EUCLIDEAN if genus == 1 else HYPERBOLIC
     spec = PatternSpec(med, geometry, theta_star, np.full(med.n_faces, 2.0 * np.pi))
-    cert = find_coherent_angle_system(spec)
-    if not cert.feasible:
-        _print(_certificate_dict(cert))
-        return EXIT_INFEASIBLE
+    # the angles of the minimiser prove existence; the flow decides
+    # only when they do not
     result = solver.minimize(spec)
+    if certify_angles(spec, result.cas) is None:
+        cert = find_coherent_angle_system(spec)
+        if not cert.feasible:
+            _print(_certificate_dict(cert))
+            return EXIT_INFEASIBLE
     if not result.converged:
         _print(_solve_report(spec, result, solver.NEWTON))
         return EXIT_NO_CONVERGENCE

@@ -5,17 +5,27 @@ sum(Phi) = sum(2 theta*) holds and every nonempty proper face subset F'
 satisfies sum(Phi over F') < sum(2 theta* over edges incident with F');
 the hyperbolic pattern exists iff the strict inequality holds for every
 nonempty subset including the full face set.  Both are equivalent to the
-existence of a coherent angle system, which this module finds by reducing
-to a feasible-flow problem on a small network and extracting the
-half-angles from the face-to-edge branch flows.
+existence of a coherent angle system (CAS).
 
-The verdict comes from one cut.  A flow at the first floor eps on the
-face-to-edge branches settles feasible data.  When it fails, one max flow
-with eps = 0 solves a maximum-closure problem whose min cuts are the face
-sets that break the inequalities most; the strongly connected components
-of its residual graph list them, ties included, and one of them that
-exact sums confirm is the certificate.  Only data that the cut shows
-feasible go on to bisect eps, which serves to build the angle system.
+There are two verdict paths.  The first is a Newton certificate: the
+critical points of the convex functional are exactly the coherent angle
+systems, so the half-angles of an approximate minimiser prove existence
+when they keep clear of the CAS bounds by more than the largest distance
+to an exact CAS that their face residuals allow
+(:func:`certify_angles`).  It never proves infeasibility.  The second is
+the flow, which decides every input and alone produces the violating face
+subsets: it reduces the CAS to a feasible-flow problem on a small network
+and reads the half-angles off the face-to-edge branch flows
+(:func:`find_coherent_angle_system`).
+
+The flow's verdict comes from one cut.  A flow at the first floor eps on
+the face-to-edge branches settles feasible data.  When it fails, one max
+flow with eps = 0 solves a maximum-closure problem whose min cuts are the
+face sets that break the inequalities most; the strongly connected
+components of its residual graph list them, ties included, and one of
+them that exact sums confirm is the certificate.  Only data that the cut
+shows feasible go on to bisect eps, which serves to build the angle
+system.
 
 The network is held as arrays, one entry per branch.  Its max-flow runs in
 scipy's compiled Dinic, which takes int32 capacities only, so the float
@@ -288,6 +298,63 @@ def _equality_certificate(spec):
         violating_edges=tuple(range(spec.surface.n_edges)),
         phi_sum=phi_sum, theta_sum=theta_sum, kind="equality",
         message="sum(Phi) != sum(2 theta*)")
+
+
+def certify_angles(spec: PatternSpec,
+                   cas: CoherentAngleSystem) -> FeasibilityCertificate | None:
+    """Existence proved from approximate half-angles, or None.
+
+    Returns a feasible certificate holding ``cas`` when an exact coherent
+    angle system lies within reach of it, with every half-angle (and, in
+    the hyperbolic case, every pair slack) still above STRICT_TOL; the
+    angles are typically those of a Newton minimiser.  None says nothing
+    about the data: decide them with :func:`find_coherent_angle_system`.
+    Let r_f = Phi_f - 2 sum(phi over the boundary walk of f) and R =
+    sum_f |r_f|.
+
+    Euclidean: the total equality must hold to EQ_TOL, the convention of
+    the flow, and is taken as exact below; then it is required that
+    min(phi) > R + 2 sum_e |d_e| + STRICT_TOL with d_e = theta*_e - phi_e
+    - phi_-e.  Proof: adding d_e / 2 to both half-angles of every edge
+    moves each by at most max|d| / 2 and fixes the pair sums; each
+    half-edge changes the residual of its face by d_e, so the new
+    residuals r' have sum |r'| <= R + 2 sum|d| =: R'.  With exact totals
+    sum r' = 0.  Take a spanning tree of the dual graph (the surface is
+    connected).  Sending a along the tree edge of oriented edge h, that
+    is phi_h += a and phi_-h -= a, keeps the pair sums and moves 2a of
+    residual between the two faces; zeroing r' on the tree puts on each
+    tree edge a flow with 2|a| = |sum of r' on one side of it|, and since
+    the two sides sum to zero that is at most R' / 2.  Every half-angle
+    lies on one edge, so it moves by at most max|d| / 2 + R' / 4 <=
+    R' / 2, and the exact system keeps min(phi) > STRICT_TOL.
+
+    Hyperbolic: it is required that min(min(phi), min_e(theta*_e - phi_e
+    - phi_-e)) > R + STRICT_TOL.  Proof: adding r_f / (2 deg f) to each
+    of the deg f half-edges of the boundary walk of f zeroes r_f and moves
+    each half-angle by at most |r_f| / 2 <= R / 2, so each pair sum moves
+    by at most R, and the exact system keeps phi and the slacks above
+    STRICT_TOL.
+
+    Either way every nonempty subset (proper, in the Euclidean case) has
+    an incident edge that adds at least 2 STRICT_TOL to its margin, so
+    nothing is certified that the flow's STRICT_TOL floor would reject.
+    """
+    srf = spec.surface
+    phi = np.asarray(cas.phi, dtype=float)
+    face = np.bincount(srf.oe_left, weights=phi, minlength=srf.n_faces)
+    reach = float(np.abs(spec.phi - 2.0 * face).sum())
+    pair = np.bincount(srf.oe_edge, weights=phi, minlength=srf.n_edges)
+    if spec.is_hyperbolic:
+        margin = min(float(phi.min()), float((spec.theta_star - pair).min()))
+    else:
+        if _equality_certificate(spec) is not None:
+            return None
+        margin = float(phi.min())
+        reach += 2.0 * float(np.abs(spec.theta_star - pair).sum())
+    # written so that a NaN margin or reach certifies nothing
+    if not margin > reach + STRICT_TOL:
+        return None
+    return FeasibilityCertificate(feasible=True, cas=cas)
 
 
 def find_coherent_angle_system(spec: PatternSpec,

@@ -34,6 +34,7 @@ NEWTON = "newton"
 THURSTON = "thurston"
 
 _ARMIJO = 1e-4
+_MAX_STEP = 2.0   # largest change of any rho in one step
 
 
 @dataclass
@@ -92,10 +93,13 @@ def _newton_direction(spec, rho, grad):
         # gradient is mean-free, because every column of H sums to zero
         keep, rhs = slice(1, None), -(grad - grad.mean())
     # far-drifted iterates can zero out edge weights and make the system
-    # exactly singular; the NaN direction is rejected by the slope check
+    # exactly singular; minimize replaces the NaN direction by the gradient.
+    # The system is symmetric positive definite, so the column ordering is
+    # a minimum degree one on its own pattern.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", spla.MatrixRankWarning)
-        direction[keep] = spla.spsolve(H[keep, keep], rhs[keep])
+        direction[keep] = spla.spsolve(H[keep, keep], rhs[keep],
+                                       permc_spec="MMD_AT_PLUS_A")
     if not spec.is_hyperbolic:
         direction -= direction.mean()
     return direction
@@ -104,13 +108,19 @@ def _newton_direction(spec, rho, grad):
 def minimize(spec: PatternSpec, opts: SolveOptions | None = None) -> SolveResult:
     """Minimize the pattern functional to its critical point.
 
-    Assumes a feasible specification.  On infeasible data S has no
-    minimiser, yet ``converged=True`` does not show feasibility: where a
-    face subset fails the conditions only by equality, the gradient decays
-    as rho runs off to infinity and falls below ``grad_tol`` at a finite
-    rho, whose angle system then also validates at 1e-8.  Decide existence
-    with ``feasibility.find_coherent_angle_system``.  Euclidean results are
-    normalized to sum(rho) = 0.
+    Newton steps are capped at 2 in the max-norm of rho before the Armijo
+    backtracking, and a direction that is not finite or not downhill is
+    replaced by the negative gradient, so on feasible data the iteration
+    converges from any finite start (the functional is convex).
+
+    On infeasible data S has no minimiser, yet ``converged=True`` is still
+    no proof of feasibility: where a face subset fails the conditions only
+    by equality, the gradient decays as rho runs off to infinity and falls
+    below ``grad_tol`` at a finite rho, whose angle system then also
+    validates at 1e-8.  The proof is ``feasibility.certify_angles`` on the
+    result's angle system, which refuses such a result; when it returns
+    None, decide with ``feasibility.find_coherent_angle_system``.
+    Euclidean results are normalized to sum(rho) = 0.
     """
     opts = opts or SolveOptions()
     if opts.method == THURSTON:
@@ -133,9 +143,15 @@ def minimize(spec: PatternSpec, opts: SolveOptions | None = None) -> SolveResult
         direction = _newton_direction(spec, rho, grad)
         slope = float(grad @ direction)
         if not np.isfinite(slope) or slope >= 0.0:
-            message = "Newton direction is not a descent direction"
-            break
-        step = 1.0
+            direction = -grad if spec.is_hyperbolic else grad.mean() - grad
+            slope = float(grad @ direction)
+            if slope >= 0.0:
+                # a constant Euclidean gradient: the total equality fails
+                message = "no descent direction"
+                break
+        # no step changes a rho by more than _MAX_STEP (Nocedal & Wright,
+        # ch. 3), so from far starts the search still finds a decrease
+        step = min(1.0, _MAX_STEP / float(np.abs(direction).max()))
         for _ in range(60):
             trial = rho + step * direction
             trial_value = fn.value(spec, trial)

@@ -17,15 +17,27 @@ All functions accept floats or numpy arrays and are stateless.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import zeta as _zeta
 
 TWO_PI = 2.0 * np.pi
+
+# zeta(2k) for k = 1..30 as scipy.special.zeta gives them, written out so
+# that importing this module does not load scipy.special
+_ZETA_EVEN = np.array([
+    1.6449340668482264, 1.0823232337111381, 1.0173430619844492,
+    1.0040773561979444, 1.000994575127818, 1.000246086553308,
+    1.0000612481350588, 1.0000152822594086, 1.000003817293265,
+    1.0000009539620338, 1.0000002384505027, 1.000000059608189,
+    1.0000000149015549, 1.000000003725334, 1.0000000009313275,
+    1.000000000232831, 1.0000000000582077, 1.000000000014552,
+    1.000000000003638, 1.0000000000009095, 1.0000000000002274,
+    1.0000000000000568, 1.0000000000000142, 1.0000000000000036,
+    1.0000000000000009, 1.0000000000000002, 1.0, 1.0, 1.0, 1.0])
 
 # Coefficients of the power series
 #   Cl(x) = x - x*log(x) + sum_k c_k x^(2k+1),   c_k = zeta(2k) / (k (2k+1) (2 pi)^(2k)),
 # valid on [0, pi].  Terms decay like 4^-k there; 30 terms reach ~1e-21.
 _K = np.arange(1, 31)
-_SERIES = _zeta(2.0 * _K) / (_K * (2 * _K + 1) * TWO_PI ** (2.0 * _K))
+_SERIES = _ZETA_EVEN / (_K * (2 * _K + 1) * TWO_PI ** (2.0 * _K))
 
 
 def _as_float_array(x, name):

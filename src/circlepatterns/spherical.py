@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import solver
-from .feasibility import FeasibilityCertificate, find_coherent_angle_system
+from .feasibility import (FeasibilityCertificate, certify_angles,
+                          find_coherent_angle_system)
 from .functional import EUCLIDEAN, PatternSpec
 from .layout import Circle, Line, LayoutResult, layout
 from .surface import (CellularSurface, DisconnectedSurfaceError,
@@ -459,19 +460,25 @@ def _dropped_positions(p: SphericalProblem, red, circles, known):
 
 
 def solve_sphere(p: SphericalProblem, options=None) -> SphericalLayout:
-    """Construct the spherical pattern: check the conditions, solve the
+    """Construct the spherical pattern: reduce to the plane, solve the
     reduced Euclidean problem, lay it out, re-insert the removed faces as
-    lines and project everything to the unit sphere."""
-    verdict = check_sphere_conditions(p)
-    if not verdict.ok:
-        raise SphereConditionError(verdict.message)
-    red = verdict.reduction
+    lines and project everything to the unit sphere.
+
+    The angles of the reduced solve prove existence when
+    :func:`feasibility.certify_angles` accepts them; only otherwise do
+    :func:`check_sphere_conditions` and its flow decide, so that a failing
+    verdict keeps its message."""
+    red = reduce_to_plane(p)
     planar_result = None
     solve_result = None
     if red.elementary:
         circles, points, line_residual = _elementary_planar(p, red)
     else:
         solve_result = solver.minimize(red.spec, options)
+        if certify_angles(red.spec, solve_result.cas) is None:
+            verdict = check_sphere_conditions(p)
+            if not verdict.ok:
+                raise SphereConditionError(verdict.message)
         if not solve_result.converged:
             raise SphereConditionError(
                 f"reduced solve did not converge: {solve_result.message}")

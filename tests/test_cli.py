@@ -69,6 +69,19 @@ def test_solve_reports_the_check_certificate(capsys, single_face_problem):
     assert out == checked
 
 
+def test_solve_of_hyperbolic_equality_reports_the_check_certificate(capsys, tmp_path):
+    # the full face set fails by equality, where Newton still reports
+    # convergence at a finite rho
+    med = medial(meshes.triangulated_torus(4, 4))
+    problem = _write_problem(tmp_path / "equality.json", med, "hyperbolic",
+                             np.full(med.n_edges, np.pi / 2), np.full(med.n_faces, 2 * np.pi))
+    _, checked = _run(capsys, "check", problem)
+    code, out = _run(capsys, "solve", problem)
+    assert code == cli.EXIT_INFEASIBLE
+    assert out == checked
+    assert json.loads(out)["violating_faces"] == list(range(med.n_faces))
+
+
 def test_solve_then_layout(capsys, tmp_path, torus_problem):
     report = str(tmp_path / "report.json")
     code, _ = _run(capsys, "solve", torus_problem, "-o", report)
@@ -150,6 +163,39 @@ def test_pack_octahedron(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["kind"] == "spherical"
     assert len(doc["vertex_circles"]) == 6 and len(doc["face_circles"]) == 8
+
+
+def test_pack_torus_is_repeatable(capsys, tmp_path):
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps({"mesh": surface_to_json_dict(
+        meshes.triangulated_torus(4, 4))}))
+    code, out = _run(capsys, "pack", str(path))
+    assert code == cli.EXIT_OK
+    doc = json.loads(out)
+    assert doc["kind"] == "euclidean" and doc["grad_norm"] <= 1e-10
+    assert len(doc["vertex_circles"]) == 16 and len(doc["face_circles"]) == 32
+    assert _run(capsys, "pack", str(path)) == (code, out)
+
+
+def test_feasible_pack_runs_no_flow(capsys, tmp_path, monkeypatch, torus_problem):
+    from circlepatterns import feasibility, spherical
+    calls = []
+
+    def spy(spec):
+        calls.append(spec)
+        return feasibility.find_coherent_angle_system(spec)
+
+    for module in (cli, spherical):
+        monkeypatch.setattr(module, "find_coherent_angle_system", spy)
+    for name, surface in (("octahedron", meshes.octahedron()),
+                          ("torus", meshes.triangulated_torus(4, 4))):
+        path = tmp_path / f"pack_{name}.json"
+        path.write_text(json.dumps({"mesh": surface_to_json_dict(surface)}))
+        assert _run(capsys, "pack", str(path))[0] == cli.EXIT_OK
+    assert calls == []
+    # the spy is live: solve still runs the flow before Newton
+    assert _run(capsys, "solve", torus_problem)[0] == cli.EXIT_OK
+    assert len(calls) == 1
 
 
 def test_sphere_with_disconnecting_reduction_is_infeasible(capsys, tmp_path):

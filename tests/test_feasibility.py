@@ -3,12 +3,13 @@ import pytest
 
 from circlepatterns import meshes
 from circlepatterns.feasibility import (
-    STRICT_TOL, build_flow_network, check_higher_genus_condition,
+    STRICT_TOL, build_flow_network, certify_angles, check_higher_genus_condition,
     check_rivin_condition, find_coherent_angle_system, region_decomposition,
     solve_feasible_flow,
 )
-from circlepatterns.functional import (EUCLIDEAN, HYPERBOLIC, PatternSpec,
-                                       validate_cas)
+from circlepatterns.functional import (EUCLIDEAN, HYPERBOLIC, CoherentAngleSystem,
+                                       PatternSpec, validate_cas)
+from circlepatterns.solver import SolveOptions, minimize
 from circlepatterns.surface import (dual, euler_characteristic, medial,
                                    vertex_angle_sums)
 from helpers import (random_feasible_spec, random_flat_theta, random_spec,
@@ -99,12 +100,11 @@ def _tie_spec(surf, geometry, rng):
     return PatternSpec(surf, geometry, theta_star, phi)
 
 
-def test_flow_agrees_with_bruteforce_randomized():
+def _randomized_fixtures():
+    """80 random or random feasible cases, then 300 with many ties."""
     rng = np.random.default_rng(100)
     small, tie_pool = surface_pool(max_faces=8), surface_pool(max_faces=12)
-    outcomes = {"feasible": 0, "subset": 0, "bisected": 0}
     for i in range(380):
-        # 80 random or random feasible cases, then 300 with many ties
         pool = small if i < 80 else tie_pool
         surf = pool[rng.integers(len(pool))]
         geometry = EUCLIDEAN if rng.random() < 0.5 else HYPERBOLIC
@@ -116,6 +116,12 @@ def test_flow_agrees_with_bruteforce_randomized():
             spec = random_feasible_spec(surf, geometry, rng)
         else:
             spec = random_spec(surf, geometry, rng)
+        yield i, surf, geometry, spec
+
+
+def test_flow_agrees_with_bruteforce_randomized():
+    outcomes = {"feasible": 0, "subset": 0, "bisected": 0}
+    for i, surf, geometry, spec in _randomized_fixtures():
         flow = find_coherent_angle_system(spec)
         brute = check_conditions_bruteforce(spec)
         assert flow.feasible == brute.feasible, (i, surf, geometry)
@@ -141,7 +147,26 @@ def test_flow_agrees_with_bruteforce_randomized():
     assert min(outcomes.values()) >= 1 and outcomes["subset"] >= 100, outcomes
 
 
-def test_full_size_certificates_from_one_cut():
+def test_newton_certificate_never_accepts_infeasible_data():
+    # every feasible fixture converges within 7 Newton steps and the
+    # infeasible ones that converge take at most 26; the cap keeps the
+    # others from running the default 200 steps
+    opts = SolveOptions(max_iter=40)
+    feasible = certified = 0
+    for i, surf, geometry, spec in _randomized_fixtures():
+        cert = certify_angles(spec, minimize(spec, opts).cas)
+        if not (find_coherent_angle_system(spec).feasible
+                and check_conditions_bruteforce(spec).feasible):
+            assert cert is None, (i, surf, geometry)
+            continue
+        feasible += 1
+        if cert is not None:
+            certified += 1
+            assert cert.feasible and cert.flow_solves == 0
+    assert feasible >= 100 and certified >= 0.9 * feasible, (feasible, certified)
+
+
+def _full_size_infeasible_specs():
     # one triangle of medial(triangulated_torus(8, 8)) at exactly 3 pi, the
     # sum of 2 theta* over its edges; the others rebalance the total
     med = medial(meshes.triangulated_torus(8, 8))
@@ -149,14 +174,59 @@ def test_full_size_certificates_from_one_cut():
     triangle = [f for f in range(n_f) if len(med.face_walk(f)) == 3][-1]
     phi = np.full(n_f, 2 * np.pi - np.pi / (n_f - 1))
     phi[triangle] = 3 * np.pi
-    cert = find_coherent_angle_system(
-        PatternSpec(med, EUCLIDEAN, np.full(med.n_edges, np.pi / 2), phi))
-    assert (cert.kind, cert.violating_faces, cert.flow_solves) == ("subset", (triangle,), 2)
-    assert abs(cert.phi_sum - cert.theta_sum) < 1e-9
+    yield PatternSpec(med, EUCLIDEAN, np.full(med.n_edges, np.pi / 2), phi)
     # the hyperbolic full set fails by equality
     med = medial(meshes.triangulated_torus(12, 12))
-    cert = find_coherent_angle_system(PatternSpec(
-        med, HYPERBOLIC, np.full(med.n_edges, np.pi / 2), np.full(med.n_faces, 2 * np.pi)))
+    yield PatternSpec(med, HYPERBOLIC, np.full(med.n_edges, np.pi / 2),
+                      np.full(med.n_faces, 2 * np.pi))
+
+
+def test_newton_certificate_refuses_equality_failures_newton_converges_on():
+    # the two full-size inputs of the next test: Newton stops at a finite
+    # rho with a gradient below tolerance, but the smallest margin (7.6e-12
+    # and 1.0e-11) is no larger than the face residuals
+    for spec in _full_size_infeasible_specs():
+        result = minimize(spec)
+        assert result.converged
+        assert certify_angles(spec, result.cas) is None
+
+
+def test_certificate_margin_is_compared_with_the_residual():
+    spec = torus_spec()
+    phi = minimize(spec).cas.phi
+    cert = certify_angles(spec, CoherentAngleSystem(phi))
+    assert cert is not None and cert.feasible and cert.cas.phi is phi
+    # the exact angles are pi/4 each; raising one of them by s leaves a
+    # face residual of 2 s and a pair residual of s, so the reach 2 s + 2 s
+    # must stay below the smallest angle pi/4
+    for shift, accepted in ((0.1, True), (0.2, False)):
+        moved = phi.copy()
+        moved[0] += shift
+        assert (certify_angles(spec, CoherentAngleSystem(moved)) is not None) == accepted
+    # the Euclidean total equality is checked as the flow checks it
+    assert certify_angles(torus_spec(phi=2 * np.pi + 0.1),
+                          CoherentAngleSystem(phi)) is None
+    # hyperbolic: the exact angles are pi/4 - 1/80, with pair slack 1/40;
+    # raising one by s leaves a residual of 2 s and a slack of 1/40 - s
+    spec = torus_spec(HYPERBOLIC, phi=2 * np.pi - 0.1)
+    phi = minimize(spec).cas.phi
+    assert np.allclose(phi, np.pi / 4 - 1 / 80, rtol=0, atol=1e-14)
+    for shift, accepted in ((0.005, True), (0.01, False)):
+        moved = phi.copy()
+        moved[0] += shift
+        assert (certify_angles(spec, CoherentAngleSystem(moved)) is not None) == accepted
+    assert certify_angles(spec, CoherentAngleSystem(np.full(64, np.nan))) is None
+
+
+def test_full_size_certificates_from_one_cut():
+    single_face, equality = _full_size_infeasible_specs()
+    med = single_face.surface
+    triangle = int(np.argmax(single_face.phi))
+    cert = find_coherent_angle_system(single_face)
+    assert (cert.kind, cert.violating_faces, cert.flow_solves) == ("subset", (triangle,), 2)
+    assert abs(cert.phi_sum - cert.theta_sum) < 1e-9
+    med = equality.surface
+    cert = find_coherent_angle_system(equality)
     assert cert.kind == "subset" and cert.flow_solves == 2
     assert cert.violating_faces == tuple(range(med.n_faces))
     assert cert.violating_edges == tuple(range(med.n_edges))

@@ -7,6 +7,7 @@ from circlepatterns.functional import (EUCLIDEAN, HYPERBOLIC, PatternSpec,
                                        gradient, hessian, value)
 from circlepatterns.solver import (NEWTON, THURSTON, SolveOptions, _newton_direction,
                                    minimize, thurston_step)
+from circlepatterns.surface import medial
 from helpers import random_feasible_spec, random_spec, surface_pool
 
 
@@ -52,6 +53,27 @@ def test_random_feasible_instances_converge():
             assert np.all(res.rho < 0)
         else:
             assert abs(res.rho.sum()) < 1e-9
+
+
+@pytest.mark.parametrize("geometry", [EUCLIDEAN, HYPERBOLIC])
+@pytest.mark.parametrize("n", [16, 24])
+def test_newton_converges_from_random_starts(n, geometry):
+    # uniform Euclidean data and random feasible hyperbolic data; from
+    # sigma = 3 the first Newton direction changes rho by thousands
+    med = medial(meshes.triangulated_torus(n, n))
+    rng = np.random.default_rng(n)
+    if geometry == EUCLIDEAN:
+        spec = PatternSpec(med, EUCLIDEAN, np.full(med.n_edges, np.pi / 2),
+                           np.full(med.n_faces, 2 * np.pi))
+    else:
+        spec = random_feasible_spec(med, HYPERBOLIC, rng)
+    reference = minimize(spec)
+    assert reference.converged
+    for sigma in (1.0, 3.0):
+        start = rng.normal(0.0, sigma, med.n_faces)
+        result = minimize(spec, SolveOptions(initial_rho=start))
+        assert result.converged, (sigma, result.iterations, result.message)
+        assert np.abs(result.rho - reference.rho).max() <= 1e-9
 
 
 def test_thurston_step_restores_symmetry():
@@ -116,6 +138,10 @@ def test_infeasible_reports_non_convergence():
     res = minimize(spec, SolveOptions(max_iter=60))
     assert not res.converged
     assert res.message
+    # a failed total equality leaves a constant gradient, which no step
+    # on the zero-sum subspace lowers: the solver stops at once
+    res = minimize(torus_spec(phi=2 * np.pi + 0.1))
+    assert (res.converged, res.iterations, res.message) == (False, 0, "no descent direction")
 
 
 def test_solve_options_validation():

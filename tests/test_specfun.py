@@ -21,6 +21,25 @@ def test_clausen_against_series_oracle():
     assert worst < 1e-12
 
 
+def test_series_table_matches_scipy_zeta_bit_for_bit():
+    from scipy.special import zeta
+    k = np.arange(1, 31)
+    expected = zeta(2.0 * k) / (k * (2 * k + 1) * specfun.TWO_PI ** (2.0 * k))
+    assert specfun._SERIES.dtype == np.float64
+    assert np.array_equal(specfun._SERIES.view(np.int64), expected.view(np.int64))
+
+
+def test_cli_import_does_not_load_scipy_special():
+    import os
+    import subprocess
+    import sys
+    # a fresh interpreter that finds the package where this one does
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = ("import sys; import circlepatterns.cli; "
+            "sys.exit('scipy.special' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_clausen_odd_and_periodic():
     rng = np.random.default_rng(1)
     x = rng.uniform(-10, 10, 500)
