@@ -282,7 +282,9 @@ class FeasibilityCertificate:
     # what the flow search did; not part of the verdict
     flow_solves: int = 0
     flow_rounds: int = 0
-    shortfall: float = 0.0   # unmet demand of the flow at the first floor eps
+    # unmet demand of the first flow: at the first floor eps, or at eps = 0
+    # when that floor is at most STRICT_TOL
+    shortfall: float = 0.0
 
 
 def _equality_certificate(spec):
@@ -364,7 +366,10 @@ def find_coherent_angle_system(spec: PatternSpec) -> FeasibilityCertificate:
     face-to-edge branch.  Otherwise the verdict comes from one max flow on
     the eps = 0 network: a violating face set is read off its residual
     graph (see :func:`_certificate_from_residual`) and reported as
-    ``kind="subset"``.  When it finds none, the floor steps down.
+    ``kind="subset"``.  When it finds none, the floor steps down.  A first
+    floor at or below STRICT_TOL proves no margin that the cut counts as
+    strict, so there the eps = 0 cut is read first and its face set, if it
+    finds one, is the verdict.
 
     A flow exists iff no node set S has a positive deficit d_S (Hoffman;
     :func:`_deficit`), and a failing flow's min cut S has the largest.
@@ -390,23 +395,31 @@ def find_coherent_angle_system(spec: PatternSpec) -> FeasibilityCertificate:
     eps = min(float(spec.phi.min()) / (4.0 * max_deg),
               float(spec.theta_star.min()) / 4.0)
     half_angles = slice(srf.n_faces, srf.n_faces + srf.n_oriented_edges)
-    rounds = []
+    rounds, shortfalls = [], []
     flow_stats = FlowStats()
 
     def flow(eps):
         net = build_flow_network(spec, eps)
         flows, cut = solve_feasible_flow(net, flow_stats)
         rounds.append(flow_stats.rounds)
+        shortfalls.append(flow_stats.shortfall)
         # an accepted flow may leave a face residual over 1e-8: step from its cut
         cas = None if flows is None else CoherentAngleSystem(phi=flows[half_angles])
         valid = cas is not None and validate_cas(spec, cas).is_valid(1e-8)
         return (cas if valid else None), net, cut
 
-    cas, net, cut = flow(eps)
-    shortfall = flow_stats.shortfall
-    if cas is None:
+    def zero_cut():
         _, zero, _ = flow(0.0)
-        cert = _certificate_from_residual(spec, zero, flow_stats)
+        return zero, _certificate_from_residual(spec, zero, flow_stats)
+
+    cas = cut = zero = None
+    if eps <= STRICT_TOL:
+        # such a floor proves no margin above STRICT_TOL: the cut goes first
+        zero, cert = zero_cut()
+    if cert is None:
+        cas, net, cut = flow(eps)
+        if cas is None and zero is None:
+            zero, cert = zero_cut()
     for _ in range(srf.n_oriented_edges + srf.n_edges):
         if cas is not None or cert is not None or cut is None:
             break
@@ -420,7 +433,7 @@ def find_coherent_angle_system(spec: PatternSpec) -> FeasibilityCertificate:
     elif cert is None:
         raise RuntimeError(f"no flow and no violating face set at floor eps = {eps:.6g}")
     cert.flow_solves, cert.flow_rounds = len(rounds), sum(rounds)
-    cert.shortfall = shortfall
+    cert.shortfall = shortfalls[0]
     return cert
 
 

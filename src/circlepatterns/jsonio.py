@@ -4,7 +4,9 @@ All numbers are written with 17 significant digits so that reports are
 byte-identical across repeated runs and round-trip exactly.  ``dumps``
 dispatches on ``type(obj)`` for the built-in JSON types and formats a list
 of plain floats in one ``map``; None, bools, NumPy values and subclasses go
-through an ``isinstance`` chain to the same output.
+through an ``isinstance`` chain to the same output.  ``join`` lays out a
+list or object as ``dumps`` does, so a large document can be written from
+row templates filled with ``FLOAT_FORMAT``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,17 @@ def _format_float(x: float) -> str:
     return FLOAT_FORMAT % x
 
 
-def _join(opening, items, closing, indent, level):
+def check_finite(values) -> None:
+    """Raise the ValueError of ``dumps`` at the first non-finite number."""
+    values = np.asarray(values, dtype=float).ravel()
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        _format_float(float(values[bad[0]]))   # raises
+
+
+def join(opening, items, closing, indent, level):
+    """A JSON list or object of rendered items as ``dumps`` lays it out at
+    depth ``level``; also builds the row templates of larger documents."""
     if not indent:
         return opening + ", ".join(items) + closing
     pad = "\n" + " " * (indent * (level + 1))
@@ -43,13 +55,13 @@ def dumps(obj, indent=0, _level=0) -> str:
         if not obj:
             return "[]"
         if set(map(type, obj)) == _FLOATS:
-            return _join("[", map(_format_float, obj), "]", indent, _level)
-        return _join("[", [dumps(v, indent, _level + 1) for v in obj], "]", indent, _level)
+            return join("[", map(_format_float, obj), "]", indent, _level)
+        return join("[", [dumps(v, indent, _level + 1) for v in obj], "]", indent, _level)
     if kind is dict:
         if not obj:
             return "{}"
-        return _join("{", [_quote(str(k)) + ": " + dumps(v, indent, _level + 1)
-                           for k, v in obj.items()], "}", indent, _level)
+        return join("{", [_quote(str(k)) + ": " + dumps(v, indent, _level + 1)
+                          for k, v in obj.items()], "}", indent, _level)
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):

@@ -18,6 +18,10 @@ disk for hyperbolic patterns) are computed one BFS level at a time from the
 frames of the parents, and the first placement of a circle center or an
 intersection point in BFS order wins.
 
+A ``LayoutResult`` keeps the developed kites as that array, row e the kite
+of edge e, and ``export_json`` and ``export_svg`` write them from it, one
+%-template per row.
+
 Only patterns without cone-like singularities are developable: all
 interior cone angles (Phi at faces, Theta at vertices) must equal 2*pi.
 Patterns with singularities remain valid as metric data but cannot be
@@ -64,7 +68,8 @@ class LayoutResult:
     geometry: str
     circles: dict                 # face -> Circle | Line
     vertex_points: dict           # vertex -> complex
-    kites: list                   # (edge id, 4 global corners (P_u, C_k, P_w, C_j))
+    kites: np.ndarray             # complex (K, 4): global corners (P_u, C_k, P_w, C_j)
+    kite_edges: np.ndarray        # int (K,): the edge of each kite row
     closure_residual: float
     diameter: float
     periods: tuple | None = None  # two complex translation periods (torus)
@@ -316,7 +321,7 @@ def layout(spec: PatternSpec, rho, root_edge: int = 0) -> LayoutResult:
             residual = np.abs(flat).max(initial=0.0)
     return LayoutResult(
         geometry=spec.geometry, circles=circles, vertex_points=vertex_points,
-        kites=list(enumerate(map(tuple, placed.tolist()))),
+        kites=placed, kite_edges=np.arange(srf.n_edges),
         closure_residual=float(residual), diameter=diameter, periods=periods,
         hyperbolic_circles=hyp_circles)
 
@@ -372,42 +377,97 @@ def _canonical_basis(v1, v2, tol):
 
 
 # -- export -------------------------------------------------------------------
+#
+# export_json writes the document jsonio.dumps would write at indent 2 (the
+# tests hold the two byte for byte), filling one %-template per row.
 
-def _circle_entry(face, obj, hyp=None):
-    if isinstance(obj, Line):
-        return {"face": face,
-                "line": {"point": [obj.point.real, obj.point.imag],
-                         "normal": [obj.normal.real, obj.normal.imag]}}
-    entry = {"face": face, "center": [obj.center.real, obj.center.imag],
-             "radius": obj.radius}
-    if hyp is not None:
-        entry["center_hyperbolic"] = [hyp[0].real, hyp[0].imag]
-        entry["radius_hyperbolic"] = hyp[1]
-    return entry
+_JSON_FLOAT = jsonio.FLOAT_FORMAT
 
 
-def layout_to_dict(result: LayoutResult, include_kites=False) -> dict:
-    out = {
-        "geometry": result.geometry,
-        "circles": [
-            _circle_entry(f, result.circles[f], result.hyperbolic_circles.get(f))
-            for f in sorted(result.circles)],
-        "vertices": [{"vertex": v, "point": [result.vertex_points[v].real,
-                                             result.vertex_points[v].imag]}
-                     for v in sorted(result.vertex_points)],
-        "periods": None if result.periods is None else
-        [[result.periods[0].real, result.periods[0].imag],
-         [result.periods[1].real, result.periods[1].imag]],
-        "closure_residual": result.closure_residual,
-    }
-    if include_kites:
-        out["kites"] = [{"edge": e, "corners": [[z.real, z.imag] for z in cs]}
-                        for e, cs in result.kites]
-    return out
+def _json_list(items, level):
+    return jsonio.join("[", items, "]", 2, level)
+
+
+def _json_object(items, level):
+    return jsonio.join("{", items, "}", 2, level)
+
+
+def _json_point(level):
+    return _json_list([_JSON_FLOAT] * 2, level)
+
+
+# rows of the lists at depth 1 of the document
+_CIRCLE_ITEMS = ['"face": %d', '"center": ' + _json_point(3), '"radius": ' + _JSON_FLOAT]
+_CIRCLE_JSON = _json_object(_CIRCLE_ITEMS, 2)
+_HYPERBOLIC_CIRCLE_JSON = _json_object(
+    _CIRCLE_ITEMS + ['"center_hyperbolic": ' + _json_point(3),
+                     '"radius_hyperbolic": ' + _JSON_FLOAT], 2)
+_LINE_JSON = _json_object(['"face": %d', '"line": ' + _json_object(
+    ['"point": ' + _json_point(4), '"normal": ' + _json_point(4)], 3)], 2)
+_VERTEX_JSON = _json_object(['"vertex": %d', '"point": ' + _json_point(3)], 2)
+_KITE_JSON = _json_object(['"edge": %d', '"corners": ' + _json_list([_json_point(4)] * 4, 3)], 2)
+_PERIODS_JSON = _json_list([_json_point(2)] * 2, 1)
+
+
+def _fill(template, values):
+    values = np.asarray(values, dtype=float).ravel()
+    jsonio.check_finite(values)
+    return template % tuple(values.tolist())
+
+
+def _json_rows(templates, values):
+    """A list at depth 1 of the document: its row templates, filled."""
+    return _fill(_json_list(templates, 1), values) if templates else "[]"
+
+
+def _circle_rows(result: LayoutResult):
+    templates, values = [], []
+    for f in sorted(result.circles):
+        obj = result.circles[f]
+        if isinstance(obj, Line):
+            templates.append(_LINE_JSON)
+            values += [f, obj.point.real, obj.point.imag, obj.normal.real, obj.normal.imag]
+        elif f in result.hyperbolic_circles:
+            center, radius = result.hyperbolic_circles[f]
+            templates.append(_HYPERBOLIC_CIRCLE_JSON)
+            values += [f, obj.center.real, obj.center.imag, obj.radius,
+                       center.real, center.imag, radius]
+        else:
+            templates.append(_CIRCLE_JSON)
+            values += [f, obj.center.real, obj.center.imag, obj.radius]
+    return templates, values
+
+
+def _vertex_rows(result: LayoutResult):
+    """One row per vertex in order: its id, then its point's real and imaginary parts."""
+    vertices = sorted(result.vertex_points)
+    points = np.array([result.vertex_points[v] for v in vertices], dtype=complex)
+    return np.column_stack([vertices, points.real, points.imag])
+
+
+def _kite_rows(result: LayoutResult):
+    """One row per kite: its edge, then the corners' real and imaginary parts."""
+    corners = np.ascontiguousarray(result.kites, dtype=complex).view(float)
+    return np.column_stack([result.kite_edges, corners])
 
 
 def export_json(result: LayoutResult, path=None, include_kites=False) -> str:
-    text = jsonio.dumps(layout_to_dict(result, include_kites), indent=2) + "\n"
+    """The layout as an indent-2 JSON document: geometry, circles by face,
+    vertex points, periods, closure residual and, with ``include_kites``,
+    the kite corners by edge.  Non-finite numbers raise ValueError."""
+    periods = "null"
+    if result.periods is not None:
+        periods = _fill(_PERIODS_JSON, np.array(result.periods, dtype=complex).view(float))
+    vertices = _vertex_rows(result)
+    items = ['"geometry": ' + jsonio.dumps(result.geometry),
+             '"circles": ' + _json_rows(*_circle_rows(result)),
+             '"vertices": ' + _json_rows([_VERTEX_JSON] * len(vertices), vertices),
+             '"periods": ' + periods,
+             '"closure_residual": ' + _fill(_JSON_FLOAT, result.closure_residual)]
+    if include_kites:
+        rows = _kite_rows(result)
+        items.append('"kites": ' + _json_rows([_KITE_JSON] * len(rows), rows))
+    text = _json_object(items, 0) + "\n"
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)
@@ -436,6 +496,13 @@ def _geodesic_path(z1, z2):
     sweep = 1 if ((z2 - z1) * np.conj(c - z1)).imag > 0 else 0
     return (f"M {_f(z1.real)} {_f(z1.imag)} A {_f(r)} {_f(r)} 0 0 {sweep} "
             f"{_f(z2.real)} {_f(z2.imag)}")
+
+
+def _svg_rows(template, values):
+    """One line per row of ``values``, all filled into the template at once."""
+    if not len(values):
+        return []
+    return ["\n".join([template] * len(values)) % tuple(values.ravel().tolist())]
 
 
 def export_svg(result: LayoutResult, path=None, include_kites=False) -> str:
@@ -485,26 +552,22 @@ def export_svg(result: LayoutResult, path=None, include_kites=False) -> str:
         lines.append('<circle cx="0" cy="0" r="1" fill="none" '
                      'stroke="#999999" stroke-width="0.004"/>')
     stroke = 0.003 * max(width, height)
-    if include_kites:
-        for e, cs in result.kites:
-            pu, ck, pw, cj = cs
-            if hyperbolic:
-                d = " ".join([_geodesic_path(pu, ck), _geodesic_path(ck, pw),
-                              _geodesic_path(pw, cj), _geodesic_path(cj, pu)])
-                lines.append(f'<path class="kite" data-edge="{e}" d="{d}" '
-                             f'fill="none" stroke="#88aacc" stroke-width="{_f(stroke)}"/>')
-            else:
-                d = (f"M {_f(pu.real)} {_f(pu.imag)} L {_f(ck.real)} {_f(ck.imag)} "
-                     f"L {_f(pw.real)} {_f(pw.imag)} L {_f(cj.real)} {_f(cj.imag)} Z")
-                lines.append(f'<path class="kite" data-edge="{e}" d="{d}" '
-                             f'fill="none" stroke="#88aacc" stroke-width="{_f(stroke)}"/>')
+    kite = ('<path class="kite" data-edge="%d" d="{}" fill="none" stroke="#88aacc" '
+            'stroke-width="' + _f(stroke) + '"/>')
+    if include_kites and hyperbolic:
+        for e, (pu, ck, pw, cj) in zip(result.kite_edges.tolist(), result.kites.tolist()):
+            d = " ".join([_geodesic_path(pu, ck), _geodesic_path(ck, pw),
+                          _geodesic_path(pw, cj), _geodesic_path(cj, pu)])
+            lines.append(kite.format(d) % e)
+    elif include_kites:
+        path_d = "M {0} {0} L {0} {0} L {0} {0} L {0} {0} Z".format(_FMT)
+        lines += _svg_rows(kite.format(path_d), _kite_rows(result))
+    circle = ('<circle class="face" data-face="%d" cx="{0}" cy="{0}" r="{0}" fill="none" '
+              'stroke="#222222" stroke-width="{1}"/>').format(_FMT, _f(stroke))
     for f in sorted(result.circles):
         obj = result.circles[f]
         if isinstance(obj, Circle):
-            lines.append(f'<circle class="face" data-face="{f}" '
-                         f'cx="{_f(obj.center.real)}" cy="{_f(obj.center.imag)}" '
-                         f'r="{_f(obj.radius)}" fill="none" stroke="#222222" '
-                         f'stroke-width="{_f(stroke)}"/>')
+            lines.append(circle % (f, obj.center.real, obj.center.imag, obj.radius))
         else:
             tang = complex(-obj.normal.imag, obj.normal.real)
             extent = 2.0 * max(width, height)
@@ -514,11 +577,9 @@ def export_svg(result: LayoutResult, path=None, include_kites=False) -> str:
                          f'x1="{_f(a.real)}" y1="{_f(a.imag)}" '
                          f'x2="{_f(b.real)}" y2="{_f(b.imag)}" '
                          f'stroke="#222222" stroke-width="{_f(stroke)}"/>')
-    for v in sorted(result.vertex_points):
-        z = result.vertex_points[v]
-        lines.append(f'<circle class="vertex" data-vertex="{v}" '
-                     f'cx="{_f(z.real)}" cy="{_f(z.imag)}" r="{_f(dot)}" '
-                     f'fill="#cc3333"/>')
+    vertex = ('<circle class="vertex" data-vertex="%d" cx="{0}" cy="{0}" r="{1}" '
+              'fill="#cc3333"/>').format(_FMT, _f(dot))
+    lines += _svg_rows(vertex, _vertex_rows(result))
     if result.periods is not None:
         p1, p2 = result.periods
         d = (f"M 0 0 L {_f(p1.real)} {_f(p1.imag)} "

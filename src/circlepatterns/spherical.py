@@ -541,18 +541,18 @@ def planar_layout(p: SphericalProblem, lay: SphericalLayout) -> LayoutResult:
     """The full planar intermediate (circles, re-inserted lines and all
     finite vertex positions) as a layout result for export."""
     if lay.planar is not None:
-        kites = [(lay.reduction.edge_map[e], corners)
-                 for e, corners in lay.planar.kites]
+        kites = lay.planar.kites
+        kite_edges = np.asarray(lay.reduction.edge_map)[lay.planar.kite_edges]
         residual = lay.planar.closure_residual
         diameter = lay.planar.diameter
     else:
-        kites = []
+        kites, kite_edges = np.zeros((0, 4), dtype=complex), np.zeros(0, dtype=int)
         residual = lay.line_residual
         pts = np.array(list(lay.planar_vertices.values()))
         diameter = float(abs(pts - pts.mean()).max() * 2.0) if len(pts) else 2.0
     return LayoutResult(
         geometry=EUCLIDEAN, circles=dict(lay.planar_circles),
-        vertex_points=dict(lay.planar_vertices), kites=kites,
+        vertex_points=dict(lay.planar_vertices), kites=kites, kite_edges=kite_edges,
         closure_residual=residual, diameter=diameter, periods=None)
 
 

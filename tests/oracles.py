@@ -11,10 +11,11 @@ augmenting each path by its full bottleneck.  The existence oracle
 enumerates every face subset.  The developing-map oracle builds one kite at
 a time and places it by a scalar breadth-first search, one complex number
 at a time.  The JSON oracle is the emitter's first, isinstance-chain
-version.  None shares logic with the implementation under test; the
-existence oracle only reports in its certificate type and with its
-tolerances, and the developing-map oracle in the layout's result type and
-its canonical choice of period basis.
+version, and the layout-document oracle builds the nested dicts and lists
+it writes, one of each per row.  None shares logic with the implementation
+under test; the existence oracle only reports in its certificate type and
+with its tolerances, and the developing-map oracle in the layout's result
+type and its canonical choice of period basis.
 """
 
 import json
@@ -25,7 +26,7 @@ from scipy.integrate import quad
 
 from circlepatterns.feasibility import EQ_TOL, STRICT_TOL, FeasibilityCertificate
 from circlepatterns.functional import phi_of_rho, radii_from_rho
-from circlepatterns.layout import (Circle, LayoutResult, _canonical_basis,
+from circlepatterns.layout import (Circle, LayoutResult, Line, _canonical_basis,
                                    hyperbolic_circle_to_euclidean)
 from circlepatterns.surface import OPEN
 
@@ -444,13 +445,13 @@ def develop_scalar(spec, rho, root_edge=0):
         pa = _side_plus(srf, ea, placed[ea], corner)
         pb = _side_minus(srf, eb, placed[eb], corner)
         pairs += [(pa[0], pb[0]), (pa[1], pb[1])]
-    kites_out = [(e, placed[e]) for e in range(srf.n_edges)]
+    kites_out = np.array([placed[e] for e in range(srf.n_edges)], dtype=complex)
     periods = None
     if spec.is_hyperbolic:
         diameter = 2.0
         residual = max((frame.dist(z, w) for z, w in pairs), default=0.0)
     else:
-        xs = np.array([z for _, cs in kites_out for z in cs])
+        xs = kites_out.ravel()
         diameter = float(abs(xs - xs.mean()).max() * 2.0)
         flat = [z - w for z, w in pairs]
         if srf.is_closed:
@@ -459,8 +460,9 @@ def develop_scalar(spec, rho, root_edge=0):
             residual = max((abs(d) for d in flat), default=0.0)
     return LayoutResult(
         geometry=spec.geometry, circles=circles, vertex_points=vertex_points,
-        kites=kites_out, closure_residual=float(residual), diameter=diameter,
-        periods=periods, hyperbolic_circles=hyp)
+        kites=kites_out, kite_edges=np.arange(srf.n_edges),
+        closure_residual=float(residual), diameter=diameter, periods=periods,
+        hyperbolic_circles=hyp)
 
 
 # -- JSON emission ------------------------------------------------------------------
@@ -500,3 +502,38 @@ def dumps_reference(obj, indent=0, _level=0):
         return "{" + nl + sep.join(pad + s for s in items) + nl + closing + "}" \
             if indent else "{" + ", ".join(items) + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _circle_entry(face, obj, hyp=None):
+    if isinstance(obj, Line):
+        return {"face": face,
+                "line": {"point": [obj.point.real, obj.point.imag],
+                         "normal": [obj.normal.real, obj.normal.imag]}}
+    entry = {"face": face, "center": [obj.center.real, obj.center.imag],
+             "radius": obj.radius}
+    if hyp is not None:
+        entry["center_hyperbolic"] = [hyp[0].real, hyp[0].imag]
+        entry["radius_hyperbolic"] = hyp[1]
+    return entry
+
+
+def layout_to_dict_reference(result, include_kites=False):
+    """Reference for ``layout.export_json``: the document as nested dicts
+    and lists, to be written by ``dumps_reference`` at indent 2."""
+    out = {
+        "geometry": result.geometry,
+        "circles": [
+            _circle_entry(f, result.circles[f], result.hyperbolic_circles.get(f))
+            for f in sorted(result.circles)],
+        "vertices": [{"vertex": v, "point": [result.vertex_points[v].real,
+                                             result.vertex_points[v].imag]}
+                     for v in sorted(result.vertex_points)],
+        "periods": None if result.periods is None else
+        [[result.periods[0].real, result.periods[0].imag],
+         [result.periods[1].real, result.periods[1].imag]],
+        "closure_residual": result.closure_residual,
+    }
+    if include_kites:
+        out["kites"] = [{"edge": e, "corners": [[z.real, z.imag] for z in cs]}
+                        for e, cs in zip(result.kite_edges.tolist(), result.kites.tolist())]
+    return out

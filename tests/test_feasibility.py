@@ -200,6 +200,27 @@ def test_near_tight_data_take_at_most_four_flows():
     assert stepped >= 200 and infeasible >= 10, (stepped, infeasible)
 
 
+def test_first_floor_at_most_strict_tol_reads_the_cut_first():
+    # face 0 of a 2x2 torus at Phi = 1e-13 ... 1e-8, the other faces keeping
+    # the total: a floor of Phi/16 proves no margin above STRICT_TOL, and a
+    # flow there used to be accepted where the brute force finds a face set
+    s = meshes.torus_grid(2, 2)
+    theta_star = np.full(s.n_edges, np.pi / 2)
+    for small in (1e-13, 1e-12, 1e-10, 1e-9, 5e-9, 1e-8):
+        phi = np.full(s.n_faces, 2 * np.pi)
+        phi[0] = small
+        phi[1:] += (2 * np.pi - small) / (s.n_faces - 1)
+        spec = PatternSpec(s, EUCLIDEAN, theta_star, phi)
+        cert = find_coherent_angle_system(spec)
+        want = check_conditions_bruteforce(spec)
+        assert cert.feasible == want.feasible, small
+        if cert.feasible:
+            assert validate_cas(spec, cert.cas).is_valid(1e-8)
+        else:
+            assert cert.kind == "subset" and cert.flow_solves == 1
+            assert cert.violating_faces == want.violating_faces == (1, 2, 3)
+
+
 def test_floor_steps_from_the_cut_of_an_accepted_flow():
     # hyperbolic data with three near-tight faces on a 48-face surface: two
     # of these step to a floor whose flow is accepted at rounding level but

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -8,13 +9,14 @@ from circlepatterns.functional import (EUCLIDEAN, HYPERBOLIC, PatternSpec,
                                        phi_of_rho)
 from circlepatterns.layout import (Circle, Line, LayoutResult,
                                    NotDevelopableError, _extract_periods,
-                                   export_json, export_svg, layout,
-                                   layout_to_dict)
+                                   export_json, export_svg, layout)
 from circlepatterns.solver import minimize
-from circlepatterns.spherical import SphericalProblem, reduce_to_plane
+from circlepatterns.spherical import (SphericalProblem, planar_layout,
+                                      reduce_to_plane, solve_sphere)
 from circlepatterns.surface import medial
 from helpers import random_feasible_spec, random_flat_theta
-from oracles import develop_scalar, extract_periods_scalar
+from oracles import (develop_scalar, dumps_reference, extract_periods_scalar,
+                     layout_to_dict_reference)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -39,6 +41,13 @@ def disc_spec():
     return PatternSpec(s0, HYPERBOLIC, theta_star, 2 * face)
 
 
+def empty_layout():
+    return LayoutResult(geometry=EUCLIDEAN, circles={}, vertex_points={},
+                        kites=np.zeros((0, 4), dtype=complex),
+                        kite_edges=np.zeros(0, dtype=int),
+                        closure_residual=0.0, diameter=0.0)
+
+
 def test_torus_unit_grid():
     spec, res, lay = torus_layout()
     assert lay.closure_residual <= 1e-9
@@ -50,7 +59,7 @@ def test_torus_unit_grid():
     for c in lay.circles.values():
         assert abs(c.radius - 1.0) < 1e-12
     # every kite is a unit square
-    for e, (pu, ck, pw, cj) in lay.kites:
+    for e, (pu, ck, pw, cj) in zip(lay.kite_edges, lay.kites):
         sides = [abs(ck - pu), abs(pw - ck), abs(cj - pw), abs(pu - cj)]
         assert np.abs(np.array(sides) - 1.0).max() < 1e-12
         assert abs(abs(pw - pu) - np.sqrt(2)) < 1e-12
@@ -59,7 +68,7 @@ def test_torus_unit_grid():
 def test_kite_diagonal_law():
     spec, res, lay = torus_layout()
     # r_j = r_k = 1, theta = pi/2 gives center distance sqrt(2)
-    for e, (pu, ck, pw, cj) in lay.kites[:4]:
+    for e, (pu, ck, pw, cj) in zip(lay.kite_edges[:4], lay.kites[:4]):
         assert abs(abs(ck - cj) - np.sqrt(2)) < 1e-12
 
 
@@ -68,7 +77,7 @@ def test_vertex_and_face_angle_sums():
     s = spec.surface
     vertex_sums = {}
     face_sums = {}
-    for e, (pu, ck, pw, cj) in lay.kites:
+    for e, (pu, ck, pw, cj) in zip(lay.kite_edges, lay.kites):
         h = s.edge_rep(e)
         for point, vid in ((pu, s.origin(h)), (pw, s.terminus(h))):
             ang = abs(np.angle((cj - point) / (ck - point)))
@@ -85,7 +94,7 @@ def test_intersection_points_on_both_circles():
     spec, res, lay = torus_layout()
     s = spec.surface
     worst = 0.0
-    for e, (pu, ck, pw, cj) in lay.kites:
+    for e, (pu, ck, pw, cj) in zip(lay.kite_edges, lay.kites):
         h = s.edge_rep(e)
         rj = lay.circles[s.left_face(h)].radius
         rk = lay.circles[s.right_face(h)].radius
@@ -149,15 +158,16 @@ def test_extract_periods_matches_scalar_reduction():
 def test_path_independence_up_to_isometry():
     spec, res, lay = torus_layout()
     lay2 = layout(spec, res, root_edge=7)
-    k1 = dict(lay.kites)[7]
-    k2 = dict(lay2.kites)[7]
+    k1 = dict(zip(lay.kite_edges, lay.kites))[7]
+    k2 = dict(zip(lay2.kite_edges, lay2.kites))[7]
     a = (k2[1] - k2[0]) / (k1[1] - k1[0])
     b = k2[0] - a * k1[0]
     assert abs(abs(a) - 1.0) < 1e-12
     p1, p2 = lay2.periods
     mat = np.linalg.inv(np.array([[p1.real, p2.real], [p1.imag, p2.imag]]))
     worst = 0.0
-    for (e, ca), (e2, cb) in zip(lay.kites, lay2.kites):
+    for (e, ca), (e2, cb) in zip(zip(lay.kite_edges, lay.kites),
+                                 zip(lay2.kite_edges, lay2.kites)):
         for za, zb in zip(ca, cb):
             d = a * za + b - zb
             k = np.round(mat @ np.array([d.real, d.imag]))
@@ -172,12 +182,13 @@ def test_disc_path_independence():
     assert res.converged
     lay = layout(red.spec, res)
     lay2 = layout(red.spec, res, root_edge=red.surface.n_edges - 1)
-    k1 = lay.kites[0][1]
-    k2 = dict(lay2.kites)[lay.kites[0][0]]
+    k1 = lay.kites[0]
+    k2 = dict(zip(lay2.kite_edges, lay2.kites))[lay.kite_edges[0]]
     a = (k2[1] - k2[0]) / (k1[1] - k1[0])
     b = k2[0] - a * k1[0]
     worst = max(abs(a * za + b - zb)
-                for (e, ca), (e2, cb) in zip(lay.kites, lay2.kites)
+                for (e, ca), (e2, cb) in zip(zip(lay.kite_edges, lay.kites),
+                                             zip(lay2.kite_edges, lay2.kites))
                 for za, zb in zip(ca, cb))
     assert worst <= 1e-7
 
@@ -197,7 +208,7 @@ def test_hyperbolic_disc_layout():
     radii = radii_from_rho(HYPERBOLIC, res.rho)
     s = spec.surface
     worst = 0.0
-    for e, (pu, ck, pw, cj) in lay.kites:
+    for e, (pu, ck, pw, cj) in zip(lay.kite_edges, lay.kites):
         h = s.edge_rep(e)
         for p in (pu, pw):
             worst = max(worst,
@@ -210,9 +221,8 @@ def _assert_same_layout(lay, ref):
     """Every placement of the array map is the scalar map's, up to rounding:
     the same spanning tree, so the same fundamental domain."""
     tol = 1e-10 * ref.diameter
-    assert [e for e, _ in lay.kites] == [e for e, _ in ref.kites]
-    assert np.abs(np.array([cs for _, cs in lay.kites])
-                  - np.array([cs for _, cs in ref.kites])).max() <= tol
+    assert list(lay.kite_edges) == list(ref.kite_edges)
+    assert np.abs(lay.kites - ref.kites).max() <= tol
     centers = [{f: c.center for f, c in r.circles.items()} for r in (lay, ref)]
     for got, want in ((lay.vertex_points, ref.vertex_points), centers,
                       (lay.hyperbolic_circles, ref.hyperbolic_circles)):
@@ -296,7 +306,7 @@ def test_closed_sphere_rejected():
 
 def test_export_json_schema():
     spec, res, lay = torus_layout()
-    doc = layout_to_dict(lay, include_kites=True)
+    doc = json.loads(export_json(lay, include_kites=True))
     assert {"geometry", "circles", "vertices", "periods",
             "closure_residual", "kites"} <= set(doc)
     assert len(doc["circles"]) == 16
@@ -318,21 +328,71 @@ def test_export_svg_golden_torus():
         assert svg == fh.read()
 
 
+def test_export_json_golden_torus():
+    spec, res, lay = torus_layout()
+    with open(os.path.join(GOLDEN, "torus4x4.json")) as fh:
+        assert export_json(lay, include_kites=True) == fh.read()
+
+
+def _exported_layouts():
+    spec, res, _ = torus_layout()
+    for root in (0, 7, 31):
+        yield layout(spec, res, root_edge=root)
+    rng = np.random.default_rng(37)
+    s = medial(meshes.triangulated_torus(3, 4))
+    theta = random_flat_theta(s, rng, spread=0.5)
+    spec = PatternSpec(s, EUCLIDEAN, np.pi - theta, np.full(s.n_faces, 2 * np.pi))
+    res = minimize(spec)
+    for root in (0, s.n_edges - 1):
+        yield layout(spec, res, root_edge=root)
+    spec = disc_spec()
+    res = minimize(spec)
+    yield layout(spec, res)
+    yield layout(spec, res, root_edge=spec.surface.n_edges - 1)
+    for problem in (SphericalProblem(meshes.cube(), np.full(12, 2 * np.pi / 3), 7),
+                    SphericalProblem(meshes.octahedron(), np.full(12, np.pi / 2), 4)):
+        yield planar_layout(problem, solve_sphere(problem))
+    yield empty_layout()
+
+
+def test_export_json_matches_reference():
+    # the row templates write the document the nested-dict reference does,
+    # byte for byte: periods, hyperbolic circles, lines, remapped edges
+    kinds = set()
+    for lay in _exported_layouts():
+        for include_kites in (False, True):
+            want = dumps_reference(layout_to_dict_reference(lay, include_kites), indent=2)
+            assert export_json(lay, include_kites=include_kites) == want + "\n"
+        kinds |= {type(c) for c in lay.circles.values()}
+        kinds |= {"periods"} if lay.periods is not None else set()
+        kinds |= {"hyperbolic"} if lay.hyperbolic_circles else set()
+        kinds |= {"remapped"} if list(lay.kite_edges) != list(range(len(lay.kites))) else set()
+    assert kinds == {Circle, Line, "periods", "hyperbolic", "remapped"}
+
+
+def test_export_json_rejects_non_finite_corners():
+    spec, res, lay = torus_layout()
+    lay.kites[3, 2] = complex(np.nan, 0.0)
+    export_json(lay)            # without kites the corners are not written
+    with pytest.raises(ValueError, match="non-finite"):
+        export_json(lay, include_kites=True)
+
+
 def test_export_line_circle():
     lay = LayoutResult(
         geometry=EUCLIDEAN,
         circles={0: Circle(0j, 1.0), 1: Line(1 + 0j, 1 + 0j)},
         vertex_points={0: 1j, 1: -1j},
-        kites=[], closure_residual=0.0, diameter=2.0)
-    doc = layout_to_dict(lay)
+        kites=np.zeros((0, 4), dtype=complex), kite_edges=np.zeros(0, dtype=int),
+        closure_residual=0.0, diameter=2.0)
+    doc = json.loads(export_json(lay))
     assert doc["circles"][1]["line"]["point"] == [1.0, 0.0]
     svg = export_svg(lay)
     assert "<line" in svg
 
 
 def test_export_empty_layout():
-    lay = LayoutResult(geometry=EUCLIDEAN, circles={}, vertex_points={},
-                       kites=[], closure_residual=0.0, diameter=0.0)
+    lay = empty_layout()
     svg = export_svg(lay)
     assert svg.startswith("<?xml") and "</svg>" in svg
     assert export_json(lay)
