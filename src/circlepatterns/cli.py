@@ -38,27 +38,41 @@ class InputError(ValueError):
 def _load_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: the top level must be a JSON object")
+    return data
+
+
+def _floats(path, data, key):
+    """The list of numbers under ``key`` as a float array."""
+    if key not in data:
+        raise InputError(f"{path}: missing '{key}'")
+    try:
+        return np.asarray(data[key], dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{path}: '{key}' must be a list of numbers") from exc
 
 
 def _load_problem(path):
     data = _load_json(path)
+    if "mesh" not in data:
+        raise InputError(f"{path}: missing 'mesh'")
     try:
         surface = surface_from_json_dict(data["mesh"])
-    except KeyError as exc:
-        raise InputError(f"{path}: missing 'mesh'") from exc
     except SurfaceError as exc:
         raise InputError(f"{path}: invalid mesh: {exc}") from exc
     geometry = data.get("geometry", EUCLIDEAN)
     if geometry not in (EUCLIDEAN, HYPERBOLIC):
         raise InputError(f"{path}: unknown geometry {geometry!r}")
-    if "theta_star" not in data:
-        raise InputError(f"{path}: missing 'theta_star'")
-    theta_star = np.asarray(data["theta_star"], dtype=float)
+    theta_star = _floats(path, data, "theta_star")
+    options = data.get("options", {})
+    if not isinstance(options, dict):
+        raise InputError(f"{path}: 'options' must be an object")
     if "phi" in data and data["phi"] is not None:
-        phi = np.asarray(data["phi"], dtype=float)
+        phi = _floats(path, data, "phi")
     else:
         if surface.n_boundary_faces:
             raise InputError(f"{path}: 'phi' is required when the mesh has "
@@ -68,7 +82,7 @@ def _load_problem(path):
         spec = PatternSpec(surface, geometry, theta_star, phi)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    return spec, data.get("options", {})
+    return spec, options
 
 
 def _print(doc):
@@ -150,11 +164,7 @@ def cmd_solve(args):
 
 def cmd_layout(args):
     spec, _ = _load_problem(args.problem)
-    report = _load_json(args.report)
-    try:
-        rho = np.asarray(report["rho"], dtype=float)
-    except KeyError as exc:
-        raise InputError(f"{args.report}: missing 'rho'") from exc
+    rho = _floats(args.report, _load_json(args.report), "rho")
     result = layout(spec, rho, root_edge=args.root_edge)
     if args.svg:
         export_svg(result, args.svg, include_kites=args.kites)
@@ -167,10 +177,14 @@ def cmd_layout(args):
 
 def cmd_sphere(args):
     data = _load_json(args.problem)
+    theta = _floats(args.problem, data, "theta")
+    try:
+        v_infinity = int(data.get("v_infinity", 0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{args.problem}: 'v_infinity' must be an integer") from exc
     try:
         surface = surface_from_json_dict(data["mesh"])
-        problem = SphericalProblem(surface, np.asarray(data["theta"], dtype=float),
-                                   int(data.get("v_infinity", 0)))
+        problem = SphericalProblem(surface, theta, v_infinity)
     except (KeyError, ValueError, SurfaceError) as exc:
         raise InputError(f"{args.problem}: {exc}") from exc
     lay = solve_sphere(problem)

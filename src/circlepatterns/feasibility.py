@@ -44,9 +44,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import (breadth_first_order, connected_components,
                                   maximum_flow)
 
-from .functional import (CoherentAngleSystem, PatternSpec, EUCLIDEAN,
-                         validate_cas)
-from .surface import CellularSurface, dual as dual_surface
+from .functional import CoherentAngleSystem, PatternSpec, validate_cas
 
 EQ_TOL = 1e-9      # tolerance for the global equality condition
 STRICT_TOL = 1e-9  # margins at or below this count as violations
@@ -508,246 +506,3 @@ def _subset_certificate(spec: PatternSpec, faces) -> FeasibilityCertificate | No
         violating_edges=tuple(map(int, edges)), phi_sum=phi_sum,
         theta_sum=theta_sum, kind="subset",
         message="flow cut yields a violating face subset")
-
-
-# -- Rivin's cocycle condition ------------------------------------------------
-
-@dataclass
-class CocycleVerdict:
-    satisfied: bool
-    violating_edges: tuple = ()
-    theta_sum: float = 0.0
-    message: str = ""
-
-
-def _require_flat_vertices(surface, theta, tol=1e-8):
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (surface.n_edges,):
-        raise ValueError(f"theta must have {surface.n_edges} entries")
-    if np.any(theta <= 0.0) or np.any(theta >= np.pi):
-        raise ValueError("theta must lie strictly in (0, pi)")
-    sums = np.zeros(surface.n_vertices)
-    np.add.at(sums, surface.oe_origin, theta[surface.oe_edge])
-    bad = np.abs(sums - 2.0 * np.pi) > tol
-    if np.any(bad):
-        v = int(np.argmax(bad))
-        raise ValueError(
-            f"theta must sum to 2*pi around every vertex; vertex {v} "
-            f"sums to {sums[v]:.12g}")
-    return theta
-
-
-def _simple_dual_cycles(surface: CellularSurface):
-    """Edge sets of all simple cycles of the dual 1-skeleton."""
-    loops = []
-    adj = [[] for _ in range(surface.n_faces)]
-    for e in range(surface.n_edges):
-        h = surface.edge_rep(e)
-        u, v = surface.left_face(h), surface.right_face(h)
-        if u == v:
-            loops.append(frozenset([e]))
-        else:
-            adj[u].append((e, v))
-            adj[v].append((e, u))
-    cycles = set(loops)
-
-    def dfs(anchor, node, visited, used, path):
-        for e, w in adj[node]:
-            if e in used:
-                continue
-            if w == anchor and path:
-                cycles.add(frozenset(path + [e]))
-            elif w not in visited and w > anchor:
-                visited.add(w)
-                used.add(e)
-                path.append(e)
-                dfs(anchor, w, visited, used, path)
-                path.pop()
-                used.discard(e)
-                visited.discard(w)
-    for a in range(surface.n_faces):
-        dfs(a, a, {a}, set(), [])
-    return cycles
-
-
-def check_rivin_condition(surface: CellularSurface, theta,
-                          max_edges: int = 24, tol: float = 1e-9) -> CocycleVerdict:
-    """Cocycle condition on a closed genus-0 surface with exterior angles.
-
-    Every simple cocycle must have theta-sum at least 2*pi, with equality
-    permitted only for the coboundary of a single vertex.  Enumerates
-    cocycles up to ``max_edges`` edges; larger instances are delegated to
-    the flow-based subset conditions of the spherical reduction.
-    """
-    from .surface import euler_characteristic
-    chi, genus = euler_characteristic(surface)
-    if not surface.is_closed or genus != 0:
-        raise ValueError("the cocycle condition applies to closed genus-0 surfaces")
-    theta = _require_flat_vertices(surface, theta)
-    if surface.n_edges > max_edges:
-        from .spherical import SphericalProblem, check_sphere_conditions
-        verdict = check_sphere_conditions(SphericalProblem(surface, theta, 0))
-        return CocycleVerdict(satisfied=verdict.ok, message=verdict.message)
-    coboundaries = {frozenset(surface.edge_of(h) for h in surface.vertex_fan(v))
-                    for v in range(surface.n_vertices)}
-    two_pi = 2.0 * np.pi
-    for cycle in sorted(_simple_dual_cycles(surface), key=sorted):
-        s = float(theta[list(cycle)].sum())
-        if s < two_pi - tol:
-            return CocycleVerdict(False, tuple(sorted(cycle)), s,
-                                  "cocycle sum below 2*pi")
-        if s <= two_pi + tol and cycle not in coboundaries:
-            return CocycleVerdict(False, tuple(sorted(cycle)), s,
-                                  "equality on a cocycle that is not a "
-                                  "single-vertex coboundary")
-    return CocycleVerdict(True)
-
-
-# -- cutting along dual edges (higher genus) ----------------------------------
-
-@dataclass
-class RegionPiece:
-    faces: tuple
-    euler_characteristic: int
-    h1: int
-    is_disc: bool
-    face_count: int
-    boundary_theta_sum: float | None = None
-
-
-def region_decomposition(surface: CellularSurface, cut, theta=None):
-    """Cut a closed surface along a set of its edges and analyse the pieces.
-
-    Returns a list of RegionPiece.  Each piece's Euler characteristic is
-    counted on the cut-open surface (cut edges contribute one boundary
-    copy per side, vertices split into one copy per fan sector between
-    cut edge-ends).  The first-homology dimension is 1 - chi for pieces
-    with boundary and 2 - chi for closed pieces; the generalized Euler
-    identity  r - |cut| + |V(cut)| = 2 - 2g + sum(h_j)  is asserted as a
-    self-check.
-    """
-    if not surface.is_closed:
-        raise ValueError("region decomposition requires a closed surface")
-    cutset = {int(e) for e in cut}
-    if not cutset:
-        raise ValueError("cut must be a non-empty set of edges")
-    if theta is not None:
-        theta = np.asarray(theta, dtype=float)
-
-    parent = list(range(surface.n_faces))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in range(surface.n_edges):
-        if e in cutset:
-            continue
-        h = surface.edge_rep(e)
-        ra, rb = find(surface.left_face(h)), find(surface.right_face(h))
-        if ra != rb:
-            parent[ra] = rb
-
-    roots = sorted({find(f) for f in range(surface.n_faces)})
-    index = {r: i for i, r in enumerate(roots)}
-    n_pieces = len(roots)
-    faces_of = [[] for _ in range(n_pieces)]
-    for f in range(surface.n_faces):
-        faces_of[index[find(f)]].append(f)
-
-    n_vertices = np.zeros(n_pieces, dtype=int)
-    n_edges = np.zeros(n_pieces, dtype=int)
-    sides = np.zeros(n_pieces, dtype=int)
-    theta_sum = np.zeros(n_pieces)
-
-    for e in range(surface.n_edges):
-        h = surface.edge_rep(e)
-        if e in cutset:
-            for side in (h, surface.twin(h)):
-                p = index[find(surface.left_face(side))]
-                n_edges[p] += 1
-                sides[p] += 1
-                if theta is not None:
-                    theta_sum[p] += theta[e]
-        else:
-            n_edges[index[find(surface.left_face(h))]] += 1
-
-    for v in range(surface.n_vertices):
-        fan = surface.vertex_fan(v)
-        cut_positions = [i for i, h in enumerate(fan) if surface.edge_of(h) in cutset]
-        if not cut_positions:
-            n_vertices[index[find(surface.left_face(fan[0]))]] += 1
-            continue
-        # one vertex copy per fan sector between consecutive cut edge-ends;
-        # the sector starting at a cut ray contains the face on its left
-        for start in cut_positions:
-            p = index[find(surface.left_face(fan[start]))]
-            n_vertices[p] += 1
-
-    pieces = []
-    for p in range(n_pieces):
-        chi = int(n_vertices[p] - n_edges[p] + len(faces_of[p]))
-        has_boundary = sides[p] > 0
-        h1 = (1 - chi) if has_boundary else (2 - chi)
-        pieces.append(RegionPiece(
-            faces=tuple(faces_of[p]),
-            euler_characteristic=chi,
-            h1=h1,
-            is_disc=has_boundary and chi == 1,
-            face_count=len(faces_of[p]),
-            boundary_theta_sum=float(theta_sum[p]) if theta is not None else None,
-        ))
-
-    cut_vertices = set()
-    for e in cutset:
-        h = surface.edge_rep(e)
-        cut_vertices.add(surface.origin(h))
-        cut_vertices.add(surface.terminus(h))
-    from .surface import euler_characteristic
-    _, genus = euler_characteristic(surface)
-    lhs = n_pieces - len(cutset) + len(cut_vertices)
-    rhs = 2 - 2 * genus + sum(pc.h1 for pc in pieces)
-    if lhs != rhs:
-        raise AssertionError(
-            f"generalized Euler identity failed: {lhs} != {rhs} "
-            f"(cut={sorted(cutset)})")
-    return pieces
-
-
-def check_higher_genus_condition(surface: CellularSurface, theta,
-                                 max_edges: int = 20,
-                                 tol: float = 1e-9) -> CocycleVerdict:
-    """Cut-enumeration condition for positive-genus surfaces.
-
-    Cutting the dual surface along every nonempty edge subset, every disc
-    piece must carry a boundary theta-sum of at least 2*pi, with equality
-    only for single-face pieces.  Exponential in |E|; guarded by
-    ``max_edges``.
-    """
-    from .surface import euler_characteristic
-    chi, genus = euler_characteristic(surface)
-    if genus is None or genus < 1:
-        raise ValueError("the cut condition applies to closed surfaces of genus >= 1")
-    theta = _require_flat_vertices(surface, theta)
-    E = surface.n_edges
-    if E > max_edges:
-        raise ValueError(f"cut enumeration is limited to |E| <= {max_edges}")
-    dual_s = dual_surface(surface)
-    two_pi = 2.0 * np.pi
-    for mask in range(1, 1 << E):
-        cut = [e for e in range(E) if mask >> e & 1]
-        for piece in region_decomposition(dual_s, cut, theta):
-            if not piece.is_disc:
-                continue
-            s = piece.boundary_theta_sum
-            if piece.face_count == 1:
-                if s < two_pi - tol:
-                    return CocycleVerdict(False, tuple(cut), s,
-                                          "single-face disc below 2*pi")
-            elif s <= two_pi + tol:
-                return CocycleVerdict(False, tuple(cut), s,
-                                      f"disc piece with {piece.face_count} "
-                                      f"faces has boundary sum <= 2*pi")
-    return CocycleVerdict(True)

@@ -30,15 +30,12 @@ EUCLIDEAN = "euclidean"
 HYPERBOLIC = "hyperbolic"
 
 
-class InvalidCASError(ValueError):
-    """A coherent angle system failed its defining (in)equalities."""
-
-
 class PatternSpec:
     """Surface + geometry + per-edge theta* + per-face Phi.
 
-    theta* must lie strictly in (0, pi) and Phi must be positive.  The
-    exterior angle theta = pi - theta* is derived, never stored.
+    theta* must lie strictly in (0, pi) and Phi must be finite and
+    positive.  The exterior angle theta = pi - theta* is derived, never
+    stored.
     """
 
     def __init__(self, surface: CellularSurface, geometry: str, theta_star, phi):
@@ -50,10 +47,11 @@ class PatternSpec:
             raise ValueError(f"theta_star must have {surface.n_edges} entries")
         if phi.shape != (surface.n_faces,):
             raise ValueError(f"phi must have {surface.n_faces} entries")
-        if np.any(theta_star <= 0.0) or np.any(theta_star >= np.pi):
+        # written so that NaN and infinities fail
+        if not np.all((theta_star > 0.0) & (theta_star < np.pi)):
             raise ValueError("theta_star must lie strictly in (0, pi)")
-        if np.any(phi <= 0.0):
-            raise ValueError("phi must be positive")
+        if not np.all((phi > 0.0) & (phi < np.inf)):
+            raise ValueError("phi must be finite and positive")
         self.surface = surface
         self.geometry = geometry
         self.theta_star = theta_star
@@ -235,87 +233,3 @@ def cas_from_rho(spec: PatternSpec, rho):
     """
     cas = CoherentAngleSystem(phi=phi_of_rho(spec, rho))
     return cas, validate_cas(spec, cas)
-
-
-def hamiltonian_reduced(spec: PatternSpec, cas: CoherentAngleSystem, tol=1e-8):
-    """Value of the constrained angle functional on a coherent angle system.
-
-    Euclidean: sum over oriented edges of Cl(2 phi_e) + Cl(2 theta_e)/2.
-    Hyperbolic: per unoriented edge,
-        Cl(th*+p) + Cl(th*-p) + Cl(th*+s) + Cl(th*-s) - 2 Cl(2 th*)
-    with p = phi_e - phi_-e and s = -(phi_e + phi_-e).  Independent of any
-    radii; equals S(rho*) at critical points.
-    """
-    report = validate_cas(spec, cas)
-    if not report.is_valid(tol):
-        raise InvalidCASError(f"not a coherent angle system: {report}")
-    srf = spec.surface
-    phi = cas.phi
-    if not spec.is_hyperbolic:
-        th_oe = spec.theta[srf.oe_edge]
-        return float(np.sum(specfun.clausen(2.0 * phi)
-                            + 0.5 * specfun.clausen(2.0 * th_oe)))
-    reps = srf.edge_reps
-    ts = spec.theta_star
-    p = phi[reps] - phi[srf.oe_twin[reps]]
-    s = -(phi[reps] + phi[srf.oe_twin[reps]])
-    return float(np.sum(specfun.clausen(ts + p) + specfun.clausen(ts - p)
-                        + specfun.clausen(ts + s) + specfun.clausen(ts - s)
-                        - 2.0 * specfun.clausen(2.0 * ts)))
-
-
-def rho_from_cas(spec: PatternSpec, cas: CoherentAngleSystem, tol=1e-8):
-    """Recover rho from a coherent angle system; returns (rho, residual).
-
-    Euclidean: integrates rho_k - rho_j = log(sin phi_e / sin(phi_e + theta))
-    over a spanning tree of the dual graph and reports the largest cycle
-    inconsistency; the result is normalized to sum to zero.  Hyperbolic:
-    evaluates the per-face closed form from every incident oriented edge
-    and reports the largest disagreement.  A residual above ``tol`` means
-    the system is not the angle system of any critical point.
-    """
-    report = validate_cas(spec, cas)
-    if report.min_phi <= 0.0:
-        raise InvalidCASError("phi must be positive")
-    srf = spec.surface
-    phi = cas.phi
-
-    if spec.is_hyperbolic:
-        ts = spec.theta_star[srf.oe_edge]
-        fe = phi
-        fo = phi[srf.oe_twin]
-        num = np.sin(0.5 * (ts - fe - fo)) * np.sin(0.5 * (ts - fe + fo))
-        den = np.sin(0.5 * (ts + fe + fo)) * np.sin(0.5 * (ts + fe - fo))
-        if np.any(num <= 0.0) or np.any(den <= 0.0):
-            raise InvalidCASError("angle system leaves the hyperbolic domain")
-        est = 0.5 * np.log(num / den)
-        rho = np.zeros(srf.n_faces)
-        counts = np.zeros(srf.n_faces)
-        np.add.at(rho, srf.oe_left, est)
-        np.add.at(counts, srf.oe_left, 1.0)
-        rho /= counts
-        residual = float(np.abs(est - rho[srf.oe_left]).max())
-        return rho, residual
-
-    theta_oe = spec.theta[srf.oe_edge]
-    delta = np.log(np.sin(phi) / np.sin(phi + theta_oe))  # rho_right - rho_left
-    n = srf.n_faces
-    rho = np.full(n, np.nan)
-    rho[0] = 0.0
-    tree_used = np.zeros(srf.n_oriented_edges, dtype=bool)
-    queue = [0]
-    adj = [[] for _ in range(n)]
-    for h in range(srf.n_oriented_edges):
-        adj[srf.oe_left[h]].append(h)
-    while queue:
-        f = queue.pop()
-        for h in adj[f]:
-            g = srf.oe_right[h]
-            if np.isnan(rho[g]):
-                rho[g] = rho[f] + delta[h]
-                tree_used[h] = True
-                tree_used[srf.oe_twin[h]] = True
-                queue.append(g)
-    residual = float(np.abs(delta - (rho[srf.oe_right] - rho[srf.oe_left])).max())
-    rho -= rho.mean()
-    return rho, residual

@@ -243,16 +243,16 @@ def _check_developable(spec: PatternSpec):
 def layout(spec: PatternSpec, rho, root_edge: int = 0) -> LayoutResult:
     """Develop the kites of a solved pattern into the plane or disk.
 
-    ``rho`` may be a SolveResult or an array of logarithmic radii.  The
-    kites are one array of local corners.  A breadth-first search of the
-    kite adjacency, scanned in the fixed order of the module docstring,
-    gives the spanning tree from ``root_edge``; all frames of one BFS level
+    ``rho`` is the array of logarithmic radii.  The kites are one array of
+    local corners.  A breadth-first search of the kite adjacency, scanned
+    in the fixed order of the module docstring, gives the spanning tree
+    from ``root_edge``; all frames of one BFS level
     are computed in one step from the frames of their parents, by matching
     the side each kite shares with its parent.  Every glued side is then
     compared with its other placement: the largest discrepancy is the
     closure residual (after reducing by the period lattice on the torus).
     """
-    rho = np.asarray(getattr(rho, "rho", rho), dtype=float)
+    rho = np.asarray(rho, dtype=float)
     srf = spec.surface
     if not 0 <= root_edge < srf.n_edges:
         raise ValueError(f"root edge {root_edge} is not in [0, {srf.n_edges})")

@@ -27,6 +27,7 @@ import scipy.sparse.linalg as spla
 
 from . import functional as fn
 from .functional import PatternSpec, CoherentAngleSystem
+from .specfun import im_li2_dx
 
 log = logging.getLogger(__name__)
 
@@ -208,7 +209,6 @@ def thurston_step(spec: PatternSpec, rho, f: int):
     def g_and_slope(t):
         others = np.where(rights == f, t, rho[rights])
         x = others - t
-        from .specfun import im_li2_dx
         phi = im_li2_dx(x, thetas)
         # d phi/dt: self edges have constant x
         w = fn._edge_weights(x, thetas)

@@ -26,7 +26,7 @@ from .feasibility import (FeasibilityCertificate, certify_angles,
 from .functional import EUCLIDEAN, PatternSpec
 from .layout import Circle, Line, LayoutResult, layout
 from .surface import (CellularSurface, DisconnectedSurfaceError,
-                      euler_characteristic, surface_from_walks)
+                      euler_characteristic, surface_from_walks, vertex_angle_sums)
 
 TWO_PI = 2.0 * math.pi
 
@@ -55,10 +55,10 @@ class SphericalProblem:
             raise ValueError("spherical patterns require a closed genus-0 surface")
         if self.theta.shape != (s.n_edges,):
             raise ValueError(f"theta must have {s.n_edges} entries")
-        if np.any(self.theta <= 0.0) or np.any(self.theta >= np.pi):
+        # written so that NaN fails
+        if not np.all((self.theta > 0.0) & (self.theta < np.pi)):
             raise ValueError("theta must lie strictly in (0, pi)")
-        sums = np.zeros(s.n_vertices)
-        np.add.at(sums, s.oe_origin, self.theta[s.oe_edge])
+        sums = vertex_angle_sums(s, self.theta)
         bad = np.abs(sums - TWO_PI) > 1e-8
         if np.any(bad):
             v = int(np.argmax(bad))
@@ -219,14 +219,6 @@ def _original_certificate(p, red, cert):
 
 # -- stereographic projection --------------------------------------------------
 
-def stereographic(point) -> complex:
-    """Sphere to plane from the north pole; the pole itself maps to inf."""
-    x, y, z = point
-    if abs(1.0 - z) < 1e-300:
-        return complex(np.inf, np.inf)
-    return complex(x / (1.0 - z), y / (1.0 - z))
-
-
 def stereographic_inverse(z: complex):
     """Plane to the unit sphere; inf maps to the north pole."""
     if not np.isfinite(z.real) or not np.isfinite(z.imag):
@@ -241,9 +233,6 @@ class SphericalCircle:
     is the face's disk."""
     axis: np.ndarray
     angular_radius: float
-
-    def contains(self, point, tol=1e-9):
-        return abs(float(self.axis @ point) - math.cos(self.angular_radius)) <= tol
 
 
 def _cap_through(points3, interior3) -> SphericalCircle:
@@ -277,18 +266,6 @@ def circle_to_sphere(obj, interior_point=None) -> SphericalCircle:
     else:
         raise TypeError(f"not a generalized circle: {obj!r}")
     return _cap_through(pts, interior)
-
-
-def sphere_intersection_angle(c1: SphericalCircle, c2: SphericalCircle) -> float:
-    """Interior intersection angle of two oriented spherical circles
-    (the angle of the lens cut out by the two caps)."""
-    cg = float(np.clip(c1.axis @ c2.axis, -1.0, 1.0))
-    a1, a2 = c1.angular_radius, c2.angular_radius
-    denom = math.sin(a1) * math.sin(a2)
-    if denom < 1e-15:
-        raise ValueError("degenerate circle (zero angular radius)")
-    ca = (cg - math.cos(a1) * math.cos(a2)) / denom
-    return math.pi - math.acos(min(1.0, max(-1.0, ca)))
 
 
 # -- planar generalized-circle intersections -----------------------------------
@@ -479,7 +456,7 @@ def solve_sphere(p: SphericalProblem) -> SphericalLayout:
         if not solve_result.converged:
             raise SphereConditionError(
                 f"reduced solve did not converge: {solve_result.message}")
-        planar_result = layout(red.spec, solve_result)
+        planar_result = layout(red.spec, solve_result.rho)
         circles = {red.face_map[i]: planar_result.circles[i]
                    for i in range(len(red.face_map))}
         points = {red.vertex_map[i]: planar_result.vertex_points[i]
@@ -498,43 +475,6 @@ def solve_sphere(p: SphericalProblem) -> SphericalLayout:
         planar_circles=circles, planar_vertices=points,
         reduction=red, planar=planar_result,
         line_residual=line_residual)
-
-
-def pattern_angles(p: SphericalProblem, lay: SphericalLayout):
-    """Interior intersection angle on the sphere for every edge."""
-    s = p.surface
-    out = np.zeros(s.n_edges)
-    for e in range(s.n_edges):
-        h = s.edge_rep(e)
-        out[e] = sphere_intersection_angle(lay.circles[s.left_face(h)],
-                                           lay.circles[s.right_face(h)])
-    return out
-
-
-def _homogeneous(point3):
-    x, y, z = point3
-    if abs(1.0 - z) >= abs(1.0 + z):
-        return complex(x, y), complex(1.0 - z)
-    return complex(1.0 + z), complex(x, -y)
-
-
-def edge_cross_ratios(p: SphericalProblem, lay: SphericalLayout):
-    """A Moebius invariant per edge: the cross-ratio of the edge's two
-    endpoints with the next vertex around each adjacent face."""
-    s = p.surface
-
-    def det(a, b):
-        return a[0] * b[1] - a[1] * b[0]
-
-    out = np.zeros(s.n_edges, dtype=complex)
-    for e in range(s.n_edges):
-        h = s.edge_rep(e)
-        quad = [s.origin(h), s.terminus(h),
-                s.terminus(s.next_in_face(h)),
-                s.terminus(s.next_in_face(s.twin(h)))]
-        p1, p2, p3, p4 = (_homogeneous(lay.vertex_points[v]) for v in quad)
-        out[e] = (det(p1, p3) * det(p2, p4)) / (det(p1, p4) * det(p2, p3))
-    return out
 
 
 def planar_layout(p: SphericalProblem, lay: SphericalLayout) -> LayoutResult:

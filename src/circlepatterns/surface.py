@@ -14,6 +14,7 @@ oriented-edge table and are stable across all derived outputs.
 
 from __future__ import annotations
 
+import numbers
 from functools import cached_property
 
 import numpy as np
@@ -65,10 +66,17 @@ class CellularSurface:
 
     def __init__(self, origin, left_face, twin, next_in_face, *, edge_id=None,
                  genus_hint=None):
-        self._origin = tuple(int(v) for v in origin)
-        self._left = tuple(int(f) for f in left_face)
-        self._twin = tuple(int(t) for t in twin)
-        self._next = tuple(int(n) for n in next_in_face)
+        if genus_hint is not None and (not isinstance(genus_hint, numbers.Integral)
+                                       or isinstance(genus_hint, bool)):
+            raise SurfaceError(f"genus hint must be an integer, got {genus_hint!r}")
+        try:
+            self._origin = tuple(int(v) for v in origin)
+            self._left = tuple(int(f) for f in left_face)
+            self._twin = tuple(int(t) for t in twin)
+            self._next = tuple(int(n) for n in next_in_face)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SurfaceError(
+                f"oriented-edge table entries must be integers: {exc}") from None
         n = len(self._origin)
         if not (len(self._left) == len(self._twin) == len(self._next) == n):
             raise SurfaceError("oriented-edge table columns have unequal lengths")
@@ -386,6 +394,13 @@ def surface_from_walks(walks, edge_order=None, genus_hint=None):
                            genus_hint=genus_hint)
 
 
+def _vertex_ids(f, cycle):
+    try:
+        return [int(v) for v in cycle]
+    except (TypeError, ValueError, OverflowError):
+        raise SurfaceError(f"face {f} is not a list of integer vertex ids") from None
+
+
 def build_surface(faces=None, oriented_edges=None, genus_hint=None):
     """Build a surface from face-vertex lists or an oriented-edge table.
 
@@ -396,6 +411,7 @@ def build_surface(faces=None, oriented_edges=None, genus_hint=None):
     if (faces is None) == (oriented_edges is None):
         raise SurfaceError("provide exactly one of faces / oriented_edges")
     if faces is not None:
+        faces = [_vertex_ids(f, cycle) for f, cycle in enumerate(faces)]
         counts: dict[tuple[int, int], int] = {}
         for cycle in faces:
             if len(cycle) < 2:
@@ -428,11 +444,16 @@ def build_surface(faces=None, oriented_edges=None, genus_hint=None):
         return surface_from_walks(walks, genus_hint=genus_hint)
 
     origin, left, twin, next_ = [], [], [], []
-    for rec in oriented_edges:
-        origin.append(rec["origin"])
-        left.append(rec["left_face"])
-        twin.append(rec["twin"])
-        nx = rec.get("next", rec.get("next_in_face"))
+    for h, rec in enumerate(oriented_edges):
+        try:
+            origin.append(rec["origin"])
+            left.append(rec["left_face"])
+            twin.append(rec["twin"])
+            nx = rec.get("next", rec.get("next_in_face"))
+        except KeyError as exc:
+            raise SurfaceError(f"oriented edge {h} has no {exc}") from None
+        except TypeError:
+            raise SurfaceError(f"oriented edge {h} is not an object") from None
         next_.append(OPEN if nx is None else nx)
     return CellularSurface(origin, left, twin, next_, genus_hint=genus_hint)
 
@@ -450,6 +471,11 @@ def surface_to_json_dict(s: CellularSurface) -> dict:
 
 
 def surface_from_json_dict(d: dict) -> CellularSurface:
+    if not isinstance(d, dict):
+        raise SurfaceError("mesh must be an object")
+    for key in ("faces", "oriented_edges"):
+        if key in d and not isinstance(d[key], list):
+            raise SurfaceError(f"'{key}' must be a list")
     if "faces" in d:
         return build_surface(faces=d["faces"], genus_hint=d.get("genus_hint"))
     if "oriented_edges" in d:
@@ -459,22 +485,6 @@ def surface_from_json_dict(d: dict) -> CellularSurface:
 
 
 # -- derived decompositions -------------------------------------------------
-
-def dual(s: CellularSurface) -> CellularSurface:
-    """Poincare dual: faces <-> vertices, edges <-> edges (same edge ids)."""
-    if not s.is_closed:
-        raise UnsupportedSurfaceError("dual of a surface with boundary is not supported")
-    walks = []
-    for v in range(s.n_vertices):
-        tokens = []
-        for h in s.vertex_fan(v):
-            t = s.twin(h)
-            e = s.edge_of(h)
-            sign = 1 if t == s.edge_rep(e) else -1
-            tokens.append((s.left_face(t), e, sign))
-        walks.append((tokens, True))
-    return surface_from_walks(walks, edge_order=range(s.n_edges))
-
 
 def medial(s: CellularSurface) -> CellularSurface:
     """Medial decomposition: one 4-valent vertex per edge of s; faces of the
@@ -493,58 +503,6 @@ def medial(s: CellularSurface) -> CellularSurface:
             g_next = fan[(i + 1) % len(fan)]
             tokens.append((s.edge_of(g), s.twin(g_next), -1))
         walks.append((tokens, True))
-    return surface_from_walks(walks)
-
-
-def quad_graph(s: CellularSurface) -> CellularSurface:
-    """Quad-graph: one quadrilateral face per unoriented edge of s.
-
-    Vertices are bicolored: white ones correspond to faces of s and come
-    first, black ones to vertices of s.  For surfaces with boundary, quads
-    lose the sides whose corner is missing and become boundary faces;
-    cells of s left without any quad side drop out of the decomposition.
-    """
-    F = s.n_faces
-    walks = []
-    for e in range(s.n_edges):
-        h = s.edge_rep(e)
-        t = s.twin(h)
-        u, w = s.origin(h), s.terminus(h)
-        fj, fk = s.left_face(h), s.right_face(h)
-        cycle = [
-            (F + u, t, 1) if s.next_in_face(t) != OPEN else None,
-            (fk, s.prev_in_face(t), -1) if s.prev_in_face(t) != OPEN else None,
-            (F + w, h, 1) if s.next_in_face(h) != OPEN else None,
-            (fj, s.prev_in_face(h), -1) if s.prev_in_face(h) != OPEN else None,
-        ]
-        present = [tok for tok in cycle if tok is not None]
-        if not present:
-            raise UnsupportedSurfaceError(
-                f"edge {e} has no surviving quad sides; quad-graph undefined")
-        if len(present) == 4:
-            walks.append((present, True))
-        else:
-            # rotate the cyclic pattern so the present tokens are contiguous
-            k = len(cycle)
-            start = None
-            for i in range(k):
-                if cycle[i] is not None and cycle[(i - 1) % k] is None:
-                    start = i
-                    break
-            if start is None:
-                raise SurfaceError(f"quad of edge {e} has several open pieces")
-            rotated = [cycle[(start + i) % k] for i in range(k)]
-            # after rotation all present tokens must be contiguous at the front
-            lead = 0
-            while lead < k and rotated[lead] is not None:
-                lead += 1
-            if any(tok is not None for tok in rotated[lead:]):
-                raise SurfaceError(f"quad of edge {e} has several open pieces")
-            walks.append((rotated[:lead], False))
-    used = sorted({v for tokens, _ in walks for v, _, _ in tokens})
-    remap = {v: i for i, v in enumerate(used)}
-    walks = [([(remap[v], key, sign) for v, key, sign in tokens], closed)
-             for tokens, closed in walks]
     return surface_from_walks(walks)
 
 
@@ -575,49 +533,3 @@ def vertex_angle_sums(s: CellularSurface, theta):
     out = np.zeros(s.n_vertices)
     np.add.at(out, s.oe_origin, theta[s.oe_edge])
     return out
-
-
-# -- isomorphism (testing aid) -----------------------------------------------
-
-def isomorphic(a: CellularSurface, b: CellularSurface) -> bool:
-    """Brute-force isomorphism test over root-edge choices."""
-    if (a.n_oriented_edges != b.n_oriented_edges or a.n_faces != b.n_faces
-            or a.n_vertices != b.n_vertices or a.n_edges != b.n_edges):
-        return False
-    n = a.n_oriented_edges
-    for root in range(n):
-        phi = {0: root}
-        stack = [0]
-        ok = True
-        while stack and ok:
-            h = stack.pop()
-            g = phi[h]
-            for ha, gb in ((a.twin(h), b.twin(g)),
-                           (a.next_in_face(h), b.next_in_face(g)),
-                           (a.prev_in_face(h), b.prev_in_face(g))):
-                if (ha == OPEN) != (gb == OPEN):
-                    ok = False
-                    break
-                if ha == OPEN:
-                    continue
-                if ha in phi:
-                    if phi[ha] != gb:
-                        ok = False
-                        break
-                else:
-                    phi[ha] = gb
-                    stack.append(ha)
-        if not ok or len(phi) != n or len(set(phi.values())) != n:
-            continue
-        vmap, fmap = {}, {}
-        consistent = True
-        for h, g in phi.items():
-            if vmap.setdefault(a.origin(h), b.origin(g)) != b.origin(g):
-                consistent = False
-                break
-            if fmap.setdefault(a.left_face(h), b.left_face(g)) != b.left_face(g):
-                consistent = False
-                break
-        if consistent:
-            return True
-    return False

@@ -1,10 +1,13 @@
-"""Shared builders for the test suite."""
+"""Shared builders and surface and sphere aids for the test suite."""
+
+import math
 
 import numpy as np
 
 from circlepatterns import meshes
 from circlepatterns.functional import EUCLIDEAN, HYPERBOLIC, PatternSpec
-from circlepatterns.surface import surface_from_walks
+from circlepatterns.surface import (OPEN, SurfaceError, UnsupportedSurfaceError,
+                                   surface_from_walks)
 
 
 def surface_pool(max_faces=None):
@@ -134,3 +137,181 @@ def fd_gradient(func, x, h=1e-5):
         xm[i] -= h
         g[i] = (func(xp) - func(xm)) / (2.0 * h)
     return g
+
+
+# -- derived decompositions and isomorphism ------------------------------------
+
+def dual(s):
+    """Poincare dual: faces <-> vertices, edges <-> edges (same edge ids)."""
+    if not s.is_closed:
+        raise UnsupportedSurfaceError("dual of a surface with boundary is not supported")
+    walks = []
+    for v in range(s.n_vertices):
+        tokens = []
+        for h in s.vertex_fan(v):
+            t = s.twin(h)
+            e = s.edge_of(h)
+            sign = 1 if t == s.edge_rep(e) else -1
+            tokens.append((s.left_face(t), e, sign))
+        walks.append((tokens, True))
+    return surface_from_walks(walks, edge_order=range(s.n_edges))
+
+
+def quad_graph(s):
+    """Quad-graph: one quadrilateral face per unoriented edge of s.
+
+    Vertices are bicolored: white ones correspond to faces of s and come
+    first, black ones to vertices of s.  For surfaces with boundary, quads
+    lose the sides whose corner is missing and become boundary faces;
+    cells of s left without any quad side drop out of the decomposition.
+    """
+    F = s.n_faces
+    walks = []
+    for e in range(s.n_edges):
+        h = s.edge_rep(e)
+        t = s.twin(h)
+        u, w = s.origin(h), s.terminus(h)
+        fj, fk = s.left_face(h), s.right_face(h)
+        cycle = [
+            (F + u, t, 1) if s.next_in_face(t) != OPEN else None,
+            (fk, s.prev_in_face(t), -1) if s.prev_in_face(t) != OPEN else None,
+            (F + w, h, 1) if s.next_in_face(h) != OPEN else None,
+            (fj, s.prev_in_face(h), -1) if s.prev_in_face(h) != OPEN else None,
+        ]
+        present = [tok for tok in cycle if tok is not None]
+        if not present:
+            raise UnsupportedSurfaceError(
+                f"edge {e} has no surviving quad sides; quad-graph undefined")
+        if len(present) == 4:
+            walks.append((present, True))
+        else:
+            # rotate the cyclic pattern so the present tokens are contiguous
+            k = len(cycle)
+            start = None
+            for i in range(k):
+                if cycle[i] is not None and cycle[(i - 1) % k] is None:
+                    start = i
+                    break
+            if start is None:
+                raise SurfaceError(f"quad of edge {e} has several open pieces")
+            rotated = [cycle[(start + i) % k] for i in range(k)]
+            # after rotation all present tokens must be contiguous at the front
+            lead = 0
+            while lead < k and rotated[lead] is not None:
+                lead += 1
+            if any(tok is not None for tok in rotated[lead:]):
+                raise SurfaceError(f"quad of edge {e} has several open pieces")
+            walks.append((rotated[:lead], False))
+    used = sorted({v for tokens, _ in walks for v, _, _ in tokens})
+    remap = {v: i for i, v in enumerate(used)}
+    walks = [([(remap[v], key, sign) for v, key, sign in tokens], closed)
+             for tokens, closed in walks]
+    return surface_from_walks(walks)
+
+
+def isomorphic(a, b):
+    """Brute-force isomorphism test over root-edge choices."""
+    if (a.n_oriented_edges != b.n_oriented_edges or a.n_faces != b.n_faces
+            or a.n_vertices != b.n_vertices or a.n_edges != b.n_edges):
+        return False
+    n = a.n_oriented_edges
+    for root in range(n):
+        phi = {0: root}
+        stack = [0]
+        ok = True
+        while stack and ok:
+            h = stack.pop()
+            g = phi[h]
+            for ha, gb in ((a.twin(h), b.twin(g)),
+                           (a.next_in_face(h), b.next_in_face(g)),
+                           (a.prev_in_face(h), b.prev_in_face(g))):
+                if (ha == OPEN) != (gb == OPEN):
+                    ok = False
+                    break
+                if ha == OPEN:
+                    continue
+                if ha in phi:
+                    if phi[ha] != gb:
+                        ok = False
+                        break
+                else:
+                    phi[ha] = gb
+                    stack.append(ha)
+        if not ok or len(phi) != n or len(set(phi.values())) != n:
+            continue
+        vmap, fmap = {}, {}
+        consistent = True
+        for h, g in phi.items():
+            if vmap.setdefault(a.origin(h), b.origin(g)) != b.origin(g):
+                consistent = False
+                break
+            if fmap.setdefault(a.left_face(h), b.left_face(g)) != b.left_face(g):
+                consistent = False
+                break
+        if consistent:
+            return True
+    return False
+
+
+# -- spherical patterns ----------------------------------------------------------
+
+def stereographic(point):
+    """Sphere to plane from the north pole; the pole itself maps to inf."""
+    x, y, z = point
+    if abs(1.0 - z) < 1e-300:
+        return complex(np.inf, np.inf)
+    return complex(x / (1.0 - z), y / (1.0 - z))
+
+
+def cap_contains(circle, point, tol=1e-9):
+    """Whether a unit 3-vector lies on the boundary of a spherical cap."""
+    return abs(float(circle.axis @ point) - math.cos(circle.angular_radius)) <= tol
+
+
+def sphere_intersection_angle(c1, c2):
+    """Interior intersection angle of two oriented spherical circles
+    (the angle of the lens cut out by the two caps)."""
+    cg = float(np.clip(c1.axis @ c2.axis, -1.0, 1.0))
+    a1, a2 = c1.angular_radius, c2.angular_radius
+    denom = math.sin(a1) * math.sin(a2)
+    if denom < 1e-15:
+        raise ValueError("degenerate circle (zero angular radius)")
+    ca = (cg - math.cos(a1) * math.cos(a2)) / denom
+    return math.pi - math.acos(min(1.0, max(-1.0, ca)))
+
+
+def pattern_angles(p, lay):
+    """Interior intersection angle on the sphere for every edge."""
+    s = p.surface
+    out = np.zeros(s.n_edges)
+    for e in range(s.n_edges):
+        h = s.edge_rep(e)
+        out[e] = sphere_intersection_angle(lay.circles[s.left_face(h)],
+                                           lay.circles[s.right_face(h)])
+    return out
+
+
+def _homogeneous(point3):
+    x, y, z = point3
+    if abs(1.0 - z) >= abs(1.0 + z):
+        return complex(x, y), complex(1.0 - z)
+    return complex(1.0 + z), complex(x, -y)
+
+
+def edge_cross_ratios(p, lay):
+    """A Moebius invariant per edge: the cross-ratio of the edge's two
+    endpoints with the next vertex around each adjacent face."""
+    s = p.surface
+
+    def det(a, b):
+        return a[0] * b[1] - a[1] * b[0]
+
+    out = np.zeros(s.n_edges, dtype=complex)
+    for e in range(s.n_edges):
+        h = s.edge_rep(e)
+        quad = [s.origin(h), s.terminus(h),
+                s.terminus(s.next_in_face(h)),
+                s.terminus(s.next_in_face(s.twin(h)))]
+        p1, p2, p3, p4 = (_homogeneous(lay.vertex_points[v]) for v in quad)
+        out[e] = (det(p1, p3) * det(p2, p4)) / (det(p1, p4) * det(p2, p3))
+    return out

@@ -1,4 +1,4 @@
-"""Independent oracles for the special functions and the feasible flow.
+"""Independent oracles: special functions, flows, existence, layout, export.
 
 The Clausen oracle sums the Fourier series sum sin(n x)/n^2 directly and
 closes it with the exact first summation-by-parts remainder term; the
@@ -8,27 +8,40 @@ quadrature, and the functional-value oracle sums those quadratures in
 place of the Clausen closed form.  The feasible-flow oracle runs the
 excess-node transformation on a pure-Python Dinic over float capacities,
 augmenting each path by its full bottleneck.  The existence oracle
-enumerates every face subset.  The developing-map oracle builds one kite at
+enumerates every face subset.  Two more characterisations of existence
+from the paper decide flat exterior angles theta on closed surfaces:
+Rivin's cocycle condition on the sphere enumerates the simple cycles of
+the dual 1-skeleton, and the higher-genus condition cuts the dual surface
+along every edge subset and checks the disc pieces.  The reduced angle
+functional evaluates the Clausen form of S on a coherent angle system, and
+rho is recovered from an angle system by integrating over a spanning tree
+of the dual graph (Euclidean) or from the per-face closed form
+(hyperbolic).  The developing-map oracle builds one kite at
 a time and places it by a scalar breadth-first search, one complex number
 at a time.  The JSON oracle is the emitter's first, isinstance-chain
 version, and the layout-document oracle builds the nested dicts and lists
 it writes, one of each per row.  None shares logic with the implementation
 under test; the existence oracle only reports in its certificate type and
-with its tolerances, and the developing-map oracle in the layout's result
-type and its canonical choice of period basis.
+with its tolerances, the developing-map oracle in the layout's result
+type and its canonical choice of period basis, the angle checks use the
+package's vertex angle sums and the reduced functional its Clausen
+function.
 """
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
+from circlepatterns import specfun
 from circlepatterns.feasibility import EQ_TOL, STRICT_TOL, FeasibilityCertificate
-from circlepatterns.functional import phi_of_rho, radii_from_rho
+from circlepatterns.functional import phi_of_rho, radii_from_rho, validate_cas
 from circlepatterns.layout import (Circle, LayoutResult, Line, _canonical_basis,
                                    hyperbolic_circle_to_euclidean)
-from circlepatterns.surface import OPEN
+from circlepatterns.surface import OPEN, euler_characteristic, vertex_angle_sums
+from helpers import dual
 
 TWO_PI = 2.0 * np.pi
 _CHUNK = 1_000_000
@@ -271,6 +284,317 @@ def check_conditions_bruteforce(spec):
                 phi_sum=float(phi_sums[sub]), theta_sum=float(theta_sums[sub]),
                 kind="subset")
     return FeasibilityCertificate(feasible=True)
+
+
+# -- Rivin's cocycle condition and the higher-genus cut condition -----------------
+
+@dataclass
+class CocycleVerdict:
+    satisfied: bool
+    violating_edges: tuple = ()
+    theta_sum: float = 0.0
+    message: str = ""
+
+
+def _require_flat_vertices(surface, theta, tol=1e-8):
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (surface.n_edges,):
+        raise ValueError(f"theta must have {surface.n_edges} entries")
+    if np.any(theta <= 0.0) or np.any(theta >= np.pi):
+        raise ValueError("theta must lie strictly in (0, pi)")
+    sums = vertex_angle_sums(surface, theta)
+    bad = np.abs(sums - 2.0 * np.pi) > tol
+    if np.any(bad):
+        v = int(np.argmax(bad))
+        raise ValueError(
+            f"theta must sum to 2*pi around every vertex; vertex {v} "
+            f"sums to {sums[v]:.12g}")
+    return theta
+
+
+def _simple_dual_cycles(surface):
+    """Edge sets of all simple cycles of the dual 1-skeleton."""
+    loops = []
+    adj = [[] for _ in range(surface.n_faces)]
+    for e in range(surface.n_edges):
+        h = surface.edge_rep(e)
+        u, v = surface.left_face(h), surface.right_face(h)
+        if u == v:
+            loops.append(frozenset([e]))
+        else:
+            adj[u].append((e, v))
+            adj[v].append((e, u))
+    cycles = set(loops)
+
+    def dfs(anchor, node, visited, used, path):
+        for e, w in adj[node]:
+            if e in used:
+                continue
+            if w == anchor and path:
+                cycles.add(frozenset(path + [e]))
+            elif w not in visited and w > anchor:
+                visited.add(w)
+                used.add(e)
+                path.append(e)
+                dfs(anchor, w, visited, used, path)
+                path.pop()
+                used.discard(e)
+                visited.discard(w)
+    for a in range(surface.n_faces):
+        dfs(a, a, {a}, set(), [])
+    return cycles
+
+
+def check_rivin_condition(surface, theta, tol=1e-9):
+    """Cocycle condition on a closed genus-0 surface with exterior angles.
+
+    Every simple cocycle must have theta-sum at least 2*pi, with equality
+    permitted only for the coboundary of a single vertex.  Enumerates every
+    simple cycle of the dual 1-skeleton, so it is exponential in |E|.
+    """
+    _, genus = euler_characteristic(surface)
+    if not surface.is_closed or genus != 0:
+        raise ValueError("the cocycle condition applies to closed genus-0 surfaces")
+    theta = _require_flat_vertices(surface, theta)
+    coboundaries = {frozenset(surface.edge_of(h) for h in surface.vertex_fan(v))
+                    for v in range(surface.n_vertices)}
+    for cycle in sorted(_simple_dual_cycles(surface), key=sorted):
+        s = float(theta[list(cycle)].sum())
+        if s < TWO_PI - tol:
+            return CocycleVerdict(False, tuple(sorted(cycle)), s,
+                                  "cocycle sum below 2*pi")
+        if s <= TWO_PI + tol and cycle not in coboundaries:
+            return CocycleVerdict(False, tuple(sorted(cycle)), s,
+                                  "equality on a cocycle that is not a "
+                                  "single-vertex coboundary")
+    return CocycleVerdict(True)
+
+
+@dataclass
+class RegionPiece:
+    faces: tuple
+    euler_characteristic: int
+    h1: int
+    is_disc: bool
+    face_count: int
+    boundary_theta_sum: float | None = None
+
+
+def region_decomposition(surface, cut, theta=None):
+    """Cut a closed surface along a set of its edges and analyse the pieces.
+
+    Returns a list of RegionPiece.  Each piece's Euler characteristic is
+    counted on the cut-open surface (cut edges contribute one boundary
+    copy per side, vertices split into one copy per fan sector between
+    cut edge-ends).  The first-homology dimension is 1 - chi for pieces
+    with boundary and 2 - chi for closed pieces; the generalized Euler
+    identity  r - |cut| + |V(cut)| = 2 - 2g + sum(h_j)  is asserted as a
+    self-check.
+    """
+    if not surface.is_closed:
+        raise ValueError("region decomposition requires a closed surface")
+    cutset = {int(e) for e in cut}
+    if not cutset:
+        raise ValueError("cut must be a non-empty set of edges")
+    if theta is not None:
+        theta = np.asarray(theta, dtype=float)
+
+    parent = list(range(surface.n_faces))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for e in range(surface.n_edges):
+        if e in cutset:
+            continue
+        h = surface.edge_rep(e)
+        ra, rb = find(surface.left_face(h)), find(surface.right_face(h))
+        if ra != rb:
+            parent[ra] = rb
+
+    roots = sorted({find(f) for f in range(surface.n_faces)})
+    index = {r: i for i, r in enumerate(roots)}
+    n_pieces = len(roots)
+    faces_of = [[] for _ in range(n_pieces)]
+    for f in range(surface.n_faces):
+        faces_of[index[find(f)]].append(f)
+
+    n_vertices = np.zeros(n_pieces, dtype=int)
+    n_edges = np.zeros(n_pieces, dtype=int)
+    sides = np.zeros(n_pieces, dtype=int)
+    theta_sum = np.zeros(n_pieces)
+
+    for e in range(surface.n_edges):
+        h = surface.edge_rep(e)
+        if e in cutset:
+            for side in (h, surface.twin(h)):
+                p = index[find(surface.left_face(side))]
+                n_edges[p] += 1
+                sides[p] += 1
+                if theta is not None:
+                    theta_sum[p] += theta[e]
+        else:
+            n_edges[index[find(surface.left_face(h))]] += 1
+
+    for v in range(surface.n_vertices):
+        fan = surface.vertex_fan(v)
+        cut_positions = [i for i, h in enumerate(fan) if surface.edge_of(h) in cutset]
+        if not cut_positions:
+            n_vertices[index[find(surface.left_face(fan[0]))]] += 1
+            continue
+        # one vertex copy per fan sector between consecutive cut edge-ends;
+        # the sector starting at a cut ray contains the face on its left
+        for start in cut_positions:
+            p = index[find(surface.left_face(fan[start]))]
+            n_vertices[p] += 1
+
+    pieces = []
+    for p in range(n_pieces):
+        chi = int(n_vertices[p] - n_edges[p] + len(faces_of[p]))
+        has_boundary = sides[p] > 0
+        h1 = (1 - chi) if has_boundary else (2 - chi)
+        pieces.append(RegionPiece(
+            faces=tuple(faces_of[p]),
+            euler_characteristic=chi,
+            h1=h1,
+            is_disc=has_boundary and chi == 1,
+            face_count=len(faces_of[p]),
+            boundary_theta_sum=float(theta_sum[p]) if theta is not None else None,
+        ))
+
+    cut_vertices = set()
+    for e in cutset:
+        h = surface.edge_rep(e)
+        cut_vertices.add(surface.origin(h))
+        cut_vertices.add(surface.terminus(h))
+    _, genus = euler_characteristic(surface)
+    lhs = n_pieces - len(cutset) + len(cut_vertices)
+    rhs = 2 - 2 * genus + sum(pc.h1 for pc in pieces)
+    if lhs != rhs:
+        raise AssertionError(
+            f"generalized Euler identity failed: {lhs} != {rhs} "
+            f"(cut={sorted(cutset)})")
+    return pieces
+
+
+def check_higher_genus_condition(surface, theta, tol=1e-9):
+    """Cut-enumeration condition for positive-genus surfaces.
+
+    Cutting the dual surface along every nonempty edge subset, every disc
+    piece must carry a boundary theta-sum of at least 2*pi, with equality
+    only for single-face pieces.  Exponential in |E|.
+    """
+    _, genus = euler_characteristic(surface)
+    if genus is None or genus < 1:
+        raise ValueError("the cut condition applies to closed surfaces of genus >= 1")
+    theta = _require_flat_vertices(surface, theta)
+    E = surface.n_edges
+    dual_s = dual(surface)
+    for mask in range(1, 1 << E):
+        cut = [e for e in range(E) if mask >> e & 1]
+        for piece in region_decomposition(dual_s, cut, theta):
+            if not piece.is_disc:
+                continue
+            s = piece.boundary_theta_sum
+            if piece.face_count == 1:
+                if s < TWO_PI - tol:
+                    return CocycleVerdict(False, tuple(cut), s,
+                                          "single-face disc below 2*pi")
+            elif s <= TWO_PI + tol:
+                return CocycleVerdict(False, tuple(cut), s,
+                                      f"disc piece with {piece.face_count} "
+                                      f"faces has boundary sum <= 2*pi")
+    return CocycleVerdict(True)
+
+
+# -- the reduced angle functional and rho from an angle system --------------------
+
+class InvalidCASError(ValueError):
+    """A coherent angle system failed its defining (in)equalities."""
+
+
+def hamiltonian_reduced(spec, cas, tol=1e-8):
+    """Value of the constrained angle functional on a coherent angle system.
+
+    Euclidean: sum over oriented edges of Cl(2 phi_e) + Cl(2 theta_e)/2.
+    Hyperbolic: per unoriented edge,
+        Cl(th*+p) + Cl(th*-p) + Cl(th*+s) + Cl(th*-s) - 2 Cl(2 th*)
+    with p = phi_e - phi_-e and s = -(phi_e + phi_-e).  Independent of any
+    radii; equals S(rho*) at critical points.
+    """
+    report = validate_cas(spec, cas)
+    if not report.is_valid(tol):
+        raise InvalidCASError(f"not a coherent angle system: {report}")
+    srf = spec.surface
+    phi = cas.phi
+    if not spec.is_hyperbolic:
+        th_oe = spec.theta[srf.oe_edge]
+        return float(np.sum(specfun.clausen(2.0 * phi)
+                            + 0.5 * specfun.clausen(2.0 * th_oe)))
+    reps = srf.edge_reps
+    ts = spec.theta_star
+    p = phi[reps] - phi[srf.oe_twin[reps]]
+    s = -(phi[reps] + phi[srf.oe_twin[reps]])
+    return float(np.sum(specfun.clausen(ts + p) + specfun.clausen(ts - p)
+                        + specfun.clausen(ts + s) + specfun.clausen(ts - s)
+                        - 2.0 * specfun.clausen(2.0 * ts)))
+
+
+def rho_from_cas(spec, cas):
+    """Recover rho from a coherent angle system; returns (rho, residual).
+
+    Euclidean: integrates rho_k - rho_j = log(sin phi_e / sin(phi_e + theta))
+    over a spanning tree of the dual graph and reports the largest cycle
+    inconsistency; the result is normalized to sum to zero.  Hyperbolic:
+    evaluates the per-face closed form from every incident oriented edge
+    and reports the largest disagreement.  A large residual means the
+    system is not the angle system of any critical point.
+    """
+    report = validate_cas(spec, cas)
+    if report.min_phi <= 0.0:
+        raise InvalidCASError("phi must be positive")
+    srf = spec.surface
+    phi = cas.phi
+
+    if spec.is_hyperbolic:
+        ts = spec.theta_star[srf.oe_edge]
+        fe = phi
+        fo = phi[srf.oe_twin]
+        num = np.sin(0.5 * (ts - fe - fo)) * np.sin(0.5 * (ts - fe + fo))
+        den = np.sin(0.5 * (ts + fe + fo)) * np.sin(0.5 * (ts + fe - fo))
+        if np.any(num <= 0.0) or np.any(den <= 0.0):
+            raise InvalidCASError("angle system leaves the hyperbolic domain")
+        est = 0.5 * np.log(num / den)
+        rho = np.zeros(srf.n_faces)
+        counts = np.zeros(srf.n_faces)
+        np.add.at(rho, srf.oe_left, est)
+        np.add.at(counts, srf.oe_left, 1.0)
+        rho /= counts
+        residual = float(np.abs(est - rho[srf.oe_left]).max())
+        return rho, residual
+
+    theta_oe = spec.theta[srf.oe_edge]
+    delta = np.log(np.sin(phi) / np.sin(phi + theta_oe))  # rho_right - rho_left
+    n = srf.n_faces
+    rho = np.full(n, np.nan)
+    rho[0] = 0.0
+    queue = [0]
+    adj = [[] for _ in range(n)]
+    for h in range(srf.n_oriented_edges):
+        adj[srf.oe_left[h]].append(h)
+    while queue:
+        f = queue.pop()
+        for h in adj[f]:
+            g = srf.oe_right[h]
+            if np.isnan(rho[g]):
+                rho[g] = rho[f] + delta[h]
+                queue.append(g)
+    residual = float(np.abs(delta - (rho[srf.oe_right] - rho[srf.oe_left])).max())
+    rho -= rho.mean()
+    return rho, residual
 
 
 # -- developing map, one kite at a time ------------------------------------------

@@ -207,3 +207,97 @@ def test_sphere_with_disconnecting_reduction_is_infeasible(capsys, tmp_path):
     code = cli.main(["sphere", str(path)])
     assert code == cli.EXIT_INFEASIBLE
     assert "disconnects the dual 1-skeleton" in capsys.readouterr().err
+
+
+def _torus_doc(geometry="euclidean", n=2):
+    s = meshes.torus_grid(n, n)
+    return {"mesh": surface_to_json_dict(s), "geometry": geometry,
+            "theta_star": [np.pi / 2] * s.n_edges, "phi": [2 * np.pi] * s.n_faces}
+
+
+def _tetrahedron_doc(**mesh):
+    return {"mesh": {"faces": [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]], **mesh},
+            "theta_star": [np.pi / 2] * 6}
+
+
+def _without_twin():
+    doc = _torus_doc()
+    del doc["mesh"]["oriented_edges"][3]["twin"]
+    return doc
+
+
+def _with_entry(doc, key, index, value):
+    doc[key][index] = value
+    return doc
+
+
+def _cube_sphere_doc(theta_3):
+    theta = [2 * np.pi / 3] * 12
+    theta[3] = theta_3
+    return {"mesh": surface_to_json_dict(meshes.cube()), "theta": theta}
+
+
+# (command, problem document, solve report document or None, what the
+# error names after the file)
+MALFORMED = {
+    "problem is a list": ("check", [_torus_doc()], None, "top level"),
+    "solve problem is a list": ("solve", [_torus_doc()], None, "top level"),
+    "sphere problem is a list": (
+        "sphere", [_cube_sphere_doc(2 * np.pi / 3)], None, "top level"),
+    "pack problem is a list": ("pack", [], None, "top level"),
+    "report is a list": ("layout", _torus_doc(), [[0.0] * 4], "top level"),
+    "options is a list": ("solve", dict(_torus_doc(), options=[1]), None, "'options'"),
+    "options is a string": (
+        "solve", dict(_torus_doc(), options="fast"), None, "'options'"),
+    "null vertex id": ("check", _tetrahedron_doc(faces=[[0, 1, 2], [0, 2, None],
+                                                        [0, 3, 1], [1, 3, 2]]),
+                       None, "face 1"),
+    "string genus_hint": ("check", _tetrahedron_doc(genus_hint="zero"), None,
+                          "genus hint"),
+    "record without twin": ("check", _without_twin(), None,
+                            "oriented edge 3 has no 'twin'"),
+    "null theta_star (check)": (
+        "check", _with_entry(_torus_doc("hyperbolic", 3), "theta_star", 4, None),
+        None, "theta_star"),
+    "null theta_star (solve)": (
+        "solve", _with_entry(_torus_doc("hyperbolic", 3), "theta_star", 4, None),
+        None, "theta_star"),
+    "NaN phi": ("check", _with_entry(_torus_doc(), "phi", 1, float("nan")), None, "phi"),
+    "infinite phi": (
+        "check", _with_entry(_torus_doc(), "phi", 1, float("inf")), None, "phi"),
+    "null sphere theta": ("sphere", _cube_sphere_doc(None), None, "theta"),
+    "NaN sphere theta": ("sphere", _cube_sphere_doc(float("nan")), None, "theta"),
+    "theta_star is an object": (
+        "check", dict(_torus_doc(), theta_star={"0": 1.0}), None, "'theta_star'"),
+    "sphere theta is an object": (
+        "sphere", dict(_cube_sphere_doc(1.0), theta={"0": 1.0}), None, "'theta'"),
+    "null v_infinity": (
+        "sphere", dict(_cube_sphere_doc(2 * np.pi / 3), v_infinity=None), None,
+        "'v_infinity'"),
+    "infinite v_infinity": (
+        "sphere", dict(_cube_sphere_doc(2 * np.pi / 3), v_infinity=float("inf")), None,
+        "'v_infinity'"),
+    "infinite vertex id": (
+        "check", _tetrahedron_doc(faces=[[0, 1, 2], [0, 2, 3], [0, 3, float("inf")],
+                                         [1, 3, 2]]), None, "face 2"),
+    "rho is an object": ("layout", _torus_doc(), {"rho": {"0": 0.0}}, "'rho'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_an_input_error(capsys, tmp_path, case):
+    command, problem, report, fragment = MALFORMED[case]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    argv = [command, str(path)]
+    named = str(path)
+    if report is not None:
+        named = str(tmp_path / "report.json")
+        (tmp_path / "report.json").write_text(json.dumps(report))
+        argv.append(named)
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err.startswith(f"error: {named}: ")
+    assert fragment in err

@@ -3,18 +3,18 @@ import pytest
 
 from circlepatterns import meshes
 from circlepatterns.feasibility import (
-    STRICT_TOL, build_flow_network, certify_angles, check_higher_genus_condition,
-    check_rivin_condition, find_coherent_angle_system, region_decomposition,
+    STRICT_TOL, build_flow_network, certify_angles, find_coherent_angle_system,
     solve_feasible_flow,
 )
 from circlepatterns.functional import (EUCLIDEAN, HYPERBOLIC, CoherentAngleSystem,
                                        PatternSpec, validate_cas)
 from circlepatterns.solver import SolveOptions, minimize
-from circlepatterns.surface import (dual, euler_characteristic, medial,
-                                   vertex_angle_sums)
-from helpers import (random_feasible_spec, random_flat_theta, random_spec,
+from circlepatterns.spherical import SphericalProblem, check_sphere_conditions
+from circlepatterns.surface import euler_characteristic, medial, vertex_angle_sums
+from helpers import (dual, random_feasible_spec, random_flat_theta, random_spec,
                      surface_pool)
-from oracles import check_conditions_bruteforce
+from oracles import (check_conditions_bruteforce, check_higher_genus_condition,
+                     check_rivin_condition, region_decomposition)
 
 
 def torus_spec(geometry=EUCLIDEAN, phi=2 * np.pi):
@@ -374,7 +374,7 @@ def test_rivin_two_valent_vertex_rejected():
         check_rivin_condition(s, np.full(3, 0.9 * np.pi))
 
 
-def test_rivin_short_cocycle_violation():
+def cheap_vertical_cube_theta():
     # cube with cheap vertical edges: the equatorial 4-cocycle sums below 2*pi
     s = meshes.cube()
     theta = np.empty(12)
@@ -384,6 +384,11 @@ def test_rivin_short_cocycle_violation():
         u, w = s.origin(h), s.terminus(h)
         vertical = (u < 4) != (w < 4)
         theta[e] = 0.3 if vertical else ring
+    return s, theta
+
+
+def test_rivin_short_cocycle_violation():
+    s, theta = cheap_vertical_cube_theta()
     assert np.abs(vertex_angle_sums(s, theta) - 2 * np.pi).max() < 1e-12
     verdict = check_rivin_condition(s, theta)
     assert not verdict.satisfied
@@ -391,11 +396,16 @@ def test_rivin_short_cocycle_violation():
     assert len(verdict.violating_edges) == 4
 
 
-def test_rivin_delegates_to_flow_for_large_input():
+def test_rivin_agrees_with_sphere_conditions_on_cube():
     theta = np.full(12, 2 * np.pi / 3)
-    small = check_rivin_condition(meshes.cube(), theta)
-    delegated = check_rivin_condition(meshes.cube(), theta, max_edges=4)
-    assert small.satisfied == delegated.satisfied is True
+    cocycles = check_rivin_condition(meshes.cube(), theta)
+    flow = check_sphere_conditions(SphericalProblem(meshes.cube(), theta, 0))
+    assert cocycles.satisfied == flow.ok is True
+    # and on the equatorial violation, from every projection vertex
+    s, theta = cheap_vertical_cube_theta()
+    assert not check_rivin_condition(s, theta).satisfied
+    for v in range(s.n_vertices):
+        assert not check_sphere_conditions(SphericalProblem(s, theta, v)).ok
 
 
 def test_rivin_requires_genus_zero():

@@ -3,12 +3,11 @@ import pytest
 
 from circlepatterns import meshes, specfun
 from circlepatterns.functional import (
-    EUCLIDEAN, HYPERBOLIC, CoherentAngleSystem, InvalidCASError, PatternSpec,
-    cas_from_rho, edge_auxiliaries, gradient, hamiltonian_reduced, hessian,
-    phi_of_rho, radii_from_rho, rho_from_cas, validate_cas, value,
+    EUCLIDEAN, HYPERBOLIC, CoherentAngleSystem, PatternSpec, cas_from_rho,
+    edge_auxiliaries, gradient, hessian, phi_of_rho, radii_from_rho, value,
 )
 from helpers import fd_gradient, random_feasible_spec, random_spec, surface_pool
-from oracles import value_im_li2_sum
+from oracles import InvalidCASError, hamiltonian_reduced, rho_from_cas, value_im_li2_sum
 
 CATALAN = 0.915965594177219015
 
@@ -26,6 +25,19 @@ def test_spec_validation():
         PatternSpec(s, EUCLIDEAN, np.full(6, 1.0), np.full(4, -1.0))
     with pytest.raises(ValueError):
         PatternSpec(s, "spherical", np.full(6, 1.0), np.full(4, 1.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spec_rejects_non_finite_angles(bad):
+    s = meshes.tetrahedron()
+    theta_star = np.full(6, 1.0)
+    theta_star[2] = bad
+    with pytest.raises(ValueError, match="theta_star"):
+        PatternSpec(s, EUCLIDEAN, theta_star, np.full(4, 1.0))
+    phi = np.full(4, 1.0)
+    phi[1] = bad
+    with pytest.raises(ValueError, match="phi"):
+        PatternSpec(s, HYPERBOLIC, np.full(6, 1.0), phi)
 
 
 def test_phi_equal_radii_is_half_theta_star():

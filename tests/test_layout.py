@@ -25,7 +25,7 @@ def torus_layout():
     s = meshes.torus_grid(4, 4)
     spec = PatternSpec(s, EUCLIDEAN, np.full(32, np.pi / 2), np.full(16, 2 * np.pi))
     res = minimize(spec)
-    return spec, res, layout(spec, res)
+    return spec, res, layout(spec, res.rho)
 
 
 def disc_spec():
@@ -157,7 +157,7 @@ def test_extract_periods_matches_scalar_reduction():
 
 def test_path_independence_up_to_isometry():
     spec, res, lay = torus_layout()
-    lay2 = layout(spec, res, root_edge=7)
+    lay2 = layout(spec, res.rho, root_edge=7)
     k1 = dict(zip(lay.kite_edges, lay.kites))[7]
     k2 = dict(zip(lay2.kite_edges, lay2.kites))[7]
     a = (k2[1] - k2[0]) / (k1[1] - k1[0])
@@ -180,8 +180,8 @@ def test_disc_path_independence():
                                            np.full(12, np.pi / 2), 4))
     res = minimize(red.spec)
     assert res.converged
-    lay = layout(red.spec, res)
-    lay2 = layout(red.spec, res, root_edge=red.surface.n_edges - 1)
+    lay = layout(red.spec, res.rho)
+    lay2 = layout(red.spec, res.rho, root_edge=red.surface.n_edges - 1)
     k1 = lay.kites[0]
     k2 = dict(zip(lay2.kite_edges, lay2.kites))[lay.kite_edges[0]]
     a = (k2[1] - k2[0]) / (k1[1] - k1[0])
@@ -197,7 +197,7 @@ def test_hyperbolic_disc_layout():
     spec = disc_spec()
     res = minimize(spec)
     assert res.converged and np.all(res.rho < 0)
-    lay = layout(spec, res)
+    lay = layout(spec, res.rho)
     assert lay.closure_residual <= 1e-7
     # all circles strictly inside the unit disk
     for f, c in lay.circles.items():
@@ -250,7 +250,7 @@ def test_array_map_matches_scalar_map_on_random_tori():
         assert res.converged
         n = s.n_edges
         for root in sorted({0, n // 3, n - 1, int(rng.integers(n))}):
-            lay = layout(spec, res, root_edge=root)
+            lay = layout(spec, res.rho, root_edge=root)
             assert not lay.flagged and lay.periods is not None
             _assert_same_layout(lay, develop_scalar(spec, res, root_edge=root))
 
@@ -263,7 +263,7 @@ def test_array_map_matches_scalar_map_on_disc_and_plane():
     res_red = minimize(red.spec)
     for spec, res in ((spec, res), (red.spec, res_red)):
         for root in (0, spec.surface.n_edges - 1):
-            _assert_same_layout(layout(spec, res, root_edge=root),
+            _assert_same_layout(layout(spec, res.rho, root_edge=root),
                                 develop_scalar(spec, res, root_edge=root))
     # unsolved radii: both maps flag the same closure defect
     s = meshes.torus_grid(4, 4)
@@ -287,14 +287,14 @@ def test_cone_singularities_rejected():
     spec2 = random_feasible_spec(s, EUCLIDEAN, rng)
     res = minimize(spec2)
     with pytest.raises(NotDevelopableError):
-        layout(spec2, res)
+        layout(spec2, res.rho)
 
 
 def test_root_edge_out_of_range_rejected():
     spec, res, _ = torus_layout()
     for root in (-1, spec.surface.n_edges):
         with pytest.raises(ValueError, match="root edge"):
-            layout(spec, res, root_edge=root)
+            layout(spec, res.rho, root_edge=root)
 
 
 def test_closed_sphere_rejected():
@@ -313,7 +313,7 @@ def test_export_json_schema():
     assert all({"face", "center", "radius"} <= set(c) for c in doc["circles"])
     assert len(doc["kites"]) == 32
     text1 = export_json(lay)
-    text2 = export_json(layout(spec, res))
+    text2 = export_json(layout(spec, res.rho))
     assert text1 == text2  # deterministic
 
 
@@ -337,18 +337,18 @@ def test_export_json_golden_torus():
 def _exported_layouts():
     spec, res, _ = torus_layout()
     for root in (0, 7, 31):
-        yield layout(spec, res, root_edge=root)
+        yield layout(spec, res.rho, root_edge=root)
     rng = np.random.default_rng(37)
     s = medial(meshes.triangulated_torus(3, 4))
     theta = random_flat_theta(s, rng, spread=0.5)
     spec = PatternSpec(s, EUCLIDEAN, np.pi - theta, np.full(s.n_faces, 2 * np.pi))
     res = minimize(spec)
     for root in (0, s.n_edges - 1):
-        yield layout(spec, res, root_edge=root)
+        yield layout(spec, res.rho, root_edge=root)
     spec = disc_spec()
     res = minimize(spec)
-    yield layout(spec, res)
-    yield layout(spec, res, root_edge=spec.surface.n_edges - 1)
+    yield layout(spec, res.rho)
+    yield layout(spec, res.rho, root_edge=spec.surface.n_edges - 1)
     for problem in (SphericalProblem(meshes.cube(), np.full(12, 2 * np.pi / 3), 7),
                     SphericalProblem(meshes.octahedron(), np.full(12, np.pi / 2), 4)):
         yield planar_layout(problem, solve_sphere(problem))

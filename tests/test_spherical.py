@@ -6,12 +6,12 @@ from circlepatterns.feasibility import STRICT_TOL
 from circlepatterns.layout import Circle, Line
 from circlepatterns.spherical import (
     SphereConditionError, SphericalCircle, SphericalProblem, circle_to_sphere,
-    check_sphere_conditions, edge_cross_ratios, pattern_angles, planar_layout,
-    reduce_to_plane, solve_sphere, sphere_intersection_angle, stereographic,
+    check_sphere_conditions, planar_layout, reduce_to_plane, solve_sphere,
     stereographic_inverse,
 )
 from circlepatterns.surface import vertex_angle_sums
-from helpers import pinched_sphere, random_flat_theta
+from helpers import (cap_contains, edge_cross_ratios, pattern_angles, pinched_sphere,
+                     random_flat_theta, sphere_intersection_angle, stereographic)
 from oracles import check_conditions_bruteforce
 
 
@@ -34,6 +34,14 @@ def test_problem_validation():
         SphericalProblem(meshes.torus_grid(2, 2), np.full(8, np.pi / 2), 0)
     with pytest.raises(ValueError):
         SphericalProblem(meshes.cube(), np.full(12, 2 * np.pi / 3), 99)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_problem_rejects_non_finite_theta(bad):
+    theta = np.full(12, 2 * np.pi / 3)
+    theta[5] = bad
+    with pytest.raises(ValueError, match="strictly in"):
+        SphericalProblem(meshes.cube(), theta, 0)
 
 
 def test_reduce_cube():
@@ -219,7 +227,7 @@ def test_lines_map_to_circles_through_pole():
         ang = rng.uniform(0, 2 * np.pi)
         line = Line(point, np.exp(1j * ang))
         c = circle_to_sphere(line)
-        assert c.contains(np.array([0.0, 0.0, 1.0]), tol=1e-9)
+        assert cap_contains(c, np.array([0.0, 0.0, 1.0]), tol=1e-9)
 
 
 def test_intersection_angle_of_great_circles():

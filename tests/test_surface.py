@@ -5,11 +5,10 @@ from circlepatterns import meshes
 from circlepatterns.surface import (
     AmbiguousInputError, DanglingEdgeError, DisconnectedSurfaceError,
     NonOrientableError, SurfaceError, TwinError, UnsupportedSurfaceError,
-    build_surface, dual, euler_characteristic, isomorphic, medial, quad_graph,
-    surface_from_json_dict, surface_from_walks, surface_to_json_dict,
-    vertex_angle_sums,
+    build_surface, euler_characteristic, medial, surface_from_json_dict,
+    surface_from_walks, surface_to_json_dict, vertex_angle_sums,
 )
-from helpers import subdivide_edge
+from helpers import dual, isomorphic, quad_graph, subdivide_edge
 
 
 def test_tetrahedron_counts():
