@@ -22,7 +22,8 @@ from .functional import EUCLIDEAN, HYPERBOLIC, PatternSpec, radii_from_rho
 from .layout import NotDevelopableError, export_json, export_svg, layout
 from .spherical import (SphereConditionError, SphericalProblem, planar_layout,
                         solve_sphere, spherical_layout_to_dict)
-from .surface import SurfaceError, euler_characteristic, medial, surface_from_json_dict
+from .surface import (SurfaceError, euler_characteristic, is_integer, medial,
+                      surface_from_json_dict)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -111,13 +112,20 @@ def cmd_check(args):
     return EXIT_OK if cert.feasible else EXIT_INFEASIBLE
 
 
-def _solve_options(args, options):
-    return solver.SolveOptions(
-        method=args.method or options.get("method", solver.NEWTON),
-        grad_tol=args.tol if args.tol is not None else options.get("tol", 1e-10),
-        max_iter=args.max_iter if args.max_iter is not None
-        else options.get("max_iter"),
-    )
+def _solve_options(args, path, options):
+    """The flags and, for every flag not given, the file's "options"; a bad
+    value from the file names the file."""
+    given = {name: value for name, value in (("method", args.method), ("grad_tol", args.tol),
+                                             ("max_iter", args.max_iter))
+             if value is not None}
+    solver.SolveOptions(**given)    # a bad flag is reported without the path
+    from_file = {name: options[key] for key, name in
+                 (("method", "method"), ("tol", "grad_tol"), ("max_iter", "max_iter"))
+                 if key in options and name not in given}
+    try:
+        return solver.SolveOptions(**from_file, **given)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _solve_report(spec, result, method):
@@ -147,7 +155,7 @@ def cmd_solve(args):
     spec, options = _load_problem(args.problem)
     if args.geometry:
         spec = PatternSpec(spec.surface, args.geometry, spec.theta_star, spec.phi)
-    opts = _solve_options(args, options)
+    opts = _solve_options(args, args.problem, options)
     cert = find_coherent_angle_system(spec)
     if not cert.feasible:
         _print(_certificate_dict(cert))
@@ -178,10 +186,9 @@ def cmd_layout(args):
 def cmd_sphere(args):
     data = _load_json(args.problem)
     theta = _floats(args.problem, data, "theta")
-    try:
-        v_infinity = int(data.get("v_infinity", 0))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{args.problem}: 'v_infinity' must be an integer") from exc
+    v_infinity = data.get("v_infinity", 0)
+    if not is_integer(v_infinity):
+        raise InputError(f"{args.problem}: 'v_infinity' must be an integer")
     try:
         surface = surface_from_json_dict(data["mesh"])
         problem = SphericalProblem(surface, theta, v_infinity)
@@ -197,20 +204,21 @@ def cmd_sphere(args):
 
 
 def cmd_pack(args):
-    data = _load_json(args.problem)
+    path = args.problem
+    data = _load_json(path)
     try:
         surface = surface_from_json_dict(data["mesh"])
     except (KeyError, SurfaceError) as exc:
-        raise InputError(f"{args.problem}: {exc}") from exc
+        raise InputError(f"{path}: {exc}") from exc
     if not surface.is_closed:
-        raise InputError("packing requires a closed triangulated surface")
-    for f in range(surface.n_faces):
-        if len(surface.face_walk(f)) != 3:
-            raise InputError(f"face {f} is not a triangle")
-    for v in range(surface.n_vertices):
-        if len(surface.vertex_fan(v)) < 3:
-            raise InputError(f"vertex {v} has degree < 3; the medial "
-                             f"decomposition degenerates")
+        raise InputError(f"{path}: packing requires a closed triangulated surface")
+    f = np.flatnonzero(np.diff(surface.walk_offsets) != 3)
+    if len(f):
+        raise InputError(f"{path}: face {f[0]} is not a triangle")
+    v = np.flatnonzero(np.diff(surface.fan_offsets) < 3)
+    if len(v):
+        raise InputError(f"{path}: vertex {v[0]} has degree < 3; the medial "
+                         f"decomposition degenerates")
     med = medial(surface)
     chi, genus = euler_characteristic(surface)
     n_f, n_v = surface.n_faces, surface.n_vertices
@@ -218,18 +226,15 @@ def cmd_pack(args):
     if genus == 0:
         problem = SphericalProblem(med, np.pi - theta_star, 0)
         lay = solve_sphere(problem)
-        report = {
-            "kind": "spherical",
-            "vertex_circles": [{"vertex": v,
-                                "axis": list(lay.circles[n_f + v].axis),
-                                "angular_radius": lay.circles[n_f + v].angular_radius}
-                               for v in range(n_v)],
-            "face_circles": [{"face": f,
-                              "axis": list(lay.circles[f].axis),
-                              "angular_radius": lay.circles[f].angular_radius}
-                             for f in range(n_f)],
-        }
-        _print(report)
+        axes, radii = lay.axes.tolist(), lay.angular_radii
+        row = {f: i for i, f in enumerate(lay.faces.tolist())}
+
+        def caps(key, n, first):
+            return [{key: i, "axis": axes[row[first + i]],
+                     "angular_radius": radii[row[first + i]]} for i in range(n)]
+
+        _print({"kind": "spherical", "vertex_circles": caps("vertex", n_v, n_f),
+                "face_circles": caps("face", n_f, 0)})
         return EXIT_OK
     geometry = EUCLIDEAN if genus == 1 else HYPERBOLIC
     spec = PatternSpec(med, geometry, theta_star, np.full(med.n_faces, 2.0 * np.pi))

@@ -389,7 +389,7 @@ def find_coherent_angle_system(spec: PatternSpec) -> FeasibilityCertificate:
     cert = None if spec.is_hyperbolic else _equality_certificate(spec)
     if cert is not None:
         return cert
-    max_deg = max(len(srf.face_walk(f)) for f in range(srf.n_faces))
+    max_deg = int(np.diff(srf.walk_offsets).max())
     eps = min(float(spec.phi.min()) / (4.0 * max_deg),
               float(spec.theta_star.min()) / 4.0)
     half_angles = slice(srf.n_faces, srf.n_faces + srf.n_oriented_edges)

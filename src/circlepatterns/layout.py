@@ -156,7 +156,7 @@ def _glue_records(srf):
     columns cols[:, 0:2] of kite a and cols[:, 2:4] of kite b.
     """
     n = srf.n_oriented_edges
-    nxt = np.fromiter(map(srf.next_in_face, range(n)), np.intp, n)
+    nxt = srf.oe_next
     corner = np.flatnonzero(nxt != OPEN)
     is_rep = srf.edge_reps[srf.oe_edge] == np.arange(n)
     a_rep, b_rep = is_rep[corner], is_rep[nxt[corner]]
@@ -177,7 +177,7 @@ def _spanning_tree(srf, corner, a, b, root_edge):
     n, n_edges = srf.n_oriented_edges, srf.n_edges
     record = np.full(n + 1, -1)       # the last entry answers for OPEN (-1)
     record[corner] = np.arange(len(corner))
-    prv = np.fromiter(map(srf.prev_in_face, range(n)), np.intp, n)
+    prv = srf.oe_prev
     h = srf.edge_reps
     tw = srf.oe_twin[h]
     slot = record[np.stack([h, tw, prv[h], prv[tw]], axis=1)]
@@ -220,12 +220,9 @@ def _first_placed(order, keys, points):
 
 def _check_developable(spec: PatternSpec):
     srf = spec.surface
-    nv, nf = srf.n_vertices, srf.n_faces
     for kind, cone, boundary in (
-            ("vertex", vertex_angle_sums(srf, spec.theta),
-             np.fromiter(map(srf.vertex_is_boundary, range(nv)), bool, nv)),
-            ("face", np.asarray(spec.phi),
-             np.fromiter(map(srf.face_is_boundary, range(nf)), bool, nf))):
+            ("vertex", vertex_angle_sums(srf, spec.theta), srf.vertex_boundary),
+            ("face", np.asarray(spec.phi), srf.face_boundary)):
         bad = np.flatnonzero(~boundary & (np.abs(cone - TWO_PI) > 1e-8))
         if bad.size:
             raise NotDevelopableError(

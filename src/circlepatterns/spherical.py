@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -25,8 +26,8 @@ from .feasibility import (FeasibilityCertificate, certify_angles,
                           find_coherent_angle_system)
 from .functional import EUCLIDEAN, PatternSpec
 from .layout import Circle, Line, LayoutResult, layout
-from .surface import (CellularSurface, DisconnectedSurfaceError,
-                      euler_characteristic, surface_from_walks, vertex_angle_sums)
+from .surface import (OPEN, CellularSurface, DisconnectedSurfaceError,
+                      euler_characteristic, is_integer, vertex_angle_sums)
 
 TWO_PI = 2.0 * math.pi
 
@@ -64,8 +65,8 @@ class SphericalProblem:
             v = int(np.argmax(bad))
             raise ValueError(f"theta must sum to 2*pi around every vertex; "
                              f"vertex {v} sums to {sums[v]:.12g}")
-        if not 0 <= self.v_infinity < s.n_vertices:
-            raise ValueError("v_infinity out of range")
+        if not is_integer(self.v_infinity) or not 0 <= self.v_infinity < s.n_vertices:
+            raise ValueError("v_infinity must be a vertex id")
 
     @property
     def theta_star(self):
@@ -86,91 +87,102 @@ class Reduction:
     vertex_map: tuple = ()   # reduced vertex -> original vertex
 
 
-def _faces_around(s: CellularSurface, v: int):
-    return {s.left_face(g) for g in s.vertex_fan(v)}
-
-
 def reduce_to_plane(p: SphericalProblem) -> Reduction:
     """Remove the faces incident with v_inf and all edges incident with
     them; the remaining faces keep Phi = 2*pi if interior and
-    Phi = 2*pi - sum(2 theta*) over their removed edges otherwise."""
-    s = p.surface
-    f_inf = _faces_around(s, p.v_infinity)
-    removed_edges = {s.edge_of(h) for h in range(s.n_oriented_edges)
-                     if s.left_face(h) in f_inf}
-    kept_faces = [f for f in range(s.n_faces) if f not in f_inf]
-    if not kept_faces:
-        raise SphereConditionError("every face is incident with v_infinity")
-    kept_edges = sorted(e for e in range(s.n_edges) if e not in removed_edges)
-    kept_vertices = sorted({s.origin(s.edge_rep(e)) for e in kept_edges}
-                           | {s.terminus(s.edge_rep(e)) for e in kept_edges})
-    dropped = tuple(v for v in range(s.n_vertices) if v not in set(kept_vertices))
+    Phi = 2*pi - sum(2 theta*) over their removed edges otherwise.
 
-    if not kept_edges:
+    A kept face whose edges are all kept stays closed; otherwise its kept
+    edges must form one arc of its walk, which becomes the open walk of a
+    boundary face starting at the arc's first edge.  The reduced surface
+    numbers its oriented edges along those walks in kept-face order, and
+    its faces, edges and vertices in the order of the kept ones of p."""
+    s = p.surface
+    walks, edge_of = s.walk_edges, s.oe_edge
+    v = p.v_infinity
+    removed_face = np.zeros(s.n_faces, dtype=bool)
+    removed_face[s.oe_left[s.fan_edges[s.fan_offsets[v]:s.fan_offsets[v + 1]]]] = True
+    removed_edge = np.zeros(s.n_edges, dtype=bool)
+    removed_edge[edge_of[removed_face[s.oe_left]]] = True
+    kept_faces = np.flatnonzero(~removed_face)
+    if not len(kept_faces):
+        raise SphereConditionError("every face is incident with v_infinity")
+    kept_edges = np.flatnonzero(~removed_edge)
+    ends = s.oe_origin[np.concatenate((s.edge_reps[kept_edges],
+                                       s.oe_twin[s.edge_reps[kept_edges]]))]
+    kept_vertex = np.zeros(s.n_vertices, dtype=bool)
+    kept_vertex[ends] = True
+    kept_vertices = np.flatnonzero(kept_vertex)
+    common = dict(removed_faces=tuple(np.flatnonzero(removed_face).tolist()),
+                  removed_edges=tuple(np.flatnonzero(removed_edge).tolist()),
+                  dropped_vertices=tuple(np.flatnonzero(~kept_vertex).tolist()))
+
+    if not len(kept_edges):
         if len(kept_faces) != 1:
             raise SphereConditionError(_DISCONNECTED)
-        return Reduction(elementary=True,
-                         removed_faces=tuple(sorted(f_inf)),
-                         removed_edges=tuple(sorted(removed_edges)),
-                         dropped_vertices=dropped,
-                         face_map=(kept_faces[0],))
+        return Reduction(elementary=True, face_map=(int(kept_faces[0]),), **common)
 
-    face_index = {f: i for i, f in enumerate(kept_faces)}
-    edge_index = {e: i for i, e in enumerate(kept_edges)}
-    vertex_index = {v: i for i, v in enumerate(kept_vertices)}
-    walks = []
-    phi = []
-    for f in kept_faces:
-        walk = s.face_walk(f)
-        kept_flags = [s.edge_of(h) not in removed_edges for h in walk]
-        if not any(kept_flags):
+    # every position of every face walk: its face, its place in the walk
+    # and whether its edge is kept
+    sizes = np.diff(s.walk_offsets)
+    face = np.repeat(np.arange(s.n_faces), sizes)
+    place = np.arange(len(walks)) - s.walk_offsets[face]
+    kept = ~removed_edge[edge_of[walks]]
+    before = np.where(place == 0, sizes[face] - 1, place - 1) + s.walk_offsets[face]
+    arc_start = kept & ~kept[before]
+    n_kept = np.bincount(face, weights=kept, minlength=s.n_faces).astype(np.intp)
+    n_arcs = np.bincount(face, weights=arc_start, minlength=s.n_faces).astype(np.intp)
+    closed = n_kept == sizes
+    bad = kept_faces[(n_kept == 0)[kept_faces] | (~closed & (n_arcs > 1))[kept_faces]]
+    if len(bad):
+        f = int(bad[0])
+        if n_kept[f] == 0:
             raise SphereConditionError(_DISCONNECTED)
-        k = len(walk)
-        if all(kept_flags):
-            arc = list(walk)
-            closed = True
-        else:
-            start = next(i for i in range(k)
-                         if kept_flags[i] and not kept_flags[(i - 1) % k])
-            arc = []
-            i = start
-            while kept_flags[i % k] and len(arc) < k:
-                arc.append(walk[i % k])
-                i += 1
-            if sum(kept_flags) != len(arc):
-                raise SphereConditionError(
-                    f"face {f} keeps several disjoint boundary arcs; "
-                    f"the reduced surface is not representable")
-            closed = False
-        tokens = []
-        for h in arc:
-            e = s.edge_of(h)
-            sign = 1 if h == s.edge_rep(e) else -1
-            tokens.append((vertex_index[s.origin(h)], edge_index[e], sign))
-        walks.append((tokens, closed))
-        removed_incidences = [s.edge_of(h) for h in walk
-                              if s.edge_of(h) in removed_edges]
-        phi.append(TWO_PI - 2.0 * sum(p.theta_star[e] for e in removed_incidences))
+        raise SphereConditionError(
+            f"face {f} keeps several disjoint boundary arcs; "
+            f"the reduced surface is not representable")
 
+    new_face = np.full(s.n_faces, OPEN, dtype=np.intp)
+    new_face[kept_faces] = np.arange(len(kept_faces))
+    first = np.zeros(s.n_faces, dtype=np.intp)
+    first[face[arc_start]] = place[arc_start]
+    counts = n_kept[kept_faces]
+    base = np.cumsum(counts) - counts
+    taken = kept & ~removed_face[face]
+    at = base[new_face[face[taken]]] + (place[taken] - first[face[taken]]) % sizes[face[taken]]
+    h = np.empty(len(at), dtype=np.intp)
+    h[at] = walks[taken]
+    position = np.full(s.n_oriented_edges, OPEN, dtype=np.intp)
+    position[h] = np.arange(len(h))
+    nxt = np.arange(1, len(h) + 1)
+    last = base + counts - 1
+    nxt[last] = np.where(closed[kept_faces], base, OPEN)
+    new_edge = np.full(s.n_edges, OPEN, dtype=np.intp)
+    new_edge[kept_edges] = np.arange(len(kept_edges))
+    new_vertex = np.full(s.n_vertices, OPEN, dtype=np.intp)
+    new_vertex[kept_vertices] = np.arange(len(kept_vertices))
     try:
-        reduced = surface_from_walks(walks, edge_order=range(len(kept_edges)))
+        reduced = CellularSurface(new_vertex[s.oe_origin[h]], new_face[s.oe_left[h]],
+                                  position[s.oe_twin[h]], nxt, edge_id=new_edge[edge_of[h]])
     except DisconnectedSurfaceError as exc:
         raise SphereConditionError(_DISCONNECTED) from exc
-    phi = np.asarray(phi)
+
+    # 2 theta* summed over each face's removed edges in walk order
+    theta_star = p.theta_star
+    lost = ~kept & ~removed_face[face]
+    phi = TWO_PI - 2.0 * np.bincount(new_face[face[lost]],
+                                     weights=theta_star[edge_of[walks[lost]]],
+                                     minlength=len(kept_faces))
     if np.any(phi <= 0.0):
         f = kept_faces[int(np.argmin(phi))]
         raise SphereConditionError(
             f"boundary face {f} would get nonpositive cone angle "
             f"{phi.min():.12g}; the subset conditions fail")
-    spec = PatternSpec(reduced, EUCLIDEAN, p.theta_star[kept_edges], phi)
-    return Reduction(elementary=False,
-                     removed_faces=tuple(sorted(f_inf)),
-                     removed_edges=tuple(sorted(removed_edges)),
-                     dropped_vertices=dropped,
-                     surface=reduced, spec=spec,
-                     face_map=tuple(kept_faces),
-                     edge_map=tuple(kept_edges),
-                     vertex_map=tuple(kept_vertices))
+    spec = PatternSpec(reduced, EUCLIDEAN, theta_star[kept_edges], phi)
+    return Reduction(elementary=False, surface=reduced, spec=spec,
+                     face_map=tuple(kept_faces.tolist()),
+                     edge_map=tuple(kept_edges.tolist()),
+                     vertex_map=tuple(kept_vertices.tolist()), **common)
 
 
 @dataclass
@@ -219,12 +231,21 @@ def _original_certificate(p, red, cert):
 
 # -- stereographic projection --------------------------------------------------
 
+def _sphere_points(z):
+    """Inverse stereographic images of the complex array z as rows of an
+    (N, 3) array; a non-finite z maps to the north pole."""
+    z = np.asarray(z, dtype=complex)
+    finite = np.isfinite(z.real) & np.isfinite(z.imag)
+    x, y = np.where(finite, z.real, 0.0), np.where(finite, z.imag, 0.0)
+    n2 = x * x + y * y
+    out = np.stack((2.0 * x, 2.0 * y, n2 - 1.0), axis=1) / (n2 + 1.0)[:, None]
+    out[~finite] = (0.0, 0.0, 1.0)
+    return out
+
+
 def stereographic_inverse(z: complex):
     """Plane to the unit sphere; inf maps to the north pole."""
-    if not np.isfinite(z.real) or not np.isfinite(z.imag):
-        return np.array([0.0, 0.0, 1.0])
-    n2 = z.real * z.real + z.imag * z.imag
-    return np.array([2.0 * z.real, 2.0 * z.imag, n2 - 1.0]) / (n2 + 1.0)
+    return _sphere_points([z])[0]
 
 
 @dataclass(frozen=True)
@@ -235,37 +256,66 @@ class SphericalCircle:
     angular_radius: float
 
 
-def _cap_through(points3, interior3) -> SphericalCircle:
-    p1, p2, p3 = points3
-    n = np.cross(p2 - p1, p3 - p1)
-    norm = np.linalg.norm(n)
-    if norm < 1e-14:
+# a circle's points at these turns from its center fix its image
+_ON_CIRCLE = np.array([np.exp(1j * a) for a in (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)])
+
+
+def _dots(a, b):
+    """Row-wise dot products; matmul of 1 x 3 by 3 x 1 rounds as ``a @ b``."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def sphere_caps(objs, interior_points=None):
+    """Inverse stereographic images of generalized circles as oriented caps.
+
+    Each cap passes through the images of three points of its circle or
+    line (a line's third point is the north pole), and its interior holds
+    the image of the circle's center or of the point one normal off the
+    line, or of ``interior_points[i]`` when given.  Returns the unit axes
+    as an (N, 3) array and the angular radii as a list of floats."""
+    n = len(objs)
+    circles = [obj for obj in objs if isinstance(obj, Circle)]
+    lines = [obj for obj in objs if isinstance(obj, Line)]
+    if len(circles) + len(lines) != n:
+        bad = next(obj for obj in objs if not isinstance(obj, (Circle, Line)))
+        raise TypeError(f"not a generalized circle: {bad!r}")
+    is_circle = np.array([isinstance(obj, Circle) for obj in objs], dtype=bool)
+    on = np.empty((n, 3), dtype=complex)
+    inside = np.empty(n, dtype=complex)
+    center = np.array([c.center for c in circles], dtype=complex)
+    radius = np.array([c.radius for c in circles], dtype=float)
+    on[is_circle] = center[:, None] + radius[:, None] * _ON_CIRCLE
+    inside[is_circle] = center
+    point = np.array([line.point for line in lines], dtype=complex)
+    normal = np.array([line.normal for line in lines], dtype=complex)
+    tangent = np.empty(len(lines), dtype=complex)
+    tangent.real, tangent.imag = -normal.imag, normal.real
+    on[~is_circle] = np.stack((point - tangent, point + tangent,
+                               np.full(len(lines), np.inf)), axis=1)
+    inside[~is_circle] = point + normal
+    if interior_points is not None:
+        inside = np.asarray(interior_points, dtype=complex)
+    points = _sphere_points(on.ravel()).reshape(n, 3, 3)
+    p1 = points[:, 0]
+    axes = np.cross(points[:, 1] - p1, points[:, 2] - p1)
+    norm = np.sqrt(_dots(axes, axes))
+    if np.any(norm < 1e-14):
         raise ValueError("degenerate circle through nearly collinear points")
-    n = n / norm
-    d = float(n @ p1)
-    if float(n @ interior3) < d:
-        n, d = -n, -d
-    d = min(1.0, max(-1.0, d))
-    return SphericalCircle(axis=n, angular_radius=math.acos(d))
+    axes = axes / norm[:, None]
+    d = _dots(axes, p1)
+    flip = _dots(axes, _sphere_points(inside)) < d
+    axes[flip] = -axes[flip]
+    d[flip] = -d[flip]
+    # clamped as min(1, max(-1, d)) is; acos rounds as math.acos
+    d = np.where(d > -1.0, d, -1.0)
+    d = np.where(d < 1.0, d, 1.0)
+    return axes, [math.acos(x) for x in d.tolist()]
 
 
 def circle_to_sphere(obj, interior_point=None) -> SphericalCircle:
     """Inverse stereographic image of a generalized circle as an oriented cap."""
-    if isinstance(obj, Circle):
-        c, r = obj.center, obj.radius
-        pts = [stereographic_inverse(c + r * np.exp(1j * a))
-               for a in (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)]
-        interior = stereographic_inverse(c if interior_point is None else interior_point)
-    elif isinstance(obj, Line):
-        tangent = complex(-obj.normal.imag, obj.normal.real)
-        pts = [stereographic_inverse(obj.point - tangent),
-               stereographic_inverse(obj.point + tangent),
-               np.array([0.0, 0.0, 1.0])]
-        interior = stereographic_inverse(
-            obj.point + obj.normal if interior_point is None else interior_point)
-    else:
-        raise TypeError(f"not a generalized circle: {obj!r}")
-    return _cap_through(pts, interior)
+    axes, radii = sphere_caps([obj], None if interior_point is None else [interior_point])
+    return SphericalCircle(axis=axes[0], angular_radius=radii[0])
 
 
 # -- planar generalized-circle intersections -----------------------------------
@@ -315,13 +365,27 @@ def _incidence_error(obj, z):
 
 @dataclass
 class SphericalLayout:
-    circles: dict                    # original face -> SphericalCircle
-    vertex_points: dict              # original vertex -> unit 3-vector
+    faces: np.ndarray                # original faces with a cap, ascending
+    axes: np.ndarray                 # (len(faces), 3) unit cap axes
+    angular_radii: list              # per face, as floats
+    vertices: np.ndarray             # original vertices, ascending
+    points: np.ndarray               # (len(vertices), 3) on the unit sphere
     planar_circles: dict             # original face -> Circle | Line
     planar_vertices: dict            # original vertex (except v_inf) -> complex
     reduction: Reduction
     planar: LayoutResult | None = None
     line_residual: float = 0.0
+
+    @cached_property
+    def circles(self):
+        """original face -> SphericalCircle"""
+        return {f: SphericalCircle(axis, r) for f, axis, r in
+                zip(self.faces.tolist(), self.axes, self.angular_radii)}
+
+    @cached_property
+    def vertex_points(self):
+        """original vertex -> unit 3-vector"""
+        return dict(zip(self.vertices.tolist(), self.points))
 
 
 def _elementary_planar(p: SphericalProblem, red: Reduction):
@@ -465,13 +529,15 @@ def solve_sphere(p: SphericalProblem) -> SphericalLayout:
         circles.update(lines)
     points.update(_dropped_positions(p, red, circles, points))
 
-    spherical = {}
-    for f, obj in circles.items():
-        spherical[f] = circle_to_sphere(obj)
-    vertex_points = {v: stereographic_inverse(z) for v, z in points.items()}
-    vertex_points[p.v_infinity] = np.array([0.0, 0.0, 1.0])
+    faces = sorted(circles)
+    axes, radii = sphere_caps([circles[f] for f in faces])
+    # v_inf has no planar position; its point is the north pole
+    vertices = sorted({*points, p.v_infinity})
     return SphericalLayout(
-        circles=spherical, vertex_points=vertex_points,
+        faces=np.array(faces, dtype=np.intp), axes=axes, angular_radii=radii,
+        vertices=np.array(vertices, dtype=np.intp),
+        points=_sphere_points([np.inf if v == p.v_infinity else points[v]
+                               for v in vertices]),
         planar_circles=circles, planar_vertices=points,
         reduction=red, planar=planar_result,
         line_residual=line_residual)
@@ -498,12 +564,10 @@ def planar_layout(p: SphericalProblem, lay: SphericalLayout) -> LayoutResult:
 
 def spherical_layout_to_dict(p: SphericalProblem, lay: SphericalLayout) -> dict:
     return {
-        "circles": [{"face": f,
-                     "axis": list(lay.circles[f].axis),
-                     "angular_radius": lay.circles[f].angular_radius}
-                    for f in sorted(lay.circles)],
-        "vertices": [{"vertex": v, "point": list(lay.vertex_points[v])}
-                     for v in sorted(lay.vertex_points)],
+        "circles": [{"face": f, "axis": axis, "angular_radius": r} for f, axis, r in
+                    zip(lay.faces.tolist(), lay.axes.tolist(), lay.angular_radii)],
+        "vertices": [{"vertex": v, "point": point} for v, point in
+                     zip(lay.vertices.tolist(), lay.points.tolist())],
         "v_infinity": p.v_infinity,
         "line_residual": lay.line_residual,
     }

@@ -99,6 +99,25 @@ def subdivide_edge(surface, e):
     return surface_from_walks(walks)
 
 
+def subdivided_faces(faces, levels):
+    """Face lists with every triangle split into four at its edge
+    midpoints, ``levels`` times; midpoints are numbered in order of first
+    use."""
+    for _ in range(levels):
+        n_v = 1 + max(v for face in faces for v in face)
+        mid = {}
+
+        def midpoint(a, b):
+            return mid.setdefault((min(a, b), max(a, b)), n_v + len(mid))
+
+        out = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            out += [[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]]
+        faces = out
+    return faces
+
+
 def pinched_sphere(isolated=False):
     """A sphere whose faces around vertex 0 separate the other faces.
 

@@ -20,12 +20,19 @@ of the dual graph (Euclidean) or from the per-face closed form
 a time and places it by a scalar breadth-first search, one complex number
 at a time.  The JSON oracle is the emitter's first, isinstance-chain
 version, and the layout-document oracle builds the nested dicts and lists
-it writes, one of each per row.  None shares logic with the implementation
-under test; the existence oracle only reports in its certificate type and
-with its tolerances, the developing-map oracle in the layout's result
-type and its canonical choice of period basis, the angle checks use the
-package's vertex angle sums and the reduced functional its Clausen
-function.
+it writes, one of each per row.  The surface-table oracle is the
+constructor's first, pure-Python version: it follows next and the vertex
+rotation one oriented edge at a time, finds connectivity by a depth-first
+search and numbers edges in a scalar pass.  The medial and reduction
+oracles build the medial decomposition and the sphere's reduction to the
+plane from token walks, one face at a time, and the cap oracle projects
+one generalized circle at a time with scalar NumPy calls.  None shares
+logic with the implementation under test; the medial and reduction
+oracles build through the package's ``surface_from_walks``, the existence
+oracle only reports in its certificate type and with its tolerances, the
+developing-map oracle in the layout's result type and its canonical
+choice of period basis, the angle checks use the package's vertex angle
+sums and the reduced functional its Clausen function.
 """
 
 import json
@@ -37,10 +44,14 @@ from scipy.integrate import quad
 
 from circlepatterns import specfun
 from circlepatterns.feasibility import EQ_TOL, STRICT_TOL, FeasibilityCertificate
-from circlepatterns.functional import phi_of_rho, radii_from_rho, validate_cas
+from circlepatterns.functional import PatternSpec, phi_of_rho, radii_from_rho, validate_cas
 from circlepatterns.layout import (Circle, LayoutResult, Line, _canonical_basis,
                                    hyperbolic_circle_to_euclidean)
-from circlepatterns.surface import OPEN, euler_characteristic, vertex_angle_sums
+from circlepatterns.spherical import Reduction, SphereConditionError
+from circlepatterns.surface import (OPEN, DanglingEdgeError, DisconnectedSurfaceError,
+                                   NonManifoldError, SurfaceError, TwinError,
+                                   euler_characteristic, surface_from_walks,
+                                   vertex_angle_sums)
 from helpers import dual
 
 TWO_PI = 2.0 * np.pi
@@ -595,6 +606,228 @@ def rho_from_cas(spec, cas):
     residual = float(np.abs(delta - (rho[srf.oe_right] - rho[srf.oe_left])).max())
     rho -= rho.mean()
     return rho, residual
+
+
+# -- surface tables, one oriented edge at a time --------------------------------
+
+def surface_tables_reference(origin, left_face, twin, next_in_face, edge_id=None):
+    """prev, the face walks and vertex fans with their boundary flags, the
+    edge ids and the edge representatives of an oriented-edge table, each
+    as a tuple; raises the constructor's exception on a malformed table."""
+    origin, left, twin, next_ = (tuple(map(int, c)) for c in
+                                 (origin, left_face, twin, next_in_face))
+    n = len(origin)
+    for h, t in enumerate(twin):
+        if not 0 <= t < n:
+            raise DanglingEdgeError(f"oriented edge {h} has twin {t} out of range")
+        if t == h:
+            raise TwinError(f"oriented edge {h} is its own twin")
+        if twin[t] != h:
+            raise TwinError(f"twin of {h} is {t} but twin of {t} is {twin[t]}")
+
+    prev = [OPEN] * n
+    for h, nx in enumerate(next_):
+        if nx == OPEN:
+            continue
+        if not 0 <= nx < n:
+            raise SurfaceError(f"next of {h} out of range")
+        if left[nx] != left[h]:
+            raise SurfaceError(f"next of {h} leaves its face")
+        if prev[nx] != OPEN:
+            raise SurfaceError(f"oriented edge {nx} is the next of two edges")
+        prev[nx] = h
+        if origin[nx] != origin[twin[h]]:
+            raise SurfaceError(f"walk broken at {h}: next origin differs from terminus")
+
+    def grouped(ids, negative, gap):
+        by = {}
+        for h, g in enumerate(ids):
+            if g < 0:
+                raise negative(h)
+            by.setdefault(g, []).append(h)
+        if set(by) != set(range(max(by) + 1)):
+            raise gap
+        return [by[g] for g in range(len(by))]
+
+    def walks(groups, back, step, chains_error, single_error):
+        out, flags = [], []
+        for g, members in enumerate(groups):
+            starts = [h for h in members if back(h) == OPEN]
+            if len(starts) > 1:
+                raise chains_error(g, len(starts))
+            walk = []
+            h = first = starts[0] if starts else min(members)
+            while True:
+                walk.append(h)
+                h = step(h)
+                if h == OPEN or h == first:
+                    break
+            if len(walk) != len(members):
+                raise single_error(g)
+            out.append(tuple(walk))
+            flags.append(bool(starts))
+        return tuple(out), tuple(flags)
+
+    faces = grouped(left, lambda h: DanglingEdgeError(
+        f"oriented edge {h} has no face on its left"),
+        SurfaceError("face ids are not contiguous"))
+    face_walks, face_bd = walks(
+        faces, lambda h: prev[h], lambda h: next_[h],
+        lambda f, k: SurfaceError(f"face {f} has {k} open walks; only one is supported"),
+        lambda f: SurfaceError(f"face {f} boundary is not a single walk"))
+    vertices = grouped(origin, lambda h: SurfaceError(
+        f"oriented edge {h} has negative origin"),
+        SurfaceError("vertex ids are not contiguous (isolated vertex?)"))
+    # a fan turns counterclockwise from where the clockwise turn next(twin) ends
+    fans, vertex_bd = walks(
+        vertices, lambda h: next_[twin[h]],
+        lambda h: twin[prev[h]] if prev[h] != OPEN else OPEN,
+        lambda v, k: NonManifoldError(f"vertex {v} has {k} fan chains"),
+        lambda v: NonManifoldError(f"vertex {v} fan is not a single cycle or chain"))
+
+    seen = [False] * n
+    stack = [0]
+    seen[0] = True
+    while stack:
+        h = stack.pop()
+        for g in (twin[h], next_[h], prev[h]):
+            if g != OPEN and not seen[g]:
+                seen[g] = True
+                stack.append(g)
+    if not all(seen):
+        raise DisconnectedSurfaceError("oriented-edge structure is disconnected")
+
+    if edge_id is not None:
+        eid = [int(e) for e in edge_id]
+        if len(eid) != n:
+            raise SurfaceError("edge_id length mismatch")
+        if any(eid[h] != eid[twin[h]] for h in range(n)):
+            raise SurfaceError("edge_id differs between twins")
+        if sorted(set(eid)) != list(range(max(eid) + 1)):
+            raise SurfaceError("edge ids are not contiguous")
+    else:
+        eid = [-1] * n
+        count = 0
+        for h in range(n):
+            if eid[h] < 0:
+                eid[h] = eid[twin[h]] = count
+                count += 1
+    reps = [-1] * (max(eid) + 1)
+    for h in range(n):
+        if reps[eid[h]] < 0:
+            reps[eid[h]] = h
+    return {"prev": tuple(prev), "face_walks": face_walks, "face_is_boundary": face_bd,
+            "vertex_fans": fans, "vertex_is_boundary": vertex_bd,
+            "edge_id": tuple(eid), "edge_rep": tuple(reps)}
+
+
+def medial_reference(s):
+    """The medial decomposition from token walks: face f's walk crosses
+    the midpoints of its edges, vertex v's walk the corners of its fan."""
+    walks = [([(s.edge_of(h), h, 1) for h in s.face_walk(f)], True)
+             for f in range(s.n_faces)]
+    for v in range(s.n_vertices):
+        fan = s.vertex_fan(v)
+        walks.append(([(s.edge_of(g), s.twin(fan[(i + 1) % len(fan)]), -1)
+                       for i, g in enumerate(fan)], True))
+    return surface_from_walks(walks)
+
+
+# -- spherical caps, one circle at a time -------------------------------------
+
+def stereographic_inverse_reference(z):
+    """Plane to the unit sphere for one complex number; inf to the north pole."""
+    if not np.isfinite(z.real) or not np.isfinite(z.imag):
+        return np.array([0.0, 0.0, 1.0])
+    n2 = z.real * z.real + z.imag * z.imag
+    return np.array([2.0 * z.real, 2.0 * z.imag, n2 - 1.0]) / (n2 + 1.0)
+
+
+def cap_reference(obj, interior_point=None):
+    """(axis, angular radius) of the cap of one generalized circle, through
+    the images of three of its points, oriented towards the image of its
+    center, of the point one normal off a line, or of ``interior_point``."""
+    if isinstance(obj, Circle):
+        c, r = obj.center, obj.radius
+        p1, p2, p3 = [stereographic_inverse_reference(c + r * np.exp(1j * a))
+                      for a in (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)]
+        interior = c if interior_point is None else interior_point
+    else:
+        tangent = complex(-obj.normal.imag, obj.normal.real)
+        p1 = stereographic_inverse_reference(obj.point - tangent)
+        p2 = stereographic_inverse_reference(obj.point + tangent)
+        p3 = np.array([0.0, 0.0, 1.0])
+        interior = obj.point + obj.normal if interior_point is None else interior_point
+    n = np.cross(p2 - p1, p3 - p1)
+    n = n / np.linalg.norm(n)
+    d = float(n @ p1)
+    if float(n @ stereographic_inverse_reference(interior)) < d:
+        n, d = -n, -d
+    return n, math.acos(min(1.0, max(-1.0, d)))
+
+
+def reduce_to_plane_reference(p):
+    """The reduction of a spherical problem from token walks, one face at a
+    time: the kept edges of a face that loses some form one arc, which
+    becomes an open walk from its first edge; Phi subtracts 2 theta* of the
+    removed edges in walk order."""
+    s = p.surface
+    f_inf = {s.left_face(g) for g in s.vertex_fan(p.v_infinity)}
+    removed_edges = {s.edge_of(h) for h in range(s.n_oriented_edges)
+                     if s.left_face(h) in f_inf}
+    kept_faces = [f for f in range(s.n_faces) if f not in f_inf]
+    if not kept_faces:
+        raise SphereConditionError("every face is incident with v_infinity")
+    kept_edges = sorted(set(range(s.n_edges)) - removed_edges)
+    kept_vertices = sorted({s.origin(s.edge_rep(e)) for e in kept_edges}
+                           | {s.terminus(s.edge_rep(e)) for e in kept_edges})
+    common = dict(removed_faces=tuple(sorted(f_inf)),
+                  removed_edges=tuple(sorted(removed_edges)),
+                  dropped_vertices=tuple(sorted(set(range(s.n_vertices))
+                                                - set(kept_vertices))))
+    disconnected = ("removing the faces around v_infinity disconnects the "
+                    "dual 1-skeleton")
+    if not kept_edges:
+        if len(kept_faces) != 1:
+            raise SphereConditionError(disconnected)
+        return Reduction(elementary=True, face_map=(kept_faces[0],), **common)
+    edge_index = {e: i for i, e in enumerate(kept_edges)}
+    vertex_index = {v: i for i, v in enumerate(kept_vertices)}
+    walks, phi = [], []
+    for f in kept_faces:
+        walk = s.face_walk(f)
+        kept = [s.edge_of(h) not in removed_edges for h in walk]
+        if not any(kept):
+            raise SphereConditionError(disconnected)
+        k = len(walk)
+        start = next((i for i in range(k) if kept[i] and not kept[i - 1]), 0)
+        arc = []
+        while len(arc) < k and kept[(start + len(arc)) % k]:
+            arc.append(walk[(start + len(arc)) % k])
+        if len(arc) != sum(kept):
+            raise SphereConditionError(
+                f"face {f} keeps several disjoint boundary arcs; "
+                f"the reduced surface is not representable")
+        walks.append(([(vertex_index[s.origin(h)], edge_index[s.edge_of(h)],
+                        1 if h == s.edge_rep(s.edge_of(h)) else -1) for h in arc],
+                      all(kept)))
+        phi.append(TWO_PI - 2.0 * sum(p.theta_star[s.edge_of(h)] for h in walk
+                                      if s.edge_of(h) in removed_edges))
+    try:
+        reduced = surface_from_walks(walks, edge_order=range(len(kept_edges)))
+    except DisconnectedSurfaceError as exc:
+        raise SphereConditionError(disconnected) from exc
+    phi = np.asarray(phi)
+    if np.any(phi <= 0.0):
+        f = kept_faces[int(np.argmin(phi))]
+        raise SphereConditionError(
+            f"boundary face {f} would get nonpositive cone angle "
+            f"{phi.min():.12g}; the subset conditions fail")
+    return Reduction(elementary=False,
+                     surface=reduced,
+                     spec=PatternSpec(reduced, "euclidean", p.theta_star[kept_edges], phi),
+                     face_map=tuple(kept_faces), edge_map=tuple(kept_edges),
+                     vertex_map=tuple(kept_vertices), **common)
 
 
 # -- developing map, one kite at a time ------------------------------------------

@@ -1,13 +1,18 @@
 """The command-line contract: exit codes and deterministic stdout."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from circlepatterns import cli, meshes
+from circlepatterns.spherical import SphericalProblem, reduce_to_plane
 from circlepatterns.surface import medial, surface_to_json_dict
-from helpers import pinched_sphere, random_feasible_spec, random_flat_theta
+from helpers import (pinched_sphere, random_feasible_spec, random_flat_theta,
+                     subdivided_faces)
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def _write_problem(path, surface, geometry, theta_star, phi):
@@ -198,6 +203,32 @@ def test_feasible_pack_runs_no_flow(capsys, tmp_path, monkeypatch, torus_problem
     assert len(calls) == 1
 
 
+def _golden(name):
+    with open(os.path.join(GOLDEN, name)) as fh:
+        return fh.read()
+
+
+def test_pack_subdivided_octahedron_matches_golden(capsys, tmp_path):
+    octahedron = meshes.octahedron()
+    faces = [[octahedron.origin(h) for h in octahedron.face_walk(f)]
+             for f in range(octahedron.n_faces)]
+    path = tmp_path / "octahedron2.json"
+    path.write_text(json.dumps({"mesh": {"faces": subdivided_faces(faces, 2)}}))
+    code, out = _run(capsys, "pack", str(path))
+    assert code == cli.EXIT_OK
+    assert out == _golden("octahedron2_pack.json")
+
+
+def test_sphere_cube_matches_golden(capsys, tmp_path):
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps(_cube_sphere_doc(2 * np.pi / 3)))
+    planar = tmp_path / "planar.json"
+    code, out = _run(capsys, "sphere", str(path), "--planar-json", str(planar))
+    assert code == cli.EXIT_OK
+    assert out == _golden("cube_sphere.json")
+    assert planar.read_text() == _golden("cube_sphere_planar.json")
+
+
 def test_sphere_with_disconnecting_reduction_is_infeasible(capsys, tmp_path):
     s = pinched_sphere()
     path = tmp_path / "pinched.json"
@@ -229,6 +260,16 @@ def _without_twin():
 def _with_entry(doc, key, index, value):
     doc[key][index] = value
     return doc
+
+
+def _with_table_entry(doc, value):
+    doc["mesh"]["oriented_edges"][5]["origin"] = value
+    return doc
+
+
+def _open_disc():
+    return reduce_to_plane(SphericalProblem(meshes.cube(), np.full(12, 2 * np.pi / 3),
+                                            0)).surface
 
 
 def _cube_sphere_doc(theta_3):
@@ -281,6 +322,40 @@ MALFORMED = {
         "check", _tetrahedron_doc(faces=[[0, 1, 2], [0, 2, 3], [0, 3, float("inf")],
                                          [1, 3, 2]]), None, "face 2"),
     "rho is an object": ("layout", _torus_doc(), {"rho": {"0": 0.0}}, "'rho'"),
+    "fractional vertex id": (
+        "check", _tetrahedron_doc(faces=[[0, 1, 2.5], [0, 2, 3], [0, 3, 1], [1, 3, 2]]),
+        None, "face 0"),
+    "integral float vertex id": (
+        "check", _tetrahedron_doc(faces=[[0, 1, 2], [0, 2.0, 3], [0, 3, 1], [1, 3, 2]]),
+        None, "face 1"),
+    "digit-string vertex id": (
+        "pack", _tetrahedron_doc(faces=[[0, 1, 2], [0, 2, 3], ["0", 3, 1], [1, 3, 2]]),
+        None, "face 2"),
+    "boolean vertex id": (
+        "check", _tetrahedron_doc(faces=[[0, 1, 2], [0, 2, 3], [0, 3, 1], [True, 3, 2]]),
+        None, "face 3"),
+    "fractional table entry": (
+        "check", _with_table_entry(_torus_doc(), 1.5), None, "integers"),
+    "string table entry": (
+        "solve", _with_table_entry(_torus_doc(), "1"), None, "integers"),
+    "fractional v_infinity": (
+        "sphere", dict(_cube_sphere_doc(2 * np.pi / 3), v_infinity=2.5), None,
+        "'v_infinity'"),
+    "boolean v_infinity": (
+        "sphere", dict(_cube_sphere_doc(2 * np.pi / 3), v_infinity=True), None,
+        "'v_infinity'"),
+    "pack of quadrilaterals": (
+        "pack", {"mesh": surface_to_json_dict(meshes.cube())}, None,
+        "face 0 is not a triangle"),
+    "pack of an open surface": (
+        "pack", {"mesh": surface_to_json_dict(_open_disc())}, None,
+        "closed triangulated surface"),
+    "pack with a vertex of degree 2": (
+        "pack", {"mesh": {"faces": [[0, 1, 2], [2, 1, 0]]}}, None, "vertex 0 has degree < 3"),
+    "negative tol option": ("solve", dict(_torus_doc(), options={"tol": -1}), None,
+                            "grad_tol"),
+    "unknown method option": ("solve", dict(_torus_doc(), options={"method": "secant"}),
+                              None, "unknown method"),
 }
 
 

@@ -6,13 +6,15 @@ from circlepatterns.feasibility import STRICT_TOL
 from circlepatterns.layout import Circle, Line
 from circlepatterns.spherical import (
     SphereConditionError, SphericalCircle, SphericalProblem, circle_to_sphere,
-    check_sphere_conditions, planar_layout, reduce_to_plane, solve_sphere,
+    check_sphere_conditions, planar_layout, reduce_to_plane, solve_sphere, sphere_caps,
     stereographic_inverse,
 )
-from circlepatterns.surface import vertex_angle_sums
+from circlepatterns.surface import build_surface, medial, vertex_angle_sums
 from helpers import (cap_contains, edge_cross_ratios, pattern_angles, pinched_sphere,
-                     random_flat_theta, sphere_intersection_angle, stereographic)
-from oracles import check_conditions_bruteforce
+                     random_flat_theta, sphere_intersection_angle, stereographic,
+                     subdivided_faces)
+from oracles import (cap_reference, check_conditions_bruteforce, reduce_to_plane_reference,
+                     stereographic_inverse_reference)
 
 
 def cube_problem(v_inf=7):
@@ -212,6 +214,73 @@ def test_stereographic_round_trip():
     assert worst <= 1e-12
     assert np.allclose(stereographic_inverse(complex(np.inf, np.inf)),
                        [0.0, 0.0, 1.0])
+
+
+def _reduction_record(run, p):
+    try:
+        red = run(p)
+    except SphereConditionError as exc:
+        return str(exc)
+    record = [red.elementary, red.removed_faces, red.removed_edges,
+              red.dropped_vertices, red.face_map, red.edge_map, red.vertex_map]
+    if red.surface is not None:
+        t = red.surface
+        record += [[getattr(t, name)(h) for h in range(t.n_oriented_edges)]
+                   for name in ("origin", "left_face", "twin", "next_in_face", "edge_of")]
+        record += [red.spec.phi.tobytes(), red.spec.theta_star.tobytes()]
+    return record
+
+
+def test_reduction_matches_the_token_walk_reference():
+    octahedron = meshes.octahedron()
+    faces = [[octahedron.origin(h) for h in octahedron.face_walk(f)]
+             for f in range(octahedron.n_faces)]
+    rng = np.random.default_rng(45)
+    outcomes = set()
+    for s in (meshes.tetrahedron(), meshes.cube(), octahedron, medial(meshes.cube()),
+              medial(meshes.tetrahedron()), build_surface(faces=subdivided_faces(faces, 1)),
+              pinched_sphere(), pinched_sphere(isolated=True)):
+        for spread in (0.0, 0.6):
+            theta = random_flat_theta(s, rng, spread=spread)
+            for v in range(s.n_vertices):
+                p = SphericalProblem(s, theta, v)
+                got = _reduction_record(reduce_to_plane, p)
+                assert got == _reduction_record(reduce_to_plane_reference, p)
+                outcomes.add(got if isinstance(got, str) else got[0])
+    # closed and open reductions, an elementary one and a disconnecting one
+    assert {True, False} <= outcomes
+    assert any(isinstance(o, str) and "disconnects" in o for o in outcomes)
+
+
+def _generalized_circles(rng, n):
+    out = []
+    for _ in range(n):
+        point = complex(*rng.normal(0.0, rng.choice([1e-3, 1.0, 5.0]), 2))
+        if rng.random() < 0.3:
+            out.append(Line(point, np.exp(1j * rng.uniform(0, 2 * np.pi))))
+        else:
+            out.append(Circle(point, float(rng.choice([0.01, 1.0, 20.0]) * rng.uniform(0.1, 1))))
+    return out
+
+
+def test_caps_match_the_scalar_reference_bit_for_bit():
+    rng = np.random.default_rng(44)
+    objs = _generalized_circles(rng, 2000)
+    axes, radii = sphere_caps(objs)
+    want = [cap_reference(obj) for obj in objs]
+    assert np.array_equal(axes, np.array([axis for axis, _ in want]))
+    assert radii == [r for _, r in want]
+    inside = [complex(*rng.normal(0.0, 3.0, 2)) for _ in objs[:50]]
+    axes, radii = sphere_caps(objs[:50], inside)
+    for i, (obj, z) in enumerate(zip(objs[:50], inside)):
+        axis, r = cap_reference(obj, z)
+        single = circle_to_sphere(obj, z)
+        assert np.array_equal(axes[i], axis) and np.array_equal(single.axis, axis)
+        assert radii[i] == r == single.angular_radius
+    points = [complex(*rng.normal(0.0, 10.0, 2)) for _ in range(200)]
+    points += [complex(np.inf, 0.0), complex(0.0, np.nan)]
+    for z in points:
+        assert np.array_equal(stereographic_inverse(z), stereographic_inverse_reference(z))
 
 
 def test_unit_circle_maps_to_equator():

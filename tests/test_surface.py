@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from circlepatterns import meshes
+from circlepatterns.spherical import SphericalProblem, reduce_to_plane
 from circlepatterns.surface import (
-    AmbiguousInputError, DanglingEdgeError, DisconnectedSurfaceError,
-    NonOrientableError, SurfaceError, TwinError, UnsupportedSurfaceError,
-    build_surface, euler_characteristic, medial, surface_from_json_dict,
-    surface_from_walks, surface_to_json_dict, vertex_angle_sums,
+    OPEN, AmbiguousInputError, CellularSurface, DanglingEdgeError,
+    DisconnectedSurfaceError, NonManifoldError, NonOrientableError, SurfaceError,
+    TwinError, UnsupportedSurfaceError, build_surface, euler_characteristic, medial,
+    surface_from_json_dict, surface_from_walks, surface_to_json_dict, vertex_angle_sums,
 )
-from helpers import dual, isomorphic, quad_graph, subdivide_edge
+from helpers import (dual, isomorphic, pinched_sphere, quad_graph, subdivide_edge,
+                     subdivided_faces, surface_pool)
+from oracles import medial_reference, surface_tables_reference
 
 
 def test_tetrahedron_counts():
@@ -222,3 +225,158 @@ def test_json_round_trip():
     assert isomorphic(s, s2)
     assert [s2.edge_of(h) for h in range(s2.n_oriented_edges)] == \
         [s.edge_of(h) for h in range(s.n_oriented_edges)]
+
+
+# -- the array tables against the pure-Python reference ------------------------
+
+def _table(s):
+    return [s.oe_origin.tolist(), s.oe_left.tolist(), s.oe_twin.tolist(),
+            s.oe_next.tolist()]
+
+
+def _relabelled(table, rng):
+    """The same surface with oriented edges, faces and vertices renumbered
+    at random, so that no walk or fan is a contiguous run."""
+    origin, left, twin, nxt = (np.asarray(c) for c in table)
+    n = len(origin)
+    perm = rng.permutation(n)
+    face_perm = rng.permutation(left.max() + 1)
+    vertex_perm = rng.permutation(origin.max() + 1)
+    out = [np.empty(n, dtype=int) for _ in range(4)]
+    out[0][perm] = vertex_perm[origin]
+    out[1][perm] = face_perm[left]
+    out[2][perm] = perm[twin]
+    out[3][perm] = np.where(nxt == OPEN, OPEN, perm[nxt])
+    return [c.tolist() for c in out]
+
+
+def _table_surfaces():
+    octahedron = meshes.octahedron()
+    faces = [[octahedron.origin(h) for h in octahedron.face_walk(f)]
+             for f in range(octahedron.n_faces)]
+    return surface_pool() + [
+        meshes.triangulated_torus(3, 4), medial(meshes.triangulated_torus(3, 3)),
+        build_surface(faces=subdivided_faces(faces, 2)), pinched_sphere(),
+        reduce_to_plane(SphericalProblem(meshes.cube(), np.full(12, 2 * np.pi / 3),
+                                         0)).surface,
+        reduce_to_plane(SphericalProblem(meshes.octahedron(), np.full(12, np.pi / 2),
+                                         4)).surface,
+    ]
+
+
+def _assert_tables_match(s, ref):
+    assert tuple(s.oe_prev.tolist()) == ref["prev"]
+    assert tuple(s.face_walk(f) for f in range(s.n_faces)) == ref["face_walks"]
+    assert tuple(s.vertex_fan(v) for v in range(s.n_vertices)) == ref["vertex_fans"]
+    assert tuple(map(s.face_is_boundary, range(s.n_faces))) == ref["face_is_boundary"]
+    assert tuple(map(s.vertex_is_boundary, range(s.n_vertices))) == \
+        ref["vertex_is_boundary"]
+    assert tuple(s.oe_edge.tolist()) == ref["edge_id"]
+    assert tuple(s.edge_reps.tolist()) == ref["edge_rep"]
+    assert s.n_boundary_faces == sum(ref["face_is_boundary"])
+
+
+def test_tables_match_the_pure_python_reference():
+    rng = np.random.default_rng(11)
+    for surface in _table_surfaces():
+        for table in (_table(surface), _relabelled(_table(surface), rng),
+                      _relabelled(_table(surface), rng)):
+            ref = surface_tables_reference(*table)
+            _assert_tables_match(CellularSurface(*table), ref)
+            # a given numbering: the first-appearance one, permuted
+            ids = rng.permutation(surface.n_edges)[list(ref["edge_id"])].tolist()
+            _assert_tables_match(CellularSurface(*table, edge_id=ids),
+                                 surface_tables_reference(*table, edge_id=ids))
+
+
+def _face_table(faces):
+    """Oriented-edge table of closed face-vertex lists, twins paired by
+    their vertex pairs; no validation."""
+    origin, left, nxt, at = [], [], [], {}
+    for f, cycle in enumerate(faces):
+        base = len(origin)
+        for i, u in enumerate(cycle):
+            at[(u, cycle[(i + 1) % len(cycle)])] = len(origin)
+            origin.append(u)
+            left.append(f)
+            nxt.append(base + (i + 1) % len(cycle))
+    twin = [at[(v, u)] for (u, v) in sorted(at, key=at.get)]
+    return [origin, left, twin, nxt]
+
+
+TETRAHEDRON = [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]
+
+
+def _edit(table, column, h, value):
+    table = [list(c) for c in table]
+    table[column][h] = value
+    return table
+
+
+def _malformed_tables():
+    t = _face_table(TETRAHEDRON)
+    walk0 = [h for h in range(12) if t[1][h] == 0]
+    h0 = walk0[0]
+    other = next(h for h in range(12) if t[2][h] not in (t[2][h0], h0) and h != h0)
+    swapped = _edit(_edit(t, 2, h0, t[2][other]), 2, other, t[2][h0])
+    second_face = [h for h in range(12) if t[1][h] == 1]
+    two_chains = _edit(_edit(t, 3, walk0[0], OPEN), 3, walk0[1], OPEN)
+    merged = [list(c) for c in t]
+    merged[1] = [2 if f == 3 else f for f in t[1]]
+    shifted = [[v + 4 for v in face] for face in TETRAHEDRON]
+    # a second tetrahedron on vertices 0, 4, 5, 6: vertex 0 has two fans
+    pinched = [[0 if v == 3 else v for v in face]
+               for face in ([v + 3 for v in face] for face in TETRAHEDRON)]
+    return {
+        "twin not an involution": (swapped, TwinError),
+        "own twin": (_edit(t, 2, h0, h0), TwinError),
+        "twin out of range": (_edit(t, 2, h0, 12), DanglingEdgeError),
+        "next leaves its face": (_edit(t, 3, h0, second_face[0]), SurfaceError),
+        "next out of range": (_edit(t, 3, h0, 40), SurfaceError),
+        "next of two edges": (_edit(t, 3, walk0[0], t[3][walk0[1]]), SurfaceError),
+        "two open chains in one face": (two_chains, SurfaceError),
+        "two cycles in one face": (merged, SurfaceError),
+        "non-manifold fan": (_face_table(TETRAHEDRON + pinched), NonManifoldError),
+        "disconnected": (_face_table(TETRAHEDRON + shifted), DisconnectedSurfaceError),
+        "face ids not contiguous": (
+            [t[0], [4 if f == 3 else f for f in t[1]], t[2], t[3]], SurfaceError),
+        "vertex ids not contiguous": (
+            [[5 if v == 3 else v for v in t[0]], t[1], t[2], t[3]], SurfaceError),
+        "face on no side": (
+            [t[0], [-1 if f == 0 else f for f in t[1]], t[2], t[3]], DanglingEdgeError),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_malformed_tables()))
+def test_malformed_tables_raise_as_the_reference(case):
+    table, kind = _malformed_tables()[case]
+    with pytest.raises(kind) as ours:
+        CellularSurface(*table)
+    with pytest.raises(kind) as theirs:
+        surface_tables_reference(*table)
+    assert type(ours.value) is type(theirs.value)
+    assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", None, 2 ** 70])
+def test_table_entries_must_be_integers(bad):
+    table = _edit(_face_table(TETRAHEDRON), 0, 5, bad)
+    with pytest.raises(SurfaceError):
+        CellularSurface(*table)
+    with pytest.raises(SurfaceError):
+        build_surface(faces=[[0, 1, 2], [0, 2, bad], [0, 3, 1], [1, 3, 2]])
+
+
+def test_integer_arrays_and_numpy_integers_are_ids():
+    table = _face_table(TETRAHEDRON)
+    a = CellularSurface(*(np.asarray(c, dtype=np.int32) for c in table))
+    b = CellularSurface(*([np.int64(x) for x in c] for c in table))
+    assert _table(a) == _table(b) == table
+    assert not a.oe_origin.flags.writeable
+
+
+def test_medial_matches_token_walks():
+    for s in [x for x in _table_surfaces() if x.is_closed]:
+        m, ref = medial(s), medial_reference(s)
+        assert _table(m) == _table(ref)
+        assert m.oe_edge.tolist() == ref.oe_edge.tolist()
