@@ -203,6 +203,27 @@ def cmd_sphere(args):
     return EXIT_OK
 
 
+def _cap_list(key, n):
+    cap = jsonio.join("{", [f'"{key}": %d',
+                            '"axis": ' + jsonio.join("[", [jsonio.FLOAT_FORMAT] * 3, "]", 2, 3),
+                            '"angular_radius": ' + jsonio.FLOAT_FORMAT], "}", 2, 2)
+    return jsonio.join("[", [cap] * n, "]", 2, 1)
+
+
+def _spherical_pack_report(lay, n_f, n_v):
+    """The document ``_print`` writes for the caps of a packed sphere, the
+    vertex caps (medial faces n_f + v) first, filled from one %-template
+    per cap as ``layout.export_json`` fills its rows."""
+    row = np.empty(n_f + n_v, dtype=np.intp)
+    row[lay.faces] = np.arange(len(lay.faces))
+    ids = np.concatenate([np.arange(n_v), np.arange(n_f)])
+    rows = row[np.concatenate([n_f + np.arange(n_v), np.arange(n_f)])]
+    values = np.column_stack([ids, lay.axes[rows], np.asarray(lay.angular_radii)[rows]])
+    doc = jsonio.join("{", ['"kind": "spherical"', '"vertex_circles": ' + _cap_list("vertex", n_v),
+                            '"face_circles": ' + _cap_list("face", n_f)], "}", 2, 0)
+    return jsonio.fill(doc, values) + "\n"
+
+
 def cmd_pack(args):
     path = args.problem
     data = _load_json(path)
@@ -225,16 +246,7 @@ def cmd_pack(args):
     theta_star = np.full(med.n_edges, 0.5 * np.pi)
     if genus == 0:
         problem = SphericalProblem(med, np.pi - theta_star, 0)
-        lay = solve_sphere(problem)
-        axes, radii = lay.axes.tolist(), lay.angular_radii
-        row = {f: i for i, f in enumerate(lay.faces.tolist())}
-
-        def caps(key, n, first):
-            return [{key: i, "axis": axes[row[first + i]],
-                     "angular_radius": radii[row[first + i]]} for i in range(n)]
-
-        _print({"kind": "spherical", "vertex_circles": caps("vertex", n_v, n_f),
-                "face_circles": caps("face", n_f, 0)})
+        sys.stdout.write(_spherical_pack_report(solve_sphere(problem), n_f, n_v))
         return EXIT_OK
     geometry = EUCLIDEAN if genus == 1 else HYPERBOLIC
     spec = PatternSpec(med, geometry, theta_star, np.full(med.n_faces, 2.0 * np.pi))

@@ -19,6 +19,7 @@ values are evaluated in closed form with Clausen's integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,6 +62,15 @@ class PatternSpec:
     @property
     def is_hyperbolic(self):
         return self.geometry == HYPERBOLIC
+
+    @cached_property
+    def _clausen_2theta_star(self):
+        """Cl(2 theta*) per edge, the constant of every edge term of S."""
+        return specfun.clausen(2.0 * self.theta_star)
+
+    @cached_property
+    def _hessian_pattern(self):
+        return _build_hessian_pattern(self)
 
     def __repr__(self):
         return f"PatternSpec({self.geometry}, {self.surface!r})"
@@ -127,12 +137,11 @@ def value(spec: PatternSpec, rho):
     x = rk - rj
     sig = rk + rj
     p, s = edge_auxiliaries(spec, rho)
-    edge_terms = (p * x + specfun.clausen(ts + p) + specfun.clausen(ts - p)
-                  - specfun.clausen(2.0 * ts))
+    cl_2ts = spec._clausen_2theta_star
+    edge_terms = (p * x + specfun.clausen(ts + p) + specfun.clausen(ts - p) - cl_2ts)
     if spec.is_hyperbolic:
         edge_terms = edge_terms + (
-            s * sig + specfun.clausen(ts + s) + specfun.clausen(ts - s)
-            - specfun.clausen(2.0 * ts))
+            s * sig + specfun.clausen(ts + s) + specfun.clausen(ts - s) - cl_2ts)
     else:
         edge_terms = edge_terms - ts * sig
     return float(edge_terms.sum() + spec.phi @ rho)
@@ -142,8 +151,7 @@ def gradient(spec: PatternSpec, rho):
     """dS/drho_f = Phi_f - 2 sum of phi over the boundary walk of f."""
     rho = _check_rho(spec, rho)
     srf = spec.surface
-    acc = np.zeros(srf.n_faces)
-    np.add.at(acc, srf.oe_left, phi_of_rho(spec, rho))
+    acc = np.bincount(srf.oe_left, weights=phi_of_rho(spec, rho), minlength=srf.n_faces)
     return spec.phi - 2.0 * acc
 
 
@@ -154,13 +162,52 @@ def _edge_weights(x, theta):
     return np.where(np.abs(x) > 700.0, 0.0, w)
 
 
+def _build_hessian_pattern(spec):
+    """The CSR pattern of the Hessian and how its contributions sum into it.
+
+    The contributions are the blocks (j, j), (k, k), (j, k), (k, j) of the
+    weight at rho_k - rho_j, then (hyperbolic) the same four of the weight
+    at rho_k + rho_j.  Returns (indptr, indices, order, slot): the
+    contributions listed in ``order`` add up, one after another, into data
+    entry ``slot``.  The order is the one in which scipy's COO to CSR
+    conversion sums duplicates (a stable grouping by row, then its sort of
+    every row by column), so the data are bit for bit those of that
+    conversion.
+    """
+    srf = spec.surface
+    n = srf.n_faces
+    j, k = srf.edge_left, srf.edge_right
+    blocks = 2 if spec.is_hyperbolic else 1
+    rows = np.concatenate([j, k, j, k] * blocks)
+    cols = np.concatenate([j, k, k, j] * blocks)
+    # the conversion's sort moves (column, value) pairs by column alone, so
+    # sorting contribution ids as values shows the order it sums them in
+    by_row = np.argsort(rows, kind="stable")
+    grouped = sp.csr_matrix(
+        (by_row.astype(float), cols[by_row],
+         np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])), shape=(n, n))
+    grouped.sort_indices()
+    order = grouped.data.astype(np.intp)
+    row, col = rows[order], grouped.indices
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row[first], minlength=n))])
+    pattern = (indptr.astype(np.intc), col[first].astype(np.intc), order,
+               np.cumsum(first) - 1)
+    for arr in pattern:
+        arr.flags.writeable = False
+    return pattern
+
+
 def hessian(spec: PatternSpec, rho) -> sp.csr_matrix:
     """Sparse Hessian of S at rho.
 
     Per edge the quadratic form carries sin(theta)/(cosh(drho)-cos(theta))
     on (drho_j - drho_k)^2, plus the same weight at rho_j + rho_k on
     (drho_j + drho_k)^2 in the hyperbolic case.  The Euclidean kernel is
-    exactly the constants; the hyperbolic form is positive definite.
+    exactly the constants; the hyperbolic form is positive definite.  The
+    sparsity pattern is built once per spec; each call sums the weights
+    into it with one ``np.bincount``.
     """
     rho = _check_rho(spec, rho)
     srf = spec.surface
@@ -168,19 +215,14 @@ def hessian(spec: PatternSpec, rho) -> sp.csr_matrix:
     k = srf.edge_right
     th = spec.theta
     wm = _edge_weights(rho[k] - rho[j], th)
-    rows = [j, k, j, k]
-    cols = [j, k, k, j]
     vals = [wm, wm, -wm, -wm]
     if spec.is_hyperbolic:
         wp = _edge_weights(rho[k] + rho[j], th)
-        rows += [j, k, j, k]
-        cols += [j, k, k, j]
         vals += [wp, wp, wp, wp]
+    indptr, indices, order, slot = spec._hessian_pattern
+    data = np.bincount(slot, weights=np.concatenate(vals)[order], minlength=len(indices))
     n = srf.n_faces
-    H = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n))
-    return H.tocsr()
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 # -- coherent angle systems ---------------------------------------------------
@@ -214,8 +256,7 @@ def validate_cas(spec: PatternSpec, cas: CoherentAngleSystem) -> CASReport:
     if phi.shape != (srf.n_oriented_edges,):
         raise ValueError("phi must have one entry per oriented edge")
     pair = phi[srf.edge_reps] + phi[srf.oe_twin[srf.edge_reps]]
-    face = np.zeros(srf.n_faces)
-    np.add.at(face, srf.oe_left, phi)
+    face = np.bincount(srf.oe_left, weights=phi, minlength=srf.n_faces)
     return CASReport(
         geometry=spec.geometry,
         min_phi=float(phi.min()),

@@ -6,7 +6,7 @@ dispatches on ``type(obj)`` for the built-in JSON types and formats a list
 of plain floats in one ``map``; None, bools, NumPy values and subclasses go
 through an ``isinstance`` chain to the same output.  ``join`` lays out a
 list or object as ``dumps`` does, so a large document can be written from
-row templates filled with ``FLOAT_FORMAT``.
+row templates with ``FLOAT_FORMAT`` slots, which ``fill`` fills.
 """
 
 from __future__ import annotations
@@ -26,12 +26,14 @@ def _format_float(x: float) -> str:
     return FLOAT_FORMAT % x
 
 
-def check_finite(values) -> None:
-    """Raise the ValueError of ``dumps`` at the first non-finite number."""
+def fill(template, values) -> str:
+    """A row template filled with ``values`` in order; a non-finite number
+    raises the ValueError of ``dumps``."""
     values = np.asarray(values, dtype=float).ravel()
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         _format_float(float(values[bad[0]]))   # raises
+    return template % tuple(values.tolist())
 
 
 def join(opening, items, closing, indent, level):

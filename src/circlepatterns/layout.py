@@ -406,15 +406,9 @@ _KITE_JSON = _json_object(['"edge": %d', '"corners": ' + _json_list([_json_point
 _PERIODS_JSON = _json_list([_json_point(2)] * 2, 1)
 
 
-def _fill(template, values):
-    values = np.asarray(values, dtype=float).ravel()
-    jsonio.check_finite(values)
-    return template % tuple(values.tolist())
-
-
 def _json_rows(templates, values):
     """A list at depth 1 of the document: its row templates, filled."""
-    return _fill(_json_list(templates, 1), values) if templates else "[]"
+    return jsonio.fill(_json_list(templates, 1), values) if templates else "[]"
 
 
 def _circle_rows(result: LayoutResult):
@@ -454,13 +448,13 @@ def export_json(result: LayoutResult, path=None, include_kites=False) -> str:
     the kite corners by edge.  Non-finite numbers raise ValueError."""
     periods = "null"
     if result.periods is not None:
-        periods = _fill(_PERIODS_JSON, np.array(result.periods, dtype=complex).view(float))
+        periods = jsonio.fill(_PERIODS_JSON, np.array(result.periods, dtype=complex).view(float))
     vertices = _vertex_rows(result)
     items = ['"geometry": ' + jsonio.dumps(result.geometry),
              '"circles": ' + _json_rows(*_circle_rows(result)),
              '"vertices": ' + _json_rows([_VERTEX_JSON] * len(vertices), vertices),
              '"periods": ' + periods,
-             '"closure_residual": ' + _fill(_JSON_FLOAT, result.closure_residual)]
+             '"closure_residual": ' + jsonio.fill(_JSON_FLOAT, result.closure_residual)]
     if include_kites:
         rows = _kite_rows(result)
         items.append('"kites": ' + _json_rows([_KITE_JSON] * len(rows), rows))

@@ -8,10 +8,16 @@ per-face angle defect |Phi_f - 2 sum(phi)|.
 
 The Euclidean functional does not change when a constant is added to every
 rho, so its Hessian is a weighted Laplacian of the dual graph whose kernel
-is exactly the constants.  The Newton system is then solved grounded: face
-0 is held fixed, the remaining faces solve the nonsingular system for the
-mean-free gradient, and the direction is shifted onto the zero-sum
-subspace, where the functional is strictly convex.
+is exactly the constants.  The Newton system is then solved grounded and
+directly: face 0 is held fixed, the remaining faces solve the nonsingular
+system for the mean-free gradient, and the direction is shifted onto the
+zero-sum subspace, where the functional is strictly convex.
+
+The hyperbolic Hessian is positive definite and well conditioned, so its
+Newton system is solved inexactly, by conjugate gradients with the Jacobi
+preconditioner from zero to the relative residual _FORCING.  A small fixed
+forcing term keeps the Newton step count of the exact solve (Dembo,
+Eisenstat & Steihaug, SIAM J. Numer. Anal. 1982).
 """
 
 from __future__ import annotations
@@ -36,6 +42,10 @@ THURSTON = "thurston"
 
 _ARMIJO = 1e-4
 _MAX_STEP = 2.0   # largest change of any rho in one step
+# hyperbolic Newton systems: |H d + g| <= _FORCING |g| in at most
+# _CG_MAX_ITER CG steps; an iterate cut off by the cap is still downhill
+_FORCING = 1e-6
+_CG_MAX_ITER = 200
 
 
 @dataclass
@@ -85,24 +95,42 @@ def _initial_rho(spec: PatternSpec, opts: SolveOptions):
 
 
 def _newton_direction(spec, rho, grad):
-    H = fn.hessian(spec, rho).tocsc()
-    direction = np.zeros(len(rho))
+    """Hyperbolic: the inexact CG direction.  Euclidean: the direct,
+    grounded solve of H d = -(grad - mean grad), shifted to zero sum."""
+    H = fn.hessian(spec, rho)
     if spec.is_hyperbolic:
-        keep, rhs = slice(None), -grad
-    else:
-        # grounded at face 0; the dropped first equation holds once the
-        # gradient is mean-free, because every column of H sums to zero
-        keep, rhs = slice(1, None), -(grad - grad.mean())
-    # far-drifted iterates can zero out edge weights and make the system
+        return _cg_direction(H, grad)
+    # grounded at face 0; the dropped first equation holds once the
+    # gradient is mean-free, because every column of H sums to zero.
+    # Far-drifted iterates can zero out edge weights and make the system
     # exactly singular; minimize replaces the NaN direction by the gradient.
     # The system is symmetric positive definite, so the column ordering is
     # a minimum degree one on its own pattern.
+    H = H.tocsc()
+    direction = np.zeros(len(rho))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", spla.MatrixRankWarning)
-        direction[keep] = spla.spsolve(H[keep, keep], rhs[keep],
-                                       permc_spec="MMD_AT_PLUS_A")
-    if not spec.is_hyperbolic:
-        direction -= direction.mean()
+        direction[1:] = spla.spsolve(H[1:, 1:], -(grad - grad.mean())[1:],
+                                     permc_spec="MMD_AT_PLUS_A")
+    return direction - direction.mean()
+
+
+def _cg_direction(H, grad):
+    """Jacobi-preconditioned CG on H d = -grad from d = 0, stopped at the
+    relative residual _FORCING or after _CG_MAX_ITER steps.  Every CG
+    iterate from zero is downhill.  A diagonal entry that is not positive
+    (the weights of a face flushed to zero or cancelled) leaves H singular;
+    like a singular direct solve this gives NaN, which minimize replaces by
+    the gradient."""
+    diag = H.diagonal()
+    if not np.all(diag > 0.0):
+        return np.full(len(grad), np.nan)
+    # subnormal weights can still overflow the scaling or a CG scalar; the
+    # non-finite direction falls back to the gradient
+    with np.errstate(all="ignore"):
+        scale = 1.0 / diag
+        precondition = spla.LinearOperator(H.shape, matvec=lambda r: scale * r, dtype=float)
+        direction, _ = spla.cg(H, -grad, rtol=_FORCING, maxiter=_CG_MAX_ITER, M=precondition)
     return direction
 
 

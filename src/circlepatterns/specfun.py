@@ -49,10 +49,12 @@ def _as_float_array(x, name):
 
 def _series_0_pi(a):
     """Cl on [0, pi] via the log-endpoint expansion."""
-    acc = np.zeros_like(a)
     t = a * a
-    for c in _SERIES[::-1]:
-        acc = acc * t + c
+    # Horner in place; the first step 0 * t + c_30 is exactly c_30
+    acc = np.full_like(t, _SERIES[-1])
+    for c in _SERIES[-2::-1]:
+        acc *= t
+        acc += c
     with np.errstate(divide="ignore", invalid="ignore"):
         main = np.where(a > 0.0, a * (1.0 - np.log(np.where(a > 0.0, a, 1.0))), 0.0)
     return main + acc * t * a
@@ -84,7 +86,9 @@ def im_li2_dx(x, theta):
     c = np.cos(ta)
     pos = xa > 0.0
     ex = np.exp(np.where(pos, -xa, xa))
-    out = np.where(pos, np.arctan2(s + 0.0 * ex, ex - c), np.arctan2(ex * s, 1.0 - ex * c))
+    # one arctan2 on the selected arguments; s + 0.0 turns a -0.0 into the
+    # +0.0 of the factored form
+    out = np.arctan2(np.where(pos, s + 0.0, ex * s), np.where(pos, ex - c, 1.0 - ex * c))
     return float(out) if (xa.ndim == 0 and ta.ndim == 0) else out
 
 

@@ -5,9 +5,11 @@ closes it with the exact first summation-by-parts remainder term; the
 neglected rest is bounded rigorously and the bound is enforced.  The
 dilogarithm oracle integrates the defining integral with adaptive
 quadrature, and the functional-value oracle sums those quadratures in
-place of the Clausen closed form.  The feasible-flow oracle runs the
-excess-node transformation on a pure-Python Dinic over float capacities,
-augmenting each path by its full bottleneck.  The existence oracle
+place of the Clausen closed form.  The bit-identity references are the
+first versions of the Clausen and arctan2 kernels and of the Hessian
+assembly through scipy's COO to CSR conversion.  The feasible-flow oracle
+runs the excess-node transformation on a pure-Python Dinic over float
+capacities, augmenting each path by its full bottleneck.  The existence oracle
 enumerates every face subset.  Two more characterisations of existence
 from the paper decide flat exterior angles theta on closed surfaces:
 Rivin's cocycle condition on the sphere enumerates the simple cycles of
@@ -40,6 +42,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import quad
 
 from circlepatterns import specfun
@@ -129,6 +132,60 @@ def value_im_li2_sum(spec, rho):
         else:
             total -= spec.theta_star[e] * sigma[e]
     return total + float(spec.phi @ rho)
+
+
+# -- bit-identity references --------------------------------------------------------
+#
+# The kernels as they were before their trims: Clausen's series by Horner
+# into fresh arrays, both arctan2 branches evaluated, and the Hessian summed
+# by scipy's COO to CSR conversion.  The trimmed kernels must agree with
+# them bit for bit.
+
+def clausen_reference(x):
+    arr = np.asarray(x, dtype=float)
+    y = np.remainder(arr, TWO_PI)
+    y = np.where(y > np.pi, y - TWO_PI, y)
+    a = np.abs(y)
+    acc = np.zeros_like(a)
+    t = a * a
+    for c in specfun._SERIES[::-1]:
+        acc = acc * t + c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        main = np.where(a > 0.0, a * (1.0 - np.log(np.where(a > 0.0, a, 1.0))), 0.0)
+    return np.sign(y) * (main + acc * t * a)
+
+
+def im_li2_dx_reference(x, theta):
+    xa = np.asarray(x, dtype=float)
+    ta = np.asarray(theta, dtype=float)
+    s = np.sin(ta)
+    c = np.cos(ta)
+    pos = xa > 0.0
+    ex = np.exp(np.where(pos, -xa, xa))
+    return np.where(pos, np.arctan2(s + 0.0 * ex, ex - c), np.arctan2(ex * s, 1.0 - ex * c))
+
+
+def hessian_coo_reference(spec, rho):
+    srf = spec.surface
+    j = srf.edge_left
+    k = srf.edge_right
+    th = spec.theta
+
+    def weights(x):
+        with np.errstate(over="ignore"):
+            w = np.sin(th) / (np.cosh(x) - np.cos(th))
+        return np.where(np.abs(x) > 700.0, 0.0, w)
+
+    wm = weights(rho[k] - rho[j])
+    rows, cols, vals = [j, k, j, k], [j, k, k, j], [wm, wm, -wm, -wm]
+    if spec.is_hyperbolic:
+        wp = weights(rho[k] + rho[j])
+        rows += [j, k, j, k]
+        cols += [j, k, k, j]
+        vals += [wp, wp, wp, wp]
+    n = srf.n_faces
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n)).tocsr()
 
 
 # -- feasible flow ---------------------------------------------------------------

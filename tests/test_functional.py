@@ -6,8 +6,10 @@ from circlepatterns.functional import (
     EUCLIDEAN, HYPERBOLIC, CoherentAngleSystem, PatternSpec, cas_from_rho,
     edge_auxiliaries, gradient, hessian, phi_of_rho, radii_from_rho, value,
 )
+from circlepatterns.surface import medial, surface_from_json_dict
 from helpers import fd_gradient, random_feasible_spec, random_spec, surface_pool
-from oracles import InvalidCASError, hamiltonian_reduced, rho_from_cas, value_im_li2_sum
+from oracles import (InvalidCASError, hamiltonian_reduced, hessian_coo_reference,
+                     rho_from_cas, value_im_li2_sum)
 
 CATALAN = 0.915965594177219015
 
@@ -141,6 +143,27 @@ def test_hessian_matches_finite_differences():
             step = 1e-5
             fd = (gradient(spec, rho + step * v) - gradient(spec, rho - step * v)) / (2 * step)
             assert np.abs(hv - fd).max() <= 1e-5 * max(1.0, np.abs(hv).max())
+
+
+def test_hessian_data_are_bit_identical_to_the_coo_assembly():
+    # the pattern sums duplicates in scipy's order, also in rows longer
+    # than its insertion sort threshold of 16 entries: the hyperbolic rows
+    # of the medial torus and the Euclidean row of a 12-gon
+    n = 12
+    pyramid = surface_from_json_dict(
+        {"faces": [list(range(n))[::-1]] + [[i, (i + 1) % n, n] for i in range(n)]})
+    surfaces = surface_pool() + [medial(meshes.triangulated_torus(8, 8)), pyramid]
+    rng = np.random.default_rng(10)
+    for surf in surfaces:
+        for geometry in (EUCLIDEAN, HYPERBOLIC):
+            spec = random_spec(surf, geometry, rng)
+            # the wide start flushes some weights to zero
+            for scale in (1.0, 400.0):
+                rho = scale * rng.uniform(-2.0, 1.0, surf.n_faces)
+                H, ref = hessian(spec, rho), hessian_coo_reference(spec, rho)
+                assert np.array_equal(H.indptr, ref.indptr)
+                assert np.array_equal(H.indices, ref.indices)
+                assert np.array_equal(H.data, ref.data), (surf, geometry, scale)
 
 
 def test_hessian_kernel_and_definiteness():

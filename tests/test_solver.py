@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from circlepatterns import meshes
 from circlepatterns.feasibility import find_coherent_angle_system
 from circlepatterns.functional import (EUCLIDEAN, HYPERBOLIC, PatternSpec,
                                        gradient, hessian, value)
-from circlepatterns.solver import (NEWTON, THURSTON, SolveOptions, _newton_direction,
-                                   minimize, thurston_step)
+from circlepatterns.solver import (_FORCING, NEWTON, THURSTON, SolveOptions,
+                                   _newton_direction, minimize, thurston_step)
 from circlepatterns.surface import medial
 from helpers import random_feasible_spec, random_spec, surface_pool
 
@@ -188,16 +190,57 @@ def test_newton_monotone_descent():
 
 def test_newton_direction_solves_the_newton_system():
     # arbitrary data: the Euclidean gradient need not sum to zero, and the
-    # direction must still be the zero-sum solution of H d = -(g - mean g)
+    # direction must still be the zero-sum solution of H d = -(g - mean g).
+    # The hyperbolic direction is inexact: a downhill d with
+    # |H d + g| <= _FORCING |g|; on the medial torus CG stops short of exact
     rng = np.random.default_rng(25)
-    for surf in surface_pool(max_faces=9):
+    large = medial(meshes.triangulated_torus(6, 6))
+    for surf in surface_pool(max_faces=9) + [large]:
         for geometry in (EUCLIDEAN, HYPERBOLIC):
             spec = random_spec(surf, geometry, rng)
             rho = rng.uniform(-2.0, -0.2, surf.n_faces)
             g = gradient(spec, rho)
             d = _newton_direction(spec, rho, g)
-            rhs = -g if geometry == HYPERBOLIC else -(g - g.mean())
-            residual = np.abs(hessian(spec, rho) @ d - rhs).max()
-            assert residual <= 1e-10 * max(1.0, np.abs(g).max())
+            H = hessian(spec, rho)
             if geometry == EUCLIDEAN:
+                residual = np.abs(H @ d + (g - g.mean())).max()
+                assert residual <= 1e-10 * max(1.0, np.abs(g).max())
                 assert abs(d.sum()) <= 1e-12 * max(1.0, np.abs(d).max()) * surf.n_faces
+            else:
+                residual = np.linalg.norm(H @ d + g)
+                assert residual <= _FORCING * np.linalg.norm(g)
+                assert g @ d < 0.0
+                if surf is large:
+                    assert residual > 1e-3 * _FORCING * np.linalg.norm(g)
+
+
+def _hyperbolic_random_start_specs():
+    """The hyperbolic specs and sigma = 3 starts of
+    test_newton_converges_from_random_starts."""
+    for n in (16, 24):
+        med = medial(meshes.triangulated_torus(n, n))
+        rng = np.random.default_rng(n)
+        spec = random_feasible_spec(med, HYPERBOLIC, rng)
+        rng.normal(0.0, 1.0, med.n_faces)
+        yield spec, rng.normal(0.0, 3.0, med.n_faces)
+
+
+def test_hyperbolic_newton_emits_no_warnings():
+    # the full hyperbolic set failing by equality, the sigma = 3 starts, and
+    # a one-face torus whose data drive rho to -infinity: its two self-edges
+    # add and subtract the same weights on the diagonal of H, which is left
+    # at a rounding residue of -1.1e-16 once the weight at 2 rho fades
+    med = medial(meshes.triangulated_torus(12, 12))
+    equality = PatternSpec(med, HYPERBOLIC, np.full(med.n_edges, np.pi / 2),
+                           np.full(med.n_faces, 2 * np.pi))
+    one_face = PatternSpec(meshes.torus_grid(1, 1), HYPERBOLIC, np.full(2, np.pi / 4),
+                           [1.5 * np.pi])
+    runs = ([(equality, SolveOptions())]
+            + [(spec, SolveOptions(initial_rho=start))
+               for spec, start in _hyperbolic_random_start_specs()]
+            + [(one_face, SolveOptions(max_iter=40))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = [minimize(spec, opts) for spec, opts in runs]
+    assert [(r.converged, r.message) for r in results] == (
+        [(True, "")] * 3 + [(False, "no convergence in 40 Newton steps")])

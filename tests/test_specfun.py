@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from circlepatterns import specfun
-from oracles import clausen_series, im_li2_quadrature
+from oracles import (clausen_reference, clausen_series, im_li2_dx_reference,
+                     im_li2_quadrature)
 
 CATALAN = 0.915965594177219015
 
@@ -104,3 +105,24 @@ def test_im_li2_dx_overflow_safe():
     val = specfun.im_li2_dx(705.0, 1.2)
     assert abs(val - (np.pi - 1.2)) < 1e-12
     assert abs(specfun.im_li2_dx(-705.0, 1.2)) < 1e-300
+
+
+def _bits(values):
+    # array_equal also compares the sign of zero
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def test_trimmed_kernels_are_bit_identical_to_their_first_versions():
+    rng = np.random.default_rng(9)
+    special = [0.0, -0.0, np.pi, -np.pi, 2 * np.pi, 700.0, -700.0]
+    x = np.concatenate([rng.uniform(-40.0, 40.0, 1_000_000), special])
+    assert np.array_equal(_bits(specfun.clausen(x)), _bits(clausen_reference(x)))
+    theta = np.concatenate([rng.uniform(-7.0, 7.0, 1_000_000), special])
+    assert np.array_equal(_bits(specfun.im_li2_dx(x, theta)),
+                          _bits(im_li2_dx_reference(x, theta)))
+    # every special x against every special theta, and the scalar forms
+    xs, ts = np.meshgrid(special, special)
+    assert np.array_equal(_bits(specfun.im_li2_dx(xs, ts)), _bits(im_li2_dx_reference(xs, ts)))
+    for v in special:
+        assert _bits(specfun.clausen(v)) == _bits(clausen_reference(v))
+        assert _bits(specfun.im_li2_dx(v, 1.0)) == _bits(im_li2_dx_reference(v, 1.0))
