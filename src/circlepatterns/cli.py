@@ -20,8 +20,8 @@ from . import jsonio, solver, specfun
 from .feasibility import certify_angles, find_coherent_angle_system
 from .functional import EUCLIDEAN, HYPERBOLIC, PatternSpec, radii_from_rho
 from .layout import NotDevelopableError, export_json, export_svg, layout
-from .spherical import (SphereConditionError, SphericalProblem, planar_layout,
-                        solve_sphere, spherical_layout_to_dict)
+from .spherical import (SphereConditionError, SphericalProblem, solve_sphere,
+                        spherical_layout_to_dict)
 from .surface import (SurfaceError, euler_characteristic, is_integer, medial,
                       surface_from_json_dict)
 
@@ -57,14 +57,18 @@ def _floats(path, data, key):
         raise InputError(f"{path}: '{key}' must be a list of numbers") from exc
 
 
-def _load_problem(path):
-    data = _load_json(path)
+def _load_mesh(path, data):
     if "mesh" not in data:
         raise InputError(f"{path}: missing 'mesh'")
     try:
-        surface = surface_from_json_dict(data["mesh"])
+        return surface_from_json_dict(data["mesh"])
     except SurfaceError as exc:
         raise InputError(f"{path}: invalid mesh: {exc}") from exc
+
+
+def _load_problem(path):
+    data = _load_json(path)
+    surface = _load_mesh(path, data)
     geometry = data.get("geometry", EUCLIDEAN)
     if geometry not in (EUCLIDEAN, HYPERBOLIC):
         raise InputError(f"{path}: unknown geometry {geometry!r}")
@@ -189,17 +193,17 @@ def cmd_sphere(args):
     v_infinity = data.get("v_infinity", 0)
     if not is_integer(v_infinity):
         raise InputError(f"{args.problem}: 'v_infinity' must be an integer")
+    surface = _load_mesh(args.problem, data)
     try:
-        surface = surface_from_json_dict(data["mesh"])
         problem = SphericalProblem(surface, theta, v_infinity)
-    except (KeyError, ValueError, SurfaceError) as exc:
+    except ValueError as exc:
         raise InputError(f"{args.problem}: {exc}") from exc
     lay = solve_sphere(problem)
     _print(spherical_layout_to_dict(problem, lay))
     if args.planar_svg:
-        export_svg(planar_layout(problem, lay), args.planar_svg)
+        export_svg(lay.planar, args.planar_svg)
     if args.planar_json:
-        export_json(planar_layout(problem, lay), args.planar_json)
+        export_json(lay.planar, args.planar_json)
     return EXIT_OK
 
 
@@ -218,7 +222,7 @@ def _spherical_pack_report(lay, n_f, n_v):
     row[lay.faces] = np.arange(len(lay.faces))
     ids = np.concatenate([np.arange(n_v), np.arange(n_f)])
     rows = row[np.concatenate([n_f + np.arange(n_v), np.arange(n_f)])]
-    values = np.column_stack([ids, lay.axes[rows], np.asarray(lay.angular_radii)[rows]])
+    values = np.column_stack([ids, lay.axes[rows], lay.angular_radii[rows]])
     doc = jsonio.join("{", ['"kind": "spherical"', '"vertex_circles": ' + _cap_list("vertex", n_v),
                             '"face_circles": ' + _cap_list("face", n_f)], "}", 2, 0)
     return jsonio.fill(doc, values) + "\n"
@@ -226,11 +230,7 @@ def _spherical_pack_report(lay, n_f, n_v):
 
 def cmd_pack(args):
     path = args.problem
-    data = _load_json(path)
-    try:
-        surface = surface_from_json_dict(data["mesh"])
-    except (KeyError, SurfaceError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    surface = _load_mesh(path, _load_json(path))
     if not surface.is_closed:
         raise InputError(f"{path}: packing requires a closed triangulated surface")
     f = np.flatnonzero(np.diff(surface.walk_offsets) != 3)

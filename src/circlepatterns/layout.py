@@ -18,9 +18,10 @@ disk for hyperbolic patterns) are computed one BFS level at a time from the
 frames of the parents, and the first placement of a circle center or an
 intersection point in BFS order wins.
 
-A ``LayoutResult`` keeps the developed kites as that array, row e the kite
-of edge e, and ``export_json`` and ``export_svg`` write them from it, one
-%-template per row.
+A ``LayoutResult`` holds the developed pattern as arrays: the kites as
+that array, row e the kite of edge e, and one row per face and per vertex
+in ascending id order.  ``export_json`` and ``export_svg`` write every row
+from the arrays, one %-template per row.
 
 Only patterns without cone-like singularities are developable: all
 interior cone angles (Phi at faces, Theta at vertices) must equal 2*pi.
@@ -32,7 +33,7 @@ there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,43 +51,32 @@ class NotDevelopableError(ValueError):
     """The pattern has cone-like singularities or an unsupported topology."""
 
 
-@dataclass(frozen=True)
-class Circle:
-    center: complex
-    radius: float
-
-
-@dataclass(frozen=True)
-class Line:
-    """A circle of infinite radius; the disk side is the normal side."""
-    point: complex
-    normal: complex
-
-
 @dataclass
 class LayoutResult:
+    """A developed pattern as arrays, face and vertex rows in ascending id
+    order.  A line (in the planar picture of a spherical pattern) is a
+    circle of infinite radius through its point in ``centers``, with its
+    unit normal, which points to the disk side, in ``normals``.  A
+    hyperbolic pattern's ``centers`` and ``radii`` are the Euclidean
+    circles that its disk-model circles trace."""
     geometry: str
-    circles: dict                 # face -> Circle | Line
-    vertex_points: dict           # vertex -> complex
+    faces: np.ndarray             # int (F,)
+    centers: np.ndarray           # complex (F,): circle centers, or a line's point
+    radii: np.ndarray             # float (F,): inf for a line
+    normals: np.ndarray           # complex (F,): a line's unit normal, 0 for a circle
+    vertices: np.ndarray          # int (V,)
+    points: np.ndarray            # complex (V,)
     kites: np.ndarray             # complex (K, 4): global corners (P_u, C_k, P_w, C_j)
     kite_edges: np.ndarray        # int (K,): the edge of each kite row
     closure_residual: float
     diameter: float
     periods: tuple | None = None  # two complex translation periods (torus)
-    hyperbolic_circles: dict = field(default_factory=dict)  # face -> (center, R)
+    hyperbolic_centers: np.ndarray | None = None   # complex (F,), in the disk
+    hyperbolic_radii: np.ndarray | None = None     # float (F,)
 
     @property
     def flagged(self):
         return self.closure_residual > 1e-7 * max(self.diameter, 1e-30)
-
-
-def hyperbolic_circle_to_euclidean(center: complex, radius: float) -> Circle:
-    """Render a hyperbolic circle (disk-model center, hyperbolic radius)
-    as the Euclidean circle it traces in the Poincare disk."""
-    t = math.tanh(0.5 * radius)
-    s2 = abs(center) ** 2
-    denom = 1.0 - s2 * t * t
-    return Circle(center * (1.0 - t * t) / denom, t * (1.0 - s2) / denom)
 
 
 # -- frames: one row per kite ---------------------------------------------------
@@ -209,13 +199,13 @@ def _levels(order, parent):
 
 
 def _first_placed(order, keys, points):
-    """key -> point of its first placement, kites taken in BFS order."""
+    """The keys in ascending order and the point of each one's first
+    placement, kites taken in BFS order."""
     keys, points = keys[order].ravel(), points[order].ravel()
-    seq = np.arange(len(keys))
     first = np.full(keys.max() + 1, len(keys))
-    np.minimum.at(first, keys, seq)
-    is_first = first[keys] == seq
-    return dict(zip(keys[is_first].tolist(), points[is_first].tolist()))
+    np.minimum.at(first, keys, np.arange(len(keys)))
+    ids = np.flatnonzero(first < len(keys))
+    return ids, points[first[ids]]
 
 
 def _check_developable(spec: PatternSpec):
@@ -286,19 +276,20 @@ def layout(spec: PatternSpec, rho, root_edge: int = 0) -> LayoutResult:
     placed = apply(frames, corners)
 
     reps = srf.edge_reps
-    vertex_points = _first_placed(
+    vertices, points = _first_placed(
         order, np.stack([srf.oe_origin[reps], srf.oe_origin[srf.oe_twin[reps]]], axis=1),
         placed[:, [_PU, _PW]])
-    centers = _first_placed(order, np.stack([srf.edge_left, srf.edge_right], axis=1),
-                            placed[:, [_CJ, _CK]])
-    radius = radii.tolist()
-    hyp_circles = {}
+    faces, centers = _first_placed(order, np.stack([srf.edge_left, srf.edge_right], axis=1),
+                                   placed[:, [_CJ, _CK]])
+    radii = radii[faces]
+    disk = {}
     if spec.is_hyperbolic:
-        hyp_circles = {f: (c, radius[f]) for f, c in centers.items()}
-        circles = {f: hyperbolic_circle_to_euclidean(c, radius[f])
-                   for f, c in centers.items()}
-    else:
-        circles = {f: Circle(c, radius[f]) for f, c in centers.items()}
+        # the Euclidean circles that the disk-model circles trace
+        disk = dict(hyperbolic_centers=centers, hyperbolic_radii=radii)
+        t = np.tanh(0.5 * radii)
+        s2 = np.abs(centers) ** 2
+        denom = 1.0 - s2 * t * t
+        centers, radii = centers * ((1.0 - t * t) / denom), t * (1.0 - s2) / denom
 
     # closure mismatches across every glued side
     side_a = placed[a[:, None], cols[:, :2]]
@@ -317,10 +308,10 @@ def layout(spec: PatternSpec, rho, root_edge: int = 0) -> LayoutResult:
             periods = None
             residual = np.abs(flat).max(initial=0.0)
     return LayoutResult(
-        geometry=spec.geometry, circles=circles, vertex_points=vertex_points,
+        geometry=spec.geometry, faces=faces, centers=centers, radii=radii,
+        normals=np.zeros(len(faces), dtype=complex), vertices=vertices, points=points,
         kites=placed, kite_edges=np.arange(srf.n_edges),
-        closure_residual=float(residual), diameter=diameter, periods=periods,
-        hyperbolic_circles=hyp_circles)
+        closure_residual=float(residual), diameter=diameter, periods=periods, **disk)
 
 
 def _extract_periods(diffs, scale):
@@ -411,29 +402,34 @@ def _json_rows(templates, values):
     return jsonio.fill(_json_list(templates, 1), values) if templates else "[]"
 
 
+def _face_rows(result: LayoutResult, circle, circle_columns, line, line_columns):
+    """One row template per face in order, ``circle`` or ``line``, and the
+    values that fill them: the face id, then the circle's or the line's
+    columns."""
+    is_line = np.isinf(result.radii)
+    table = np.column_stack([result.faces, *circle_columns, *line_columns])
+    split = 1 + len(circle_columns)
+    used = np.zeros(table.shape, dtype=bool)
+    used[:, 0] = True
+    used[~is_line, 1:split] = True
+    used[is_line, split:] = True
+    return [line if x else circle for x in is_line.tolist()], table[used]
+
+
 def _circle_rows(result: LayoutResult):
-    templates, values = [], []
-    for f in sorted(result.circles):
-        obj = result.circles[f]
-        if isinstance(obj, Line):
-            templates.append(_LINE_JSON)
-            values += [f, obj.point.real, obj.point.imag, obj.normal.real, obj.normal.imag]
-        elif f in result.hyperbolic_circles:
-            center, radius = result.hyperbolic_circles[f]
-            templates.append(_HYPERBOLIC_CIRCLE_JSON)
-            values += [f, obj.center.real, obj.center.imag, obj.radius,
-                       center.real, center.imag, radius]
-        else:
-            templates.append(_CIRCLE_JSON)
-            values += [f, obj.center.real, obj.center.imag, obj.radius]
-    return templates, values
+    c, n = result.centers, result.normals
+    columns = [c.real, c.imag, result.radii]
+    template = _CIRCLE_JSON
+    if result.hyperbolic_centers is not None:
+        h = result.hyperbolic_centers
+        columns += [h.real, h.imag, result.hyperbolic_radii]
+        template = _HYPERBOLIC_CIRCLE_JSON
+    return _face_rows(result, template, columns, _LINE_JSON, [c.real, c.imag, n.real, n.imag])
 
 
 def _vertex_rows(result: LayoutResult):
     """One row per vertex in order: its id, then its point's real and imaginary parts."""
-    vertices = sorted(result.vertex_points)
-    points = np.array([result.vertex_points[v] for v in vertices], dtype=complex)
-    return np.column_stack([vertices, points.real, points.imag])
+    return np.column_stack([result.vertices, result.points.real, result.points.imag])
 
 
 def _kite_rows(result: LayoutResult):
@@ -489,46 +485,35 @@ def _geodesic_path(z1, z2):
             f"{_f(z2.real)} {_f(z2.imag)}")
 
 
-def _svg_rows(template, values):
-    """One line per row of ``values``, all filled into the template at once."""
-    if not len(values):
+def _svg_rows(templates, values):
+    """One line per template, all filled with ``values`` at once."""
+    if not templates:
         return []
-    return ["\n".join([template] * len(values)) % tuple(values.ravel().tolist())]
+    return ["\n".join(templates) % tuple(values.ravel().tolist())]
 
 
 def export_svg(result: LayoutResult, path=None, include_kites=False) -> str:
     """Deterministic SVG with circles, intersection points and (optionally)
     kite outlines; hyperbolic layouts are drawn inside the unit circle."""
     hyperbolic = result.geometry == "hyperbolic"
-    pts = list(result.vertex_points.values())
-    finite = [c for c in result.circles.values() if isinstance(c, Circle)]
     if hyperbolic:
-        lo, hi = -1.1, 1.1
-        xmin = ymin = lo
-        xmax = ymax = hi
+        xmin = ymin = -1.1
+        xmax = ymax = 1.1
     else:
-        xs, ys = [], []
-        for c in finite:
-            xs += [c.center.real - c.radius, c.center.real + c.radius]
-            ys += [c.center.imag - c.radius, c.center.imag + c.radius]
-        for z in pts:
-            xs.append(z.real)
-            ys.append(z.imag)
-        for obj in result.circles.values():
-            if isinstance(obj, Line):
-                xs.append(obj.point.real)
-                ys.append(obj.point.imag)
+        finite = np.isfinite(result.radii)
+        c, r = result.centers[finite], result.radii[finite]
+        z = [result.points, result.centers[~finite]]
         if result.periods is not None:
             p1, p2 = result.periods
-            for z in (0, p1, p2, p1 + p2):
-                xs.append(complex(z).real)
-                ys.append(complex(z).imag)
-        if not xs:
-            xs = [-1.0, 1.0]
-            ys = [-1.0, 1.0]
-        margin = 0.05 * max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
-        xmin, xmax = min(xs) - margin, max(xs) + margin
-        ymin, ymax = min(ys) - margin, max(ys) + margin
+            z.append(np.array([0, p1, p2, p1 + p2], dtype=complex))
+        z = np.concatenate(z)
+        xs = np.concatenate([c.real - r, c.real + r, z.real])
+        ys = np.concatenate([c.imag - r, c.imag + r, z.imag])
+        if not len(xs):
+            xs = ys = np.array([-1.0, 1.0])
+        margin = 0.05 * max(xs.max() - xs.min(), ys.max() - ys.min(), 1e-9)
+        xmin, xmax = xs.min() - margin, xs.max() + margin
+        ymin, ymax = ys.min() - margin, ys.max() + margin
     width = xmax - xmin
     height = ymax - ymin
     dot = 0.008 * max(width, height)
@@ -552,25 +537,23 @@ def export_svg(result: LayoutResult, path=None, include_kites=False) -> str:
             lines.append(kite.format(d) % e)
     elif include_kites:
         path_d = "M {0} {0} L {0} {0} L {0} {0} L {0} {0} Z".format(_FMT)
-        lines += _svg_rows(kite.format(path_d), _kite_rows(result))
+        rows = _kite_rows(result)
+        lines += _svg_rows([kite.format(path_d)] * len(rows), rows)
     circle = ('<circle class="face" data-face="%d" cx="{0}" cy="{0}" r="{0}" fill="none" '
               'stroke="#222222" stroke-width="{1}"/>').format(_FMT, _f(stroke))
-    for f in sorted(result.circles):
-        obj = result.circles[f]
-        if isinstance(obj, Circle):
-            lines.append(circle % (f, obj.center.real, obj.center.imag, obj.radius))
-        else:
-            tang = complex(-obj.normal.imag, obj.normal.real)
-            extent = 2.0 * max(width, height)
-            a = obj.point - extent * tang
-            b = obj.point + extent * tang
-            lines.append(f'<line class="face" data-face="{f}" '
-                         f'x1="{_f(a.real)}" y1="{_f(a.imag)}" '
-                         f'x2="{_f(b.real)}" y2="{_f(b.imag)}" '
-                         f'stroke="#222222" stroke-width="{_f(stroke)}"/>')
+    line = ('<line class="face" data-face="%d" x1="{0}" y1="{0}" x2="{0}" y2="{0}" '
+            'stroke="#222222" stroke-width="{1}"/>').format(_FMT, _f(stroke))
+    c, n = result.centers, result.normals
+    tangent = np.empty_like(n)
+    tangent.real, tangent.imag = -n.imag, n.real
+    extent = 2.0 * max(width, height)
+    a, b = c - extent * tangent, c + extent * tangent
+    lines += _svg_rows(*_face_rows(result, circle, [c.real, c.imag, result.radii],
+                                   line, [a.real, a.imag, b.real, b.imag]))
     vertex = ('<circle class="vertex" data-vertex="%d" cx="{0}" cy="{0}" r="{1}" '
               'fill="#cc3333"/>').format(_FMT, _f(dot))
-    lines += _svg_rows(vertex, _vertex_rows(result))
+    rows = _vertex_rows(result)
+    lines += _svg_rows([vertex] * len(rows), rows)
     if result.periods is not None:
         p1, p2 = result.periods
         d = (f"M 0 0 L {_f(p1.real)} {_f(p1.imag)} "

@@ -11,13 +11,16 @@ Conventions: unit sphere, projection center at the north pole (0, 0, 1),
 image plane z = 0; a point (X, Y, Z) maps to (X + iY)/(1 - Z).  Spherical
 circles are stored as an oriented cap (unit axis, angular radius in
 (0, pi)) whose interior is the face's disk.
+
+A ``SphericalLayout`` holds the caps and the points on the sphere as
+arrays, rows in ascending id order, and the planar picture as a
+``layout.LayoutResult`` whose re-inserted faces are lines.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +28,7 @@ from . import solver
 from .feasibility import (FeasibilityCertificate, certify_angles,
                           find_coherent_angle_system)
 from .functional import EUCLIDEAN, PatternSpec
-from .layout import Circle, Line, LayoutResult, layout
+from .layout import LayoutResult, layout
 from .surface import (OPEN, CellularSurface, DisconnectedSurfaceError,
                       euler_characteristic, is_integer, vertex_angle_sums)
 
@@ -243,19 +246,6 @@ def _sphere_points(z):
     return out
 
 
-def stereographic_inverse(z: complex):
-    """Plane to the unit sphere; inf maps to the north pole."""
-    return _sphere_points([z])[0]
-
-
-@dataclass(frozen=True)
-class SphericalCircle:
-    """Oriented circle on the unit sphere: the cap {X . axis >= cos(r)}
-    is the face's disk."""
-    axis: np.ndarray
-    angular_radius: float
-
-
 # a circle's points at these turns from its center fix its image
 _ON_CIRCLE = np.array([np.exp(1j * a) for a in (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)])
 
@@ -265,36 +255,26 @@ def _dots(a, b):
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def sphere_caps(objs, interior_points=None):
+def sphere_caps(centers, radii, normals):
     """Inverse stereographic images of generalized circles as oriented caps.
 
-    Each cap passes through the images of three points of its circle or
-    line (a line's third point is the north pole), and its interior holds
-    the image of the circle's center or of the point one normal off the
-    line, or of ``interior_points[i]`` when given.  Returns the unit axes
-    as an (N, 3) array and the angular radii as a list of floats."""
-    n = len(objs)
-    circles = [obj for obj in objs if isinstance(obj, Circle)]
-    lines = [obj for obj in objs if isinstance(obj, Line)]
-    if len(circles) + len(lines) != n:
-        bad = next(obj for obj in objs if not isinstance(obj, (Circle, Line)))
-        raise TypeError(f"not a generalized circle: {bad!r}")
-    is_circle = np.array([isinstance(obj, Circle) for obj in objs], dtype=bool)
+    Row i of the complex arrays ``centers`` and ``normals`` and the float
+    array ``radii`` is the circle of center ``centers[i]`` and radius
+    ``radii[i]`` or, where the radius is inf, the line through
+    ``centers[i]`` with unit normal ``normals[i]``.  Each cap passes
+    through the images of three points of its circle or line (a line's
+    third point is the north pole), and its interior holds the image of
+    the circle's center or of the point one normal off the line.  Returns
+    the unit axes as an (N, 3) array and the angular radii as an array."""
+    n = len(centers)
+    line = np.isinf(radii)
     on = np.empty((n, 3), dtype=complex)
-    inside = np.empty(n, dtype=complex)
-    center = np.array([c.center for c in circles], dtype=complex)
-    radius = np.array([c.radius for c in circles], dtype=float)
-    on[is_circle] = center[:, None] + radius[:, None] * _ON_CIRCLE
-    inside[is_circle] = center
-    point = np.array([line.point for line in lines], dtype=complex)
-    normal = np.array([line.normal for line in lines], dtype=complex)
-    tangent = np.empty(len(lines), dtype=complex)
+    on[~line] = centers[~line, None] + radii[~line, None] * _ON_CIRCLE
+    point, normal = centers[line], normals[line]
+    tangent = np.empty(len(point), dtype=complex)
     tangent.real, tangent.imag = -normal.imag, normal.real
-    on[~is_circle] = np.stack((point - tangent, point + tangent,
-                               np.full(len(lines), np.inf)), axis=1)
-    inside[~is_circle] = point + normal
-    if interior_points is not None:
-        inside = np.asarray(interior_points, dtype=complex)
+    on[line] = np.stack((point - tangent, point + tangent, np.full(len(point), np.inf)), axis=1)
+    inside = np.where(line, centers + normals, centers)
     points = _sphere_points(on.ravel()).reshape(n, 3, 3)
     p1 = points[:, 0]
     axes = np.cross(points[:, 1] - p1, points[:, 2] - p1)
@@ -309,171 +289,170 @@ def sphere_caps(objs, interior_points=None):
     # clamped as min(1, max(-1, d)) is; acos rounds as math.acos
     d = np.where(d > -1.0, d, -1.0)
     d = np.where(d < 1.0, d, 1.0)
-    return axes, [math.acos(x) for x in d.tolist()]
-
-
-def circle_to_sphere(obj, interior_point=None) -> SphericalCircle:
-    """Inverse stereographic image of a generalized circle as an oriented cap."""
-    axes, radii = sphere_caps([obj], None if interior_point is None else [interior_point])
-    return SphericalCircle(axis=axes[0], angular_radius=radii[0])
+    return axes, np.array([math.acos(x) for x in d.tolist()])
 
 
 # -- planar generalized-circle intersections -----------------------------------
+#
+# A generalized circle is a (center, radius, normal) triple of Python scalars:
+# a circle, or where the radius is inf the line through center with that
+# unit normal.
 
 def _intersections(a, b):
-    if isinstance(a, Line) and isinstance(b, Line):
-        n1, n2 = a.normal, b.normal
-        det = (np.conj(n1) * n2).imag
+    (ca, ra, na), (cb, rb, nb) = a, b
+    if math.isinf(ra) and math.isinf(rb):
+        det = (np.conj(na) * nb).imag
         if abs(det) < 1e-13:
             return []
-        c1 = (np.conj(n1) * a.point).real
-        c2 = (np.conj(n2) * b.point).real
+        c1 = (np.conj(na) * ca).real
+        c2 = (np.conj(nb) * cb).real
         # solve Re(conj(n) z) = c for both lines
-        m = np.array([[n1.real, n1.imag], [n2.real, n2.imag]])
+        m = np.array([[na.real, na.imag], [nb.real, nb.imag]])
         xy = np.linalg.solve(m, [c1, c2])
         return [complex(xy[0], xy[1])]
-    if isinstance(a, Line):
-        a, b = b, a
-    if isinstance(b, Line):
-        c, r = a.center, a.radius
-        off = (np.conj(b.normal) * (c - b.point)).real
-        if abs(off) > r:
+    if math.isinf(ra):
+        (ca, ra, na), (cb, rb, nb) = b, a
+    if math.isinf(rb):
+        off = (np.conj(nb) * (ca - cb)).real
+        if abs(off) > ra:
             return []
-        foot = c - off * b.normal
-        half = math.sqrt(max(r * r - off * off, 0.0))
-        tangent = complex(-b.normal.imag, b.normal.real)
+        foot = ca - off * nb
+        half = math.sqrt(max(ra * ra - off * off, 0.0))
+        tangent = complex(-nb.imag, nb.real)
         return [foot - half * tangent, foot + half * tangent]
-    d = abs(b.center - a.center)
-    if d < 1e-15 or d > a.radius + b.radius or d < abs(a.radius - b.radius):
+    d = abs(cb - ca)
+    if d < 1e-15 or d > ra + rb or d < abs(ra - rb):
         return []
-    t = (d * d + a.radius ** 2 - b.radius ** 2) / (2.0 * d)
-    h2 = a.radius ** 2 - t * t
+    t = (d * d + ra ** 2 - rb ** 2) / (2.0 * d)
+    h2 = ra ** 2 - t * t
     h = math.sqrt(max(h2, 0.0))
-    u = (b.center - a.center) / d
-    foot = a.center + t * u
+    u = (cb - ca) / d
+    foot = ca + t * u
     n = complex(-u.imag, u.real)
     return [foot + h * n, foot - h * n]
 
 
-def _incidence_error(obj, z):
-    if isinstance(obj, Circle):
-        return abs(abs(z - obj.center) - obj.radius)
-    return abs((np.conj(obj.normal) * (z - obj.point)).real)
+def _incidence_error(circle, z):
+    center, radius, normal = circle
+    if math.isinf(radius):
+        return abs((np.conj(normal) * (z - center)).real)
+    return abs(abs(z - center) - radius)
 
 
 # -- the full pipeline ----------------------------------------------------------
 
 @dataclass
 class SphericalLayout:
-    faces: np.ndarray                # original faces with a cap, ascending
-    axes: np.ndarray                 # (len(faces), 3) unit cap axes
-    angular_radii: list              # per face, as floats
-    vertices: np.ndarray             # original vertices, ascending
-    points: np.ndarray               # (len(vertices), 3) on the unit sphere
-    planar_circles: dict             # original face -> Circle | Line
-    planar_vertices: dict            # original vertex (except v_inf) -> complex
+    """A spherical pattern as arrays, rows in ascending id order.
+
+    ``faces`` with their caps (unit ``axes`` and ``angular_radii``),
+    ``vertices`` with their ``points`` on the unit sphere, v_inf at the
+    north pole.  ``planar`` is the picture in the image plane in the
+    numbering of p: the reduced pattern's circles and kites, the removed
+    faces as lines and every vertex but v_inf."""
+    faces: np.ndarray                # (F,) original faces with a cap
+    axes: np.ndarray                 # (F, 3) unit cap axes
+    angular_radii: np.ndarray        # (F,)
+    vertices: np.ndarray             # (V,) original vertices
+    points: np.ndarray               # (V, 3) on the unit sphere
+    planar: LayoutResult
     reduction: Reduction
-    planar: LayoutResult | None = None
     line_residual: float = 0.0
 
-    @cached_property
-    def circles(self):
-        """original face -> SphericalCircle"""
-        return {f: SphericalCircle(axis, r) for f, axis, r in
-                zip(self.faces.tolist(), self.axes, self.angular_radii)}
 
-    @cached_property
-    def vertex_points(self):
-        """original vertex -> unit 3-vector"""
-        return dict(zip(self.vertices.tolist(), self.points))
+# The planar picture is built in arrays over all faces and vertices of p:
+# circles = (centers, radii, normals), whose radius is nan until the face's
+# circle or line is placed, and points, nan until the vertex is placed.
+
+def _circle(circles, f):
+    """Face f's generalized circle as Python scalars."""
+    centers, radii, normals = circles
+    return complex(centers[f]), float(radii[f]), complex(normals[f])
 
 
-def _elementary_planar(p: SphericalProblem, red: Reduction):
+def _place(circles, f, circle):
+    for column, value in zip(circles, circle):
+        column[f] = value
+
+
+def _elementary_planar(p: SphericalProblem, red: Reduction, circles, points):
     """Single remaining face: intersection points on the unit circle with
-    arcs 2 theta*, removed faces as the chord lines."""
+    arcs 2 theta*, removed faces as the chord lines.  Returns the largest
+    incidence error."""
     s = p.surface
     f0 = red.face_map[0]
     walk = s.face_walk(f0)
     beta = 0.0
-    points = {}
-    positions = []
     for h in walk:
         points[s.origin(h)] = complex(math.cos(beta), math.sin(beta))
-        positions.append(beta)
         beta += 2.0 * p.theta_star[s.edge_of(h)]
-    circles = {f0: Circle(0.0 + 0.0j, 1.0)}
+    _place(circles, f0, (0j, 1.0, 0j))
+    radii = circles[1]
     theta = p.theta
     residual = 0.0
     for h in walk:
         g = s.right_face(h)
-        z1 = points[s.origin(h)]
-        z2 = points[s.terminus(h)]
+        z1 = complex(points[s.origin(h)])
+        z2 = complex(points[s.terminus(h)])
         # ray to the line's center direction: rotate the ray to the circle
         # center (the origin) clockwise by theta at the edge's start point
-        n = -z1 * np.exp(-1j * theta[s.edge_of(h)])
-        line = Line(point=z1, normal=n)
-        if g in circles:
-            residual = max(residual, _incidence_error(circles[g], z1))
+        line = (z1, math.inf, -z1 * np.exp(-1j * theta[s.edge_of(h)]))
+        if np.isnan(radii[g]):
+            _place(circles, g, line)
         else:
-            circles[g] = line
+            residual = max(residual, _incidence_error(_circle(circles, g), z1))
         residual = max(residual, _incidence_error(line, z2))
-    return circles, points, residual
+    return residual
 
 
-def _chain_directions(p, red, planar: LayoutResult):
+def _chain_directions(p: SphericalProblem, red: Reduction, circles, points):
     """Reconstruct the removed faces' lines from boundary-vertex angles.
 
     Around a vertex, rotating counterclockwise across an edge advances the
     direction towards the neighboring center by the exterior angle theta.
     Starting from the placed centers of kept faces, this determines the
     normal direction of every removed face's line at every surviving
-    vertex on its boundary.
+    vertex on its boundary.  Returns the largest mismatch.
     """
     s = p.surface
     theta = p.theta
-    kept_face_of = {orig: i for i, orig in enumerate(red.face_map)}
-    vertex_of = {orig: i for i, orig in enumerate(red.vertex_map)}
-    lines = {}
+    kept = set(red.face_map)
+    centers, radii, _ = circles
     residual = 0.0
-    for orig_v in red.vertex_map:
-        v0 = vertex_of[orig_v]
+    for v0, orig_v in enumerate(red.vertex_map):
         if not red.surface.vertex_is_boundary(v0):
             continue
-        pu = planar.vertex_points[v0]
+        pu = complex(points[orig_v])
         fan = s.vertex_fan(orig_v)
         d = len(fan)
         fan_faces = [s.left_face(g) for g in fan]
         dirs = [None] * d
-        start = next(i for i, f in enumerate(fan_faces) if f in kept_face_of)
-        center = planar.circles[kept_face_of[fan_faces[start]]].center
-        dirs[start] = float(np.angle(center - pu))
+        start = next(i for i, f in enumerate(fan_faces) if f in kept)
+        dirs[start] = float(np.angle(complex(centers[fan_faces[start]]) - pu))
         for step in range(1, d):
             i = (start + step) % d
             prev = (start + step - 1) % d
             dirs[i] = dirs[prev] + theta[s.edge_of(fan[i])]
         for i, f in enumerate(fan_faces):
-            if f in kept_face_of:
-                measured = float(np.angle(
-                    planar.circles[kept_face_of[f]].center - pu))
+            if f in kept:
+                measured = float(np.angle(complex(centers[f]) - pu))
                 diff = (dirs[i] - measured + math.pi) % TWO_PI - math.pi
                 residual = max(residual, abs(diff))
+                continue
+            n = np.exp(1j * dirs[i])
+            if np.isnan(radii[f]):
+                _place(circles, f, (pu, math.inf, n))
             else:
-                n = np.exp(1j * dirs[i])
-                line = Line(point=pu, normal=n)
-                if f in lines:
-                    old = lines[f]
-                    residual = max(residual, abs(old.normal - n),
-                                   _incidence_error(old, pu))
-                else:
-                    lines[f] = line
-    return lines, residual
+                old = _circle(circles, f)
+                residual = max(residual, abs(old[2] - n), _incidence_error(old, pu))
+    return residual
 
 
-def _dropped_positions(p: SphericalProblem, red, circles, known):
-    """Positions of vertices whose edges were all removed, via the common
-    point of their incident generalized circles."""
+def _dropped_positions(p: SphericalProblem, red: Reduction, circles, points):
+    """Place the vertices whose edges were all removed, v_inf excepted, at
+    the common point of their incident generalized circles."""
     s = p.surface
-    out = {}
+    radii = circles[1]
     for v in red.dropped_vertices:
         if v == p.v_infinity:
             continue
@@ -481,9 +460,9 @@ def _dropped_positions(p: SphericalProblem, red, circles, known):
         seen = set()
         for g in s.vertex_fan(v):
             f = s.left_face(g)
-            if f not in seen and f in circles:
+            if f not in seen and not np.isnan(radii[f]):
                 seen.add(f)
-                incident.append(circles[f])
+                incident.append(_circle(circles, f))
         best = None
         for i in range(len(incident)):
             for j in range(i + 1, len(incident)):
@@ -494,8 +473,7 @@ def _dropped_positions(p: SphericalProblem, red, circles, known):
         if best is None:
             raise SphereConditionError(
                 f"cannot reconstruct the position of removed vertex {v}")
-        out[v] = best[1]
-    return out
+        points[v] = best[1]
 
 
 def solve_sphere(p: SphericalProblem) -> SphericalLayout:
@@ -504,68 +482,60 @@ def solve_sphere(p: SphericalProblem) -> SphericalLayout:
     lines and project everything to the unit sphere.
 
     The angles of the reduced solve prove existence when
-    :func:`feasibility.certify_angles` accepts them; only otherwise do
-    :func:`check_sphere_conditions` and its flow decide, so that a failing
-    verdict keeps its message."""
+    :func:`feasibility.certify_angles` accepts them; only otherwise does
+    the flow check of the reduced problem decide, as in
+    :func:`check_sphere_conditions`, so that a failing verdict keeps its
+    message."""
     red = reduce_to_plane(p)
-    planar_result = None
+    s = p.surface
+    circles = (np.zeros(s.n_faces, dtype=complex), np.full(s.n_faces, np.nan),
+               np.zeros(s.n_faces, dtype=complex))
+    centers, radii, normals = circles
+    points = np.full(s.n_vertices, np.nan, dtype=complex)
     if red.elementary:
-        circles, points, line_residual = _elementary_planar(p, red)
+        line_residual = _elementary_planar(p, red, circles, points)
+        kites, kite_edges = np.zeros((0, 4), dtype=complex), np.zeros(0, dtype=int)
+        closure_residual, diameter = line_residual, None
     else:
         solve_result = solver.minimize(red.spec)
         if certify_angles(red.spec, solve_result.cas) is None:
-            verdict = check_sphere_conditions(p)
-            if not verdict.ok:
-                raise SphereConditionError(verdict.message)
+            cert = find_coherent_angle_system(red.spec)
+            if not cert.feasible:
+                raise SphereConditionError(cert.message)
         if not solve_result.converged:
             raise SphereConditionError(
                 f"reduced solve did not converge: {solve_result.message}")
-        planar_result = layout(red.spec, solve_result.rho)
-        circles = {red.face_map[i]: planar_result.circles[i]
-                   for i in range(len(red.face_map))}
-        points = {red.vertex_map[i]: planar_result.vertex_points[i]
-                  for i in range(len(red.vertex_map))}
-        lines, line_residual = _chain_directions(p, red, planar_result)
-        circles.update(lines)
-    points.update(_dropped_positions(p, red, circles, points))
+        reduced = layout(red.spec, solve_result.rho)
+        faces = np.asarray(red.face_map)[reduced.faces]
+        centers[faces], radii[faces] = reduced.centers, reduced.radii
+        points[np.asarray(red.vertex_map)[reduced.vertices]] = reduced.points
+        line_residual = _chain_directions(p, red, circles, points)
+        kites, kite_edges = reduced.kites, np.asarray(red.edge_map)[reduced.kite_edges]
+        closure_residual, diameter = reduced.closure_residual, reduced.diameter
+    _dropped_positions(p, red, circles, points)
 
-    faces = sorted(circles)
-    axes, radii = sphere_caps([circles[f] for f in faces])
-    # v_inf has no planar position; its point is the north pole
-    vertices = sorted({*points, p.v_infinity})
+    faces = np.flatnonzero(~np.isnan(radii))
+    vertices = np.flatnonzero(~np.isnan(points))
+    if diameter is None:
+        diameter = float(np.abs(points[vertices] - points[vertices].mean()).max() * 2.0)
+    planar = LayoutResult(
+        geometry=EUCLIDEAN, faces=faces, centers=centers[faces], radii=radii[faces],
+        normals=normals[faces], vertices=vertices, points=points[vertices],
+        kites=kites, kite_edges=kite_edges, closure_residual=closure_residual,
+        diameter=diameter)
+    axes, angular_radii = sphere_caps(planar.centers, planar.radii, planar.normals)
+    # v_inf has no planar point; the nan maps to the north pole
+    vertices = np.union1d(vertices, [p.v_infinity])
     return SphericalLayout(
-        faces=np.array(faces, dtype=np.intp), axes=axes, angular_radii=radii,
-        vertices=np.array(vertices, dtype=np.intp),
-        points=_sphere_points([np.inf if v == p.v_infinity else points[v]
-                               for v in vertices]),
-        planar_circles=circles, planar_vertices=points,
-        reduction=red, planar=planar_result,
-        line_residual=line_residual)
-
-
-def planar_layout(p: SphericalProblem, lay: SphericalLayout) -> LayoutResult:
-    """The full planar intermediate (circles, re-inserted lines and all
-    finite vertex positions) as a layout result for export."""
-    if lay.planar is not None:
-        kites = lay.planar.kites
-        kite_edges = np.asarray(lay.reduction.edge_map)[lay.planar.kite_edges]
-        residual = lay.planar.closure_residual
-        diameter = lay.planar.diameter
-    else:
-        kites, kite_edges = np.zeros((0, 4), dtype=complex), np.zeros(0, dtype=int)
-        residual = lay.line_residual
-        pts = np.array(list(lay.planar_vertices.values()))
-        diameter = float(abs(pts - pts.mean()).max() * 2.0) if len(pts) else 2.0
-    return LayoutResult(
-        geometry=EUCLIDEAN, circles=dict(lay.planar_circles),
-        vertex_points=dict(lay.planar_vertices), kites=kites, kite_edges=kite_edges,
-        closure_residual=residual, diameter=diameter, periods=None)
+        faces=faces, axes=axes, angular_radii=angular_radii,
+        vertices=vertices, points=_sphere_points(points[vertices]),
+        planar=planar, reduction=red, line_residual=line_residual)
 
 
 def spherical_layout_to_dict(p: SphericalProblem, lay: SphericalLayout) -> dict:
     return {
         "circles": [{"face": f, "axis": axis, "angular_radius": r} for f, axis, r in
-                    zip(lay.faces.tolist(), lay.axes.tolist(), lay.angular_radii)],
+                    zip(lay.faces.tolist(), lay.axes.tolist(), lay.angular_radii.tolist())],
         "vertices": [{"vertex": v, "point": point} for v, point in
                      zip(lay.vertices.tolist(), lay.points.tolist())],
         "v_infinity": p.v_infinity,

@@ -1,11 +1,13 @@
 """Shared builders and surface and sphere aids for the test suite."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from circlepatterns import meshes
 from circlepatterns.functional import EUCLIDEAN, HYPERBOLIC, PatternSpec
+from circlepatterns.spherical import _sphere_points, sphere_caps
 from circlepatterns.surface import (OPEN, SurfaceError, UnsupportedSurfaceError,
                                    surface_from_walks)
 
@@ -274,6 +276,41 @@ def isomorphic(a, b):
 
 # -- spherical patterns ----------------------------------------------------------
 
+@dataclass(frozen=True)
+class SphericalCircle:
+    """Oriented circle on the unit sphere: the cap {X . axis >= cos(r)}
+    is the face's disk."""
+    axis: np.ndarray
+    angular_radius: float
+
+
+def stereographic_inverse(z):
+    """Plane to the unit sphere; inf maps to the north pole."""
+    return _sphere_points([z])[0]
+
+
+def circle_to_sphere(center, radius, normal=0j):
+    """Inverse stereographic image of one generalized circle as an oriented
+    cap; radius inf is the line through center with unit normal."""
+    axes, radii = sphere_caps(np.array([center], dtype=complex), np.array([radius], dtype=float),
+                              np.array([normal], dtype=complex))
+    return SphericalCircle(axes[0], radii[0])
+
+
+def sphere_cap(lay, f):
+    """Face f's cap in a ``SphericalLayout``."""
+    i = int(np.searchsorted(lay.faces, f))
+    assert lay.faces[i] == f
+    return SphericalCircle(lay.axes[i], lay.angular_radii[i])
+
+
+def sphere_point(lay, v):
+    """Vertex v's point in a ``SphericalLayout``."""
+    i = int(np.searchsorted(lay.vertices, v))
+    assert lay.vertices[i] == v
+    return lay.points[i]
+
+
 def stereographic(point):
     """Sphere to plane from the north pole; the pole itself maps to inf."""
     x, y, z = point
@@ -305,8 +342,8 @@ def pattern_angles(p, lay):
     out = np.zeros(s.n_edges)
     for e in range(s.n_edges):
         h = s.edge_rep(e)
-        out[e] = sphere_intersection_angle(lay.circles[s.left_face(h)],
-                                           lay.circles[s.right_face(h)])
+        out[e] = sphere_intersection_angle(sphere_cap(lay, s.left_face(h)),
+                                           sphere_cap(lay, s.right_face(h)))
     return out
 
 
@@ -331,6 +368,6 @@ def edge_cross_ratios(p, lay):
         quad = [s.origin(h), s.terminus(h),
                 s.terminus(s.next_in_face(h)),
                 s.terminus(s.next_in_face(s.twin(h)))]
-        p1, p2, p3, p4 = (_homogeneous(lay.vertex_points[v]) for v in quad)
+        p1, p2, p3, p4 = (_homogeneous(sphere_point(lay, v)) for v in quad)
         out[e] = (det(p1, p3) * det(p2, p4)) / (det(p1, p4) * det(p2, p3))
     return out

@@ -20,9 +20,10 @@ rho is recovered from an angle system by integrating over a spanning tree
 of the dual graph (Euclidean) or from the per-face closed form
 (hyperbolic).  The developing-map oracle builds one kite at
 a time and places it by a scalar breadth-first search, one complex number
-at a time.  The JSON oracle is the emitter's first, isinstance-chain
-version, and the layout-document oracle builds the nested dicts and lists
-it writes, one of each per row.  The surface-table oracle is the
+at a time, and keeps the result as scalar objects: a circle or line per
+face, a complex point per vertex.  The JSON oracle is the emitter's first,
+isinstance-chain version, and the layout-document oracle builds the nested
+dicts and lists it writes, one of each per row.  The surface-table oracle is the
 constructor's first, pure-Python version: it follows next and the vertex
 rotation one oriented edge at a time, finds connectivity by a depth-first
 search and numbers edges in a scalar pass.  The medial and reduction
@@ -32,14 +33,14 @@ one generalized circle at a time with scalar NumPy calls.  None shares
 logic with the implementation under test; the medial and reduction
 oracles build through the package's ``surface_from_walks``, the existence
 oracle only reports in its certificate type and with its tolerances, the
-developing-map oracle in the layout's result type and its canonical
-choice of period basis, the angle checks use the package's vertex angle
-sums and the reduced functional its Clausen function.
+developing-map oracle in its canonical choice of period basis, the angle
+checks use the package's vertex angle sums and the reduced functional its
+Clausen function.
 """
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,8 +49,7 @@ from scipy.integrate import quad
 from circlepatterns import specfun
 from circlepatterns.feasibility import EQ_TOL, STRICT_TOL, FeasibilityCertificate
 from circlepatterns.functional import PatternSpec, phi_of_rho, radii_from_rho, validate_cas
-from circlepatterns.layout import (Circle, LayoutResult, Line, _canonical_basis,
-                                   hyperbolic_circle_to_euclidean)
+from circlepatterns.layout import _canonical_basis
 from circlepatterns.spherical import Reduction, SphereConditionError
 from circlepatterns.surface import (OPEN, DanglingEdgeError, DisconnectedSurfaceError,
                                    NonManifoldError, SurfaceError, TwinError,
@@ -800,21 +800,21 @@ def stereographic_inverse_reference(z):
     return np.array([2.0 * z.real, 2.0 * z.imag, n2 - 1.0]) / (n2 + 1.0)
 
 
-def cap_reference(obj, interior_point=None):
+def cap_reference(obj):
     """(axis, angular radius) of the cap of one generalized circle, through
     the images of three of its points, oriented towards the image of its
-    center, of the point one normal off a line, or of ``interior_point``."""
+    center or of the point one normal off a line."""
     if isinstance(obj, Circle):
         c, r = obj.center, obj.radius
         p1, p2, p3 = [stereographic_inverse_reference(c + r * np.exp(1j * a))
                       for a in (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)]
-        interior = c if interior_point is None else interior_point
+        interior = c
     else:
         tangent = complex(-obj.normal.imag, obj.normal.real)
         p1 = stereographic_inverse_reference(obj.point - tangent)
         p2 = stereographic_inverse_reference(obj.point + tangent)
         p3 = np.array([0.0, 0.0, 1.0])
-        interior = obj.point + obj.normal if interior_point is None else interior_point
+        interior = obj.point + obj.normal
     n = np.cross(p2 - p1, p3 - p1)
     n = n / np.linalg.norm(n)
     d = float(n @ p1)
@@ -888,6 +888,61 @@ def reduce_to_plane_reference(p):
 
 
 # -- developing map, one kite at a time ------------------------------------------
+
+@dataclass(frozen=True)
+class Circle:
+    center: complex
+    radius: float
+
+
+@dataclass(frozen=True)
+class Line:
+    """A circle of infinite radius; the disk side is the normal side."""
+    point: complex
+    normal: complex
+
+
+@dataclass
+class ScalarLayout:
+    """A layout as scalar objects: face -> Circle | Line, vertex -> complex
+    and, for a hyperbolic pattern, face -> (disk center, hyperbolic radius)."""
+    geometry: str
+    circles: dict
+    vertex_points: dict
+    kites: np.ndarray
+    kite_edges: np.ndarray
+    closure_residual: float
+    diameter: float
+    periods: tuple | None = None
+    hyperbolic_circles: dict = field(default_factory=dict)
+
+    @property
+    def flagged(self):
+        return self.closure_residual > 1e-7 * max(self.diameter, 1e-30)
+
+
+def hyperbolic_circle_to_euclidean(center: complex, radius: float) -> Circle:
+    """Render a hyperbolic circle (disk-model center, hyperbolic radius)
+    as the Euclidean circle it traces in the Poincare disk."""
+    t = math.tanh(0.5 * radius)
+    s2 = abs(center) ** 2
+    denom = 1.0 - s2 * t * t
+    return Circle(center * (1.0 - t * t) / denom, t * (1.0 - s2) / denom)
+
+
+def scalar_layout(result):
+    """The rows of a ``layout.LayoutResult`` as a ``ScalarLayout``."""
+    circles, hyp = {}, {}
+    for i, (f, c, r, n) in enumerate(zip(result.faces.tolist(), result.centers.tolist(),
+                                         result.radii.tolist(), result.normals.tolist())):
+        circles[f] = Line(c, n) if math.isinf(r) else Circle(c, r)
+        if result.hyperbolic_centers is not None:
+            hyp[f] = (complex(result.hyperbolic_centers[i]), float(result.hyperbolic_radii[i]))
+    return ScalarLayout(
+        result.geometry, circles, dict(zip(result.vertices.tolist(), result.points.tolist())),
+        result.kites, result.kite_edges, result.closure_residual, result.diameter,
+        result.periods, hyp)
+
 
 class EuclideanFrame:
     """Orientation-preserving similarities z -> a z + b with |a| = 1."""
@@ -1072,7 +1127,7 @@ def develop_scalar(spec, rho, root_edge=0):
             periods, residual = extract_periods_scalar(flat, diameter)
         else:
             residual = max((abs(d) for d in flat), default=0.0)
-    return LayoutResult(
+    return ScalarLayout(
         geometry=spec.geometry, circles=circles, vertex_points=vertex_points,
         kites=kites_out, kite_edges=np.arange(srf.n_edges),
         closure_residual=float(residual), diameter=diameter, periods=periods,
@@ -1132,8 +1187,9 @@ def _circle_entry(face, obj, hyp=None):
 
 
 def layout_to_dict_reference(result, include_kites=False):
-    """Reference for ``layout.export_json``: the document as nested dicts
-    and lists, to be written by ``dumps_reference`` at indent 2."""
+    """Reference for ``layout.export_json``: the document of a
+    ``ScalarLayout`` as nested dicts and lists, to be written by
+    ``dumps_reference`` at indent 2."""
     out = {
         "geometry": result.geometry,
         "circles": [

@@ -223,10 +223,13 @@ def test_sphere_cube_matches_golden(capsys, tmp_path):
     path = tmp_path / "cube.json"
     path.write_text(json.dumps(_cube_sphere_doc(2 * np.pi / 3)))
     planar = tmp_path / "planar.json"
-    code, out = _run(capsys, "sphere", str(path), "--planar-json", str(planar))
+    planar_svg = tmp_path / "planar.svg"
+    code, out = _run(capsys, "sphere", str(path), "--planar-json", str(planar),
+                     "--planar-svg", str(planar_svg))
     assert code == cli.EXIT_OK
     assert out == _golden("cube_sphere.json")
     assert planar.read_text() == _golden("cube_sphere_planar.json")
+    assert planar_svg.read_text() == _golden("cube_sphere_planar.svg")
 
 
 def test_sphere_with_disconnecting_reduction_is_infeasible(capsys, tmp_path):
@@ -344,6 +347,9 @@ MALFORMED = {
     "boolean v_infinity": (
         "sphere", dict(_cube_sphere_doc(2 * np.pi / 3), v_infinity=True), None,
         "'v_infinity'"),
+    "sphere without a mesh": (
+        "sphere", {"theta": [2 * np.pi / 3] * 12}, None, "missing 'mesh'"),
+    "pack without a mesh": ("pack", {}, None, "missing 'mesh'"),
     "pack of quadrilaterals": (
         "pack", {"mesh": surface_to_json_dict(meshes.cube())}, None,
         "face 0 is not a triangle"),

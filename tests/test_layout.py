@@ -7,16 +7,15 @@ import pytest
 from circlepatterns import meshes
 from circlepatterns.functional import (EUCLIDEAN, HYPERBOLIC, PatternSpec,
                                        phi_of_rho)
-from circlepatterns.layout import (Circle, Line, LayoutResult,
-                                   NotDevelopableError, _extract_periods,
-                                   export_json, export_svg, layout)
+from circlepatterns.layout import (LayoutResult, NotDevelopableError,
+                                   _extract_periods, export_json, export_svg, layout)
 from circlepatterns.solver import minimize
-from circlepatterns.spherical import (SphericalProblem, planar_layout,
-                                      reduce_to_plane, solve_sphere)
+from circlepatterns.spherical import SphericalProblem, reduce_to_plane, solve_sphere
 from circlepatterns.surface import medial
 from helpers import random_feasible_spec, random_flat_theta
 from oracles import (develop_scalar, dumps_reference, extract_periods_scalar,
-                     layout_to_dict_reference)
+                     hyperbolic_circle_to_euclidean, layout_to_dict_reference,
+                     scalar_layout)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -42,7 +41,10 @@ def disc_spec():
 
 
 def empty_layout():
-    return LayoutResult(geometry=EUCLIDEAN, circles={}, vertex_points={},
+    return LayoutResult(geometry=EUCLIDEAN, faces=np.zeros(0, dtype=int),
+                        centers=np.zeros(0, dtype=complex), radii=np.zeros(0),
+                        normals=np.zeros(0, dtype=complex), vertices=np.zeros(0, dtype=int),
+                        points=np.zeros(0, dtype=complex),
                         kites=np.zeros((0, 4), dtype=complex),
                         kite_edges=np.zeros(0, dtype=int),
                         closure_residual=0.0, diameter=0.0)
@@ -56,8 +58,9 @@ def test_torus_unit_grid():
     assert abs(abs(p1) - 4 * np.sqrt(2)) < 1e-9
     assert abs(abs(p2) - 4 * np.sqrt(2)) < 1e-9
     assert abs((np.conj(p1) * p2).real) < 1e-9
-    for c in lay.circles.values():
-        assert abs(c.radius - 1.0) < 1e-12
+    assert lay.faces.tolist() == list(range(16))
+    assert lay.vertices.tolist() == list(range(16))
+    assert np.abs(lay.radii - 1.0).max() < 1e-12
     # every kite is a unit square
     for e, (pu, ck, pw, cj) in zip(lay.kite_edges, lay.kites):
         sides = [abs(ck - pu), abs(pw - ck), abs(cj - pw), abs(pu - cj)]
@@ -96,8 +99,8 @@ def test_intersection_points_on_both_circles():
     worst = 0.0
     for e, (pu, ck, pw, cj) in zip(lay.kite_edges, lay.kites):
         h = s.edge_rep(e)
-        rj = lay.circles[s.left_face(h)].radius
-        rk = lay.circles[s.right_face(h)].radius
+        rj = lay.radii[s.left_face(h)]
+        rk = lay.radii[s.right_face(h)]
         for p in (pu, pw):
             worst = max(worst, abs(abs(p - cj) - rj) / rj,
                         abs(abs(p - ck) - rk) / rk)
@@ -200,8 +203,12 @@ def test_hyperbolic_disc_layout():
     lay = layout(spec, res.rho)
     assert lay.closure_residual <= 1e-7
     # all circles strictly inside the unit disk
-    for f, c in lay.circles.items():
-        assert abs(c.center) + c.radius < 1.0
+    assert np.all(np.abs(lay.centers) + lay.radii < 1.0)
+    # each one the Euclidean trace of its hyperbolic circle
+    for c, r, hc, hr in zip(lay.centers, lay.radii, lay.hyperbolic_centers,
+                            lay.hyperbolic_radii):
+        want = hyperbolic_circle_to_euclidean(complex(hc), float(hr))
+        assert abs(c - want.center) <= 1e-15 and abs(r - want.radius) <= 1e-15
     # kite sides have the correct hyperbolic lengths
     from oracles import HyperbolicFrame as _HyperbolicFrame
     from circlepatterns.functional import radii_from_rho
@@ -223,14 +230,20 @@ def _assert_same_layout(lay, ref):
     tol = 1e-10 * ref.diameter
     assert list(lay.kite_edges) == list(ref.kite_edges)
     assert np.abs(lay.kites - ref.kites).max() <= tol
-    centers = [{f: c.center for f, c in r.circles.items()} for r in (lay, ref)]
-    for got, want in ((lay.vertex_points, ref.vertex_points), centers,
-                      (lay.hyperbolic_circles, ref.hyperbolic_circles)):
-        assert list(got) == list(want)   # first placements in the same order
-        assert max((abs(np.subtract(got[k], want[k])).max() for k in want),
-                   default=0.0) <= tol
-    assert [c.radius for c in lay.circles.values()] == pytest.approx(
-        [c.radius for c in ref.circles.values()], rel=1e-12)
+    assert lay.vertices.tolist() == sorted(ref.vertex_points)
+    assert lay.faces.tolist() == sorted(ref.circles)
+    want_points = [ref.vertex_points[v] for v in lay.vertices.tolist()]
+    assert np.abs(lay.points - want_points).max(initial=0.0) <= tol
+    if lay.hyperbolic_centers is None:
+        assert not ref.hyperbolic_circles
+    else:
+        hyp = [ref.hyperbolic_circles[f] for f in lay.faces.tolist()]
+        assert np.abs(lay.hyperbolic_centers - [c for c, _ in hyp]).max() <= tol
+        assert lay.hyperbolic_radii.tolist() == pytest.approx([r for _, r in hyp], rel=1e-12)
+    circles = [ref.circles[f] for f in lay.faces.tolist()]
+    assert np.abs(lay.centers - [c.center for c in circles]).max(initial=0.0) <= tol
+    assert lay.radii.tolist() == pytest.approx([c.radius for c in circles], rel=1e-12)
+    assert np.all(lay.normals == 0)
     assert abs(lay.diameter - ref.diameter) <= tol
     assert abs(lay.closure_residual - ref.closure_residual) <= tol
     assert lay.flagged == ref.flagged
@@ -328,6 +341,14 @@ def test_export_svg_golden_torus():
         assert svg == fh.read()
 
 
+def test_export_svg_golden_disc():
+    # a hyperbolic layout: circles in the disk and kites as geodesic arcs
+    spec = disc_spec()
+    svg = export_svg(layout(spec, minimize(spec).rho), include_kites=True)
+    with open(os.path.join(GOLDEN, "disc_hyperbolic_kites.svg")) as fh:
+        assert svg == fh.read()
+
+
 def test_export_json_golden_torus():
     spec, res, lay = torus_layout()
     with open(os.path.join(GOLDEN, "torus4x4.json")) as fh:
@@ -350,8 +371,9 @@ def _exported_layouts():
     yield layout(spec, res.rho)
     yield layout(spec, res.rho, root_edge=spec.surface.n_edges - 1)
     for problem in (SphericalProblem(meshes.cube(), np.full(12, 2 * np.pi / 3), 7),
-                    SphericalProblem(meshes.octahedron(), np.full(12, np.pi / 2), 4)):
-        yield planar_layout(problem, solve_sphere(problem))
+                    SphericalProblem(meshes.octahedron(), np.full(12, np.pi / 2), 4),
+                    SphericalProblem(meshes.tetrahedron(), np.full(6, 2 * np.pi / 3), 0)):
+        yield solve_sphere(problem).planar
     yield empty_layout()
 
 
@@ -361,13 +383,15 @@ def test_export_json_matches_reference():
     kinds = set()
     for lay in _exported_layouts():
         for include_kites in (False, True):
-            want = dumps_reference(layout_to_dict_reference(lay, include_kites), indent=2)
+            want = dumps_reference(layout_to_dict_reference(scalar_layout(lay), include_kites),
+                                   indent=2)
             assert export_json(lay, include_kites=include_kites) == want + "\n"
-        kinds |= {type(c) for c in lay.circles.values()}
+        kinds |= {"line" if np.isinf(r) else "circle" for r in lay.radii}
         kinds |= {"periods"} if lay.periods is not None else set()
-        kinds |= {"hyperbolic"} if lay.hyperbolic_circles else set()
+        kinds |= {"hyperbolic"} if lay.hyperbolic_centers is not None else set()
         kinds |= {"remapped"} if list(lay.kite_edges) != list(range(len(lay.kites))) else set()
-    assert kinds == {Circle, Line, "periods", "hyperbolic", "remapped"}
+        kinds |= {"renumbered"} if list(lay.vertices) != list(range(len(lay.vertices))) else set()
+    assert kinds == {"circle", "line", "periods", "hyperbolic", "remapped", "renumbered"}
 
 
 def test_export_json_rejects_non_finite_corners():
@@ -380,15 +404,19 @@ def test_export_json_rejects_non_finite_corners():
 
 def test_export_line_circle():
     lay = LayoutResult(
-        geometry=EUCLIDEAN,
-        circles={0: Circle(0j, 1.0), 1: Line(1 + 0j, 1 + 0j)},
-        vertex_points={0: 1j, 1: -1j},
+        geometry=EUCLIDEAN, faces=np.array([0, 1]), centers=np.array([0j, 1 + 0j]),
+        radii=np.array([1.0, np.inf]), normals=np.array([0j, 1 + 0j]),
+        vertices=np.array([0, 1]), points=np.array([1j, -1j]),
         kites=np.zeros((0, 4), dtype=complex), kite_edges=np.zeros(0, dtype=int),
         closure_residual=0.0, diameter=2.0)
     doc = json.loads(export_json(lay))
-    assert doc["circles"][1]["line"]["point"] == [1.0, 0.0]
+    assert doc["circles"][0] == {"face": 0, "center": [0.0, 0.0], "radius": 1.0}
+    assert doc["circles"][1] == {"face": 1, "line": {"point": [1.0, 0.0],
+                                                     "normal": [1.0, 0.0]}}
     svg = export_svg(lay)
-    assert "<line" in svg
+    assert svg.count('<circle class="face"') == 1
+    # the line x = 1 is drawn far past the picture on both sides
+    assert '<line class="face" data-face="1" x1="1" y1="-4.4" x2="1" y2="4.4"' in svg
 
 
 def test_export_empty_layout():

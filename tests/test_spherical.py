@@ -3,18 +3,19 @@ import pytest
 
 from circlepatterns import meshes
 from circlepatterns.feasibility import STRICT_TOL
-from circlepatterns.layout import Circle, Line
+from circlepatterns import spherical
+from circlepatterns.layout import export_json, export_svg
 from circlepatterns.spherical import (
-    SphereConditionError, SphericalCircle, SphericalProblem, circle_to_sphere,
-    check_sphere_conditions, planar_layout, reduce_to_plane, solve_sphere, sphere_caps,
-    stereographic_inverse,
+    SphereConditionError, SphericalProblem, check_sphere_conditions, reduce_to_plane,
+    solve_sphere, sphere_caps,
 )
 from circlepatterns.surface import build_surface, medial, vertex_angle_sums
-from helpers import (cap_contains, edge_cross_ratios, pattern_angles, pinched_sphere,
-                     random_flat_theta, sphere_intersection_angle, stereographic,
-                     subdivided_faces)
-from oracles import (cap_reference, check_conditions_bruteforce, reduce_to_plane_reference,
-                     stereographic_inverse_reference)
+from helpers import (SphericalCircle, cap_contains, circle_to_sphere, edge_cross_ratios,
+                     pattern_angles, pinched_sphere, random_flat_theta, sphere_cap,
+                     sphere_intersection_angle, sphere_point, stereographic,
+                     stereographic_inverse, subdivided_faces)
+from oracles import (Circle, Line, cap_reference, check_conditions_bruteforce,
+                     reduce_to_plane_reference, stereographic_inverse_reference)
 
 
 def cube_problem(v_inf=7):
@@ -121,6 +122,28 @@ def test_conditions_detect_short_cocycle():
         solve_sphere(p)
 
 
+def test_refused_certificate_reuses_the_reduction(monkeypatch):
+    # the flow decides a refused certificate on the reduction solve_sphere
+    # holds, without a second reduction
+    reductions, flows = [], []
+    flow = spherical.find_coherent_angle_system
+
+    def reduce_spy(p):
+        reductions.append(p)
+        return reduce_to_plane(p)
+
+    def flow_spy(spec):
+        flows.append(spec)
+        return flow(spec)
+
+    monkeypatch.setattr(spherical, "certify_angles", lambda spec, cas: None)
+    monkeypatch.setattr(spherical, "reduce_to_plane", reduce_spy)
+    monkeypatch.setattr(spherical, "find_coherent_angle_system", flow_spy)
+    lay = solve_sphere(cube_problem())
+    assert len(reductions) == 1 and len(flows) == 1
+    assert np.abs(pattern_angles(cube_problem(), lay) - np.pi / 3).max() <= 1e-7
+
+
 def test_conditions_agree_with_bruteforce_on_the_reduction():
     rng = np.random.default_rng(42)
     cases = []
@@ -162,12 +185,13 @@ def test_cube_pattern_angles():
     assert np.abs(angles - np.pi / 3).max() <= 1e-7
     assert lay.line_residual <= 1e-8
     # 3 lines and 3 circles in the plane
-    lines = [c for c in lay.planar_circles.values() if isinstance(c, Line)]
-    circles = [c for c in lay.planar_circles.values() if isinstance(c, Circle)]
-    assert len(lines) == 3 and len(circles) == 3
+    radii = lay.planar.radii
+    is_line = np.isinf(radii)
+    assert is_line.sum() == 3 and len(radii) == 6
+    assert np.abs(np.abs(lay.planar.normals[is_line]) - 1.0).max() <= 1e-12
+    assert np.all(lay.planar.normals[~is_line] == 0)
     # the three finite circles have equal radii by symmetry
-    radii = [c.radius for c in circles]
-    assert max(radii) - min(radii) <= 1e-8
+    assert np.ptp(radii[~is_line]) <= 1e-8
 
 
 def test_octahedron_orthogonal_pattern():
@@ -190,10 +214,10 @@ def test_vertex_incidences_on_sphere():
         s = p.surface
         worst = 0.0
         for v in range(s.n_vertices):
-            pt = lay.vertex_points[v]
+            pt = sphere_point(lay, v)
             assert abs(np.linalg.norm(pt) - 1.0) < 1e-12
             for g in s.vertex_fan(v):
-                c = lay.circles[s.left_face(g)]
+                c = sphere_cap(lay, s.left_face(g))
                 worst = max(worst, abs(float(c.axis @ pt) - np.cos(c.angular_radius)))
         assert worst <= 1e-8
 
@@ -263,20 +287,25 @@ def _generalized_circles(rng, n):
     return out
 
 
+def _rows(objs):
+    """(center, radius, normal) of each generalized circle, a line's point
+    as its center and inf as its radius."""
+    return [(obj.point, np.inf, obj.normal) if isinstance(obj, Line)
+            else (obj.center, obj.radius, 0j) for obj in objs]
+
+
 def test_caps_match_the_scalar_reference_bit_for_bit():
     rng = np.random.default_rng(44)
     objs = _generalized_circles(rng, 2000)
-    axes, radii = sphere_caps(objs)
+    centers, radii, normals = zip(*_rows(objs))
+    axes, radii = sphere_caps(np.array(centers, dtype=complex), np.array(radii),
+                              np.array(normals, dtype=complex))
     want = [cap_reference(obj) for obj in objs]
     assert np.array_equal(axes, np.array([axis for axis, _ in want]))
-    assert radii == [r for _, r in want]
-    inside = [complex(*rng.normal(0.0, 3.0, 2)) for _ in objs[:50]]
-    axes, radii = sphere_caps(objs[:50], inside)
-    for i, (obj, z) in enumerate(zip(objs[:50], inside)):
-        axis, r = cap_reference(obj, z)
-        single = circle_to_sphere(obj, z)
-        assert np.array_equal(axes[i], axis) and np.array_equal(single.axis, axis)
-        assert radii[i] == r == single.angular_radius
+    assert radii.tolist() == [r for _, r in want]
+    for row, (axis, r) in zip(_rows(objs[:50]), want):
+        single = circle_to_sphere(*row)
+        assert np.array_equal(single.axis, axis) and single.angular_radius == r
     points = [complex(*rng.normal(0.0, 10.0, 2)) for _ in range(200)]
     points += [complex(np.inf, 0.0), complex(0.0, np.nan)]
     for z in points:
@@ -284,7 +313,7 @@ def test_caps_match_the_scalar_reference_bit_for_bit():
 
 
 def test_unit_circle_maps_to_equator():
-    c = circle_to_sphere(Circle(0j, 1.0))
+    c = circle_to_sphere(0j, 1.0)
     assert abs(abs(c.axis[2]) - 1.0) < 1e-12
     assert abs(c.angular_radius - np.pi / 2) < 1e-12
 
@@ -294,8 +323,7 @@ def test_lines_map_to_circles_through_pole():
     for _ in range(10):
         point = complex(*rng.uniform(-2, 2, 2))
         ang = rng.uniform(0, 2 * np.pi)
-        line = Line(point, np.exp(1j * ang))
-        c = circle_to_sphere(line)
+        c = circle_to_sphere(point, np.inf, np.exp(1j * ang))
         assert cap_contains(c, np.array([0.0, 0.0, 1.0]), tol=1e-9)
 
 
@@ -307,19 +335,16 @@ def test_intersection_angle_of_great_circles():
 
 def test_planar_layout_export():
     p = cube_problem()
-    lay = solve_sphere(p)
-    planar = planar_layout(p, lay)
-    assert len(planar.circles) == 6
+    planar = solve_sphere(p).planar
+    assert planar.faces.tolist() == list(range(6))
     assert len(planar.kites) == 3
-    from circlepatterns.layout import export_svg, export_json
     svg = export_svg(planar)
     assert svg.count("<line") == 3
     assert export_json(planar)
     # elementary case exports too
-    pe = tetra_problem()
-    le = solve_sphere(pe)
-    pl = planar_layout(pe, le)
-    assert len(pl.circles) == 4
+    pl = solve_sphere(tetra_problem()).planar
+    assert pl.faces.tolist() == list(range(4))
+    assert np.isinf(pl.radii).sum() == 3
     assert export_svg(pl)
 
 
@@ -327,5 +352,7 @@ def test_dropped_vertices_reconstructed():
     p = cube_problem()
     lay = solve_sphere(p)
     # dropped vertices carry finite planar positions except v_infinity
-    assert set(lay.planar_vertices) == set(range(8)) - {p.v_infinity}
-    assert set(lay.vertex_points) == set(range(8))
+    assert set(lay.planar.vertices.tolist()) == set(range(8)) - {p.v_infinity}
+    assert np.all(np.isfinite(lay.planar.points))
+    assert lay.vertices.tolist() == list(range(8))
+    assert np.array_equal(sphere_point(lay, p.v_infinity), [0.0, 0.0, 1.0])
