@@ -120,6 +120,24 @@ def subdivided_faces(faces, levels):
     return faces
 
 
+def face_lists(surface):
+    """The vertex cycle of every face, in face order."""
+    return [[surface.origin(h) for h in surface.face_walk(f)] for f in range(surface.n_faces)]
+
+
+def genus2_faces():
+    """The connected sum of two triangulated 4x4 tori as face lists: face 0
+    of each copy is dropped and the second copy's face 0 is glued onto the
+    first's with the orientation reversed (F = 62, chi = -2)."""
+    a = face_lists(meshes.triangulated_torus(4, 4))
+    n_v = 1 + max(map(max, a))
+    b = [[v + n_v for v in face] for face in a]
+    glue = {b[0][0]: a[0][0], b[0][1]: a[0][2], b[0][2]: a[0][1]}
+    faces = a[1:] + [[glue.get(v, v) for v in face] for face in b[1:]]
+    ids = {v: i for i, v in enumerate(sorted({v for face in faces for v in face}))}
+    return [[ids[v] for v in face] for face in faces]
+
+
 def pinched_sphere(isolated=False):
     """A sphere whose faces around vertex 0 separate the other faces.
 

@@ -1207,3 +1207,55 @@ def layout_to_dict_reference(result, include_kites=False):
         out["kites"] = [{"edge": e, "corners": [[z.real, z.imag] for z in cs]}
                         for e, cs in zip(result.kite_edges.tolist(), result.kites.tolist())]
     return out
+
+
+def certificate_reference(cert):
+    """Reference for the certificate document of ``check``, as plain dicts
+    and lists, to be written by ``dumps_reference`` at indent 2."""
+    if cert.feasible:
+        out = {"feasible": True}
+        if cert.cas is not None:
+            phi = cert.cas.phi
+            out["cas"] = {"min_phi": float(phi.min()), "max_phi": float(phi.max()),
+                          "phi": list(map(float, phi))}
+        return out
+    return {"feasible": False, "kind": cert.kind, "message": cert.message,
+            "violating_faces": list(cert.violating_faces),
+            "violating_edges": list(cert.violating_edges),
+            "phi_sum": cert.phi_sum, "theta_sum": cert.theta_sum}
+
+
+def solve_report_reference(spec, result, method):
+    """Reference for the report of ``solve``, as plain dicts and lists."""
+    srf = spec.surface
+    face_res = np.abs(spec.phi - 2.0 * np.bincount(
+        srf.oe_left, weights=result.cas.phi, minlength=srf.n_faces))
+    report = {
+        "geometry": spec.geometry,
+        "method": method,
+        "converged": bool(result.converged),
+        "iterations": int(result.iterations),
+        "grad_norm": float(result.grad_norm),
+        "functional_value": float(result.functional_value),
+        "rho": list(map(float, result.rho)),
+        "radii": list(map(float, radii_from_rho(spec.geometry, result.rho)))
+        if (spec.geometry == "euclidean" or np.all(result.rho < 0)) else None,
+        "phi_half_angles": list(map(float, result.cas.phi)),
+        "face_residuals": list(map(float, face_res)),
+        "cas_valid": bool(result.cas_report.is_valid(1e-8)),
+    }
+    if result.message:
+        report["message"] = result.message
+    return report
+
+
+def pack_report_reference(geometry, radii, n_f, n_v, grad_norm):
+    """Reference for the report of ``pack`` on a torus or a surface of
+    higher genus: the radii of the medial faces, vertex circles first."""
+    return {
+        "kind": geometry,
+        "vertex_circles": [{"vertex": v, "radius": float(radii[n_f + v])}
+                           for v in range(n_v)],
+        "face_circles": [{"face": f, "radius": float(radii[f])} for f in range(n_f)],
+        "grad_norm": grad_norm,
+    }

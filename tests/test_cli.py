@@ -6,11 +6,15 @@ import os
 import numpy as np
 import pytest
 
-from circlepatterns import cli, meshes
+from circlepatterns import cli, meshes, solver
+from circlepatterns.feasibility import find_coherent_angle_system
+from circlepatterns.functional import PatternSpec, radii_from_rho
 from circlepatterns.spherical import SphericalProblem, reduce_to_plane
-from circlepatterns.surface import medial, surface_to_json_dict
-from helpers import (pinched_sphere, random_feasible_spec, random_flat_theta,
-                     subdivided_faces)
+from circlepatterns.surface import medial, surface_from_json_dict, surface_to_json_dict
+from helpers import (face_lists, genus2_faces, pinched_sphere, random_feasible_spec,
+                     random_flat_theta, subdivided_faces)
+from oracles import (certificate_reference, dumps_reference, pack_report_reference,
+                     solve_report_reference)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -209,11 +213,9 @@ def _golden(name):
 
 
 def test_pack_subdivided_octahedron_matches_golden(capsys, tmp_path):
-    octahedron = meshes.octahedron()
-    faces = [[octahedron.origin(h) for h in octahedron.face_walk(f)]
-             for f in range(octahedron.n_faces)]
+    faces = subdivided_faces(face_lists(meshes.octahedron()), 2)
     path = tmp_path / "octahedron2.json"
-    path.write_text(json.dumps({"mesh": {"faces": subdivided_faces(faces, 2)}}))
+    path.write_text(json.dumps({"mesh": {"faces": faces}}))
     code, out = _run(capsys, "pack", str(path))
     assert code == cli.EXIT_OK
     assert out == _golden("octahedron2_pack.json")
@@ -230,6 +232,78 @@ def test_sphere_cube_matches_golden(capsys, tmp_path):
     assert out == _golden("cube_sphere.json")
     assert planar.read_text() == _golden("cube_sphere_planar.json")
     assert planar_svg.read_text() == _golden("cube_sphere_planar.svg")
+
+
+def test_solve_torus4x4_matches_golden(capsys, tmp_path):
+    med = medial(meshes.triangulated_torus(4, 4))
+    problem = _write_problem(tmp_path / "torus.json", med, "euclidean",
+                             np.full(med.n_edges, np.pi / 2), np.full(med.n_faces, 2 * np.pi))
+    code, out = _run(capsys, "solve", problem)
+    assert code == cli.EXIT_OK
+    assert out == _golden("torus4x4_solve.json")
+
+
+def test_pack_torus4x4_matches_golden(capsys, tmp_path):
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps({"mesh": {"faces": face_lists(meshes.triangulated_torus(4, 4))}}))
+    code, out = _run(capsys, "pack", str(path))
+    assert code == cli.EXIT_OK
+    assert out == _golden("torus4x4_pack.json")
+
+
+# The documents below depend on the machine's floating point (the
+# conjugate-gradient solves of hyperbolic Newton), so they are compared with
+# the reference writer's text of the same document rather than with a golden.
+
+def _reference_text(doc):
+    return dumps_reference(doc, indent=2) + "\n"
+
+
+def test_hyperbolic_solve_report_matches_reference(capsys, tmp_path):
+    spec = random_feasible_spec(medial(meshes.triangulated_torus(4, 4)), "hyperbolic",
+                                np.random.default_rng(11))
+    problem = _write_problem(tmp_path / "hyperbolic.json", spec.surface, "hyperbolic",
+                             spec.theta_star, spec.phi)
+    code, out = _run(capsys, "solve", problem)
+    assert code == cli.EXIT_OK
+    assert out == _reference_text(solve_report_reference(spec, solver.minimize(spec),
+                                                         solver.NEWTON))
+
+
+@pytest.mark.parametrize("feasible", [True, False])
+def test_check_certificate_matches_reference(capsys, tmp_path, feasible):
+    med = medial(meshes.triangulated_torus(3, 3))
+    phi = np.full(med.n_faces, 2 * np.pi)
+    if not feasible:
+        # the single-face violation of the fixture above
+        triangle = next(f for f in range(med.n_faces) if len(med.face_walk(f)) == 3)
+        phi -= np.pi / (med.n_faces - 1)
+        phi[triangle] = 3 * np.pi
+    spec = PatternSpec(med, "euclidean", np.full(med.n_edges, np.pi / 2), phi)
+    problem = _write_problem(tmp_path / "problem.json", med, "euclidean",
+                             spec.theta_star, spec.phi)
+    code, out = _run(capsys, "check", problem)
+    assert code == (cli.EXIT_OK if feasible else cli.EXIT_INFEASIBLE)
+    cert = find_coherent_angle_system(spec)
+    assert cert.feasible == feasible and (cert.cas is not None) == feasible
+    assert out == _reference_text(certificate_reference(cert))
+
+
+def test_pack_genus2_matches_reference(capsys, tmp_path):
+    faces = genus2_faces()
+    path = tmp_path / "genus2.json"
+    path.write_text(json.dumps({"mesh": {"faces": faces}}))
+    code, out = _run(capsys, "pack", str(path))
+    assert code == cli.EXIT_OK
+    surface = surface_from_json_dict({"faces": faces})
+    med = medial(surface)
+    assert (surface.n_faces, surface.n_faces - surface.n_edges + surface.n_vertices) == (62, -2)
+    spec = PatternSpec(med, "hyperbolic", np.full(med.n_edges, 0.5 * np.pi),
+                       np.full(med.n_faces, 2 * np.pi))
+    result = solver.minimize(spec)
+    assert out == _reference_text(pack_report_reference(
+        "hyperbolic", radii_from_rho("hyperbolic", result.rho), surface.n_faces,
+        surface.n_vertices, result.grad_norm))
 
 
 def test_sphere_with_disconnecting_reduction_is_infeasible(capsys, tmp_path):
