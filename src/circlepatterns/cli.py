@@ -18,7 +18,7 @@ import numpy as np
 
 from . import jsonio, solver, specfun
 from .feasibility import certify_angles, find_coherent_angle_system
-from .functional import EUCLIDEAN, HYPERBOLIC, PatternSpec, radii_from_rho
+from .functional import EUCLIDEAN, HYPERBOLIC, PatternSpec, face_residuals, radii_from_rho
 from .layout import NotDevelopableError, export_json, export_svg, layout
 from .spherical import (SphereConditionError, SphericalProblem, solve_sphere,
                         spherical_layout_to_dict)
@@ -96,12 +96,10 @@ def _print(doc):
 
 def _certificate_dict(cert):
     if cert.feasible:
-        phi = cert.cas.phi if cert.cas is not None else None
         out = {"feasible": True}
-        if phi is not None:
-            out["cas"] = {"min_phi": float(phi.min()),
-                          "max_phi": float(phi.max()),
-                          "phi": list(map(float, phi))}
+        if cert.cas is not None:
+            phi = cert.cas.phi
+            out["cas"] = {"min_phi": float(phi.min()), "max_phi": float(phi.max()), "phi": phi}
         return out
     return {"feasible": False, "kind": cert.kind, "message": cert.message,
             "violating_faces": list(cert.violating_faces),
@@ -133,9 +131,6 @@ def _solve_options(args, path, options):
 
 
 def _solve_report(spec, result, method):
-    srf = spec.surface
-    face_res = np.abs(spec.phi - 2.0 * np.bincount(
-        srf.oe_left, weights=result.cas.phi, minlength=srf.n_faces))
     report = {
         "geometry": spec.geometry,
         "method": method,
@@ -143,11 +138,11 @@ def _solve_report(spec, result, method):
         "iterations": int(result.iterations),
         "grad_norm": float(result.grad_norm),
         "functional_value": float(result.functional_value),
-        "rho": list(map(float, result.rho)),
-        "radii": list(map(float, radii_from_rho(spec.geometry, result.rho)))
+        "rho": result.rho,
+        "radii": radii_from_rho(spec.geometry, result.rho)
         if (spec.geometry == EUCLIDEAN or np.all(result.rho < 0)) else None,
-        "phi_half_angles": list(map(float, result.cas.phi)),
-        "face_residuals": list(map(float, face_res)),
+        "phi_half_angles": result.cas.phi,
+        "face_residuals": np.abs(face_residuals(spec, result.cas.phi)),
         "cas_valid": bool(result.cas_report.is_valid(1e-8)),
     }
     if result.message:
@@ -165,12 +160,12 @@ def cmd_solve(args):
         _print(_certificate_dict(cert))
         return EXIT_INFEASIBLE
     result = solver.minimize(spec, opts)
-    report = _solve_report(spec, result, opts.method)
+    text = jsonio.dumps(_solve_report(spec, result, opts.method), indent=2) + "\n"
     if args.report or not args.output:
-        _print(report)
+        sys.stdout.write(text)
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(jsonio.dumps(report, indent=2) + "\n")
+            fh.write(text)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
@@ -207,25 +202,25 @@ def cmd_sphere(args):
     return EXIT_OK
 
 
-def _cap_list(key, n):
-    cap = jsonio.join("{", [f'"{key}": %d',
-                            '"axis": ' + jsonio.join("[", [jsonio.FLOAT_FORMAT] * 3, "]", 2, 3),
-                            '"angular_radius": ' + jsonio.FLOAT_FORMAT], "}", 2, 2)
-    return jsonio.join("[", [cap] * n, "]", 2, 1)
+def _numbered(key, n, template, *columns):
+    """The list of n rows {key: i, **template}, i = 0 .. n-1, whose
+    template slots the columns fill, one row each."""
+    return jsonio.Rows([{key: jsonio.INT, **template}] * n,
+                       np.column_stack([np.arange(n), *columns]))
 
 
 def _spherical_pack_report(lay, n_f, n_v):
-    """The document ``_print`` writes for the caps of a packed sphere, the
-    vertex caps (medial faces n_f + v) first, filled from one %-template
-    per cap as ``layout.export_json`` fills its rows."""
+    """The caps of a packed sphere, the vertex caps (medial faces n_f + v)
+    first."""
     row = np.empty(n_f + n_v, dtype=np.intp)
     row[lay.faces] = np.arange(len(lay.faces))
-    ids = np.concatenate([np.arange(n_v), np.arange(n_f)])
-    rows = row[np.concatenate([n_f + np.arange(n_v), np.arange(n_f)])]
-    values = np.column_stack([ids, lay.axes[rows], lay.angular_radii[rows]])
-    doc = jsonio.join("{", ['"kind": "spherical"', '"vertex_circles": ' + _cap_list("vertex", n_v),
-                            '"face_circles": ' + _cap_list("face", n_f)], "}", 2, 0)
-    return jsonio.fill(doc, values) + "\n"
+    cap = {"axis": [jsonio.FLOAT] * 3, "angular_radius": jsonio.FLOAT}
+    vertex, face = row[n_f:], row[:n_f]
+    return {"kind": "spherical",
+            "vertex_circles": _numbered("vertex", n_v, cap, lay.axes[vertex],
+                                        lay.angular_radii[vertex]),
+            "face_circles": _numbered("face", n_f, cap, lay.axes[face],
+                                      lay.angular_radii[face])}
 
 
 def cmd_pack(args):
@@ -246,7 +241,7 @@ def cmd_pack(args):
     theta_star = np.full(med.n_edges, 0.5 * np.pi)
     if genus == 0:
         problem = SphericalProblem(med, np.pi - theta_star, 0)
-        sys.stdout.write(_spherical_pack_report(solve_sphere(problem), n_f, n_v))
+        _print(_spherical_pack_report(solve_sphere(problem), n_f, n_v))
         return EXIT_OK
     geometry = EUCLIDEAN if genus == 1 else HYPERBOLIC
     spec = PatternSpec(med, geometry, theta_star, np.full(med.n_faces, 2.0 * np.pi))
@@ -262,15 +257,11 @@ def cmd_pack(args):
         _print(_solve_report(spec, result, solver.NEWTON))
         return EXIT_NO_CONVERGENCE
     radii = radii_from_rho(geometry, result.rho)
-    report = {
-        "kind": geometry,
-        "vertex_circles": [{"vertex": v, "radius": float(radii[n_f + v])}
-                           for v in range(n_v)],
-        "face_circles": [{"face": f, "radius": float(radii[f])}
-                         for f in range(n_f)],
-        "grad_norm": result.grad_norm,
-    }
-    _print(report)
+    circle = {"radius": jsonio.FLOAT}
+    _print({"kind": geometry,
+            "vertex_circles": _numbered("vertex", n_v, circle, radii[n_f:]),
+            "face_circles": _numbered("face", n_f, circle, radii[:n_f]),
+            "grad_norm": result.grad_norm})
     return EXIT_OK
 
 

@@ -44,7 +44,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import (breadth_first_order, connected_components,
                                   maximum_flow)
 
-from .functional import CoherentAngleSystem, PatternSpec, validate_cas
+from .functional import CoherentAngleSystem, PatternSpec, face_residuals, validate_cas
 
 EQ_TOL = 1e-9      # tolerance for the global equality condition
 STRICT_TOL = 1e-9  # margins at or below this count as violations
@@ -339,8 +339,7 @@ def certify_angles(spec: PatternSpec,
     """
     srf = spec.surface
     phi = np.asarray(cas.phi, dtype=float)
-    face = np.bincount(srf.oe_left, weights=phi, minlength=srf.n_faces)
-    reach = float(np.abs(spec.phi - 2.0 * face).sum())
+    reach = float(np.abs(face_residuals(spec, phi)).sum())
     pair = np.bincount(srf.oe_edge, weights=phi, minlength=srf.n_edges)
     if spec.is_hyperbolic:
         margin = min(float(phi.min()), float((spec.theta_star - pair).min()))

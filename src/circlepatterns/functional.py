@@ -147,12 +147,15 @@ def value(spec: PatternSpec, rho):
     return float(edge_terms.sum() + spec.phi @ rho)
 
 
+def face_residuals(spec: PatternSpec, phi):
+    """Phi_f - 2 sum of the half-angles phi over the boundary walk of f."""
+    srf = spec.surface
+    return spec.phi - 2.0 * np.bincount(srf.oe_left, weights=phi, minlength=srf.n_faces)
+
+
 def gradient(spec: PatternSpec, rho):
     """dS/drho_f = Phi_f - 2 sum of phi over the boundary walk of f."""
-    rho = _check_rho(spec, rho)
-    srf = spec.surface
-    acc = np.bincount(srf.oe_left, weights=phi_of_rho(spec, rho), minlength=srf.n_faces)
-    return spec.phi - 2.0 * acc
+    return face_residuals(spec, phi_of_rho(spec, _check_rho(spec, rho)))
 
 
 def _edge_weights(x, theta):
@@ -256,13 +259,12 @@ def validate_cas(spec: PatternSpec, cas: CoherentAngleSystem) -> CASReport:
     if phi.shape != (srf.n_oriented_edges,):
         raise ValueError("phi must have one entry per oriented edge")
     pair = phi[srf.edge_reps] + phi[srf.oe_twin[srf.edge_reps]]
-    face = np.bincount(srf.oe_left, weights=phi, minlength=srf.n_faces)
     return CASReport(
         geometry=spec.geometry,
         min_phi=float(phi.min()),
         max_pair_residual=float(np.abs(pair - spec.theta_star).max()),
         min_pair_slack=float((spec.theta_star - pair).min()),
-        max_face_residual=float(np.abs(spec.phi - 2.0 * face).max()),
+        max_face_residual=float(np.abs(face_residuals(spec, phi)).max()),
     )
 
 

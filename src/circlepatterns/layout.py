@@ -21,7 +21,7 @@ intersection point in BFS order wins.
 A ``LayoutResult`` holds the developed pattern as arrays: the kites as
 that array, row e the kite of edge e, and one row per face and per vertex
 in ascending id order.  ``export_json`` and ``export_svg`` write every row
-from the arrays, one %-template per row.
+from the arrays, through one template per kind of row.
 
 Only patterns without cone-like singularities are developable: all
 interior cone angles (Phi at faces, Theta at vertices) must equal 2*pi.
@@ -366,40 +366,16 @@ def _canonical_basis(v1, v2, tol):
 
 # -- export -------------------------------------------------------------------
 #
-# export_json writes the document jsonio.dumps would write at indent 2 (the
-# tests hold the two byte for byte), filling one %-template per row.
+# export_json is one jsonio.dumps call; each long list is a jsonio.Rows of the
+# row templates below, filled from the columns of the layout's arrays.
 
-_JSON_FLOAT = jsonio.FLOAT_FORMAT
-
-
-def _json_list(items, level):
-    return jsonio.join("[", items, "]", 2, level)
-
-
-def _json_object(items, level):
-    return jsonio.join("{", items, "}", 2, level)
-
-
-def _json_point(level):
-    return _json_list([_JSON_FLOAT] * 2, level)
-
-
-# rows of the lists at depth 1 of the document
-_CIRCLE_ITEMS = ['"face": %d', '"center": ' + _json_point(3), '"radius": ' + _JSON_FLOAT]
-_CIRCLE_JSON = _json_object(_CIRCLE_ITEMS, 2)
-_HYPERBOLIC_CIRCLE_JSON = _json_object(
-    _CIRCLE_ITEMS + ['"center_hyperbolic": ' + _json_point(3),
-                     '"radius_hyperbolic": ' + _JSON_FLOAT], 2)
-_LINE_JSON = _json_object(['"face": %d', '"line": ' + _json_object(
-    ['"point": ' + _json_point(4), '"normal": ' + _json_point(4)], 3)], 2)
-_VERTEX_JSON = _json_object(['"vertex": %d', '"point": ' + _json_point(3)], 2)
-_KITE_JSON = _json_object(['"edge": %d', '"corners": ' + _json_list([_json_point(4)] * 4, 3)], 2)
-_PERIODS_JSON = _json_list([_json_point(2)] * 2, 1)
-
-
-def _json_rows(templates, values):
-    """A list at depth 1 of the document: its row templates, filled."""
-    return jsonio.fill(_json_list(templates, 1), values) if templates else "[]"
+_POINT = [jsonio.FLOAT, jsonio.FLOAT]
+_CIRCLE = {"face": jsonio.INT, "center": _POINT, "radius": jsonio.FLOAT}
+_HYPERBOLIC_CIRCLE = {**_CIRCLE, "center_hyperbolic": _POINT,
+                      "radius_hyperbolic": jsonio.FLOAT}
+_LINE = {"face": jsonio.INT, "line": {"point": _POINT, "normal": _POINT}}
+_VERTEX = {"vertex": jsonio.INT, "point": _POINT}
+_KITE = {"edge": jsonio.INT, "corners": [_POINT] * 4}
 
 
 def _face_rows(result: LayoutResult, circle, circle_columns, line, line_columns):
@@ -419,12 +395,12 @@ def _face_rows(result: LayoutResult, circle, circle_columns, line, line_columns)
 def _circle_rows(result: LayoutResult):
     c, n = result.centers, result.normals
     columns = [c.real, c.imag, result.radii]
-    template = _CIRCLE_JSON
+    template = _CIRCLE
     if result.hyperbolic_centers is not None:
         h = result.hyperbolic_centers
         columns += [h.real, h.imag, result.hyperbolic_radii]
-        template = _HYPERBOLIC_CIRCLE_JSON
-    return _face_rows(result, template, columns, _LINE_JSON, [c.real, c.imag, n.real, n.imag])
+        template = _HYPERBOLIC_CIRCLE
+    return _face_rows(result, template, columns, _LINE, [c.real, c.imag, n.real, n.imag])
 
 
 def _vertex_rows(result: LayoutResult):
@@ -442,19 +418,17 @@ def export_json(result: LayoutResult, path=None, include_kites=False) -> str:
     """The layout as an indent-2 JSON document: geometry, circles by face,
     vertex points, periods, closure residual and, with ``include_kites``,
     the kite corners by edge.  Non-finite numbers raise ValueError."""
-    periods = "null"
-    if result.periods is not None:
-        periods = jsonio.fill(_PERIODS_JSON, np.array(result.periods, dtype=complex).view(float))
     vertices = _vertex_rows(result)
-    items = ['"geometry": ' + jsonio.dumps(result.geometry),
-             '"circles": ' + _json_rows(*_circle_rows(result)),
-             '"vertices": ' + _json_rows([_VERTEX_JSON] * len(vertices), vertices),
-             '"periods": ' + periods,
-             '"closure_residual": ' + jsonio.fill(_JSON_FLOAT, result.closure_residual)]
+    doc = {"geometry": result.geometry,
+           "circles": jsonio.Rows(*_circle_rows(result)),
+           "vertices": jsonio.Rows([_VERTEX] * len(vertices), vertices),
+           "periods": None if result.periods is None else
+           [[p.real, p.imag] for p in result.periods],
+           "closure_residual": result.closure_residual}
     if include_kites:
         rows = _kite_rows(result)
-        items.append('"kites": ' + _json_rows([_KITE_JSON] * len(rows), rows))
-    text = _json_object(items, 0) + "\n"
+        doc["kites"] = jsonio.Rows([_KITE] * len(rows), rows)
+    text = jsonio.dumps(doc, indent=2) + "\n"
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import solver
+from . import jsonio, solver
 from .feasibility import (FeasibilityCertificate, certify_angles,
                           find_coherent_angle_system)
 from .functional import EUCLIDEAN, PatternSpec
@@ -533,11 +533,15 @@ def solve_sphere(p: SphericalProblem) -> SphericalLayout:
 
 
 def spherical_layout_to_dict(p: SphericalProblem, lay: SphericalLayout) -> dict:
+    """The document of ``sphere``: caps by face, points by vertex, whose
+    long lists are ``jsonio.Rows``."""
+    cap = {"face": jsonio.INT, "axis": [jsonio.FLOAT] * 3, "angular_radius": jsonio.FLOAT}
+    point = {"vertex": jsonio.INT, "point": [jsonio.FLOAT] * 3}
     return {
-        "circles": [{"face": f, "axis": axis, "angular_radius": r} for f, axis, r in
-                    zip(lay.faces.tolist(), lay.axes.tolist(), lay.angular_radii.tolist())],
-        "vertices": [{"vertex": v, "point": point} for v, point in
-                     zip(lay.vertices.tolist(), lay.points.tolist())],
+        "circles": jsonio.Rows([cap] * len(lay.faces),
+                               np.column_stack([lay.faces, lay.axes, lay.angular_radii])),
+        "vertices": jsonio.Rows([point] * len(lay.vertices),
+                                np.column_stack([lay.vertices, lay.points])),
         "v_infinity": p.v_infinity,
         "line_residual": lay.line_residual,
     }

@@ -19,10 +19,10 @@ doubling along ``prev`` and along its rotation ``next[twin]`` and kept
 concatenated (``walk_edges`` cut at ``walk_offsets``, ``fan_edges`` at
 ``fan_offsets``), with the boolean ``face_boundary`` and
 ``vertex_boundary``; connectivity comes from
-``scipy.sparse.csgraph.connected_components``.  The scalar accessors
-(``origin``, ``face_walk``, ``vertex_fan``, ...) read lists built from
-those arrays once, on first use.  Every id must be a ``numbers.Integral``
-other than ``bool``.
+``scipy.sparse.csgraph.connected_components``.  These arrays are the only
+representation: the scalar accessors (``origin``, ``face_walk``,
+``vertex_fan``, ...) read them directly and return Python ints, bools
+and tuples.  Every id must be a ``numbers.Integral`` other than ``bool``.
 """
 
 from __future__ import annotations
@@ -233,52 +233,6 @@ class CellularSurface:
                 raise SurfaceError(
                     f"genus hint {genus_hint} inconsistent with Euler characteristic {chi}")
 
-    # -- lists behind the scalar accessors, built once ----------------------
-
-    @cached_property
-    def _origin(self):
-        return self.oe_origin.tolist()
-
-    @cached_property
-    def _left(self):
-        return self.oe_left.tolist()
-
-    @cached_property
-    def _twin(self):
-        return self.oe_twin.tolist()
-
-    @cached_property
-    def _next(self):
-        return self.oe_next.tolist()
-
-    @cached_property
-    def _prev(self):
-        return self.oe_prev.tolist()
-
-    @cached_property
-    def _edge_id(self):
-        return self.oe_edge.tolist()
-
-    @cached_property
-    def _edge_rep(self):
-        return self.edge_reps.tolist()
-
-    @cached_property
-    def _face_walks(self):
-        return _cut(self.walk_edges, self.walk_offsets)
-
-    @cached_property
-    def _vertex_fans(self):
-        return _cut(self.fan_edges, self.fan_offsets)
-
-    @cached_property
-    def _face_is_boundary(self):
-        return self.face_boundary.tolist()
-
-    @cached_property
-    def _vertex_is_boundary(self):
-        return self.vertex_boundary.tolist()
-
     # -- basic accessors --------------------------------------------------
 
     @property
@@ -310,45 +264,47 @@ class CellularSurface:
         return self._counts[4] == 0
 
     def origin(self, h):
-        return self._origin[h]
+        return int(self.oe_origin[h])
 
     def terminus(self, h):
-        return self._origin[self._twin[h]]
+        return int(self.oe_origin[self.oe_twin[h]])
 
     def twin(self, h):
-        return self._twin[h]
+        return int(self.oe_twin[h])
 
     def next_in_face(self, h):
-        return self._next[h]
+        return int(self.oe_next[h])
 
     def prev_in_face(self, h):
-        return self._prev[h]
+        return int(self.oe_prev[h])
 
     def left_face(self, h):
-        return self._left[h]
+        return int(self.oe_left[h])
 
     def right_face(self, h):
-        return self._left[self._twin[h]]
+        return int(self.oe_left[self.oe_twin[h]])
 
     def edge_of(self, h):
-        return self._edge_id[h]
+        return int(self.oe_edge[h])
 
     def edge_rep(self, e):
         """Canonical oriented representative of unoriented edge e."""
-        return self._edge_rep[e]
+        return int(self.edge_reps[e])
 
     def face_walk(self, f):
-        return self._face_walks[f]
+        f = range(self.n_faces)[f]      # a negative or out-of-range id as a list reads it
+        return tuple(self.walk_edges[self.walk_offsets[f]:self.walk_offsets[f + 1]].tolist())
 
     def face_is_boundary(self, f):
-        return self._face_is_boundary[f]
+        return bool(self.face_boundary[f])
 
     def vertex_fan(self, v):
         """Outgoing oriented edges around v in counterclockwise order."""
-        return self._vertex_fans[v]
+        v = range(self.n_vertices)[v]
+        return tuple(self.fan_edges[self.fan_offsets[v]:self.fan_offsets[v + 1]].tolist())
 
     def vertex_is_boundary(self, v):
-        return self._vertex_is_boundary[v]
+        return bool(self.vertex_boundary[v])
 
     # -- derived arrays ------------------------------------------------------
 
@@ -368,12 +324,6 @@ class CellularSurface:
         kind = "closed" if self.is_closed else "bounded"
         return (f"CellularSurface({kind}, F={self.n_faces}, E={self.n_edges}, "
                 f"V={self.n_vertices})")
-
-
-def _cut(order, offsets):
-    """The tuples order[offsets[i]:offsets[i + 1]]."""
-    order, offsets = order.tolist(), offsets.tolist()
-    return [tuple(order[a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
 
 
 def _check_twins(twin, idx):

@@ -23,7 +23,9 @@ a time and places it by a scalar breadth-first search, one complex number
 at a time, and keeps the result as scalar objects: a circle or line per
 face, a complex point per vertex.  The JSON oracle is the emitter's first,
 isinstance-chain version, and the layout-document oracle builds the nested
-dicts and lists it writes, one of each per row.  The surface-table oracle is the
+dicts and lists it writes, one of each per row; the certificate, solve and
+``pack`` report oracles build those documents the same way, with every
+array written out as a list of floats.  The surface-table oracle is the
 constructor's first, pure-Python version: it follows next and the vertex
 rotation one oriented edge at a time, finds connectivity by a depth-first
 search and numbers edges in a scalar pass.  The medial and reduction

@@ -274,6 +274,10 @@ def _assert_tables_match(s, ref):
     assert tuple(s.oe_edge.tolist()) == ref["edge_id"]
     assert tuple(s.edge_reps.tolist()) == ref["edge_rep"]
     assert s.n_boundary_faces == sum(ref["face_is_boundary"])
+    # the accessors read the arrays as lists would: negative ids from the
+    # end, and plain Python values that json can write
+    assert (s.face_walk(-1), s.vertex_fan(-1)) == (ref["face_walks"][-1], ref["vertex_fans"][-1])
+    assert {type(s.origin(0)), type(s.face_walk(0)[0]), type(s.vertex_fan(0)[0])} == {int}
 
 
 def test_tables_match_the_pure_python_reference():
