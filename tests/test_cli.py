@@ -251,9 +251,10 @@ def test_pack_torus4x4_matches_golden(capsys, tmp_path):
     assert out == _golden("torus4x4_pack.json")
 
 
-# The documents below depend on the machine's floating point (the
-# conjugate-gradient solves of hyperbolic Newton), so they are compared with
-# the reference writer's text of the same document rather than with a golden.
+# The numbers of the documents below may differ between machines in the
+# last bits (the conjugate-gradient solves of hyperbolic Newton, the angles
+# the flow constructs), so the text is compared with the reference writer's
+# text of the same document, computed here, rather than with a golden.
 
 def _reference_text(doc):
     return dumps_reference(doc, indent=2) + "\n"

@@ -11,7 +11,7 @@ from circlepatterns.spherical import (
 )
 from circlepatterns.surface import build_surface, medial, vertex_angle_sums
 from helpers import (SphericalCircle, cap_contains, circle_to_sphere, edge_cross_ratios,
-                     pattern_angles, pinched_sphere, random_flat_theta, sphere_cap,
+                     face_lists, pattern_angles, pinched_sphere, random_flat_theta, sphere_cap,
                      sphere_intersection_angle, sphere_point, stereographic,
                      stereographic_inverse, subdivided_faces)
 from oracles import (Circle, Line, cap_reference, check_conditions_bruteforce,
@@ -257,8 +257,7 @@ def _reduction_record(run, p):
 
 def test_reduction_matches_the_token_walk_reference():
     octahedron = meshes.octahedron()
-    faces = [[octahedron.origin(h) for h in octahedron.face_walk(f)]
-             for f in range(octahedron.n_faces)]
+    faces = face_lists(octahedron)
     rng = np.random.default_rng(45)
     outcomes = set()
     for s in (meshes.tetrahedron(), meshes.cube(), octahedron, medial(meshes.cube()),

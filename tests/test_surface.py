@@ -9,8 +9,8 @@ from circlepatterns.surface import (
     TwinError, UnsupportedSurfaceError, build_surface, euler_characteristic, medial,
     surface_from_json_dict, surface_from_walks, surface_to_json_dict, vertex_angle_sums,
 )
-from helpers import (dual, isomorphic, pinched_sphere, quad_graph, subdivide_edge,
-                     subdivided_faces, surface_pool)
+from helpers import (dual, face_lists, isomorphic, pinched_sphere, quad_graph,
+                     subdivide_edge, subdivided_faces, surface_pool)
 from oracles import medial_reference, surface_tables_reference
 
 
@@ -252,8 +252,7 @@ def _relabelled(table, rng):
 
 def _table_surfaces():
     octahedron = meshes.octahedron()
-    faces = [[octahedron.origin(h) for h in octahedron.face_walk(f)]
-             for f in range(octahedron.n_faces)]
+    faces = face_lists(octahedron)
     return surface_pool() + [
         meshes.triangulated_torus(3, 4), medial(meshes.triangulated_torus(3, 3)),
         build_surface(faces=subdivided_faces(faces, 2)), pinched_sphere(),
