@@ -2,8 +2,8 @@
 
 Subcommands: check, solve, layout, sphere, pack, specfun.  All input is
 JSON; reports are emitted with fixed float formatting so repeated runs
-are byte-identical.  Exit codes: 0 ok, 1 input error, 2 infeasible,
-3 non-convergence, 4 not developable.
+are byte-identical.  Exit codes: 0 ok, 1 input or usage error,
+2 infeasible, 3 non-convergence, 4 not developable.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import jsonio, solver, specfun
-from .feasibility import certify_angles, find_coherent_angle_system
+from .feasibility import find_coherent_angle_system
 from .functional import EUCLIDEAN, HYPERBOLIC, PatternSpec, face_residuals, radii_from_rho
 from .layout import NotDevelopableError, export_json, export_svg, layout
 from .spherical import (SphereConditionError, SphericalProblem, solve_sphere,
@@ -34,6 +34,13 @@ EXIT_NOT_DEVELOPABLE = 4
 
 class InputError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error, exit 1, like any other."""
+
+    def error(self, message):
+        raise InputError(message)
 
 
 def _load_json(path):
@@ -114,15 +121,21 @@ def cmd_check(args):
     return EXIT_OK if cert.feasible else EXIT_INFEASIBLE
 
 
+# "options" key of a problem file, also the solve flag -> SolveOptions field
+_OPTIONS = {"method": "method", "tol": "grad_tol", "max_iter": "max_iter"}
+
+
 def _solve_options(args, path, options):
     """The flags and, for every flag not given, the file's "options"; a bad
-    value from the file names the file."""
-    given = {name: value for name, value in (("method", args.method), ("grad_tol", args.tol),
-                                             ("max_iter", args.max_iter))
-             if value is not None}
+    key or value from the file names the file."""
+    given = {name: getattr(args, key) for key, name in _OPTIONS.items()
+             if getattr(args, key) is not None}
     solver.SolveOptions(**given)    # a bad flag is reported without the path
-    from_file = {name: options[key] for key, name in
-                 (("method", "method"), ("tol", "grad_tol"), ("max_iter", "max_iter"))
+    unknown = sorted(set(options) - set(_OPTIONS))
+    if unknown:
+        raise InputError(f"{path}: unknown option {unknown[0]!r}; "
+                         f"the options are {', '.join(_OPTIONS)}")
+    from_file = {name: options[key] for key, name in _OPTIONS.items()
                  if key in options and name not in given}
     try:
         return solver.SolveOptions(**from_file, **given)
@@ -245,14 +258,11 @@ def cmd_pack(args):
         return EXIT_OK
     geometry = EUCLIDEAN if genus == 1 else HYPERBOLIC
     spec = PatternSpec(med, geometry, theta_star, np.full(med.n_faces, 2.0 * np.pi))
-    # the angles of the minimiser prove existence; the flow decides
-    # only when they do not
     result = solver.minimize(spec)
-    if certify_angles(spec, result.cas) is None:
-        cert = find_coherent_angle_system(spec)
-        if not cert.feasible:
-            _print(_certificate_dict(cert))
-            return EXIT_INFEASIBLE
+    cert = find_coherent_angle_system(spec, result.cas)
+    if not cert.feasible:
+        _print(_certificate_dict(cert))
+        return EXIT_INFEASIBLE
     if not result.converged:
         _print(_solve_report(spec, result, solver.NEWTON))
         return EXIT_NO_CONVERGENCE
@@ -268,18 +278,16 @@ def cmd_pack(args):
 def cmd_specfun(args):
     if args.function == "clausen":
         value = specfun.clausen(args.x)
-    elif args.function == "imli2":
+    else:
         if args.theta is None:
             raise InputError("imli2 needs both x and theta")
         value = specfun.im_li2(args.x, args.theta)
-    else:
-        raise InputError(f"unknown function {args.function!r}")
     sys.stdout.write("%.15g\n" % value)
     return EXIT_OK
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="circlepatterns",
         description="construct circle patterns with prescribed intersection "
                     "and cone angles")
@@ -331,20 +339,16 @@ def _build_parser():
 
 def main(argv=None):
     logging.basicConfig(level=os.environ.get("CIRCLEPATTERNS_LOG", "WARNING"))
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (SurfaceError, ValueError) as exc:
-        if isinstance(exc, SphereConditionError):
-            print(f"infeasible: {exc}", file=sys.stderr)
-            return EXIT_INFEASIBLE
-        if isinstance(exc, NotDevelopableError):
-            print(f"not developable: {exc}", file=sys.stderr)
-            return EXIT_NOT_DEVELOPABLE
+    except SphereConditionError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except NotDevelopableError as exc:
+        print(f"not developable: {exc}", file=sys.stderr)
+        return EXIT_NOT_DEVELOPABLE
+    except ValueError as exc:    # InputError and SurfaceError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

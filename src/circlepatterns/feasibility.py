@@ -7,16 +7,16 @@ the hyperbolic pattern exists iff the strict inequality holds for every
 nonempty subset including the full face set.  Both are equivalent to the
 existence of a coherent angle system (CAS).
 
-There are two verdict paths.  The first is a Newton certificate: the
-critical points of the convex functional are exactly the coherent angle
-systems, so the half-angles of an approximate minimiser prove existence
-when they keep clear of the CAS bounds by more than the largest distance
-to an exact CAS that their face residuals allow
-(:func:`certify_angles`).  It never proves infeasibility.  The second is
-the flow, which decides every input and alone produces the violating face
-subsets: it reduces the CAS to a feasible-flow problem on a small network
-and reads the half-angles off the face-to-edge branch flows
-(:func:`find_coherent_angle_system`).
+There are two verdict paths, both in :func:`find_coherent_angle_system`.
+The first is a Newton certificate: the critical points of the convex
+functional are exactly the coherent angle systems, so the half-angles of
+an approximate minimiser prove existence when they keep clear of the CAS
+bounds by more than the largest distance to an exact CAS that their face
+residuals allow (:func:`certify_angles`).  It never proves
+infeasibility.  The second is the flow, which decides every input and
+alone produces the violating face subsets: it reduces the CAS to a
+feasible-flow problem on a small network and reads the half-angles off
+the face-to-edge branch flows.
 
 The flow's verdict comes from one cut.  A flow at the first floor eps on
 the face-to-edge branches settles feasible data.  When it fails, one max
@@ -98,11 +98,13 @@ def build_flow_network(spec: PatternSpec, eps: float) -> FlowNetwork:
 
 
 @dataclass
-class FlowStats:
-    """What one call of :func:`solve_feasible_flow` did."""
-    rounds: int = 0          # integer max-flow rounds run
-    pushed: float = 0.0      # flow sent from the excess nodes
-    shortfall: float = 0.0   # demand left unmet
+class FlowResult:
+    """What one call of :func:`solve_feasible_flow` found and did."""
+    flows: np.ndarray | None  # per branch; None if the unmet demand is above rounding
+    cut: set | None           # min cut, if any demand is unmet
+    rounds: int = 0           # integer max-flow rounds run
+    pushed: float = 0.0       # flow sent from the excess nodes
+    shortfall: float = 0.0    # demand left unmet
     # the final residual network as (tails, heads, capacities); nodes
     # n_nodes and n_nodes + 1 are the super source and the super sink
     residual: tuple | None = None
@@ -183,7 +185,7 @@ def _open_arcs(tails, heads, residual, tol, n):
                         shape=(n, n))
 
 
-def solve_feasible_flow(net: FlowNetwork, stats: FlowStats | None = None):
+def solve_feasible_flow(net: FlowNetwork) -> FlowResult:
     """Feasible flow respecting the lower bounds, or None plus a min cut.
 
     Uses the standard excess-node transformation to a single max-flow:
@@ -203,20 +205,17 @@ def solve_feasible_flow(net: FlowNetwork, stats: FlowStats | None = None):
     round with the smallest unit sends nothing.  The flow is accepted when
     the unmet demand is at rounding level, 1e-10 of the demand.
 
-    Returns (flows, cut): flows per branch, None if the unmet demand is
-    above rounding level; cut, if any demand is unmet, the min cut of the
-    nodes reachable from the source through residual capacities above the
-    tolerance.  ``stats``, when given, receives the rounds run, the flow
-    pushed, the shortfall and the final residual network.
+    The result holds the flows per branch, None if the unmet demand is
+    above rounding level; the cut, if any demand is unmet, the min cut of
+    the nodes reachable from the source through residual capacities above
+    the tolerance; and the rounds run, the flow pushed, the shortfall and
+    the final residual network.
     """
     n = net.n_nodes
     s, t = n, n + 1
-    stats = stats if stats is not None else FlowStats()
-    stats.rounds, stats.pushed, stats.shortfall, stats.residual = 0, 0.0, 0.0, None
     cap = net.upper - net.lower
     if np.any(cap < 0):
-        stats.shortfall = np.inf
-        return None, set(range(n))
+        return FlowResult(None, set(range(n)), shortfall=np.inf)
     excess = (np.bincount(net.head, net.lower, minlength=n)
               - np.bincount(net.tail, net.lower, minlength=n))
     sources = np.flatnonzero(excess > 0)
@@ -233,7 +232,7 @@ def solve_feasible_flow(net: FlowNetwork, stats: FlowStats | None = None):
     # round that sends flow lowers the unmet demand in floats too
     floor_level = math.ldexp(max(1.0, float(excess.max(initial=0.0))), _ROUND_BITS - 50)
     flow = np.zeros(len(cap))
-    unmet = demand
+    unmet, rounds = demand, 0
     level = max(demand, floor_level)
     while unmet > tol:
         # the power of two just above level / 2**28 keeps the scaling exact,
@@ -241,7 +240,7 @@ def solve_feasible_flow(net: FlowNetwork, stats: FlowStats | None = None):
         unit = math.ldexp(1.0, math.frexp(level)[1] - _ROUND_BITS)
         delta = residual_net.augment(np.concatenate([flow, cap - flow]), s, t,
                                      level, unit)
-        stats.rounds += 1
+        rounds += 1
         if delta is not None:
             flow += delta
             unmet = float((cap - flow)[from_source].sum())
@@ -251,13 +250,12 @@ def solve_feasible_flow(net: FlowNetwork, stats: FlowStats | None = None):
         # flow still to be sent is below a unit per residual arc
         level = max(floor_level, min(unmet, unit * 2 * len(cap)))
     residual = np.concatenate([flow, cap - flow])
-    stats.pushed = demand - unmet
-    stats.shortfall = unmet
-    stats.residual = (residual_net.tails, residual_net.heads, residual)
     cut = ({int(v) for v in residual_net.reachable(residual, s, tol) if v < n}
            if unmet > tol else None)
     accepted = unmet <= 1e-10 * max(1.0, demand)
-    return (net.lower + flow[:n_branches] if accepted else None), cut
+    return FlowResult(net.lower + flow[:n_branches] if accepted else None, cut,
+                      rounds=rounds, pushed=demand - unmet, shortfall=unmet,
+                      residual=(residual_net.tails, residual_net.heads, residual))
 
 
 # -- certificates and the theorem-level checks --------------------------------
@@ -354,8 +352,12 @@ def certify_angles(spec: PatternSpec,
     return FeasibilityCertificate(feasible=True, cas=cas)
 
 
-def find_coherent_angle_system(spec: PatternSpec) -> FeasibilityCertificate:
+def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | None = None
+                               ) -> FeasibilityCertificate:
     """Decide existence by one min cut; construct a coherent angle system.
+
+    When :func:`certify_angles` accepts the half-angles ``angles``, if
+    given, that certificate is the verdict and no flow runs.
 
     The face-to-edge branches get the floor eps = min(Phi)/4 per
     boundary-walk step (at most min(theta*)/4).  A feasible flow there is
@@ -384,30 +386,30 @@ def find_coherent_angle_system(spec: PatternSpec) -> FeasibilityCertificate:
     floor, the largest as a cut's root.  In floats a step needs d0 < 0 <
     d_eps; ending with neither a flow nor a face set raises RuntimeError.
     """
-    srf = spec.surface
-    cert = None if spec.is_hyperbolic else _equality_certificate(spec)
+    cert = None if angles is None else certify_angles(spec, angles)
+    if cert is None and not spec.is_hyperbolic:
+        cert = _equality_certificate(spec)
     if cert is not None:
         return cert
+    srf = spec.surface
     max_deg = int(np.diff(srf.walk_offsets).max())
     eps = min(float(spec.phi.min()) / (4.0 * max_deg),
               float(spec.theta_star.min()) / 4.0)
     half_angles = slice(srf.n_faces, srf.n_faces + srf.n_oriented_edges)
-    rounds, shortfalls = [], []
-    flow_stats = FlowStats()
+    results = []
 
     def flow(eps):
         net = build_flow_network(spec, eps)
-        flows, cut = solve_feasible_flow(net, flow_stats)
-        rounds.append(flow_stats.rounds)
-        shortfalls.append(flow_stats.shortfall)
+        results.append(solve_feasible_flow(net))
+        flows = results[-1].flows
         # an accepted flow may leave a face residual over 1e-8: step from its cut
         cas = None if flows is None else CoherentAngleSystem(phi=flows[half_angles])
         valid = cas is not None and validate_cas(spec, cas).is_valid(1e-8)
-        return (cas if valid else None), net, cut
+        return (cas if valid else None), net, results[-1].cut
 
     def zero_cut():
         _, zero, _ = flow(0.0)
-        return zero, _certificate_from_residual(spec, zero, flow_stats)
+        return zero, _certificate_from_residual(spec, zero, results[-1])
 
     cas = cut = zero = None
     if eps <= STRICT_TOL:
@@ -429,8 +431,8 @@ def find_coherent_angle_system(spec: PatternSpec) -> FeasibilityCertificate:
         cert = FeasibilityCertificate(feasible=True, cas=cas)
     elif cert is None:
         raise RuntimeError(f"no flow and no violating face set at floor eps = {eps:.6g}")
-    cert.flow_solves, cert.flow_rounds = len(rounds), sum(rounds)
-    cert.shortfall = shortfalls[0]
+    cert.flow_solves, cert.flow_rounds = len(results), sum(r.rounds for r in results)
+    cert.shortfall = results[0].shortfall
     return cert
 
 
@@ -447,7 +449,7 @@ _CUT_TOL = 1e-10
 
 
 def _certificate_from_residual(spec: PatternSpec, net: FlowNetwork,
-                              stats: FlowStats) -> FeasibilityCertificate | None:
+                              zero: FlowResult) -> FeasibilityCertificate | None:
     """Violating face set from the residual of the eps = 0 max flow, or None.
 
     At eps = 0 the network is Picard's maximum-closure network scaled by
@@ -470,8 +472,8 @@ def _certificate_from_residual(spec: PatternSpec, net: FlowNetwork,
     F = spec.surface.n_faces
     n = net.n_nodes + 2
     s, t = n - 2, n - 1
-    tails, heads, residual = stats.residual
-    tol = _CUT_TOL * max(1.0, stats.pushed + stats.shortfall)
+    tails, heads, residual = zero.residual
+    tol = _CUT_TOL * max(1.0, zero.pushed + zero.shortfall)
     graph = _open_arcs(tails, heads, residual, tol, n)
     blocked = np.zeros(n, dtype=bool)
     blocked[breadth_first_order(graph.T.tocsr(), t, return_predecessors=False)] = True

@@ -146,9 +146,9 @@ def minimize(spec: PatternSpec, opts: SolveOptions | None = None) -> SolveResult
     no proof of feasibility: where a face subset fails the conditions only
     by equality, the gradient decays as rho runs off to infinity and falls
     below ``grad_tol`` at a finite rho, whose angle system then also
-    validates at 1e-8.  The proof is ``feasibility.certify_angles`` on the
-    result's angle system, which refuses such a result; when it returns
-    None, decide with ``feasibility.find_coherent_angle_system``.
+    validates at 1e-8.  Existence is decided by
+    ``feasibility.find_coherent_angle_system(spec, result.cas)``, whose
+    certificate refuses such a result and leaves the verdict to the flow.
     Euclidean results are normalized to sum(rho) = 0.
     """
     opts = opts or SolveOptions()
@@ -204,14 +204,14 @@ def minimize(spec: PatternSpec, opts: SolveOptions | None = None) -> SolveResult
 def _finish(spec, rho, iterations, converged, message):
     if not spec.is_hyperbolic:
         rho = rho - rho.mean()
-    grad = fn.gradient(spec, rho)
+    # the gradient is the face residual of these half-angles
     cas, report = fn.cas_from_rho(spec, rho)
     if converged and spec.is_hyperbolic and np.any(rho >= 0.0):
         converged = False
         message = "stationary point with nonnegative rho; data are not hyperbolic-feasible"
     return SolveResult(
         rho=rho, cas=cas, cas_report=report,
-        grad_norm=float(np.abs(grad).max()),
+        grad_norm=report.max_face_residual,
         iterations=iterations,
         functional_value=fn.value(spec, rho),
         converged=converged, message=message)

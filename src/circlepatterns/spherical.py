@@ -25,8 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import jsonio, solver
-from .feasibility import (FeasibilityCertificate, certify_angles,
-                          find_coherent_angle_system)
+from .feasibility import FeasibilityCertificate, find_coherent_angle_system
 from .functional import EUCLIDEAN, PatternSpec
 from .layout import LayoutResult, layout
 from .surface import (OPEN, CellularSurface, DisconnectedSurfaceError,
@@ -356,7 +355,6 @@ class SphericalLayout:
     vertices: np.ndarray             # (V,) original vertices
     points: np.ndarray               # (V, 3) on the unit sphere
     planar: LayoutResult
-    reduction: Reduction
     line_residual: float = 0.0
 
 
@@ -481,11 +479,10 @@ def solve_sphere(p: SphericalProblem) -> SphericalLayout:
     reduced Euclidean problem, lay it out, re-insert the removed faces as
     lines and project everything to the unit sphere.
 
-    The angles of the reduced solve prove existence when
-    :func:`feasibility.certify_angles` accepts them; only otherwise does
-    the flow check of the reduced problem decide, as in
-    :func:`check_sphere_conditions`, so that a failing verdict keeps its
-    message."""
+    Existence is decided by ``find_coherent_angle_system`` on the reduced
+    problem with the angles of its solve, which runs the flow only when
+    they prove nothing; a failing verdict raises SphereConditionError
+    with the flow's message."""
     red = reduce_to_plane(p)
     s = p.surface
     circles = (np.zeros(s.n_faces, dtype=complex), np.full(s.n_faces, np.nan),
@@ -498,10 +495,9 @@ def solve_sphere(p: SphericalProblem) -> SphericalLayout:
         closure_residual, diameter = line_residual, None
     else:
         solve_result = solver.minimize(red.spec)
-        if certify_angles(red.spec, solve_result.cas) is None:
-            cert = find_coherent_angle_system(red.spec)
-            if not cert.feasible:
-                raise SphereConditionError(cert.message)
+        cert = find_coherent_angle_system(red.spec, solve_result.cas)
+        if not cert.feasible:
+            raise SphereConditionError(cert.message)
         if not solve_result.converged:
             raise SphereConditionError(
                 f"reduced solve did not converge: {solve_result.message}")
@@ -529,7 +525,7 @@ def solve_sphere(p: SphericalProblem) -> SphericalLayout:
     return SphericalLayout(
         faces=faces, axes=axes, angular_radii=angular_radii,
         vertices=vertices, points=_sphere_points(points[vertices]),
-        planar=planar, reduction=red, line_residual=line_residual)
+        planar=planar, line_residual=line_residual)
 
 
 def spherical_layout_to_dict(p: SphericalProblem, lay: SphericalLayout) -> dict:

@@ -388,6 +388,8 @@ def _edge_ids(twin, idx, edge_id):
     ids, reps = np.unique(eid, return_index=True)
     if ids[0] != 0 or ids[-1] != len(ids) - 1:
         raise SurfaceError("edge ids are not contiguous")
+    if 2 * len(ids) != len(eid):
+        raise SurfaceError("edge ids are shared between edges")
     return eid, reps
 
 
@@ -516,12 +518,14 @@ def _faces_to_walks(faces):
     return [(tokens[a:b], True) for a, b in zip(offsets[:-1], offsets[1:])]
 
 
-def build_surface(faces=None, oriented_edges=None, genus_hint=None):
+def build_surface(faces=None, oriented_edges=None, genus_hint=None, edge_ids=None):
     """Build a surface from face-vertex lists or an oriented-edge table.
 
     The face-vertex form accepts closed faces only and rejects loops and
     double edges (they make the gluing ambiguous); use the table form for
-    full generality, including surfaces with boundary faces.
+    full generality, including surfaces with boundary faces.  The table
+    form numbers its edges by ``edge_ids``, one per oriented edge, when
+    given, and otherwise in order of first appearance.
     """
     if (faces is None) == (oriented_edges is None):
         raise SurfaceError("provide exactly one of faces / oriented_edges")
@@ -541,7 +545,7 @@ def build_surface(faces=None, oriented_edges=None, genus_hint=None):
                     raise SurfaceError(f"oriented edge {h} has no '{key}'") from None
         raise
     nxt = [OPEN if x is None else x for x in nxt]
-    return CellularSurface(*columns, nxt, genus_hint=genus_hint)
+    return CellularSurface(*columns, nxt, edge_id=edge_ids, genus_hint=genus_hint)
 
 
 def surface_to_json_dict(s: CellularSurface) -> dict:
@@ -566,7 +570,7 @@ def surface_from_json_dict(d: dict) -> CellularSurface:
         return build_surface(faces=d["faces"], genus_hint=d.get("genus_hint"))
     if "oriented_edges" in d:
         return build_surface(oriented_edges=d["oriented_edges"],
-                             genus_hint=d.get("genus_hint"))
+                             genus_hint=d.get("genus_hint"), edge_ids=d.get("edge_ids"))
     raise SurfaceError("mesh must contain 'faces' or 'oriented_edges'")
 
 

@@ -141,6 +141,30 @@ def test_solve_without_iterations_does_not_converge(capsys, tmp_path):
     assert doc["converged"] is False and doc["iterations"] == 0
 
 
+@pytest.mark.parametrize("argv", [["solve", "x.json", "--tol", "abc"], ["pack"],
+                                  ["unfold", "x.json"]])
+def test_usage_errors_are_input_errors(capsys, argv):
+    assert cli.main(argv) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_solve_keeps_the_mesh_edge_numbering(capsys, tmp_path):
+    # the reduction numbers its edges in the order of the cube's, not by
+    # first appearance
+    s = _open_disc(2)
+    rng = np.random.default_rng(30)
+    theta_star = rng.uniform(0.3, np.pi - 0.05, s.n_edges)
+    phi = rng.uniform(0.1, 0.45, s.n_oriented_edges) * theta_star[s.oe_edge]
+    phi = 2 * np.bincount(s.oe_left, weights=phi, minlength=s.n_faces)
+    problem = _write_problem(tmp_path / "disc.json", s, "hyperbolic", theta_star, phi)
+    code, out = _run(capsys, "solve", problem)
+    assert code == cli.EXIT_OK
+    spec = PatternSpec(s, "hyperbolic", theta_star, phi)
+    assert json.loads(out)["rho"] == solver.minimize(spec).rho.tolist()
+
+
 def test_layout_of_closed_hyperbolic_problem(capsys, tmp_path):
     s = meshes.genus2_octagon()
     problem = _write_problem(tmp_path / "genus2.json", s, "hyperbolic",
@@ -187,24 +211,25 @@ def test_pack_torus_is_repeatable(capsys, tmp_path):
 
 
 def test_feasible_pack_runs_no_flow(capsys, tmp_path, monkeypatch, torus_problem):
-    from circlepatterns import feasibility, spherical
-    calls = []
+    from circlepatterns import feasibility
+    flows = []
+    solve_feasible_flow = feasibility.solve_feasible_flow
 
-    def spy(spec):
-        calls.append(spec)
-        return feasibility.find_coherent_angle_system(spec)
+    def spy(net):
+        flows.append(net)
+        return solve_feasible_flow(net)
 
-    for module in (cli, spherical):
-        monkeypatch.setattr(module, "find_coherent_angle_system", spy)
+    monkeypatch.setattr(feasibility, "solve_feasible_flow", spy)
     for name, surface in (("octahedron", meshes.octahedron()),
                           ("torus", meshes.triangulated_torus(4, 4))):
         path = tmp_path / f"pack_{name}.json"
         path.write_text(json.dumps({"mesh": surface_to_json_dict(surface)}))
         assert _run(capsys, "pack", str(path))[0] == cli.EXIT_OK
-    assert calls == []
-    # the spy is live: solve still runs the flow before Newton
+    assert flows == []
+    # the spy is live: solve still runs the flow before Newton, one flow
+    # at the first floor on this torus
     assert _run(capsys, "solve", torus_problem)[0] == cli.EXIT_OK
-    assert len(calls) == 1
+    assert len(flows) == 1
 
 
 def _golden(name):
@@ -345,9 +370,14 @@ def _with_table_entry(doc, value):
     return doc
 
 
-def _open_disc():
+def _with_edge_id(doc, h, value):
+    doc["mesh"]["edge_ids"][h] = value
+    return doc
+
+
+def _open_disc(v_infinity=0):
     return reduce_to_plane(SphericalProblem(meshes.cube(), np.full(12, 2 * np.pi / 3),
-                                            0)).surface
+                                            v_infinity)).surface
 
 
 def _cube_sphere_doc(theta_3):
@@ -437,6 +467,10 @@ MALFORMED = {
                             "grad_tol"),
     "unknown method option": ("solve", dict(_torus_doc(), options={"method": "secant"}),
                               None, "unknown method"),
+    "unknown option": ("solve", dict(_torus_doc(), options={"max_iters": 5}), None,
+                       "unknown option 'max_iters'"),
+    "edge ids differ between twins": (
+        "solve", _with_edge_id(_torus_doc(), 0, 5), None, "edge_id differs between twins"),
 }
 
 

@@ -87,8 +87,8 @@ def test_network_structure():
     box_to_face = (net_e.tail == net_e.box) & (net_e.head < F)
     assert np.all(net_e.lower[box_to_face] == 0.5 * spec_e.phi[net_e.head[box_to_face]])
     assert np.all(np.isinf(net_e.upper[box_to_face]))
-    flows, cut = solve_feasible_flow(net_e)
-    assert flows is not None and cut is None
+    result = solve_feasible_flow(net_e)
+    assert result.flows is not None and result.cut is None
 
 
 def _own_theta_sum(spec, f):
@@ -240,16 +240,29 @@ def test_floor_steps_from_the_cut_of_an_accepted_flow():
             assert cert.kind == "subset" and cert.flow_solves == 2
 
 
+def _verdict(cert):
+    return cert.feasible, cert.kind, cert.violating_faces, cert.violating_edges
+
+
 def test_newton_certificate_never_accepts_infeasible_data():
     # every feasible fixture converges within 7 Newton steps and the
     # infeasible ones that converge take at most 26; the cap keeps the
     # others from running the default 200 steps
     opts = SolveOptions(max_iter=40)
-    feasible = certified = 0
+    feasible = certified = refused = 0
     for i, surf, geometry, spec in _randomized_fixtures():
-        cert = certify_angles(spec, minimize(spec, opts).cas)
-        if not (find_coherent_angle_system(spec).feasible
-                and check_conditions_bruteforce(spec).feasible):
+        angles = minimize(spec, opts).cas
+        cert = certify_angles(spec, angles)
+        flow = find_coherent_angle_system(spec)
+        decided = find_coherent_angle_system(spec, angles)
+        if cert is None:
+            # a refused certificate leaves the verdict to the flow
+            assert _verdict(decided) == _verdict(flow), (i, surf, geometry)
+            refused += 1
+        else:
+            # an accepted one is the verdict, and no flow runs
+            assert decided.feasible and decided.cas is angles and decided.flow_solves == 0
+        if not (flow.feasible and check_conditions_bruteforce(spec).feasible):
             assert cert is None, (i, surf, geometry)
             continue
         feasible += 1
@@ -257,6 +270,7 @@ def test_newton_certificate_never_accepts_infeasible_data():
             certified += 1
             assert cert.feasible and cert.flow_solves == 0
     assert feasible >= 100 and certified >= 0.9 * feasible, (feasible, certified)
+    assert refused >= 100, refused
 
 
 def _full_size_infeasible_specs():
@@ -577,6 +591,9 @@ def test_certificate_records_the_flow_search():
     assert infeasible.shortfall > 0.5 * first_floor
     equality = find_coherent_angle_system(torus_spec(EUCLIDEAN, phi=2 * np.pi + 0.1))
     assert (equality.flow_solves, equality.flow_rounds) == (0, 0)
+    # certified angles are the verdict without a flow
+    certified = find_coherent_angle_system(torus_spec(), minimize(torus_spec()).cas)
+    assert certified.feasible and (certified.flow_solves, certified.flow_rounds) == (0, 0)
     # the stats stay out of the deterministic report
     for cert in (feasible, infeasible):
         assert not {"flow_solves", "flow_rounds", "shortfall"} & set(_certificate_dict(cert))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from circlepatterns.feasibility import FlowNetwork, FlowStats, solve_feasible_flow
+from circlepatterns.feasibility import FlowNetwork, solve_feasible_flow
 from oracles import feasible_flow_dinic
 
 
@@ -61,32 +61,32 @@ def random_integer_network(rng):
 
 
 def _check_against_oracle(net):
-    stats = FlowStats()
-    flows, cut = solve_feasible_flow(net, stats=stats)
+    result = solve_feasible_flow(net)
+    flows, cut = result.flows, result.cut
     ref_flows, ref_cut, ref_pushed, demand = feasible_flow_dinic(net)
     assert (flows is None) == (ref_flows is None)
     tol = 1e-13 * max(1.0, demand)
     # the oracle leaves arcs of capacity at most tol unused
-    assert abs(stats.pushed - ref_pushed) <= 4 * len(net.tail) * tol
-    assert stats.pushed + stats.shortfall == pytest.approx(demand, rel=1e-12, abs=tol)
+    assert abs(result.pushed - ref_pushed) <= 4 * len(net.tail) * tol
+    assert result.pushed + result.shortfall == pytest.approx(demand, rel=1e-12, abs=tol)
     if flows is None:
         assert cut is not None
-        return stats, cut, ref_cut
+        return result, ref_cut
     slack = 1e-10 * max(1.0, demand) + tol
     assert np.all(flows >= net.lower - slack)
     assert np.all(flows <= net.upper + slack)
     balance = (np.bincount(net.head, flows, minlength=net.n_nodes)
                - np.bincount(net.tail, flows, minlength=net.n_nodes))
     assert np.abs(balance).max() <= slack
-    return stats, cut, ref_cut
+    return result, ref_cut
 
 
 def test_matches_oracle_on_random_float_networks():
     rng = np.random.default_rng(200)
     verdicts = []
     for _ in range(150):
-        stats, cut, _ = _check_against_oracle(random_float_network(rng))
-        verdicts.append(cut is None)
+        result, _ = _check_against_oracle(random_float_network(rng))
+        verdicts.append(result.cut is None)
     assert 30 < sum(verdicts) < 120  # both verdicts are exercised
 
 
@@ -94,11 +94,11 @@ def test_cut_matches_oracle_on_infeasible_integer_networks():
     rng = np.random.default_rng(201)
     infeasible = 0
     for _ in range(150):
-        _, cut, ref_cut = _check_against_oracle(random_integer_network(rng))
-        if cut is not None:
+        result, ref_cut = _check_against_oracle(random_integer_network(rng))
+        if result.cut is not None:
             # the source side of the residual graph is the same for every
             # maximum flow
-            assert cut == ref_cut
+            assert result.cut == ref_cut
             infeasible += 1
     assert infeasible > 30
 
@@ -110,11 +110,11 @@ def test_capacities_beyond_int32(demand, feasible):
     net = _network(4, [0, 1, 1, 2, 3], [1, 2, 3, 0, 0],
                    [demand, 0.0, 0.0, 0.0, 0.0],
                    [1e10, 4e9, 3e9, np.inf, np.inf])
-    stats, cut, ref_cut = _check_against_oracle(net)
-    assert (cut is None) == feasible
+    result, ref_cut = _check_against_oracle(net)
+    assert (result.cut is None) == feasible
     if not feasible:
-        assert cut == ref_cut == {1}
-        assert stats.shortfall == pytest.approx(demand - 7e9)
+        assert result.cut == ref_cut == {1}
+        assert result.shortfall == pytest.approx(demand - 7e9)
 
 
 def test_summed_capacity_beyond_int32_raises():
@@ -128,8 +128,7 @@ def test_summed_capacity_beyond_int32_raises():
 
 
 def test_rounds_are_counted():
-    stats = FlowStats()
     net = _network(3, [0, 1, 2], [1, 2, 0], [1.0, 0.0, 0.0], [np.inf] * 3)
-    flows, cut = solve_feasible_flow(net, stats=stats)
-    assert cut is None and np.allclose(flows, 1.0)
-    assert stats.rounds == 1 and stats.shortfall == 0.0 and stats.pushed == 1.0
+    result = solve_feasible_flow(net)
+    assert result.cut is None and np.allclose(result.flows, 1.0)
+    assert result.rounds == 1 and result.shortfall == 0.0 and result.pushed == 1.0

@@ -3,7 +3,7 @@ import pytest
 
 from circlepatterns import meshes
 from circlepatterns.feasibility import STRICT_TOL
-from circlepatterns import spherical
+from circlepatterns import feasibility, spherical
 from circlepatterns.layout import export_json, export_svg
 from circlepatterns.spherical import (
     SphereConditionError, SphericalProblem, check_sphere_conditions, reduce_to_plane,
@@ -125,22 +125,24 @@ def test_conditions_detect_short_cocycle():
 def test_refused_certificate_reuses_the_reduction(monkeypatch):
     # the flow decides a refused certificate on the reduction solve_sphere
     # holds, without a second reduction
-    reductions, flows = [], []
-    flow = spherical.find_coherent_angle_system
+    reductions, verdicts = [], []
+    decide = spherical.find_coherent_angle_system
 
     def reduce_spy(p):
         reductions.append(p)
         return reduce_to_plane(p)
 
-    def flow_spy(spec):
-        flows.append(spec)
-        return flow(spec)
+    def decide_spy(spec, angles=None):
+        verdicts.append(decide(spec, angles))
+        return verdicts[-1]
 
-    monkeypatch.setattr(spherical, "certify_angles", lambda spec, cas: None)
+    monkeypatch.setattr(feasibility, "certify_angles", lambda spec, angles: None)
     monkeypatch.setattr(spherical, "reduce_to_plane", reduce_spy)
-    monkeypatch.setattr(spherical, "find_coherent_angle_system", flow_spy)
+    monkeypatch.setattr(spherical, "find_coherent_angle_system", decide_spy)
     lay = solve_sphere(cube_problem())
-    assert len(reductions) == 1 and len(flows) == 1
+    assert len(reductions) == 1 and len(verdicts) == 1
+    # the refused certificate left the verdict to the flow
+    assert verdicts[0].feasible and verdicts[0].flow_solves >= 1
     assert np.abs(pattern_angles(cube_problem(), lay) - np.pi / 3).max() <= 1e-7
 
 

@@ -227,6 +227,30 @@ def test_json_round_trip():
         [s.edge_of(h) for h in range(s.n_oriented_edges)]
 
 
+def test_json_round_trip_keeps_the_edge_numbering():
+    # the reduction numbers its edges in the order of the cube's, which is
+    # not the order of first appearance
+    s = reduce_to_plane(SphericalProblem(meshes.cube(), np.full(12, 2 * np.pi / 3),
+                                         2)).surface
+    first_appearance = CellularSurface(s.oe_origin, s.oe_left, s.oe_twin, s.oe_next)
+    assert not np.array_equal(first_appearance.oe_edge, s.oe_edge)
+    s2 = surface_from_json_dict(surface_to_json_dict(s))
+    assert np.array_equal(s2.oe_edge, s.oe_edge)
+    assert np.array_equal(s2.edge_reps, s.edge_reps)
+
+
+@pytest.mark.parametrize("message", ["differs between twins", "shared between edges",
+                                     "not contiguous"])
+def test_json_edge_ids_are_checked(message):
+    doc = surface_to_json_dict(meshes.torus_grid(2, 2))
+    ids = doc["edge_ids"]
+    doc["edge_ids"] = {"differs between twins": [5] + ids[1:],
+                       "shared between edges": [0] * len(ids),
+                       "not contiguous": [i + 1 for i in ids]}[message]
+    with pytest.raises(SurfaceError, match=message):
+        surface_from_json_dict(doc)
+
+
 # -- the array tables against the pure-Python reference ------------------------
 
 def _table(s):
