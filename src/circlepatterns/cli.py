@@ -122,7 +122,7 @@ def cmd_check(args):
 
 
 # "options" key of a problem file, also the solve flag -> SolveOptions field
-_OPTIONS = {"method": "method", "tol": "grad_tol", "max_iter": "max_iter"}
+_OPTIONS = {"tol": "grad_tol", "max_iter": "max_iter"}
 
 
 def _solve_options(args, path, options):
@@ -143,10 +143,10 @@ def _solve_options(args, path, options):
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _solve_report(spec, result, method):
+def _solve_report(spec, result):
     report = {
         "geometry": spec.geometry,
-        "method": method,
+        "method": solver.NEWTON,
         "converged": bool(result.converged),
         "iterations": int(result.iterations),
         "grad_norm": float(result.grad_norm),
@@ -173,7 +173,7 @@ def cmd_solve(args):
         _print(_certificate_dict(cert))
         return EXIT_INFEASIBLE
     result = solver.minimize(spec, opts)
-    text = jsonio.dumps(_solve_report(spec, result, opts.method), indent=2) + "\n"
+    text = jsonio.dumps(_solve_report(spec, result), indent=2) + "\n"
     if args.report or not args.output:
         sys.stdout.write(text)
     if args.output:
@@ -264,7 +264,7 @@ def cmd_pack(args):
         _print(_certificate_dict(cert))
         return EXIT_INFEASIBLE
     if not result.converged:
-        _print(_solve_report(spec, result, solver.NEWTON))
+        _print(_solve_report(spec, result))
         return EXIT_NO_CONVERGENCE
     radii = radii_from_rho(geometry, result.rho)
     circle = {"radius": jsonio.FLOAT}
@@ -301,7 +301,6 @@ def _build_parser():
     ps.add_argument("problem")
     ps.add_argument("--geometry", choices=[EUCLIDEAN, HYPERBOLIC])
     ps.add_argument("--tol", type=float, default=None)
-    ps.add_argument("--method", choices=[solver.NEWTON, solver.THURSTON])
     ps.add_argument("--max-iter", type=int, default=None)
     ps.add_argument("--report", action="store_true",
                     help="print the JSON report to stdout")

@@ -41,7 +41,7 @@ from scipy.sparse.csgraph import breadth_first_order
 
 from . import jsonio
 from .functional import PatternSpec, phi_of_rho, radii_from_rho
-from .surface import OPEN, vertex_angle_sums
+from .surface import OPEN, euler_characteristic, vertex_angle_sums
 
 TWO_PI = 2.0 * math.pi
 _PU, _CK, _PW, _CJ = range(4)     # corner columns of a kite row
@@ -221,7 +221,7 @@ def _check_developable(spec: PatternSpec):
         raise NotDevelopableError(
             "closed hyperbolic patterns have no global chart in the disk")
     if not spec.is_hyperbolic and srf.is_closed:
-        chi = srf.n_faces - srf.n_edges + srf.n_vertices
+        chi, _ = euler_characteristic(srf)
         if chi != 0:
             raise NotDevelopableError(
                 f"closed Euclidean layout requires a torus (chi = {chi})")

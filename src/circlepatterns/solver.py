@@ -1,10 +1,10 @@
 """Minimization of the circle pattern functionals.
 
-Two independent methods: a damped Newton iteration with backtracking line
-search, and coordinate descent in the style of the classical
-radius-adjustment iteration, which minimizes the functional in one radius
-at a time.  The stopping rule is the gradient max-norm, i.e. the largest
-per-face angle defect |Phi_f - 2 sum(phi)|.
+Both functionals are convex and their critical points are exactly the
+patterns, so one minimiser serves both: a damped Newton iteration with a
+capped step and backtracking line search.  The stopping rule is the
+gradient max-norm, i.e. the largest per-face angle defect
+|Phi_f - 2 sum(phi)|.
 
 The Euclidean functional does not change when a constant is added to every
 rho, so its Hessian is a weighted Laplacian of the dual graph whose kernel
@@ -33,12 +33,10 @@ import scipy.sparse.linalg as spla
 
 from . import functional as fn
 from .functional import PatternSpec, CoherentAngleSystem
-from .specfun import im_li2_dx
 
 log = logging.getLogger(__name__)
 
-NEWTON = "newton"
-THURSTON = "thurston"
+NEWTON = "newton"   # the method the solve report names
 
 _ARMIJO = 1e-4
 _MAX_STEP = 2.0   # largest change of any rho in one step
@@ -50,22 +48,18 @@ _CG_MAX_ITER = 200
 
 @dataclass
 class SolveOptions:
-    method: str = NEWTON
     grad_tol: float = 1e-10
-    max_iter: int | None = None   # Newton iterations or coordinate steps
+    max_iter: int = 200   # Newton iterations
     initial_rho: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.method not in (NEWTON, THURSTON):
-            raise ValueError(f"unknown method {self.method!r}")
         if (not isinstance(self.grad_tol, numbers.Real) or isinstance(self.grad_tol, bool)
                 or not (math.isfinite(self.grad_tol) and self.grad_tol > 0)):
             raise ValueError(f"grad_tol must be a finite positive number, "
                              f"got {self.grad_tol!r}")
-        if self.max_iter is not None and (
-                not isinstance(self.max_iter, numbers.Integral)
+        if (not isinstance(self.max_iter, numbers.Integral)
                 or isinstance(self.max_iter, bool) or self.max_iter < 0):
-            raise ValueError(f"max_iter must be None or a nonnegative integer, "
+            raise ValueError(f"max_iter must be a nonnegative integer, "
                              f"got {self.max_iter!r}")
 
 
@@ -135,7 +129,8 @@ def _cg_direction(H, grad):
 
 
 def minimize(spec: PatternSpec, opts: SolveOptions | None = None) -> SolveResult:
-    """Minimize the pattern functional to its critical point.
+    """Minimize the pattern functional to its critical point by Newton's
+    method, in at most ``opts.max_iter`` steps.
 
     Newton steps are capped at 2 in the max-norm of rho before the Armijo
     backtracking, and a direction that is not finite or not downhill is
@@ -152,22 +147,19 @@ def minimize(spec: PatternSpec, opts: SolveOptions | None = None) -> SolveResult
     Euclidean results are normalized to sum(rho) = 0.
     """
     opts = opts or SolveOptions()
-    if opts.method == THURSTON:
-        return _minimize_thurston(spec, opts)
-    max_iter = opts.max_iter if opts.max_iter is not None else 200
     rho = _initial_rho(spec, opts)
     message = ""
     converged = False
     value = fn.value(spec, rho)
     iterations = 0
-    for iterations in range(max_iter + 1):
+    for iterations in range(opts.max_iter + 1):
         grad = fn.gradient(spec, rho)
         grad_norm = float(np.abs(grad).max())
         if grad_norm <= opts.grad_tol:
             converged = True
             break
-        if iterations == max_iter:
-            message = f"no convergence in {max_iter} Newton steps"
+        if iterations == opts.max_iter:
+            message = f"no convergence in {opts.max_iter} Newton steps"
             break
         direction = _newton_direction(spec, rho, grad)
         slope = float(grad @ direction)
@@ -198,10 +190,6 @@ def minimize(spec: PatternSpec, opts: SolveOptions | None = None) -> SolveResult
         value = trial_value
         log.debug("newton iter %d: grad %.3e step %.3g S %.12g",
                   iterations + 1, grad_norm, step, value)
-    return _finish(spec, rho, iterations, converged, message)
-
-
-def _finish(spec, rho, iterations, converged, message):
     if not spec.is_hyperbolic:
         rho = rho - rho.mean()
     # the gradient is the face residual of these half-angles
@@ -215,96 +203,3 @@ def _finish(spec, rho, iterations, converged, message):
         iterations=iterations,
         functional_value=fn.value(spec, rho),
         converged=converged, message=message)
-
-
-# -- coordinate descent --------------------------------------------------------
-
-def thurston_step(spec: PatternSpec, rho, f: int):
-    """Replace rho_f by the minimizer of S in the coordinate direction f.
-
-    The partial derivative is strictly increasing in rho_f, so the
-    one-dimensional problem is solved by safeguarded Newton iteration on
-    dS/drho_f = 0 with an expanding bracket.
-    """
-    rho = np.asarray(rho, dtype=float)
-    srf = spec.surface
-    walk = np.array(srf.face_walk(f), dtype=np.intp)
-    rights = srf.oe_right[walk]
-    thetas = spec.theta[srf.oe_edge[walk]]
-    target = spec.phi[f]
-    hyperbolic = spec.is_hyperbolic
-
-    def g_and_slope(t):
-        others = np.where(rights == f, t, rho[rights])
-        x = others - t
-        phi = im_li2_dx(x, thetas)
-        # d phi/dt: self edges have constant x
-        w = fn._edge_weights(x, thetas)
-        dphi = np.where(rights == f, 0.0, -0.5 * w)
-        if hyperbolic:
-            sig = others + t
-            phi = phi - im_li2_dx(sig, thetas)
-            wp = fn._edge_weights(sig, thetas)
-            dphi = dphi - np.where(rights == f, wp, 0.5 * wp)
-        return target - 2.0 * phi.sum(), -2.0 * dphi.sum()
-
-    t = float(rho[f])
-    g, slope = g_and_slope(t)
-    lo, hi = t, t
-    glo, ghi = g, g
-    step = 1.0
-    for _ in range(200):
-        if glo <= 0.0 <= ghi:
-            break
-        if glo > 0.0:
-            lo -= step
-            glo, _ = g_and_slope(lo)
-        if ghi < 0.0:
-            hi += step
-            ghi, _ = g_and_slope(hi)
-        step *= 2.0
-    else:
-        raise RuntimeError(f"no bracket for the coordinate minimum of face {f}; "
-                           f"the data are likely infeasible")
-    for _ in range(100):
-        g, slope = g_and_slope(t)
-        if abs(g) <= 1e-14 * max(1.0, abs(target)):
-            break
-        if g > 0.0:
-            hi = min(hi, t)
-        else:
-            lo = max(lo, t)
-        t_new = t - g / slope if slope > 0.0 else t
-        if not (lo <= t_new <= hi):
-            t_new = 0.5 * (lo + hi)
-        if t_new == t:
-            break
-        t = t_new
-    return t
-
-
-def _minimize_thurston(spec: PatternSpec, opts: SolveOptions) -> SolveResult:
-    max_steps = opts.max_iter if opts.max_iter is not None else 100000
-    rho = _initial_rho(spec, opts)
-    n = spec.surface.n_faces
-    steps = 0
-    converged = False
-    message = ""
-    while True:
-        grad_norm = float(np.abs(fn.gradient(spec, rho)).max())
-        if grad_norm <= opts.grad_tol:
-            converged = True
-            break
-        if steps >= max_steps:
-            message = f"no convergence in {max_steps} coordinate steps"
-            break
-        try:
-            for f in range(n):
-                rho[f] = thurston_step(spec, rho, f)
-                steps += 1
-        except RuntimeError as exc:
-            message = str(exc)
-            break
-        if not spec.is_hyperbolic:
-            rho = rho - rho.mean()
-    return _finish(spec, rho, steps, converged, message)

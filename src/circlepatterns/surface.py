@@ -530,6 +530,9 @@ def build_surface(faces=None, oriented_edges=None, genus_hint=None, edge_ids=Non
     if (faces is None) == (oriented_edges is None):
         raise SurfaceError("provide exactly one of faces / oriented_edges")
     if faces is not None:
+        if edge_ids is not None:
+            raise SurfaceError("edge_ids number the rows of oriented_edges; "
+                               "faces take none")
         return surface_from_walks(_faces_to_walks(faces), genus_hint=genus_hint)
     oriented_edges = list(oriented_edges)
     try:
@@ -566,12 +569,10 @@ def surface_from_json_dict(d: dict) -> CellularSurface:
     for key in ("faces", "oriented_edges"):
         if key in d and not isinstance(d[key], list):
             raise SurfaceError(f"'{key}' must be a list")
-    if "faces" in d:
-        return build_surface(faces=d["faces"], genus_hint=d.get("genus_hint"))
-    if "oriented_edges" in d:
-        return build_surface(oriented_edges=d["oriented_edges"],
-                             genus_hint=d.get("genus_hint"), edge_ids=d.get("edge_ids"))
-    raise SurfaceError("mesh must contain 'faces' or 'oriented_edges'")
+    if "faces" not in d and "oriented_edges" not in d:
+        raise SurfaceError("mesh must contain 'faces' or 'oriented_edges'")
+    return build_surface(faces=d.get("faces"), oriented_edges=d.get("oriented_edges"),
+                         genus_hint=d.get("genus_hint"), edge_ids=d.get("edge_ids"))
 
 
 # -- derived decompositions -------------------------------------------------
@@ -634,6 +635,4 @@ def vertex_angle_sums(s: CellularSurface, theta):
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (s.n_edges,):
         raise ValueError(f"theta must have one entry per edge ({s.n_edges})")
-    out = np.zeros(s.n_vertices)
-    np.add.at(out, s.oe_origin, theta[s.oe_edge])
-    return out
+    return np.bincount(s.oe_origin, weights=theta[s.oe_edge], minlength=s.n_vertices)

@@ -117,7 +117,7 @@ def test_solve_rejects_invalid_options(capsys, torus_problem, flag):
 
 
 @pytest.mark.parametrize("options", [{"max_iter": 2.5}, {"max_iter": "3"},
-                                     {"tol": "1e-8"}, {"tol": True}])
+                                     {"max_iter": None}, {"tol": "1e-8"}, {"tol": True}])
 def test_solve_rejects_invalid_file_options(capsys, tmp_path, options):
     s = meshes.torus_grid(2, 2)
     path = tmp_path / "options.json"
@@ -142,12 +142,26 @@ def test_solve_without_iterations_does_not_converge(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["solve", "x.json", "--tol", "abc"], ["pack"],
-                                  ["unfold", "x.json"]])
+                                  ["unfold", "x.json"],
+                                  ["solve", "x.json", "--method", "newton"]])
 def test_usage_errors_are_input_errors(capsys, argv):
     assert cli.main(argv) == cli.EXIT_INPUT
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "cannot read" not in err    # refused before the file is opened
+
+
+def test_solve_geometry_flag_overrides_the_file(capsys, tmp_path):
+    spec = random_feasible_spec(medial(meshes.triangulated_torus(4, 4)), "hyperbolic",
+                                np.random.default_rng(12))
+    euclidean, hyperbolic = (
+        _write_problem(tmp_path / f"{geometry}.json", spec.surface, geometry,
+                       spec.theta_star, spec.phi) for geometry in ("euclidean", "hyperbolic"))
+    code, out = _run(capsys, "solve", euclidean, "--geometry", "hyperbolic")
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["geometry"] == "hyperbolic"
+    assert (code, out) == _run(capsys, "solve", hyperbolic)
 
 
 def test_solve_keeps_the_mesh_edge_numbering(capsys, tmp_path):
@@ -292,8 +306,7 @@ def test_hyperbolic_solve_report_matches_reference(capsys, tmp_path):
                              spec.theta_star, spec.phi)
     code, out = _run(capsys, "solve", problem)
     assert code == cli.EXIT_OK
-    assert out == _reference_text(solve_report_reference(spec, solver.minimize(spec),
-                                                         solver.NEWTON))
+    assert out == _reference_text(solve_report_reference(spec, solver.minimize(spec)))
 
 
 @pytest.mark.parametrize("feasible", [True, False])
@@ -465,10 +478,15 @@ MALFORMED = {
         "pack", {"mesh": {"faces": [[0, 1, 2], [2, 1, 0]]}}, None, "vertex 0 has degree < 3"),
     "negative tol option": ("solve", dict(_torus_doc(), options={"tol": -1}), None,
                             "grad_tol"),
-    "unknown method option": ("solve", dict(_torus_doc(), options={"method": "secant"}),
-                              None, "unknown method"),
+    "unknown method option": ("solve", dict(_torus_doc(), options={"method": "newton"}),
+                              None, "unknown option 'method'; the options are tol, max_iter"),
     "unknown option": ("solve", dict(_torus_doc(), options={"max_iters": 5}), None,
                        "unknown option 'max_iters'"),
+    "faces beside an oriented-edge table": (
+        "check", _tetrahedron_doc(**surface_to_json_dict(meshes.cube())), None,
+        "invalid mesh: provide exactly one of faces / oriented_edges"),
+    "edge ids beside faces": (
+        "check", _tetrahedron_doc(edge_ids="garbage"), None, "invalid mesh: edge_ids"),
     "edge ids differ between twins": (
         "solve", _with_edge_id(_torus_doc(), 0, 5), None, "edge_id differs between twins"),
 }

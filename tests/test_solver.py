@@ -7,10 +7,10 @@ from circlepatterns import meshes
 from circlepatterns.feasibility import find_coherent_angle_system
 from circlepatterns.functional import (EUCLIDEAN, HYPERBOLIC, PatternSpec,
                                        gradient, hessian, value)
-from circlepatterns.solver import (_FORCING, NEWTON, THURSTON, SolveOptions,
-                                   _newton_direction, minimize, thurston_step)
+from circlepatterns.solver import _FORCING, SolveOptions, _newton_direction, minimize
 from circlepatterns.surface import medial
 from helpers import random_feasible_spec, random_spec, surface_pool
+from oracles import coordinate_descent, coordinate_step
 
 
 def torus_spec(geometry=EUCLIDEAN, phi=2 * np.pi):
@@ -82,14 +82,14 @@ def test_thurston_step_restores_symmetry():
     spec = torus_spec()
     rho = np.zeros(16)
     rho[3] = 0.3
-    new = thurston_step(spec, rho, 3)
+    new = coordinate_step(spec, rho, 3)
     # neighbors are at 0; the one-dimensional optimum pulls back towards 0
     assert abs(new) < 0.05
 
 
 def test_thurston_step_fixed_point():
     spec = torus_spec()
-    assert abs(thurston_step(spec, np.zeros(16), 5)) < 1e-12
+    assert abs(coordinate_step(spec, np.zeros(16), 5)) < 1e-12
 
 
 def test_thurston_step_strictly_decreases():
@@ -100,7 +100,7 @@ def test_thurston_step_strictly_decreases():
         before = value(spec, rho)
         g_before = gradient(spec, rho)[f]
         rho2 = rho.copy()
-        rho2[f] = thurston_step(spec, rho, f)
+        rho2[f] = coordinate_step(spec, rho, f)
         after = value(spec, rho2)
         if abs(g_before) > 1e-12:
             assert after < before
@@ -114,10 +114,9 @@ def test_methods_agree():
         surf = pool[rng.integers(len(pool))]
         geometry = EUCLIDEAN if i % 2 == 0 else HYPERBOLIC
         spec = random_feasible_spec(surf, geometry, rng)
-        r1 = minimize(spec, SolveOptions(method=NEWTON))
-        r2 = minimize(spec, SolveOptions(method=THURSTON))
-        assert r1.converged and r2.converged
-        assert np.abs(r1.rho - r2.rho).max() <= 1e-7
+        result = minimize(spec)
+        assert result.converged
+        assert np.abs(result.rho - coordinate_descent(spec)).max() <= 1e-7
 
 
 def test_initialization_independence():
@@ -147,8 +146,8 @@ def test_infeasible_reports_non_convergence():
 
 
 def test_solve_options_validation():
-    with pytest.raises(ValueError):
-        SolveOptions(method="gradient-descent")
+    with pytest.raises(ValueError, match="max_iter"):
+        SolveOptions(max_iter=None)
     with pytest.raises(ValueError):
         SolveOptions(grad_tol=0.0)
     for tol in (np.nan, np.inf, -np.inf):
