@@ -115,6 +115,9 @@ def _certificate_dict(cert):
 
 
 def cmd_check(args):
+    """Print the existence certificate: a violating face set, or a coherent
+    angle system.  The angle system is one system that validates at 1e-8,
+    not a canonical one: the flow stops at the first it can repair into."""
     spec, _ = _load_problem(args.problem)
     cert = find_coherent_angle_system(spec)
     _print(_certificate_dict(cert))
@@ -293,7 +296,8 @@ def _build_parser():
                     "and cone angles")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("check", help="existence check with certificate")
+    pc = sub.add_parser("check", help="existence check with certificate: a violating "
+                                         "face set, or one valid angle system")
     pc.add_argument("problem")
     pc.set_defaults(func=cmd_check)
 

@@ -19,12 +19,15 @@ feasible-flow problem on a small network and reads the half-angles off
 the face-to-edge branch flows.
 
 The flow's verdict comes from one cut.  A flow at the first floor eps on
-the face-to-edge branches settles feasible data.  When it fails, one max
-flow with eps = 0 solves a maximum-closure problem whose min cuts are the
-face sets that break the inequalities most; the strongly connected
-components of its residual graph list them, ties included, and one of
-them that exact sums confirm is the certificate.  Feasible data then
-lower the floor to the roots of failing cuts until a flow appears.
+the face-to-edge branches settles feasible data; any exact CAS proves
+existence, so that flow stops at the first round, usually the first of
+all, whose half-angles :func:`repair_angles` moves onto one.  When it
+fails, one max flow with eps = 0 solves a maximum-closure problem whose
+min cuts are the face sets that break the inequalities most; the strongly
+connected components of its residual graph list them, ties included,
+and one of them that exact sums confirm is the certificate.  Feasible
+data then lower the floor to the roots of failing cuts until a flow
+appears.
 
 The network is held as arrays, one entry per branch.  Its max-flow runs in
 scipy's compiled Dinic, which takes int32 capacities only, so the float
@@ -45,6 +48,7 @@ from scipy.sparse.csgraph import (breadth_first_order, connected_components,
                                   maximum_flow)
 
 from .functional import CoherentAngleSystem, PatternSpec, face_residuals, validate_cas
+from .solver import solve_grounded
 
 EQ_TOL = 1e-9      # tolerance for the global equality condition
 STRICT_TOL = 1e-9  # margins at or below this count as violations
@@ -70,6 +74,19 @@ class FlowNetwork:
     upper: np.ndarray
 
 
+def _half_demands(spec: PatternSpec) -> np.ndarray:
+    """Phi/2 per face, the flow each face must send to its half-edges.
+
+    Euclidean totals agree to EQ_TOL only; spreading the difference over
+    the faces lets a feasible flow meet the demands at rounding level, and
+    leaves each face the residual (sum(Phi) - 2 sum(theta*)) / F against Phi.
+    """
+    if spec.is_hyperbolic:
+        return 0.5 * spec.phi
+    spread = (0.5 * spec.phi.sum() - spec.theta_star.sum()) / spec.surface.n_faces
+    return 0.5 * spec.phi - spread
+
+
 def build_flow_network(spec: PatternSpec, eps: float) -> FlowNetwork:
     srf = spec.surface
     F, E = srf.n_faces, srf.n_edges
@@ -78,10 +95,7 @@ def build_flow_network(spec: PatternSpec, eps: float) -> FlowNetwork:
     edges = F + np.arange(E)
     boxes_f = np.full(F, box)
     boxes_e = np.full(E, box)
-    # Euclidean totals agree to EQ_TOL only; spreading the difference over
-    # the face demands lets a feasible flow meet them at rounding level
-    half_phi = 0.5 * spec.phi - (0.0 if spec.is_hyperbolic else
-                                 (0.5 * spec.phi.sum() - spec.theta_star.sum()) / F)
+    half_phi = _half_demands(spec)
     theta_upper = spec.theta_star - (eps if spec.is_hyperbolic else 0.0)
     return FlowNetwork(
         n_nodes=F + E + 1, box=box,
@@ -99,12 +113,18 @@ def build_flow_network(spec: PatternSpec, eps: float) -> FlowNetwork:
 
 @dataclass
 class FlowResult:
-    """What one call of :func:`solve_feasible_flow` found and did."""
+    """What one call of :func:`solve_feasible_flow` found and did.
+
+    A flow stopped by its ``accept`` hook has ``flows`` and ``cut`` None,
+    the hook's value in ``accepted`` and the demand its last round left
+    unmet as ``shortfall``.
+    """
     flows: np.ndarray | None  # per branch; None if the unmet demand is above rounding
-    cut: set | None           # min cut, if any demand is unmet
+    cut: set | None           # min cut, if any demand is unmet and no round was accepted
     rounds: int = 0           # integer max-flow rounds run
     pushed: float = 0.0       # flow sent from the excess nodes
     shortfall: float = 0.0    # demand left unmet
+    accepted: object = None   # what ``accept`` returned for the round that stopped the flow
     # the final residual network as (tails, heads, capacities); nodes
     # n_nodes and n_nodes + 1 are the super source and the super sink
     residual: tuple | None = None
@@ -185,7 +205,7 @@ def _open_arcs(tails, heads, residual, tol, n):
                         shape=(n, n))
 
 
-def solve_feasible_flow(net: FlowNetwork) -> FlowResult:
+def solve_feasible_flow(net: FlowNetwork, accept=None) -> FlowResult:
     """Feasible flow respecting the lower bounds, or None plus a min cut.
 
     Uses the standard excess-node transformation to a single max-flow:
@@ -198,18 +218,23 @@ def solve_feasible_flow(net: FlowNetwork) -> FlowResult:
     fit int32 raises OverflowError instead of overflowing silently.  A
     round leaves less than a unit per residual arc sendable, so the next
     round's bound is the smaller of D and that, and the shortfall shrinks
-    geometrically: feasible networks reach rounding level in about three
-    rounds.  No unit falls below about 2**-50 of the largest demand of one
-    node, so a unit sent from the source is never lost to rounding.  The
-    rounds end once the shortfall is at the residual tolerance, or when a
-    round with the smallest unit sends nothing.  The flow is accepted when
-    the unmet demand is at rounding level, 1e-10 of the demand.
+    geometrically.  No unit falls below about 2**-50 of the largest demand
+    of one node, so a unit sent from the source is never lost to rounding.
+    The rounds end once the shortfall is at the residual tolerance, or
+    when a round with the smallest unit sends nothing.  The flow is
+    accepted when the unmet demand is at rounding level, 1e-10 of the
+    demand.
+
+    ``accept``, if given, is called with the flows per branch after every
+    round that sends flow; the first value other than None stops the
+    rounds there, with the demand of that round still unmet, and is
+    returned as ``accepted``.
 
     The result holds the flows per branch, None if the unmet demand is
-    above rounding level; the cut, if any demand is unmet, the min cut of
-    the nodes reachable from the source through residual capacities above
-    the tolerance; and the rounds run, the flow pushed, the shortfall and
-    the final residual network.
+    above rounding level; the cut, if any demand is unmet and no round was
+    accepted, the min cut of the nodes reachable from the source through
+    residual capacities above the tolerance; and the rounds run, the flow
+    pushed, the shortfall and the final residual network.
     """
     n = net.n_nodes
     s, t = n, n + 1
@@ -232,7 +257,7 @@ def solve_feasible_flow(net: FlowNetwork) -> FlowResult:
     # round that sends flow lowers the unmet demand in floats too
     floor_level = math.ldexp(max(1.0, float(excess.max(initial=0.0))), _ROUND_BITS - 50)
     flow = np.zeros(len(cap))
-    unmet, rounds = demand, 0
+    unmet, rounds, accepted = demand, 0, None
     level = max(demand, floor_level)
     while unmet > tol:
         # the power of two just above level / 2**28 keeps the scaling exact,
@@ -244,6 +269,10 @@ def solve_feasible_flow(net: FlowNetwork) -> FlowResult:
         if delta is not None:
             flow += delta
             unmet = float((cap - flow)[from_source].sum())
+            if accept is not None:
+                accepted = accept(net.lower + flow[:n_branches])
+                if accepted is not None:
+                    break
         elif level == floor_level:
             break
         # no residual path is left with every arc at a unit or more, so the
@@ -251,11 +280,12 @@ def solve_feasible_flow(net: FlowNetwork) -> FlowResult:
         level = max(floor_level, min(unmet, unit * 2 * len(cap)))
     residual = np.concatenate([flow, cap - flow])
     cut = ({int(v) for v in residual_net.reachable(residual, s, tol) if v < n}
-           if unmet > tol else None)
-    accepted = unmet <= 1e-10 * max(1.0, demand)
-    return FlowResult(net.lower + flow[:n_branches] if accepted else None, cut,
+           if unmet > tol and accepted is None else None)
+    feasible = accepted is None and unmet <= 1e-10 * max(1.0, demand)
+    return FlowResult(net.lower + flow[:n_branches] if feasible else None, cut,
                       rounds=rounds, pushed=demand - unmet, shortfall=unmet,
-                      residual=(residual_net.tails, residual_net.heads, residual))
+                      residual=(residual_net.tails, residual_net.heads, residual),
+                      accepted=accepted)
 
 
 # -- certificates and the theorem-level checks --------------------------------
@@ -279,7 +309,8 @@ class FeasibilityCertificate:
     flow_solves: int = 0
     flow_rounds: int = 0
     # unmet demand of the first flow: at the first floor eps, or at eps = 0
-    # when that floor is at most STRICT_TOL
+    # when that floor is at most STRICT_TOL; for a flow stopped at a round
+    # whose half-angles repair into a CAS, the demand that round left unmet
     shortfall: float = 0.0
 
 
@@ -334,6 +365,8 @@ def certify_angles(spec: PatternSpec,
     Either way every nonempty subset (proper, in the Euclidean case) has
     an incident edge that adds at least 2 STRICT_TOL to its margin, so
     nothing is certified that the flow's STRICT_TOL floor would reject.
+    :func:`repair_angles` builds the exact system of the hyperbolic proof,
+    and a least-squares form of the Euclidean one, and validates it.
     """
     srf = spec.surface
     phi = np.asarray(cas.phi, dtype=float)
@@ -352,6 +385,58 @@ def certify_angles(spec: PatternSpec,
     return FeasibilityCertificate(feasible=True, cas=cas)
 
 
+def repair_angles(spec: PatternSpec, phi) -> CoherentAngleSystem | None:
+    """The half-angles ``phi`` moved onto an exact coherent angle system, or None.
+
+    Let r_f = 2 (D_f - sum(phi over the boundary walk of f)) with D the
+    face demands of :func:`build_flow_network`.  Hyperbolic: add r_f / (2
+    deg f) to each half-edge of f.  Euclidean: add d_e / 2 to both halves
+    of every edge, d_e = theta*_e - phi_e - phi_-e, which makes the pair
+    sums exact; then, with the residuals r' that leaves, add a_e to the
+    representative half-edge of e and take it from its twin, where a =
+    B^T y, B is the face-edge incidence of the dual graph (+1 at the face
+    left of the representative, -1 at the face right of it) and B B^T y =
+    r' / 2: the smallest such change that zeroes r'.  B B^T is the
+    dual-graph Laplacian, solved grounded as the Newton system is
+    (:func:`solver.solve_grounded`).
+
+    Returns the repaired system when it validates at 1e-8 with every
+    half-angle, and in the hyperbolic case every pair slack, above
+    STRICT_TOL; such a system proves existence (:func:`certify_angles`).
+    None says nothing about the data.  Half-angles whose largest |r_f| is
+    not below their smallest angle are refused before any repair, which
+    keeps the refusal to one ``bincount`` on a flow that is still far from
+    feasible.
+    """
+    srf = spec.surface
+    phi = np.array(phi, dtype=float)
+    demands = _half_demands(spec)
+    r = 2.0 * (demands - np.bincount(srf.oe_left, weights=phi, minlength=srf.n_faces))
+    # written so that NaN refuses
+    if not np.abs(r).max() < phi.min():
+        return None
+    if spec.is_hyperbolic:
+        phi += (r / (2.0 * np.diff(srf.walk_offsets)))[srf.oe_left]
+    else:
+        reps, twins = srf.edge_reps, srf.oe_twin[srf.edge_reps]
+        phi += 0.5 * (spec.theta_star - phi[reps] - phi[twins])[srf.oe_edge]
+        r = 2.0 * (demands - np.bincount(srf.oe_left, weights=phi, minlength=srf.n_faces))
+        E = srf.n_edges
+        B = sp.csr_array((np.repeat([1.0, -1.0], E),
+                          (np.concatenate([srf.edge_left, srf.edge_right]),
+                           np.tile(np.arange(E), 2))), shape=(srf.n_faces, E))
+        # the demands sum to sum(theta*), so r sums to zero up to rounding
+        a = B.T @ solve_grounded(B @ B.T, 0.5 * r)
+        phi[reps] += a
+        phi[twins] -= a
+    cas = CoherentAngleSystem(phi=phi)
+    report = validate_cas(spec, cas)
+    if not (report.is_valid(1e-8) and report.min_phi > STRICT_TOL
+            and (not spec.is_hyperbolic or report.min_pair_slack > STRICT_TOL)):
+        return None
+    return cas
+
+
 def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | None = None
                                ) -> FeasibilityCertificate:
     """Decide existence by one min cut; construct a coherent angle system.
@@ -362,9 +447,13 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
     The face-to-edge branches get the floor eps = min(Phi)/4 per
     boundary-walk step (at most min(theta*)/4).  A feasible flow there is
     the answer: the half-angle of an oriented edge is the flow on its
-    face-to-edge branch.  Otherwise the verdict comes from one max flow on
-    the eps = 0 network: a violating face set is read off its residual
-    graph (see :func:`_certificate_from_residual`) and reported as
+    face-to-edge branch.  Any exact coherent angle system proves
+    existence, so a flow at a floor eps > 0 stops at the first round whose
+    half-angles :func:`repair_angles` moves onto a valid one, and that
+    system is the answer; it is one valid system, not a canonical one.
+    Otherwise the verdict comes from one max flow on the eps = 0 network:
+    a violating face set is read off its residual graph (see
+    :func:`_certificate_from_residual`) and reported as
     ``kind="subset"``.  When it finds none, the floor steps down.  A first
     floor at or below STRICT_TOL proves no margin that the cut counts as
     strict, so there the eps = 0 cut is read first and its face set, if it
@@ -398,14 +487,20 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
     half_angles = slice(srf.n_faces, srf.n_faces + srf.n_oriented_edges)
     results = []
 
+    def repair(flows):
+        return repair_angles(spec, flows[half_angles])
+
     def flow(eps):
         net = build_flow_network(spec, eps)
-        results.append(solve_feasible_flow(net))
-        flows = results[-1].flows
-        # an accepted flow may leave a face residual over 1e-8: step from its cut
-        cas = None if flows is None else CoherentAngleSystem(phi=flows[half_angles])
-        valid = cas is not None and validate_cas(spec, cas).is_valid(1e-8)
-        return (cas if valid else None), net, results[-1].cut
+        # the eps = 0 flow runs to its min cut, which the verdict reads
+        results.append(solve_feasible_flow(
+            net, accept=repair if eps > 0.0 else None))
+        cas, flows = results[-1].accepted, results[-1].flows
+        if flows is not None:
+            # an accepted flow may leave a face residual over 1e-8: step from its cut
+            cas = CoherentAngleSystem(phi=flows[half_angles])
+            cas = cas if validate_cas(spec, cas).is_valid(1e-8) else None
+        return cas, net, results[-1].cut
 
     def zero_cut():
         _, zero, _ = flow(0.0)

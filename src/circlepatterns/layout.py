@@ -443,20 +443,30 @@ def _f(x):
     return _FMT % float(x)
 
 
-def _geodesic_path(z1, z2):
-    """SVG path for the hyperbolic geodesic between two disk points."""
+def _geodesic_paths(z1, z2):
+    """SVG paths of the hyperbolic geodesics from z1[i] to z2[i] in the disk.
+
+    Points on one diameter are joined by a segment.  Otherwise the
+    geodesic is an arc of the circle orthogonal to the unit circle, whose
+    center c satisfies Re(conj(c) z) = (|z|^2 + 1) / 2 at both points;
+    Cramer's rule solves that for every side at once.
+    """
     cross = (np.conj(z1) * z2).imag
-    if abs(cross) < 1e-12:
-        return (f"M {_f(z1.real)} {_f(z1.imag)} L {_f(z2.real)} {_f(z2.imag)}")
-    # center c with |c|^2 = R^2 + 1, equidistant from z1, z2
-    a = np.array([[z1.real, z1.imag], [z2.real, z2.imag]], dtype=float)
-    rhs = 0.5 * np.array([abs(z1) ** 2 + 1.0, abs(z2) ** 2 + 1.0])
-    cx, cy = np.linalg.solve(a, rhs)
-    c = complex(cx, cy)
-    r = math.sqrt(abs(c) ** 2 - 1.0)
-    sweep = 1 if ((z2 - z1) * np.conj(c - z1)).imag > 0 else 0
-    return (f"M {_f(z1.real)} {_f(z1.imag)} A {_f(r)} {_f(r)} 0 0 {sweep} "
-            f"{_f(z2.real)} {_f(z2.imag)}")
+    straight = np.abs(cross) < 1e-12
+    cross = np.where(straight, 1.0, cross)
+    b1 = 0.5 * (np.abs(z1) ** 2 + 1.0)
+    b2 = 0.5 * (np.abs(z2) ** 2 + 1.0)
+    c = ((b1 * z2.imag - b2 * z1.imag) / cross
+         + 1j * ((b2 * z1.real - b1 * z2.real) / cross))
+    with np.errstate(invalid="ignore"):
+        r = np.sqrt(np.abs(c) ** 2 - 1.0)
+    sweep = ((z2 - z1) * np.conj(c - z1)).imag > 0
+    line = f"M {_FMT} {_FMT} L {_FMT} {_FMT}"
+    arc = f"M {_FMT} {_FMT} A {_FMT} {_FMT} 0 0 %d {_FMT} {_FMT}"
+    return [line % (x1, y1, x2, y2) if flat else arc % (x1, y1, rad, rad, turn, x2, y2)
+            for x1, y1, x2, y2, rad, turn, flat in zip(
+                z1.real.tolist(), z1.imag.tolist(), z2.real.tolist(), z2.imag.tolist(),
+                r.tolist(), sweep.tolist(), straight.tolist())]
 
 
 def _svg_rows(templates, values):
@@ -505,10 +515,11 @@ def export_svg(result: LayoutResult, path=None, include_kites=False) -> str:
     kite = ('<path class="kite" data-edge="%d" d="{}" fill="none" stroke="#88aacc" '
             'stroke-width="' + _f(stroke) + '"/>')
     if include_kites and hyperbolic:
-        for e, (pu, ck, pw, cj) in zip(result.kite_edges.tolist(), result.kites.tolist()):
-            d = " ".join([_geodesic_path(pu, ck), _geodesic_path(ck, pw),
-                          _geodesic_path(pw, cj), _geodesic_path(cj, pu)])
-            lines.append(kite.format(d) % e)
+        # the sides pu-ck, ck-pw, pw-cj and cj-pu of every kite (pu, ck, pw, cj)
+        corners = result.kites.reshape(-1, 4)
+        sides = _geodesic_paths(corners.ravel(), np.roll(corners, -1, axis=1).ravel())
+        for i, e in enumerate(result.kite_edges.tolist()):
+            lines.append(kite.format(" ".join(sides[4 * i:4 * i + 4])) % e)
     elif include_kites:
         path_d = "M {0} {0} L {0} {0} L {0} {0} L {0} {0} Z".format(_FMT)
         rows = _kite_rows(result)

@@ -94,19 +94,27 @@ def _newton_direction(spec, rho, grad):
     H = fn.hessian(spec, rho)
     if spec.is_hyperbolic:
         return _cg_direction(H, grad)
-    # grounded at face 0; the dropped first equation holds once the
-    # gradient is mean-free, because every column of H sums to zero.
-    # Far-drifted iterates can zero out edge weights and make the system
-    # exactly singular; minimize replaces the NaN direction by the gradient.
-    # The system is symmetric positive definite, so the column ordering is
-    # a minimum degree one on its own pattern.
-    H = H.tocsc()
-    direction = np.zeros(len(rho))
+    # far-drifted iterates can zero out edge weights and make the system
+    # exactly singular; minimize replaces the NaN direction by the gradient
+    return solve_grounded(H, -(grad - grad.mean()))
+
+
+def solve_grounded(L, rhs):
+    """The zero-sum x with L x = rhs, for a weighted Laplacian L of a
+    connected dual graph and a zero-sum rhs.
+
+    Grounded at face 0: the remaining faces solve the nonsingular system,
+    and the dropped first equation holds because every column of L sums to
+    zero.  The system is symmetric positive definite, so the column
+    ordering is a minimum degree one on its own pattern.  A singular
+    system gives NaN.
+    """
+    L = L.tocsc()
+    x = np.zeros(len(rhs))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", spla.MatrixRankWarning)
-        direction[1:] = spla.spsolve(H[1:, 1:], -(grad - grad.mean())[1:],
-                                     permc_spec="MMD_AT_PLUS_A")
-    return direction - direction.mean()
+        x[1:] = spla.spsolve(L[1:, 1:], rhs[1:], permc_spec="MMD_AT_PLUS_A")
+    return x - x.mean()
 
 
 def _cg_direction(H, grad):

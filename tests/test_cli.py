@@ -229,9 +229,9 @@ def test_feasible_pack_runs_no_flow(capsys, tmp_path, monkeypatch, torus_problem
     flows = []
     solve_feasible_flow = feasibility.solve_feasible_flow
 
-    def spy(net):
+    def spy(net, **kwargs):
         flows.append(net)
-        return solve_feasible_flow(net)
+        return solve_feasible_flow(net, **kwargs)
 
     monkeypatch.setattr(feasibility, "solve_feasible_flow", spy)
     for name, surface in (("octahedron", meshes.octahedron()),

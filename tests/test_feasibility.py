@@ -3,7 +3,7 @@ import pytest
 
 from circlepatterns import meshes
 from circlepatterns.feasibility import (
-    STRICT_TOL, build_flow_network, certify_angles, find_coherent_angle_system,
+    EQ_TOL, STRICT_TOL, build_flow_network, certify_angles, find_coherent_angle_system,
     solve_feasible_flow,
 )
 from circlepatterns.functional import (EUCLIDEAN, HYPERBOLIC, CoherentAngleSystem,
@@ -286,6 +286,65 @@ def _full_size_infeasible_specs():
     med = medial(meshes.triangulated_torus(12, 12))
     yield PatternSpec(med, HYPERBOLIC, np.full(med.n_edges, np.pi / 2),
                       np.full(med.n_faces, 2 * np.pi))
+
+
+def test_stopped_flow_gives_an_exact_cas():
+    # any exact CAS proves existence, so the flow stops at the first round
+    # whose half-angles repair into one
+    rng = np.random.default_rng(61)
+    torus = medial(meshes.triangulated_torus(8, 8))
+    cases = [(surf, geometry, random_feasible_spec(surf, geometry, rng))
+             for surf in surface_pool() + [torus] for geometry in (EUCLIDEAN, HYPERBOLIC)]
+    # Euclidean totals 0.5 EQ_TOL apart: zeroing the residuals against Phi
+    # would leave 0.5 EQ_TOL sum(Phi), about 5e-7, on one face, so the
+    # repair must use the network's demands, which spread the difference
+    spec = random_feasible_spec(torus, EUCLIDEAN, rng)
+    phi = spec.phi.copy()
+    phi[0] += 0.5 * EQ_TOL * phi.sum()
+    cases.append((torus, EUCLIDEAN, PatternSpec(torus, EUCLIDEAN, spec.theta_star, phi)))
+    for surf, geometry, spec in cases:
+        cert = find_coherent_angle_system(spec)
+        report = validate_cas(spec, cert.cas)
+        assert report.is_valid(1e-8) and report.min_phi > STRICT_TOL, (surf, geometry)
+        if geometry == HYPERBOLIC:
+            assert report.min_pair_slack > STRICT_TOL, (surf, geometry)
+        if surf is torus:
+            assert (cert.flow_solves, cert.flow_rounds) == (1, 1), geometry
+
+
+def test_repair_never_stops_an_infeasible_flow(monkeypatch):
+    from circlepatterns import feasibility
+    repair_angles = feasibility.repair_angles
+    repaired = []
+
+    def spy(spec, phi):
+        repaired.append(repair_angles(spec, phi))
+        return repaired[-1]
+
+    monkeypatch.setattr(feasibility, "repair_angles", spy)
+    # face 0 of a 2x2 torus 1e-8 inside its inequality: feasible, but the
+    # first floor flow fails and the floor steps down
+    s = meshes.torus_grid(2, 2)
+    phi = np.full(s.n_faces, 2 * np.pi - (2 * np.pi - 1e-8) / (s.n_faces - 1))
+    phi[0] = 4 * np.pi - 1e-8
+    near_tight = PatternSpec(s, EUCLIDEAN, np.full(s.n_edges, np.pi / 2), phi)
+    for spec in (torus_spec(HYPERBOLIC), near_tight):
+        repaired.clear()
+        cert = find_coherent_angle_system(spec)
+        assert _verdict(cert) == _verdict(check_conditions_bruteforce(spec))
+        assert repaired
+        if cert.feasible:
+            # only the round that stopped the last flow was accepted
+            assert cert.flow_solves > 2 and cert.cas is repaired[-1]
+            repaired.pop()
+        assert all(cas is None for cas in repaired)
+    # the brute force cannot enumerate these 192 faces: the one triangle at
+    # exactly sum(2 theta*) is the only face set that fails
+    single_face, _ = _full_size_infeasible_specs()
+    repaired.clear()
+    cert = find_coherent_angle_system(single_face)
+    assert (cert.kind, cert.violating_faces) == ("subset", (int(np.argmax(single_face.phi)),))
+    assert repaired and all(cas is None for cas in repaired)
 
 
 def test_newton_certificate_refuses_equality_failures_newton_converges_on():
@@ -574,10 +633,14 @@ def test_region_decomposition_requires_nonempty_cut():
 
 def test_certificate_records_the_flow_search():
     from circlepatterns.cli import _certificate_dict
-    feasible = find_coherent_angle_system(torus_spec())
+    spec = torus_spec()
+    feasible = find_coherent_angle_system(spec)
     assert feasible.flow_solves == 1
-    assert feasible.flow_rounds >= 1
-    assert 0.0 <= feasible.shortfall <= 1e-10 * torus_spec().phi.sum()
+    # the first round's half-angles repair into an exact system, so the
+    # flow stops with the demand of that round still unmet
+    assert feasible.flow_rounds == 1
+    first_floor = min(spec.phi.min() / 16.0, spec.theta_star.min() / 4.0)
+    assert 0.0 < feasible.shortfall < first_floor
     # the hyperbolic full-set equality fails at the first floor, and the
     # eps = 0 cut certifies it: two flow solves, no floor step
     spec = torus_spec(HYPERBOLIC)

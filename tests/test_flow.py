@@ -132,3 +132,29 @@ def test_rounds_are_counted():
     result = solve_feasible_flow(net)
     assert result.cut is None and np.allclose(result.flows, 1.0)
     assert result.rounds == 1 and result.shortfall == 0.0 and result.pushed == 1.0
+
+
+def test_accept_hook_stops_the_rounds():
+    # the hook sees every round's branch flows; a hook that returns None
+    # changes nothing, and the first other value ends the flow at its round
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        net = random_float_network(rng)
+        plain = solve_feasible_flow(net)
+        rounds_seen = []
+        never = solve_feasible_flow(net, accept=lambda flows: rounds_seen.append(flows.copy()))
+        assert (never.rounds, never.cut, never.shortfall, never.accepted) == \
+            (plain.rounds, plain.cut, plain.shortfall, None)
+        assert (never.flows is None) == (plain.flows is None)
+        if plain.flows is not None:
+            assert np.array_equal(never.flows, plain.flows)
+            assert np.array_equal(rounds_seen[-1], plain.flows)
+        calls = []
+        stopped = solve_feasible_flow(net, accept=lambda flows: calls.append(flows) or "stop")
+        if rounds_seen:
+            # stopped at the first round that sent flow
+            assert len(calls) == 1 and np.array_equal(calls[0], rounds_seen[0])
+            assert (stopped.accepted, stopped.flows, stopped.cut) == ("stop", None, None)
+            assert stopped.rounds <= plain.rounds
+            assert stopped.shortfall == pytest.approx(
+                plain.shortfall + plain.pushed - stopped.pushed)
