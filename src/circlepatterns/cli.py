@@ -188,7 +188,15 @@ def cmd_solve(args):
 def cmd_layout(args):
     spec, _ = _load_problem(args.problem)
     rho = _floats(args.report, _load_json(args.report), "rho")
-    result = layout(spec, rho, root_edge=args.root_edge)
+    n_edges = spec.surface.n_edges
+    if not 0 <= args.root_edge < n_edges:
+        raise InputError(f"--root-edge {args.root_edge} is not in [0, {n_edges})")
+    try:
+        result = layout(spec, rho, root_edge=args.root_edge)
+    except NotDevelopableError:
+        raise
+    except ValueError as exc:    # rho is at fault
+        raise InputError(f"{args.report}: {exc}") from exc
     if args.svg:
         export_svg(result, args.svg, include_kites=args.kites)
     if args.json_out:

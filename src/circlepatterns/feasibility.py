@@ -7,16 +7,16 @@ the hyperbolic pattern exists iff the strict inequality holds for every
 nonempty subset including the full face set.  Both are equivalent to the
 existence of a coherent angle system (CAS).
 
-There are two verdict paths, both in :func:`find_coherent_angle_system`.
-The first is a Newton certificate: the critical points of the convex
-functional are exactly the coherent angle systems, so the half-angles of
-an approximate minimiser prove existence when they keep clear of the CAS
-bounds by more than the largest distance to an exact CAS that their face
-residuals allow (:func:`certify_angles`).  It never proves
-infeasibility.  The second is the flow, which decides every input and
-alone produces the violating face subsets: it reduces the CAS to a
-feasible-flow problem on a small network and reads the half-angles off
-the face-to-edge branch flows.
+There are two verdict paths, both in :func:`find_coherent_angle_system`,
+and one certificate of existence: an exact coherent angle system that
+:func:`repair_angles` builds from approximate half-angles and validates.
+The first path certifies given half-angles: the critical points of the
+convex functional are exactly the coherent angle systems, so the
+half-angles of an approximate minimiser lie near one, and the repair
+moves them onto it.  It never proves infeasibility.  The second is the
+flow, which decides every input and alone produces the violating face
+subsets: it reduces the CAS to a feasible-flow problem on a small network
+and reads the half-angles off the face-to-edge branch flows.
 
 The flow's verdict comes from one cut.  A flow at the first floor eps on
 the face-to-edge branches settles feasible data; any exact CAS proves
@@ -47,7 +47,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import (breadth_first_order, connected_components,
                                   maximum_flow)
 
-from .functional import CoherentAngleSystem, PatternSpec, face_residuals, validate_cas
+from .functional import CoherentAngleSystem, PatternSpec, validate_cas
 from .solver import solve_grounded
 
 EQ_TOL = 1e-9      # tolerance for the global equality condition
@@ -327,64 +327,6 @@ def _equality_certificate(spec):
         message="sum(Phi) != sum(2 theta*)")
 
 
-def certify_angles(spec: PatternSpec,
-                   cas: CoherentAngleSystem) -> FeasibilityCertificate | None:
-    """Existence proved from approximate half-angles, or None.
-
-    Returns a feasible certificate holding ``cas`` when an exact coherent
-    angle system lies within reach of it, with every half-angle (and, in
-    the hyperbolic case, every pair slack) still above STRICT_TOL; the
-    angles are typically those of a Newton minimiser.  None says nothing
-    about the data: decide them with :func:`find_coherent_angle_system`.
-    Let r_f = Phi_f - 2 sum(phi over the boundary walk of f) and R =
-    sum_f |r_f|.
-
-    Euclidean: the total equality must hold to EQ_TOL, the convention of
-    the flow, and is taken as exact below; then it is required that
-    min(phi) > R + 2 sum_e |d_e| + STRICT_TOL with d_e = theta*_e - phi_e
-    - phi_-e.  Proof: adding d_e / 2 to both half-angles of every edge
-    moves each by at most max|d| / 2 and fixes the pair sums; each
-    half-edge changes the residual of its face by d_e, so the new
-    residuals r' have sum |r'| <= R + 2 sum|d| =: R'.  With exact totals
-    sum r' = 0.  Take a spanning tree of the dual graph (the surface is
-    connected).  Sending a along the tree edge of oriented edge h, that
-    is phi_h += a and phi_-h -= a, keeps the pair sums and moves 2a of
-    residual between the two faces; zeroing r' on the tree puts on each
-    tree edge a flow with 2|a| = |sum of r' on one side of it|, and since
-    the two sides sum to zero that is at most R' / 2.  Every half-angle
-    lies on one edge, so it moves by at most max|d| / 2 + R' / 4 <=
-    R' / 2, and the exact system keeps min(phi) > STRICT_TOL.
-
-    Hyperbolic: it is required that min(min(phi), min_e(theta*_e - phi_e
-    - phi_-e)) > R + STRICT_TOL.  Proof: adding r_f / (2 deg f) to each
-    of the deg f half-edges of the boundary walk of f zeroes r_f and moves
-    each half-angle by at most |r_f| / 2 <= R / 2, so each pair sum moves
-    by at most R, and the exact system keeps phi and the slacks above
-    STRICT_TOL.
-
-    Either way every nonempty subset (proper, in the Euclidean case) has
-    an incident edge that adds at least 2 STRICT_TOL to its margin, so
-    nothing is certified that the flow's STRICT_TOL floor would reject.
-    :func:`repair_angles` builds the exact system of the hyperbolic proof,
-    and a least-squares form of the Euclidean one, and validates it.
-    """
-    srf = spec.surface
-    phi = np.asarray(cas.phi, dtype=float)
-    reach = float(np.abs(face_residuals(spec, phi)).sum())
-    pair = np.bincount(srf.oe_edge, weights=phi, minlength=srf.n_edges)
-    if spec.is_hyperbolic:
-        margin = min(float(phi.min()), float((spec.theta_star - pair).min()))
-    else:
-        if _equality_certificate(spec) is not None:
-            return None
-        margin = float(phi.min())
-        reach += 2.0 * float(np.abs(spec.theta_star - pair).sum())
-    # written so that a NaN margin or reach certifies nothing
-    if not margin > reach + STRICT_TOL:
-        return None
-    return FeasibilityCertificate(feasible=True, cas=cas)
-
-
 def repair_angles(spec: PatternSpec, phi) -> CoherentAngleSystem | None:
     """The half-angles ``phi`` moved onto an exact coherent angle system, or None.
 
@@ -402,8 +344,13 @@ def repair_angles(spec: PatternSpec, phi) -> CoherentAngleSystem | None:
 
     Returns the repaired system when it validates at 1e-8 with every
     half-angle, and in the hyperbolic case every pair slack, above
-    STRICT_TOL; such a system proves existence (:func:`certify_angles`).
-    None says nothing about the data.  Half-angles whose largest |r_f| is
+    STRICT_TOL; such a system proves existence.  It is the one certificate,
+    for the rounds of a flow and the angles of a Newton minimiser alike.
+    None says nothing about the data.  The margins are read after the
+    repair: half-angles that validate at 1e-8 may leave face residuals
+    larger than their smallest margin, as those of a minimiser that
+    converged falsely on data failing by equality do
+    (:func:`solver.minimize`).  Half-angles whose largest |r_f| is
     not below their smallest angle are refused before any repair, which
     keeps the refusal to one ``bincount`` on a flow that is still far from
     feasible.
@@ -441,8 +388,9 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
                                ) -> FeasibilityCertificate:
     """Decide existence by one min cut; construct a coherent angle system.
 
-    When :func:`certify_angles` accepts the half-angles ``angles``, if
-    given, that certificate is the verdict and no flow runs.
+    Euclidean data whose totals differ by more than EQ_TOL fail at once.
+    When :func:`repair_angles` moves the half-angles ``angles``, if given,
+    onto a valid system, that system is the verdict and no flow runs.
 
     The face-to-edge branches get the floor eps = min(Phi)/4 per
     boundary-walk step (at most min(theta*)/4).  A feasible flow there is
@@ -475,11 +423,12 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
     floor, the largest as a cut's root.  In floats a step needs d0 < 0 <
     d_eps; ending with neither a flow nor a face set raises RuntimeError.
     """
-    cert = None if angles is None else certify_angles(spec, angles)
-    if cert is None and not spec.is_hyperbolic:
-        cert = _equality_certificate(spec)
+    cert = None if spec.is_hyperbolic else _equality_certificate(spec)
     if cert is not None:
         return cert
+    cas = None if angles is None else repair_angles(spec, angles.phi)
+    if cas is not None:
+        return FeasibilityCertificate(feasible=True, cas=cas)
     srf = spec.surface
     max_deg = int(np.diff(srf.walk_offsets).max())
     eps = min(float(spec.phi.min()) / (4.0 * max_deg),

@@ -40,7 +40,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order
 
 from . import jsonio
-from .functional import PatternSpec, phi_of_rho, radii_from_rho
+from .functional import PatternSpec, _check_rho, phi_of_rho, radii_from_rho
 from .surface import OPEN, euler_characteristic, vertex_angle_sums
 
 TWO_PI = 2.0 * math.pi
@@ -238,13 +238,19 @@ def layout(spec: PatternSpec, rho, root_edge: int = 0) -> LayoutResult:
     the side each kite shares with its parent.  Every glued side is then
     compared with its other placement: the largest discrepancy is the
     closure residual (after reducing by the period lattice on the torus).
+    A rho that gives some face no finite positive radius raises ValueError.
     """
-    rho = np.asarray(rho, dtype=float)
+    rho = _check_rho(spec, rho)
     srf = spec.surface
     if not 0 <= root_edge < srf.n_edges:
         raise ValueError(f"root edge {root_edge} is not in [0, {srf.n_edges})")
     _check_developable(spec)
-    radii = radii_from_rho(spec.geometry, rho)
+    with np.errstate(over="ignore", divide="ignore"):
+        radii = radii_from_rho(spec.geometry, rho)
+    bad = np.flatnonzero(~(np.isfinite(radii) & (radii > 0.0)))
+    if bad.size:
+        raise ValueError(f"face {bad[0]} has rho = {rho[bad[0]]:.17g}, whose radius "
+                         f"is not finite and positive")
     phi = phi_of_rho(spec, rho)
     if np.any(phi <= 0.0) or np.any(phi >= np.pi):
         raise NotDevelopableError("half-angles outside (0, pi); solve first")
@@ -446,7 +452,8 @@ def _f(x):
 def _geodesic_paths(z1, z2):
     """SVG paths of the hyperbolic geodesics from z1[i] to z2[i] in the disk.
 
-    Points on one diameter are joined by a segment.  Otherwise the
+    Points on one diameter, or so near one that the arc's radius exceeds
+    1e6, are joined by a segment.  Otherwise the
     geodesic is an arc of the circle orthogonal to the unit circle, whose
     center c satisfies Re(conj(c) z) = (|z|^2 + 1) / 2 at both points;
     Cramer's rule solves that for every side at once.
@@ -460,6 +467,9 @@ def _geodesic_paths(z1, z2):
          + 1j * ((b2 * z1.real - b1 * z2.real) / cross))
     with np.errstate(invalid="ignore"):
         r = np.sqrt(np.abs(c) ** 2 - 1.0)
+    # an arc of radius above 1e6 is within 1e-6 of its chord, and the text
+    # of so large a radius would depend on the last bits of the center
+    straight |= r > 1e6
     sweep = ((z2 - z1) * np.conj(c - z1)).imag > 0
     line = f"M {_FMT} {_FMT} L {_FMT} {_FMT}"
     arc = f"M {_FMT} {_FMT} A {_FMT} {_FMT} 0 0 %d {_FMT} {_FMT}"
@@ -470,10 +480,9 @@ def _geodesic_paths(z1, z2):
 
 
 def _svg_rows(templates, values):
-    """One line per template, all filled with ``values`` at once."""
-    if not templates:
-        return []
-    return ["\n".join(templates) % tuple(values.ravel().tolist())]
+    """One line per template, all filled with ``values`` at once by the fill
+    of the JSON rows, so a non-finite number raises its ValueError."""
+    return [jsonio._fill("\n".join(templates), values)] if templates else []
 
 
 def export_svg(result: LayoutResult, path=None, include_kites=False) -> str:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,19 @@ def test_layout_svg_is_repeatable(capsys, tmp_path, torus_problem):
                     "--kites")[0] == cli.EXIT_OK
         svgs.append(path.read_bytes())
     assert svgs[0] == svgs[1]
+
+
+def test_layout_of_overflowing_rho_writes_no_svg(capsys, tmp_path, torus_problem):
+    # exp(710) overflows: the SVG used to be written, with viewBox="nan nan nan nan"
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"rho": [710.0] * 4}))
+    svg = tmp_path / "layout.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no RuntimeWarning reaches stderr
+        code = cli.main(["layout", torus_problem, str(report), "--svg", str(svg)])
+    assert code == cli.EXIT_INPUT and not svg.exists()
+    assert capsys.readouterr().err == (f"error: {report}: face 0 has rho = 710, whose "
+                                       f"radius is not finite and positive\n")
 
 
 def test_pack_octahedron(capsys, tmp_path):
@@ -443,6 +457,9 @@ MALFORMED = {
         "check", _tetrahedron_doc(faces=[[0, 1, 2], [0, 2, 3], [0, 3, float("inf")],
                                          [1, 3, 2]]), None, "face 2"),
     "rho is an object": ("layout", _torus_doc(), {"rho": {"0": 0.0}}, "'rho'"),
+    "rho whose radius overflows": (
+        "layout", _torus_doc(), {"rho": [710.0] * 4}, "face 0 has rho = 710,"),
+    "NaN rho": ("layout", _torus_doc(), {"rho": [0.0, 0.0, float("nan"), 0.0]}, "face 2"),
     "fractional vertex id": (
         "check", _tetrahedron_doc(faces=[[0, 1, 2.5], [0, 2, 3], [0, 3, 1], [1, 3, 2]]),
         None, "face 0"),

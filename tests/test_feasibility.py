@@ -3,11 +3,10 @@ import pytest
 
 from circlepatterns import meshes
 from circlepatterns.feasibility import (
-    EQ_TOL, STRICT_TOL, build_flow_network, certify_angles, find_coherent_angle_system,
+    EQ_TOL, STRICT_TOL, build_flow_network, find_coherent_angle_system, repair_angles,
     solve_feasible_flow,
 )
-from circlepatterns.functional import (EUCLIDEAN, HYPERBOLIC, CoherentAngleSystem,
-                                       PatternSpec, validate_cas)
+from circlepatterns.functional import EUCLIDEAN, HYPERBOLIC, PatternSpec, validate_cas
 from circlepatterns.solver import SolveOptions, minimize
 from circlepatterns.spherical import SphericalProblem, check_sphere_conditions
 from circlepatterns.surface import euler_characteristic, medial, vertex_angle_sums
@@ -244,6 +243,14 @@ def _verdict(cert):
     return cert.feasible, cert.kind, cert.violating_faces, cert.violating_edges
 
 
+def _assert_certifies(spec, cas, where):
+    """The CAS validates at 1e-8 with every margin above STRICT_TOL."""
+    report = validate_cas(spec, cas)
+    assert report.is_valid(1e-8) and report.min_phi > STRICT_TOL, where
+    if spec.is_hyperbolic:
+        assert report.min_pair_slack > STRICT_TOL, where
+
+
 def test_newton_certificate_never_accepts_infeasible_data():
     # every feasible fixture converges within 7 Newton steps and the
     # infeasible ones that converge take at most 26; the cap keeps the
@@ -252,23 +259,22 @@ def test_newton_certificate_never_accepts_infeasible_data():
     feasible = certified = refused = 0
     for i, surf, geometry, spec in _randomized_fixtures():
         angles = minimize(spec, opts).cas
-        cert = certify_angles(spec, angles)
         flow = find_coherent_angle_system(spec)
         decided = find_coherent_angle_system(spec, angles)
-        if cert is None:
-            # a refused certificate leaves the verdict to the flow
+        # a certificate from either path holds a system that validates
+        for cert in (flow, decided):
+            if cert.feasible:
+                _assert_certifies(spec, cert.cas, (i, surf, geometry))
+        # a certified verdict runs no flow; a refused one leaves it to the flow
+        newton = decided.feasible and decided.flow_solves == 0
+        if not newton:
             assert _verdict(decided) == _verdict(flow), (i, surf, geometry)
             refused += 1
-        else:
-            # an accepted one is the verdict, and no flow runs
-            assert decided.feasible and decided.cas is angles and decided.flow_solves == 0
         if not (flow.feasible and check_conditions_bruteforce(spec).feasible):
-            assert cert is None, (i, surf, geometry)
+            assert not newton, (i, surf, geometry)
             continue
         feasible += 1
-        if cert is not None:
-            certified += 1
-            assert cert.feasible and cert.flow_solves == 0
+        certified += newton
     assert feasible >= 100 and certified >= 0.9 * feasible, (feasible, certified)
     assert refused >= 100, refused
 
@@ -304,10 +310,7 @@ def test_stopped_flow_gives_an_exact_cas():
     cases.append((torus, EUCLIDEAN, PatternSpec(torus, EUCLIDEAN, spec.theta_star, phi)))
     for surf, geometry, spec in cases:
         cert = find_coherent_angle_system(spec)
-        report = validate_cas(spec, cert.cas)
-        assert report.is_valid(1e-8) and report.min_phi > STRICT_TOL, (surf, geometry)
-        if geometry == HYPERBOLIC:
-            assert report.min_pair_slack > STRICT_TOL, (surf, geometry)
+        _assert_certifies(spec, cert.cas, (surf, geometry))
         if surf is torus:
             assert (cert.flow_solves, cert.flow_rounds) == (1, 1), geometry
 
@@ -349,39 +352,43 @@ def test_repair_never_stops_an_infeasible_flow(monkeypatch):
 
 def test_newton_certificate_refuses_equality_failures_newton_converges_on():
     # the two full-size inputs of the next test: Newton stops at a finite
-    # rho with a gradient below tolerance, but the smallest margin (7.6e-12
-    # and 1.0e-11) is no larger than the face residuals
+    # rho with a gradient below tolerance and angles that validate at 1e-8,
+    # but the smallest margin (7.6e-12 and 1.0e-11) is no larger than the
+    # face residuals, so no repaired margin stays above STRICT_TOL
     for spec in _full_size_infeasible_specs():
         result = minimize(spec)
-        assert result.converged
-        assert certify_angles(spec, result.cas) is None
+        assert result.converged and result.cas_report.is_valid(1e-8)
+        assert repair_angles(spec, result.cas.phi) is None
 
 
 def test_certificate_margin_is_compared_with_the_residual():
     spec = torus_spec()
     phi = minimize(spec).cas.phi
-    cert = certify_angles(spec, CoherentAngleSystem(phi))
-    assert cert is not None and cert.feasible and cert.cas.phi is phi
+    cas = repair_angles(spec, phi)
+    assert cas is not None and np.abs(cas.phi - phi).max() <= 1e-12
     # the exact angles are pi/4 each; raising one of them by s leaves a
-    # face residual of 2 s and a pair residual of s, so the reach 2 s + 2 s
-    # must stay below the smallest angle pi/4
-    for shift, accepted in ((0.1, True), (0.2, False)):
+    # face residual of 2 s, which must stay below the smallest angle pi/4
+    # before any repair; the repair then keeps every angle near pi/4
+    for shift, accepted in ((0.1, True), (0.2, True), (0.39, True), (0.4, False)):
         moved = phi.copy()
         moved[0] += shift
-        assert (certify_angles(spec, CoherentAngleSystem(moved)) is not None) == accepted
-    # the Euclidean total equality is checked as the flow checks it
-    assert certify_angles(torus_spec(phi=2 * np.pi + 0.1),
-                          CoherentAngleSystem(phi)) is None
+        assert (repair_angles(spec, moved) is not None) == accepted, shift
+    # totals 1.6 apart: the repair zeroes the residuals against the
+    # network's demands, which spread the difference, so every face keeps
+    # a residual of 0.1 against Phi and the system does not validate
+    assert repair_angles(torus_spec(phi=2 * np.pi + 0.1), phi) is None
     # hyperbolic: the exact angles are pi/4 - 1/80, with pair slack 1/40;
-    # raising one by s leaves a residual of 2 s and a slack of 1/40 - s
+    # raising one by s leaves its face a residual of 2 s, and the repair
+    # takes s/4 from each of the face's four angles, so the slack of the
+    # raised angle's edge is 1/40 - 3 s/4, positive below s = 1/30
     spec = torus_spec(HYPERBOLIC, phi=2 * np.pi - 0.1)
     phi = minimize(spec).cas.phi
     assert np.allclose(phi, np.pi / 4 - 1 / 80, rtol=0, atol=1e-14)
-    for shift, accepted in ((0.005, True), (0.01, False)):
+    for shift, accepted in ((0.005, True), (0.01, True), (0.033, True), (0.034, False)):
         moved = phi.copy()
         moved[0] += shift
-        assert (certify_angles(spec, CoherentAngleSystem(moved)) is not None) == accepted
-    assert certify_angles(spec, CoherentAngleSystem(np.full(64, np.nan))) is None
+        assert (repair_angles(spec, moved) is not None) == accepted, shift
+    assert repair_angles(spec, np.full(64, np.nan)) is None
 
 
 def test_full_size_certificates_from_one_cut():

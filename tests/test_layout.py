@@ -7,8 +7,8 @@ import pytest
 from circlepatterns import meshes
 from circlepatterns.functional import (EUCLIDEAN, HYPERBOLIC, PatternSpec,
                                        phi_of_rho)
-from circlepatterns.layout import (LayoutResult, NotDevelopableError,
-                                   _extract_periods, export_json, export_svg, layout)
+from circlepatterns.layout import (LayoutResult, NotDevelopableError, _extract_periods,
+                                   _geodesic_paths, export_json, export_svg, layout)
 from circlepatterns.solver import minimize
 from circlepatterns.spherical import SphericalProblem, reduce_to_plane, solve_sphere
 from circlepatterns.surface import medial
@@ -310,6 +310,21 @@ def test_root_edge_out_of_range_rejected():
             layout(spec, res.rho, root_edge=root)
 
 
+def test_rho_without_finite_positive_radius_rejected():
+    # exp overflows, underflows to 0 or is NaN; artanh(exp(rho)) is infinite
+    # once exp(rho) rounds to 1
+    spec, res, _ = torus_layout()
+    disc = disc_spec()
+    disc_rho = minimize(disc).rho
+    for spec, rho, bad in ((spec, res.rho, (710.0, -800.0, np.nan, np.inf)),
+                           (disc, disc_rho, (-1e-300, -800.0, np.nan))):
+        for value in bad:
+            moved = rho.copy()
+            moved[2] = value
+            with pytest.raises(ValueError, match="face 2 has rho"):
+                layout(spec, moved)
+
+
 def test_closed_sphere_rejected():
     s = meshes.cube()
     spec = PatternSpec(s, EUCLIDEAN, np.full(12, np.pi / 3), np.full(6, 2 * np.pi))
@@ -347,6 +362,21 @@ def test_export_svg_golden_disc():
     svg = export_svg(layout(spec, minimize(spec).rho), include_kites=True)
     with open(os.path.join(GOLDEN, "disc_hyperbolic_kites.svg")) as fh:
         assert svg == fh.read()
+
+
+def test_geodesics_near_a_diameter_are_segments():
+    # sides 1e-11 to 1e-8 off a diameter lie on arcs of radius about 1e8 to
+    # 1e11, whose text would depend on the last bits of the computed center;
+    # within 1e-6 of their chords, they are drawn as segments
+    rng = np.random.default_rng(5)
+    turn = np.exp(2j * np.pi * rng.random(200))
+    z1 = turn * rng.uniform(0.05, 0.95, 200)
+    z2 = turn * (-rng.uniform(0.05, 0.95, 200) + 1j * 10.0 ** rng.uniform(-11, -8, 200))
+    assert _geodesic_paths(z1, z2) == ["M %.9g %.9g L %.9g %.9g" % (a.real, a.imag,
+                                                                   b.real, b.imag)
+                                       for a, b in zip(z1, z2)]
+    # 1e-4 off, the radius is below 1e5 and the side stays an arc
+    assert all(" A " in p for p in _geodesic_paths(z1, turn * (-0.5 + 1e-4j)))
 
 
 def test_export_json_golden_torus():
@@ -400,6 +430,10 @@ def test_export_json_rejects_non_finite_corners():
     export_json(lay)            # without kites the corners are not written
     with pytest.raises(ValueError, match="non-finite"):
         export_json(lay, include_kites=True)
+    # the SVG rows are filled by the same kernel
+    export_svg(lay)
+    with pytest.raises(ValueError, match="non-finite"):
+        export_svg(lay, include_kites=True)
 
 
 def test_export_line_circle():

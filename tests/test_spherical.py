@@ -136,12 +136,13 @@ def test_refused_certificate_reuses_the_reduction(monkeypatch):
         verdicts.append(decide(spec, angles))
         return verdicts[-1]
 
-    monkeypatch.setattr(feasibility, "certify_angles", lambda spec, angles: None)
+    monkeypatch.setattr(feasibility, "repair_angles", lambda spec, phi: None)
     monkeypatch.setattr(spherical, "reduce_to_plane", reduce_spy)
     monkeypatch.setattr(spherical, "find_coherent_angle_system", decide_spy)
     lay = solve_sphere(cube_problem())
     assert len(reductions) == 1 and len(verdicts) == 1
-    # the refused certificate left the verdict to the flow
+    # the refused certificate left the verdict to the flow, which, with no
+    # round repaired either, ran to its end
     assert verdicts[0].feasible and verdicts[0].flow_solves >= 1
     assert np.abs(pattern_angles(cube_problem(), lay) - np.pi / 3).max() <= 1e-7
 
