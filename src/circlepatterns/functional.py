@@ -69,6 +69,15 @@ class PatternSpec:
         return specfun.clausen(2.0 * self.theta_star)
 
     @cached_property
+    def _edge_trig(self):
+        """sin theta, cos theta and tan(theta*/2) per edge, the constants of
+        the Hessian weights and of the conjugate variables."""
+        trig = (np.sin(self.theta), np.cos(self.theta), np.tan(0.5 * self.theta_star))
+        for arr in trig:
+            arr.flags.writeable = False
+        return trig
+
+    @cached_property
     def _hessian_pattern(self):
         return _build_hessian_pattern(self)
 
@@ -105,6 +114,11 @@ def phi_of_rho(spec: PatternSpec, rho):
     return phi
 
 
+def _conjugate(half_tan, x):
+    """2 atan(tan(theta*/2) tanh(x/2)), the conjugate variable of x."""
+    return 2.0 * np.arctan(half_tan * np.tanh(0.5 * x))
+
+
 def edge_auxiliaries(spec: PatternSpec, rho):
     """The conjugate variables (p, s) per unoriented edge (canonical reps).
 
@@ -114,37 +128,52 @@ def edge_auxiliaries(spec: PatternSpec, rho):
     """
     rho = _check_rho(spec, rho)
     srf = spec.surface
-    half_tan = np.tan(0.5 * spec.theta_star)
-    x = rho[srf.edge_right] - rho[srf.edge_left]
-    sig = rho[srf.edge_right] + rho[srf.edge_left]
-    p = 2.0 * np.arctan(half_tan * np.tanh(0.5 * x))
-    s = 2.0 * np.arctan(half_tan * np.tanh(0.5 * sig))
-    return p, s
+    _, _, half_tan = spec._edge_trig
+    rj = rho[srf.edge_left]
+    rk = rho[srf.edge_right]
+    return _conjugate(half_tan, rk - rj), _conjugate(half_tan, rk + rj)
 
 
-def value(spec: PatternSpec, rho):
-    """Functional value S(rho), from the closed form in Clausen's integral.
+def value_and_phi(spec: PatternSpec, rho):
+    """S(rho) and the half-angles phi per oriented edge, in one edge pass.
 
     Per edge, p*x + Cl(theta* + p) + Cl(theta* - p) - Cl(2 theta*) with
     x = rho_k - rho_j is Im Li2(e^{x + i theta}) + Im Li2(e^{-x + i theta});
-    the hyperbolic functional adds the same term at rho_k + rho_j.
+    the hyperbolic functional adds the same term at rho_k + rho_j.  The
+    half-angles of the edge's representative and its twin follow from the
+    same conjugate variables: (theta* + p)/2 and (theta* - p)/2
+    (Euclidean), (p - s)/2 and (-p - s)/2 (hyperbolic).  They agree with
+    ``phi_of_rho`` to rounding, not bit for bit.
     """
     rho = _check_rho(spec, rho)
     srf = spec.surface
     ts = spec.theta_star
+    _, _, half_tan = spec._edge_trig
     rj = rho[srf.edge_left]
     rk = rho[srf.edge_right]
     x = rk - rj
     sig = rk + rj
-    p, s = edge_auxiliaries(spec, rho)
+    p = _conjugate(half_tan, x)
     cl_2ts = spec._clausen_2theta_star
     edge_terms = (p * x + specfun.clausen(ts + p) + specfun.clausen(ts - p) - cl_2ts)
     if spec.is_hyperbolic:
+        s = _conjugate(half_tan, sig)
         edge_terms = edge_terms + (
             s * sig + specfun.clausen(ts + s) + specfun.clausen(ts - s) - cl_2ts)
+        phi_rep, phi_twin = 0.5 * (p - s), 0.5 * (-p - s)
     else:
         edge_terms = edge_terms - ts * sig
-    return float(edge_terms.sum() + spec.phi @ rho)
+        phi_rep, phi_twin = 0.5 * (ts + p), 0.5 * (ts - p)
+    phi = np.empty(srf.n_oriented_edges)
+    phi[srf.edge_reps] = phi_rep
+    phi[srf.oe_twin[srf.edge_reps]] = phi_twin
+    return float(edge_terms.sum() + spec.phi @ rho), phi
+
+
+def value(spec: PatternSpec, rho):
+    """Functional value S(rho), from the closed form in Clausen's integral
+    (see ``value_and_phi``)."""
+    return value_and_phi(spec, rho)[0]
 
 
 def face_residuals(spec: PatternSpec, phi):
@@ -158,10 +187,10 @@ def gradient(spec: PatternSpec, rho):
     return face_residuals(spec, phi_of_rho(spec, _check_rho(spec, rho)))
 
 
-def _edge_weights(x, theta):
+def _edge_weights(x, sin_theta, cos_theta):
     """sin(theta) / (cosh(x) - cos(theta)), flushed to 0 for huge |x|."""
     with np.errstate(over="ignore"):
-        w = np.sin(theta) / (np.cosh(x) - np.cos(theta))
+        w = sin_theta / (np.cosh(x) - cos_theta)
     return np.where(np.abs(x) > 700.0, 0.0, w)
 
 
@@ -216,11 +245,11 @@ def hessian(spec: PatternSpec, rho) -> sp.csr_matrix:
     srf = spec.surface
     j = srf.edge_left
     k = srf.edge_right
-    th = spec.theta
-    wm = _edge_weights(rho[k] - rho[j], th)
+    sin_t, cos_t, _ = spec._edge_trig
+    wm = _edge_weights(rho[k] - rho[j], sin_t, cos_t)
     vals = [wm, wm, -wm, -wm]
     if spec.is_hyperbolic:
-        wp = _edge_weights(rho[k] + rho[j], th)
+        wp = _edge_weights(rho[k] + rho[j], sin_t, cos_t)
         vals += [wp, wp, wp, wp]
     indptr, indices, order, slot = spec._hessian_pattern
     data = np.bincount(slot, weights=np.concatenate(vals)[order], minlength=len(indices))

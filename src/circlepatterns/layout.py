@@ -238,7 +238,8 @@ def layout(spec: PatternSpec, rho, root_edge: int = 0) -> LayoutResult:
     the side each kite shares with its parent.  Every glued side is then
     compared with its other placement: the largest discrepancy is the
     closure residual (after reducing by the period lattice on the torus).
-    A rho that gives some face no finite positive radius raises ValueError.
+    A rho that gives some face no finite positive radius, or some kite no
+    finite developed corners, raises ValueError.
     """
     rho = _check_rho(spec, rho)
     srf = spec.surface
@@ -254,32 +255,41 @@ def layout(spec: PatternSpec, rho, root_edge: int = 0) -> LayoutResult:
     phi = phi_of_rho(spec, rho)
     if np.any(phi <= 0.0) or np.any(phi >= np.pi):
         raise NotDevelopableError("half-angles outside (0, pi); solve first")
-    corners = _kite_corners(spec, radii, phi)
     corner, a, b, cols = _glue_records(srf)
     order, parent, rec, parent_is_a = _spanning_tree(srf, corner, a, b, root_edge)
-
-    if spec.is_hyperbolic:
-        apply, from_sides = _apply_isometry, _isometry_from_sides
-        frames = np.zeros((srf.n_edges, 4), dtype=complex)
-        frames[root_edge] = (1.0, 0.0, 0.0, 1.0)
-    else:
-        apply, from_sides = _apply_similarity, _similarity_from_sides
-        frames = np.zeros((srf.n_edges, 2), dtype=complex)
-        pu, pw = complex(corners[root_edge, _PU]), complex(corners[root_edge, _PW])
-        mid = 0.5 * (pu + pw)
-        scale = 1.0 / ((pw - pu) / abs(pw - pu))
-        frames[root_edge] = (scale, -scale * mid)
-    # each kite's side on the shared segment, and its parent's
-    child = order[1:]
-    rc = cols[rec]
-    own = np.where(parent_is_a[:, None], rc[:, 2:], rc[:, :2])
-    theirs = np.where(parent_is_a[:, None], rc[:, :2], rc[:, 2:])
-    q = np.take_along_axis(corners[child], own, axis=1)
-    z_parent = np.take_along_axis(corners[parent], theirs, axis=1)
-    for level in _levels(order, parent):
-        z = apply(frames[parent[level]], z_parent[level])
-        frames[child[level]] = from_sides(q[level, 0], q[level, 1], z[:, 0], z[:, 1])
-    placed = apply(frames, corners)
+    # radii far apart overflow a kite or its frame; the first kite that the
+    # development loses is reported below, so the warnings are not
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        corners = _kite_corners(spec, radii, phi)
+        if spec.is_hyperbolic:
+            apply, from_sides = _apply_isometry, _isometry_from_sides
+            frames = np.zeros((srf.n_edges, 4), dtype=complex)
+            frames[root_edge] = (1.0, 0.0, 0.0, 1.0)
+        else:
+            apply, from_sides = _apply_similarity, _similarity_from_sides
+            frames = np.zeros((srf.n_edges, 2), dtype=complex)
+            pu, pw = complex(corners[root_edge, _PU]), complex(corners[root_edge, _PW])
+            mid = 0.5 * (pu + pw)
+            scale = 1.0 / ((pw - pu) / abs(pw - pu))
+            frames[root_edge] = (scale, -scale * mid)
+        # each kite's side on the shared segment, and its parent's
+        child = order[1:]
+        rc = cols[rec]
+        own = np.where(parent_is_a[:, None], rc[:, 2:], rc[:, :2])
+        theirs = np.where(parent_is_a[:, None], rc[:, :2], rc[:, 2:])
+        q = np.take_along_axis(corners[child], own, axis=1)
+        z_parent = np.take_along_axis(corners[parent], theirs, axis=1)
+        for level in _levels(order, parent):
+            z = apply(frames[parent[level]], z_parent[level])
+            frames[child[level]] = from_sides(q[level, 0], q[level, 1], z[:, 0], z[:, 1])
+        placed = apply(frames, corners)
+    bad = ~np.isfinite(placed).all(axis=1)
+    if bad.any():
+        e = order[np.argmax(bad[order])]
+        j, k = srf.edge_left[e], srf.edge_right[e]
+        raise ValueError(f"the kite of edge {e} between faces {j} and {k} (radii "
+                         f"{radii[j]:.17g} and {radii[k]:.17g}) develops to non-finite "
+                         f"corners")
 
     reps = srf.edge_reps
     vertices, points = _first_placed(

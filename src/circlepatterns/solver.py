@@ -6,6 +6,12 @@ capped step and backtracking line search.  The stopping rule is the
 gradient max-norm, i.e. the largest per-face angle defect
 |Phi_f - 2 sum(phi)|.
 
+Each iterate costs one pass over the edges: ``functional.value_and_phi``
+gives S for the line search together with the half-angles of the same rho,
+whose face residuals are the next gradient.  The half-angles that the
+result reports, and that decide convergence once the loop's gradient is
+within rounding of the tolerance, come from ``functional.cas_from_rho``.
+
 The Euclidean functional does not change when a constant is added to every
 rho, so its Hessian is a weighted Laplacian of the dual graph whose kernel
 is exactly the constants.  The Newton system is then solved grounded and
@@ -145,6 +151,13 @@ def minimize(spec: PatternSpec, opts: SolveOptions | None = None) -> SolveResult
     replaced by the negative gradient, so on feasible data the iteration
     converges from any finite start (the functional is convex).
 
+    Each line-search trial is one edge pass, and the accepted trial's
+    half-angles give the next gradient.  Euclidean trials are centred before
+    their pass, so ``functional_value`` is the S of the returned rho, bit
+    for bit.  Once the loop's gradient is within rounding of ``grad_tol``,
+    the exact half-angles of ``cas_from_rho``, which the result reports,
+    decide convergence and give the next step.
+
     On infeasible data S has no minimiser, yet ``converged=True`` is still
     no proof of feasibility: where a face subset fails the conditions only
     by equality, the gradient decays as rho runs off to infinity and falls
@@ -158,14 +171,22 @@ def minimize(spec: PatternSpec, opts: SolveOptions | None = None) -> SolveResult
     rho = _initial_rho(spec, opts)
     message = ""
     converged = False
-    value = fn.value(spec, rho)
+    value, phi = fn.value_and_phi(spec, rho)
+    # the pass's half-angles differ from phi_of_rho's by a few ulp of pi
+    # (3 seen, 8 allowed), so a face residual by up to 2 deg(f) times that
+    slack = 16.0 * np.spacing(np.pi) * np.bincount(spec.surface.oe_left).max()
+    cas = None
     iterations = 0
     for iterations in range(opts.max_iter + 1):
-        grad = fn.gradient(spec, rho)
+        grad = fn.face_residuals(spec, phi)
         grad_norm = float(np.abs(grad).max())
-        if grad_norm <= opts.grad_tol:
-            converged = True
-            break
+        if grad_norm <= opts.grad_tol + slack:
+            # the exact half-angles, which the result reports, decide and steer
+            cas, report = fn.cas_from_rho(spec, rho)
+            grad, grad_norm = fn.face_residuals(spec, cas.phi), report.max_face_residual
+            if grad_norm <= opts.grad_tol:
+                converged = True
+                break
         if iterations == opts.max_iter:
             message = f"no convergence in {opts.max_iter} Newton steps"
             break
@@ -183,7 +204,9 @@ def minimize(spec: PatternSpec, opts: SolveOptions | None = None) -> SolveResult
         step = min(1.0, _MAX_STEP / float(np.abs(direction).max()))
         for _ in range(60):
             trial = rho + step * direction
-            trial_value = fn.value(spec, trial)
+            if not spec.is_hyperbolic:
+                trial = trial - trial.mean()
+            trial_value, trial_phi = fn.value_and_phi(spec, trial)
             # the rounding slack keeps the search from stalling once the
             # true decrease drops below float resolution of S
             if trial_value <= value + _ARMIJO * step * slope + 1e-14 * (1.0 + abs(value)):
@@ -192,22 +215,16 @@ def minimize(spec: PatternSpec, opts: SolveOptions | None = None) -> SolveResult
         else:
             message = "line search failed"
             break
-        rho = trial
-        if not spec.is_hyperbolic:
-            rho = rho - rho.mean()
-        value = trial_value
+        rho, value, phi, cas = trial, trial_value, trial_phi, None
         log.debug("newton iter %d: grad %.3e step %.3g S %.12g",
                   iterations + 1, grad_norm, step, value)
-    if not spec.is_hyperbolic:
-        rho = rho - rho.mean()
-    # the gradient is the face residual of these half-angles
-    cas, report = fn.cas_from_rho(spec, rho)
+    if cas is None:
+        cas, report = fn.cas_from_rho(spec, rho)
     if converged and spec.is_hyperbolic and np.any(rho >= 0.0):
         converged = False
         message = "stationary point with nonnegative rho; data are not hyperbolic-feasible"
     return SolveResult(
         rho=rho, cas=cas, cas_report=report,
         grad_norm=report.max_face_residual,
-        iterations=iterations,
-        functional_value=fn.value(spec, rho),
+        iterations=iterations, functional_value=value,
         converged=converged, message=message)

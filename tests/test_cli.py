@@ -216,6 +216,23 @@ def test_layout_of_overflowing_rho_writes_no_svg(capsys, tmp_path, torus_problem
                                        f"radius is not finite and positive\n")
 
 
+def test_layout_of_a_kite_that_overflows_writes_no_svg(capsys, tmp_path):
+    # e^700 is a finite radius, but its kite with a radius 1 neighbour is not
+    problem = tmp_path / "torus.json"
+    problem.write_text(json.dumps(_torus_doc(n=4)))
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"rho": [0.0] * 5 + [700.0] + [0.0] * 10}))
+    svg = tmp_path / "layout.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no RuntimeWarning reaches stderr
+        code = cli.main(["layout", str(problem), str(report), "--svg", str(svg)])
+    assert code == cli.EXIT_INPUT and not svg.exists()
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        f"error: {report}: the kite of edge 14 between faces 4 and 5 (radii 1 and "
+        f"1.0142320547350045e+304) develops to non-finite corners\n")
+
+
 def test_pack_octahedron(capsys, tmp_path):
     path = tmp_path / "octahedron.json"
     path.write_text(json.dumps({"mesh": surface_to_json_dict(meshes.octahedron())}))
@@ -459,6 +476,9 @@ MALFORMED = {
     "rho is an object": ("layout", _torus_doc(), {"rho": {"0": 0.0}}, "'rho'"),
     "rho whose radius overflows": (
         "layout", _torus_doc(), {"rho": [710.0] * 4}, "face 0 has rho = 710,"),
+    "kite whose radii overflow": (
+        "layout", _torus_doc(n=4), {"rho": [0.0] * 5 + [700.0] + [0.0] * 10},
+        "the kite of edge 14 between faces 4 and 5 "),
     "NaN rho": ("layout", _torus_doc(), {"rho": [0.0, 0.0, float("nan"), 0.0]}, "face 2"),
     "fractional vertex id": (
         "check", _tetrahedron_doc(faces=[[0, 1, 2.5], [0, 2, 3], [0, 3, 1], [1, 3, 2]]),

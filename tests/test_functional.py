@@ -4,7 +4,8 @@ import pytest
 from circlepatterns import meshes, specfun
 from circlepatterns.functional import (
     EUCLIDEAN, HYPERBOLIC, CoherentAngleSystem, PatternSpec, cas_from_rho,
-    edge_auxiliaries, gradient, hessian, phi_of_rho, radii_from_rho, value,
+    edge_auxiliaries, face_residuals, gradient, hessian, phi_of_rho, radii_from_rho, value,
+    value_and_phi,
 )
 from circlepatterns.surface import medial, surface_from_json_dict
 from helpers import fd_gradient, random_feasible_spec, random_spec, surface_pool
@@ -196,6 +197,26 @@ def test_edge_auxiliaries_signs():
     assert np.all(np.sign(p) == np.sign(np.round(x, 14)))
     assert np.all(np.abs(p) < spec.theta_star)
     assert np.all(np.sign(s) == np.sign(np.round(sig, 14)))
+
+
+@pytest.mark.parametrize("geometry", [EUCLIDEAN, HYPERBOLIC])
+def test_value_and_phi_matches_value_and_phi_of_rho(geometry):
+    # the half-angles of the fused pass come from the conjugate variables
+    # (p, s); at scale 300 some edges have |rho_k - rho_j| and, hyperbolic,
+    # -(rho_k + rho_j) up to 600, where tanh saturates
+    srf = medial(meshes.triangulated_torus(8, 8))
+    rng = np.random.default_rng(12)
+    spec = random_spec(srf, geometry, rng)
+    for scale in (0.5, 4.0, 40.0, 300.0):
+        rho = rng.uniform(-scale, scale, srf.n_faces)
+        S, phi = value_and_phi(spec, rho)
+        assert S == value(spec, rho)
+        assert np.abs(phi - phi_of_rho(spec, rho)).max() <= 1e-14
+        assert np.abs(face_residuals(spec, phi) - gradient(spec, rho)).max() <= 1e-13
+    j, k = srf.edge_left, srf.edge_right
+    assert np.abs(rho[k] - rho[j]).max() > 450.0
+    if geometry == HYPERBOLIC:
+        assert (rho[k] + rho[j]).min() < -450.0
 
 
 def test_cas_at_symmetric_critical_point():

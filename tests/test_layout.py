@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -323,6 +325,26 @@ def test_rho_without_finite_positive_radius_rejected():
             moved[2] = value
             with pytest.raises(ValueError, match="face 2 has rho"):
                 layout(spec, moved)
+
+
+def test_rho_whose_kites_do_not_develop_rejected():
+    # radii e^700 and 1 are finite, but the law of cosines overflows; radii
+    # e^-740 and 1 give a kite whose sides round to zero.  The first kite
+    # that the development loses is named, without a warning
+    s = meshes.torus_grid(4, 4)
+    spec = PatternSpec(s, EUCLIDEAN, np.full(s.n_edges, np.pi / 2), np.full(16, 2 * np.pi))
+    for value in (700.0, -740.0):
+        rho = np.zeros(16)
+        rho[5] = value
+        for root in (0, 14, 31):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="develops to non-finite corners") as info:
+                    layout(spec, rho, root_edge=root)
+            named = re.match(r"the kite of edge (\d+) between faces (\d+) and (\d+) ",
+                             str(info.value))
+            e, j, k = map(int, named.groups())
+            assert (s.edge_left[e], s.edge_right[e]) == (j, k) and 5 in (j, k)
 
 
 def test_closed_sphere_rejected():

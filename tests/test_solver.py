@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from circlepatterns import meshes
+from circlepatterns import functional, meshes, specfun
 from circlepatterns.feasibility import find_coherent_angle_system
 from circlepatterns.functional import (EUCLIDEAN, HYPERBOLIC, PatternSpec,
                                        gradient, hessian, value)
@@ -243,3 +243,53 @@ def test_hyperbolic_newton_emits_no_warnings():
         results = [minimize(spec, opts) for spec, opts in runs]
     assert [(r.converged, r.message) for r in results] == (
         [(True, "")] * 3 + [(False, "no convergence in 40 Newton steps")])
+
+
+@pytest.mark.parametrize("geometry, terms", [(EUCLIDEAN, 1), (HYPERBOLIC, 2)])
+def test_minimize_makes_one_edge_pass_per_iterate(monkeypatch, geometry, terms):
+    # every S that minimize needs comes with the next gradient from one
+    # fused pass; the half-angles im_li2_dx computes, once per geometry
+    # term, are only those of the final cas_from_rho
+    med = medial(meshes.triangulated_torus(6, 6))
+    spec = random_feasible_spec(med, geometry, np.random.default_rng(4))
+    spec._clausen_2theta_star      # the spec's one Cl(2 theta*) call
+    counts = dict(passes=0, clausen=0, im_li2_dx=0)
+
+    def count(owner, attr, key, amount):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += amount(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    def no_gradient(*args, **kwargs):
+        raise AssertionError("minimize called functional.gradient")
+
+    count(functional, "value_and_phi", "passes", lambda args: 1)
+    count(specfun, "clausen", "clausen", lambda args: np.size(args[0]))
+    count(specfun, "im_li2_dx", "im_li2_dx", lambda args: 1)
+    monkeypatch.setattr(functional, "gradient", no_gradient)
+    result = minimize(spec)
+    assert result.converged and result.iterations >= 3
+    # the start and at least one line-search trial per Newton step
+    assert counts["passes"] >= 1 + result.iterations
+    assert counts["clausen"] == counts["passes"] * 2 * terms * med.n_edges
+    assert counts["im_li2_dx"] == terms
+
+
+@pytest.mark.parametrize("geometry", [EUCLIDEAN, HYPERBOLIC])
+def test_result_reports_the_loop_s_and_an_exact_residual(geometry):
+    # the loop tests the fused half-angles, the result reports phi_of_rho's;
+    # near rounding the reported residual decides, and 3e-15 is still reached
+    rng = np.random.default_rng(41)
+    pool = surface_pool(max_faces=12) + [medial(meshes.triangulated_torus(4, 4))]
+    for _ in range(10):
+        spec = random_feasible_spec(pool[rng.integers(len(pool))], geometry, rng)
+        for opts in (SolveOptions(), SolveOptions(grad_tol=3e-15, max_iter=20),
+                     SolveOptions(max_iter=1), SolveOptions(max_iter=0)):
+            result = minimize(spec, opts)
+            assert not result.converged or result.grad_norm <= opts.grad_tol
+            assert result.functional_value == value(spec, result.rho)
+            if opts.max_iter >= 20:
+                assert result.converged, (opts.grad_tol, result.message)
