@@ -35,8 +35,8 @@ class PatternSpec:
     """Surface + geometry + per-edge theta* + per-face Phi.
 
     theta* must lie strictly in (0, pi) and Phi must be finite and
-    positive.  The exterior angle theta = pi - theta* is derived, never
-    stored.
+    positive.  The exterior angle theta = pi - theta* is computed once, in
+    the constructor, and stored as ``theta``.
     """
 
     def __init__(self, surface: CellularSurface, geometry: str, theta_star, phi):

@@ -3,7 +3,9 @@
 All numbers are written with 17 significant digits so that reports are
 byte-identical across repeated runs and round-trip exactly.  ``dumps``
 dispatches on ``type(obj)`` for the built-in JSON types; None, bools, NumPy
-values and subclasses go through an ``isinstance`` chain to the same output.
+arrays and numbers, and subclasses of int and float go through an
+``isinstance`` chain to the same output.  Any other type, subclasses of
+str, list, tuple and dict among them, raises ``TypeError``.
 
 Large lists are written from row templates.  A template is a literal
 document whose numbers are the slots ``FLOAT`` and ``INT``, for example
@@ -113,14 +115,8 @@ def dumps(obj, indent=0, _level=0, _quote=_quote) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
-    if isinstance(obj, str):
-        return _quote(obj)
     if isinstance(obj, np.ndarray) and obj.ndim:
         if obj.ndim == 1 and obj.dtype.kind == "f":
             return _rows(Rows([FLOAT] * len(obj), obj), indent, _level)
         return dumps(obj.tolist(), indent, _level, _quote)
-    if isinstance(obj, (list, tuple)):
-        return dumps(list(obj), indent, _level, _quote)
-    if isinstance(obj, dict):
-        return dumps(dict(obj), indent, _level, _quote)
     raise TypeError(f"cannot serialize {type(obj)!r}")

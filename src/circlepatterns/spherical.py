@@ -223,12 +223,11 @@ def _original_certificate(p, red, cert):
     the inequality over the original incident edges has the same margin.
     """
     s = p.surface
-    faces = tuple(sorted(red.face_map[f] for f in cert.violating_faces))
-    edges = tuple(sorted({s.edge_of(h) for f in faces for h in s.face_walk(f)}))
+    faces = np.sort(np.asarray(red.face_map)[list(cert.violating_faces)])
+    edges = np.unique(s.oe_edge[np.isin(s.oe_left, faces)])
     return replace(
-        cert, violating_faces=faces, violating_edges=edges,
-        phi_sum=TWO_PI * len(faces),
-        theta_sum=float(2.0 * p.theta_star[list(edges)].sum()))
+        cert, violating_faces=tuple(faces.tolist()), violating_edges=tuple(edges.tolist()),
+        phi_sum=TWO_PI * len(faces), theta_sum=float(2.0 * p.theta_star[edges].sum()))
 
 
 # -- stereographic projection --------------------------------------------------
@@ -376,30 +375,30 @@ def _place(circles, f, circle):
 def _elementary_planar(p: SphericalProblem, red: Reduction, circles, points):
     """Single remaining face: intersection points on the unit circle with
     arcs 2 theta*, removed faces as the chord lines.  Returns the largest
-    incidence error."""
+    incidence error.
+
+    Each removed face borders the remaining one along a single edge: a
+    closed curve through both faces across two shared edges would enclose
+    vertices, of degree at least 3, on no face through v_inf."""
     s = p.surface
     f0 = red.face_map[0]
-    walk = s.face_walk(f0)
+    walk = s.walk_edges[s.walk_offsets[f0]:s.walk_offsets[f0 + 1]]
+    starts, ends = s.oe_origin[walk].tolist(), s.oe_origin[s.oe_twin[walk]].tolist()
+    edges = s.oe_edge[walk]
     beta = 0.0
-    for h in walk:
-        points[s.origin(h)] = complex(math.cos(beta), math.sin(beta))
-        beta += 2.0 * p.theta_star[s.edge_of(h)]
+    for u, arc in zip(starts, (2.0 * p.theta_star[edges]).tolist()):
+        points[u] = complex(math.cos(beta), math.sin(beta))
+        beta += arc
     _place(circles, f0, (0j, 1.0, 0j))
-    radii = circles[1]
-    theta = p.theta
     residual = 0.0
-    for h in walk:
-        g = s.right_face(h)
-        z1 = complex(points[s.origin(h)])
-        z2 = complex(points[s.terminus(h)])
+    for g, theta, u, w in zip(s.oe_right[walk].tolist(), p.theta[edges].tolist(),
+                              starts, ends):
+        z1 = complex(points[u])
         # ray to the line's center direction: rotate the ray to the circle
         # center (the origin) clockwise by theta at the edge's start point
-        line = (z1, math.inf, -z1 * np.exp(-1j * theta[s.edge_of(h)]))
-        if np.isnan(radii[g]):
-            _place(circles, g, line)
-        else:
-            residual = max(residual, _incidence_error(_circle(circles, g), z1))
-        residual = max(residual, _incidence_error(line, z2))
+        line = (z1, math.inf, -z1 * np.exp(-1j * theta))
+        _place(circles, g, line)
+        residual = max(residual, _incidence_error(line, complex(points[w])))
     return residual
 
 
@@ -417,20 +416,18 @@ def _chain_directions(p: SphericalProblem, red: Reduction, circles, points):
     kept = set(red.face_map)
     centers, radii, _ = circles
     residual = 0.0
-    for v0, orig_v in enumerate(red.vertex_map):
-        if not red.surface.vertex_is_boundary(v0):
-            continue
-        pu = complex(points[orig_v])
-        fan = s.vertex_fan(orig_v)
+    for v in np.asarray(red.vertex_map)[red.surface.vertex_boundary].tolist():
+        pu = complex(points[v])
+        fan = s.fan_edges[s.fan_offsets[v]:s.fan_offsets[v + 1]]
         d = len(fan)
-        fan_faces = [s.left_face(g) for g in fan]
+        fan_faces = s.oe_left[fan].tolist()
+        turns = theta[s.oe_edge[fan]].tolist()
         dirs = [None] * d
         start = next(i for i, f in enumerate(fan_faces) if f in kept)
         dirs[start] = float(np.angle(complex(centers[fan_faces[start]]) - pu))
         for step in range(1, d):
             i = (start + step) % d
-            prev = (start + step - 1) % d
-            dirs[i] = dirs[prev] + theta[s.edge_of(fan[i])]
+            dirs[i] = dirs[i - 1] + turns[i]
         for i, f in enumerate(fan_faces):
             if f in kept:
                 measured = float(np.angle(complex(centers[f]) - pu))
@@ -454,13 +451,9 @@ def _dropped_positions(p: SphericalProblem, red: Reduction, circles, points):
     for v in red.dropped_vertices:
         if v == p.v_infinity:
             continue
-        incident = []
-        seen = set()
-        for g in s.vertex_fan(v):
-            f = s.left_face(g)
-            if f not in seen and not np.isnan(radii[f]):
-                seen.add(f)
-                incident.append(_circle(circles, f))
+        fan = s.fan_edges[s.fan_offsets[v]:s.fan_offsets[v + 1]]
+        incident = [_circle(circles, f) for f in dict.fromkeys(s.oe_left[fan].tolist())
+                    if not np.isnan(radii[f])]
         best = None
         for i in range(len(incident)):
             for j in range(i + 1, len(incident)):

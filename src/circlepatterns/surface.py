@@ -19,10 +19,12 @@ doubling along ``prev`` and along its rotation ``next[twin]`` and kept
 concatenated (``walk_edges`` cut at ``walk_offsets``, ``fan_edges`` at
 ``fan_offsets``), with the boolean ``face_boundary`` and
 ``vertex_boundary``; connectivity comes from
-``scipy.sparse.csgraph.connected_components``.  These arrays are the only
-representation: the scalar accessors (``origin``, ``face_walk``,
-``vertex_fan``, ...) read them directly and return Python ints, bools
-and tuples.  Every id must be a ``numbers.Integral`` other than ``bool``.
+``scipy.sparse.csgraph.connected_components``.  These arrays are the
+interface: every module reads the surface by indexing them (face f's walk
+is ``walk_edges[walk_offsets[f]:walk_offsets[f + 1]]``, the right face of
+h is ``oe_right[h]``).  Two scalar accessors remain, ``origin`` and
+``face_walk``, because the ``perfbench`` workloads call them.  Every id
+must be a ``numbers.Integral`` other than ``bool``.
 """
 
 from __future__ import annotations
@@ -157,7 +159,10 @@ class CellularSurface:
     edges.  ``next_in_face`` uses ``OPEN`` (-1) to terminate the walk of a
     boundary face.  The constructor validates the half-edge axioms and
     computes the face walks, the vertex fans (in counterclockwise order),
-    the boundary flags and the canonical unoriented-edge indexing.
+    the boundary flags and the canonical unoriented-edge indexing, all as
+    the read-only arrays described in the module docstring; read the
+    surface through them.  ``origin(h)`` and ``face_walk(f)`` return
+    Python ints and tuples for the ``perfbench`` workloads.
     """
 
     def __init__(self, origin, left_face, twin, next_in_face, *, edge_id=None,
@@ -266,45 +271,9 @@ class CellularSurface:
     def origin(self, h):
         return int(self.oe_origin[h])
 
-    def terminus(self, h):
-        return int(self.oe_origin[self.oe_twin[h]])
-
-    def twin(self, h):
-        return int(self.oe_twin[h])
-
-    def next_in_face(self, h):
-        return int(self.oe_next[h])
-
-    def prev_in_face(self, h):
-        return int(self.oe_prev[h])
-
-    def left_face(self, h):
-        return int(self.oe_left[h])
-
-    def right_face(self, h):
-        return int(self.oe_left[self.oe_twin[h]])
-
-    def edge_of(self, h):
-        return int(self.oe_edge[h])
-
-    def edge_rep(self, e):
-        """Canonical oriented representative of unoriented edge e."""
-        return int(self.edge_reps[e])
-
     def face_walk(self, f):
         f = range(self.n_faces)[f]      # a negative or out-of-range id as a list reads it
         return tuple(self.walk_edges[self.walk_offsets[f]:self.walk_offsets[f + 1]].tolist())
-
-    def face_is_boundary(self, f):
-        return bool(self.face_boundary[f])
-
-    def vertex_fan(self, v):
-        """Outgoing oriented edges around v in counterclockwise order."""
-        v = range(self.n_vertices)[v]
-        return tuple(self.fan_edges[self.fan_offsets[v]:self.fan_offsets[v + 1]].tolist())
-
-    def vertex_is_boundary(self, v):
-        return bool(self.vertex_boundary[v])
 
     # -- derived arrays ------------------------------------------------------
 

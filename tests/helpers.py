@@ -60,8 +60,7 @@ def random_flat_theta(surface, rng, spread=0.3):
     """
     E, V = surface.n_edges, surface.n_vertices
     inc = np.zeros((V, E))
-    for h in range(surface.n_oriented_edges):
-        inc[surface.origin(h), surface.edge_of(h)] += 1.0
+    np.add.at(inc, (surface.oe_origin, surface.oe_edge), 1.0)
     base = np.linalg.pinv(inc) @ np.full(V, 2.0 * np.pi)
     _, s, vt = np.linalg.svd(inc)
     null = vt[np.sum(s > 1e-10):]
@@ -83,21 +82,23 @@ def subdivide_edge(surface, e):
     """Split edge e with a new midpoint vertex (token reconstruction)."""
     mid = surface.n_vertices
     e1, e2 = ("sub", e, 1), ("sub", e, 2)
+    origin, edge = surface.oe_origin.tolist(), surface.oe_edge.tolist()
+    reps = surface.edge_reps.tolist()
     walks = []
     for f in range(surface.n_faces):
         tokens = []
         for h in surface.face_walk(f):
-            ee = surface.edge_of(h)
-            sign = 1 if h == surface.edge_rep(ee) else -1
+            ee = edge[h]
+            sign = 1 if h == reps[ee] else -1
             if ee != e:
-                tokens.append((surface.origin(h), ee, sign))
+                tokens.append((origin[h], ee, sign))
             elif sign == 1:
-                tokens.append((surface.origin(h), e1, 1))
+                tokens.append((origin[h], e1, 1))
                 tokens.append((mid, e2, 1))
             else:
-                tokens.append((surface.origin(h), e2, -1))
+                tokens.append((origin[h], e2, -1))
                 tokens.append((mid, e1, -1))
-        walks.append((tokens, not surface.face_is_boundary(f)))
+        walks.append((tokens, not surface.face_boundary[f]))
     return surface_from_walks(walks)
 
 
@@ -184,15 +185,12 @@ def dual(s):
     """Poincare dual: faces <-> vertices, edges <-> edges (same edge ids)."""
     if not s.is_closed:
         raise UnsupportedSurfaceError("dual of a surface with boundary is not supported")
-    walks = []
-    for v in range(s.n_vertices):
-        tokens = []
-        for h in s.vertex_fan(v):
-            t = s.twin(h)
-            e = s.edge_of(h)
-            sign = 1 if t == s.edge_rep(e) else -1
-            tokens.append((s.left_face(t), e, sign))
-        walks.append((tokens, True))
+    h = s.fan_edges
+    e = s.oe_edge[h]
+    sign = np.where(s.oe_twin[h] == s.edge_reps[e], 1, -1)
+    tokens = list(zip(s.oe_right[h].tolist(), e.tolist(), sign.tolist()))
+    offsets = s.fan_offsets.tolist()
+    walks = [(tokens[a:b], True) for a, b in zip(offsets[:-1], offsets[1:])]
     return surface_from_walks(walks, edge_order=range(s.n_edges))
 
 
@@ -205,17 +203,16 @@ def quad_graph(s):
     cells of s left without any quad side drop out of the decomposition.
     """
     F = s.n_faces
+    origin, left, twin, nxt, prev = (a.tolist() for a in (s.oe_origin, s.oe_left, s.oe_twin,
+                                                          s.oe_next, s.oe_prev))
     walks = []
-    for e in range(s.n_edges):
-        h = s.edge_rep(e)
-        t = s.twin(h)
-        u, w = s.origin(h), s.terminus(h)
-        fj, fk = s.left_face(h), s.right_face(h)
+    for e, h in enumerate(s.edge_reps.tolist()):
+        t = twin[h]
         cycle = [
-            (F + u, t, 1) if s.next_in_face(t) != OPEN else None,
-            (fk, s.prev_in_face(t), -1) if s.prev_in_face(t) != OPEN else None,
-            (F + w, h, 1) if s.next_in_face(h) != OPEN else None,
-            (fj, s.prev_in_face(h), -1) if s.prev_in_face(h) != OPEN else None,
+            (F + origin[h], t, 1) if nxt[t] != OPEN else None,
+            (left[t], prev[t], -1) if prev[t] != OPEN else None,
+            (F + origin[t], h, 1) if nxt[h] != OPEN else None,
+            (left[h], prev[h], -1) if prev[h] != OPEN else None,
         ]
         present = [tok for tok in cycle if tok is not None]
         if not present:
@@ -254,6 +251,9 @@ def isomorphic(a, b):
             or a.n_vertices != b.n_vertices or a.n_edges != b.n_edges):
         return False
     n = a.n_oriented_edges
+    # the twin, next and prev of every oriented edge
+    moves_a, moves_b = (np.stack((x.oe_twin, x.oe_next, x.oe_prev), axis=1).tolist()
+                        for x in (a, b))
     for root in range(n):
         phi = {0: root}
         stack = [0]
@@ -261,9 +261,7 @@ def isomorphic(a, b):
         while stack and ok:
             h = stack.pop()
             g = phi[h]
-            for ha, gb in ((a.twin(h), b.twin(g)),
-                           (a.next_in_face(h), b.next_in_face(g)),
-                           (a.prev_in_face(h), b.prev_in_face(g))):
+            for ha, gb in zip(moves_a[h], moves_b[g]):
                 if (ha == OPEN) != (gb == OPEN):
                     ok = False
                     break
@@ -284,7 +282,7 @@ def isomorphic(a, b):
             if vmap.setdefault(a.origin(h), b.origin(g)) != b.origin(g):
                 consistent = False
                 break
-            if fmap.setdefault(a.left_face(h), b.left_face(g)) != b.left_face(g):
+            if fmap.setdefault(a.oe_left[h], b.oe_left[g]) != b.oe_left[g]:
                 consistent = False
                 break
         if consistent:
@@ -359,9 +357,8 @@ def pattern_angles(p, lay):
     s = p.surface
     out = np.zeros(s.n_edges)
     for e in range(s.n_edges):
-        h = s.edge_rep(e)
-        out[e] = sphere_intersection_angle(sphere_cap(lay, s.left_face(h)),
-                                           sphere_cap(lay, s.right_face(h)))
+        out[e] = sphere_intersection_angle(sphere_cap(lay, s.edge_left[e]),
+                                           sphere_cap(lay, s.edge_right[e]))
     return out
 
 
@@ -380,12 +377,12 @@ def edge_cross_ratios(p, lay):
     def det(a, b):
         return a[0] * b[1] - a[1] * b[0]
 
+    h = s.edge_reps
+    terminus = s.oe_origin[s.oe_twin]
+    quads = np.stack((s.oe_origin[h], terminus[h], terminus[s.oe_next[h]],
+                      terminus[s.oe_next[s.oe_twin[h]]]), axis=1)
     out = np.zeros(s.n_edges, dtype=complex)
-    for e in range(s.n_edges):
-        h = s.edge_rep(e)
-        quad = [s.origin(h), s.terminus(h),
-                s.terminus(s.next_in_face(h)),
-                s.terminus(s.next_in_face(s.twin(h)))]
+    for e, quad in enumerate(quads.tolist()):
         p1, p2, p3, p4 = (_homogeneous(sphere_point(lay, v)) for v in quad)
         out[e] = (det(p1, p3) * det(p2, p4)) / (det(p1, p4) * det(p2, p3))
     return out

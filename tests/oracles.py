@@ -495,9 +495,7 @@ def _simple_dual_cycles(surface):
     """Edge sets of all simple cycles of the dual 1-skeleton."""
     loops = []
     adj = [[] for _ in range(surface.n_faces)]
-    for e in range(surface.n_edges):
-        h = surface.edge_rep(e)
-        u, v = surface.left_face(h), surface.right_face(h)
+    for e, (u, v) in enumerate(zip(surface.edge_left.tolist(), surface.edge_right.tolist())):
         if u == v:
             loops.append(frozenset([e]))
         else:
@@ -535,8 +533,8 @@ def check_rivin_condition(surface, theta, tol=1e-9):
     if not surface.is_closed or genus != 0:
         raise ValueError("the cocycle condition applies to closed genus-0 surfaces")
     theta = _require_flat_vertices(surface, theta)
-    coboundaries = {frozenset(surface.edge_of(h) for h in surface.vertex_fan(v))
-                    for v in range(surface.n_vertices)}
+    fan_edges, offsets = surface.oe_edge[surface.fan_edges].tolist(), surface.fan_offsets.tolist()
+    coboundaries = {frozenset(fan_edges[a:b]) for a, b in zip(offsets[:-1], offsets[1:])}
     for cycle in sorted(_simple_dual_cycles(surface), key=sorted):
         s = float(theta[list(cycle)].sum())
         if s < TWO_PI - tol:
@@ -586,11 +584,11 @@ def region_decomposition(surface, cut, theta=None):
             a = parent[a]
         return a
 
+    left, right = surface.edge_left.tolist(), surface.edge_right.tolist()
     for e in range(surface.n_edges):
         if e in cutset:
             continue
-        h = surface.edge_rep(e)
-        ra, rb = find(surface.left_face(h)), find(surface.right_face(h))
+        ra, rb = find(left[e]), find(right[e])
         if ra != rb:
             parent[ra] = rb
 
@@ -607,27 +605,27 @@ def region_decomposition(surface, cut, theta=None):
     theta_sum = np.zeros(n_pieces)
 
     for e in range(surface.n_edges):
-        h = surface.edge_rep(e)
         if e in cutset:
-            for side in (h, surface.twin(h)):
-                p = index[find(surface.left_face(side))]
+            for side in (left[e], right[e]):
+                p = index[find(side)]
                 n_edges[p] += 1
                 sides[p] += 1
                 if theta is not None:
                     theta_sum[p] += theta[e]
         else:
-            n_edges[index[find(surface.left_face(h))]] += 1
+            n_edges[index[find(left[e])]] += 1
 
     for v in range(surface.n_vertices):
-        fan = surface.vertex_fan(v)
-        cut_positions = [i for i, h in enumerate(fan) if surface.edge_of(h) in cutset]
+        fan = surface.fan_edges[surface.fan_offsets[v]:surface.fan_offsets[v + 1]]
+        fan_faces = surface.oe_left[fan].tolist()
+        cut_positions = [i for i, e in enumerate(surface.oe_edge[fan].tolist()) if e in cutset]
         if not cut_positions:
-            n_vertices[index[find(surface.left_face(fan[0]))]] += 1
+            n_vertices[index[find(fan_faces[0])]] += 1
             continue
         # one vertex copy per fan sector between consecutive cut edge-ends;
         # the sector starting at a cut ray contains the face on its left
         for start in cut_positions:
-            p = index[find(surface.left_face(fan[start]))]
+            p = index[find(fan_faces[start])]
             n_vertices[p] += 1
 
     pieces = []
@@ -644,11 +642,8 @@ def region_decomposition(surface, cut, theta=None):
             boundary_theta_sum=float(theta_sum[p]) if theta is not None else None,
         ))
 
-    cut_vertices = set()
-    for e in cutset:
-        h = surface.edge_rep(e)
-        cut_vertices.add(surface.origin(h))
-        cut_vertices.add(surface.terminus(h))
+    h = surface.edge_reps[sorted(cutset)]
+    cut_vertices = set(surface.oe_origin[np.concatenate((h, surface.oe_twin[h]))].tolist())
     _, genus = euler_characteristic(surface)
     lhs = n_pieces - len(cutset) + len(cut_vertices)
     rhs = 2 - 2 * genus + sum(pc.h1 for pc in pieces)
@@ -892,11 +887,12 @@ def surface_tables_reference(origin, left_face, twin, next_in_face, edge_id=None
 def medial_reference(s):
     """The medial decomposition from token walks: face f's walk crosses
     the midpoints of its edges, vertex v's walk the corners of its fan."""
-    walks = [([(s.edge_of(h), h, 1) for h in s.face_walk(f)], True)
+    edge, twin = s.oe_edge.tolist(), s.oe_twin.tolist()
+    walks = [([(edge[h], h, 1) for h in s.face_walk(f)], True)
              for f in range(s.n_faces)]
     for v in range(s.n_vertices):
-        fan = s.vertex_fan(v)
-        walks.append(([(s.edge_of(g), s.twin(fan[(i + 1) % len(fan)]), -1)
+        fan = s.fan_edges[s.fan_offsets[v]:s.fan_offsets[v + 1]].tolist()
+        walks.append(([(edge[g], twin[fan[(i + 1) % len(fan)]], -1)
                        for i, g in enumerate(fan)], True))
     return surface_from_walks(walks)
 
@@ -940,15 +936,18 @@ def reduce_to_plane_reference(p):
     becomes an open walk from its first edge; Phi subtracts 2 theta* of the
     removed edges in walk order."""
     s = p.surface
-    f_inf = {s.left_face(g) for g in s.vertex_fan(p.v_infinity)}
-    removed_edges = {s.edge_of(h) for h in range(s.n_oriented_edges)
-                     if s.left_face(h) in f_inf}
+    origin, left, edge, reps = (a.tolist() for a in (s.oe_origin, s.oe_left, s.oe_edge,
+                                                     s.edge_reps))
+    terminus = s.oe_origin[s.oe_twin].tolist()
+    v = p.v_infinity
+    f_inf = set(s.oe_left[s.fan_edges[s.fan_offsets[v]:s.fan_offsets[v + 1]]].tolist())
+    removed_edges = {edge[h] for h in range(s.n_oriented_edges) if left[h] in f_inf}
     kept_faces = [f for f in range(s.n_faces) if f not in f_inf]
     if not kept_faces:
         raise SphereConditionError("every face is incident with v_infinity")
     kept_edges = sorted(set(range(s.n_edges)) - removed_edges)
-    kept_vertices = sorted({s.origin(s.edge_rep(e)) for e in kept_edges}
-                           | {s.terminus(s.edge_rep(e)) for e in kept_edges})
+    kept_vertices = sorted({origin[reps[e]] for e in kept_edges}
+                           | {terminus[reps[e]] for e in kept_edges})
     common = dict(removed_faces=tuple(sorted(f_inf)),
                   removed_edges=tuple(sorted(removed_edges)),
                   dropped_vertices=tuple(sorted(set(range(s.n_vertices))
@@ -964,7 +963,7 @@ def reduce_to_plane_reference(p):
     walks, phi = [], []
     for f in kept_faces:
         walk = s.face_walk(f)
-        kept = [s.edge_of(h) not in removed_edges for h in walk]
+        kept = [edge[h] not in removed_edges for h in walk]
         if not any(kept):
             raise SphereConditionError(disconnected)
         k = len(walk)
@@ -976,11 +975,11 @@ def reduce_to_plane_reference(p):
             raise SphereConditionError(
                 f"face {f} keeps several disjoint boundary arcs; "
                 f"the reduced surface is not representable")
-        walks.append(([(vertex_index[s.origin(h)], edge_index[s.edge_of(h)],
-                        1 if h == s.edge_rep(s.edge_of(h)) else -1) for h in arc],
+        walks.append(([(vertex_index[origin[h]], edge_index[edge[h]],
+                        1 if h == reps[edge[h]] else -1) for h in arc],
                       all(kept)))
-        phi.append(TWO_PI - 2.0 * sum(p.theta_star[s.edge_of(h)] for h in walk
-                                      if s.edge_of(h) in removed_edges))
+        phi.append(TWO_PI - 2.0 * sum(p.theta_star[edge[h]] for h in walk
+                                      if edge[h] in removed_edges))
     try:
         reduced = surface_from_walks(walks, edge_order=range(len(kept_edges)))
     except DisconnectedSurfaceError as exc:
@@ -1104,9 +1103,8 @@ class HyperbolicFrame:
 def _scalar_kite(spec, radii, phi, e):
     """Local corners (P_u, C_k, P_w, C_j) of the kite of edge e."""
     srf = spec.surface
-    h = srf.edge_rep(e)
-    rj, rk = float(radii[srf.left_face(h)]), float(radii[srf.right_face(h)])
-    theta, pj = float(spec.theta[e]), float(phi[h])
+    rj, rk = float(radii[srf.edge_left[e]]), float(radii[srf.edge_right[e]])
+    theta, pj = float(spec.theta[e]), float(phi[srf.edge_reps[e]])
     if spec.is_hyperbolic:
         cd = math.acosh(math.cosh(rj) * math.cosh(rk)
                         - math.sinh(rj) * math.sinh(rk) * math.cos(theta))
@@ -1121,13 +1119,13 @@ def _scalar_kite(spec, radii, phi, e):
 def _side_plus(srf, e, kite, corner):
     """(vertex point, center) of corner's side in the kite of edge(corner)."""
     pu, ck, pw, cj = kite
-    return (pw, cj) if corner == srf.edge_rep(e) else (pu, ck)
+    return (pw, cj) if corner == srf.edge_reps[e] else (pu, ck)
 
 
 def _side_minus(srf, e, kite, corner):
     """The same side in the kite of edge(next(corner))."""
     pu, ck, pw, cj = kite
-    return (pu, cj) if srf.next_in_face(corner) == srf.edge_rep(e) else (pw, ck)
+    return (pu, cj) if srf.oe_next[corner] == srf.edge_reps[e] else (pw, ck)
 
 
 def extract_periods_scalar(diffs, scale):
@@ -1163,6 +1161,9 @@ def develop_scalar(spec, rho, root_edge=0):
     mismatch is computed one complex number at a time.
     """
     srf = spec.surface
+    origin, left, twin, nxt, prev, edge, reps = (
+        a.tolist() for a in (srf.oe_origin, srf.oe_left, srf.oe_twin, srf.oe_next,
+                             srf.oe_prev, srf.oe_edge, srf.edge_reps))
     rho = np.asarray(getattr(rho, "rho", rho), dtype=float)
     radii = radii_from_rho(spec.geometry, rho)
     phi = phi_of_rho(spec, rho)
@@ -1190,12 +1191,11 @@ def develop_scalar(spec, rho, root_edge=0):
     order, queue = [root_edge], [root_edge]
     while queue:
         e = queue.pop(0)
-        h = srf.edge_rep(e)
-        scan = [(c, True) for c in (h, srf.twin(h)) if srf.next_in_face(c) != OPEN]
-        scan += [(c, False) for c in (srf.prev_in_face(h), srf.prev_in_face(srf.twin(h)))
-                 if c != OPEN]
+        h = reps[e]
+        scan = [(c, True) for c in (h, twin[h]) if nxt[c] != OPEN]
+        scan += [(c, False) for c in (prev[h], prev[twin[h]]) if c != OPEN]
         for corner, forward in scan:
-            other = srf.edge_of(srf.next_in_face(corner) if forward else corner)
+            other = edge[nxt[corner] if forward else corner]
             if transforms[other] is None:
                 place(e, other, corner, forward)
                 order.append(other)
@@ -1205,11 +1205,11 @@ def develop_scalar(spec, rho, root_edge=0):
     placed = {e: tuple(frame.apply(transforms[e], q) for q in kites[e]) for e in order}
     vertex_points, circles, hyp = {}, {}, {}
     for e in order:
-        h = srf.edge_rep(e)
+        h = reps[e]
         gu, gk, gw, gj = placed[e]
-        vertex_points.setdefault(srf.origin(h), gu)
-        vertex_points.setdefault(srf.terminus(h), gw)
-        for f, center in ((srf.left_face(h), gj), (srf.right_face(h), gk)):
+        vertex_points.setdefault(origin[h], gu)
+        vertex_points.setdefault(origin[twin[h]], gw)
+        for f, center in ((left[h], gj), (left[twin[h]], gk)):
             if f not in circles:
                 r = float(radii[f])
                 if spec.is_hyperbolic:
@@ -1219,9 +1219,9 @@ def develop_scalar(spec, rho, root_edge=0):
                     circles[f] = Circle(center, r)
     pairs = []
     for corner in range(srf.n_oriented_edges):
-        if srf.next_in_face(corner) == OPEN:
+        if nxt[corner] == OPEN:
             continue
-        ea, eb = srf.edge_of(corner), srf.edge_of(srf.next_in_face(corner))
+        ea, eb = edge[corner], edge[nxt[corner]]
         pa = _side_plus(srf, ea, placed[ea], corner)
         pb = _side_minus(srf, eb, placed[eb], corner)
         pairs += [(pa[0], pb[0]), (pa[1], pb[1])]

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from circlepatterns import cli, meshes, solver
+from circlepatterns import cli, meshes, solver, specfun
 from circlepatterns.feasibility import find_coherent_angle_system
 from circlepatterns.functional import PatternSpec, radii_from_rho
 from circlepatterns.spherical import SphericalProblem, reduce_to_plane
@@ -201,6 +201,45 @@ def test_layout_svg_is_repeatable(capsys, tmp_path, torus_problem):
                     "--kites")[0] == cli.EXIT_OK
         svgs.append(path.read_bytes())
     assert svgs[0] == svgs[1]
+
+
+def test_layout_without_output_flags_prints_the_json_file(capsys, tmp_path, torus_problem):
+    report = str(tmp_path / "report.json")
+    _run(capsys, "solve", torus_problem, "-o", report)
+    path = tmp_path / "layout.json"
+    assert _run(capsys, "layout", torus_problem, report, "--kites",
+                "--json", str(path)) == (cli.EXIT_OK, "")
+    assert _run(capsys, "layout", torus_problem, report, "--kites") == \
+        (cli.EXIT_OK, path.read_text())
+
+
+def test_problem_without_phi_on_a_closed_mesh_means_two_pi(capsys, tmp_path):
+    doc = _torus_doc(n=4)
+    assert doc["phi"] == [2 * np.pi] * 16
+    explicit, implicit = tmp_path / "explicit.json", tmp_path / "implicit.json"
+    explicit.write_text(json.dumps(doc))
+    del doc["phi"]
+    implicit.write_text(json.dumps(doc))
+    for command in ("check", "solve"):
+        code, out = _run(capsys, command, str(explicit))
+        assert code == cli.EXIT_OK
+        assert _run(capsys, command, str(implicit)) == (code, out)
+
+
+def test_specfun_prints_fifteen_digits(capsys):
+    # Cl(pi/2) is Catalan's constant 0.91596559417721901...
+    assert _run(capsys, "specfun", "clausen", repr(np.pi / 2)) == \
+        (cli.EXIT_OK, "0.915965594177219\n")
+    code, out = _run(capsys, "specfun", "imli2", "0.5", "1.0")
+    assert (code, out) == (cli.EXIT_OK, "%.15g\n" % specfun.im_li2(0.5, 1.0))
+    # on the unit circle Im Li2 is Clausen's integral
+    code, out = _run(capsys, "specfun", "imli2", "0", "1.0")
+    assert code == cli.EXIT_OK and abs(float(out) - specfun.clausen(1.0)) < 1e-13
+
+
+def test_specfun_imli2_without_theta_is_an_input_error(capsys):
+    assert cli.main(["specfun", "imli2", "0.5"]) == cli.EXIT_INPUT
+    assert capsys.readouterr() == ("", "error: imli2 needs both x and theta\n")
 
 
 def test_layout_of_overflowing_rho_writes_no_svg(capsys, tmp_path, torus_problem):
@@ -434,6 +473,15 @@ def _cube_sphere_doc(theta_3):
 # error names after the file)
 MALFORMED = {
     "problem is a list": ("check", [_torus_doc()], None, "top level"),
+    "unknown geometry": (
+        "check", dict(_torus_doc(), geometry="spherical"), None,
+        "unknown geometry 'spherical'"),
+    "missing theta_star": (
+        "solve", {key: value for key, value in _torus_doc().items() if key != "theta_star"},
+        None, "missing 'theta_star'"),
+    "boundary faces without phi": (
+        "check", {"mesh": surface_to_json_dict(_open_disc()), "theta_star": [np.pi / 2] * 3},
+        None, "'phi' is required when the mesh has boundary faces"),
     "solve problem is a list": ("solve", [_torus_doc()], None, "top level"),
     "sphere problem is a list": (
         "sphere", [_cube_sphere_doc(2 * np.pi / 3)], None, "top level"),
@@ -544,5 +592,5 @@ def test_malformed_input_is_an_input_error(capsys, tmp_path, case):
     out, err = capsys.readouterr()
     assert code == cli.EXIT_INPUT
     assert out == ""
-    assert err.startswith(f"error: {named}: ")
+    assert err.startswith(f"error: {named}: ") and err.count("\n") == 1
     assert fragment in err

@@ -432,11 +432,8 @@ def test_gauss_bonnet_with_boundary():
     s0, spec = red.surface, red.spec
     chi, _ = euler_characteristic(s0)
     theta_sums = vertex_angle_sums(s0, np.pi - spec.theta_star)
-    total = 0.0
-    for f in range(s0.n_faces):
-        total += (np.pi if s0.face_is_boundary(f) else 2 * np.pi) - spec.phi[f]
-    for v in range(s0.n_vertices):
-        total += (np.pi if s0.vertex_is_boundary(v) else 2 * np.pi) - theta_sums[v]
+    total = (np.sum(np.where(s0.face_boundary, np.pi, 2 * np.pi) - spec.phi)
+             + np.sum(np.where(s0.vertex_boundary, np.pi, 2 * np.pi) - theta_sums))
     assert abs(total - 2 * np.pi * chi) < 1e-9
 
 
@@ -457,14 +454,9 @@ def test_rivin_two_valent_vertex_rejected():
 def cheap_vertical_cube_theta():
     # cube with cheap vertical edges: the equatorial 4-cocycle sums below 2*pi
     s = meshes.cube()
-    theta = np.empty(12)
-    ring = 0.5 * (2 * np.pi - 0.3)
-    for e in range(12):
-        h = s.edge_rep(e)
-        u, w = s.origin(h), s.terminus(h)
-        vertical = (u < 4) != (w < 4)
-        theta[e] = 0.3 if vertical else ring
-    return s, theta
+    h = s.edge_reps
+    vertical = (s.oe_origin[h] < 4) != (s.oe_origin[s.oe_twin[h]] < 4)
+    return s, np.where(vertical, 0.3, 0.5 * (2 * np.pi - 0.3))
 
 
 def test_rivin_short_cocycle_violation():
@@ -518,7 +510,7 @@ def test_higher_genus_equality_cut_violated():
     # 2x3 torus with theta = 3pi/4 around one face: cutting out that face's
     # four corners leaves a multi-face disc with boundary sum exactly 2*pi
     s = meshes.torus_grid(2, 3)
-    face_edges = sorted({s.edge_of(h) for h in s.face_walk(0)})
+    face_edges = np.unique(s.oe_edge[s.oe_left == 0]).tolist()
     theta = np.full(12, np.pi / 2)
     theta[face_edges] = 0.75 * np.pi
     # rebalance the remaining edges so the vertex sums stay at 2*pi
@@ -526,9 +518,9 @@ def test_higher_genus_equality_cut_violated():
     free = [e for e in range(12) if e not in face_edges]
     inc = np.zeros((s.n_vertices, len(free)))
     for idx, e in enumerate(free):
-        h = s.edge_rep(e)
-        inc[s.origin(h), idx] += 1
-        inc[s.terminus(h), idx] += 1
+        h = s.edge_reps[e]
+        inc[s.oe_origin[h], idx] += 1
+        inc[s.oe_origin[s.oe_twin[h]], idx] += 1
     rhs = 2 * np.pi - vertex_angle_sums(s, np.where(
         np.isin(np.arange(12), face_edges), theta, 0.0))
     delta, *_ = scipy.linalg.lstsq(inc, rhs)
@@ -578,9 +570,9 @@ def test_region_decomposition_nonseparating_cycle():
     # non-separating cycle on the torus
     from collections import defaultdict
     pairs = defaultdict(list)
-    for e in range(d.n_edges):
-        h = d.edge_rep(e)
-        pairs[frozenset((d.origin(h), d.terminus(h)))].append(e)
+    h = d.edge_reps
+    for e, ends in enumerate(zip(d.oe_origin[h].tolist(), d.oe_origin[d.oe_twin[h]].tolist())):
+        pairs[frozenset(ends)].append(e)
     cycle = next(es for k, es in pairs.items() if len(es) == 2 and len(k) == 2)
     pieces = region_decomposition(d, cycle)
     assert len(pieces) == 1
@@ -597,11 +589,9 @@ def test_region_decomposition_sphere_cycle_rank():
         k = rng.integers(1, d.n_edges + 1)
         cut = sorted(rng.choice(d.n_edges, size=k, replace=False))
         pieces = region_decomposition(d, cut)
-        nodes = set()
-        for e in cut:
-            h = d.edge_rep(e)
-            nodes.add(d.origin(h))
-            nodes.add(d.terminus(h))
+        h = d.edge_reps[cut]
+        us, ws = d.oe_origin[h].tolist(), d.oe_origin[d.oe_twin[h]].tolist()
+        nodes = set(us) | set(ws)
         # components of the cut graph
         parent = {v: v for v in nodes}
 
@@ -611,9 +601,8 @@ def test_region_decomposition_sphere_cycle_rank():
                 a = parent[a]
             return a
 
-        for e in cut:
-            h = d.edge_rep(e)
-            ra, rb = find(d.origin(h)), find(d.terminus(h))
+        for u, w in zip(us, ws):
+            ra, rb = find(u), find(w)
             if ra != rb:
                 parent[ra] = rb
         n_comp = len({find(v) for v in nodes})

@@ -1,5 +1,7 @@
 """The JSON emitter against its isinstance-chain reference, byte for byte."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -138,7 +140,14 @@ def test_dumps_rejects_non_finite(bad):
         dumps(bad, indent=2)
 
 
-@pytest.mark.parametrize("bad", [object(), {1, 2}, 1 + 2j, b"bytes", np.array(1.0)])
+class _Text(str):
+    pass
+
+
+@pytest.mark.parametrize("bad", [object(), {1, 2}, 1 + 2j, b"bytes", np.array(1.0),
+                                 _Text("x"), np.str_("x"), collections.OrderedDict(a=1),
+                                 collections.namedtuple("Pair", "a b")(1, 2),
+                                 collections.UserList([1])])
 def test_dumps_rejects_unknown_types(bad):
     with pytest.raises(TypeError):
         dumps({"x": [bad]})

@@ -82,14 +82,14 @@ def test_vertex_and_face_angle_sums():
     s = spec.surface
     vertex_sums = {}
     face_sums = {}
+    origin, terminus = s.oe_origin[s.edge_reps], s.oe_origin[s.oe_twin[s.edge_reps]]
     for e, (pu, ck, pw, cj) in zip(lay.kite_edges, lay.kites):
-        h = s.edge_rep(e)
-        for point, vid in ((pu, s.origin(h)), (pw, s.terminus(h))):
+        for point, vid in ((pu, origin[e]), (pw, terminus[e])):
             ang = abs(np.angle((cj - point) / (ck - point)))
             vertex_sums[vid] = vertex_sums.get(vid, 0.0) + ang
-        face_sums[s.left_face(h)] = face_sums.get(s.left_face(h), 0.0) + \
+        face_sums[s.edge_left[e]] = face_sums.get(s.edge_left[e], 0.0) + \
             abs(np.angle((pw - cj) / (pu - cj)))
-        face_sums[s.right_face(h)] = face_sums.get(s.right_face(h), 0.0) + \
+        face_sums[s.edge_right[e]] = face_sums.get(s.edge_right[e], 0.0) + \
             abs(np.angle((pw - ck) / (pu - ck)))
     assert np.abs(np.array(list(vertex_sums.values())) - 2 * np.pi).max() < 1e-9
     assert np.abs(np.array(list(face_sums.values())) - 2 * np.pi).max() < 1e-9
@@ -100,9 +100,8 @@ def test_intersection_points_on_both_circles():
     s = spec.surface
     worst = 0.0
     for e, (pu, ck, pw, cj) in zip(lay.kite_edges, lay.kites):
-        h = s.edge_rep(e)
-        rj = lay.radii[s.left_face(h)]
-        rk = lay.radii[s.right_face(h)]
+        rj = lay.radii[s.edge_left[e]]
+        rk = lay.radii[s.edge_right[e]]
         for p in (pu, pw):
             worst = max(worst, abs(abs(p - cj) - rj) / rj,
                         abs(abs(p - ck) - rk) / rk)
@@ -218,11 +217,10 @@ def test_hyperbolic_disc_layout():
     s = spec.surface
     worst = 0.0
     for e, (pu, ck, pw, cj) in zip(lay.kite_edges, lay.kites):
-        h = s.edge_rep(e)
         for p in (pu, pw):
             worst = max(worst,
-                        abs(_HyperbolicFrame.dist(p, cj) - radii[s.left_face(h)]),
-                        abs(_HyperbolicFrame.dist(p, ck) - radii[s.right_face(h)]))
+                        abs(_HyperbolicFrame.dist(p, cj) - radii[s.edge_left[e]]),
+                        abs(_HyperbolicFrame.dist(p, ck) - radii[s.edge_right[e]]))
     assert worst <= 1e-7
 
 

@@ -53,7 +53,7 @@ def test_reduce_cube():
     assert len(red.face_map) == 3
     assert red.surface.n_edges == 3
     assert np.abs(red.spec.phi - 2 * np.pi / 3).max() < 1e-12
-    assert all(red.surface.face_is_boundary(f) for f in range(3))
+    assert red.surface.face_boundary.tolist() == [True] * 3
 
 
 def test_reduce_octahedron():
@@ -61,9 +61,7 @@ def test_reduce_octahedron():
     assert len(red.face_map) == 4
     assert np.abs(red.spec.phi - np.pi).max() < 1e-12
     # one interior vertex (the antipode), four boundary vertices
-    interior = [v for v in range(red.surface.n_vertices)
-                if not red.surface.vertex_is_boundary(v)]
-    assert len(interior) == 1
+    assert np.count_nonzero(~red.surface.vertex_boundary) == 1
 
 
 def test_reduce_tetrahedron_elementary():
@@ -83,11 +81,9 @@ def cube_cocycle_theta(vertical):
     and bottom squares, the rest so that every vertex sums to 2*pi; the
     equatorial cocycle is short when `vertical` is small."""
     s = meshes.cube()
-    theta = np.empty(12)
-    for e in range(12):
-        h = s.edge_rep(e)
-        upright = (s.origin(h) < 4) != (s.terminus(h) < 4)
-        theta[e] = vertical if upright else 0.5 * (2 * np.pi - vertical)
+    h = s.edge_reps
+    upright = (s.oe_origin[h] < 4) != (s.oe_origin[s.oe_twin[h]] < 4)
+    theta = np.where(upright, vertical, 0.5 * (2 * np.pi - vertical))
     assert np.abs(vertex_angle_sums(s, theta) - 2 * np.pi).max() < 1e-12
     return theta
 
@@ -98,7 +94,8 @@ def assert_certificate_violates(p, cert):
     s = p.surface
     faces = cert.violating_faces
     assert faces and set(faces) <= set(range(s.n_faces))
-    incident = sorted({s.edge_of(h) for f in faces for h in s.face_walk(f)})
+    edge = s.oe_edge.tolist()
+    incident = sorted({edge[h] for f in faces for h in s.face_walk(f)})
     assert list(cert.violating_edges) == incident
     phi_sum = 2 * np.pi * len(faces)
     theta_sum = 2.0 * p.theta_star[incident].sum()
@@ -211,6 +208,44 @@ def test_tetrahedron_elementary_pattern():
     assert np.abs(angles - np.pi / 3).max() <= 1e-7
 
 
+def test_a_face_bordering_the_remaining_face_twice_leaves_no_theta():
+    # face 1 borders face 0, the one face off v_inf = 4, along the edges 3-2
+    # and 0-3, so vertex 3 has degree 2 and no theta in (0, pi) sums to 2*pi
+    # there; the elementary layout may place each removed face's line once
+    s = build_surface(faces=[[0, 1, 2, 3], [0, 3, 2, 4], [2, 1, 4], [1, 0, 4]])
+    assert sorted(s.oe_right[s.oe_left == 0].tolist()) == [1, 1, 2, 3]
+    with pytest.raises(ValueError, match="vertex 3 sums to"):
+        SphericalProblem(s, np.full(s.n_edges, 2 * np.pi / 3), 4)
+
+
+# (circle, circle, their common points); a circle is (center, radius, normal)
+# and a line (point, inf, unit normal)
+UNIT = (0j, 1.0, 0j)
+INTERSECTIONS = {
+    "two points": (UNIT, (1 + 0j, 1.0, 0j),
+                   [complex(0.5, np.sqrt(0.75)), complex(0.5, -np.sqrt(0.75))]),
+    "tangent outside": (UNIT, (2 + 0j, 1.0, 0j), [1 + 0j, 1 + 0j]),
+    "tangent inside": (UNIT, (0.5 + 0j, 0.5, 0j), [1 + 0j, 1 + 0j]),
+    "disjoint": (UNIT, (3 + 0j, 1.0, 0j), []),
+    "nested": (UNIT, (0.2 + 0j, 0.5, 0j), []),
+    "concentric": (UNIT, (0j, 2.0, 0j), []),
+    "equal": (UNIT, UNIT, []),
+    "crossing lines": ((1j, np.inf, 1j), (1 + 0j, np.inf, -1 + 0j), [1 + 1j]),
+    "parallel lines": ((0j, np.inf, 1 + 0j), (2 + 0j, np.inf, -1 + 0j), []),
+    "one line twice": ((0j, np.inf, 1j), (1 + 0j, np.inf, 1j), []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTERSECTIONS))
+def test_generalized_circle_intersections(case):
+    a, b, expected = INTERSECTIONS[case]
+    points = spherical._intersections(a, b)
+    assert len(points) == len(expected)
+    assert np.allclose(points, expected, rtol=0.0, atol=1e-15)
+    for z in points:
+        assert max(spherical._incidence_error(a, z), spherical._incidence_error(b, z)) <= 1e-15
+
+
 def test_vertex_incidences_on_sphere():
     for p in (cube_problem(), octa_problem(), tetra_problem()):
         lay = solve_sphere(p)
@@ -219,8 +254,8 @@ def test_vertex_incidences_on_sphere():
         for v in range(s.n_vertices):
             pt = sphere_point(lay, v)
             assert abs(np.linalg.norm(pt) - 1.0) < 1e-12
-            for g in s.vertex_fan(v):
-                c = sphere_cap(lay, s.left_face(g))
+            for f in s.oe_left[s.fan_edges[s.fan_offsets[v]:s.fan_offsets[v + 1]]]:
+                c = sphere_cap(lay, f)
                 worst = max(worst, abs(float(c.axis @ pt) - np.cos(c.angular_radius)))
         assert worst <= 1e-8
 
@@ -252,8 +287,8 @@ def _reduction_record(run, p):
               red.dropped_vertices, red.face_map, red.edge_map, red.vertex_map]
     if red.surface is not None:
         t = red.surface
-        record += [[getattr(t, name)(h) for h in range(t.n_oriented_edges)]
-                   for name in ("origin", "left_face", "twin", "next_in_face", "edge_of")]
+        record += [getattr(t, name).tolist()
+                   for name in ("oe_origin", "oe_left", "oe_twin", "oe_next", "oe_edge")]
         record += [red.spec.phi.tobytes(), red.spec.theta_star.tobytes()]
     return record
 

@@ -41,9 +41,9 @@ def test_table_form_with_identified_edges():
     # one-face torus: a single quadrilateral with opposite sides glued
     s = meshes.torus_grid(1, 1)
     assert (s.n_faces, s.n_edges, s.n_vertices) == (1, 2, 1)
-    for h in range(s.n_oriented_edges):
-        assert s.twin(s.twin(h)) == h
-        assert s.twin(h) != h
+    h = np.arange(s.n_oriented_edges)
+    assert np.array_equal(s.oe_twin[s.oe_twin], h)
+    assert np.all(s.oe_twin != h)
     # round-trip through the oriented-edge table
     s2 = surface_from_json_dict(surface_to_json_dict(s))
     assert isomorphic(s, s2)
@@ -108,10 +108,9 @@ def test_dual_preserves_edge_ids():
     d = dual(s)
     assert d.n_edges == s.n_edges
     # corresponding edges connect the dual cells of the primal sides
-    for e in range(s.n_edges):
-        h = s.edge_rep(e)
-        dh = d.edge_rep(e)
-        assert {d.origin(dh), d.terminus(dh)} == {s.left_face(h), s.right_face(h)}
+    ends = np.stack((d.oe_origin[d.edge_reps], d.oe_origin[d.oe_twin[d.edge_reps]]))
+    sides = np.stack((s.edge_left, s.edge_right))
+    assert np.array_equal(np.sort(ends, axis=0), np.sort(sides, axis=0))
 
 
 def test_dual_requires_closed():
@@ -139,7 +138,7 @@ def test_medial_always_four_valent():
     for s in (meshes.tetrahedron(), meshes.cube(), meshes.torus_grid(2, 3),
               meshes.hexagonal_torus(), meshes.genus2_octagon()):
         m = medial(s)
-        assert all(len(m.vertex_fan(v)) == 4 for v in range(m.n_vertices))
+        assert np.all(np.diff(m.fan_offsets) == 4)
         assert m.n_faces == s.n_faces + s.n_vertices
         assert m.n_vertices == s.n_edges
 
@@ -158,9 +157,8 @@ def test_quad_graph_bicolored():
     s = meshes.cube()
     q = quad_graph(s)
     F = s.n_faces
-    for h in range(q.n_oriented_edges):
-        white = q.origin(h) < F
-        assert (q.terminus(h) < F) != white
+    white = q.oe_origin < F
+    assert np.all((q.oe_origin[q.oe_twin] < F) != white)
 
 
 def test_quad_graph_of_boundary_surface():
@@ -223,8 +221,7 @@ def test_json_round_trip():
     s = meshes.octahedron()
     s2 = surface_from_json_dict(surface_to_json_dict(s))
     assert isomorphic(s, s2)
-    assert [s2.edge_of(h) for h in range(s2.n_oriented_edges)] == \
-        [s.edge_of(h) for h in range(s.n_oriented_edges)]
+    assert s2.oe_edge.tolist() == s.oe_edge.tolist()
 
 
 def test_json_round_trip_keeps_the_edge_numbering():
@@ -290,17 +287,18 @@ def _table_surfaces():
 def _assert_tables_match(s, ref):
     assert tuple(s.oe_prev.tolist()) == ref["prev"]
     assert tuple(s.face_walk(f) for f in range(s.n_faces)) == ref["face_walks"]
-    assert tuple(s.vertex_fan(v) for v in range(s.n_vertices)) == ref["vertex_fans"]
-    assert tuple(map(s.face_is_boundary, range(s.n_faces))) == ref["face_is_boundary"]
-    assert tuple(map(s.vertex_is_boundary, range(s.n_vertices))) == \
-        ref["vertex_is_boundary"]
+    fans, offsets = s.fan_edges.tolist(), s.fan_offsets.tolist()
+    assert tuple(tuple(fans[a:b]) for a, b in zip(offsets[:-1], offsets[1:])) == \
+        ref["vertex_fans"]
+    assert tuple(s.face_boundary.tolist()) == ref["face_is_boundary"]
+    assert tuple(s.vertex_boundary.tolist()) == ref["vertex_is_boundary"]
     assert tuple(s.oe_edge.tolist()) == ref["edge_id"]
     assert tuple(s.edge_reps.tolist()) == ref["edge_rep"]
     assert s.n_boundary_faces == sum(ref["face_is_boundary"])
     # the accessors read the arrays as lists would: negative ids from the
     # end, and plain Python values that json can write
-    assert (s.face_walk(-1), s.vertex_fan(-1)) == (ref["face_walks"][-1], ref["vertex_fans"][-1])
-    assert {type(s.origin(0)), type(s.face_walk(0)[0]), type(s.vertex_fan(0)[0])} == {int}
+    assert s.face_walk(-1) == ref["face_walks"][-1]
+    assert {type(s.origin(0)), type(s.face_walk(0)[0])} == {int}
 
 
 def test_tables_match_the_pure_python_reference():
