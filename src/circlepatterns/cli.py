@@ -55,12 +55,16 @@ def _load_json(path):
 
 
 def _floats(path, data, key):
-    """The list of numbers under ``key`` as a float array."""
+    """The flat list of numbers under ``key`` as a float array."""
     if key not in data:
         raise InputError(f"{path}: missing '{key}'")
+    values = data[key]
+    # JSON numbers load as int or float; a bool is an int to numpy
+    if not (isinstance(values, list) and set(map(type, values)) <= {int, float}):
+        raise InputError(f"{path}: '{key}' must be a list of numbers")
     try:
-        return np.asarray(data[key], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
+        return np.asarray(values, dtype=float)
+    except OverflowError as exc:
         raise InputError(f"{path}: '{key}' must be a list of numbers") from exc
 
 

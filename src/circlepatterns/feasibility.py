@@ -21,13 +21,14 @@ and reads the half-angles off the face-to-edge branch flows.
 The flow's verdict comes from one cut.  A flow at the first floor eps on
 the face-to-edge branches settles feasible data; any exact CAS proves
 existence, so that flow stops at the first round, usually the first of
-all, whose half-angles :func:`repair_angles` moves onto one.  When it
-fails, one max flow with eps = 0 solves a maximum-closure problem whose
-min cuts are the face sets that break the inequalities most; the strongly
-connected components of its residual graph list them, ties included,
-and one of them that exact sums confirm is the certificate.  Feasible
-data then lower the floor to the roots of failing cuts until a flow
-appears.
+all, whose half-angles :func:`repair_angles` moves onto one.  It also
+stops once a round proves that it cannot meet its demand, and then one
+max flow with eps = 0 solves a maximum-closure problem whose min cuts are
+the face sets that break the inequalities most; the strongly connected
+components of its residual graph list them, ties included, and one of
+them that exact sums confirm is the certificate.  Only when the cut finds
+none does the stopped flow resume, and its min cut lowers the floor to
+the roots of failing cuts until a flow appears.
 
 The network is held as arrays, one entry per branch.  Its max-flow runs in
 scipy's compiled Dinic, which takes int32 capacities only, so the float
@@ -117,10 +118,13 @@ class FlowResult:
 
     A flow stopped by its ``accept`` hook has ``flows`` and ``cut`` None,
     the hook's value in ``accepted`` and the demand its last round left
-    unmet as ``shortfall``.
+    unmet as ``shortfall``.  A flow ``stopped`` once a round proved its
+    demand out of reach has ``flows``, ``cut`` and ``accepted`` None, that
+    round's unmet demand as ``shortfall``, and the state its next round
+    would start from.
     """
     flows: np.ndarray | None  # per branch; None if the unmet demand is above rounding
-    cut: set | None           # min cut, if any demand is unmet and no round was accepted
+    cut: set | None           # min cut, if any demand is unmet and no round stopped the flow
     rounds: int = 0           # integer max-flow rounds run
     pushed: float = 0.0       # flow sent from the excess nodes
     shortfall: float = 0.0    # demand left unmet
@@ -128,6 +132,11 @@ class FlowResult:
     # the final residual network as (tails, heads, capacities); nodes
     # n_nodes and n_nodes + 1 are the super source and the super sink
     residual: tuple | None = None
+    stopped: bool = False     # the rounds stopped once the demand proved out of reach
+    # where a stopped flow resumes: the flow per arc of the max-flow network
+    # (branches, then source and sink arcs) and the next round's level
+    arc_flow: np.ndarray | None = None
+    level: float = 0.0
 
 
 # A round scales its capacity cap to fewer than 2**28 units, so a summed CSR
@@ -205,7 +214,8 @@ def _open_arcs(tails, heads, residual, tol, n):
                         shape=(n, n))
 
 
-def solve_feasible_flow(net: FlowNetwork, accept=None) -> FlowResult:
+def solve_feasible_flow(net: FlowNetwork, accept=None, *, need_cut=True,
+                        resume: FlowResult | None = None) -> FlowResult:
     """Feasible flow respecting the lower bounds, or None plus a min cut.
 
     Uses the standard excess-node transformation to a single max-flow:
@@ -230,11 +240,26 @@ def solve_feasible_flow(net: FlowNetwork, accept=None) -> FlowResult:
     rounds there, with the demand of that round still unmet, and is
     returned as ``accepted``.
 
+    A caller that does not read the cut of a failing flow passes
+    ``need_cut=False``, and the rounds stop, ``stopped`` with ``flows`` and
+    ``cut`` None, once the unmet demand exceeds u 2 len(cap) by more than
+    the acceptance tolerance after a round at unit u.  The flow cannot be
+    accepted then.  A round runs at a level L that is at least the max flow
+    still to be sent, and after it the integer residual network has a cut
+    of zero integer residual.  If that cut holds an arc capped at L, the
+    round sent at least L - u, so less than u can still be sent; otherwise
+    every arc of the cut has a float residual below u.  Either way less
+    than u per residual arc, u 2 len(cap), can still be sent: the bound the
+    next round's level takes.  A stopped result passed back as ``resume``,
+    with the same network and ``accept``, runs the rounds left from its
+    flow, level and round count, so the result is bit for bit that of one
+    run with ``need_cut`` True.
+
     The result holds the flows per branch, None if the unmet demand is
-    above rounding level; the cut, if any demand is unmet and no round was
-    accepted, the min cut of the nodes reachable from the source through
-    residual capacities above the tolerance; and the rounds run, the flow
-    pushed, the shortfall and the final residual network.
+    above rounding level; the cut, if any demand is unmet and no round
+    stopped the flow, the min cut of the nodes reachable from the source
+    through residual capacities above the tolerance; and the rounds run,
+    the flow pushed, the shortfall and the final residual network.
     """
     n = net.n_nodes
     s, t = n, n + 1
@@ -256,9 +281,13 @@ def solve_feasible_flow(net: FlowNetwork, accept=None) -> FlowResult:
     # no unit falls below 2**-50 of the largest source capacity, so every
     # round that sends flow lowers the unmet demand in floats too
     floor_level = math.ldexp(max(1.0, float(excess.max(initial=0.0))), _ROUND_BITS - 50)
+    accept_tol = 1e-10 * max(1.0, demand)
     flow = np.zeros(len(cap))
-    unmet, rounds, accepted = demand, 0, None
+    unmet, rounds, accepted, stopped = demand, 0, None, False
     level = max(demand, floor_level)
+    if resume is not None:
+        flow, unmet, rounds = resume.arc_flow.copy(), resume.shortfall, resume.rounds
+        level = resume.level
     while unmet > tol:
         # the power of two just above level / 2**28 keeps the scaling exact,
         # so integer capacities give an exact max-flow in the first round
@@ -277,15 +306,20 @@ def solve_feasible_flow(net: FlowNetwork, accept=None) -> FlowResult:
             break
         # no residual path is left with every arc at a unit or more, so the
         # flow still to be sent is below a unit per residual arc
-        level = max(floor_level, min(unmet, unit * 2 * len(cap)))
+        sendable = unit * 2 * len(cap)
+        level = max(floor_level, min(unmet, sendable))
+        if not need_cut and unmet - sendable > accept_tol:
+            stopped = True
+            break
     residual = np.concatenate([flow, cap - flow])
     cut = ({int(v) for v in residual_net.reachable(residual, s, tol) if v < n}
-           if unmet > tol and accepted is None else None)
-    feasible = accepted is None and unmet <= 1e-10 * max(1.0, demand)
+           if unmet > tol and accepted is None and not stopped else None)
+    feasible = accepted is None and unmet <= accept_tol
     return FlowResult(net.lower + flow[:n_branches] if feasible else None, cut,
                       rounds=rounds, pushed=demand - unmet, shortfall=unmet,
                       residual=(residual_net.tails, residual_net.heads, residual),
-                      accepted=accepted)
+                      accepted=accepted, stopped=stopped,
+                      arc_flow=flow if stopped else None, level=level)
 
 
 # -- certificates and the theorem-level checks --------------------------------
@@ -310,7 +344,8 @@ class FeasibilityCertificate:
     flow_rounds: int = 0
     # unmet demand of the first flow: at the first floor eps, or at eps = 0
     # when that floor is at most STRICT_TOL; for a flow stopped at a round
-    # whose half-angles repair into a CAS, the demand that round left unmet
+    # whose half-angles repair into a CAS, or at a round that proved the
+    # demand out of reach, the demand that round left unmet
     shortfall: float = 0.0
 
 
@@ -399,13 +434,18 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
     existence, so a flow at a floor eps > 0 stops at the first round whose
     half-angles :func:`repair_angles` moves onto a valid one, and that
     system is the answer; it is one valid system, not a canonical one.
-    Otherwise the verdict comes from one max flow on the eps = 0 network:
-    a violating face set is read off its residual graph (see
-    :func:`_certificate_from_residual`) and reported as
-    ``kind="subset"``.  When it finds none, the floor steps down.  A first
-    floor at or below STRICT_TOL proves no margin that the cut counts as
-    strict, so there the eps = 0 cut is read first and its face set, if it
-    finds one, is the verdict.
+    That flow also stops once a round proves that it cannot meet its
+    demand (``need_cut=False`` of :func:`solve_feasible_flow`), since its
+    cut is read only if the next step finds no face set.  Otherwise the
+    verdict comes from one max flow on the eps = 0 network: a violating
+    face set is read off its residual graph (see
+    :func:`_certificate_from_residual`) and reported as ``kind="subset"``.
+    When it finds none, the stopped flow resumes from its last round, with
+    the rounds, acceptances and min cut of a run that never stopped, and
+    counts as one solve; then the floor steps down.  A first floor at or
+    below STRICT_TOL proves no margin that the cut counts as strict, so
+    there the eps = 0 cut is read first, its face set, if it finds one, is
+    the verdict, and the floor flow that may follow runs to its cut.
 
     A flow exists iff no node set S has a positive deficit d_S (Hoffman;
     :func:`_deficit`), and a failing flow's min cut S has the largest.
@@ -439,20 +479,24 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
     def repair(flows):
         return repair_angles(spec, flows[half_angles])
 
-    def flow(eps):
-        net = build_flow_network(spec, eps)
+    def flow(net, eps, **how):
         # the eps = 0 flow runs to its min cut, which the verdict reads
-        results.append(solve_feasible_flow(
-            net, accept=repair if eps > 0.0 else None))
-        cas, flows = results[-1].accepted, results[-1].flows
-        if flows is not None:
+        result = solve_feasible_flow(net, accept=repair if eps > 0.0 else None, **how)
+        if how.get("resume") is None:
+            results.append(result)
+        else:
+            # only the first flow stops, and resuming it is the same solve
+            results[0] = result
+        cas = result.accepted
+        if result.flows is not None:
             # an accepted flow may leave a face residual over 1e-8: step from its cut
-            cas = CoherentAngleSystem(phi=flows[half_angles])
+            cas = CoherentAngleSystem(phi=result.flows[half_angles])
             cas = cas if validate_cas(spec, cas).is_valid(1e-8) else None
-        return cas, net, results[-1].cut
+        return cas, result.cut
 
     def zero_cut():
-        _, zero, _ = flow(0.0)
+        zero = build_flow_network(spec, 0.0)
+        flow(zero, 0.0)
         return zero, _certificate_from_residual(spec, zero, results[-1])
 
     cas = cut = zero = None
@@ -460,9 +504,14 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
         # such a floor proves no margin above STRICT_TOL: the cut goes first
         zero, cert = zero_cut()
     if cert is None:
-        cas, net, cut = flow(eps)
+        # until the eps = 0 cut has been read, the first floor flow stops
+        # once a round proves it short, and resumes if the cut finds no set
+        net = build_flow_network(spec, eps)
+        cas, cut = flow(net, eps, need_cut=zero is not None)
         if cas is None and zero is None:
             zero, cert = zero_cut()
+            if cert is None and results[0].stopped:
+                cas, cut = flow(net, eps, resume=results[0])
     for _ in range(srf.n_oriented_edges + srf.n_edges):
         if cas is not None or cert is not None or cut is None:
             break
@@ -470,7 +519,8 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
         if not d_zero < 0.0 < d_eps:
             break
         eps *= d_zero / (d_zero - d_eps)
-        cas, net, cut = flow(eps)
+        net = build_flow_network(spec, eps)
+        cas, cut = flow(net, eps)
     if cas is not None:
         cert = FeasibilityCertificate(feasible=True, cas=cas)
     elif cert is None:

@@ -522,6 +522,30 @@ MALFORMED = {
         "check", _tetrahedron_doc(faces=[[0, 1, 2], [0, 2, 3], [0, 3, float("inf")],
                                          [1, 3, 2]]), None, "face 2"),
     "rho is an object": ("layout", _torus_doc(), {"rho": {"0": 0.0}}, "'rho'"),
+    # a bool loads as a number, a nested list or a bare number reaches the
+    # length checks: each used to pass as numbers or name the length
+    "boolean theta_star": (
+        "check", dict(_torus_doc(), theta_star=[True] * 8), None,
+        "'theta_star' must be a list of numbers"),
+    "boolean phi entry": (
+        "check", _with_entry(_torus_doc(), "phi", 2, True), None,
+        "'phi' must be a list of numbers"),
+    "nested theta_star": (
+        "check", dict(_torus_doc(), theta_star=[[np.pi / 2]] * 8), None,
+        "'theta_star' must be a list of numbers"),
+    "bare-number phi": (
+        "solve", dict(_torus_doc(), phi=2 * np.pi), None, "'phi' must be a list of numbers"),
+    "boolean rho": ("layout", _torus_doc(), {"rho": [False] * 4},
+                    "'rho' must be a list of numbers"),
+    "nested rho": ("layout", _torus_doc(), {"rho": [[0.0]] * 4},
+                   "'rho' must be a list of numbers"),
+    "bare-number rho": ("layout", _torus_doc(), {"rho": 0.0},
+                        "'rho' must be a list of numbers"),
+    "boolean sphere theta": (
+        "sphere", _cube_sphere_doc(True), None, "'theta' must be a list of numbers"),
+    "nested sphere theta": (
+        "sphere", dict(_cube_sphere_doc(1.0), theta=[[2 * np.pi / 3]] * 12), None,
+        "'theta' must be a list of numbers"),
     "rho whose radius overflows": (
         "layout", _torus_doc(), {"rho": [710.0] * 4}, "face 0 has rho = 710,"),
     "kite whose radii overflow": (

@@ -10,8 +10,8 @@ from circlepatterns.functional import EUCLIDEAN, HYPERBOLIC, PatternSpec, valida
 from circlepatterns.solver import SolveOptions, minimize
 from circlepatterns.spherical import SphericalProblem, check_sphere_conditions
 from circlepatterns.surface import euler_characteristic, medial, vertex_angle_sums
-from helpers import (dual, random_feasible_spec, random_flat_theta, random_spec,
-                     surface_pool)
+from helpers import (assert_resume_is_one_run, dual, random_feasible_spec,
+                     random_flat_theta, random_spec, surface_pool)
 from oracles import (check_conditions_bruteforce, check_higher_genus_condition,
                      check_rivin_condition, region_decomposition)
 
@@ -197,6 +197,51 @@ def test_near_tight_data_take_at_most_four_flows():
         else:
             infeasible += 1
     assert stepped >= 200 and infeasible >= 10, (stepped, infeasible)
+
+
+def _first_floor(spec):
+    """The floor eps of the first flow of find_coherent_angle_system."""
+    max_deg = int(np.diff(spec.surface.walk_offsets).max())
+    return min(float(spec.phi.min()) / (4.0 * max_deg), float(spec.theta_star.min()) / 4.0)
+
+
+def test_first_floor_flow_resumes_bit_for_bit():
+    # the first floor flow of near-tight data, stopped once a round proves
+    # it short and resumed, gives the rounds, acceptances and cut of one run
+    stopped = 0
+    for surf, geometry, spec in _near_tight_specs():
+        half_angles = slice(surf.n_faces, surf.n_faces + surf.n_oriented_edges)
+
+        def repair(flows):
+            return getattr(repair_angles(spec, flows[half_angles]), "phi", None)
+
+        first, _ = assert_resume_is_one_run(build_flow_network(spec, _first_floor(spec)),
+                                            lambda: repair)
+        stopped += first.stopped
+    assert stopped >= 200, stopped
+
+
+def test_stopping_the_first_flow_keeps_every_verdict(monkeypatch):
+    # with every flow run to its cut, the decision is the one made before
+    # the first floor flow could stop: verdicts, systems and solve counts
+    # are unchanged, and infeasible data save the rounds after the stop
+    from circlepatterns import feasibility
+    solve = feasibility.solve_feasible_flow
+    certs = [find_coherent_angle_system(spec) for _, _, spec in _near_tight_specs()]
+    monkeypatch.setattr(feasibility, "solve_feasible_flow",
+                        lambda net, **how: solve(net, **{**how, "need_cut": True}))
+    fewer_rounds = 0
+    for cert, (surf, geometry, spec) in zip(certs, _near_tight_specs()):
+        whole = find_coherent_angle_system(spec)
+        assert _verdict(cert) == _verdict(whole), (surf, geometry)
+        assert cert.flow_solves == whole.flow_solves, (surf, geometry)
+        if whole.feasible:
+            assert np.array_equal(cert.cas.phi, whole.cas.phi), (surf, geometry)
+            assert cert.flow_rounds == whole.flow_rounds, (surf, geometry)
+        else:
+            assert cert.flow_rounds <= whole.flow_rounds, (surf, geometry)
+            fewer_rounds += cert.flow_rounds < whole.flow_rounds
+    assert fewer_rounds >= 10, fewer_rounds
 
 
 def test_first_floor_at_most_strict_tol_reads_the_cut_first():
@@ -391,18 +436,42 @@ def test_certificate_margin_is_compared_with_the_residual():
     assert repair_angles(spec, np.full(64, np.nan)) is None
 
 
-def test_full_size_certificates_from_one_cut():
+def test_full_size_certificates_from_one_cut(monkeypatch):
+    from circlepatterns import feasibility
+    solve = feasibility.solve_feasible_flow
+    flows = []
+
+    def spy(net, **how):
+        flows.append(solve(net, **how))
+        return flows[-1]
+
+    monkeypatch.setattr(feasibility, "solve_feasible_flow", spy)
     single_face, equality = _full_size_infeasible_specs()
+    certs = []
+    # run to their cuts, the first floor flow and the eps = 0 flow take 7
+    # integer rounds in all on the one-face data and 8 on the equality data;
+    # round 1 of the first flow leaves 0.79 and 226 unmet, against less
+    # than 0.02 and 0.08 that can still be sent, and the flow stops there
+    for spec, rounds_to_cut in ((single_face, 7), (equality, 8)):
+        flows.clear()
+        certs.append(find_coherent_angle_system(spec))
+        cert = certs[-1]
+        assert cert.kind == "subset" and cert.flow_solves == len(flows) == 2
+        assert flows[0].stopped and flows[0].rounds == 1
+        assert cert.shortfall == flows[0].shortfall
+        assert cert.flow_rounds < rounds_to_cut
+        faces, edges = list(cert.violating_faces), list(cert.violating_edges)
+        assert cert.phi_sum == float(spec.phi[faces].sum())
+        assert cert.theta_sum == float(2.0 * spec.theta_star[edges].sum())
+        assert abs(cert.phi_sum - cert.theta_sum) < 1e-9
+    one_face, full_set = certs
     med = single_face.surface
     triangle = int(np.argmax(single_face.phi))
-    cert = find_coherent_angle_system(single_face)
-    assert (cert.kind, cert.violating_faces, cert.flow_solves) == ("subset", (triangle,), 2)
-    assert abs(cert.phi_sum - cert.theta_sum) < 1e-9
+    assert one_face.violating_faces == (triangle,)
+    assert one_face.violating_edges == tuple(np.unique(med.oe_edge[med.oe_left == triangle]))
     med = equality.surface
-    cert = find_coherent_angle_system(equality)
-    assert cert.kind == "subset" and cert.flow_solves == 2
-    assert cert.violating_faces == tuple(range(med.n_faces))
-    assert cert.violating_edges == tuple(range(med.n_edges))
+    assert full_set.violating_faces == tuple(range(med.n_faces))
+    assert full_set.violating_edges == tuple(range(med.n_edges))
 
 
 def test_bruteforce_guard():

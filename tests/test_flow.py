@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from circlepatterns.feasibility import FlowNetwork, solve_feasible_flow
+from helpers import assert_resume_is_one_run
 from oracles import feasible_flow_dinic
 
 
@@ -158,3 +159,28 @@ def test_accept_hook_stops_the_rounds():
             assert stopped.rounds <= plain.rounds
             assert stopped.shortfall == pytest.approx(
                 plain.shortfall + plain.pushed - stopped.pushed)
+
+
+def _accept_at(call):
+    """A hook that accepts the branch flows of its ``call``-th call."""
+    calls = []
+
+    def accept(flows):
+        calls.append(flows)
+        return flows.copy() if len(calls) == call else None
+    return accept
+
+
+def test_stopped_flow_resumes_bit_for_bit():
+    # a flow that stops once a round proves it short, then resumes, ends
+    # with the rounds, flows, cut and acceptance of one uninterrupted run
+    rng = np.random.default_rng(202)
+    stopped = {"integer": 0, "float": 0, "accepted after resuming": 0}
+    for _ in range(100):
+        for kind, net in (("integer", random_integer_network(rng)),
+                          ("float", random_float_network(rng))):
+            for make_accept in (lambda: None, lambda: _accept_at(2)):
+                first, end = assert_resume_is_one_run(net, make_accept)
+                stopped[kind] += first.stopped
+                stopped["accepted after resuming"] += first.stopped and end.accepted is not None
+    assert min(stopped.values()) >= 20, stopped
