@@ -176,7 +176,9 @@ class _ResidualNetwork:
         Capacities are capped at ``level`` and floored to multiples of
         ``unit``.  scipy returns one antisymmetric net flow per node pair;
         the net flow from a to b is handed to the residual arcs from a to b
-        in order, each taking at most its own units.
+        in order, each taking at most its own units.  Every pair's reverse
+        is already in the pattern, so scipy adds no entry, and its flow
+        matrix has this pattern: entry k is the net flow of pair k.
         """
         units = np.floor(np.minimum(residual, level) / unit)
         pair_units = np.bincount(self.pair, units, minlength=len(self.keys))
@@ -188,11 +190,10 @@ class _ResidualNetwork:
         if result.flow_value == 0:
             return None
         net = result.flow
-        net.sort_indices()
-        net_keys = (np.repeat(np.arange(self.n), np.diff(net.indptr)) * self.n
-                    + net.indices)
-        pos = np.minimum(np.searchsorted(net_keys, self.keys), len(net_keys) - 1)
-        wanted = np.where(net_keys[pos] == self.keys, np.maximum(net.data[pos], 0), 0)
+        if not (np.array_equal(net.indptr, self.indptr)
+                and np.array_equal(net.indices, self.indices)):
+            raise RuntimeError("maximum_flow returned its flow in another sparsity pattern")
+        wanted = np.maximum(net.data, 0)
         sorted_units = units[self.by_pair]
         before = np.cumsum(sorted_units) - sorted_units
         before -= before[self.group_first]

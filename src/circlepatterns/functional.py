@@ -119,21 +119,6 @@ def _conjugate(half_tan, x):
     return 2.0 * np.arctan(half_tan * np.tanh(0.5 * x))
 
 
-def edge_auxiliaries(spec: PatternSpec, rho):
-    """The conjugate variables (p, s) per unoriented edge (canonical reps).
-
-    tan(p/2) = tan(theta*/2) tanh((rho_k - rho_j)/2) and likewise s with
-    rho_k + rho_j; p is antisymmetric under orientation reversal, s is
-    symmetric.
-    """
-    rho = _check_rho(spec, rho)
-    srf = spec.surface
-    _, _, half_tan = spec._edge_trig
-    rj = rho[srf.edge_left]
-    rk = rho[srf.edge_right]
-    return _conjugate(half_tan, rk - rj), _conjugate(half_tan, rk + rj)
-
-
 def value_and_phi(spec: PatternSpec, rho):
     """S(rho) and the half-angles phi per oriented edge, in one edge pass.
 

@@ -74,10 +74,6 @@ class LayoutResult:
     hyperbolic_centers: np.ndarray | None = None   # complex (F,), in the disk
     hyperbolic_radii: np.ndarray | None = None     # float (F,)
 
-    @property
-    def flagged(self):
-        return self.closure_residual > 1e-7 * max(self.diameter, 1e-30)
-
 
 # -- frames: one row per kite ---------------------------------------------------
 

@@ -4,7 +4,24 @@ Both functionals are convex and their critical points are exactly the
 patterns, so one minimiser serves both: a damped Newton iteration with a
 capped step and backtracking line search.  The stopping rule is the
 gradient max-norm, i.e. the largest per-face angle defect
-|Phi_f - 2 sum(phi)|.
+|Phi_f - 2 sum(phi)|.  Inside the rounding floor of the face residuals
+the residual only wanders over a few rounding levels, so a tolerance below
+that floor is given up once the exact residual has set no new low there for
+_FLOOR_PATIENCE steps.
+
+The cap keeps far starts from overshooting, but near the minimiser S is
+almost exactly quadratic over one Newton step, and the cap would cut a long
+step the model predicts well.  So a capped Newton direction first tries its
+full step, if it is no longer than _MAX_FULL_STEP, and keeps it when S
+falls by at least _MODEL_RATIO of the quadratic model's decrease -slope/2:
+the ratio test of a trust region whose radius never exceeds
+_MAX_FULL_STEP (Nocedal & Wright, Numerical Optimization, Alg. 4.1).  The
+model decrease is -slope/2 because d'Hd = -g'd, both for the grounded
+direct solve and for a CG iterate from zero.  The largest radius matters
+on infeasible data, where rho runs off to infinity and S falls almost
+linearly along ever longer directions: their full steps would pass the
+test and grow geometrically.  A refused full step costs one edge pass, and
+the search then runs from the capped step as if it had not been tried.
 
 Each iterate costs one pass over the edges: ``functional.value_and_phi``
 gives S for the line search together with the half-angles of the same rho,
@@ -45,7 +62,14 @@ log = logging.getLogger(__name__)
 NEWTON = "newton"   # the method the solve report names
 
 _ARMIJO = 1e-4
-_MAX_STEP = 2.0   # largest change of any rho in one step
+_MAX_STEP = 2.0   # largest change of any rho in a searched step
+# a capped Newton direction no longer than _MAX_FULL_STEP keeps its full
+# step when S falls by this share of the quadratic model's decrease
+_MODEL_RATIO = 0.75
+_MAX_FULL_STEP = 8.0
+# steps without a new low of the exact residual inside the rounding floor
+# before a tolerance below that floor is given up
+_FLOOR_PATIENCE = 8
 # hyperbolic Newton systems: |H d + g| <= _FORCING |g| in at most
 # _CG_MAX_ITER CG steps; an iterate cut off by the cap is still downhill
 _FORCING = 1e-6
@@ -142,6 +166,22 @@ def _cg_direction(H, grad):
     return direction
 
 
+def _trial(spec, rho, step, direction):
+    """rho + step * direction, centred for Euclidean data, with its S and
+    half-angles from one edge pass."""
+    trial = rho + step * direction
+    if not spec.is_hyperbolic:
+        trial = trial - trial.mean()
+    return (trial, *fn.value_and_phi(spec, trial))
+
+
+def _full_step(spec, rho, direction, value, slope):
+    """The full Newton step as a trial if S falls by at least _MODEL_RATIO
+    of the model's decrease -slope/2 there, else None."""
+    trial = _trial(spec, rho, 1.0, direction)
+    return trial if value - trial[1] >= -0.5 * _MODEL_RATIO * slope else None
+
+
 def minimize(spec: PatternSpec, opts: SolveOptions | None = None) -> SolveResult:
     """Minimize the pattern functional to its critical point by Newton's
     method, in at most ``opts.max_iter`` steps.
@@ -149,7 +189,18 @@ def minimize(spec: PatternSpec, opts: SolveOptions | None = None) -> SolveResult
     Newton steps are capped at 2 in the max-norm of rho before the Armijo
     backtracking, and a direction that is not finite or not downhill is
     replaced by the negative gradient, so on feasible data the iteration
-    converges from any finite start (the functional is convex).
+    converges from any finite start (the functional is convex).  A capped
+    Newton direction (never the gradient) at most 8 long first evaluates its
+    full step and takes it when S falls there by at least 3/4 of the
+    quadratic model's decrease -slope/2; otherwise the search starts from
+    the capped step.
+
+    Inside the rounding floor of the face residuals, 16 ulp(pi) times the
+    largest face degree, the exact residual wanders over a few rounding
+    levels.  Once it has set no new low there for 8 steps, the iteration
+    stops with ``converged=False`` and a message naming the step, the
+    residual and the floor; a ``grad_tol`` that the wandering would still
+    have met by chance is given up too.
 
     Each line-search trial is one edge pass, and the accepted trial's
     half-angles give the next gradient.  Euclidean trials are centred before
@@ -176,6 +227,7 @@ def minimize(spec: PatternSpec, opts: SolveOptions | None = None) -> SolveResult
     # (3 seen, 8 allowed), so a face residual by up to 2 deg(f) times that
     slack = 16.0 * np.spacing(np.pi) * np.bincount(spec.surface.oe_left).max()
     cas = None
+    floor_best, floor_stale = math.inf, 0   # exact residuals inside the slack
     iterations = 0
     for iterations in range(opts.max_iter + 1):
         grad = fn.face_residuals(spec, phi)
@@ -187,35 +239,50 @@ def minimize(spec: PatternSpec, opts: SolveOptions | None = None) -> SolveResult
             if grad_norm <= opts.grad_tol:
                 converged = True
                 break
+            if grad_norm <= slack:
+                # inside the floor the residual wanders over a few rounding
+                # levels; stop once it has set no new low for a while
+                floor_stale = floor_stale + 1 if grad_norm >= floor_best else 0
+                floor_best = min(floor_best, grad_norm)
+                if floor_stale == _FLOOR_PATIENCE:
+                    message = (f"stopped at Newton step {iterations}: residual {grad_norm:.3g}, "
+                               f"no new low in {_FLOOR_PATIENCE} steps inside the rounding "
+                               f"floor {slack:.3g}")
+                    break
         if iterations == opts.max_iter:
             message = f"no convergence in {opts.max_iter} Newton steps"
             break
         direction = _newton_direction(spec, rho, grad)
         slope = float(grad @ direction)
-        if not np.isfinite(slope) or slope >= 0.0:
+        newton = math.isfinite(slope) and slope < 0.0
+        if not newton:
             direction = -grad if spec.is_hyperbolic else grad.mean() - grad
             slope = float(grad @ direction)
             if slope >= 0.0:
                 # a constant Euclidean gradient: the total equality fails
                 message = "no descent direction"
                 break
-        # no step changes a rho by more than _MAX_STEP (Nocedal & Wright,
-        # ch. 3), so from far starts the search still finds a decrease
-        step = min(1.0, _MAX_STEP / float(np.abs(direction).max()))
-        for _ in range(60):
-            trial = rho + step * direction
-            if not spec.is_hyperbolic:
-                trial = trial - trial.mean()
-            trial_value, trial_phi = fn.value_and_phi(spec, trial)
-            # the rounding slack keeps the search from stalling once the
-            # true decrease drops below float resolution of S
-            if trial_value <= value + _ARMIJO * step * slope + 1e-14 * (1.0 + abs(value)):
-                break
-            step *= 0.5
+        # no searched step changes a rho by more than _MAX_STEP (Nocedal &
+        # Wright, ch. 3), so from far starts the search still finds a decrease
+        length = float(np.abs(direction).max())
+        step = min(1.0, _MAX_STEP / length)
+        accepted = None
+        if newton and _MAX_STEP < length <= _MAX_FULL_STEP:
+            accepted = _full_step(spec, rho, direction, value, slope)
+        if accepted is not None:
+            step = 1.0
         else:
-            message = "line search failed"
-            break
-        rho, value, phi, cas = trial, trial_value, trial_phi, None
+            for _ in range(60):
+                accepted = _trial(spec, rho, step, direction)
+                # the rounding slack keeps the search from stalling once the
+                # true decrease drops below float resolution of S
+                if accepted[1] <= value + _ARMIJO * step * slope + 1e-14 * (1.0 + abs(value)):
+                    break
+                step *= 0.5
+            else:
+                message = "line search failed"
+                break
+        (rho, value, phi), cas = accepted, None
         log.debug("newton iter %d: grad %.3e step %.3g S %.12g",
                   iterations + 1, grad_norm, step, value)
     if cas is None:

@@ -209,6 +209,13 @@ def assert_resume_is_one_run(net, make_accept=lambda: None):
     return first, end
 
 
+# -- layouts ---------------------------------------------------------------------
+
+def flagged(lay):
+    """Whether a layout's closure defect is above 1e-7 of its diameter."""
+    return lay.closure_residual > 1e-7 * max(lay.diameter, 1e-30)
+
+
 # -- derived decompositions and isomorphism ------------------------------------
 
 def dual(s):

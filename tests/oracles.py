@@ -5,12 +5,14 @@ closes it with the exact first summation-by-parts remainder term; the
 neglected rest is bounded rigorously and the bound is enforced.  The
 dilogarithm oracle integrates the defining integral with adaptive
 quadrature, and the functional-value oracle sums those quadratures in
-place of the Clausen closed form.  The coordinate-descent oracle minimises
-the functional one face at a time, each step a safeguarded Newton
-iteration on the kite angle atan2(e^x sin theta, 1 - e^x cos theta) and
-its derivative, both written out here.  The bit-identity references are the
-first versions of the Clausen and arctan2 kernels and of the Hessian
-assembly through scipy's COO to CSR conversion.  The feasible-flow oracle
+place of the Clausen closed form.  The edge-auxiliary oracle writes the
+conjugate variables (p, s) out from their tangent formula.  The
+coordinate-descent oracle minimises the functional one face at a time,
+each step a safeguarded Newton iteration on the kite angle
+atan2(e^x sin theta, 1 - e^x cos theta) and its derivative, both written
+out here.  The bit-identity references are the first versions of the
+Clausen and arctan2 kernels and of the Hessian assembly through scipy's
+COO to CSR conversion.  The feasible-flow oracle
 runs the excess-node transformation on a pure-Python Dinic over float
 capacities, augmenting each path by its full bottleneck.  The existence oracle
 enumerates every face subset.  Two more characterisations of existence
@@ -137,6 +139,18 @@ def value_im_li2_sum(spec, rho):
         else:
             total -= spec.theta_star[e] * sigma[e]
     return total + float(spec.phi @ rho)
+
+
+def edge_auxiliaries(spec, rho):
+    """The conjugate variables (p, s) per unoriented edge (canonical reps):
+    tan(p/2) = tan(theta*/2) tanh((rho_k - rho_j)/2), and likewise s with
+    rho_k + rho_j."""
+    srf = spec.surface
+    rj = rho[srf.edge_left]
+    rk = rho[srf.edge_right]
+    half_tan = np.tan(0.5 * spec.theta_star)
+    return (2.0 * np.arctan(half_tan * np.tanh(0.5 * (rk - rj))),
+            2.0 * np.arctan(half_tan * np.tanh(0.5 * (rk + rj))))
 
 
 # -- coordinate descent --------------------------------------------------------------
@@ -1025,10 +1039,6 @@ class ScalarLayout:
     diameter: float
     periods: tuple | None = None
     hyperbolic_circles: dict = field(default_factory=dict)
-
-    @property
-    def flagged(self):
-        return self.closure_residual > 1e-7 * max(self.diameter, 1e-30)
 
 
 def hyperbolic_circle_to_euclidean(center: complex, radius: float) -> Circle:

@@ -142,6 +142,18 @@ def test_solve_without_iterations_does_not_converge(capsys, tmp_path):
     assert doc["converged"] is False and doc["iterations"] == 0
 
 
+def test_solve_below_the_rounding_floor_does_not_converge(capsys, tmp_path):
+    spec = random_feasible_spec(medial(meshes.triangulated_torus(4, 4)), "hyperbolic",
+                                np.random.default_rng(41))
+    problem = _write_problem(tmp_path / "floor.json", spec.surface, "hyperbolic",
+                             spec.theta_star, spec.phi)
+    code, out = _run(capsys, "solve", problem, "--tol", "1e-15", "--max-iter", "20")
+    assert code == cli.EXIT_NO_CONVERGENCE
+    doc = json.loads(out)
+    assert doc["converged"] is False and doc["iterations"] < 20
+    assert doc["message"].startswith(f"stopped at Newton step {doc['iterations']}: ")
+
+
 @pytest.mark.parametrize("argv", [["solve", "x.json", "--tol", "abc"], ["pack"],
                                   ["unfold", "x.json"],
                                   ["solve", "x.json", "--method", "newton"]])

@@ -4,13 +4,12 @@ import pytest
 from circlepatterns import meshes, specfun
 from circlepatterns.functional import (
     EUCLIDEAN, HYPERBOLIC, CoherentAngleSystem, PatternSpec, cas_from_rho,
-    edge_auxiliaries, face_residuals, gradient, hessian, phi_of_rho, radii_from_rho, value,
-    value_and_phi,
+    face_residuals, gradient, hessian, phi_of_rho, radii_from_rho, value, value_and_phi,
 )
 from circlepatterns.surface import medial, surface_from_json_dict
 from helpers import fd_gradient, random_feasible_spec, random_spec, surface_pool
-from oracles import (InvalidCASError, hamiltonian_reduced, hessian_coo_reference,
-                     rho_from_cas, value_im_li2_sum)
+from oracles import (InvalidCASError, edge_auxiliaries, hamiltonian_reduced,
+                     hessian_coo_reference, rho_from_cas, value_im_li2_sum)
 
 CATALAN = 0.915965594177219015
 

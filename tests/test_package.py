@@ -1,6 +1,8 @@
 """The package's public names."""
 
 import circlepatterns
+from circlepatterns import functional
+from circlepatterns.layout import LayoutResult
 
 PUBLIC = [
     "CellularSurface", "build_surface", "surface_from_walks", "medial",
@@ -28,3 +30,14 @@ def test_surface_has_no_scalar_accessors_but_origin_and_face_walk():
     surface = circlepatterns.CellularSurface
     assert [name for name in REMOVED_ACCESSORS if hasattr(surface, name)] == []
     assert callable(surface.origin) and callable(surface.face_walk)
+
+
+# only tests used these; they live in tests/oracles.py and tests/helpers.py
+REMOVED_TEST_ONLY = [
+    (functional, "edge_auxiliaries"),
+    (LayoutResult, "flagged"),
+]
+
+
+def test_test_only_names_left_the_package():
+    assert [name for owner, name in REMOVED_TEST_ONLY if hasattr(owner, name)] == []

@@ -3,13 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from circlepatterns import functional, meshes, specfun
+from circlepatterns import functional, meshes, solver, specfun
 from circlepatterns.feasibility import find_coherent_angle_system
 from circlepatterns.functional import (EUCLIDEAN, HYPERBOLIC, PatternSpec,
                                        gradient, hessian, value)
 from circlepatterns.solver import _FORCING, SolveOptions, _newton_direction, minimize
-from circlepatterns.surface import medial
-from helpers import random_feasible_spec, random_spec, surface_pool
+from circlepatterns.spherical import SphericalProblem, reduce_to_plane
+from circlepatterns.surface import build_surface, medial
+from helpers import face_lists, random_feasible_spec, random_spec, subdivided_faces, surface_pool
 from oracles import coordinate_descent, coordinate_step
 
 
@@ -293,3 +294,116 @@ def test_result_reports_the_loop_s_and_an_exact_residual(geometry):
             assert result.functional_value == value(spec, result.rho)
             if opts.max_iter >= 20:
                 assert result.converged, (opts.grad_tol, result.message)
+
+
+# -- the full-step test of capped Newton directions ------------------------------
+
+def _traced_minimize(spec, full_steps=True):
+    """minimize's result, S of every edge pass it made, and the number of
+    full steps it tried with the positions of the refused ones among the
+    passes.  With full_steps=False every full step is refused unevaluated,
+    so the capped search alone runs, as it did before the full-step test."""
+    passes, tried, refused = [], [], []
+    value_and_phi, full_step = functional.value_and_phi, solver._full_step
+
+    def count(spec, rho):
+        result = value_and_phi(spec, rho)
+        passes.append(result[0])
+        return result
+
+    def spy(*args):
+        tried.append(1)
+        accepted = full_step(*args) if full_steps else None
+        if full_steps and accepted is None:
+            refused.append(len(passes) - 1)
+        return accepted
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(functional, "value_and_phi", count)
+        m.setattr(solver, "_full_step", spy)
+        result = minimize(spec)
+    return result, passes, len(tried), refused
+
+
+def test_capped_newton_step_is_taken_in_full_where_the_model_holds():
+    # pack's reduced plane problem on the 3 times subdivided octahedron: the
+    # first direction is about 3.7 long and its full step earns the ratio
+    surface = build_surface(subdivided_faces(face_lists(meshes.octahedron()), 3))
+    med = medial(surface)
+    spec = reduce_to_plane(SphericalProblem(med, np.full(med.n_edges, np.pi / 2), 0)).spec
+    result, passes, tried, refused = _traced_minimize(spec)
+    assert result.converged and result.iterations == 5
+    assert (len(passes), tried, refused) == (6, 1, [])
+    capped, _, _, _ = _traced_minimize(spec, full_steps=False)
+    assert capped.converged and capped.iterations == 6
+
+
+def test_refused_full_step_costs_one_pass_and_changes_no_iterate():
+    # every hyperbolic first step raises S, so the search runs as before
+    spec = random_feasible_spec(medial(meshes.triangulated_torus(8, 8)), HYPERBOLIC,
+                                np.random.default_rng(0))
+    result, passes, tried, refused = _traced_minimize(spec)
+    assert result.converged and tried == len(refused) >= 1
+    assert all(passes[i] > passes[0] for i in refused)
+    capped, capped_passes, _, _ = _traced_minimize(spec, full_steps=False)
+    assert [v for i, v in enumerate(passes) if i not in refused] == capped_passes
+    assert result.iterations == capped.iterations
+    assert result.rho.tobytes() == capped.rho.tobytes()
+    assert result.functional_value == capped.functional_value
+
+
+def _one_face_spec(n):
+    """The single-face violation of the infeasible benchmark inputs: one
+    triangle at 3 pi, the others keep the total equality."""
+    med = medial(meshes.triangulated_torus(n, n))
+    phi = np.full(med.n_faces, 2 * np.pi - np.pi / (med.n_faces - 1))
+    phi[np.flatnonzero(np.diff(med.walk_offsets) == 3)[0]] = 3 * np.pi
+    return PatternSpec(med, EUCLIDEAN, np.full(med.n_edges, np.pi / 2), phi)
+
+
+def _equality_spec(n):
+    """Hyperbolic data that fail the full-set inequality by equality."""
+    med = medial(meshes.triangulated_torus(n, n))
+    return PatternSpec(med, HYPERBOLIC, np.full(med.n_edges, np.pi / 2),
+                       np.full(med.n_faces, 2 * np.pi))
+
+
+@pytest.mark.parametrize("make, steps", [(lambda: _one_face_spec(8), 25),
+                                         (lambda: _equality_spec(12), 24)],
+                         ids=["one_face", "equality"])
+def test_directions_within_the_cap_run_as_before(make, steps):
+    # the unit steps of a false convergence on infeasible data keep their
+    # contraction rate: no direction is capped, and nothing changes
+    spec = make()
+    result, passes, tried, _ = _traced_minimize(spec)
+    assert (result.converged, result.iterations) == (True, steps)
+    assert (len(passes), tried) == (steps + 1, 0)
+    capped, capped_passes, _, _ = _traced_minimize(spec, full_steps=False)
+    assert capped_passes == passes
+    assert result.rho.tobytes() == capped.rho.tobytes()
+
+
+def test_full_steps_stay_within_the_largest_radius():
+    # on infeasible data S falls almost linearly along ever longer Newton
+    # directions, whose full steps would pass the ratio test: unbounded,
+    # rho reaches 1.5e15 in 40 steps here
+    surface = meshes.torus_grid(3, 3)
+    spec = random_spec(surface, HYPERBOLIC, np.random.default_rng(2))
+    spec = PatternSpec(surface, HYPERBOLIC, spec.theta_star, 1.5 * spec.phi)
+    result = minimize(spec, SolveOptions(max_iter=40))
+    assert not result.converged
+    # no step is longer than 8, and the capped steps go 2 at a time
+    assert np.abs(result.rho).max() <= 1.0 + 40 * 8.0
+
+
+def test_tolerance_below_the_rounding_floor_stops_early():
+    # from step 7 the exact residual stays at 2.7e-15 or 3.6e-15 and never
+    # reaches 1e-15 in 20 steps; the stop names the step and the floor
+    spec = random_feasible_spec(medial(meshes.triangulated_torus(4, 4)), HYPERBOLIC,
+                                np.random.default_rng(41))
+    result = minimize(spec, SolveOptions(grad_tol=1e-15, max_iter=20))
+    assert not result.converged and result.iterations < 20
+    assert result.message == (
+        f"stopped at Newton step {result.iterations}: residual {result.grad_norm:.3g}, "
+        f"no new low in {solver._FLOOR_PATIENCE} steps inside the rounding floor 4.26e-14")
+    # a tolerance the floor allows is still met
+    assert minimize(spec, SolveOptions(grad_tol=3e-15, max_iter=20)).converged
