@@ -8,8 +8,11 @@ nonempty subset including the full face set.  Both are equivalent to the
 existence of a coherent angle system (CAS).
 
 There are two verdict paths, both in :func:`find_coherent_angle_system`,
-and one certificate of existence: an exact coherent angle system that
-:func:`repair_angles` builds from approximate half-angles and validates.
+and two rules that accept existence: an exact coherent angle system that
+:func:`repair_angles` builds from approximate half-angles and validates,
+and a floor flow that runs to completion with half-angles valid at 1e-8,
+whose margins the floor eps > 0 sets by construction, also below
+STRICT_TOL, where the repair refuses them.
 The first path certifies given half-angles: the critical points of the
 convex functional are exactly the coherent angle systems, so the
 half-angles of an approximate minimiser lie near one, and the repair
@@ -380,8 +383,9 @@ def repair_angles(spec: PatternSpec, phi) -> CoherentAngleSystem | None:
 
     Returns the repaired system when it validates at 1e-8 with every
     half-angle, and in the hyperbolic case every pair slack, above
-    STRICT_TOL; such a system proves existence.  It is the one certificate,
-    for the rounds of a flow and the angles of a Newton minimiser alike.
+    STRICT_TOL; such a system proves existence, for the rounds of a flow
+    and the angles of a Newton minimiser alike.  A complete floor flow is
+    accepted without it, by the second rule of the module docstring.
     None says nothing about the data.  The margins are read after the
     repair: half-angles that validate at 1e-8 may leave face residuals
     larger than their smallest margin, as those of a minimiser that
@@ -435,6 +439,8 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
     existence, so a flow at a floor eps > 0 stops at the first round whose
     half-angles :func:`repair_angles` moves onto a valid one, and that
     system is the answer; it is one valid system, not a canonical one.
+    A floor flow that meets its demand unstopped gives its own half-angles
+    if they validate at 1e-8, the second rule of the module docstring.
     That flow also stops once a round proves that it cannot meet its
     demand (``need_cut=False`` of :func:`solve_feasible_flow`), since its
     cut is read only if the next step finds no face set.  Otherwise the
@@ -490,7 +496,8 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
             results[0] = result
         cas = result.accepted
         if result.flows is not None:
-            # an accepted flow may leave a face residual over 1e-8: step from its cut
+            # a complete floor flow, whose margins the floor sets; one with a
+            # face residual over 1e-8 steps from its cut
             cas = CoherentAngleSystem(phi=result.flows[half_angles])
             cas = cas if validate_cas(spec, cas).is_valid(1e-8) else None
         return cas, result.cut

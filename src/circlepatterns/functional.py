@@ -70,9 +70,9 @@ class PatternSpec:
 
     @cached_property
     def _edge_trig(self):
-        """sin theta, cos theta and tan(theta*/2) per edge, the constants of
-        the Hessian weights and of the conjugate variables."""
-        trig = (np.sin(self.theta), np.cos(self.theta), np.tan(0.5 * self.theta_star))
+        """sin theta and cos theta per edge, the constants of the Hessian
+        weights."""
+        trig = (np.sin(self.theta), np.cos(self.theta))
         for arr in trig:
             arr.flags.writeable = False
         return trig
@@ -102,62 +102,55 @@ def _check_rho(spec, rho):
     return rho
 
 
+def _edge_angles(spec, rho):
+    """x = rho_k - rho_j and sigma = rho_k + rho_j per edge, the rows y(x),
+    y(-x) and (hyperbolic) y(sigma) of one ``specfun.im_li2_dx`` call, and
+    the half-angles per oriented edge: y(x) on the edge's representative and
+    y(-x) on its twin, less y(sigma) for hyperbolic data."""
+    srf = spec.surface
+    rj = rho[srf.edge_left]
+    rk = rho[srf.edge_right]
+    x = rk - rj
+    sig = rk + rj
+    rows = (x, -x, sig) if spec.is_hyperbolic else (x, -x)
+    y = specfun.im_li2_dx(np.stack(rows), spec.theta)
+    phi_rep, phi_twin = (y[0] - y[2], y[1] - y[2]) if spec.is_hyperbolic else y
+    phi = np.empty(srf.n_oriented_edges)
+    phi[srf.edge_reps] = phi_rep
+    phi[srf.oe_twin[srf.edge_reps]] = phi_twin
+    return x, sig, y, phi
+
+
 def phi_of_rho(spec: PatternSpec, rho):
     """Half-angles phi per oriented edge."""
-    rho = _check_rho(spec, rho)
-    s = spec.surface
-    theta = spec.theta[s.oe_edge]
-    x = rho[s.oe_right] - rho[s.oe_left]
-    phi = specfun.im_li2_dx(x, theta)
-    if spec.is_hyperbolic:
-        phi = phi - specfun.im_li2_dx(rho[s.oe_right] + rho[s.oe_left], theta)
-    return phi
-
-
-def _conjugate(half_tan, x):
-    """2 atan(tan(theta*/2) tanh(x/2)), the conjugate variable of x."""
-    return 2.0 * np.arctan(half_tan * np.tanh(0.5 * x))
+    return _edge_angles(spec, _check_rho(spec, rho))[3]
 
 
 def value_and_phi(spec: PatternSpec, rho):
     """S(rho) and the half-angles phi per oriented edge, in one edge pass.
 
-    Per edge, p*x + Cl(theta* + p) + Cl(theta* - p) - Cl(2 theta*) with
-    x = rho_k - rho_j is Im Li2(e^{x + i theta}) + Im Li2(e^{-x + i theta});
-    the hyperbolic functional adds the same term at rho_k + rho_j.  The
-    half-angles of the edge's representative and its twin follow from the
-    same conjugate variables: (theta* + p)/2 and (theta* - p)/2
-    (Euclidean), (p - s)/2 and (-p - s)/2 (hyperbolic).  They agree with
-    ``phi_of_rho`` to rounding, not bit for bit.
+    Per edge, (y(x) - y(-x)) x + Cl(2 y(x)) + Cl(2 y(-x)) - Cl(2 theta*)
+    with x = rho_k - rho_j is Im Li2(e^{x + i theta}) + Im Li2(e^{-x + i theta});
+    the Euclidean functional subtracts theta* (rho_k + rho_j), the
+    hyperbolic one adds the same term at sigma = rho_k + rho_j, with
+    y(-sigma) = theta* - y(sigma).  The half-angles are those of
+    ``phi_of_rho``, bit for bit, and all Clausen values come from one call.
     """
     rho = _check_rho(spec, rho)
-    srf = spec.surface
     ts = spec.theta_star
-    _, _, half_tan = spec._edge_trig
-    rj = rho[srf.edge_left]
-    rk = rho[srf.edge_right]
-    x = rk - rj
-    sig = rk + rj
-    p = _conjugate(half_tan, x)
-    cl_2ts = spec._clausen_2theta_star
-    edge_terms = (p * x + specfun.clausen(ts + p) + specfun.clausen(ts - p) - cl_2ts)
+    x, sig, y, phi = _edge_angles(spec, rho)
     if spec.is_hyperbolic:
-        s = _conjugate(half_tan, sig)
-        edge_terms = edge_terms + (
-            s * sig + specfun.clausen(ts + s) + specfun.clausen(ts - s) - cl_2ts)
-        phi_rep, phi_twin = 0.5 * (p - s), 0.5 * (-p - s)
+        y = np.vstack([y, ts - y[2]])
+        linear = (y[0] - y[1]) * x + (y[2] - y[3]) * sig
     else:
-        edge_terms = edge_terms - ts * sig
-        phi_rep, phi_twin = 0.5 * (ts + p), 0.5 * (ts - p)
-    phi = np.empty(srf.n_oriented_edges)
-    phi[srf.edge_reps] = phi_rep
-    phi[srf.oe_twin[srf.edge_reps]] = phi_twin
+        linear = (y[0] - y[1]) * x - ts * sig
+    cl = specfun.clausen(2.0 * y)
+    edge_terms = linear + cl.sum(axis=0) - (len(y) // 2) * spec._clausen_2theta_star
     return float(edge_terms.sum() + spec.phi @ rho), phi
 
 
 def value(spec: PatternSpec, rho):
-    """Functional value S(rho), from the closed form in Clausen's integral
-    (see ``value_and_phi``)."""
+    """Functional value S(rho), in closed form (see ``value_and_phi``)."""
     return value_and_phi(spec, rho)[0]
 
 
@@ -169,7 +162,7 @@ def face_residuals(spec: PatternSpec, phi):
 
 def gradient(spec: PatternSpec, rho):
     """dS/drho_f = Phi_f - 2 sum of phi over the boundary walk of f."""
-    return face_residuals(spec, phi_of_rho(spec, _check_rho(spec, rho)))
+    return face_residuals(spec, phi_of_rho(spec, rho))
 
 
 def _edge_weights(x, sin_theta, cos_theta):
@@ -230,7 +223,7 @@ def hessian(spec: PatternSpec, rho) -> sp.csr_matrix:
     srf = spec.surface
     j = srf.edge_left
     k = srf.edge_right
-    sin_t, cos_t, _ = spec._edge_trig
+    sin_t, cos_t = spec._edge_trig
     wm = _edge_weights(rho[k] - rho[j], sin_t, cos_t)
     vals = [wm, wm, -wm, -wm]
     if spec.is_hyperbolic:

@@ -6,7 +6,7 @@ capped step and backtracking line search.  The stopping rule is the
 gradient max-norm, i.e. the largest per-face angle defect
 |Phi_f - 2 sum(phi)|.  Inside the rounding floor of the face residuals
 the residual only wanders over a few rounding levels, so a tolerance below
-that floor is given up once the exact residual has set no new low there for
+that floor is given up once the residual has set no new low there for
 _FLOOR_PATIENCE steps.
 
 The cap keeps far starts from overshooting, but near the minimiser S is
@@ -25,9 +25,8 @@ the search then runs from the capped step as if it had not been tried.
 
 Each iterate costs one pass over the edges: ``functional.value_and_phi``
 gives S for the line search together with the half-angles of the same rho,
-whose face residuals are the next gradient.  The half-angles that the
-result reports, and that decide convergence once the loop's gradient is
-within rounding of the tolerance, come from ``functional.cas_from_rho``.
+those of ``functional.phi_of_rho`` bit for bit.  Their face residuals are
+the next gradient, decide convergence, and the result reports them.
 
 The Euclidean functional does not change when a constant is added to every
 rho, so its Hessian is a weighted Laplacian of the dual graph whose kernel
@@ -67,7 +66,7 @@ _MAX_STEP = 2.0   # largest change of any rho in a searched step
 # step when S falls by this share of the quadratic model's decrease
 _MODEL_RATIO = 0.75
 _MAX_FULL_STEP = 8.0
-# steps without a new low of the exact residual inside the rounding floor
+# steps without a new low of the residual inside the rounding floor
 # before a tolerance below that floor is given up
 _FLOOR_PATIENCE = 8
 # hyperbolic Newton systems: |H d + g| <= _FORCING |g| in at most
@@ -196,7 +195,7 @@ def minimize(spec: PatternSpec, opts: SolveOptions | None = None) -> SolveResult
     the capped step.
 
     Inside the rounding floor of the face residuals, 16 ulp(pi) times the
-    largest face degree, the exact residual wanders over a few rounding
+    largest face degree, the residual wanders over a few rounding
     levels.  Once it has set no new low there for 8 steps, the iteration
     stops with ``converged=False`` and a message naming the step, the
     residual and the floor; a ``grad_tol`` that the wandering would still
@@ -205,9 +204,9 @@ def minimize(spec: PatternSpec, opts: SolveOptions | None = None) -> SolveResult
     Each line-search trial is one edge pass, and the accepted trial's
     half-angles give the next gradient.  Euclidean trials are centred before
     their pass, so ``functional_value`` is the S of the returned rho, bit
-    for bit.  Once the loop's gradient is within rounding of ``grad_tol``,
-    the exact half-angles of ``cas_from_rho``, which the result reports,
-    decide convergence and give the next step.
+    for bit, and ``cas`` holds ``phi_of_rho`` there.  A Euclidean residual
+    the same on every face means a failed total equality, or, inside the
+    floor, rounding.  A converged hyperbolic rho >= 0 names its face.
 
     On infeasible data S has no minimiser, yet ``converged=True`` is still
     no proof of feasibility: where a face subset fails the conditions only
@@ -220,35 +219,28 @@ def minimize(spec: PatternSpec, opts: SolveOptions | None = None) -> SolveResult
     """
     opts = opts or SolveOptions()
     rho = _initial_rho(spec, opts)
-    message = ""
-    converged = False
+    message, converged = "", False
     value, phi = fn.value_and_phi(spec, rho)
-    # the pass's half-angles differ from phi_of_rho's by a few ulp of pi
-    # (3 seen, 8 allowed), so a face residual by up to 2 deg(f) times that
-    slack = 16.0 * np.spacing(np.pi) * np.bincount(spec.surface.oe_left).max()
-    cas = None
-    floor_best, floor_stale = math.inf, 0   # exact residuals inside the slack
-    iterations = 0
+    # each half-angle is rounded to a few ulp of pi (8 allowed), so a face
+    # residual to up to 2 deg(f) times that
+    floor = 16.0 * np.spacing(np.pi) * np.bincount(spec.surface.oe_left).max()
+    floor_best, floor_stale = math.inf, 0   # residuals inside the floor
     for iterations in range(opts.max_iter + 1):
         grad = fn.face_residuals(spec, phi)
         grad_norm = float(np.abs(grad).max())
-        if grad_norm <= opts.grad_tol + slack:
-            # the exact half-angles, which the result reports, decide and steer
-            cas, report = fn.cas_from_rho(spec, rho)
-            grad, grad_norm = fn.face_residuals(spec, cas.phi), report.max_face_residual
-            if grad_norm <= opts.grad_tol:
-                converged = True
+        if grad_norm <= opts.grad_tol:
+            converged = True
+            break
+        if grad_norm <= floor:
+            # inside the floor the residual wanders over a few rounding
+            # levels; stop once it has set no new low for a while
+            floor_stale = floor_stale + 1 if grad_norm >= floor_best else 0
+            floor_best = min(floor_best, grad_norm)
+            if floor_stale == _FLOOR_PATIENCE:
+                message = (f"stopped at Newton step {iterations}: residual {grad_norm:.3g}, "
+                           f"no new low in {_FLOOR_PATIENCE} steps inside the rounding "
+                           f"floor {floor:.3g}")
                 break
-            if grad_norm <= slack:
-                # inside the floor the residual wanders over a few rounding
-                # levels; stop once it has set no new low for a while
-                floor_stale = floor_stale + 1 if grad_norm >= floor_best else 0
-                floor_best = min(floor_best, grad_norm)
-                if floor_stale == _FLOOR_PATIENCE:
-                    message = (f"stopped at Newton step {iterations}: residual {grad_norm:.3g}, "
-                               f"no new low in {_FLOOR_PATIENCE} steps inside the rounding "
-                               f"floor {slack:.3g}")
-                    break
         if iterations == opts.max_iter:
             message = f"no convergence in {opts.max_iter} Newton steps"
             break
@@ -259,8 +251,11 @@ def minimize(spec: PatternSpec, opts: SolveOptions | None = None) -> SolveResult
             direction = -grad if spec.is_hyperbolic else grad.mean() - grad
             slope = float(grad @ direction)
             if slope >= 0.0:
-                # a constant Euclidean gradient: the total equality fails
-                message = "no descent direction"
+                # a constant Euclidean gradient: the total equality fails,
+                # unless the constant is rounding
+                message = (f"stopped at Newton step {iterations}: residual {grad_norm:.3g}, "
+                           f"the same on every face, inside the rounding floor {floor:.3g}"
+                           if grad_norm <= floor else "no descent direction")
                 break
         # no searched step changes a rho by more than _MAX_STEP (Nocedal &
         # Wright, ch. 3), so from far starts the search still finds a decrease
@@ -282,16 +277,16 @@ def minimize(spec: PatternSpec, opts: SolveOptions | None = None) -> SolveResult
             else:
                 message = "line search failed"
                 break
-        (rho, value, phi), cas = accepted, None
+        rho, value, phi = accepted
         log.debug("newton iter %d: grad %.3e step %.3g S %.12g",
                   iterations + 1, grad_norm, step, value)
-    if cas is None:
-        cas, report = fn.cas_from_rho(spec, rho)
-    if converged and spec.is_hyperbolic and np.any(rho >= 0.0):
-        converged = False
-        message = "stationary point with nonnegative rho; data are not hyperbolic-feasible"
-    return SolveResult(
-        rho=rho, cas=cas, cas_report=report,
-        grad_norm=report.max_face_residual,
-        iterations=iterations, functional_value=value,
-        converged=converged, message=message)
+    cas = CoherentAngleSystem(phi=phi)
+    report = fn.validate_cas(spec, cas)
+    if converged and spec.is_hyperbolic and rho.max() >= 0.0:
+        # the half-angles of such a face are <= 0: its Phi is within grad_tol
+        f, converged = int(rho.argmax()), False
+        message = (f"face {f} has rho = {rho[f]:.3g} >= 0 with Phi = {spec.phi[f]:.3g}: "
+                   f"its hyperbolic radius is beyond float resolution")
+    return SolveResult(rho=rho, cas=cas, cas_report=report, grad_norm=report.max_face_residual,
+                       iterations=iterations, functional_value=value, converged=converged,
+                       message=message)

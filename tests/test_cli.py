@@ -154,6 +154,33 @@ def test_solve_below_the_rounding_floor_does_not_converge(capsys, tmp_path):
     assert doc["message"].startswith(f"stopped at Newton step {doc['iterations']}: ")
 
 
+def test_solve_names_a_hyperbolic_radius_beyond_float_resolution(capsys, tmp_path):
+    # Phi_0 = 1e-15 asks for a rho_0 just below 0, which rounds to >= 0:
+    # check finds the data feasible, and solve names the face, not the data
+    med = medial(meshes.triangulated_torus(3, 3))
+    phi = np.full(med.n_faces, 2 * np.pi)
+    phi[0] = 1e-15
+    problem = _write_problem(tmp_path / "tiny_phi.json", med, "hyperbolic",
+                             np.full(med.n_edges, np.pi / 2), phi)
+    code, out = _run(capsys, "check", problem)
+    assert code == cli.EXIT_OK and json.loads(out)["feasible"] is True
+    code, out = _run(capsys, "solve", problem)
+    assert code == cli.EXIT_NO_CONVERGENCE
+    doc = json.loads(out)
+    assert doc["converged"] is False and doc["radii"] is None
+    assert doc["rho"][0] >= 0.0 and doc["grad_norm"] <= 1e-10
+    assert doc["message"] == (f"face 0 has rho = {doc['rho'][0]:.3g} >= 0 with Phi = 1e-15: "
+                              "its hyperbolic radius is beyond float resolution")
+
+
+def test_solve_report_flag_prints_the_file_it_writes(capsys, tmp_path, torus_problem):
+    report = tmp_path / "report.json"
+    code, out = _run(capsys, "solve", torus_problem, "--report", "-o", str(report))
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["converged"] is True
+    assert out.encode() == report.read_bytes()
+
+
 @pytest.mark.parametrize("argv", [["solve", "x.json", "--tol", "abc"], ["pack"],
                                   ["unfold", "x.json"],
                                   ["solve", "x.json", "--method", "newton"]])

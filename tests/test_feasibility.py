@@ -199,6 +199,27 @@ def test_near_tight_data_take_at_most_four_flows():
     assert stepped >= 200 and infeasible >= 10, (stepped, infeasible)
 
 
+@pytest.mark.parametrize("index", [6, 19])
+def test_a_complete_floor_flow_is_accepted_on_its_own_angles(monkeypatch, index):
+    # the second acceptance rule: the smallest angle is below STRICT_TOL, so
+    # the repair refuses every round, yet the floor flow meets its demand
+    # and its half-angles, at least eps by construction, validate at 1e-8
+    from circlepatterns import feasibility
+    _, geometry, spec = list(_near_tight_specs())[index]
+    repaired = []
+
+    def spy(spec, phi):
+        repaired.append(repair_angles(spec, phi))
+        return repaired[-1]
+    monkeypatch.setattr(feasibility, "repair_angles", spy)
+    cert = find_coherent_angle_system(spec)
+    assert cert.feasible and repaired and all(cas is None for cas in repaired)
+    report = validate_cas(spec, cert.cas)
+    assert report.is_valid(1e-8) and 0.0 < report.min_phi <= STRICT_TOL
+    if geometry == HYPERBOLIC:
+        assert report.min_pair_slack > 0.0
+
+
 def _first_floor(spec):
     """The floor eps of the first flow of find_coherent_angle_system."""
     max_deg = int(np.diff(spec.surface.walk_offsets).max())

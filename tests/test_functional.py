@@ -200,9 +200,9 @@ def test_edge_auxiliaries_signs():
 
 @pytest.mark.parametrize("geometry", [EUCLIDEAN, HYPERBOLIC])
 def test_value_and_phi_matches_value_and_phi_of_rho(geometry):
-    # the half-angles of the fused pass come from the conjugate variables
-    # (p, s); at scale 300 some edges have |rho_k - rho_j| and, hyperbolic,
-    # -(rho_k + rho_j) up to 600, where tanh saturates
+    # one edge pass gives S and the half-angles of phi_of_rho, bit for bit;
+    # at scale 300 some edges have |rho_k - rho_j| and, hyperbolic,
+    # -(rho_k + rho_j) up to 600, where y saturates
     srf = medial(meshes.triangulated_torus(8, 8))
     rng = np.random.default_rng(12)
     spec = random_spec(srf, geometry, rng)
@@ -210,8 +210,8 @@ def test_value_and_phi_matches_value_and_phi_of_rho(geometry):
         rho = rng.uniform(-scale, scale, srf.n_faces)
         S, phi = value_and_phi(spec, rho)
         assert S == value(spec, rho)
-        assert np.abs(phi - phi_of_rho(spec, rho)).max() <= 1e-14
-        assert np.abs(face_residuals(spec, phi) - gradient(spec, rho)).max() <= 1e-13
+        assert np.array_equal(phi, phi_of_rho(spec, rho))
+        assert np.array_equal(face_residuals(spec, phi), gradient(spec, rho))
     j, k = srf.edge_left, srf.edge_right
     assert np.abs(rho[k] - rho[j]).max() > 450.0
     if geometry == HYPERBOLIC:

@@ -248,13 +248,13 @@ def test_hyperbolic_newton_emits_no_warnings():
 
 @pytest.mark.parametrize("geometry, terms", [(EUCLIDEAN, 1), (HYPERBOLIC, 2)])
 def test_minimize_makes_one_edge_pass_per_iterate(monkeypatch, geometry, terms):
-    # every S that minimize needs comes with the next gradient from one
-    # fused pass; the half-angles im_li2_dx computes, once per geometry
-    # term, are only those of the final cas_from_rho
+    # every S and every gradient that minimize needs come from one edge
+    # pass, which makes one im_li2_dx call with theta per unoriented edge
     med = medial(meshes.triangulated_torus(6, 6))
     spec = random_feasible_spec(med, geometry, np.random.default_rng(4))
     spec._clausen_2theta_star      # the spec's one Cl(2 theta*) call
     counts = dict(passes=0, clausen=0, im_li2_dx=0)
+    theta_shapes = set()
 
     def count(owner, attr, key, amount):
         original = getattr(owner, attr)
@@ -264,25 +264,28 @@ def test_minimize_makes_one_edge_pass_per_iterate(monkeypatch, geometry, terms):
             return original(*args, **kwargs)
         monkeypatch.setattr(owner, attr, wrapper)
 
-    def no_gradient(*args, **kwargs):
-        raise AssertionError("minimize called functional.gradient")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("minimize made a second edge pass")
 
     count(functional, "value_and_phi", "passes", lambda args: 1)
     count(specfun, "clausen", "clausen", lambda args: np.size(args[0]))
-    count(specfun, "im_li2_dx", "im_li2_dx", lambda args: 1)
-    monkeypatch.setattr(functional, "gradient", no_gradient)
+    count(specfun, "im_li2_dx", "im_li2_dx",
+          lambda args: theta_shapes.add(np.shape(args[1])) or 1)
+    monkeypatch.setattr(functional, "gradient", forbidden)
+    monkeypatch.setattr(functional, "cas_from_rho", forbidden)
     result = minimize(spec)
     assert result.converged and result.iterations >= 3
     # the start and at least one line-search trial per Newton step
     assert counts["passes"] >= 1 + result.iterations
     assert counts["clausen"] == counts["passes"] * 2 * terms * med.n_edges
-    assert counts["im_li2_dx"] == terms
+    assert counts["im_li2_dx"] == counts["passes"]
+    assert theta_shapes == {(med.n_edges,)}
 
 
 @pytest.mark.parametrize("geometry", [EUCLIDEAN, HYPERBOLIC])
 def test_result_reports_the_loop_s_and_an_exact_residual(geometry):
-    # the loop tests the fused half-angles, the result reports phi_of_rho's;
-    # near rounding the reported residual decides, and 3e-15 is still reached
+    # the loop's half-angles are phi_of_rho's, which the result reports, and
+    # 3e-15, near the rounding floor, is still reached
     rng = np.random.default_rng(41)
     pool = surface_pool(max_faces=12) + [medial(meshes.triangulated_torus(4, 4))]
     for _ in range(10):
@@ -396,7 +399,7 @@ def test_full_steps_stay_within_the_largest_radius():
 
 
 def test_tolerance_below_the_rounding_floor_stops_early():
-    # from step 7 the exact residual stays at 2.7e-15 or 3.6e-15 and never
+    # from step 7 the residual stays at 2.7e-15 or 3.6e-15 and never
     # reaches 1e-15 in 20 steps; the stop names the step and the floor
     spec = random_feasible_spec(medial(meshes.triangulated_torus(4, 4)), HYPERBOLIC,
                                 np.random.default_rng(41))
@@ -407,3 +410,17 @@ def test_tolerance_below_the_rounding_floor_stops_early():
         f"no new low in {solver._FLOOR_PATIENCE} steps inside the rounding floor 4.26e-14")
     # a tolerance the floor allows is still met
     assert minimize(spec, SolveOptions(grad_tol=3e-15, max_iter=20)).converged
+
+
+def test_constant_residual_inside_the_rounding_floor_is_not_blamed_on_the_data():
+    # one face with Phi = 2 sum(theta*): the residual is a rounding constant,
+    # which no step on the zero-sum subspace lowers, and the total equality holds
+    theta_star = [1.5807564793416093, 0.5070830129288783, 1.2528792685202423]
+    spec = PatternSpec(meshes.hexagonal_torus(), EUCLIDEAN, theta_star, [2 * sum(theta_star)])
+    result = minimize(spec, SolveOptions(grad_tol=1e-16))
+    assert (result.converged, result.iterations) == (False, 0)
+    assert 0.0 < result.grad_norm < 1e-15
+    assert result.message == (
+        f"stopped at Newton step 0: residual {result.grad_norm:.3g}, the same on every "
+        f"face, inside the rounding floor 4.26e-14")
+    assert minimize(spec, SolveOptions(grad_tol=1e-14)).converged
