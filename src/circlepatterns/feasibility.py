@@ -19,10 +19,20 @@ half-angles of an approximate minimiser lie near one, and the repair
 moves them onto it.  It never proves infeasibility.  The second is the
 flow, which decides every input and alone produces the violating face
 subsets: it reduces the CAS to a feasible-flow problem on a small network
-and reads the half-angles off the face-to-edge branch flows.
+and reads the half-angles off its branch flows.
+
+The flow network has two forms (:class:`FlowNetwork`).  A Euclidean
+system at a floor eps > 0 is a flow on the dual graph: the pair sum of an
+edge is exact, so its two half-angles are one unknown, the flow across it
+from one face to the other, and the faces' demands make the supply-demand
+problem of Gale's theorem (D. Gale, Pacific J. Math. 7, 1957).  Hyperbolic
+data, whose pair sums are only bounded, and every eps = 0 flow keep the
+box form, with a node per edge: at eps = 0 that network is Picard's
+maximum-closure network, whose min cuts :func:`_certificate_from_residual`
+reads as face sets, and the dual form would need that reading proved anew.
 
 The flow's verdict comes from one cut.  A flow at the first floor eps on
-the face-to-edge branches settles feasible data; any exact CAS proves
+the half-angles settles feasible data; any exact CAS proves
 existence, so that flow stops at the first round, usually the first of
 all, whose half-angles :func:`repair_angles` moves onto one.  It also
 stops once a round proves that it cannot meet its demand, and then one
@@ -62,13 +72,23 @@ STRICT_TOL = 1e-9  # margins at or below this count as violations
 
 @dataclass
 class FlowNetwork:
-    """Nodes are faces, unoriented edges and one collector node ('box').
+    """A network of branches between nodes, with a half-angle readout.
 
     Branch i runs from ``tail[i]`` to ``head[i]`` and carries a flow in
-    ``[lower[i], upper[i]]``.  Branches 0..F-1 run from the box to the
-    faces, branch F + h is the face-to-edge branch of oriented edge h, and
-    the last 2E are the edge-to-box and box-to-edge branches, so the
-    half-angles of a feasible flow are the slice ``flows[F:F + n_oe]``.
+    ``[lower[i], upper[i]]``.  :meth:`half_angles` reads the half-angles,
+    one per oriented edge, off a flow per branch as ``phi_offset +
+    phi_sign * flows[phi_branch]``: the branch index is an array or a
+    slice, the offset and sign arrays or scalars.  A network that stands
+    for no coherent angle system leaves the three None.
+
+    :func:`build_flow_network` builds one of two forms.  The box form has
+    the faces, the unoriented edges and a collector node ('box'):
+    branches 0..F-1 run from the box to the faces, branch F + h is the
+    face-to-edge branch of oriented edge h, whose flow is its half-angle,
+    and the last 2E are the edge-to-box and box-to-edge branches.  The
+    dual form has the faces and the box, node F: branch e < E runs from
+    the face right of edge e to the face left of it, and branch E + j is
+    the fixed branch of face j, to or from the box.
     """
     n_nodes: int
     box: int
@@ -76,6 +96,13 @@ class FlowNetwork:
     head: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    phi_branch: np.ndarray | slice | None = None
+    phi_offset: np.ndarray | float | None = None
+    phi_sign: np.ndarray | float | None = None
+
+    def half_angles(self, flows: np.ndarray) -> np.ndarray:
+        """The half-angle per oriented edge of a flow per branch."""
+        return self.phi_offset + self.phi_sign * flows[self.phi_branch]
 
 
 def _half_demands(spec: PatternSpec) -> np.ndarray:
@@ -92,6 +119,22 @@ def _half_demands(spec: PatternSpec) -> np.ndarray:
 
 
 def build_flow_network(spec: PatternSpec, eps: float) -> FlowNetwork:
+    """The flow network whose feasible flows are the systems with floor eps.
+
+    A coherent angle system with floor eps has every half-angle at least
+    eps, the half-angles of each face summing to its demand
+    (:func:`_half_demands`), and each edge's pair summing to theta*
+    (Euclidean) or to at most theta* - eps (hyperbolic).  Euclidean data
+    at eps > 0 get the dual form of :class:`FlowNetwork`; hyperbolic data
+    and eps = 0 get the box form, whose eps = 0 network
+    :func:`_certificate_from_residual` reads.
+    """
+    if spec.is_hyperbolic or eps <= 0.0:
+        return _box_network(spec, eps)
+    return _dual_network(spec, eps)
+
+
+def _box_network(spec: PatternSpec, eps: float) -> FlowNetwork:
     srf = spec.surface
     F, E = srf.n_faces, srf.n_edges
     box = F + E
@@ -112,6 +155,42 @@ def build_flow_network(spec: PatternSpec, eps: float) -> FlowNetwork:
         upper=np.concatenate([half_phi if spec.is_hyperbolic else np.full(F, np.inf),
                               np.full(srf.n_oriented_edges, np.inf),
                               theta_upper, np.full(E, np.inf)]),
+        phi_branch=slice(F, F + srf.n_oriented_edges), phi_offset=0.0, phi_sign=1.0,
+    )
+
+
+def _dual_network(spec: PatternSpec, eps: float) -> FlowNetwork:
+    """The Euclidean network on the dual graph (Gale's supply-demand form).
+
+    The pair sum of edge e is exact, so its two half-angles are one
+    unknown: the flow x_e on dual branch e, from k = ``edge_right[e]`` to
+    j = ``edge_left[e]`` with bounds [0, theta*_e - 2 eps], gives the
+    representative eps + x_e and its twin theta*_e - eps - x_e.  Face j's
+    sum is then its demand D_j iff the dual branches bring it net b_j = D_j
+    - eps #reps(j) - sum(theta*_e - eps over the edges with right face j),
+    which its fixed branch, with both bounds |b_j|, passes to the box if
+    b_j >= 0 and takes from it otherwise.  The b_j sum to sum(D) -
+    sum(theta*) = 0, so at eps = 0 the Hoffman deficit of a node set is
+    -1/2 the margin sum(2 theta* over incident edges) - sum(Phi) of the
+    faces outside it, whether it holds the box or not.
+    """
+    srf = spec.surface
+    F, E = srf.n_faces, srf.n_edges
+    left, right = srf.edge_left, srf.edge_right
+    b = (_half_demands(spec) - eps * np.bincount(left, minlength=F)
+         - np.bincount(right, spec.theta_star - eps, minlength=F))
+    faces = np.arange(F)
+    sends = b >= 0.0
+    is_rep = srf.edge_reps[srf.oe_edge] == np.arange(srf.n_oriented_edges)
+    return FlowNetwork(
+        n_nodes=F + 1, box=F,
+        tail=np.concatenate([right, np.where(sends, faces, F)]),
+        head=np.concatenate([left, np.where(sends, F, faces)]),
+        lower=np.concatenate([np.zeros(E), np.abs(b)]),
+        upper=np.concatenate([spec.theta_star - 2.0 * eps, np.abs(b)]),
+        phi_branch=srf.oe_edge,
+        phi_offset=np.where(is_rep, eps, (spec.theta_star - eps)[srf.oe_edge]),
+        phi_sign=np.where(is_rep, 1.0, -1.0),
     )
 
 
@@ -162,16 +241,23 @@ class _ResidualNetwork:
         self.m = len(tail)
         self.tails = np.concatenate([head, tail])
         self.heads = np.concatenate([tail, head])
-        self.keys, self.pair = np.unique(self.tails * n_nodes + self.heads,
-                                         return_inverse=True)
+        key = self.tails * n_nodes + self.heads
+        # the arcs of one pair in arc order, so reverse arcs come first and
+        # net flow cancels flow already sent before it sends more
+        self.by_pair = np.argsort(key, kind="stable")
+        key = key[self.by_pair]
+        first = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        sorted_pair = np.cumsum(first) - 1
+        self.pair = np.empty_like(sorted_pair)
+        self.pair[self.by_pair] = sorted_pair
+        # where the arcs of each arc's pair begin in that order
+        self.group_first = starts[sorted_pair]
+        self.keys = key[starts]
         self.indices = (self.keys % n_nodes).astype(np.int32)
         self.indptr = np.searchsorted(self.keys, np.arange(n_nodes + 1) * n_nodes
                                       ).astype(np.int32)
-        # the arcs of one pair in arc order, so reverse arcs come first and
-        # net flow cancels flow already sent before it sends more
-        self.by_pair = np.argsort(self.pair, kind="stable")
-        sorted_pair = self.pair[self.by_pair]
-        self.group_first = np.searchsorted(sorted_pair, sorted_pair)
 
     def augment(self, residual, s, t, level, unit):
         """Flow change of one integer max-flow round, or None if it sends nothing.
@@ -225,13 +311,16 @@ def solve_feasible_flow(net: FlowNetwork, accept=None, *, need_cut=True,
     Uses the standard excess-node transformation to a single max-flow:
     the lower bounds become demands from a super source and to a super
     sink.  That max-flow is found in rounds on the float residual network.
-    A round caps every residual capacity at a bound on the flow still to
-    be sent, at first the unmet demand D, scales it to fewer than 2**28
-    units, floors, and runs scipy's compiled integer Dinic; its net flow
-    is added back onto the float arcs.  A summed capacity that does not
-    fit int32 raises OverflowError instead of overflowing silently.  A
-    round leaves less than a unit per residual arc sendable, so the next
-    round's bound is the smaller of D and that, and the shortfall shrinks
+    A round caps every residual capacity at a level L, scales L to fewer
+    than 2**28 units, floors, and runs scipy's compiled integer Dinic; its
+    net flow is added back onto the float arcs.  The first round's level
+    is the smaller of the demand D and the largest capacity, so that no
+    arc is capped below its capacity; a network with an unbounded arc
+    keeps L = D.  Each later round's level is a bound on the flow still to
+    be sent.  A summed capacity that does not fit int32 raises
+    OverflowError instead of overflowing silently.  A round leaves less
+    than a unit per residual arc sendable, so the next round's bound is
+    the smaller of the unmet demand and that, and the shortfall shrinks
     geometrically.  No unit falls below about 2**-50 of the largest demand
     of one node, so a unit sent from the source is never lost to rounding.
     The rounds end once the shortfall is at the residual tolerance, or
@@ -248,16 +337,18 @@ def solve_feasible_flow(net: FlowNetwork, accept=None, *, need_cut=True,
     ``need_cut=False``, and the rounds stop, ``stopped`` with ``flows`` and
     ``cut`` None, once the unmet demand exceeds u 2 len(cap) by more than
     the acceptance tolerance after a round at unit u.  The flow cannot be
-    accepted then.  A round runs at a level L that is at least the max flow
-    still to be sent, and after it the integer residual network has a cut
-    of zero integer residual.  If that cut holds an arc capped at L, the
-    round sent at least L - u, so less than u can still be sent; otherwise
-    every arc of the cut has a float residual below u.  Either way less
-    than u per residual arc, u 2 len(cap), can still be sent: the bound the
-    next round's level takes.  A stopped result passed back as ``resume``,
-    with the same network and ``accept``, runs the rounds left from its
-    flow, level and round count, so the result is bit for bit that of one
-    run with ``need_cut`` True.
+    accepted then.  After a round at level L the integer residual network
+    has a cut of zero integer residual.  If that cut holds an arc capped
+    at L, the round sent at least L - u through it, and a round whose L is
+    at least the max flow still to be sent (every round at L = D, and
+    every later round) leaves less than u to send; otherwise every arc of
+    the cut has a float residual below u.  A first round at the largest
+    capacity caps no arc, so only the second case arises.  Either way
+    less than u per residual arc, u 2 len(cap), can still be sent: the
+    bound the next round's level takes.  A stopped result passed back as
+    ``resume``, with the same network and ``accept``, runs the rounds left
+    from its flow, level and round count, so the result is bit for bit
+    that of one run with ``need_cut`` True.
 
     The result holds the flows per branch, None if the unmet demand is
     above rounding level; the cut, if any demand is unmet and no round
@@ -288,7 +379,8 @@ def solve_feasible_flow(net: FlowNetwork, accept=None, *, need_cut=True,
     accept_tol = 1e-10 * max(1.0, demand)
     flow = np.zeros(len(cap))
     unmet, rounds, accepted, stopped = demand, 0, None, False
-    level = max(demand, floor_level)
+    # no arc is capped below its capacity in the first round
+    level = max(floor_level, min(demand, float(cap.max(initial=0.0))))
     if resume is not None:
         flow, unmet, rounds = resume.arc_flow.copy(), resume.shortfall, resume.rounds
         level = resume.level
@@ -432,43 +524,49 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
     When :func:`repair_angles` moves the half-angles ``angles``, if given,
     onto a valid system, that system is the verdict and no flow runs.
 
-    The face-to-edge branches get the floor eps = min(Phi)/4 per
-    boundary-walk step (at most min(theta*)/4).  A feasible flow there is
-    the answer: the half-angle of an oriented edge is the flow on its
-    face-to-edge branch.  Any exact coherent angle system proves
-    existence, so a flow at a floor eps > 0 stops at the first round whose
-    half-angles :func:`repair_angles` moves onto a valid one, and that
-    system is the answer; it is one valid system, not a canonical one.
-    A floor flow that meets its demand unstopped gives its own half-angles
-    if they validate at 1e-8, the second rule of the module docstring.
-    That flow also stops once a round proves that it cannot meet its
-    demand (``need_cut=False`` of :func:`solve_feasible_flow`), since its
-    cut is read only if the next step finds no face set.  Otherwise the
-    verdict comes from one max flow on the eps = 0 network: a violating
-    face set is read off its residual graph (see
-    :func:`_certificate_from_residual`) and reported as ``kind="subset"``.
-    When it finds none, the stopped flow resumes from its last round, with
-    the rounds, acceptances and min cut of a run that never stopped, and
-    counts as one solve; then the floor steps down.  A first floor at or
-    below STRICT_TOL proves no margin that the cut counts as strict, so
-    there the eps = 0 cut is read first, its face set, if it finds one, is
-    the verdict, and the floor flow that may follow runs to its cut.
+    The half-angles get the floor eps = min(Phi)/4 per boundary-walk step
+    (at most min(theta*)/4).  A feasible flow there is the answer, read
+    through the network's :meth:`FlowNetwork.half_angles`.  Any exact
+    coherent angle system proves existence, so a flow at a floor eps > 0
+    stops at the first round whose half-angles :func:`repair_angles` moves
+    onto a valid one, and that system is the answer; it is one valid
+    system, not a canonical one.  A floor flow that meets its demand
+    unstopped gives its own half-angles if they validate at 1e-8, the
+    second rule of the module docstring.  That flow also stops once a
+    round proves that it cannot meet its demand (``need_cut=False`` of
+    :func:`solve_feasible_flow`), since its cut is read only if the next
+    step finds no face set.  Otherwise the verdict comes from one max flow
+    on the eps = 0 network: a violating face set is read off its residual
+    graph (see :func:`_certificate_from_residual`) and reported as
+    ``kind="subset"``.  When it finds none, the stopped flow resumes from
+    its last round, with the rounds, acceptances and min cut of a run that
+    never stopped, and counts as one solve; then the floor steps down.  A
+    first floor at or below STRICT_TOL proves no margin that the cut
+    counts as strict, so there the eps = 0 cut is read first, its face
+    set, if it finds one, is the verdict, and the floor flow that may
+    follow runs to its cut.
 
     A flow exists iff no node set S has a positive deficit d_S (Hoffman;
     :func:`_deficit`), and a failing flow's min cut S has the largest.
-    d_S(eps) = d_S(0) + k_S eps, where k_S <= K = n_oriented_edges +
-    n_edges counts the face-to-edge branches into S and the hyperbolic
-    edge-to-box branches out of it; the next floor is the root eps' = eps
-    d0 / (d0 - d_eps), d0 read on the eps = 0 network (Dinkelbach).  d_S(0)
-    is at most -margin/2 of the faces in S, or -Phi/2 of those outside if
-    S holds the box, and 0 only for no node, all nodes and, Euclidean, all
-    but the box, where k_S = 0; so under the strict inequalities a failing
-    cut has d0 < 0 < d_eps and 0 < eps' < eps.  If the flow at eps' fails
-    with min cut S', d_S'(eps') > 0 = d_S(eps') and d_S(eps) >= d_S'(eps),
-    so (k_S - k_S')(eps - eps') > 0: the slope falls from at most K each
-    step, a failing cut has k >= 1, and at most K steps end at a feasible
-    floor, the largest as a cut's root.  In floats a step needs d0 < 0 <
-    d_eps; ending with neither a flow nor a face set raises RuntimeError.
+    d_S(eps) = d_S(0) + k_S eps with an integer slope k_S; the next floor
+    is the root eps' = eps d0 / (d0 - d_eps), d0 read on the floor flows'
+    form of the network at eps = 0, in the node numbering of their cut
+    (Dinkelbach).  In the box form (hyperbolic), k_S counts the
+    face-to-edge branches into S and the edge-to-box branches out of it,
+    and d_S(0) is at most -margin/2 of the faces in S, or -Phi/2 of those
+    outside if S holds the box, so 0 only for no node and all nodes.  In
+    the dual form (Euclidean), the fixed branch of face j adds +-(#reps(j)
+    - #twins(j)) and each dual branch out of S adds 2, so |k_S| <= K =
+    n_oriented_edges + 2 n_edges, which bounds the box form's slope too;
+    d_S(0) is -margin/2 of the faces outside S, so 0 only when S holds no
+    face or every face, where k_S = 0.  So under the strict inequalities a
+    failing cut has d0 < 0 < d_eps and 0 < eps' < eps.  If the flow at
+    eps' fails with min cut S', d_S'(eps') > 0 = d_S(eps') and d_S(eps) >=
+    d_S'(eps), so (k_S - k_S')(eps - eps') > 0: the slope falls from at
+    most K each step, a failing cut has k >= 1, and at most K steps end at
+    a feasible floor, the largest as a cut's root.  In floats a step needs
+    d0 < 0 < d_eps; ending with neither a flow nor a face set raises
+    RuntimeError.
     """
     cert = None if spec.is_hyperbolic else _equality_certificate(spec)
     if cert is not None:
@@ -480,15 +578,13 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
     max_deg = int(np.diff(srf.walk_offsets).max())
     eps = min(float(spec.phi.min()) / (4.0 * max_deg),
               float(spec.theta_star.min()) / 4.0)
-    half_angles = slice(srf.n_faces, srf.n_faces + srf.n_oriented_edges)
     results = []
-
-    def repair(flows):
-        return repair_angles(spec, flows[half_angles])
 
     def flow(net, eps, **how):
         # the eps = 0 flow runs to its min cut, which the verdict reads
-        result = solve_feasible_flow(net, accept=repair if eps > 0.0 else None, **how)
+        accept = ((lambda flows: repair_angles(spec, net.half_angles(flows)))
+                  if eps > 0.0 else None)
+        result = solve_feasible_flow(net, accept=accept, **how)
         if how.get("resume") is None:
             results.append(result)
         else:
@@ -498,7 +594,7 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
         if result.flows is not None:
             # a complete floor flow, whose margins the floor sets; one with a
             # face residual over 1e-8 steps from its cut
-            cas = CoherentAngleSystem(phi=result.flows[half_angles])
+            cas = CoherentAngleSystem(phi=net.half_angles(result.flows))
             cas = cas if validate_cas(spec, cas).is_valid(1e-8) else None
         return cas, result.cut
 
@@ -520,10 +616,14 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
             zero, cert = zero_cut()
             if cert is None and results[0].stopped:
                 cas, cut = flow(net, eps, resume=results[0])
-    for _ in range(srf.n_oriented_edges + srf.n_edges):
+    # the floor flows' network at eps = 0, in the numbering of their cuts
+    base = None
+    for _ in range(srf.n_oriented_edges + 2 * srf.n_edges):
         if cas is not None or cert is not None or cut is None:
             break
-        d_zero, d_eps = _deficit(zero, cut), _deficit(net, cut)
+        if base is None:
+            base = zero if spec.is_hyperbolic else _dual_network(spec, 0.0)
+        d_zero, d_eps = _deficit(base, cut), _deficit(net, cut)
         if not d_zero < 0.0 < d_eps:
             break
         eps *= d_zero / (d_zero - d_eps)

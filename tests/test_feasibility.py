@@ -6,7 +6,8 @@ from circlepatterns.feasibility import (
     EQ_TOL, STRICT_TOL, build_flow_network, find_coherent_angle_system, repair_angles,
     solve_feasible_flow,
 )
-from circlepatterns.functional import EUCLIDEAN, HYPERBOLIC, PatternSpec, validate_cas
+from circlepatterns.functional import (EUCLIDEAN, HYPERBOLIC, CoherentAngleSystem, PatternSpec,
+                                      validate_cas)
 from circlepatterns.solver import SolveOptions, minimize
 from circlepatterns.spherical import SphericalProblem, check_sphere_conditions
 from circlepatterns.surface import euler_characteristic, medial, vertex_angle_sums
@@ -81,13 +82,79 @@ def test_network_structure():
     assert edge_to_box.sum() == E
     assert np.all(np.abs(net.upper[edge_to_box]
                          - (spec.theta_star[net.tail[edge_to_box] - F] - eps)) < 1e-15)
-    spec_e = torus_spec()
-    net_e = build_flow_network(spec_e, eps)
-    box_to_face = (net_e.tail == net_e.box) & (net_e.head < F)
-    assert np.all(net_e.lower[box_to_face] == 0.5 * spec_e.phi[net_e.head[box_to_face]])
-    assert np.all(np.isinf(net_e.upper[box_to_face]))
-    result = solve_feasible_flow(net_e)
+    assert np.array_equal(net.half_angles(np.arange(len(net.tail), dtype=float)),
+                          F + np.arange(2 * E))
+    # Euclidean data at a floor eps > 0 get the dual graph: the faces and
+    # the box, one branch per edge from its right face to its left face,
+    # and one fixed branch per face
+    rng = np.random.default_rng(3)
+    spec = random_feasible_spec(srf, EUCLIDEAN, rng)
+    net = build_flow_network(spec, eps)
+    assert (net.n_nodes, net.box, len(net.tail)) == (F + 1, F, E + F)
+    assert np.array_equal(net.tail[:E], srf.edge_right)
+    assert np.array_equal(net.head[:E], srf.edge_left)
+    assert np.all(net.lower[:E] == 0.0)
+    assert np.all(net.upper[:E] == spec.theta_star - 2 * eps)
+    # b_j: the demand of face j less eps per representative it holds and
+    # theta* - eps per edge it lies right of
+    D = 0.5 * spec.phi - (0.5 * spec.phi.sum() - spec.theta_star.sum()) / F
+    b = np.array([D[j] - eps * np.sum(srf.edge_left == j)
+                  - np.sum(spec.theta_star[srf.edge_right == j] - eps) for j in range(F)])
+    fixed = slice(E, E + F)
+    assert np.allclose(net.lower[fixed], np.abs(b), rtol=0, atol=1e-13)
+    assert np.array_equal(net.lower[fixed], net.upper[fixed])
+    faces = np.arange(F)
+    assert np.array_equal(net.tail[fixed], np.where(b >= 0, faces, F))
+    assert np.array_equal(net.head[fixed], np.where(b >= 0, F, faces))
+    # the dual flow x_e gives eps + x_e to the representative and
+    # theta*_e - eps - x_e to its twin
+    x = rng.uniform(0.0, 1.0, len(net.tail))
+    phi = net.half_angles(x)
+    reps, twins = srf.edge_reps, srf.oe_twin[srf.edge_reps]
+    assert np.allclose(phi[reps], eps + x[:E], rtol=0, atol=1e-15)
+    assert np.allclose(phi[twins], spec.theta_star - eps - x[:E], rtol=0, atol=1e-15)
+    result = solve_feasible_flow(net)
     assert result.flows is not None and result.cut is None
+    assert validate_cas(spec, CoherentAngleSystem(net.half_angles(result.flows))).is_valid(1e-8)
+    # the eps = 0 network, whose residual the cut reads, keeps the box form
+    zero = build_flow_network(spec, 0.0)
+    assert (zero.n_nodes, zero.box) == (F + E + 1, F + E)
+    box_to_face = (zero.tail == zero.box) & (zero.head < F)
+    assert np.all(zero.lower[box_to_face] == D[zero.head[box_to_face]])
+    assert np.all(np.isinf(zero.upper[box_to_face]))
+    assert np.array_equal(zero.tail[F:F + 2 * E], srf.oe_left)
+    assert np.array_equal(zero.head[F:F + 2 * E], F + srf.oe_edge)
+    assert np.all(zero.lower[F:F + 2 * E] == 0.0)
+
+
+def _floor_flow_specs():
+    """The Euclidean specs of the randomized and near-tight fixtures whose
+    totals agree, so that find_coherent_angle_system runs a floor flow."""
+    from circlepatterns.feasibility import _equality_certificate
+    specs = ([spec for _, _, _, spec in _randomized_fixtures()]
+             + [spec for _, _, spec in _near_tight_specs()])
+    return [spec for spec in specs
+            if not spec.is_hyperbolic and _equality_certificate(spec) is None]
+
+
+def test_dual_and_box_floor_flows_agree():
+    # the dual network and the box network describe the same systems: run
+    # to completion at the first floor, they agree on feasibility, and a
+    # feasible dual flow reads half-angles that validate at 1e-8
+    from circlepatterns.feasibility import _box_network
+    feasible = infeasible = 0
+    for spec in _floor_flow_specs():
+        eps = _first_floor(spec)
+        dual = build_flow_network(spec, eps)
+        flows = solve_feasible_flow(dual).flows
+        box = solve_feasible_flow(_box_network(spec, eps)).flows
+        assert (flows is None) == (box is None), spec.surface
+        if flows is not None:
+            cas = CoherentAngleSystem(dual.half_angles(flows))
+            assert validate_cas(spec, cas).is_valid(1e-8), spec.surface
+        feasible += flows is not None
+        infeasible += flows is None
+    assert feasible >= 50 and infeasible >= 50, (feasible, infeasible)
 
 
 def _own_theta_sum(spec, f):
@@ -231,13 +298,12 @@ def test_first_floor_flow_resumes_bit_for_bit():
     # it short and resumed, gives the rounds, acceptances and cut of one run
     stopped = 0
     for surf, geometry, spec in _near_tight_specs():
-        half_angles = slice(surf.n_faces, surf.n_faces + surf.n_oriented_edges)
+        net = build_flow_network(spec, _first_floor(spec))
 
         def repair(flows):
-            return getattr(repair_angles(spec, flows[half_angles]), "phi", None)
+            return getattr(repair_angles(spec, net.half_angles(flows)), "phi", None)
 
-        first, _ = assert_resume_is_one_run(build_flow_network(spec, _first_floor(spec)),
-                                            lambda: repair)
+        first, _ = assert_resume_is_one_run(net, lambda: repair)
         stopped += first.stopped
     assert stopped >= 200, stopped
 
@@ -381,6 +447,17 @@ def test_stopped_flow_gives_an_exact_cas():
             assert (cert.flow_solves, cert.flow_rounds) == (1, 1), geometry
 
 
+def test_one_round_at_the_top_of_the_ladder():
+    # the dual floor flow's first round runs at the largest capacity, about
+    # theta*, not at the total demand, so its unit is fine enough that the
+    # repair accepts round 1 on 6 912 faces, where the box form took 2
+    torus = medial(meshes.triangulated_torus(48, 48))
+    spec = random_feasible_spec(torus, EUCLIDEAN, np.random.default_rng(1))
+    cert = find_coherent_angle_system(spec)
+    _assert_certifies(spec, cert.cas, torus)
+    assert (cert.flow_solves, cert.flow_rounds) == (1, 1)
+
+
 def test_repair_never_stops_an_infeasible_flow(monkeypatch):
     from circlepatterns import feasibility
     repair_angles = feasibility.repair_angles
@@ -471,8 +548,8 @@ def test_full_size_certificates_from_one_cut(monkeypatch):
     certs = []
     # run to their cuts, the first floor flow and the eps = 0 flow take 7
     # integer rounds in all on the one-face data and 8 on the equality data;
-    # round 1 of the first flow leaves 0.79 and 226 unmet, against less
-    # than 0.02 and 0.08 that can still be sent, and the flow stops there
+    # round 1 of the first flow leaves 0.78 and 226 unmet, against less
+    # than 5e-5 and 0.08 that can still be sent, and the flow stops there
     for spec, rounds_to_cut in ((single_face, 7), (equality, 8)):
         flows.clear()
         certs.append(find_coherent_angle_system(spec))

@@ -184,3 +184,26 @@ def test_stopped_flow_resumes_bit_for_bit():
                 stopped[kind] += first.stopped
                 stopped["accepted after resuming"] += first.stopped and end.accepted is not None
     assert min(stopped.values()) >= 20, stopped
+
+
+@pytest.mark.parametrize("bounded", [True, False])
+def test_first_round_level(monkeypatch, bounded):
+    # nodes 2 and 3 each send 1.5 to nodes 0 and 1 over branches of at most
+    # 1, while fixed branches take it back: the demand is 3, the largest
+    # capacity 1.5.  With every arc bounded, round 1 runs at that capacity;
+    # an unbounded arc keeps it at the demand
+    from circlepatterns import feasibility
+    levels = []
+    augment = feasibility._ResidualNetwork.augment
+
+    def spy(self, residual, s, t, level, unit):
+        levels.append(level)
+        return augment(self, residual, s, t, level, unit)
+
+    monkeypatch.setattr(feasibility._ResidualNetwork, "augment", spy)
+    net = _network(4, [0, 1, 2, 2, 3, 3], [2, 3, 0, 1, 0, 1],
+                   [1.5, 1.5, 0.0, 0.0, 0.0, 0.0],
+                   [1.5, 1.5, 1.0, 1.0, 1.0, 1.0 if bounded else np.inf])
+    result, _ = _check_against_oracle(net)
+    assert result.flows is not None
+    assert levels[0] == (1.5 if bounded else 3.0)
