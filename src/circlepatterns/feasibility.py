@@ -30,6 +30,9 @@ data, whose pair sums are only bounded, and every eps = 0 flow keep the
 box form, with a node per edge: at eps = 0 that network is Picard's
 maximum-closure network, whose min cuts :func:`_certificate_from_residual`
 reads as face sets, and the dual form would need that reading proved anew.
+Euclidean floors on a surface where two faces share more than eight edges
+keep it too, since the max-flow's integer capacities fit eight parallel
+arcs (:func:`build_flow_network`).
 
 The flow's verdict comes from one cut.  A flow at the first floor eps on
 the half-angles settles feasible data; any exact CAS proves
@@ -77,9 +80,9 @@ class FlowNetwork:
     Branch i runs from ``tail[i]`` to ``head[i]`` and carries a flow in
     ``[lower[i], upper[i]]``.  :meth:`half_angles` reads the half-angles,
     one per oriented edge, off a flow per branch as ``phi_offset +
-    phi_sign * flows[phi_branch]``: the branch index is an array or a
-    slice, the offset and sign arrays or scalars.  A network that stands
-    for no coherent angle system leaves the three None.
+    phi_sign * flows[phi_branch]``, three arrays with an entry per
+    oriented edge.  A network that stands for no coherent angle system
+    leaves them None.
 
     :func:`build_flow_network` builds one of two forms.  The box form has
     the faces, the unoriented edges and a collector node ('box'):
@@ -96,9 +99,9 @@ class FlowNetwork:
     head: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    phi_branch: np.ndarray | slice | None = None
-    phi_offset: np.ndarray | float | None = None
-    phi_sign: np.ndarray | float | None = None
+    phi_branch: np.ndarray | None = None
+    phi_offset: np.ndarray | None = None
+    phi_sign: np.ndarray | None = None
 
     def half_angles(self, flows: np.ndarray) -> np.ndarray:
         """The half-angle per oriented edge of a flow per branch."""
@@ -127,11 +130,24 @@ def build_flow_network(spec: PatternSpec, eps: float) -> FlowNetwork:
     (Euclidean) or to at most theta* - eps (hyperbolic).  Euclidean data
     at eps > 0 get the dual form of :class:`FlowNetwork`; hyperbolic data
     and eps = 0 get the box form, whose eps = 0 network
-    :func:`_certificate_from_residual` reads.
+    :func:`_certificate_from_residual` reads.  So do Euclidean data on a
+    surface where two faces share more than eight edges: the dual form's
+    residual arcs between them, one per shared edge and two per edge with
+    one face on both sides, would share one int32 entry of the max-flow,
+    and a round's units fit eight arcs there (:data:`_ROUND_BITS`).
     """
-    if spec.is_hyperbolic or eps <= 0.0:
+    if spec.is_hyperbolic or eps <= 0.0 or _most_shared_edges(spec.surface) > 8:
         return _box_network(spec, eps)
     return _dual_network(spec, eps)
+
+
+def _most_shared_edges(srf) -> int:
+    """The most edges between two faces, an edge with one face on both
+    sides counting twice."""
+    left, right = srf.edge_left, srf.edge_right
+    pairs = np.minimum(left, right) * srf.n_faces + np.maximum(left, right)
+    pairs = np.concatenate([pairs, pairs[left == right]])
+    return int(np.unique(pairs, return_counts=True)[1].max(initial=0))
 
 
 def _box_network(spec: PatternSpec, eps: float) -> FlowNetwork:
@@ -155,7 +171,10 @@ def _box_network(spec: PatternSpec, eps: float) -> FlowNetwork:
         upper=np.concatenate([half_phi if spec.is_hyperbolic else np.full(F, np.inf),
                               np.full(srf.n_oriented_edges, np.inf),
                               theta_upper, np.full(E, np.inf)]),
-        phi_branch=slice(F, F + srf.n_oriented_edges), phi_offset=0.0, phi_sign=1.0,
+        # the offsets and signs are read-only views of one number each
+        phi_branch=F + np.arange(srf.n_oriented_edges),
+        phi_offset=np.broadcast_to(0.0, srf.n_oriented_edges),
+        phi_sign=np.broadcast_to(1.0, srf.n_oriented_edges),
     )
 
 
@@ -241,23 +260,16 @@ class _ResidualNetwork:
         self.m = len(tail)
         self.tails = np.concatenate([head, tail])
         self.heads = np.concatenate([tail, head])
-        key = self.tails * n_nodes + self.heads
-        # the arcs of one pair in arc order, so reverse arcs come first and
-        # net flow cancels flow already sent before it sends more
-        self.by_pair = np.argsort(key, kind="stable")
-        key = key[self.by_pair]
-        first = np.ones(len(key), dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        sorted_pair = np.cumsum(first) - 1
-        self.pair = np.empty_like(sorted_pair)
-        self.pair[self.by_pair] = sorted_pair
-        # where the arcs of each arc's pair begin in that order
-        self.group_first = starts[sorted_pair]
-        self.keys = key[starts]
+        self.keys, self.pair = np.unique(self.tails * n_nodes + self.heads,
+                                         return_inverse=True)
         self.indices = (self.keys % n_nodes).astype(np.int32)
         self.indptr = np.searchsorted(self.keys, np.arange(n_nodes + 1) * n_nodes
                                       ).astype(np.int32)
+        # the arcs of one pair in arc order, so reverse arcs come first and
+        # net flow cancels flow already sent before it sends more
+        self.by_pair = np.argsort(self.pair, kind="stable")
+        sorted_pair = self.pair[self.by_pair]
+        self.group_first = np.searchsorted(sorted_pair, sorted_pair)
 
     def augment(self, residual, s, t, level, unit):
         """Flow change of one integer max-flow round, or None if it sends nothing.
@@ -549,24 +561,25 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
     A flow exists iff no node set S has a positive deficit d_S (Hoffman;
     :func:`_deficit`), and a failing flow's min cut S has the largest.
     d_S(eps) = d_S(0) + k_S eps with an integer slope k_S; the next floor
-    is the root eps' = eps d0 / (d0 - d_eps), d0 read on the floor flows'
-    form of the network at eps = 0, in the node numbering of their cut
-    (Dinkelbach).  In the box form (hyperbolic), k_S counts the
-    face-to-edge branches into S and the edge-to-box branches out of it,
-    and d_S(0) is at most -margin/2 of the faces in S, or -Phi/2 of those
-    outside if S holds the box, so 0 only for no node and all nodes.  In
-    the dual form (Euclidean), the fixed branch of face j adds +-(#reps(j)
-    - #twins(j)) and each dual branch out of S adds 2, so |k_S| <= K =
-    n_oriented_edges + 2 n_edges, which bounds the box form's slope too;
-    d_S(0) is -margin/2 of the faces outside S, so 0 only when S holds no
-    face or every face, where k_S = 0.  So under the strict inequalities a
-    failing cut has d0 < 0 < d_eps and 0 < eps' < eps.  If the flow at
-    eps' fails with min cut S', d_S'(eps') > 0 = d_S(eps') and d_S(eps) >=
-    d_S'(eps), so (k_S - k_S')(eps - eps') > 0: the slope falls from at
-    most K each step, a failing cut has k >= 1, and at most K steps end at
-    a feasible floor, the largest as a cut's root.  In floats a step needs
-    d0 < 0 < d_eps; ending with neither a flow nor a face set raises
-    RuntimeError.
+    is the root eps' = eps d0 / (d0 - d_eps), d0 the deficit of the cut's
+    node set in the floor flow's form of the network at eps = 0
+    (Dinkelbach).  In the box form, read on the eps = 0 network, k_S
+    counts the face-to-edge branches into S and the hyperbolic edge-to-box
+    branches out of it, and d_S(0) is at most -margin/2 of the faces in
+    S, or -Phi/2 of those outside if S holds the box, so 0 only for no
+    node, all nodes and, Euclidean, all but the box, where k_S = 0.  In the
+    dual form the fixed branch of face j adds +-(#reps(j) - #twins(j)) and
+    each dual branch out of S adds 2, so |k_S| <= K = n_oriented_edges + 2
+    n_edges, which bounds the box form's slope too; d_S(0) is -margin/2 of
+    the faces outside S (:func:`_dual_zero_deficit`), so 0 only when S
+    holds no face or every face, where k_S = 0.  So under the strict
+    inequalities a failing cut has d0 < 0 < d_eps and 0 < eps' < eps.  If
+    the flow at eps' fails with min cut S', d_S'(eps') > 0 = d_S(eps') and
+    d_S(eps) >= d_S'(eps), so (k_S - k_S')(eps - eps') > 0: the slope
+    falls from at most K each step, a failing cut has k >= 1, and at most
+    K steps end at a feasible floor, the largest as a cut's root.  In
+    floats a step needs d0 < 0 < d_eps; ending with neither a flow nor a
+    face set raises RuntimeError.
     """
     cert = None if spec.is_hyperbolic else _equality_certificate(spec)
     if cert is not None:
@@ -616,14 +629,13 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
             zero, cert = zero_cut()
             if cert is None and results[0].stopped:
                 cas, cut = flow(net, eps, resume=results[0])
-    # the floor flows' network at eps = 0, in the numbering of their cuts
-    base = None
     for _ in range(srf.n_oriented_edges + 2 * srf.n_edges):
         if cas is not None or cert is not None or cut is None:
             break
-        if base is None:
-            base = zero if spec.is_hyperbolic else _dual_network(spec, 0.0)
-        d_zero, d_eps = _deficit(base, cut), _deficit(net, cut)
+        # a floor network with a node per face and the box is the dual form
+        d_zero = (_dual_zero_deficit(spec, cut) if net.n_nodes == srf.n_faces + 1
+                  else _deficit(zero, cut))
+        d_eps = _deficit(net, cut)
         if not d_zero < 0.0 < d_eps:
             break
         eps *= d_zero / (d_zero - d_eps)
@@ -643,6 +655,20 @@ def _deficit(net: FlowNetwork, nodes) -> float:
     inside = np.isin(np.arange(net.n_nodes), list(nodes))
     return float(net.lower[inside[net.head] & ~inside[net.tail]].sum()
                  - net.upper[inside[net.tail] & ~inside[net.head]].sum())
+
+
+def _dual_zero_deficit(spec: PatternSpec, nodes) -> float:
+    """The deficit of a node set of the dual network at eps = 0.
+
+    It is the demand of the faces outside the set less theta* of the
+    edges incident with them, -1/2 their margin, whether the set holds
+    the box or not (:func:`_dual_network`).
+    """
+    srf = spec.surface
+    outside = np.ones(srf.n_faces, dtype=bool)
+    outside[[v for v in nodes if v < srf.n_faces]] = False
+    incident = outside[srf.edge_left] | outside[srf.edge_right]
+    return float(_half_demands(spec)[outside].sum() - spec.theta_star[incident].sum())
 
 
 # Residual arcs at or below this share of the demand count as saturated

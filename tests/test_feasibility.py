@@ -10,7 +10,8 @@ from circlepatterns.functional import (EUCLIDEAN, HYPERBOLIC, CoherentAngleSyste
                                       validate_cas)
 from circlepatterns.solver import SolveOptions, minimize
 from circlepatterns.spherical import SphericalProblem, check_sphere_conditions
-from circlepatterns.surface import euler_characteristic, medial, vertex_angle_sums
+from circlepatterns.surface import (euler_characteristic, medial, surface_from_walks,
+                                   vertex_angle_sums)
 from helpers import (assert_resume_is_one_run, dual, random_feasible_spec,
                      random_flat_theta, random_spec, surface_pool)
 from oracles import (check_conditions_bruteforce, check_higher_genus_condition,
@@ -116,6 +117,14 @@ def test_network_structure():
     result = solve_feasible_flow(net)
     assert result.flows is not None and result.cut is None
     assert validate_cas(spec, CoherentAngleSystem(net.half_angles(result.flows))).is_valid(1e-8)
+    # the floor step reads the dual network's deficit at eps = 0 in closed
+    # form: -1/2 the margin of the faces outside the node set
+    from circlepatterns.feasibility import _deficit, _dual_network, _dual_zero_deficit
+    zero_dual = _dual_network(spec, 0.0)
+    for _ in range(20):
+        nodes = set(np.flatnonzero(rng.random(F + 1) < rng.random()).tolist())
+        assert _dual_zero_deficit(spec, nodes) == pytest.approx(
+            _deficit(zero_dual, nodes), abs=1e-12)
     # the eps = 0 network, whose residual the cut reads, keeps the box form
     zero = build_flow_network(spec, 0.0)
     assert (zero.n_nodes, zero.box) == (F + E + 1, F + E)
@@ -155,6 +164,35 @@ def test_dual_and_box_floor_flows_agree():
         feasible += flows is not None
         infeasible += flows is None
     assert feasible >= 50 and infeasible >= 50, (feasible, infeasible)
+
+
+def one_vertex_surface(genus):
+    """One vertex and one face, the walk a1 b1 a1' b1' ... of 2 genus edges."""
+    tokens = []
+    for k in range(genus):
+        tokens += [(0, f"a{k}", 1), (0, f"b{k}", 1), (0, f"a{k}", -1), (0, f"b{k}", -1)]
+    return surface_from_walks([(tokens, True)])
+
+
+@pytest.mark.parametrize("genus, dual_form", [(2, True), (3, False)])
+@pytest.mark.parametrize("vertex_share", [1 / 12, 11 / 12])
+def test_faces_sharing_many_edges(genus, dual_form, vertex_share):
+    # the medial has a vertex face and a face face that share all 4 genus
+    # edges, each a residual arc of the same node pair in the dual form.
+    # Eight fit the max-flow's int32 entry; genus 3 has twelve and keeps the
+    # box form, whose floor flows run to completion as well
+    surf = medial(one_vertex_surface(genus))
+    theta = np.full(surf.n_edges, np.pi / 2)
+    phi = 2 * theta.sum() * np.array([vertex_share, 1 - vertex_share])
+    spec = PatternSpec(surf, EUCLIDEAN, theta, phi)
+    cert = find_coherent_angle_system(spec)
+    assert cert.feasible and validate_cas(spec, cert.cas).is_valid(1e-8)
+    for eps in (_first_floor(spec), 1e-3):
+        net = build_flow_network(spec, eps)
+        assert (net.n_nodes == surf.n_faces + 1) == dual_form
+        result = solve_feasible_flow(net)
+        assert validate_cas(spec, CoherentAngleSystem(net.half_angles(result.flows))
+                            ).is_valid(1e-8)
 
 
 def _own_theta_sum(spec, f):
