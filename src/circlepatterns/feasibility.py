@@ -22,17 +22,18 @@ subsets: it reduces the CAS to a feasible-flow problem on a small network
 and reads the half-angles off its branch flows.
 
 The flow network has two forms (:class:`FlowNetwork`).  A Euclidean
-system at a floor eps > 0 is a flow on the dual graph: the pair sum of an
-edge is exact, so its two half-angles are one unknown, the flow across it
-from one face to the other, and the faces' demands make the supply-demand
-problem of Gale's theorem (D. Gale, Pacific J. Math. 7, 1957).  Hyperbolic
-data, whose pair sums are only bounded, and every eps = 0 flow keep the
-box form, with a node per edge: at eps = 0 that network is Picard's
-maximum-closure network, whose min cuts :func:`_certificate_from_residual`
-reads as face sets, and the dual form would need that reading proved anew.
-Euclidean floors on a surface where two faces share more than eight edges
-keep it too, since the max-flow's integer capacities fit eight parallel
-arcs (:func:`build_flow_network`).
+system at a floor eps > 0 is a flow on the dual graph
+(:class:`_DualNetwork`): the pair sum of an edge is exact, so its two
+half-angles are one unknown, the flow across it from one face to the
+other, and the faces' demands make the supply-demand problem of Gale's
+theorem (D. Gale, Pacific J. Math. 7, 1957).  Hyperbolic data, whose pair
+sums are only bounded, and every eps = 0 flow keep the box form
+(:class:`_BoxNetwork`), with a node per edge: at eps = 0 that network is
+Picard's maximum-closure network, whose min cuts
+:func:`_certificate_from_residual` reads as face sets, and the dual form
+would need that reading proved anew.  Euclidean floors on a surface where
+two faces share more than eight edges keep it too, since the max-flow's
+integer capacities fit eight parallel arcs (:func:`build_flow_network`).
 
 The flow's verdict comes from one cut.  A flow at the first floor eps on
 the half-angles settles feasible data; any exact CAS proves
@@ -75,23 +76,13 @@ STRICT_TOL = 1e-9  # margins at or below this count as violations
 
 @dataclass
 class FlowNetwork:
-    """A network of branches between nodes, with a half-angle readout.
+    """A network of branches between nodes.
 
     Branch i runs from ``tail[i]`` to ``head[i]`` and carries a flow in
-    ``[lower[i], upper[i]]``.  :meth:`half_angles` reads the half-angles,
-    one per oriented edge, off a flow per branch as ``phi_offset +
-    phi_sign * flows[phi_branch]``, three arrays with an entry per
-    oriented edge.  A network that stands for no coherent angle system
-    leaves them None.
-
-    :func:`build_flow_network` builds one of two forms.  The box form has
-    the faces, the unoriented edges and a collector node ('box'):
-    branches 0..F-1 run from the box to the faces, branch F + h is the
-    face-to-edge branch of oriented edge h, whose flow is its half-angle,
-    and the last 2E are the edge-to-box and box-to-edge branches.  The
-    dual form has the faces and the box, node F: branch e < E runs from
-    the face right of edge e to the face left of it, and branch E + j is
-    the fixed branch of face j, to or from the box.
+    ``[lower[i], upper[i]]``.  :func:`build_flow_network` builds one of
+    two forms, :class:`_BoxNetwork` and :class:`_DualNetwork`, each with
+    its own :meth:`half_angles`; a plain FlowNetwork stands for no
+    coherent angle system and has none.
     """
     n_nodes: int
     box: int
@@ -99,12 +90,40 @@ class FlowNetwork:
     head: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    phi_branch: np.ndarray | None = None
-    phi_offset: np.ndarray | None = None
-    phi_sign: np.ndarray | None = None
 
     def half_angles(self, flows: np.ndarray) -> np.ndarray:
         """The half-angle per oriented edge of a flow per branch."""
+        raise TypeError("this network stands for no coherent angle system")
+
+
+@dataclass
+class _BoxNetwork(FlowNetwork):
+    """The faces, the unoriented edges and a collector node ('box').
+
+    Branches 0..F-1 run from the box to the faces, branch F + h is the
+    face-to-edge branch of oriented edge h, whose flow is its half-angle,
+    and the last 2E are the edge-to-box and box-to-edge branches.
+    """
+    face_to_edge: slice  # the branches F .. F + n_oriented_edges - 1
+
+    def half_angles(self, flows):
+        return flows[self.face_to_edge]
+
+
+@dataclass
+class _DualNetwork(FlowNetwork):
+    """The faces and the box, node F.
+
+    Branch e < E runs from the face right of edge e to the face left of
+    it, and branch E + j is the fixed branch of face j, to or from the box.
+    Oriented edge h reads ``phi_offset[h] + phi_sign[h] *
+    flows[phi_branch[h]]`` (:func:`_dual_network`).
+    """
+    phi_branch: np.ndarray
+    phi_offset: np.ndarray
+    phi_sign: np.ndarray
+
+    def half_angles(self, flows):
         return self.phi_offset + self.phi_sign * flows[self.phi_branch]
 
 
@@ -150,7 +169,7 @@ def _most_shared_edges(srf) -> int:
     return int(np.unique(pairs, return_counts=True)[1].max(initial=0))
 
 
-def _box_network(spec: PatternSpec, eps: float) -> FlowNetwork:
+def _box_network(spec: PatternSpec, eps: float) -> _BoxNetwork:
     srf = spec.surface
     F, E = srf.n_faces, srf.n_edges
     box = F + E
@@ -160,7 +179,7 @@ def _box_network(spec: PatternSpec, eps: float) -> FlowNetwork:
     boxes_e = np.full(E, box)
     half_phi = _half_demands(spec)
     theta_upper = spec.theta_star - (eps if spec.is_hyperbolic else 0.0)
-    return FlowNetwork(
+    return _BoxNetwork(
         n_nodes=F + E + 1, box=box,
         tail=np.concatenate([boxes_f, srf.oe_left, edges, boxes_e]),
         head=np.concatenate([faces, F + srf.oe_edge, boxes_e, edges]),
@@ -171,14 +190,11 @@ def _box_network(spec: PatternSpec, eps: float) -> FlowNetwork:
         upper=np.concatenate([half_phi if spec.is_hyperbolic else np.full(F, np.inf),
                               np.full(srf.n_oriented_edges, np.inf),
                               theta_upper, np.full(E, np.inf)]),
-        # the offsets and signs are read-only views of one number each
-        phi_branch=F + np.arange(srf.n_oriented_edges),
-        phi_offset=np.broadcast_to(0.0, srf.n_oriented_edges),
-        phi_sign=np.broadcast_to(1.0, srf.n_oriented_edges),
+        face_to_edge=slice(F, F + srf.n_oriented_edges),
     )
 
 
-def _dual_network(spec: PatternSpec, eps: float) -> FlowNetwork:
+def _dual_network(spec: PatternSpec, eps: float) -> _DualNetwork:
     """The Euclidean network on the dual graph (Gale's supply-demand form).
 
     The pair sum of edge e is exact, so its two half-angles are one
@@ -201,7 +217,7 @@ def _dual_network(spec: PatternSpec, eps: float) -> FlowNetwork:
     faces = np.arange(F)
     sends = b >= 0.0
     is_rep = srf.edge_reps[srf.oe_edge] == np.arange(srf.n_oriented_edges)
-    return FlowNetwork(
+    return _DualNetwork(
         n_nodes=F + 1, box=F,
         tail=np.concatenate([right, np.where(sends, faces, F)]),
         head=np.concatenate([left, np.where(sends, F, faces)]),
@@ -632,8 +648,7 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
     for _ in range(srf.n_oriented_edges + 2 * srf.n_edges):
         if cas is not None or cert is not None or cut is None:
             break
-        # a floor network with a node per face and the box is the dual form
-        d_zero = (_dual_zero_deficit(spec, cut) if net.n_nodes == srf.n_faces + 1
+        d_zero = (_dual_zero_deficit(spec, cut) if isinstance(net, _DualNetwork)
                   else _deficit(zero, cut))
         d_eps = _deficit(net, cut)
         if not d_zero < 0.0 < d_eps:
