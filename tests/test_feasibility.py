@@ -167,7 +167,7 @@ def test_dual_and_box_floor_flows_agree():
 
 
 def one_vertex_surface(genus):
-    """One vertex and one face, the walk a1 b1 a1' b1' ... of 2 genus edges."""
+    """One vertex and one face, the walk a0 b0 a0' b0' ... of 2 * genus edges."""
     tokens = []
     for k in range(genus):
         tokens += [(0, f"a{k}", 1), (0, f"b{k}", 1), (0, f"a{k}", -1), (0, f"b{k}", -1)]
@@ -177,10 +177,10 @@ def one_vertex_surface(genus):
 @pytest.mark.parametrize("genus, dual_form", [(2, True), (3, False)])
 @pytest.mark.parametrize("vertex_share", [1 / 12, 11 / 12])
 def test_faces_sharing_many_edges(genus, dual_form, vertex_share):
-    # the medial has a vertex face and a face face that share all 4 genus
-    # edges, each a residual arc of the same node pair in the dual form.
-    # Eight fit the max-flow's int32 entry; genus 3 has twelve and keeps the
-    # box form, whose floor flows run to completion as well
+    # the medial has two faces, the vertex's and the face's, which share
+    # all 4 * genus edges, each a residual arc of the same node pair in the
+    # dual form.  Eight fit the max-flow's int32 entry; genus 3 has twelve
+    # and keeps the box form, whose floor flows run to completion as well
     surf = medial(one_vertex_surface(genus))
     theta = np.full(surf.n_edges, np.pi / 2)
     phi = 2 * theta.sum() * np.array([vertex_share, 1 - vertex_share])
