@@ -352,9 +352,23 @@ def _build_parser():
     return parser
 
 
+_LOG_LEVELS = ("CRITICAL", "FATAL", "ERROR", "WARN", "WARNING", "INFO", "DEBUG", "NOTSET")
+
+
+def _log_level():
+    """The level named by CIRCLEPATTERNS_LOG, in any case; WARNING if unset."""
+    name = os.environ.get("CIRCLEPATTERNS_LOG", "WARNING")
+    if name.upper() not in _LOG_LEVELS:
+        raise InputError(f"CIRCLEPATTERNS_LOG must name a logging level "
+                         f"({', '.join(_LOG_LEVELS)}), got {name!r}")
+    return name.upper()
+
+
 def main(argv=None):
-    logging.basicConfig(level=os.environ.get("CIRCLEPATTERNS_LOG", "WARNING"))
     try:
+        # checked here, not by basicConfig, which ignores the level once
+        # the root logger has a handler
+        logging.basicConfig(level=_log_level())
         args = _build_parser().parse_args(argv)
         return args.func(args)
     except SphereConditionError as exc:

@@ -497,9 +497,10 @@ def repair_angles(spec: PatternSpec, phi) -> CoherentAngleSystem | None:
     representative half-edge of e and take it from its twin, where a =
     B^T y, B is the face-edge incidence of the dual graph (+1 at the face
     left of the representative, -1 at the face right of it) and B B^T y =
-    r' / 2: the smallest such change that zeroes r'.  B B^T is the
-    dual-graph Laplacian, solved grounded as the Newton system is
-    (:func:`solver.solve_grounded`).
+    r' / 2: the smallest such change that zeroes r'.  So a_e is y at the
+    face left of e less y at the face right of it, and B B^T is the
+    unit-weight dual-graph Laplacian, which the spec factorises once, with
+    the order its Newton systems share (:func:`solver.solve_grounded`).
 
     Returns the repaired system when it validates at 1e-8 with every
     half-angle, and in the hyperbolic case every pair slack, above
@@ -528,12 +529,9 @@ def repair_angles(spec: PatternSpec, phi) -> CoherentAngleSystem | None:
         reps, twins = srf.edge_reps, srf.oe_twin[srf.edge_reps]
         phi += 0.5 * (spec.theta_star - phi[reps] - phi[twins])[srf.oe_edge]
         r = 2.0 * (demands - np.bincount(srf.oe_left, weights=phi, minlength=srf.n_faces))
-        E = srf.n_edges
-        B = sp.csr_array((np.repeat([1.0, -1.0], E),
-                          (np.concatenate([srf.edge_left, srf.edge_right]),
-                           np.tile(np.arange(E), 2))), shape=(srf.n_faces, E))
         # the demands sum to sum(theta*), so r sums to zero up to rounding
-        a = B.T @ solve_grounded(B @ B.T, 0.5 * r)
+        y = solve_grounded(spec, 0.5 * r)
+        a = y[srf.edge_left] - y[srf.edge_right]
         phi[reps] += a
         phi[twins] -= a
     cas = CoherentAngleSystem(phi=phi)

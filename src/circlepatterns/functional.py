@@ -23,6 +23,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import specfun
 from .surface import CellularSurface
@@ -80,6 +81,10 @@ class PatternSpec:
     @cached_property
     def _hessian_pattern(self):
         return _build_hessian_pattern(self)
+
+    @cached_property
+    def _solve_plan(self):
+        return _build_solve_plan(self)
 
     def __repr__(self):
         return f"PatternSpec({self.geometry}, {self.surface!r})"
@@ -207,6 +212,46 @@ def _build_hessian_pattern(spec):
     for arr in pattern:
         arr.flags.writeable = False
     return pattern
+
+
+@dataclass(frozen=True)
+class SolvePlan:
+    """How the grounded systems of one Euclidean pattern are solved.
+
+    Grounded at face 0, every Newton system and the unit-weight dual-graph
+    Laplacian share one sparsity pattern, so its minimum degree order is
+    computed once, by the factorisation ``unit`` of the unit-weight
+    system.  ``columns`` is that order, and ``data[gather]``, with
+    ``indices`` and ``indptr``, is the grounded CSC of a Hessian with CSR
+    data ``data`` and its columns in that order.
+    """
+    unit: spla.SuperLU
+    columns: np.ndarray
+    gather: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def _build_solve_plan(spec):
+    """The :class:`SolvePlan` of a Euclidean spec, from its Hessian pattern."""
+    indptr, indices, order, slot = spec._hessian_pattern
+    n, nnz = spec.surface.n_faces, len(indices)
+    # the grounded CSC of the CSR positions, numbered from 1 so that none
+    # is an explicit zero
+    where = sp.csr_matrix((np.arange(1, nnz + 1), indices, indptr), shape=(n, n)).tocsc()[1:, 1:]
+    where.data -= 1
+    # the Hessian with every edge weight 1 is the unit-weight Laplacian B B^T
+    unit = np.bincount(slot, weights=np.repeat([1.0, 1.0, -1.0, -1.0], spec.surface.n_edges)[order],
+                       minlength=nnz)
+    lu = spla.splu(sp.csc_matrix((unit[where.data], where.indices, where.indptr), shape=where.shape),
+                   permc_spec="MMD_AT_PLUS_A")
+    columns = np.argsort(lu.perm_c)
+    where = where[:, columns]
+    plan = SolvePlan(unit=lu, columns=columns, gather=where.data,
+                     indices=where.indices.astype(np.intc), indptr=where.indptr.astype(np.intc))
+    for arr in (plan.columns, plan.gather, plan.indices, plan.indptr):
+        arr.flags.writeable = False
+    return plan
 
 
 def hessian(spec: PatternSpec, rho) -> sp.csr_matrix:

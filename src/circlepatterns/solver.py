@@ -33,7 +33,12 @@ rho, so its Hessian is a weighted Laplacian of the dual graph whose kernel
 is exactly the constants.  The Newton system is then solved grounded and
 directly: face 0 is held fixed, the remaining faces solve the nonsingular
 system for the mean-free gradient, and the direction is shifted onto the
-zero-sum subspace, where the functional is strictly convex.
+zero-sum subspace, where the functional is strictly convex.  Every Newton
+system of a pattern has the sparsity pattern of the unit-weight Laplacian,
+so its minimum degree order (J. W. H. Liu, ACM TOMS 11, 1985) is computed
+once per pattern, together with that Laplacian's factor, which the
+Euclidean angle repair of ``feasibility.repair_angles`` solves with
+(:func:`solve_grounded`).  Each step still factorises its own Hessian.
 
 The hyperbolic Hessian is positive definite and well conditioned, so its
 Newton system is solved inexactly, by conjugate gradients with the Jacobi
@@ -51,6 +56,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import functional as fn
@@ -125,24 +131,46 @@ def _newton_direction(spec, rho, grad):
         return _cg_direction(H, grad)
     # far-drifted iterates can zero out edge weights and make the system
     # exactly singular; minimize replaces the NaN direction by the gradient
-    return solve_grounded(H, -(grad - grad.mean()))
+    return solve_grounded(spec, -(grad - grad.mean()), H)
 
 
-def solve_grounded(L, rhs):
-    """The zero-sum x with L x = rhs, for a weighted Laplacian L of a
-    connected dual graph and a zero-sum rhs.
+def solve_grounded(spec, rhs, hessian=None):
+    """The zero-sum x with L x = rhs, for a zero-sum rhs, where L is the
+    Euclidean Hessian ``hessian`` of ``spec`` or, if None, the unit-weight
+    Laplacian B B^T of its dual graph.
 
     Grounded at face 0: the remaining faces solve the nonsingular system,
     and the dropped first equation holds because every column of L sums to
-    zero.  The system is symmetric positive definite, so the column
-    ordering is a minimum degree one on its own pattern.  A singular
-    system gives NaN.
+    zero.  Both systems have the pattern of ``spec._solve_plan``, whose
+    minimum degree column order is computed once, by the kept factor that
+    solves the unit-weight system.  A Hessian is factorised with its
+    columns laid out in that order.  When every pivot of that factor lies
+    on the diagonal, it is bit for bit the factor of a minimum degree solve
+    of the system as it stands: the rows come in the same order, and that
+    solve takes the same diagonal pivots.  The two part only where a
+    diagonal ties the largest entry of its column, a tie SuperLU breaks for
+    the diagonal of the order it computed itself.  So a system whose
+    laid-out factor pivots off the diagonal, or is singular, is solved as
+    it stands, in its own order; a singular system gives NaN.
     """
-    L = L.tocsc()
+    plan = spec._solve_plan
     x = np.zeros(len(rhs))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", spla.MatrixRankWarning)
-        x[1:] = spla.spsolve(L[1:, 1:], rhs[1:], permc_spec="MMD_AT_PLUS_A")
+    if hessian is None:
+        x[1:] = plan.unit.solve(rhs[1:])
+        return x - x.mean()
+    n = len(plan.columns)
+    A = sp.csc_matrix((hessian.data[plan.gather], plan.indices, plan.indptr), shape=(n, n))
+    try:
+        lu = spla.splu(A, permc_spec="NATURAL")
+    except RuntimeError:   # exactly singular
+        lu = None
+    # on the diagonal: row i pivots at position perm_c[i], where column i is
+    if lu is not None and np.array_equal(lu.perm_r, plan.unit.perm_c):
+        x[1 + plan.columns] = lu.solve(rhs[1:])
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", spla.MatrixRankWarning)
+            x[1:] = spla.spsolve(hessian.tocsc()[1:, 1:], rhs[1:], permc_spec="MMD_AT_PLUS_A")
     return x - x.mean()
 
 

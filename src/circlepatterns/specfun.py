@@ -93,11 +93,18 @@ def im_li2_dx(x, theta):
 
 
 def im_li2(x, theta):
-    """Im Li2(exp(x + i*theta)) for real x and theta in (0, 2*pi)."""
+    """Im Li2(exp(x + i*theta)) for real x and theta in (0, 2*pi).
+
+    It grows like (pi - theta) x for large x; a value beyond the float range
+    raises ValueError.
+    """
     xa = _as_float_array(x, "x")
     ta = _as_float_array(theta, "theta")
     if np.any(ta <= 0.0) or np.any(ta >= TWO_PI):
         raise ValueError(f"theta must lie strictly in (0, 2*pi), got {theta!r}")
     y = im_li2_dx(xa, ta)
-    out = y * xa + 0.5 * (clausen(2.0 * y) - clausen(2.0 * y + 2.0 * ta) + clausen(2.0 * ta))
+    with np.errstate(over="ignore"):
+        out = y * xa + 0.5 * (clausen(2.0 * y) - clausen(2.0 * y + 2.0 * ta) + clausen(2.0 * ta))
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"Im Li2 overflows a float at x = {x!r}")
     return float(out) if (xa.ndim == 0 and ta.ndim == 0) else out

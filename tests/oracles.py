@@ -11,8 +11,10 @@ coordinate-descent oracle minimises the functional one face at a time,
 each step a safeguarded Newton iteration on the kite angle
 atan2(e^x sin theta, 1 - e^x cos theta) and its derivative, both written
 out here.  The bit-identity references are the first versions of the
-Clausen and arctan2 kernels and of the Hessian assembly through scipy's
-COO to CSR conversion.  The feasible-flow oracle
+Clausen and arctan2 kernels, of the Hessian assembly through scipy's
+COO to CSR conversion, and of the grounded solves: the Newton system
+ordered anew on every call, and the Euclidean repair through the
+face-edge incidence B and B B^T.  The feasible-flow oracle
 runs the excess-node transformation on a pure-Python Dinic over float
 capacities, augmenting each path by its full bottleneck.  The existence oracle
 enumerates every face subset.  Two more characterisations of existence
@@ -47,15 +49,18 @@ Clausen function.
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 
 from circlepatterns import specfun
-from circlepatterns.feasibility import EQ_TOL, STRICT_TOL, FeasibilityCertificate
-from circlepatterns.functional import PatternSpec, phi_of_rho, radii_from_rho, validate_cas
+from circlepatterns.feasibility import EQ_TOL, STRICT_TOL, FeasibilityCertificate, _half_demands
+from circlepatterns.functional import (CoherentAngleSystem, PatternSpec, phi_of_rho,
+                                       radii_from_rho, validate_cas)
 from circlepatterns.layout import _canonical_basis
 from circlepatterns.spherical import Reduction, SphereConditionError
 from circlepatterns.surface import (OPEN, DanglingEdgeError, DisconnectedSurfaceError,
@@ -311,6 +316,45 @@ def hessian_coo_reference(spec, rho):
     n = srf.n_faces
     return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                          shape=(n, n)).tocsr()
+
+
+def solve_grounded_reference(L, rhs):
+    """The zero-sum x with L x = rhs for a dual-graph Laplacian L, grounded
+    at face 0 and solved in the minimum degree order of the grounded system
+    itself, computed anew for every call."""
+    x = np.zeros(len(rhs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", spla.MatrixRankWarning)
+        x[1:] = spla.spsolve(L.tocsc()[1:, 1:], rhs[1:], permc_spec="MMD_AT_PLUS_A")
+    return x - x.mean()
+
+
+def repair_angles_reference(spec, phi):
+    """Euclidean ``feasibility.repair_angles`` through the face-edge
+    incidence B of the dual graph: the pair sums made exact, then a = B^T y
+    with B B^T y = r' / 2 added to each representative half-edge and taken
+    from its twin, B B^T formed and solved on every call."""
+    srf = spec.surface
+    phi = np.array(phi, dtype=float)
+    demands = _half_demands(spec)
+    r = 2.0 * (demands - np.bincount(srf.oe_left, weights=phi, minlength=srf.n_faces))
+    if not np.abs(r).max() < phi.min():
+        return None
+    reps, twins = srf.edge_reps, srf.oe_twin[srf.edge_reps]
+    phi += 0.5 * (spec.theta_star - phi[reps] - phi[twins])[srf.oe_edge]
+    r = 2.0 * (demands - np.bincount(srf.oe_left, weights=phi, minlength=srf.n_faces))
+    E = srf.n_edges
+    B = sp.csr_array((np.repeat([1.0, -1.0], E),
+                      (np.concatenate([srf.edge_left, srf.edge_right]),
+                       np.tile(np.arange(E), 2))), shape=(srf.n_faces, E))
+    a = B.T @ solve_grounded_reference(B @ B.T, 0.5 * r)
+    phi[reps] += a
+    phi[twins] -= a
+    cas = CoherentAngleSystem(phi=phi)
+    report = validate_cas(spec, cas)
+    if not (report.is_valid(1e-8) and report.min_phi > STRICT_TOL):
+        return None
+    return cas
 
 
 # -- feasible flow ---------------------------------------------------------------

@@ -281,6 +281,37 @@ def test_specfun_imli2_without_theta_is_an_input_error(capsys):
     assert capsys.readouterr() == ("", "error: imli2 needs both x and theta\n")
 
 
+def test_specfun_imli2_beyond_the_float_range_is_an_input_error(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no RuntimeWarning reaches stderr
+        assert cli.main(["specfun", "imli2", "1e308", "1"]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "1e+308" in err
+
+
+@pytest.mark.parametrize("name", ["verbose", "10", "", "warning:"])
+def test_unknown_log_level_is_an_input_error(capsys, monkeypatch, torus_problem, name):
+    monkeypatch.setenv("CIRCLEPATTERNS_LOG", name)
+    assert cli.main(["check", torus_problem]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: CIRCLEPATTERNS_LOG") and err.count("\n") == 1
+
+
+def test_log_level_names_are_read_in_any_case(tmp_path):
+    import subprocess
+    import sys
+    spec = random_feasible_spec(meshes.torus_grid(2, 2), "euclidean", np.random.default_rng(3))
+    problem = _write_problem(tmp_path / "p.json", spec.surface, "euclidean",
+                             spec.theta_star, spec.phi)
+    # a fresh interpreter, whose root logger has no handler before main
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), CIRCLEPATTERNS_LOG="debug")
+    run = subprocess.run([sys.executable, "-m", "circlepatterns.cli", "solve", problem],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == cli.EXIT_OK
+    assert "DEBUG:circlepatterns.solver:newton iter 1:" in run.stderr
+
+
 def test_layout_of_overflowing_rho_writes_no_svg(capsys, tmp_path, torus_problem):
     # exp(710) overflows: the SVG used to be written, with viewBox="nan nan nan nan"
     report = tmp_path / "report.json"
@@ -367,6 +398,34 @@ def test_pack_subdivided_octahedron_matches_golden(capsys, tmp_path):
     code, out = _run(capsys, "pack", str(path))
     assert code == cli.EXIT_OK
     assert out == _golden("octahedron2_pack.json")
+
+
+def test_each_pattern_orders_its_laplacian_once(capsys, monkeypatch, tmp_path):
+    # one minimum degree order per pattern, computed with the unit-weight
+    # factor; every Newton step reuses it, and the certificate's repair
+    # solves with that factor
+    import scipy.sparse.linalg as spla
+    orders = []
+
+    def spy(original):
+        def traced(*args, permc_spec=None, **kwargs):
+            orders.append(permc_spec)
+            return original(*args, permc_spec=permc_spec, **kwargs)
+        return traced
+
+    for name in ("splu", "spsolve"):
+        monkeypatch.setattr(spla, name, spy(getattr(spla, name)))
+    faces = subdivided_faces(face_lists(meshes.octahedron()), 2)
+    path = tmp_path / "octahedron2.json"
+    path.write_text(json.dumps({"mesh": {"faces": faces}}))
+    med = medial(meshes.triangulated_torus(4, 4))
+    torus = _write_problem(tmp_path / "torus.json", med, "euclidean",
+                           np.full(med.n_edges, np.pi / 2), np.full(med.n_faces, 2 * np.pi))
+    for argv in (["pack", str(path)], ["solve", torus]):
+        orders.clear()
+        assert _run(capsys, *argv)[0] == cli.EXIT_OK
+        assert orders.count("MMD_AT_PLUS_A") == 1 and orders[0] == "MMD_AT_PLUS_A", argv
+        assert len(orders) > 2 and set(orders[1:]) == {"NATURAL"}, argv
 
 
 def test_sphere_cube_matches_golden(capsys, tmp_path):

@@ -15,7 +15,7 @@ from circlepatterns.surface import (euler_characteristic, medial, surface_from_w
 from helpers import (assert_resume_is_one_run, dual, random_feasible_spec,
                      random_flat_theta, random_spec, surface_pool)
 from oracles import (check_conditions_bruteforce, check_higher_genus_condition,
-                     check_rivin_condition, region_decomposition)
+                     check_rivin_condition, region_decomposition, repair_angles_reference)
 
 
 def torus_spec(geometry=EUCLIDEAN, phi=2 * np.pi):
@@ -570,6 +570,26 @@ def test_certificate_margin_is_compared_with_the_residual():
         moved[0] += shift
         assert (repair_angles(spec, moved) is not None) == accepted, shift
     assert repair_angles(spec, np.full(64, np.nan)) is None
+
+
+def test_repair_matches_the_incidence_reference_bit_for_bit():
+    # the kept unit-weight factor and a = y_left - y_right against B and
+    # B B^T built and solved anew, on accepted and refused half-angles
+    rng = np.random.default_rng(32)
+    surfaces = surface_pool() + [medial(meshes.triangulated_torus(n, n)) for n in (3, 4, 8)]
+    assert any(s.n_faces == 1 for s in surfaces)
+    outcomes = set()
+    for surf in surfaces:
+        spec = random_feasible_spec(surf, EUCLIDEAN, rng)
+        phi = find_coherent_angle_system(spec).cas.phi
+        for noise in (1e-12, 1e-6, 1e-3, 0.3):
+            moved = phi + rng.normal(0.0, noise, len(phi))
+            got, expected = repair_angles(spec, moved), repair_angles_reference(spec, moved)
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert np.array_equal(got.phi.view(np.int64), expected.phi.view(np.int64))
+            outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
 def test_full_size_certificates_from_one_cut(monkeypatch):

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from circlepatterns import functional, meshes, solver, specfun
 from circlepatterns.feasibility import find_coherent_angle_system
@@ -11,7 +12,7 @@ from circlepatterns.solver import _FORCING, SolveOptions, _newton_direction, min
 from circlepatterns.spherical import SphericalProblem, reduce_to_plane
 from circlepatterns.surface import build_surface, medial
 from helpers import face_lists, random_feasible_spec, random_spec, subdivided_faces, surface_pool
-from oracles import coordinate_descent, coordinate_step
+from oracles import coordinate_descent, coordinate_step, solve_grounded_reference
 
 
 def torus_spec(geometry=EUCLIDEAN, phi=2 * np.pi):
@@ -212,6 +213,60 @@ def test_newton_direction_solves_the_newton_system():
                 assert g @ d < 0.0
                 if surf is large:
                     assert residual > 1e-3 * _FORCING * np.linalg.norm(g)
+
+
+def _bits(values):
+    # array_equal on the bits also compares the sign of zero
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def test_newton_direction_is_the_minimum_degree_solve_bit_for_bit():
+    # the order the pattern keeps, laid out on the columns, against the
+    # grounded system ordered anew on every call
+    rng = np.random.default_rng(31)
+    surfaces = surface_pool() + [medial(meshes.triangulated_torus(n, n)) for n in (3, 4, 8)]
+    assert any(s.n_faces == 1 for s in surfaces)
+    for surf in surfaces:
+        spec = random_feasible_spec(surf, EUCLIDEAN, rng)
+        for scale in (0.1, 1.0, 5.0):
+            rho = rng.normal(0.0, scale, surf.n_faces)
+            g = gradient(spec, rho)
+            expected = solve_grounded_reference(hessian(spec, rho), -(g - g.mean()))
+            assert np.array_equal(_bits(_newton_direction(spec, rho, g)), _bits(expected))
+
+
+def test_newton_directions_where_pivots_tie_keep_the_reference_bits(monkeypatch):
+    # one face 1.3 times over its bound: rho runs off to infinity, the edge
+    # weights of a column drift more than 2**53 apart, and a diagonal that
+    # rounds to its largest off-diagonal entry ties with it.  SuperLU then
+    # prefers the diagonal of the order it computed, which the laid-out
+    # system does not know, so such a step is solved in its own order
+    med = medial(meshes.triangulated_torus(3, 3))
+    theta_star = np.full(med.n_edges, np.pi / 2)
+    bound = np.bincount(med.oe_left, weights=2 * theta_star[med.oe_edge])
+    phi = np.empty(med.n_faces)
+    phi[0] = 1.3 * bound[0]
+    phi[1:] = (2 * theta_star.sum() - phi[0]) / (med.n_faces - 1)
+    spec = PatternSpec(med, EUCLIDEAN, theta_star, phi)
+    steps, orders = [], []
+
+    def record(spec, rho, grad):
+        steps.append((rho, grad))
+        return newton_direction(spec, rho, grad)
+
+    def spsolve(*args, permc_spec=None, **kwargs):
+        orders.append(permc_spec)
+        return solve(*args, permc_spec=permc_spec, **kwargs)
+
+    newton_direction, solve = solver._newton_direction, spla.spsolve
+    monkeypatch.setattr(solver, "_newton_direction", record)
+    monkeypatch.setattr(spla, "spsolve", spsolve)
+    assert not minimize(spec, SolveOptions(max_iter=120)).converged
+    monkeypatch.undo()
+    assert "MMD_AT_PLUS_A" in orders
+    for rho, g in steps:
+        expected = solve_grounded_reference(hessian(spec, rho), -(g - g.mean()))
+        assert np.array_equal(_bits(_newton_direction(spec, rho, g)), _bits(expected))
 
 
 def _hyperbolic_random_start_specs():

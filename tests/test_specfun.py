@@ -90,6 +90,18 @@ def test_im_li2_domain():
         specfun.im_li2(np.nan, 1.0)
 
 
+def test_im_li2_beyond_the_float_range_raises():
+    # (pi - theta) x > 1.8e308; the RuntimeWarning filter of the suite
+    # turns any overflow warning into an error, which is not a ValueError
+    with pytest.raises(ValueError, match="x = 1e[+]308"):
+        specfun.im_li2(1e308, 1.0)
+    with pytest.raises(ValueError, match="overflows"):
+        specfun.im_li2(np.array([0.5, 1e308]), 1.0)
+    # below the threshold, and for x far to the left, the value is finite
+    assert specfun.im_li2(1e308, np.pi - 1.0) == pytest.approx(1e308)
+    assert abs(specfun.im_li2(-1e308, 1.0)) < 1e-300
+
+
 def test_im_li2_dx_matches_finite_differences():
     rng = np.random.default_rng(5)
     h = 1e-6
