@@ -236,8 +236,8 @@ def _build_solve_plan(spec):
     """The :class:`SolvePlan` of a Euclidean spec, from its Hessian pattern."""
     indptr, indices, order, slot = spec._hessian_pattern
     n, nnz = spec.surface.n_faces, len(indices)
-    # the grounded CSC of the CSR positions, numbered from 1 so that none
-    # is an explicit zero
+    # the CSR positions laid out as the grounded CSC, numbered from 1 while
+    # scipy converts and slices them, so that none is a zero it could drop
     where = sp.csr_matrix((np.arange(1, nnz + 1), indices, indptr), shape=(n, n)).tocsc()[1:, 1:]
     where.data -= 1
     # the Hessian with every edge weight 1 is the unit-weight Laplacian B B^T

@@ -33,6 +33,8 @@ def test_hyperbolic_torus():
     res = minimize(spec)
     assert res.converged
     assert np.all(res.rho < 0)
+    assert find_coherent_angle_system(spec, res.cas).feasible
+    assert "_solve_plan" not in vars(spec)     # CG steps and a direct repair
     srf = spec.surface
     face = np.zeros(srf.n_faces)
     np.add.at(face, srf.oe_left, res.cas.phi)
