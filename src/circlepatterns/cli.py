@@ -12,6 +12,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 
 import numpy as np
@@ -37,7 +38,16 @@ class InputError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """A usage error is an input error, exit 1, like any other."""
+    """A usage error is an input error, exit 1, like any other.
+
+    An argument that reads as a negative float, exponents, -inf and -nan
+    included, is a value, not an option flag.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         raise InputError(message)
@@ -103,6 +113,15 @@ def _load_problem(path):
 
 def _print(doc):
     sys.stdout.write(jsonio.dumps(doc, indent=2) + "\n")
+
+
+def _write(path, text):
+    """Write an output file; one that cannot be written is an input error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _certificate_dict(cert):
@@ -184,8 +203,7 @@ def cmd_solve(args):
     if args.report or not args.output:
         sys.stdout.write(text)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        _write(args.output, text)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
@@ -202,9 +220,9 @@ def cmd_layout(args):
     except ValueError as exc:    # rho is at fault
         raise InputError(f"{args.report}: {exc}") from exc
     if args.svg:
-        export_svg(result, args.svg, include_kites=args.kites)
+        _write(args.svg, export_svg(result, include_kites=args.kites))
     if args.json_out:
-        export_json(result, args.json_out, include_kites=args.kites)
+        _write(args.json_out, export_json(result, include_kites=args.kites))
     if not (args.svg or args.json_out):
         sys.stdout.write(export_json(result, include_kites=args.kites))
     return EXIT_OK
@@ -224,9 +242,9 @@ def cmd_sphere(args):
     lay = solve_sphere(problem)
     _print(spherical_layout_to_dict(problem, lay))
     if args.planar_svg:
-        export_svg(lay.planar, args.planar_svg)
+        _write(args.planar_svg, export_svg(lay.planar))
     if args.planar_json:
-        export_json(lay.planar, args.planar_json)
+        _write(args.planar_json, export_json(lay.planar))
     return EXIT_OK
 
 

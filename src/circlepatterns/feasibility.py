@@ -31,9 +31,7 @@ sums are only bounded, and every eps = 0 flow keep the box form
 (:class:`_BoxNetwork`), with a node per edge: at eps = 0 that network is
 Picard's maximum-closure network, whose min cuts
 :func:`_certificate_from_residual` reads as face sets, and the dual form
-would need that reading proved anew.  Euclidean floors on a surface where
-two faces share more than eight edges keep it too, since the max-flow's
-integer capacities fit eight parallel arcs (:func:`build_flow_network`).
+would need that reading proved anew.
 
 The flow's verdict comes from one cut.  A flow at the first floor eps on
 the half-angles settles feasible data; any exact CAS proves
@@ -44,15 +42,15 @@ max flow with eps = 0 solves a maximum-closure problem whose min cuts are
 the face sets that break the inequalities most; the strongly connected
 components of its residual graph list them, ties included, and one of
 them that exact sums confirm is the certificate.  Only when the cut finds
-none does the stopped flow resume, and its min cut lowers the floor to
-the roots of failing cuts until a flow appears.
+none does the stopped flow run again, to its own min cut, which lowers the
+floor to the roots of failing cuts until a flow appears.
 
 The network is held as arrays, one entry per branch.  Its max-flow runs in
 scipy's compiled Dinic, which takes int32 capacities only, so the float
 problem is solved in a few refinement rounds: each round caps the residual
-capacities at a bound on the flow still to be sent, scales them to fewer
-than 2**28 units, refuses a summed capacity that would not fit int32, and
-adds the integer flow back onto the float network.
+capacities at a bound on the flow still to be sent, scales them to so few
+units that the residual arcs of any node pair sum within int32, and adds
+the integer flow back onto the float network.
 """
 
 from __future__ import annotations
@@ -85,7 +83,6 @@ class FlowNetwork:
     coherent angle system and has none.
     """
     n_nodes: int
-    box: int
     tail: np.ndarray
     head: np.ndarray
     lower: np.ndarray
@@ -147,26 +144,13 @@ def build_flow_network(spec: PatternSpec, eps: float) -> FlowNetwork:
     eps, the half-angles of each face summing to its demand
     (:func:`_half_demands`), and each edge's pair summing to theta*
     (Euclidean) or to at most theta* - eps (hyperbolic).  Euclidean data
-    at eps > 0 get the dual form of :class:`FlowNetwork`; hyperbolic data
-    and eps = 0 get the box form, whose eps = 0 network
-    :func:`_certificate_from_residual` reads.  So do Euclidean data on a
-    surface where two faces share more than eight edges: the dual form's
-    residual arcs between them, one per shared edge and two per edge with
-    one face on both sides, would share one int32 entry of the max-flow,
-    and a round's units fit eight arcs there (:data:`_ROUND_BITS`).
+    at eps > 0 get the dual form of :class:`FlowNetwork`, on every
+    surface; hyperbolic data and eps = 0 get the box form, whose eps = 0
+    network :func:`_certificate_from_residual` reads.
     """
-    if spec.is_hyperbolic or eps <= 0.0 or _most_shared_edges(spec.surface) > 8:
+    if spec.is_hyperbolic or eps <= 0.0:
         return _box_network(spec, eps)
     return _dual_network(spec, eps)
-
-
-def _most_shared_edges(srf) -> int:
-    """The most edges between two faces, an edge with one face on both
-    sides counting twice."""
-    left, right = srf.edge_left, srf.edge_right
-    pairs = np.minimum(left, right) * srf.n_faces + np.maximum(left, right)
-    pairs = np.concatenate([pairs, pairs[left == right]])
-    return int(np.unique(pairs, return_counts=True)[1].max(initial=0))
 
 
 def _box_network(spec: PatternSpec, eps: float) -> _BoxNetwork:
@@ -180,7 +164,7 @@ def _box_network(spec: PatternSpec, eps: float) -> _BoxNetwork:
     half_phi = _half_demands(spec)
     theta_upper = spec.theta_star - (eps if spec.is_hyperbolic else 0.0)
     return _BoxNetwork(
-        n_nodes=F + E + 1, box=box,
+        n_nodes=F + E + 1,
         tail=np.concatenate([boxes_f, srf.oe_left, edges, boxes_e]),
         head=np.concatenate([faces, F + srf.oe_edge, boxes_e, edges]),
         lower=np.concatenate([half_phi, np.full(srf.n_oriented_edges, eps),
@@ -218,7 +202,7 @@ def _dual_network(spec: PatternSpec, eps: float) -> _DualNetwork:
     sends = b >= 0.0
     is_rep = srf.edge_reps[srf.oe_edge] == np.arange(srf.n_oriented_edges)
     return _DualNetwork(
-        n_nodes=F + 1, box=F,
+        n_nodes=F + 1,
         tail=np.concatenate([right, np.where(sends, faces, F)]),
         head=np.concatenate([left, np.where(sends, F, faces)]),
         lower=np.concatenate([np.zeros(E), np.abs(b)]),
@@ -236,9 +220,8 @@ class FlowResult:
     A flow stopped by its ``accept`` hook has ``flows`` and ``cut`` None,
     the hook's value in ``accepted`` and the demand its last round left
     unmet as ``shortfall``.  A flow ``stopped`` once a round proved its
-    demand out of reach has ``flows``, ``cut`` and ``accepted`` None, that
-    round's unmet demand as ``shortfall``, and the state its next round
-    would start from.
+    demand out of reach has ``flows``, ``cut`` and ``accepted`` None and
+    that round's unmet demand as ``shortfall``.
     """
     flows: np.ndarray | None  # per branch; None if the unmet demand is above rounding
     cut: set | None           # min cut, if any demand is unmet and no round stopped the flow
@@ -250,14 +233,10 @@ class FlowResult:
     # n_nodes and n_nodes + 1 are the super source and the super sink
     residual: tuple | None = None
     stopped: bool = False     # the rounds stopped once the demand proved out of reach
-    # where a stopped flow resumes: the flow per arc of the max-flow network
-    # (branches, then source and sink arcs) and the next round's level
-    arc_flow: np.ndarray | None = None
-    level: float = 0.0
 
 
-# A round scales its capacity cap to fewer than 2**28 units, so a summed CSR
-# entry of up to eight parallel residual arcs fits scipy's int32 capacities.
+# A round scales its capacity cap to fewer than 2**28 units, fewer on a
+# node pair of more than eight residual arcs (_ResidualNetwork.round_bits).
 _ROUND_BITS = 28
 _INT32_MAX = np.iinfo(np.int32).max
 
@@ -268,7 +247,9 @@ class _ResidualNetwork:
     Residual arc j < m is the reverse of arc j, whose capacity is the flow
     on arc j; residual arc m + j is arc j itself, whose capacity is the
     part left unused.  Residual arcs between the same ordered node pair
-    share one entry of the CSR matrix that scipy's max-flow reads.
+    share one entry of the CSR matrix that scipy's max-flow reads: the k
+    arcs of the most crowded pair, fewer than 2**round_bits units each,
+    with round_bits + bit_length(k - 1) <= 31, sum below 2**31.
     """
 
     def __init__(self, tail, head, n_nodes):
@@ -286,6 +267,8 @@ class _ResidualNetwork:
         self.by_pair = np.argsort(self.pair, kind="stable")
         sorted_pair = self.pair[self.by_pair]
         self.group_first = np.searchsorted(sorted_pair, sorted_pair)
+        most_arcs = int(np.bincount(self.pair).max())
+        self.round_bits = min(_ROUND_BITS, 31 - (most_arcs - 1).bit_length())
 
     def augment(self, residual, s, t, level, unit):
         """Flow change of one integer max-flow round, or None if it sends nothing.
@@ -332,29 +315,28 @@ def _open_arcs(tails, heads, residual, tol, n):
                         shape=(n, n))
 
 
-def solve_feasible_flow(net: FlowNetwork, accept=None, *, need_cut=True,
-                        resume: FlowResult | None = None) -> FlowResult:
+def solve_feasible_flow(net: FlowNetwork, accept=None, *, need_cut=True) -> FlowResult:
     """Feasible flow respecting the lower bounds, or None plus a min cut.
 
     Uses the standard excess-node transformation to a single max-flow:
     the lower bounds become demands from a super source and to a super
     sink.  That max-flow is found in rounds on the float residual network.
     A round caps every residual capacity at a level L, scales L to fewer
-    than 2**28 units, floors, and runs scipy's compiled integer Dinic; its
-    net flow is added back onto the float arcs.  The first round's level
+    than 2**b units, floors, and runs scipy's compiled integer Dinic; its
+    net flow is added back onto the float arcs.  b is 28, fewer where one
+    node pair has more than eight residual arcs, whose summed capacity
+    must fit int32 (:class:`_ResidualNetwork`).  The first round's level
     is the smaller of the demand D and the largest capacity, so that no
     arc is capped below its capacity; a network with an unbounded arc
     keeps L = D.  Each later round's level is a bound on the flow still to
-    be sent.  A summed capacity that does not fit int32 raises
-    OverflowError instead of overflowing silently.  A round leaves less
-    than a unit per residual arc sendable, so the next round's bound is
-    the smaller of the unmet demand and that, and the shortfall shrinks
-    geometrically.  No unit falls below about 2**-50 of the largest demand
-    of one node, so a unit sent from the source is never lost to rounding.
-    The rounds end once the shortfall is at the residual tolerance, or
-    when a round with the smallest unit sends nothing.  The flow is
-    accepted when the unmet demand is at rounding level, 1e-10 of the
-    demand.
+    be sent.  A round leaves less than a unit per residual arc sendable,
+    so the next round's bound is the smaller of the unmet demand and that,
+    and the shortfall shrinks geometrically.  No unit falls below about
+    2**-50 of the largest demand of one node, so a unit sent from the
+    source is never lost to rounding.  The rounds end once the shortfall
+    is at the residual tolerance, or when a round with the smallest unit
+    sends nothing.  The flow is accepted when the unmet demand is at
+    rounding level, 1e-10 of the demand.
 
     ``accept``, if given, is called with the flows per branch after every
     round that sends flow; the first value other than None stops the
@@ -373,10 +355,9 @@ def solve_feasible_flow(net: FlowNetwork, accept=None, *, need_cut=True,
     the cut has a float residual below u.  A first round at the largest
     capacity caps no arc, so only the second case arises.  Either way
     less than u per residual arc, u 2 len(cap), can still be sent: the
-    bound the next round's level takes.  A stopped result passed back as
-    ``resume``, with the same network and ``accept``, runs the rounds left
-    from its flow, level and round count, so the result is bit for bit
-    that of one run with ``need_cut`` True.
+    bound the next round's level takes.  The rounds are deterministic, so
+    a run with ``need_cut`` True repeats a stopped run's rounds bit for
+    bit before it goes on to the cut.
 
     The result holds the flows per branch, None if the unmet demand is
     above rounding level; the cut, if any demand is unmet and no round
@@ -401,21 +382,19 @@ def solve_feasible_flow(net: FlowNetwork, accept=None, *, need_cut=True,
     cap = np.concatenate([cap, excess[sources], -excess[sinks]])
     demand = float(excess[sources].sum())
     tol = 1e-13 * max(1.0, demand)
+    bits = residual_net.round_bits
     # no unit falls below 2**-50 of the largest source capacity, so every
     # round that sends flow lowers the unmet demand in floats too
-    floor_level = math.ldexp(max(1.0, float(excess.max(initial=0.0))), _ROUND_BITS - 50)
+    floor_level = math.ldexp(max(1.0, float(excess.max(initial=0.0))), bits - 50)
     accept_tol = 1e-10 * max(1.0, demand)
     flow = np.zeros(len(cap))
     unmet, rounds, accepted, stopped = demand, 0, None, False
     # no arc is capped below its capacity in the first round
     level = max(floor_level, min(demand, float(cap.max(initial=0.0))))
-    if resume is not None:
-        flow, unmet, rounds = resume.arc_flow.copy(), resume.shortfall, resume.rounds
-        level = resume.level
     while unmet > tol:
-        # the power of two just above level / 2**28 keeps the scaling exact,
+        # the power of two just above level / 2**bits keeps the scaling exact,
         # so integer capacities give an exact max-flow in the first round
-        unit = math.ldexp(1.0, math.frexp(level)[1] - _ROUND_BITS)
+        unit = math.ldexp(1.0, math.frexp(level)[1] - bits)
         delta = residual_net.augment(np.concatenate([flow, cap - flow]), s, t,
                                      level, unit)
         rounds += 1
@@ -442,8 +421,7 @@ def solve_feasible_flow(net: FlowNetwork, accept=None, *, need_cut=True,
     return FlowResult(net.lower + flow[:n_branches] if feasible else None, cut,
                       rounds=rounds, pushed=demand - unmet, shortfall=unmet,
                       residual=(residual_net.tails, residual_net.heads, residual),
-                      accepted=accepted, stopped=stopped,
-                      arc_flow=flow if stopped else None, level=level)
+                      accepted=accepted, stopped=stopped)
 
 
 # -- certificates and the theorem-level checks --------------------------------
@@ -468,8 +446,9 @@ class FeasibilityCertificate:
     flow_rounds: int = 0
     # unmet demand of the first flow: at the first floor eps, or at eps = 0
     # when that floor is at most STRICT_TOL; for a flow stopped at a round
-    # whose half-angles repair into a CAS, or at a round that proved the
-    # demand out of reach, the demand that round left unmet
+    # whose half-angles repair into a CAS, the demand that round left unmet;
+    # for one stopped at a round that proved the demand out of reach, the
+    # same, or that of its run to the cut where one followed
     shortfall: float = 0.0
 
 
@@ -564,13 +543,11 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
     step finds no face set.  Otherwise the verdict comes from one max flow
     on the eps = 0 network: a violating face set is read off its residual
     graph (see :func:`_certificate_from_residual`) and reported as
-    ``kind="subset"``.  When it finds none, the stopped flow resumes from
-    its last round, with the rounds, acceptances and min cut of a run that
-    never stopped, and counts as one solve; then the floor steps down.  A
-    first floor at or below STRICT_TOL proves no margin that the cut
-    counts as strict, so there the eps = 0 cut is read first, its face
-    set, if it finds one, is the verdict, and the floor flow that may
-    follow runs to its cut.
+    ``kind="subset"``.  When it finds none and no floor cut exists yet, the
+    floor flow runs to its cut; a stopped flow, run again, repeats its
+    rounds bit for bit and counts as the same solve.  Then the floor steps
+    down.  A first floor at or below STRICT_TOL proves no margin that the
+    cut counts as strict, so no flow runs there before the eps = 0 cut.
 
     A flow exists iff no node set S has a positive deficit d_S (Hoffman;
     :func:`_deficit`), and a failing flow's min cut S has the largest.
@@ -607,16 +584,12 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
               float(spec.theta_star.min()) / 4.0)
     results = []
 
-    def flow(net, eps, **how):
+    def flow(net, eps, need_cut=True):
         # the eps = 0 flow runs to its min cut, which the verdict reads
         accept = ((lambda flows: repair_angles(spec, net.half_angles(flows)))
                   if eps > 0.0 else None)
-        result = solve_feasible_flow(net, accept=accept, **how)
-        if how.get("resume") is None:
-            results.append(result)
-        else:
-            # only the first flow stops, and resuming it is the same solve
-            results[0] = result
+        result = solve_feasible_flow(net, accept=accept, need_cut=need_cut)
+        results.append(result)
         cas = result.accepted
         if result.flows is not None:
             # a complete floor flow, whose margins the floor sets; one with a
@@ -625,24 +598,21 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
             cas = cas if validate_cas(spec, cas).is_valid(1e-8) else None
         return cas, result.cut
 
-    def zero_cut():
+    net = build_flow_network(spec, eps)
+    cas = cut = None
+    if eps > STRICT_TOL:
+        # stops once a round proves it short: its cut is read only if the
+        # eps = 0 cut finds no set
+        cas, cut = flow(net, eps, need_cut=False)
+    if cas is None:
         zero = build_flow_network(spec, 0.0)
         flow(zero, 0.0)
-        return zero, _certificate_from_residual(spec, zero, results[-1])
-
-    cas = cut = zero = None
-    if eps <= STRICT_TOL:
-        # such a floor proves no margin above STRICT_TOL: the cut goes first
-        zero, cert = zero_cut()
-    if cert is None:
-        # until the eps = 0 cut has been read, the first floor flow stops
-        # once a round proves it short, and resumes if the cut finds no set
-        net = build_flow_network(spec, eps)
-        cas, cut = flow(net, eps, need_cut=zero is not None)
-        if cas is None and zero is None:
-            zero, cert = zero_cut()
-            if cert is None and results[0].stopped:
-                cas, cut = flow(net, eps, resume=results[0])
+        cert = _certificate_from_residual(spec, zero, results[-1])
+        if cert is None and cut is None:
+            cas, cut = flow(net, eps)
+            if eps > STRICT_TOL:
+                # the stopped flow run again to its cut: the same solve
+                results[0] = results.pop()
     for _ in range(srf.n_oriented_edges + 2 * srf.n_edges):
         if cas is not None or cert is not None or cut is None:
             break

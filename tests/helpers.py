@@ -6,7 +6,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from circlepatterns import meshes
-from circlepatterns.feasibility import solve_feasible_flow
 from circlepatterns.functional import EUCLIDEAN, HYPERBOLIC, PatternSpec
 from circlepatterns.spherical import _sphere_points, sphere_caps
 from circlepatterns.surface import (OPEN, SurfaceError, UnsupportedSurfaceError,
@@ -178,35 +177,6 @@ def fd_gradient(func, x, h=1e-5):
         xm[i] -= h
         g[i] = (func(xp) - func(xm)) / (2.0 * h)
     return g
-
-
-def assert_resume_is_one_run(net, make_accept=lambda: None):
-    """The flow on ``net`` run with ``need_cut=False`` and, if it stopped,
-    resumed ends bit for bit as one run with the cut does.
-
-    ``make_accept`` makes a fresh ``accept`` hook per run; the stopped and
-    the resumed rounds share one, as the rounds of one run do.  A hook's
-    accepted value must be an array.  Returns the run that may stop and
-    the one that ends the flow.
-    """
-    whole = solve_feasible_flow(net, accept=make_accept())
-    accept = make_accept()
-    first = solve_feasible_flow(net, accept=accept, need_cut=False)
-    end = first
-    if first.stopped:
-        # a round proved the demand out of reach: no cut, no flows, and
-        # the run to the cut does not meet the demand either
-        assert (first.flows, first.cut, first.accepted) == (None, None, None)
-        assert first.rounds <= whole.rounds and whole.flows is None
-        end = solve_feasible_flow(net, accept=accept, resume=first)
-        assert not end.stopped
-    assert (end.rounds, end.pushed, end.shortfall, end.cut) == \
-        (whole.rounds, whole.pushed, whole.shortfall, whole.cut)
-    for a, b in ((end.flows, whole.flows), (end.accepted, whole.accepted)):
-        assert (a is None) == (b is None)
-        assert a is None or np.array_equal(a, b)
-    assert np.array_equal(end.residual[2], whole.residual[2])
-    return first, end
 
 
 # -- layouts ---------------------------------------------------------------------

@@ -290,6 +290,47 @@ def test_specfun_imli2_beyond_the_float_range_is_an_input_error(capsys):
     assert "1e+308" in err
 
 
+def test_negative_float_literals_are_values(capsys, torus_problem):
+    # an exponent, -inf and -nan read as numbers, not as option flags
+    for literal in ("-1e3", "-1E+3", "-1000.", "-1.0e3"):
+        assert _run(capsys, "specfun", "clausen", literal) == \
+            _run(capsys, "specfun", "clausen", "-1000"), literal
+    assert _run(capsys, "specfun", "imli2", "0.5", "-1e-2") == \
+        _run(capsys, "specfun", "imli2", "0.5", "-0.01")
+    for argv in (["specfun", "imli2", "-inf", "1"], ["specfun", "clausen", "-NaN"]):
+        assert cli.main(argv) == cli.EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: x must be finite") and err.count("\n") == 1
+    assert cli.main(["solve", torus_problem, "--tol", "-1e-3"]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: grad_tol ") and err.count("\n") == 1
+
+
+def _assert_cannot_write(capsys, argv, path):
+    assert cli.main(argv) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot write {path}: ")
+    assert err.count("\n") == 1
+
+
+def test_unwritable_output_paths_are_input_errors(capsys, tmp_path, torus_problem):
+    report = str(tmp_path / "report.json")
+    assert _run(capsys, "solve", torus_problem, "-o", report)[0] == cli.EXIT_OK
+    cube = tmp_path / "cube.json"
+    cube.write_text(json.dumps(_cube_sphere_doc(2 * np.pi / 3)))
+    # a directory, and a file in a directory that does not exist
+    for bad in (str(tmp_path), str(tmp_path / "absent" / "out")):
+        _assert_cannot_write(capsys, ["solve", torus_problem, "-o", bad], bad)
+        for flag in ("--svg", "--json"):
+            _assert_cannot_write(capsys, ["layout", torus_problem, report, flag, bad], bad)
+        for flag in ("--planar-svg", "--planar-json"):
+            assert cli.main(["sphere", str(cube), flag, bad]) == cli.EXIT_INPUT
+            out, err = capsys.readouterr()
+            # the spherical report is printed before the planar file is written
+            assert out == _golden("cube_sphere.json")
+            assert err.startswith(f"error: cannot write {bad}: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("name", ["verbose", "10", "", "warning:"])
 def test_unknown_log_level_is_an_input_error(capsys, monkeypatch, torus_problem, name):
     monkeypatch.setenv("CIRCLEPATTERNS_LOG", name)

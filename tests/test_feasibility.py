@@ -12,8 +12,7 @@ from circlepatterns.solver import SolveOptions, minimize
 from circlepatterns.spherical import SphericalProblem, check_sphere_conditions
 from circlepatterns.surface import (euler_characteristic, medial, surface_from_walks,
                                    vertex_angle_sums)
-from helpers import (assert_resume_is_one_run, dual, random_feasible_spec,
-                     random_flat_theta, random_spec, surface_pool)
+from helpers import dual, random_feasible_spec, random_flat_theta, random_spec, surface_pool
 from oracles import (check_conditions_bruteforce, check_higher_genus_condition,
                      check_rivin_condition, region_decomposition, repair_angles_reference)
 
@@ -67,7 +66,8 @@ def test_network_structure():
     F, E = 16, 32
     srf = spec.surface
     assert net.n_nodes == F + E + 1
-    box_to_face = (net.tail == net.box) & (net.head < F)
+    box = net.n_nodes - 1
+    box_to_face = (net.tail == box) & (net.head < F)
     assert box_to_face.sum() == F
     assert np.all(net.lower[box_to_face] == 0.5 * spec.phi[net.head[box_to_face]])
     assert np.all(net.upper[box_to_face] == net.lower[box_to_face])
@@ -79,7 +79,7 @@ def test_network_structure():
     assert np.array_equal(np.flatnonzero(face_to_edge), F + np.arange(2 * E))
     assert np.array_equal(net.tail[F:F + 2 * E], srf.oe_left)
     assert np.array_equal(net.head[F:F + 2 * E], F + srf.oe_edge)
-    edge_to_box = (F <= net.tail) & (net.tail < F + E) & (net.head == net.box)
+    edge_to_box = (F <= net.tail) & (net.tail < F + E) & (net.head == box)
     assert edge_to_box.sum() == E
     assert np.all(np.abs(net.upper[edge_to_box]
                          - (spec.theta_star[net.tail[edge_to_box] - F] - eps)) < 1e-15)
@@ -91,7 +91,7 @@ def test_network_structure():
     rng = np.random.default_rng(3)
     spec = random_feasible_spec(srf, EUCLIDEAN, rng)
     net = build_flow_network(spec, eps)
-    assert (net.n_nodes, net.box, len(net.tail)) == (F + 1, F, E + F)
+    assert (net.n_nodes, len(net.tail)) == (F + 1, E + F)
     assert np.array_equal(net.tail[:E], srf.edge_right)
     assert np.array_equal(net.head[:E], srf.edge_left)
     assert np.all(net.lower[:E] == 0.0)
@@ -127,8 +127,8 @@ def test_network_structure():
             _deficit(zero_dual, nodes), abs=1e-12)
     # the eps = 0 network, whose residual the cut reads, keeps the box form
     zero = build_flow_network(spec, 0.0)
-    assert (zero.n_nodes, zero.box) == (F + E + 1, F + E)
-    box_to_face = (zero.tail == zero.box) & (zero.head < F)
+    assert zero.n_nodes == F + E + 1
+    box_to_face = (zero.tail == zero.n_nodes - 1) & (zero.head < F)
     assert np.all(zero.lower[box_to_face] == D[zero.head[box_to_face]])
     assert np.all(np.isinf(zero.upper[box_to_face]))
     assert np.array_equal(zero.tail[F:F + 2 * E], srf.oe_left)
@@ -174,13 +174,14 @@ def one_vertex_surface(genus):
     return surface_from_walks([(tokens, True)])
 
 
-@pytest.mark.parametrize("genus, dual_form", [(2, True), (3, False)])
+@pytest.mark.parametrize("genus, full_round_bits", [(2, True), (3, False), (5, False)])
 @pytest.mark.parametrize("vertex_share", [1 / 12, 11 / 12])
-def test_faces_sharing_many_edges(genus, dual_form, vertex_share):
+def test_faces_sharing_many_edges(genus, full_round_bits, vertex_share):
     # the medial has two faces, the vertex's and the face's, which share
     # all 4 * genus edges, each a residual arc of the same node pair in the
-    # dual form.  Eight fit the max-flow's int32 entry; genus 3 has twelve
-    # and keeps the box form, whose floor flows run to completion as well
+    # dual form.  Eight fit the max-flow's int32 entry at 28 round bits;
+    # genus 3 has twelve and genus 5 twenty, which round with fewer bits
+    from circlepatterns.feasibility import _ROUND_BITS, _ResidualNetwork
     surf = medial(one_vertex_surface(genus))
     theta = np.full(surf.n_edges, np.pi / 2)
     phi = 2 * theta.sum() * np.array([vertex_share, 1 - vertex_share])
@@ -189,7 +190,10 @@ def test_faces_sharing_many_edges(genus, dual_form, vertex_share):
     assert cert.feasible and validate_cas(spec, cert.cas).is_valid(1e-8)
     for eps in (_first_floor(spec), 1e-3):
         net = build_flow_network(spec, eps)
-        assert (net.n_nodes == surf.n_faces + 1) == dual_form
+        assert net.n_nodes == surf.n_faces + 1
+        bits = _ResidualNetwork(net.tail, net.head, net.n_nodes).round_bits
+        assert (bits == _ROUND_BITS) == full_round_bits
+        assert bits + (4 * genus - 1).bit_length() == 31 or full_round_bits
         result = solve_feasible_flow(net)
         assert validate_cas(spec, CoherentAngleSystem(net.half_angles(result.flows))
                             ).is_valid(1e-8)
@@ -329,21 +333,6 @@ def _first_floor(spec):
     """The floor eps of the first flow of find_coherent_angle_system."""
     max_deg = int(np.diff(spec.surface.walk_offsets).max())
     return min(float(spec.phi.min()) / (4.0 * max_deg), float(spec.theta_star.min()) / 4.0)
-
-
-def test_first_floor_flow_resumes_bit_for_bit():
-    # the first floor flow of near-tight data, stopped once a round proves
-    # it short and resumed, gives the rounds, acceptances and cut of one run
-    stopped = 0
-    for surf, geometry, spec in _near_tight_specs():
-        net = build_flow_network(spec, _first_floor(spec))
-
-        def repair(flows):
-            return getattr(repair_angles(spec, net.half_angles(flows)), "phi", None)
-
-        first, _ = assert_resume_is_one_run(net, lambda: repair)
-        stopped += first.stopped
-    assert stopped >= 200, stopped
 
 
 def test_stopping_the_first_flow_keeps_every_verdict(monkeypatch):

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from circlepatterns.feasibility import FlowNetwork, solve_feasible_flow
-from helpers import assert_resume_is_one_run
+from circlepatterns.feasibility import FlowNetwork, _ResidualNetwork, solve_feasible_flow
 from oracles import feasible_flow_dinic
 
 
 def _network(n, tail, head, lower, upper):
-    return FlowNetwork(n_nodes=n, box=n - 1, tail=np.asarray(tail),
+    return FlowNetwork(n_nodes=n, tail=np.asarray(tail),
                        head=np.asarray(head), lower=np.asarray(lower, dtype=float),
                        upper=np.asarray(upper, dtype=float))
 
@@ -119,13 +118,20 @@ def test_capacities_beyond_int32(demand, feasible):
 
 
 def test_summed_capacity_beyond_int32_raises():
-    # parallel arcs of unbounded capacity: each is capped at the demand of
-    # 1.0, which is 2**27 units, and 16 of them sum to 2**31
+    # 16 parallel arcs of unbounded capacity and the reverse of the fixed
+    # arc make 17 residual arcs on each node pair: the rounds scale to
+    # fewer than 2**26 units, so their sum fits int32 and the flow solves
     n_parallel = 16
     net = _network(2, [0] * n_parallel + [1], [1] * n_parallel + [0],
                    [0.0] * n_parallel + [1.0], [np.inf] * (n_parallel + 1))
+    result, _ = _check_against_oracle(net)
+    assert result.flows is not None and result.cut is None
+    # at 2**27 units each, as 28 round bits would give, the 16 parallel
+    # arcs sum to 2**31, which the guard refuses
+    residual_net = _ResidualNetwork(net.tail, net.head, net.n_nodes)
+    assert residual_net.round_bits == 26
     with pytest.raises(OverflowError):
-        solve_feasible_flow(net)
+        residual_net.augment(np.ones(2 * len(net.tail)), 0, 1, 1.0, 2.0 ** -27)
 
 
 def test_rounds_are_counted():
@@ -161,28 +167,44 @@ def test_accept_hook_stops_the_rounds():
                 plain.shortfall + plain.pushed - stopped.pushed)
 
 
-def _accept_at(call):
-    """A hook that accepts the branch flows of its ``call``-th call."""
-    calls = []
-
+def _accept_at(call, seen):
+    """A hook that keeps a copy of the branch flows of every call in
+    ``seen`` and accepts those of its ``call``-th call."""
     def accept(flows):
-        calls.append(flows)
-        return flows.copy() if len(calls) == call else None
+        seen.append(flows.copy())
+        return flows.copy() if len(seen) == call else None
     return accept
 
 
-def test_stopped_flow_resumes_bit_for_bit():
-    # a flow that stops once a round proves it short, then resumes, ends
-    # with the rounds, flows, cut and acceptance of one uninterrupted run
+def test_a_flow_stops_only_short_of_its_demand():
+    # with need_cut=False the rounds stop once one proves the demand out of
+    # reach: they are the first rounds of the run to the cut, bit for bit,
+    # and that run does not meet the demand; an unstopped run is that run
     rng = np.random.default_rng(202)
-    stopped = {"integer": 0, "float": 0, "accepted after resuming": 0}
+    stopped = {"integer": 0, "float": 0, "accepted after the stop": 0}
     for _ in range(100):
         for kind, net in (("integer", random_integer_network(rng)),
                           ("float", random_float_network(rng))):
-            for make_accept in (lambda: None, lambda: _accept_at(2)):
-                first, end = assert_resume_is_one_run(net, make_accept)
-                stopped[kind] += first.stopped
-                stopped["accepted after resuming"] += first.stopped and end.accepted is not None
+            for call in (0, 2):
+                seen_whole, seen_first = [], []
+                whole = solve_feasible_flow(net, accept=_accept_at(call, seen_whole))
+                first = solve_feasible_flow(net, accept=_accept_at(call, seen_first),
+                                            need_cut=False)
+                for a, b in zip(seen_first, seen_whole):
+                    assert np.array_equal(a, b)
+                if first.stopped:
+                    assert (first.flows, first.cut, first.accepted) == (None, None, None)
+                    assert first.rounds <= whole.rounds and whole.flows is None
+                    assert len(seen_first) <= len(seen_whole)
+                    stopped[kind] += 1
+                    stopped["accepted after the stop"] += whole.accepted is not None
+                    continue
+                assert (first.rounds, first.pushed, first.shortfall, first.cut) == \
+                    (whole.rounds, whole.pushed, whole.shortfall, whole.cut)
+                for a, b in ((first.flows, whole.flows), (first.accepted, whole.accepted)):
+                    assert (a is None) == (b is None)
+                    assert a is None or np.array_equal(a, b)
+                assert np.array_equal(first.residual[2], whole.residual[2])
     assert min(stopped.values()) >= 20, stopped
 
 
