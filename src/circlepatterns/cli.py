@@ -9,6 +9,7 @@ are byte-identical.  Exit codes: 0 ok, 1 input or usage error,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
 import os
@@ -115,6 +116,25 @@ def _print(doc):
     sys.stdout.write(jsonio.dumps(doc, indent=2) + "\n")
 
 
+# the options that name output files, checked before any work runs
+_OUTPUTS = ("output", "svg", "json_out", "planar_svg", "planar_json")
+
+
+def _check_output(path):
+    """Refuse an output path that is a directory or whose directory does
+    not exist, with the error that writing it would raise."""
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    else:
+        return
+    raise InputError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
+
+
 def _write(path, text):
     """Write an output file; one that cannot be written is an input error."""
     try:
@@ -200,10 +220,10 @@ def cmd_solve(args):
         return EXIT_INFEASIBLE
     result = solver.minimize(spec, opts)
     text = jsonio.dumps(_solve_report(spec, result), indent=2) + "\n"
-    if args.report or not args.output:
-        sys.stdout.write(text)
     if args.output:
         _write(args.output, text)
+    if args.report or not args.output:
+        sys.stdout.write(text)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
@@ -240,11 +260,11 @@ def cmd_sphere(args):
     except ValueError as exc:
         raise InputError(f"{args.problem}: {exc}") from exc
     lay = solve_sphere(problem)
-    _print(spherical_layout_to_dict(problem, lay))
     if args.planar_svg:
         _write(args.planar_svg, export_svg(lay.planar))
     if args.planar_json:
         _write(args.planar_json, export_json(lay.planar))
+    _print(spherical_layout_to_dict(problem, lay))
     return EXIT_OK
 
 
@@ -388,6 +408,8 @@ def main(argv=None):
         # the root logger has a handler
         logging.basicConfig(level=_log_level())
         args = _build_parser().parse_args(argv)
+        for path in filter(None, (getattr(args, key, None) for key in _OUTPUTS)):
+            _check_output(path)
         return args.func(args)
     except SphereConditionError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

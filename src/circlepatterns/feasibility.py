@@ -21,17 +21,17 @@ flow, which decides every input and alone produces the violating face
 subsets: it reduces the CAS to a feasible-flow problem on a small network
 and reads the half-angles off its branch flows.
 
-The flow network has two forms (:class:`FlowNetwork`).  A Euclidean
-system at a floor eps > 0 is a flow on the dual graph
+The flow network has two forms (:class:`FlowNetwork`), and the geometry
+alone picks one.  A Euclidean system is a flow on the dual graph
 (:class:`_DualNetwork`): the pair sum of an edge is exact, so its two
 half-angles are one unknown, the flow across it from one face to the
 other, and the faces' demands make the supply-demand problem of Gale's
-theorem (D. Gale, Pacific J. Math. 7, 1957).  Hyperbolic data, whose pair
-sums are only bounded, and every eps = 0 flow keep the box form
-(:class:`_BoxNetwork`), with a node per edge: at eps = 0 that network is
-Picard's maximum-closure network, whose min cuts
-:func:`_certificate_from_residual` reads as face sets, and the dual form
-would need that reading proved anew.
+theorem (D. Gale, Pacific J. Math. 7, 1957).  Hyperbolic pair sums are
+only bounded, so hyperbolic data keep the box form (:class:`_BoxNetwork`),
+with a node per edge.  At eps = 0 the box form is Picard's maximum-closure
+network, and the dual form its counterpart with source and sink swapped:
+:func:`_certificate_from_residual` reads the min cuts of either as face
+sets.
 
 The flow's verdict comes from one cut.  A flow at the first floor eps on
 the half-angles settles feasible data; any exact CAS proves
@@ -78,9 +78,10 @@ class FlowNetwork:
 
     Branch i runs from ``tail[i]`` to ``head[i]`` and carries a flow in
     ``[lower[i], upper[i]]``.  :func:`build_flow_network` builds one of
-    two forms, :class:`_BoxNetwork` and :class:`_DualNetwork`, each with
-    its own :meth:`half_angles`; a plain FlowNetwork stands for no
-    coherent angle system and has none.
+    two forms, :class:`_DualNetwork` for Euclidean data and
+    :class:`_BoxNetwork` for hyperbolic data, each with its own
+    :meth:`half_angles`; a plain FlowNetwork stands for no coherent angle
+    system and has none.
     """
     n_nodes: int
     tail: np.ndarray
@@ -97,9 +98,10 @@ class FlowNetwork:
 class _BoxNetwork(FlowNetwork):
     """The faces, the unoriented edges and a collector node ('box').
 
-    Branches 0..F-1 run from the box to the faces, branch F + h is the
-    face-to-edge branch of oriented edge h, whose flow is its half-angle,
-    and the last 2E are the edge-to-box and box-to-edge branches.
+    The hyperbolic form (:func:`_box_network`).  Branches 0..F-1 run from
+    the box to the faces, branch F + h is the face-to-edge branch of
+    oriented edge h, whose flow is its half-angle, and the last 2E are the
+    edge-to-box and box-to-edge branches.
     """
     face_to_edge: slice  # the branches F .. F + n_oriented_edges - 1
 
@@ -111,10 +113,10 @@ class _BoxNetwork(FlowNetwork):
 class _DualNetwork(FlowNetwork):
     """The faces and the box, node F.
 
-    Branch e < E runs from the face right of edge e to the face left of
-    it, and branch E + j is the fixed branch of face j, to or from the box.
-    Oriented edge h reads ``phi_offset[h] + phi_sign[h] *
-    flows[phi_branch[h]]`` (:func:`_dual_network`).
+    The Euclidean form (:func:`_dual_network`).  Branch e < E runs from
+    the face right of edge e to the face left of it, and branch E + j is
+    the fixed branch of face j, to or from the box.  Oriented edge h reads
+    ``phi_offset[h] + phi_sign[h] * flows[phi_branch[h]]``.
     """
     phi_branch: np.ndarray
     phi_offset: np.ndarray
@@ -143,17 +145,23 @@ def build_flow_network(spec: PatternSpec, eps: float) -> FlowNetwork:
     A coherent angle system with floor eps has every half-angle at least
     eps, the half-angles of each face summing to its demand
     (:func:`_half_demands`), and each edge's pair summing to theta*
-    (Euclidean) or to at most theta* - eps (hyperbolic).  Euclidean data
-    at eps > 0 get the dual form of :class:`FlowNetwork`, on every
-    surface; hyperbolic data and eps = 0 get the box form, whose eps = 0
-    network :func:`_certificate_from_residual` reads.
+    (Euclidean) or to at most theta* - eps (hyperbolic).  The geometry
+    alone picks the form of :class:`FlowNetwork`, at every eps: Euclidean
+    data get the dual form, hyperbolic data the box form.
     """
-    if spec.is_hyperbolic or eps <= 0.0:
+    if spec.is_hyperbolic:
         return _box_network(spec, eps)
     return _dual_network(spec, eps)
 
 
 def _box_network(spec: PatternSpec, eps: float) -> _BoxNetwork:
+    """The hyperbolic network on the faces, the edges and the box.
+
+    The box sends face f exactly Phi_f/2, the face sends at least eps to
+    the edge of each half-edge of its boundary walk, and edge e sends at
+    most theta*_e - eps back to the box, net of what the box-to-edge
+    branch returns: the bound on its pair sum.
+    """
     srf = spec.surface
     F, E = srf.n_faces, srf.n_edges
     box = F + E
@@ -161,8 +169,7 @@ def _box_network(spec: PatternSpec, eps: float) -> _BoxNetwork:
     edges = F + np.arange(E)
     boxes_f = np.full(F, box)
     boxes_e = np.full(E, box)
-    half_phi = _half_demands(spec)
-    theta_upper = spec.theta_star - (eps if spec.is_hyperbolic else 0.0)
+    half_phi = 0.5 * spec.phi
     return _BoxNetwork(
         n_nodes=F + E + 1,
         tail=np.concatenate([boxes_f, srf.oe_left, edges, boxes_e]),
@@ -171,9 +178,8 @@ def _box_network(spec: PatternSpec, eps: float) -> _BoxNetwork:
                               np.zeros(2 * E)]),
         # the box-to-edge branches stand for a lower bound of -inf on the
         # edge-to-box branches
-        upper=np.concatenate([half_phi if spec.is_hyperbolic else np.full(F, np.inf),
-                              np.full(srf.n_oriented_edges, np.inf),
-                              theta_upper, np.full(E, np.inf)]),
+        upper=np.concatenate([half_phi, np.full(srf.n_oriented_edges, np.inf),
+                              spec.theta_star - eps, np.full(E, np.inf)]),
         face_to_edge=slice(F, F + srf.n_oriented_edges),
     )
 
@@ -555,16 +561,16 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
     is the root eps' = eps d0 / (d0 - d_eps), d0 the deficit of the cut's
     node set in the floor flow's form of the network at eps = 0
     (Dinkelbach).  In the box form, read on the eps = 0 network, k_S
-    counts the face-to-edge branches into S and the hyperbolic edge-to-box
-    branches out of it, and d_S(0) is at most -margin/2 of the faces in
-    S, or -Phi/2 of those outside if S holds the box, so 0 only for no
-    node, all nodes and, Euclidean, all but the box, where k_S = 0.  In the
-    dual form the fixed branch of face j adds +-(#reps(j) - #twins(j)) and
-    each dual branch out of S adds 2, so |k_S| <= K = n_oriented_edges + 2
-    n_edges, which bounds the box form's slope too; d_S(0) is -margin/2 of
-    the faces outside S (:func:`_dual_zero_deficit`), so 0 only when S
-    holds no face or every face, where k_S = 0.  So under the strict
-    inequalities a failing cut has d0 < 0 < d_eps and 0 < eps' < eps.  If
+    counts the face-to-edge branches into S and the edge-to-box branches
+    out of it, and d_S(0) is at most -margin/2 of the faces in S, or
+    -Phi/2 of those outside if S holds the box, so 0 only for no node and
+    all nodes, where k_S = 0.  In the dual form the fixed branch of face j
+    adds +-(#reps(j) - #twins(j)) and each dual branch out of S adds 2, so
+    |k_S| <= K = n_oriented_edges + 2 n_edges, which bounds the box form's
+    slope too; d_S(0) is -margin/2 of the faces outside S
+    (:func:`_dual_zero_deficit`), so 0 only when S holds no face or every
+    face, where k_S = 0.  So under the strict inequalities a failing cut
+    has d0 < 0 < d_eps and 0 < eps' < eps.  If
     the flow at eps' fails with min cut S', d_S'(eps') > 0 = d_S(eps') and
     d_S(eps) >= d_S'(eps), so (k_S - k_S')(eps - eps') > 0: the slope
     falls from at most K each step, a failing cut has k >= 1, and at most
@@ -584,11 +590,10 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
               float(spec.theta_star.min()) / 4.0)
     results = []
 
-    def flow(net, eps, need_cut=True):
-        # the eps = 0 flow runs to its min cut, which the verdict reads
-        accept = ((lambda flows: repair_angles(spec, net.half_angles(flows)))
-                  if eps > 0.0 else None)
-        result = solve_feasible_flow(net, accept=accept, need_cut=need_cut)
+    def flow(net, need_cut=True):
+        result = solve_feasible_flow(
+            net, accept=lambda flows: repair_angles(spec, net.half_angles(flows)),
+            need_cut=need_cut)
         results.append(result)
         cas = result.accepted
         if result.flows is not None:
@@ -603,27 +608,28 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
     if eps > STRICT_TOL:
         # stops once a round proves it short: its cut is read only if the
         # eps = 0 cut finds no set
-        cas, cut = flow(net, eps, need_cut=False)
+        cas, cut = flow(net, need_cut=False)
     if cas is None:
+        # the eps = 0 flow runs to its min cut, which the verdict reads
         zero = build_flow_network(spec, 0.0)
-        flow(zero, 0.0)
+        results.append(solve_feasible_flow(zero))
         cert = _certificate_from_residual(spec, zero, results[-1])
         if cert is None and cut is None:
-            cas, cut = flow(net, eps)
+            cas, cut = flow(net)
             if eps > STRICT_TOL:
                 # the stopped flow run again to its cut: the same solve
                 results[0] = results.pop()
     for _ in range(srf.n_oriented_edges + 2 * srf.n_edges):
         if cas is not None or cert is not None or cut is None:
             break
-        d_zero = (_dual_zero_deficit(spec, cut) if isinstance(net, _DualNetwork)
-                  else _deficit(zero, cut))
+        d_zero = (_deficit(zero, cut) if spec.is_hyperbolic
+                  else _dual_zero_deficit(spec, cut))
         d_eps = _deficit(net, cut)
         if not d_zero < 0.0 < d_eps:
             break
         eps *= d_zero / (d_zero - d_eps)
         net = build_flow_network(spec, eps)
-        cas, cut = flow(net, eps)
+        cas, cut = flow(net)
     if cas is not None:
         cert = FeasibilityCertificate(feasible=True, cas=cas)
     elif cert is None:
@@ -645,7 +651,9 @@ def _dual_zero_deficit(spec: PatternSpec, nodes) -> float:
 
     It is the demand of the faces outside the set less theta* of the
     edges incident with them, -1/2 their margin, whether the set holds
-    the box or not (:func:`_dual_network`).
+    the box or not (:func:`_dual_network`).  Summed from the spec, not from
+    the network's rounded b_j by :func:`_deficit`, it keeps the floor's
+    roots, and so the systems found below them, to the bit.
     """
     srf = spec.surface
     outside = np.ones(srf.n_faces, dtype=bool)
@@ -663,8 +671,8 @@ def _certificate_from_residual(spec: PatternSpec, net: FlowNetwork,
                               zero: FlowResult) -> FeasibilityCertificate | None:
     """Violating face set from the residual of the eps = 0 max flow, or None.
 
-    At eps = 0 the network is Picard's maximum-closure network scaled by
-    1/2: face f has profit Phi_f/2, edge e costs theta*_e, and the
+    In the box form the eps = 0 network is Picard's maximum-closure
+    network scaled by 1/2: face f has profit Phi_f/2, edge e costs theta*_e, and the
     unbounded face-to-edge branches make a face require its edges.  A face
     set F' with its edges, without the box, is a cut of capacity D - w(F'),
     where D = sum(Phi)/2 is the demand and w(F') = sum(Phi over F')/2 -
@@ -679,11 +687,25 @@ def _certificate_from_residual(spec: PatternSpec, net: FlowNetwork,
     faces.  The components are taken in the order of their least face, and
     the first set whose face set is nonempty, proper in the Euclidean
     case, and violates by exact sums is the certificate.
+
+    The dual form is read the same way with the sides swapped.  A cut
+    whose source side holds the node set S has capacity D - d_S, d_S its
+    Hoffman deficit (:func:`_deficit`), and at eps = 0 d_S is -1/2 the
+    margin of the faces outside S (:func:`_dual_network`).  So the min
+    cuts are the sets whose sink-side faces have the least margin, and
+    when some proper face set violates, it is the face set of the sink
+    side of a min cut.  Those sink sides are the node sets that hold the
+    sink, not the source, and are closed under reversed residual arcs: the
+    min cuts of the reversed residual graph from the sink to the source,
+    which the reading above lists, ties included.
     """
     F = spec.surface.n_faces
     n = net.n_nodes + 2
     s, t = n - 2, n - 1
     tails, heads, residual = zero.residual
+    if isinstance(net, _DualNetwork):
+        # the violating faces lie on the sink side
+        tails, heads, s, t = heads, tails, t, s
     tol = _CUT_TOL * max(1.0, zero.pushed + zero.shortfall)
     graph = _open_arcs(tails, heads, residual, tol, n)
     blocked = np.zeros(n, dtype=bool)

@@ -16,7 +16,10 @@ COO to CSR conversion, and of the grounded solves: the Newton system
 ordered anew on every call, and the Euclidean repair through the
 face-edge incidence B and B B^T.  The feasible-flow oracle
 runs the excess-node transformation on a pure-Python Dinic over float
-capacities, augmenting each path by its full bottleneck.  The existence oracle
+capacities, augmenting each path by its full bottleneck.  The Euclidean
+box network is the reference for the dual form the package builds for
+Euclidean data: faces, edges and the box, each half-angle a branch of
+its own.  The existence oracle
 enumerates every face subset.  Two more characterisations of existence
 from the paper decide flat exterior angles theta on closed surfaces:
 Rivin's cocycle condition on the sphere enumerates the simple cycles of
@@ -58,7 +61,8 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 
 from circlepatterns import specfun
-from circlepatterns.feasibility import EQ_TOL, STRICT_TOL, FeasibilityCertificate, _half_demands
+from circlepatterns.feasibility import (EQ_TOL, STRICT_TOL, FeasibilityCertificate, _BoxNetwork,
+                                       _half_demands)
 from circlepatterns.functional import (CoherentAngleSystem, PatternSpec, phi_of_rho,
                                        radii_from_rho, validate_cas)
 from circlepatterns.layout import _canonical_basis
@@ -469,6 +473,35 @@ def feasible_flow_dinic(net, shortfall_tol=None):
     flows = np.array([branches[i][2] + dinic.cap[arcs[i] ^ 1]
                       for i in range(len(branches))])
     return flows, None, pushed, demand
+
+
+def euclidean_box_network(spec, eps):
+    """The Euclidean systems with floor eps as flows on the box form.
+
+    Reference for the dual form ``feasibility.build_flow_network`` builds
+    for Euclidean data.  The box sends face f at least its demand (the
+    unbounded upper bound lets the face take more), the face sends at
+    least eps to the edge of each half-edge of its boundary walk, and edge
+    e sends at most theta*_e to the box, net of what the box-to-edge
+    branch returns.  The demands sum to sum(theta*), so a feasible flow
+    meets each demand and each pair sum exactly.  At eps = 0 this is
+    Picard's maximum-closure network, whose violating face sets lie on
+    the source side of its min cuts.
+    """
+    srf = spec.surface
+    F, E = srf.n_faces, srf.n_edges
+    box = F + E
+    edges = F + np.arange(E)
+    return _BoxNetwork(
+        n_nodes=F + E + 1,
+        tail=np.concatenate([np.full(F, box), srf.oe_left, edges, np.full(E, box)]),
+        head=np.concatenate([np.arange(F), F + srf.oe_edge, np.full(E, box), edges]),
+        lower=np.concatenate([_half_demands(spec), np.full(srf.n_oriented_edges, eps),
+                              np.zeros(2 * E)]),
+        upper=np.concatenate([np.full(F + srf.n_oriented_edges, np.inf),
+                              spec.theta_star, np.full(E, np.inf)]),
+        face_to_edge=slice(F, F + srf.n_oriented_edges),
+    )
 
 
 # -- existence by enumeration ----------------------------------------------------

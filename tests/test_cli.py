@@ -318,17 +318,32 @@ def test_unwritable_output_paths_are_input_errors(capsys, tmp_path, torus_proble
     assert _run(capsys, "solve", torus_problem, "-o", report)[0] == cli.EXIT_OK
     cube = tmp_path / "cube.json"
     cube.write_text(json.dumps(_cube_sphere_doc(2 * np.pi / 3)))
-    # a directory, and a file in a directory that does not exist
-    for bad in (str(tmp_path), str(tmp_path / "absent" / "out")):
-        _assert_cannot_write(capsys, ["solve", torus_problem, "-o", bad], bad)
+    ok = tmp_path / "ok.svg"
+    # a directory, a file in a directory that does not exist, and a file in
+    # a file; every output path is checked before the work runs, so a
+    # failed command prints nothing and writes no other file
+    bad_paths = (str(tmp_path), str(tmp_path / "absent" / "out"), os.path.join(report, "out"))
+    for bad in bad_paths:
+        for argv in (["solve", torus_problem, "-o", bad],
+                     ["solve", torus_problem, "--report", "-o", bad]):
+            _assert_cannot_write(capsys, argv, bad)
         for flag in ("--svg", "--json"):
             _assert_cannot_write(capsys, ["layout", torus_problem, report, flag, bad], bad)
+        _assert_cannot_write(capsys, ["layout", torus_problem, report, "--svg", str(ok),
+                                      "--json", bad], bad)
+        assert not ok.exists()
         for flag in ("--planar-svg", "--planar-json"):
-            assert cli.main(["sphere", str(cube), flag, bad]) == cli.EXIT_INPUT
-            out, err = capsys.readouterr()
-            # the spherical report is printed before the planar file is written
-            assert out == _golden("cube_sphere.json")
-            assert err.startswith(f"error: cannot write {bad}: ") and err.count("\n") == 1
+            _assert_cannot_write(capsys, ["sphere", str(cube), flag, bad], bad)
+            _assert_cannot_write(capsys, ["sphere", str(cube), "--planar-svg", str(ok),
+                                          flag, bad], bad)
+            assert not ok.exists()
+    # the error is the one that writing the path raises
+    for bad, error in zip(bad_paths, (IsADirectoryError, FileNotFoundError,
+                                      NotADirectoryError)):
+        with pytest.raises(error) as raised:
+            open(bad, "w")
+        assert cli.main(["solve", torus_problem, "-o", bad]) == cli.EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: cannot write {bad}: {raised.value}\n")
 
 
 @pytest.mark.parametrize("name", ["verbose", "10", "", "warning:"])

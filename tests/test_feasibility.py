@@ -14,7 +14,8 @@ from circlepatterns.surface import (euler_characteristic, medial, surface_from_w
                                    vertex_angle_sums)
 from helpers import dual, random_feasible_spec, random_flat_theta, random_spec, surface_pool
 from oracles import (check_conditions_bruteforce, check_higher_genus_condition,
-                     check_rivin_condition, region_decomposition, repair_angles_reference)
+                     check_rivin_condition, euclidean_box_network, region_decomposition,
+                     repair_angles_reference)
 
 
 def torus_spec(geometry=EUCLIDEAN, phi=2 * np.pi):
@@ -117,23 +118,24 @@ def test_network_structure():
     result = solve_feasible_flow(net)
     assert result.flows is not None and result.cut is None
     assert validate_cas(spec, CoherentAngleSystem(net.half_angles(result.flows))).is_valid(1e-8)
-    # the floor step reads the dual network's deficit at eps = 0 in closed
+    # the eps = 0 network, whose residual the cut reads, is the dual form
+    # for Euclidean data too; the floor step reads its deficit in closed
     # form: -1/2 the margin of the faces outside the node set
-    from circlepatterns.feasibility import _deficit, _dual_network, _dual_zero_deficit
-    zero_dual = _dual_network(spec, 0.0)
+    from circlepatterns.feasibility import _deficit, _dual_zero_deficit
+    zero = build_flow_network(spec, 0.0)
+    assert (zero.n_nodes, len(zero.tail)) == (F + 1, E + F)
+    assert np.array_equal(zero.upper[:E], spec.theta_star)
     for _ in range(20):
         nodes = set(np.flatnonzero(rng.random(F + 1) < rng.random()).tolist())
         assert _dual_zero_deficit(spec, nodes) == pytest.approx(
-            _deficit(zero_dual, nodes), abs=1e-12)
-    # the eps = 0 network, whose residual the cut reads, keeps the box form
-    zero = build_flow_network(spec, 0.0)
-    assert zero.n_nodes == F + E + 1
+            _deficit(zero, nodes), abs=1e-12)
+    # hyperbolic data keep the box form at eps = 0
+    zero = build_flow_network(torus_spec(HYPERBOLIC, phi=2 * np.pi - 0.1), 0.0)
+    assert (zero.n_nodes, len(zero.tail)) == (F + E + 1, F + 4 * E)
     box_to_face = (zero.tail == zero.n_nodes - 1) & (zero.head < F)
-    assert np.all(zero.lower[box_to_face] == D[zero.head[box_to_face]])
-    assert np.all(np.isinf(zero.upper[box_to_face]))
-    assert np.array_equal(zero.tail[F:F + 2 * E], srf.oe_left)
-    assert np.array_equal(zero.head[F:F + 2 * E], F + srf.oe_edge)
+    assert np.all(zero.upper[box_to_face] == zero.lower[box_to_face])
     assert np.all(zero.lower[F:F + 2 * E] == 0.0)
+    assert np.all(zero.upper[F + 2 * E:F + 3 * E] == np.pi / 2)
 
 
 def _floor_flow_specs():
@@ -147,23 +149,33 @@ def _floor_flow_specs():
 
 
 def test_dual_and_box_floor_flows_agree():
-    # the dual network and the box network describe the same systems: run
-    # to completion at the first floor, they agree on feasibility, and a
-    # feasible dual flow reads half-angles that validate at 1e-8
-    from circlepatterns.feasibility import _box_network
-    feasible = infeasible = 0
+    # the dual network and the Euclidean box network describe the same
+    # systems: run to completion at the first floor, they agree on
+    # feasibility, and a feasible dual flow reads half-angles that validate
+    # at 1e-8.  Where the floor flow fails, the eps = 0 cut of the dual
+    # form, read on its sink side, finds the face set that the box form's
+    # cut finds on its source side
+    from circlepatterns.feasibility import _certificate_from_residual
+    feasible = infeasible = subsets = 0
     for spec in _floor_flow_specs():
         eps = _first_floor(spec)
         dual = build_flow_network(spec, eps)
         flows = solve_feasible_flow(dual).flows
-        box = solve_feasible_flow(_box_network(spec, eps)).flows
+        box = solve_feasible_flow(euclidean_box_network(spec, eps)).flows
         assert (flows is None) == (box is None), spec.surface
         if flows is not None:
             cas = CoherentAngleSystem(dual.half_angles(flows))
             assert validate_cas(spec, cas).is_valid(1e-8), spec.surface
-        feasible += flows is not None
-        infeasible += flows is None
-    assert feasible >= 50 and infeasible >= 50, (feasible, infeasible)
+            feasible += 1
+            continue
+        infeasible += 1
+        faces = []
+        for zero in (build_flow_network(spec, 0.0), euclidean_box_network(spec, 0.0)):
+            cert = _certificate_from_residual(spec, zero, solve_feasible_flow(zero))
+            faces.append(None if cert is None else cert.violating_faces)
+        assert faces[0] == faces[1], spec.surface
+        subsets += faces[0] is not None
+    assert feasible >= 50 and infeasible >= 50 and subsets >= 50, (feasible, infeasible, subsets)
 
 
 def one_vertex_surface(genus):
@@ -593,11 +605,12 @@ def test_full_size_certificates_from_one_cut(monkeypatch):
     monkeypatch.setattr(feasibility, "solve_feasible_flow", spy)
     single_face, equality = _full_size_infeasible_specs()
     certs = []
-    # run to their cuts, the first floor flow and the eps = 0 flow take 7
+    # run to their cuts, the first floor flow and the eps = 0 flow take 6
     # integer rounds in all on the one-face data and 8 on the equality data;
     # round 1 of the first flow leaves 0.78 and 226 unmet, against less
-    # than 5e-5 and 0.08 that can still be sent, and the flow stops there
-    for spec, rounds_to_cut in ((single_face, 7), (equality, 8)):
+    # than 5e-5 and 0.08 that can still be sent, and the flow stops there,
+    # so the two flows take 3 rounds (the eps = 0 dual flow 2) and 4
+    for spec, rounds_to_cut in ((single_face, 6), (equality, 8)):
         flows.clear()
         certs.append(find_coherent_angle_system(spec))
         cert = certs[-1]
@@ -605,6 +618,12 @@ def test_full_size_certificates_from_one_cut(monkeypatch):
         assert flows[0].stopped and flows[0].rounds == 1
         assert cert.shortfall == flows[0].shortfall
         assert cert.flow_rounds < rounds_to_cut
+        if spec is single_face:
+            # the triangle fails by equality, a min cut that ties with the
+            # empty set, so the eps = 0 dual flow meets its demand (2.3e-13
+            # unmet) and the cut is read off its residual graph all the same
+            assert flows[1].flows is not None and flows[1].shortfall < 1e-12
+            assert cert.flow_rounds == 3
         faces, edges = list(cert.violating_faces), list(cert.violating_edges)
         assert cert.phi_sum == float(spec.phi[faces].sum())
         assert cert.theta_sum == float(2.0 * spec.theta_star[edges].sum())
