@@ -21,17 +21,19 @@ flow, which decides every input and alone produces the violating face
 subsets: it reduces the CAS to a feasible-flow problem on a small network
 and reads the half-angles off its branch flows.
 
-The flow network has two forms (:class:`FlowNetwork`), and the geometry
-alone picks one.  A Euclidean system is a flow on the dual graph
-(:class:`_DualNetwork`): the pair sum of an edge is exact, so its two
-half-angles are one unknown, the flow across it from one face to the
-other, and the faces' demands make the supply-demand problem of Gale's
-theorem (D. Gale, Pacific J. Math. 7, 1957).  Hyperbolic pair sums are
-only bounded, so hyperbolic data keep the box form (:class:`_BoxNetwork`),
-with a node per edge.  At eps = 0 the box form is Picard's maximum-closure
-network, and the dual form its counterpart with source and sink swapped:
-:func:`_certificate_from_residual` reads the min cuts of either as face
-sets.
+The flow network (:class:`FlowNetwork`) has two forms, and the geometry
+alone picks one in :func:`build_flow_network`.  A Euclidean system is a
+flow on the dual graph (:func:`_dual_network`): the pair sum of an edge is
+exact, so its two half-angles are one unknown, the flow across it from one
+face to the other, and the faces' demands make the supply-demand problem
+of Gale's theorem (D. Gale, Pacific J. Math. 7, 1957).  Hyperbolic pair
+sums are only bounded, so hyperbolic data keep the box form
+(:func:`_box_network`), with a node per edge.  At eps = 0 the box form is
+Picard's maximum-closure network, and the dual form is oriented so that,
+as there, the violating faces lie on the source side of the min cuts: one
+reading (:func:`_certificate_from_residual`) and one deficit
+(:func:`_deficit`) serve both, and each network carries its own readout
+of the half-angles.
 
 The flow's verdict comes from one cut.  A flow at the first floor eps on
 the half-angles settles feasible data; any exact CAS proves
@@ -77,52 +79,23 @@ class FlowNetwork:
     """A network of branches between nodes.
 
     Branch i runs from ``tail[i]`` to ``head[i]`` and carries a flow in
-    ``[lower[i], upper[i]]``.  :func:`build_flow_network` builds one of
-    two forms, :class:`_DualNetwork` for Euclidean data and
-    :class:`_BoxNetwork` for hyperbolic data, each with its own
-    :meth:`half_angles`; a plain FlowNetwork stands for no coherent angle
-    system and has none.
+    ``[lower[i], upper[i]]``.  A network that stands for coherent angle
+    systems (:func:`build_flow_network`) reads the half-angle of oriented
+    edge h off a flow as ``phi_offset + phi_sign * flows[phi_branch[h]]``,
+    offset and sign per oriented edge or one for all; one with no
+    ``phi_branch`` stands for none.
     """
     n_nodes: int
     tail: np.ndarray
     head: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    phi_branch: np.ndarray | None = None
+    phi_offset: np.ndarray | float = 0.0
+    phi_sign: np.ndarray | float = 1.0
 
     def half_angles(self, flows: np.ndarray) -> np.ndarray:
         """The half-angle per oriented edge of a flow per branch."""
-        raise TypeError("this network stands for no coherent angle system")
-
-
-@dataclass
-class _BoxNetwork(FlowNetwork):
-    """The faces, the unoriented edges and a collector node ('box').
-
-    The hyperbolic form (:func:`_box_network`).  Branches 0..F-1 run from
-    the box to the faces, branch F + h is the face-to-edge branch of
-    oriented edge h, whose flow is its half-angle, and the last 2E are the
-    edge-to-box and box-to-edge branches.
-    """
-    face_to_edge: slice  # the branches F .. F + n_oriented_edges - 1
-
-    def half_angles(self, flows):
-        return flows[self.face_to_edge]
-
-
-@dataclass
-class _DualNetwork(FlowNetwork):
-    """The faces and the box, node F.
-
-    The Euclidean form (:func:`_dual_network`).  Branch e < E runs from
-    the face right of edge e to the face left of it, and branch E + j is
-    the fixed branch of face j, to or from the box.  Oriented edge h reads
-    ``phi_offset[h] + phi_sign[h] * flows[phi_branch[h]]``.
-    """
-    phi_branch: np.ndarray
-    phi_offset: np.ndarray
-    phi_sign: np.ndarray
-
-    def half_angles(self, flows):
         return self.phi_offset + self.phi_sign * flows[self.phi_branch]
 
 
@@ -154,50 +127,48 @@ def build_flow_network(spec: PatternSpec, eps: float) -> FlowNetwork:
     return _dual_network(spec, eps)
 
 
-def _box_network(spec: PatternSpec, eps: float) -> _BoxNetwork:
+def _box_network(spec: PatternSpec, eps: float) -> FlowNetwork:
     """The hyperbolic network on the faces, the edges and the box.
 
-    The box sends face f exactly Phi_f/2, the face sends at least eps to
-    the edge of each half-edge of its boundary walk, and edge e sends at
-    most theta*_e - eps back to the box, net of what the box-to-edge
-    branch returns: the bound on its pair sum.
+    The box sends face f exactly Phi_f/2, face f sends at least eps to the
+    edge of each half-edge of its boundary walk, the flow on branch F + h
+    being the half-angle of oriented edge h, and edge e sends its pair sum
+    to the box, at most theta*_e - eps.  Every half-angle is at least eps
+    >= 0, so a pair sum is never negative and that upper bound is the
+    whole pair constraint: the network has no box-to-edge branches.  Nor
+    would they change a cut: the box is the only node with a branch to the
+    super sink, unsaturated while demand is unmet, so a failing flow's cut
+    never holds it.
     """
     srf = spec.surface
     F, E = srf.n_faces, srf.n_edges
     box = F + E
-    faces = np.arange(F)
-    edges = F + np.arange(E)
-    boxes_f = np.full(F, box)
-    boxes_e = np.full(E, box)
     half_phi = 0.5 * spec.phi
-    return _BoxNetwork(
+    return FlowNetwork(
         n_nodes=F + E + 1,
-        tail=np.concatenate([boxes_f, srf.oe_left, edges, boxes_e]),
-        head=np.concatenate([faces, F + srf.oe_edge, boxes_e, edges]),
-        lower=np.concatenate([half_phi, np.full(srf.n_oriented_edges, eps),
-                              np.zeros(2 * E)]),
-        # the box-to-edge branches stand for a lower bound of -inf on the
-        # edge-to-box branches
+        tail=np.concatenate([np.full(F, box), srf.oe_left, F + np.arange(E)]),
+        head=np.concatenate([np.arange(F), F + srf.oe_edge, np.full(E, box)]),
+        lower=np.concatenate([half_phi, np.full(srf.n_oriented_edges, eps), np.zeros(E)]),
         upper=np.concatenate([half_phi, np.full(srf.n_oriented_edges, np.inf),
-                              spec.theta_star - eps, np.full(E, np.inf)]),
-        face_to_edge=slice(F, F + srf.n_oriented_edges),
+                              spec.theta_star - eps]),
+        phi_branch=F + np.arange(srf.n_oriented_edges),
     )
 
 
-def _dual_network(spec: PatternSpec, eps: float) -> _DualNetwork:
+def _dual_network(spec: PatternSpec, eps: float) -> FlowNetwork:
     """The Euclidean network on the dual graph (Gale's supply-demand form).
 
     The pair sum of edge e is exact, so its two half-angles are one
-    unknown: the flow x_e on dual branch e, from k = ``edge_right[e]`` to
-    j = ``edge_left[e]`` with bounds [0, theta*_e - 2 eps], gives the
+    unknown: the flow x_e on dual branch e, from j = ``edge_left[e]`` to
+    k = ``edge_right[e]`` with bounds [0, theta*_e - 2 eps], gives the
     representative eps + x_e and its twin theta*_e - eps - x_e.  Face j's
-    sum is then its demand D_j iff the dual branches bring it net b_j = D_j
-    - eps #reps(j) - sum(theta*_e - eps over the edges with right face j),
-    which its fixed branch, with both bounds |b_j|, passes to the box if
-    b_j >= 0 and takes from it otherwise.  The b_j sum to sum(D) -
-    sum(theta*) = 0, so at eps = 0 the Hoffman deficit of a node set is
-    -1/2 the margin sum(2 theta* over incident edges) - sum(Phi) of the
-    faces outside it, whether it holds the box or not.
+    sum is then its demand D_j iff the dual branches take net b_j = D_j -
+    eps #reps(j) - sum(theta*_e - eps over the edges with right face j)
+    out of it, which its fixed branch, with both bounds |b_j|, brings from
+    the box if b_j >= 0 and returns to it otherwise.  The b_j sum to
+    sum(D) - sum(theta*) = 0, so at eps = 0 the Hoffman deficit of a node
+    set is -1/2 the margin sum(2 theta* over incident edges) - sum(Phi) of
+    the faces in it, whether it holds the box or not, as in the box form.
     """
     srf = spec.surface
     F, E = srf.n_faces, srf.n_edges
@@ -205,12 +176,12 @@ def _dual_network(spec: PatternSpec, eps: float) -> _DualNetwork:
     b = (_half_demands(spec) - eps * np.bincount(left, minlength=F)
          - np.bincount(right, spec.theta_star - eps, minlength=F))
     faces = np.arange(F)
-    sends = b >= 0.0
+    takes = b >= 0.0
     is_rep = srf.edge_reps[srf.oe_edge] == np.arange(srf.n_oriented_edges)
-    return _DualNetwork(
+    return FlowNetwork(
         n_nodes=F + 1,
-        tail=np.concatenate([right, np.where(sends, faces, F)]),
-        head=np.concatenate([left, np.where(sends, F, faces)]),
+        tail=np.concatenate([left, np.where(takes, F, faces)]),
+        head=np.concatenate([right, np.where(takes, faces, F)]),
         lower=np.concatenate([np.zeros(E), np.abs(b)]),
         upper=np.concatenate([spec.theta_star - 2.0 * eps, np.abs(b)]),
         phi_branch=srf.oe_edge,
@@ -559,18 +530,22 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
     :func:`_deficit`), and a failing flow's min cut S has the largest.
     d_S(eps) = d_S(0) + k_S eps with an integer slope k_S; the next floor
     is the root eps' = eps d0 / (d0 - d_eps), d0 the deficit of the cut's
-    node set in the floor flow's form of the network at eps = 0
-    (Dinkelbach).  In the box form, read on the eps = 0 network, k_S
-    counts the face-to-edge branches into S and the edge-to-box branches
-    out of it, and d_S(0) is at most -margin/2 of the faces in S, or
-    -Phi/2 of those outside if S holds the box, so 0 only for no node and
-    all nodes, where k_S = 0.  In the dual form the fixed branch of face j
-    adds +-(#reps(j) - #twins(j)) and each dual branch out of S adds 2, so
-    |k_S| <= K = n_oriented_edges + 2 n_edges, which bounds the box form's
-    slope too; d_S(0) is -margin/2 of the faces outside S
-    (:func:`_dual_zero_deficit`), so 0 only when S holds no face or every
-    face, where k_S = 0.  So under the strict inequalities a failing cut
-    has d0 < 0 < d_eps and 0 < eps' < eps.  If
+    node set in the eps = 0 network (Dinkelbach).  In the box form, read on
+    the eps = 0 network, k_S counts the face-to-edge branches into S and
+    the edge-to-box branches out of it, and d_S(0) is at most -margin/2 of
+    the faces in S, or -Phi/2 of those outside if S holds the box, so 0
+    only for no node and all nodes, where k_S = 0.  In the dual form each
+    dual branch out of S, upper bound theta* - 2 eps, adds 2; a dual
+    branch into S has lower bound 0 and adds nothing.  The fixed branch of
+    face j adds b_j(eps) if S holds j and not the box, and -b_j(eps) if S
+    holds the box and not j, whichever way it points, so d_S stays affine
+    in eps even where b_j changes sign; its slope is +-(#twins(j) -
+    #reps(j)).  So |k_S| <= 2 n_edges + sum_j (#reps(j) + #twins(j)) = K =
+    n_oriented_edges + 2 n_edges, which bounds the box form's slope too;
+    d_S(0) is -margin/2 of the faces in S (:func:`_dual_network`), so 0
+    only when S holds no face or every face, where the fixed branches add
+    -+sum(b_j) = 0 and k_S = 0.  So under the strict inequalities a
+    failing cut has d0 < 0 < d_eps and 0 < eps' < eps.  If
     the flow at eps' fails with min cut S', d_S'(eps') > 0 = d_S(eps') and
     d_S(eps) >= d_S'(eps), so (k_S - k_S')(eps - eps') > 0: the slope
     falls from at most K each step, a failing cut has k >= 1, and at most
@@ -622,9 +597,7 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
     for _ in range(srf.n_oriented_edges + 2 * srf.n_edges):
         if cas is not None or cert is not None or cut is None:
             break
-        d_zero = (_deficit(zero, cut) if spec.is_hyperbolic
-                  else _dual_zero_deficit(spec, cut))
-        d_eps = _deficit(net, cut)
+        d_zero, d_eps = _deficit(zero, cut), _deficit(net, cut)
         if not d_zero < 0.0 < d_eps:
             break
         eps *= d_zero / (d_zero - d_eps)
@@ -644,22 +617,6 @@ def _deficit(net: FlowNetwork, nodes) -> float:
     inside = np.isin(np.arange(net.n_nodes), list(nodes))
     return float(net.lower[inside[net.head] & ~inside[net.tail]].sum()
                  - net.upper[inside[net.tail] & ~inside[net.head]].sum())
-
-
-def _dual_zero_deficit(spec: PatternSpec, nodes) -> float:
-    """The deficit of a node set of the dual network at eps = 0.
-
-    It is the demand of the faces outside the set less theta* of the
-    edges incident with them, -1/2 their margin, whether the set holds
-    the box or not (:func:`_dual_network`).  Summed from the spec, not from
-    the network's rounded b_j by :func:`_deficit`, it keeps the floor's
-    roots, and so the systems found below them, to the bit.
-    """
-    srf = spec.surface
-    outside = np.ones(srf.n_faces, dtype=bool)
-    outside[[v for v in nodes if v < srf.n_faces]] = False
-    incident = outside[srf.edge_left] | outside[srf.edge_right]
-    return float(_half_demands(spec)[outside].sum() - spec.theta_star[incident].sum())
 
 
 # Residual arcs at or below this share of the demand count as saturated
@@ -686,26 +643,15 @@ def _certificate_from_residual(spec: PatternSpec, net: FlowNetwork,
     reach(source), and a violating min cut contains the one of each of its
     faces.  The components are taken in the order of their least face, and
     the first set whose face set is nonempty, proper in the Euclidean
-    case, and violates by exact sums is the certificate.
-
-    The dual form is read the same way with the sides swapped.  A cut
-    whose source side holds the node set S has capacity D - d_S, d_S its
-    Hoffman deficit (:func:`_deficit`), and at eps = 0 d_S is -1/2 the
-    margin of the faces outside S (:func:`_dual_network`).  So the min
-    cuts are the sets whose sink-side faces have the least margin, and
-    when some proper face set violates, it is the face set of the sink
-    side of a min cut.  Those sink sides are the node sets that hold the
-    sink, not the source, and are closed under reversed residual arcs: the
-    min cuts of the reversed residual graph from the sink to the source,
-    which the reading above lists, ties included.
+    case, and violates by exact sums is the certificate.  The dual form is
+    read the same way: a cut whose source side holds the node set S has
+    capacity D - d_S, d_S its deficit (:func:`_deficit`), which at eps = 0
+    is -1/2 the margin of the faces in S (:func:`_dual_network`).
     """
     F = spec.surface.n_faces
     n = net.n_nodes + 2
     s, t = n - 2, n - 1
     tails, heads, residual = zero.residual
-    if isinstance(net, _DualNetwork):
-        # the violating faces lie on the sink side
-        tails, heads, s, t = heads, tails, t, s
     tol = _CUT_TOL * max(1.0, zero.pushed + zero.shortfall)
     graph = _open_arcs(tails, heads, residual, tol, n)
     blocked = np.zeros(n, dtype=bool)

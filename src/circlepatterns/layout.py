@@ -426,7 +426,7 @@ def _kite_rows(result: LayoutResult):
     return np.column_stack([result.kite_edges, corners])
 
 
-def export_json(result: LayoutResult, path=None, include_kites=False) -> str:
+def export_json(result: LayoutResult, include_kites=False) -> str:
     """The layout as an indent-2 JSON document: geometry, circles by face,
     vertex points, periods, closure residual and, with ``include_kites``,
     the kite corners by edge.  Non-finite numbers raise ValueError."""
@@ -440,11 +440,7 @@ def export_json(result: LayoutResult, path=None, include_kites=False) -> str:
     if include_kites:
         rows = _kite_rows(result)
         doc["kites"] = jsonio.Rows([_KITE] * len(rows), rows)
-    text = jsonio.dumps(doc, indent=2) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return jsonio.dumps(doc, indent=2) + "\n"
 
 
 # SVG rendering: fixed 9-significant-digit coordinates for reproducibility.
@@ -491,7 +487,7 @@ def _svg_rows(templates, values):
     return [jsonio._fill("\n".join(templates), values)] if templates else []
 
 
-def export_svg(result: LayoutResult, path=None, include_kites=False) -> str:
+def export_svg(result: LayoutResult, include_kites=False) -> str:
     """Deterministic SVG with circles, intersection points and (optionally)
     kite outlines; hyperbolic layouts are drawn inside the unit circle."""
     hyperbolic = result.geometry == "hyperbolic"
@@ -564,8 +560,4 @@ def export_svg(result: LayoutResult, path=None, include_kites=False) -> str:
                      f'stroke-dasharray="{_f(4 * stroke)} {_f(2 * stroke)}"/>')
     lines.append("</g>")
     lines.append("</svg>")
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(lines) + "\n"

@@ -61,7 +61,7 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 
 from circlepatterns import specfun
-from circlepatterns.feasibility import (EQ_TOL, STRICT_TOL, FeasibilityCertificate, _BoxNetwork,
+from circlepatterns.feasibility import (EQ_TOL, STRICT_TOL, FeasibilityCertificate, FlowNetwork,
                                        _half_demands)
 from circlepatterns.functional import (CoherentAngleSystem, PatternSpec, phi_of_rho,
                                        radii_from_rho, validate_cas)
@@ -492,7 +492,7 @@ def euclidean_box_network(spec, eps):
     F, E = srf.n_faces, srf.n_edges
     box = F + E
     edges = F + np.arange(E)
-    return _BoxNetwork(
+    return FlowNetwork(
         n_nodes=F + E + 1,
         tail=np.concatenate([np.full(F, box), srf.oe_left, edges, np.full(E, box)]),
         head=np.concatenate([np.arange(F), F + srf.oe_edge, np.full(E, box), edges]),
@@ -500,7 +500,7 @@ def euclidean_box_network(spec, eps):
                               np.zeros(2 * E)]),
         upper=np.concatenate([np.full(F + srf.n_oriented_edges, np.inf),
                               spec.theta_star, np.full(E, np.inf)]),
-        face_to_edge=slice(F, F + srf.n_oriented_edges),
+        phi_branch=F + np.arange(srf.n_oriented_edges),
     )
 
 

@@ -252,6 +252,16 @@ def test_layout_without_output_flags_prints_the_json_file(capsys, tmp_path, toru
         (cli.EXIT_OK, path.read_text())
 
 
+@pytest.mark.parametrize("root_edge", ["-1", "8"])
+def test_layout_rejects_a_root_edge_out_of_range(capsys, tmp_path, torus_problem, root_edge):
+    report = str(tmp_path / "report.json")
+    _run(capsys, "solve", torus_problem, "-o", report)
+    code = cli.main(["layout", torus_problem, report, "--root-edge", root_edge])
+    out, err = capsys.readouterr()
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == f"error: --root-edge {root_edge} is not in [0, 8)\n"
+
+
 def test_problem_without_phi_on_a_closed_mesh_means_two_pi(capsys, tmp_path):
     doc = _torus_doc(n=4)
     assert doc["phi"] == [2 * np.pi] * 16
@@ -689,6 +699,9 @@ MALFORMED = {
         "'theta_star' must be a list of numbers"),
     "bare-number phi": (
         "solve", dict(_torus_doc(), phi=2 * np.pi), None, "'phi' must be a list of numbers"),
+    "theta_star beyond the float range": (
+        "check", dict(_torus_doc(), theta_star=[np.pi / 2] * 7 + [10 ** 400]), None,
+        "'theta_star' must be a list of numbers"),
     "boolean rho": ("layout", _torus_doc(), {"rho": [False] * 4},
                     "'rho' must be a list of numbers"),
     "nested rho": ("layout", _torus_doc(), {"rho": [[0.0]] * 4},

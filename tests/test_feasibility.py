@@ -60,14 +60,28 @@ def test_totals_within_eq_tol_give_a_flow():
             assert validate_cas(spec, cert.cas).is_valid(1e-8)
 
 
+def _zero_deficit(spec, faces):
+    """The demand of a face set less theta* of the edges incident with it,
+    -1/2 its margin: the deficit of its nodes in either eps = 0 network."""
+    from circlepatterns.feasibility import _half_demands
+    srf = spec.surface
+    inside = np.isin(np.arange(srf.n_faces), list(faces))
+    incident = inside[srf.edge_left] | inside[srf.edge_right]
+    return _half_demands(spec)[inside].sum() - spec.theta_star[incident].sum()
+
+
 def test_network_structure():
+    from circlepatterns.feasibility import _deficit
     spec = torus_spec(HYPERBOLIC, phi=2 * np.pi - 0.1)
     eps = 1e-3
     net = build_flow_network(spec, eps)
     F, E = 16, 32
     srf = spec.surface
     assert net.n_nodes == F + E + 1
+    # the box form has F + 3E branches: no box-to-edge branch
+    assert len(net.tail) == F + 3 * E
     box = net.n_nodes - 1
+    assert not np.any((net.tail == box) & (net.head >= F) & (net.head < box))
     box_to_face = (net.tail == box) & (net.head < F)
     assert box_to_face.sum() == F
     assert np.all(net.lower[box_to_face] == 0.5 * spec.phi[net.head[box_to_face]])
@@ -87,18 +101,19 @@ def test_network_structure():
     assert np.array_equal(net.half_angles(np.arange(len(net.tail), dtype=float)),
                           F + np.arange(2 * E))
     # Euclidean data at a floor eps > 0 get the dual graph: the faces and
-    # the box, one branch per edge from its right face to its left face,
+    # the box, one branch per edge from its left face to its right face,
     # and one fixed branch per face
     rng = np.random.default_rng(3)
     spec = random_feasible_spec(srf, EUCLIDEAN, rng)
     net = build_flow_network(spec, eps)
     assert (net.n_nodes, len(net.tail)) == (F + 1, E + F)
-    assert np.array_equal(net.tail[:E], srf.edge_right)
-    assert np.array_equal(net.head[:E], srf.edge_left)
+    assert np.array_equal(net.tail[:E], srf.edge_left)
+    assert np.array_equal(net.head[:E], srf.edge_right)
     assert np.all(net.lower[:E] == 0.0)
     assert np.all(net.upper[:E] == spec.theta_star - 2 * eps)
     # b_j: the demand of face j less eps per representative it holds and
-    # theta* - eps per edge it lies right of
+    # theta* - eps per edge it lies right of; the fixed branch brings it
+    # from the box if b_j >= 0 and returns it otherwise
     D = 0.5 * spec.phi - (0.5 * spec.phi.sum() - spec.theta_star.sum()) / F
     b = np.array([D[j] - eps * np.sum(srf.edge_left == j)
                   - np.sum(spec.theta_star[srf.edge_right == j] - eps) for j in range(F)])
@@ -106,8 +121,9 @@ def test_network_structure():
     assert np.allclose(net.lower[fixed], np.abs(b), rtol=0, atol=1e-13)
     assert np.array_equal(net.lower[fixed], net.upper[fixed])
     faces = np.arange(F)
-    assert np.array_equal(net.tail[fixed], np.where(b >= 0, faces, F))
-    assert np.array_equal(net.head[fixed], np.where(b >= 0, F, faces))
+    assert np.any(b >= 0) and np.any(b < 0)
+    assert np.array_equal(net.tail[fixed], np.where(b >= 0, F, faces))
+    assert np.array_equal(net.head[fixed], np.where(b >= 0, faces, F))
     # the dual flow x_e gives eps + x_e to the representative and
     # theta*_e - eps - x_e to its twin
     x = rng.uniform(0.0, 1.0, len(net.tail))
@@ -118,24 +134,33 @@ def test_network_structure():
     result = solve_feasible_flow(net)
     assert result.flows is not None and result.cut is None
     assert validate_cas(spec, CoherentAngleSystem(net.half_angles(result.flows))).is_valid(1e-8)
-    # the eps = 0 network, whose residual the cut reads, is the dual form
-    # for Euclidean data too; the floor step reads its deficit in closed
-    # form: -1/2 the margin of the faces outside the node set
-    from circlepatterns.feasibility import _deficit, _dual_zero_deficit
+    # the eps = 0 network, whose residual the cut reads from the source, is
+    # the dual form for Euclidean data too.  The deficit of a node set,
+    # whether it holds the box or not, is the demand of the faces in it
+    # less theta* of the edges incident with them: -1/2 their margin, as in
+    # the box form, so violating faces lie on the source side of a min cut
     zero = build_flow_network(spec, 0.0)
     assert (zero.n_nodes, len(zero.tail)) == (F + 1, E + F)
     assert np.array_equal(zero.upper[:E], spec.theta_star)
     for _ in range(20):
         nodes = set(np.flatnonzero(rng.random(F + 1) < rng.random()).tolist())
-        assert _dual_zero_deficit(spec, nodes) == pytest.approx(
-            _deficit(zero, nodes), abs=1e-12)
-    # hyperbolic data keep the box form at eps = 0
-    zero = build_flow_network(torus_spec(HYPERBOLIC, phi=2 * np.pi - 0.1), 0.0)
-    assert (zero.n_nodes, len(zero.tail)) == (F + E + 1, F + 4 * E)
+        assert _deficit(zero, nodes) == pytest.approx(
+            _zero_deficit(spec, [v for v in nodes if v < F]), abs=1e-12)
+    # hyperbolic data keep the box form at eps = 0, where a face set with
+    # its incident edges has the same deficit
+    spec = PatternSpec(srf, HYPERBOLIC, np.full(E, np.pi / 2), rng.uniform(0.5, 6.0, F))
+    zero = build_flow_network(spec, 0.0)
+    assert (zero.n_nodes, len(zero.tail)) == (F + E + 1, F + 3 * E)
     box_to_face = (zero.tail == zero.n_nodes - 1) & (zero.head < F)
     assert np.all(zero.upper[box_to_face] == zero.lower[box_to_face])
     assert np.all(zero.lower[F:F + 2 * E] == 0.0)
     assert np.all(zero.upper[F + 2 * E:F + 3 * E] == np.pi / 2)
+    for _ in range(20):
+        faces = np.flatnonzero(rng.random(F) < rng.random())
+        edges = np.unique(srf.oe_edge[np.isin(srf.oe_left, faces)])
+        nodes = set(faces.tolist()) | set((F + edges).tolist())
+        assert _deficit(zero, nodes) == pytest.approx(_zero_deficit(spec, faces),
+                                                      abs=1e-12)
 
 
 def _floor_flow_specs():
@@ -152,9 +177,8 @@ def test_dual_and_box_floor_flows_agree():
     # the dual network and the Euclidean box network describe the same
     # systems: run to completion at the first floor, they agree on
     # feasibility, and a feasible dual flow reads half-angles that validate
-    # at 1e-8.  Where the floor flow fails, the eps = 0 cut of the dual
-    # form, read on its sink side, finds the face set that the box form's
-    # cut finds on its source side
+    # at 1e-8.  Where the floor flow fails, the eps = 0 cuts of both forms,
+    # read the same way from the source side, find the same face set
     from circlepatterns.feasibility import _certificate_from_residual
     feasible = infeasible = subsets = 0
     for spec in _floor_flow_specs():

@@ -217,6 +217,24 @@ def test_walk_form_rejects_half_edges():
         surface_from_walks([([(0, "a", 1), (1, "b", 1), (0, "b", -1)], True)])
 
 
+# a one-vertex torus, the walk a b a' b'
+_TORUS_WALK = [(0, "a", 1), (0, "b", 1), (0, "a", -1), (0, "b", -1)]
+
+
+@pytest.mark.parametrize("walks, kind, message", [
+    ([(_TORUS_WALK, True), ([], True)], SurfaceError, "face 1 has no edges"),
+    ([], SurfaceError, "empty surface"),
+    ([(_TORUS_WALK[:3] + [(0, "b")], True)], SurfaceError, "a token is a triple"),
+    ([(_TORUS_WALK[:3] + [(0, "b", 2)], True)], SurfaceError, r"sign must be \+1 or -1"),
+    ([(_TORUS_WALK + [(0, "a", 1)], True)], NonOrientableError,
+     r"oriented edge \('a', 1\) used twice"),
+])
+def test_walk_form_rejects_malformed_walks(walks, kind, message):
+    assert surface_from_walks([(_TORUS_WALK, True)]).n_edges == 2   # the walk itself is valid
+    with pytest.raises(kind, match=message):
+        surface_from_walks(walks)
+
+
 def test_json_round_trip():
     s = meshes.octahedron()
     s2 = surface_from_json_dict(surface_to_json_dict(s))
@@ -369,6 +387,8 @@ def _malformed_tables():
             [[5 if v == 3 else v for v in t[0]], t[1], t[2], t[3]], SurfaceError),
         "face on no side": (
             [t[0], [-1 if f == 0 else f for f in t[1]], t[2], t[3]], DanglingEdgeError),
+        "negative origin": (
+            [[-1 if v == 0 else v for v in t[0]], t[1], t[2], t[3]], SurfaceError),
     }
 
 
@@ -381,6 +401,15 @@ def test_malformed_tables_raise_as_the_reference(case):
         surface_tables_reference(*table)
     assert type(ours.value) is type(theirs.value)
     assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0, 1], [0, 0], [1, 0], [1]], "oriented-edge table columns have unequal lengths"),
+    ([[], [], [], []], "empty surface"),
+])
+def test_tables_the_reference_does_not_read_are_refused(table, message):
+    with pytest.raises(SurfaceError, match=message):
+        CellularSurface(*table)
 
 
 @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", None, 2 ** 70])
