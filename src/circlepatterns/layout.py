@@ -69,7 +69,6 @@ class LayoutResult:
     kites: np.ndarray             # complex (K, 4): global corners (P_u, C_k, P_w, C_j)
     kite_edges: np.ndarray        # int (K,): the edge of each kite row
     closure_residual: float
-    diameter: float
     periods: tuple | None = None  # two complex translation periods (torus)
     hyperbolic_centers: np.ndarray | None = None   # complex (F,), in the disk
     hyperbolic_radii: np.ndarray | None = None     # float (F,)
@@ -307,14 +306,13 @@ def layout(spec: PatternSpec, rho, root_edge: int = 0) -> LayoutResult:
     side_a = placed[a[:, None], cols[:, :2]]
     side_b = placed[b[:, None], cols[:, 2:]]
     if spec.is_hyperbolic:
-        diameter = 2.0
         periods = None
         ratio = np.abs((side_a - side_b) / (1.0 - np.conj(side_b) * side_a))
         residual = 2.0 * np.arctanh(np.minimum(ratio, 1.0 - 1e-16)).max(initial=0.0)
     else:
-        diameter = float(np.abs(placed - placed.mean()).max() * 2.0)
         flat = (side_a - side_b).ravel()
         if srf.is_closed:
+            diameter = float(np.abs(placed - placed.mean()).max() * 2.0)
             periods, residual = _extract_periods(flat, diameter)
         else:
             periods = None
@@ -323,7 +321,7 @@ def layout(spec: PatternSpec, rho, root_edge: int = 0) -> LayoutResult:
         geometry=spec.geometry, faces=faces, centers=centers, radii=radii,
         normals=np.zeros(len(faces), dtype=complex), vertices=vertices, points=points,
         kites=placed, kite_edges=np.arange(srf.n_edges),
-        closure_residual=float(residual), diameter=diameter, periods=periods, **disk)
+        closure_residual=float(residual), periods=periods, **disk)
 
 
 def _extract_periods(diffs, scale):

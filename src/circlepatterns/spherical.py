@@ -1,11 +1,14 @@
 """Spherical circle patterns without cone-like singularities.
 
 The pipeline removes the faces around a chosen vertex v_inf (the center of
-the stereographic projection), solves a Euclidean pattern on the remaining
-surface with adjusted boundary cone angles, re-inserts the removed faces
-as straight lines (circles of infinite radius) and projects the whole
-picture to the unit sphere.  Intersection angles are preserved because
-stereographic projection is conformal.
+the stereographic projection) and places the remaining circles in the
+plane: the solved Euclidean pattern of the remaining surface, with
+adjusted boundary cone angles, or the unit circle when one face and no
+edge remain.  One pass then re-inserts every removed face as a straight
+line (a circle of infinite radius) meeting its neighbors at the
+prescribed angles, and the whole picture is projected to the unit sphere.
+Intersection angles are preserved because stereographic projection is
+conformal.
 
 Conventions: unit sphere, projection center at the north pole (0, 0, 1),
 image plane z = 0; a point (X, Y, Z) maps to (X + iY)/(1 - Z).  Spherical
@@ -77,16 +80,23 @@ class SphericalProblem:
 
 @dataclass
 class Reduction:
-    """Result of removing the faces around v_inf."""
+    """Result of removing the faces around v_inf.
+
+    ``spec`` is the reduced Euclidean problem, None for an elementary
+    reduction: one kept face and no kept edge.  The maps take reduced
+    face, edge and vertex ids to those of p, as read-only intp arrays; an
+    elementary reduction maps its one face and no edge or vertex."""
     elementary: bool
-    removed_faces: tuple
-    removed_edges: tuple
-    dropped_vertices: tuple
-    surface: CellularSurface | None = None     # the reduced surface
-    spec: PatternSpec | None = None
-    face_map: tuple = ()     # reduced face -> original face
-    edge_map: tuple = ()     # reduced edge -> original edge
-    vertex_map: tuple = ()   # reduced vertex -> original vertex
+    spec: PatternSpec | None
+    face_map: np.ndarray
+    edge_map: np.ndarray
+    vertex_map: np.ndarray
+
+    def __post_init__(self):
+        for name in ("face_map", "edge_map", "vertex_map"):
+            arr = np.array(getattr(self, name), dtype=np.intp)
+            arr.flags.writeable = False
+            setattr(self, name, arr)
 
 
 def reduce_to_plane(p: SphericalProblem) -> Reduction:
@@ -115,14 +125,11 @@ def reduce_to_plane(p: SphericalProblem) -> Reduction:
     kept_vertex = np.zeros(s.n_vertices, dtype=bool)
     kept_vertex[ends] = True
     kept_vertices = np.flatnonzero(kept_vertex)
-    common = dict(removed_faces=tuple(np.flatnonzero(removed_face).tolist()),
-                  removed_edges=tuple(np.flatnonzero(removed_edge).tolist()),
-                  dropped_vertices=tuple(np.flatnonzero(~kept_vertex).tolist()))
 
     if not len(kept_edges):
         if len(kept_faces) != 1:
             raise SphereConditionError(_DISCONNECTED)
-        return Reduction(elementary=True, face_map=(int(kept_faces[0]),), **common)
+        return Reduction(True, None, kept_faces, kept_edges, kept_vertices)
 
     # every position of every face walk: its face, its place in the walk
     # and whether its edge is kept
@@ -181,10 +188,7 @@ def reduce_to_plane(p: SphericalProblem) -> Reduction:
             f"boundary face {f} would get nonpositive cone angle "
             f"{phi.min():.12g}; the subset conditions fail")
     spec = PatternSpec(reduced, EUCLIDEAN, theta_star[kept_edges], phi)
-    return Reduction(elementary=False, surface=reduced, spec=spec,
-                     face_map=tuple(kept_faces.tolist()),
-                     edge_map=tuple(kept_edges.tolist()),
-                     vertex_map=tuple(kept_vertices.tolist()), **common)
+    return Reduction(False, spec, kept_faces, kept_edges, kept_vertices)
 
 
 @dataclass
@@ -223,7 +227,7 @@ def _original_certificate(p, red, cert):
     the inequality over the original incident edges has the same margin.
     """
     s = p.surface
-    faces = np.sort(np.asarray(red.face_map)[list(cert.violating_faces)])
+    faces = np.sort(red.face_map[list(cert.violating_faces)])
     edges = np.unique(s.oe_edge[np.isin(s.oe_left, faces)])
     return replace(
         cert, violating_faces=tuple(faces.tolist()), violating_edges=tuple(edges.tolist()),
@@ -367,88 +371,61 @@ def _circle(circles, f):
     return complex(centers[f]), float(radii[f]), complex(normals[f])
 
 
-def _place(circles, f, circle):
-    for column, value in zip(circles, circle):
-        column[f] = value
-
-
-def _elementary_planar(p: SphericalProblem, red: Reduction, circles, points):
-    """Single remaining face: intersection points on the unit circle with
-    arcs 2 theta*, removed faces as the chord lines.  Returns the largest
-    incidence error.
-
-    Each removed face borders the remaining one along a single edge: a
-    closed curve through both faces across two shared edges would enclose
-    vertices, of degree at least 3, on no face through v_inf."""
-    s = p.surface
-    f0 = red.face_map[0]
-    walk = s.walk_edges[s.walk_offsets[f0]:s.walk_offsets[f0 + 1]]
-    starts, ends = s.oe_origin[walk].tolist(), s.oe_origin[s.oe_twin[walk]].tolist()
-    edges = s.oe_edge[walk]
-    beta = 0.0
-    for u, arc in zip(starts, (2.0 * p.theta_star[edges]).tolist()):
-        points[u] = complex(math.cos(beta), math.sin(beta))
-        beta += arc
-    _place(circles, f0, (0j, 1.0, 0j))
-    residual = 0.0
-    for g, theta, u, w in zip(s.oe_right[walk].tolist(), p.theta[edges].tolist(),
-                              starts, ends):
-        z1 = complex(points[u])
-        # ray to the line's center direction: rotate the ray to the circle
-        # center (the origin) clockwise by theta at the edge's start point
-        line = (z1, math.inf, -z1 * np.exp(-1j * theta))
-        _place(circles, g, line)
-        residual = max(residual, _incidence_error(line, complex(points[w])))
-    return residual
-
-
-def _chain_directions(p: SphericalProblem, red: Reduction, circles, points):
-    """Reconstruct the removed faces' lines from boundary-vertex angles.
+def _chain_directions(p: SphericalProblem, circles, points):
+    """Place every removed face's line from the vertex angles; returns the
+    largest mismatch.
 
     Around a vertex, rotating counterclockwise across an edge advances the
     direction towards the neighboring center by the exterior angle theta.
-    Starting from the placed centers of kept faces, this determines the
-    normal direction of every removed face's line at every surviving
-    vertex on its boundary.  Returns the largest mismatch.
+    The pass walks the fan of every placed vertex that touches a face with
+    no circle, in ascending id order, from a circle placed before the pass
+    began; this gives the normal of each removed face's line at that
+    vertex.  The first vertex to reach a line places it through its point.
+    The mismatch is measured at every later reach, as the normal's change
+    and the vertex's distance from the line, and at every circle placed
+    before the pass, as the change of the direction to its center.
     """
     s = p.surface
     theta = p.theta
-    kept = set(red.face_map)
-    centers, radii, _ = circles
+    centers, radii, normals = circles
+    kept = ~np.isnan(radii)
+    touches = np.zeros(s.n_vertices, dtype=bool)
+    touches[s.oe_origin[~kept[s.oe_left]]] = True
     residual = 0.0
-    for v in np.asarray(red.vertex_map)[red.surface.vertex_boundary].tolist():
+    for v in np.flatnonzero(touches & ~np.isnan(points)).tolist():
         pu = complex(points[v])
         fan = s.fan_edges[s.fan_offsets[v]:s.fan_offsets[v + 1]]
         d = len(fan)
         fan_faces = s.oe_left[fan].tolist()
         turns = theta[s.oe_edge[fan]].tolist()
         dirs = [None] * d
-        start = next(i for i, f in enumerate(fan_faces) if f in kept)
+        start = next(i for i, f in enumerate(fan_faces) if kept[f])
         dirs[start] = float(np.angle(complex(centers[fan_faces[start]]) - pu))
         for step in range(1, d):
             i = (start + step) % d
             dirs[i] = dirs[i - 1] + turns[i]
         for i, f in enumerate(fan_faces):
-            if f in kept:
+            if kept[f]:
                 measured = float(np.angle(complex(centers[f]) - pu))
                 diff = (dirs[i] - measured + math.pi) % TWO_PI - math.pi
                 residual = max(residual, abs(diff))
                 continue
             n = np.exp(1j * dirs[i])
             if np.isnan(radii[f]):
-                _place(circles, f, (pu, math.inf, n))
+                centers[f], radii[f], normals[f] = pu, math.inf, n
             else:
                 old = _circle(circles, f)
                 residual = max(residual, abs(old[2] - n), _incidence_error(old, pu))
     return residual
 
 
-def _dropped_positions(p: SphericalProblem, red: Reduction, circles, points):
-    """Place the vertices whose edges were all removed, v_inf excepted, at
-    the common point of their incident generalized circles."""
+def _dropped_positions(p: SphericalProblem, circles, points):
+    """Place every vertex still without a point, v_inf excepted, at the
+    common point of its incident generalized circles: these are the
+    vertices whose edges were all removed."""
     s = p.surface
     radii = circles[1]
-    for v in red.dropped_vertices:
+    for v in np.flatnonzero(np.isnan(points)).tolist():
         if v == p.v_infinity:
             continue
         fan = s.fan_edges[s.fan_offsets[v]:s.fan_offsets[v + 1]]
@@ -468,9 +445,15 @@ def _dropped_positions(p: SphericalProblem, red: Reduction, circles, points):
 
 
 def solve_sphere(p: SphericalProblem) -> SphericalLayout:
-    """Construct the spherical pattern: reduce to the plane, solve the
-    reduced Euclidean problem, lay it out, re-insert the removed faces as
-    lines and project everything to the unit sphere.
+    """Construct the spherical pattern: reduce to the plane, place the kept
+    circles and their points, re-insert the removed faces as lines and
+    project everything to the unit sphere.
+
+    A reduction that is not elementary is solved and laid out.  The one
+    face of an elementary reduction is the unit circle, with the points of
+    its walk at arcs of 2 theta*.  Then one pass of
+    :func:`_chain_directions` places every line, and
+    :func:`_dropped_positions` every point still missing.
 
     Existence is decided by ``find_coherent_angle_system`` on the reduced
     problem with the angles of its solve, which runs the flow only when
@@ -483,9 +466,12 @@ def solve_sphere(p: SphericalProblem) -> SphericalLayout:
     centers, radii, normals = circles
     points = np.full(s.n_vertices, np.nan, dtype=complex)
     if red.elementary:
-        line_residual = _elementary_planar(p, red, circles, points)
+        f0 = red.face_map[0]
+        walk = s.walk_edges[s.walk_offsets[f0]:s.walk_offsets[f0 + 1]]
+        arcs = 2.0 * p.theta_star[s.oe_edge[walk]]
+        points[s.oe_origin[walk]] = np.exp(1j * np.concatenate(([0.0], np.cumsum(arcs[:-1]))))
+        centers[f0], radii[f0] = 0j, 1.0
         kites, kite_edges = np.zeros((0, 4), dtype=complex), np.zeros(0, dtype=int)
-        closure_residual, diameter = line_residual, None
     else:
         solve_result = solver.minimize(red.spec)
         cert = find_coherent_angle_system(red.spec, solve_result.cas)
@@ -495,23 +481,20 @@ def solve_sphere(p: SphericalProblem) -> SphericalLayout:
             raise SphereConditionError(
                 f"reduced solve did not converge: {solve_result.message}")
         reduced = layout(red.spec, solve_result.rho)
-        faces = np.asarray(red.face_map)[reduced.faces]
+        faces = red.face_map[reduced.faces]
         centers[faces], radii[faces] = reduced.centers, reduced.radii
-        points[np.asarray(red.vertex_map)[reduced.vertices]] = reduced.points
-        line_residual = _chain_directions(p, red, circles, points)
-        kites, kite_edges = reduced.kites, np.asarray(red.edge_map)[reduced.kite_edges]
-        closure_residual, diameter = reduced.closure_residual, reduced.diameter
-    _dropped_positions(p, red, circles, points)
+        points[red.vertex_map[reduced.vertices]] = reduced.points
+        kites, kite_edges = reduced.kites, red.edge_map[reduced.kite_edges]
+    line_residual = _chain_directions(p, circles, points)
+    _dropped_positions(p, circles, points)
 
     faces = np.flatnonzero(~np.isnan(radii))
     vertices = np.flatnonzero(~np.isnan(points))
-    if diameter is None:
-        diameter = float(np.abs(points[vertices] - points[vertices].mean()).max() * 2.0)
     planar = LayoutResult(
         geometry=EUCLIDEAN, faces=faces, centers=centers[faces], radii=radii[faces],
         normals=normals[faces], vertices=vertices, points=points[vertices],
-        kites=kites, kite_edges=kite_edges, closure_residual=closure_residual,
-        diameter=diameter)
+        kites=kites, kite_edges=kite_edges,
+        closure_residual=line_residual if red.elementary else reduced.closure_residual)
     axes, angular_radii = sphere_caps(planar.centers, planar.radii, planar.normals)
     # v_inf has no planar point; the nan maps to the north pole
     vertices = np.union1d(vertices, [p.v_infinity])

@@ -181,9 +181,18 @@ def fd_gradient(func, x, h=1e-5):
 
 # -- layouts ---------------------------------------------------------------------
 
+def layout_scale(lay):
+    """A layout's diameter: 2 for the Poincare disk, else twice the largest
+    distance of a kite corner from their mean, as ``layout`` measures the
+    scale of its periods."""
+    if lay.geometry == HYPERBOLIC:
+        return 2.0
+    return float(np.abs(lay.kites - lay.kites.mean()).max() * 2.0)
+
+
 def flagged(lay):
     """Whether a layout's closure defect is above 1e-7 of its diameter."""
-    return lay.closure_residual > 1e-7 * max(lay.diameter, 1e-30)
+    return lay.closure_residual > 1e-7 * max(layout_scale(lay), 1e-30)
 
 
 # -- derived decompositions and isomorphism ------------------------------------

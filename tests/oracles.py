@@ -871,6 +871,10 @@ def surface_tables_reference(origin, left_face, twin, next_in_face, edge_id=None
     origin, left, twin, next_ = (tuple(map(int, c)) for c in
                                  (origin, left_face, twin, next_in_face))
     n = len(origin)
+    if any(len(c) != n for c in (left, twin, next_)):
+        raise SurfaceError("oriented-edge table columns have unequal lengths")
+    if not n:
+        raise SurfaceError("empty surface")
     for h, t in enumerate(twin):
         if not 0 <= t < n:
             raise DanglingEdgeError(f"oriented edge {h} has twin {t} out of range")
@@ -1039,16 +1043,12 @@ def reduce_to_plane_reference(p):
     kept_edges = sorted(set(range(s.n_edges)) - removed_edges)
     kept_vertices = sorted({origin[reps[e]] for e in kept_edges}
                            | {terminus[reps[e]] for e in kept_edges})
-    common = dict(removed_faces=tuple(sorted(f_inf)),
-                  removed_edges=tuple(sorted(removed_edges)),
-                  dropped_vertices=tuple(sorted(set(range(s.n_vertices))
-                                                - set(kept_vertices))))
     disconnected = ("removing the faces around v_infinity disconnects the "
                     "dual 1-skeleton")
     if not kept_edges:
         if len(kept_faces) != 1:
             raise SphereConditionError(disconnected)
-        return Reduction(elementary=True, face_map=(kept_faces[0],), **common)
+        return Reduction(True, None, kept_faces, kept_edges, kept_vertices)
     edge_index = {e: i for i, e in enumerate(kept_edges)}
     vertex_index = {v: i for i, v in enumerate(kept_vertices)}
     walks, phi = [], []
@@ -1081,11 +1081,8 @@ def reduce_to_plane_reference(p):
         raise SphereConditionError(
             f"boundary face {f} would get nonpositive cone angle "
             f"{phi.min():.12g}; the subset conditions fail")
-    return Reduction(elementary=False,
-                     surface=reduced,
-                     spec=PatternSpec(reduced, "euclidean", p.theta_star[kept_edges], phi),
-                     face_map=tuple(kept_faces), edge_map=tuple(kept_edges),
-                     vertex_map=tuple(kept_vertices), **common)
+    return Reduction(False, PatternSpec(reduced, "euclidean", p.theta_star[kept_edges], phi),
+                     kept_faces, kept_edges, kept_vertices)
 
 
 # -- developing map, one kite at a time ------------------------------------------
@@ -1113,7 +1110,6 @@ class ScalarLayout:
     kites: np.ndarray
     kite_edges: np.ndarray
     closure_residual: float
-    diameter: float
     periods: tuple | None = None
     hyperbolic_circles: dict = field(default_factory=dict)
 
@@ -1137,7 +1133,7 @@ def scalar_layout(result):
             hyp[f] = (complex(result.hyperbolic_centers[i]), float(result.hyperbolic_radii[i]))
     return ScalarLayout(
         result.geometry, circles, dict(zip(result.vertices.tolist(), result.points.tolist())),
-        result.kites, result.kite_edges, result.closure_residual, result.diameter,
+        result.kites, result.kite_edges, result.closure_residual,
         result.periods, hyp)
 
 
@@ -1315,20 +1311,19 @@ def develop_scalar(spec, rho, root_edge=0):
     kites_out = np.array([placed[e] for e in range(srf.n_edges)], dtype=complex)
     periods = None
     if spec.is_hyperbolic:
-        diameter = 2.0
         residual = max((frame.dist(z, w) for z, w in pairs), default=0.0)
     else:
-        xs = kites_out.ravel()
-        diameter = float(abs(xs - xs.mean()).max() * 2.0)
         flat = [z - w for z, w in pairs]
         if srf.is_closed:
+            xs = kites_out.ravel()
+            diameter = float(abs(xs - xs.mean()).max() * 2.0)
             periods, residual = extract_periods_scalar(flat, diameter)
         else:
             residual = max((abs(d) for d in flat), default=0.0)
     return ScalarLayout(
         geometry=spec.geometry, circles=circles, vertex_points=vertex_points,
         kites=kites_out, kite_edges=np.arange(srf.n_edges),
-        closure_residual=float(residual), diameter=diameter, periods=periods,
+        closure_residual=float(residual), periods=periods,
         hyperbolic_circles=hyp)
 
 

@@ -624,7 +624,7 @@ def _with_edge_id(doc, h, value):
 
 def _open_disc(v_infinity=0):
     return reduce_to_plane(SphericalProblem(meshes.cube(), np.full(12, 2 * np.pi / 3),
-                                            v_infinity)).surface
+                                            v_infinity)).spec.surface
 
 
 def _cube_sphere_doc(theta_3):

@@ -686,7 +686,7 @@ def test_gauss_bonnet_with_boundary():
     from circlepatterns.spherical import SphericalProblem, reduce_to_plane
     red = reduce_to_plane(SphericalProblem(meshes.cube(),
                                            np.full(12, 2 * np.pi / 3), 0))
-    s0, spec = red.surface, red.spec
+    s0, spec = red.spec.surface, red.spec
     chi, _ = euler_characteristic(s0)
     theta_sums = vertex_angle_sums(s0, np.pi - spec.theta_star)
     total = (np.sum(np.where(s0.face_boundary, np.pi, 2 * np.pi) - spec.phi)

@@ -1,8 +1,11 @@
 """The package's public names."""
 
+import dataclasses
+
 import circlepatterns
-from circlepatterns import functional
+from circlepatterns import functional, spherical
 from circlepatterns.layout import LayoutResult
+from circlepatterns.spherical import Reduction
 
 PUBLIC = [
     "CellularSurface", "build_surface", "surface_from_walks", "medial",
@@ -41,3 +44,25 @@ REMOVED_TEST_ONLY = [
 
 def test_test_only_names_left_the_package():
     assert [name for owner, name in REMOVED_TEST_ONLY if hasattr(owner, name)] == []
+
+
+# one line pass serves every spherical reduction, elementary or not
+REMOVED_PATHS = [
+    (spherical, "_elementary_planar"),
+]
+
+# record fields that nothing in the package read; a field with no default
+# is no class attribute, so the fields are looked up, not the attributes
+REMOVED_FIELDS = [
+    (Reduction, "removed_faces"), (Reduction, "removed_edges"),
+    (Reduction, "dropped_vertices"), (Reduction, "surface"),
+    (LayoutResult, "diameter"),
+]
+
+
+def test_removed_paths_and_record_fields_are_gone():
+    assert [name for owner, name in REMOVED_PATHS if hasattr(owner, name)] == []
+    assert [(owner.__name__, name) for owner, name in REMOVED_FIELDS
+            if name in {f.name for f in dataclasses.fields(owner)}] == []
+    assert [f.name for f in dataclasses.fields(Reduction)] == [
+        "elementary", "spec", "face_map", "edge_map", "vertex_map"]

@@ -51,9 +51,9 @@ def test_reduce_cube():
     red = reduce_to_plane(cube_problem())
     assert not red.elementary
     assert len(red.face_map) == 3
-    assert red.surface.n_edges == 3
+    assert red.spec.surface.n_edges == 3
     assert np.abs(red.spec.phi - 2 * np.pi / 3).max() < 1e-12
-    assert red.surface.face_boundary.tolist() == [True] * 3
+    assert red.spec.surface.face_boundary.tolist() == [True] * 3
 
 
 def test_reduce_octahedron():
@@ -61,13 +61,21 @@ def test_reduce_octahedron():
     assert len(red.face_map) == 4
     assert np.abs(red.spec.phi - np.pi).max() < 1e-12
     # one interior vertex (the antipode), four boundary vertices
-    assert np.count_nonzero(~red.surface.vertex_boundary) == 1
+    assert np.count_nonzero(~red.spec.surface.vertex_boundary) == 1
 
 
 def test_reduce_tetrahedron_elementary():
     red = reduce_to_plane(tetra_problem())
-    assert red.elementary
-    assert len(red.removed_faces) == 3
+    assert red.elementary and red.spec is None
+    # face 3 is the one off vertex 0; no edge or vertex is kept
+    assert red.face_map.tolist() == [3]
+    assert red.edge_map.tolist() == [] and red.vertex_map.tolist() == []
+
+
+def test_reduction_maps_are_read_only_intp_arrays():
+    for red in (reduce_to_plane(tetra_problem()), reduce_to_plane(cube_problem())):
+        for m in (red.face_map, red.edge_map, red.vertex_map):
+            assert m.dtype == np.intp and not m.flags.writeable
 
 
 def test_conditions_cube_and_octa():
@@ -208,10 +216,38 @@ def test_tetrahedron_elementary_pattern():
     assert np.abs(angles - np.pi / 3).max() <= 1e-7
 
 
+# (problem, allowance): an elementary picture has no layout, so the line
+# pass measures every incidence that rounding moves; otherwise the reduced
+# layout places the kept points on the kept circles, and the intersections
+# the removed vertices, each within a few ulps that the pass does not count
+LINE_RESIDUAL_CASES = {**{f"tetrahedron v_inf={v}": (tetra_problem(v), 0.0) for v in range(4)},
+                       "cube": (cube_problem(), 1e-14), "octahedron": (octa_problem(), 1e-14)}
+
+
+@pytest.mark.parametrize("case", sorted(LINE_RESIDUAL_CASES))
+def test_line_residual_bounds_every_planar_incidence(case):
+    p, allowance = LINE_RESIDUAL_CASES[case]
+    assert reduce_to_plane(p).elementary == case.startswith("tetrahedron")
+    lay = solve_sphere(p)
+    planar, s = lay.planar, p.surface
+    circles = dict(zip(planar.faces.tolist(), zip(planar.centers.tolist(),
+                                                  planar.radii.tolist(),
+                                                  planar.normals.tolist())))
+    worst = 0.0
+    for v, z in zip(planar.vertices.tolist(), planar.points.tolist()):
+        for f in s.oe_left[s.fan_edges[s.fan_offsets[v]:s.fan_offsets[v + 1]]].tolist():
+            center, radius, normal = circles[f]
+            off = ((normal.conjugate() * (z - center)).real if np.isinf(radius)
+                   else abs(z - center) - radius)
+            worst = max(worst, abs(off))
+    assert lay.line_residual <= 1e-12
+    assert worst <= lay.line_residual + allowance
+
+
 def test_a_face_bordering_the_remaining_face_twice_leaves_no_theta():
     # face 1 borders face 0, the one face off v_inf = 4, along the edges 3-2
     # and 0-3, so vertex 3 has degree 2 and no theta in (0, pi) sums to 2*pi
-    # there; the elementary layout may place each removed face's line once
+    # there, so no valid problem meets one removed face's line twice
     s = build_surface(faces=[[0, 1, 2, 3], [0, 3, 2, 4], [2, 1, 4], [1, 0, 4]])
     assert sorted(s.oe_right[s.oe_left == 0].tolist()) == [1, 1, 2, 3]
     with pytest.raises(ValueError, match="vertex 3 sums to"):
@@ -283,10 +319,10 @@ def _reduction_record(run, p):
         red = run(p)
     except SphereConditionError as exc:
         return str(exc)
-    record = [red.elementary, red.removed_faces, red.removed_edges,
-              red.dropped_vertices, red.face_map, red.edge_map, red.vertex_map]
-    if red.surface is not None:
-        t = red.surface
+    record = [red.elementary, red.face_map.tolist(), red.edge_map.tolist(),
+              red.vertex_map.tolist()]
+    if red.spec is not None:
+        t = red.spec.surface
         record += [getattr(t, name).tolist()
                    for name in ("oe_origin", "oe_left", "oe_twin", "oe_next", "oe_edge")]
         record += [red.spec.phi.tobytes(), red.spec.theta_star.tobytes()]
