@@ -12,7 +12,7 @@ from .surface import (
     euler_characteristic, vertex_angle_sums, SurfaceError, OPEN,
 )
 from .functional import (
-    PatternSpec, CoherentAngleSystem, EUCLIDEAN, HYPERBOLIC,
+    PatternSpec, EUCLIDEAN, HYPERBOLIC,
     phi_of_rho, value, gradient, hessian, cas_from_rho, validate_cas,
     radii_from_rho,
 )
@@ -20,7 +20,7 @@ from .functional import (
 __all__ = [
     "CellularSurface", "build_surface", "surface_from_walks", "medial",
     "euler_characteristic", "vertex_angle_sums", "SurfaceError", "OPEN",
-    "PatternSpec", "CoherentAngleSystem", "EUCLIDEAN", "HYPERBOLIC",
+    "PatternSpec", "EUCLIDEAN", "HYPERBOLIC",
     "phi_of_rho", "value", "gradient", "hessian", "cas_from_rho", "validate_cas",
     "radii_from_rho",
 ]

@@ -146,11 +146,9 @@ def _write(path, text):
 
 def _certificate_dict(cert):
     if cert.feasible:
-        out = {"feasible": True}
-        if cert.cas is not None:
-            phi = cert.cas.phi
-            out["cas"] = {"min_phi": float(phi.min()), "max_phi": float(phi.max()), "phi": phi}
-        return out
+        phi = cert.half_angles
+        return {"feasible": True,
+                "cas": {"min_phi": float(phi.min()), "max_phi": float(phi.max()), "phi": phi}}
     return {"feasible": False, "kind": cert.kind, "message": cert.message,
             "violating_faces": list(cert.violating_faces),
             "violating_edges": list(cert.violating_edges),
@@ -200,8 +198,8 @@ def _solve_report(spec, result):
         "rho": result.rho,
         "radii": radii_from_rho(spec.geometry, result.rho)
         if (spec.geometry == EUCLIDEAN or np.all(result.rho < 0)) else None,
-        "phi_half_angles": result.cas.phi,
-        "face_residuals": np.abs(face_residuals(spec, result.cas.phi)),
+        "phi_half_angles": result.half_angles,
+        "face_residuals": np.abs(face_residuals(spec, result.half_angles)),
         "cas_valid": bool(result.cas_report.is_valid(1e-8)),
     }
     if result.message:
@@ -312,7 +310,7 @@ def cmd_pack(args):
     geometry = EUCLIDEAN if genus == 1 else HYPERBOLIC
     spec = PatternSpec(med, geometry, theta_star, np.full(med.n_faces, 2.0 * np.pi))
     result = solver.minimize(spec)
-    cert = find_coherent_angle_system(spec, result.cas)
+    cert = find_coherent_angle_system(spec, result.half_angles)
     if not cert.feasible:
         _print(_certificate_dict(cert))
         return EXIT_INFEASIBLE

@@ -65,8 +65,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import (breadth_first_order, connected_components,
                                   maximum_flow)
 
-from .functional import CoherentAngleSystem, PatternSpec, validate_cas
-from .solver import solve_grounded
+from .functional import PatternSpec, solve_grounded, validate_cas
 
 EQ_TOL = 1e-9      # tolerance for the global equality condition
 STRICT_TOL = 1e-9  # margins at or below this count as violations
@@ -407,11 +406,11 @@ def solve_feasible_flow(net: FlowNetwork, accept=None, *, need_cut=True) -> Flow
 class FeasibilityCertificate:
     """Outcome of an existence check.
 
-    Either a coherent angle system (feasible) or a violating face subset
-    with its incident edge set and the two compared sums.
+    Either the ``half_angles`` of a coherent angle system or a violating
+    face subset with its incident edge set and the two compared sums.
     """
     feasible: bool
-    cas: CoherentAngleSystem | None = None
+    half_angles: np.ndarray | None = None
     violating_faces: tuple = ()
     violating_edges: tuple = ()
     phi_sum: float = 0.0
@@ -442,7 +441,7 @@ def _equality_certificate(spec):
         message="sum(Phi) != sum(2 theta*)")
 
 
-def repair_angles(spec: PatternSpec, phi) -> CoherentAngleSystem | None:
+def repair_angles(spec: PatternSpec, phi) -> np.ndarray | None:
     """The half-angles ``phi`` moved onto an exact coherent angle system, or None.
 
     Let r_f = 2 (D_f - sum(phi over the boundary walk of f)) with D the
@@ -456,7 +455,7 @@ def repair_angles(spec: PatternSpec, phi) -> CoherentAngleSystem | None:
     r' / 2: the smallest such change that zeroes r'.  So a_e is y at the
     face left of e less y at the face right of it, and B B^T is the
     unit-weight dual-graph Laplacian, which the spec factorises once, with
-    the order its Newton systems share (:func:`solver.solve_grounded`).
+    the order its Newton systems share (:func:`functional.solve_grounded`).
 
     Returns the repaired system when it validates at 1e-8 with every
     half-angle, and in the hyperbolic case every pair slack, above
@@ -490,21 +489,19 @@ def repair_angles(spec: PatternSpec, phi) -> CoherentAngleSystem | None:
         a = y[srf.edge_left] - y[srf.edge_right]
         phi[reps] += a
         phi[twins] -= a
-    cas = CoherentAngleSystem(phi=phi)
-    report = validate_cas(spec, cas)
+    report = validate_cas(spec, phi)
     if not (report.is_valid(1e-8) and report.min_phi > STRICT_TOL
             and (not spec.is_hyperbolic or report.min_pair_slack > STRICT_TOL)):
         return None
-    return cas
+    return phi
 
 
-def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | None = None
-                               ) -> FeasibilityCertificate:
+def find_coherent_angle_system(spec: PatternSpec, half_angles=None) -> FeasibilityCertificate:
     """Decide existence by one min cut; construct a coherent angle system.
 
     Euclidean data whose totals differ by more than EQ_TOL fail at once.
-    When :func:`repair_angles` moves the half-angles ``angles``, if given,
-    onto a valid system, that system is the verdict and no flow runs.
+    When :func:`repair_angles` moves ``half_angles``, if given, onto a
+    valid system, that system is the verdict and no flow runs.
 
     The half-angles get the floor eps = min(Phi)/4 per boundary-walk step
     (at most min(theta*)/4).  A feasible flow there is the answer, read
@@ -556,9 +553,9 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
     cert = None if spec.is_hyperbolic else _equality_certificate(spec)
     if cert is not None:
         return cert
-    cas = None if angles is None else repair_angles(spec, angles.phi)
+    cas = None if half_angles is None else repair_angles(spec, half_angles)
     if cas is not None:
-        return FeasibilityCertificate(feasible=True, cas=cas)
+        return FeasibilityCertificate(feasible=True, half_angles=cas)
     srf = spec.surface
     max_deg = int(np.diff(srf.walk_offsets).max())
     eps = min(float(spec.phi.min()) / (4.0 * max_deg),
@@ -574,7 +571,7 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
         if result.flows is not None:
             # a complete floor flow, whose margins the floor sets; one with a
             # face residual over 1e-8 steps from its cut
-            cas = CoherentAngleSystem(phi=net.half_angles(result.flows))
+            cas = net.half_angles(result.flows)
             cas = cas if validate_cas(spec, cas).is_valid(1e-8) else None
         return cas, result.cut
 
@@ -604,7 +601,7 @@ def find_coherent_angle_system(spec: PatternSpec, angles: CoherentAngleSystem | 
         net = build_flow_network(spec, eps)
         cas, cut = flow(net)
     if cas is not None:
-        cert = FeasibilityCertificate(feasible=True, cas=cas)
+        cert = FeasibilityCertificate(feasible=True, half_angles=cas)
     elif cert is None:
         raise RuntimeError(f"no flow and no violating face set at floor eps = {eps:.6g}")
     cert.flow_solves, cert.flow_rounds = len(results), sum(r.rounds for r in results)

@@ -18,6 +18,7 @@ values are evaluated in closed form with Clausen's integral.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -216,12 +217,10 @@ def _build_hessian_pattern(spec):
 
 @dataclass(frozen=True)
 class SolvePlan:
-    """How the grounded systems of one Euclidean pattern are solved.
+    """How :func:`solve_grounded` solves the systems of one Euclidean pattern.
 
-    Grounded at face 0, every Newton system and the unit-weight dual-graph
-    Laplacian share one sparsity pattern, so its minimum degree order is
-    computed once, by the factorisation ``unit`` of the unit-weight
-    system.  ``columns`` is that order, and ``data[gather]``, with
+    ``unit`` is the kept factor of the grounded unit-weight system and
+    ``columns`` its minimum degree column order; ``data[gather]``, with
     ``indices`` and ``indptr``, is the grounded CSC of a Hessian with CSR
     data ``data`` and its columns in that order.
     """
@@ -254,6 +253,47 @@ def _build_solve_plan(spec):
     return plan
 
 
+def solve_grounded(spec, rhs, hessian=None):
+    """The zero-sum x with L x = rhs, for a zero-sum rhs, where L is the
+    Euclidean Hessian ``hessian`` of ``spec`` or, if None, the unit-weight
+    Laplacian B B^T of its dual graph.
+
+    Grounded at face 0: the remaining faces solve the nonsingular system,
+    and the dropped first equation holds because every column of L sums to
+    zero.  Every Newton system and the unit-weight Laplacian share one
+    sparsity pattern, so its minimum degree column order is computed once
+    per spec (``spec._solve_plan``), by the kept factor that solves the
+    unit-weight system.  A Hessian is factorised with its columns laid out
+    in that order.  When every pivot of that factor lies on the diagonal,
+    it is bit for bit the factor of a minimum degree solve of the system
+    as it stands: the rows come in the same order, and that solve takes
+    the same diagonal pivots.  The two part only where a diagonal ties the
+    largest entry of its column, a tie SuperLU breaks for the diagonal of
+    the order it computed itself.  So a system whose laid-out factor
+    pivots off the diagonal, or is singular, is solved as it stands, in
+    its own order; a singular system gives NaN.
+    """
+    plan = spec._solve_plan
+    x = np.zeros(len(rhs))
+    if hessian is None:
+        x[1:] = plan.unit.solve(rhs[1:])
+        return x - x.mean()
+    n = len(plan.columns)
+    A = sp.csc_matrix((hessian.data[plan.gather], plan.indices, plan.indptr), shape=(n, n))
+    try:
+        lu = spla.splu(A, permc_spec="NATURAL")
+    except RuntimeError:   # exactly singular
+        lu = None
+    # on the diagonal: row i pivots at position perm_c[i], where column i is
+    if lu is not None and np.array_equal(lu.perm_r, plan.unit.perm_c):
+        x[1 + plan.columns] = lu.solve(rhs[1:])
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", spla.MatrixRankWarning)
+            x[1:] = spla.spsolve(hessian.tocsc()[1:, 1:], rhs[1:], permc_spec="MMD_AT_PLUS_A")
+    return x - x.mean()
+
+
 def hessian(spec: PatternSpec, rho) -> sp.csr_matrix:
     """Sparse Hessian of S at rho.
 
@@ -283,12 +323,6 @@ def hessian(spec: PatternSpec, rho) -> sp.csr_matrix:
 # -- coherent angle systems ---------------------------------------------------
 
 @dataclass(frozen=True)
-class CoherentAngleSystem:
-    """Half-angles phi per oriented edge."""
-    phi: np.ndarray
-
-
-@dataclass(frozen=True)
 class CASReport:
     """Validity of the coherent angle system (in)equalities."""
     geometry: str
@@ -305,11 +339,12 @@ class CASReport:
         return self.min_pair_slack > 0.0
 
 
-def validate_cas(spec: PatternSpec, cas: CoherentAngleSystem) -> CASReport:
+def validate_cas(spec: PatternSpec, half_angles) -> CASReport:
+    """How far half-angles per oriented edge are from a coherent angle system."""
     srf = spec.surface
-    phi = np.asarray(cas.phi, dtype=float)
+    phi = np.asarray(half_angles, dtype=float)
     if phi.shape != (srf.n_oriented_edges,):
-        raise ValueError("phi must have one entry per oriented edge")
+        raise ValueError("half_angles must have one entry per oriented edge")
     pair = phi[srf.edge_reps] + phi[srf.oe_twin[srf.edge_reps]]
     return CASReport(
         geometry=spec.geometry,
@@ -321,10 +356,10 @@ def validate_cas(spec: PatternSpec, cas: CoherentAngleSystem) -> CASReport:
 
 
 def cas_from_rho(spec: PatternSpec, rho):
-    """Candidate coherent angle system at rho together with its validity.
+    """The half-angles at rho together with their :class:`CASReport`.
 
-    The system satisfies the CAS conditions exactly when rho is a critical
-    point of the functional; elsewhere the report records the violations.
+    They form a coherent angle system exactly when rho is a critical point
+    of the functional; elsewhere the report records the violations.
     """
-    cas = CoherentAngleSystem(phi=phi_of_rho(spec, rho))
-    return cas, validate_cas(spec, cas)
+    half_angles = phi_of_rho(spec, rho)
+    return half_angles, validate_cas(spec, half_angles)

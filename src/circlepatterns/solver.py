@@ -38,7 +38,7 @@ system of a pattern has the sparsity pattern of the unit-weight Laplacian,
 so its minimum degree order (J. W. H. Liu, ACM TOMS 11, 1985) is computed
 once per pattern, together with that Laplacian's factor, which the
 Euclidean angle repair of ``feasibility.repair_angles`` solves with
-(:func:`solve_grounded`).  Each step still factorises its own Hessian.
+(``functional.solve_grounded``).  Each step factorises its own Hessian.
 
 The hyperbolic Hessian is positive definite and well conditioned, so its
 Newton system is solved inexactly, by conjugate gradients with the Jacobi
@@ -52,15 +52,13 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import functional as fn
-from .functional import PatternSpec, CoherentAngleSystem
+from .functional import PatternSpec
 
 log = logging.getLogger(__name__)
 
@@ -100,8 +98,9 @@ class SolveOptions:
 
 @dataclass
 class SolveResult:
+    """The last rho of :func:`minimize`, its half-angles and their report."""
     rho: np.ndarray
-    cas: CoherentAngleSystem
+    half_angles: np.ndarray
     cas_report: fn.CASReport
     grad_norm: float
     iterations: int
@@ -131,47 +130,7 @@ def _newton_direction(spec, rho, grad):
         return _cg_direction(H, grad)
     # far-drifted iterates can zero out edge weights and make the system
     # exactly singular; minimize replaces the NaN direction by the gradient
-    return solve_grounded(spec, -(grad - grad.mean()), H)
-
-
-def solve_grounded(spec, rhs, hessian=None):
-    """The zero-sum x with L x = rhs, for a zero-sum rhs, where L is the
-    Euclidean Hessian ``hessian`` of ``spec`` or, if None, the unit-weight
-    Laplacian B B^T of its dual graph.
-
-    Grounded at face 0: the remaining faces solve the nonsingular system,
-    and the dropped first equation holds because every column of L sums to
-    zero.  Both systems have the pattern of ``spec._solve_plan``, whose
-    minimum degree column order is computed once, by the kept factor that
-    solves the unit-weight system.  A Hessian is factorised with its
-    columns laid out in that order.  When every pivot of that factor lies
-    on the diagonal, it is bit for bit the factor of a minimum degree solve
-    of the system as it stands: the rows come in the same order, and that
-    solve takes the same diagonal pivots.  The two part only where a
-    diagonal ties the largest entry of its column, a tie SuperLU breaks for
-    the diagonal of the order it computed itself.  So a system whose
-    laid-out factor pivots off the diagonal, or is singular, is solved as
-    it stands, in its own order; a singular system gives NaN.
-    """
-    plan = spec._solve_plan
-    x = np.zeros(len(rhs))
-    if hessian is None:
-        x[1:] = plan.unit.solve(rhs[1:])
-        return x - x.mean()
-    n = len(plan.columns)
-    A = sp.csc_matrix((hessian.data[plan.gather], plan.indices, plan.indptr), shape=(n, n))
-    try:
-        lu = spla.splu(A, permc_spec="NATURAL")
-    except RuntimeError:   # exactly singular
-        lu = None
-    # on the diagonal: row i pivots at position perm_c[i], where column i is
-    if lu is not None and np.array_equal(lu.perm_r, plan.unit.perm_c):
-        x[1 + plan.columns] = lu.solve(rhs[1:])
-    else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", spla.MatrixRankWarning)
-            x[1:] = spla.spsolve(hessian.tocsc()[1:, 1:], rhs[1:], permc_spec="MMD_AT_PLUS_A")
-    return x - x.mean()
+    return fn.solve_grounded(spec, -(grad - grad.mean()), H)
 
 
 def _cg_direction(H, grad):
@@ -232,17 +191,17 @@ def minimize(spec: PatternSpec, opts: SolveOptions | None = None) -> SolveResult
     Each line-search trial is one edge pass, and the accepted trial's
     half-angles give the next gradient.  Euclidean trials are centred before
     their pass, so ``functional_value`` is the S of the returned rho, bit
-    for bit, and ``cas`` holds ``phi_of_rho`` there.  A Euclidean residual
-    the same on every face means a failed total equality, or, inside the
-    floor, rounding.  A converged hyperbolic rho >= 0 names its face.
+    for bit, and ``half_angles`` holds ``phi_of_rho`` there.  A Euclidean
+    residual the same on every face means a failed total equality, or,
+    inside the floor, rounding.  A converged hyperbolic rho >= 0 names its face.
 
     On infeasible data S has no minimiser, yet ``converged=True`` is still
     no proof of feasibility: where a face subset fails the conditions only
     by equality, the gradient decays as rho runs off to infinity and falls
     below ``grad_tol`` at a finite rho, whose angle system then also
     validates at 1e-8.  Existence is decided by
-    ``feasibility.find_coherent_angle_system(spec, result.cas)``, whose
-    certificate refuses such a result and leaves the verdict to the flow.
+    ``feasibility.find_coherent_angle_system(spec, result.half_angles)``,
+    whose certificate refuses such a result and leaves the verdict to the flow.
     Euclidean results are normalized to sum(rho) = 0.
     """
     opts = opts or SolveOptions()
@@ -308,13 +267,12 @@ def minimize(spec: PatternSpec, opts: SolveOptions | None = None) -> SolveResult
         rho, value, phi = accepted
         log.debug("newton iter %d: grad %.3e step %.3g S %.12g",
                   iterations + 1, grad_norm, step, value)
-    cas = CoherentAngleSystem(phi=phi)
-    report = fn.validate_cas(spec, cas)
+    report = fn.validate_cas(spec, phi)
     if converged and spec.is_hyperbolic and rho.max() >= 0.0:
         # the half-angles of such a face are <= 0: its Phi is within grad_tol
         f, converged = int(rho.argmax()), False
         message = (f"face {f} has rho = {rho[f]:.3g} >= 0 with Phi = {spec.phi[f]:.3g}: "
                    f"its hyperbolic radius is beyond float resolution")
-    return SolveResult(rho=rho, cas=cas, cas_report=report, grad_norm=report.max_face_residual,
-                       iterations=iterations, functional_value=value, converged=converged,
-                       message=message)
+    return SolveResult(rho=rho, half_angles=phi, cas_report=report,
+                       grad_norm=report.max_face_residual, iterations=iterations,
+                       functional_value=value, converged=converged, message=message)

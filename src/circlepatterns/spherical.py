@@ -422,9 +422,11 @@ def _chain_directions(p: SphericalProblem, circles, points):
 def _dropped_positions(p: SphericalProblem, circles, points):
     """Place every vertex still without a point, v_inf excepted, at the
     common point of its incident generalized circles: these are the
-    vertices whose edges were all removed."""
+    vertices whose edges were all removed.  Returns the largest distance
+    of a placed point from one of its circles or lines."""
     s = p.surface
     radii = circles[1]
+    residual = 0.0
     for v in np.flatnonzero(np.isnan(points)).tolist():
         if v == p.v_infinity:
             continue
@@ -442,6 +444,8 @@ def _dropped_positions(p: SphericalProblem, circles, points):
             raise SphereConditionError(
                 f"cannot reconstruct the position of removed vertex {v}")
         points[v] = best[1]
+        residual = max(residual, best[0])
+    return residual
 
 
 def solve_sphere(p: SphericalProblem) -> SphericalLayout:
@@ -453,7 +457,8 @@ def solve_sphere(p: SphericalProblem) -> SphericalLayout:
     face of an elementary reduction is the unit circle, with the points of
     its walk at arcs of 2 theta*.  Then one pass of
     :func:`_chain_directions` places every line, and
-    :func:`_dropped_positions` every point still missing.
+    :func:`_dropped_positions` every point still missing;
+    ``line_residual`` is the larger of the two mismatches they return.
 
     Existence is decided by ``find_coherent_angle_system`` on the reduced
     problem with the angles of its solve, which runs the flow only when
@@ -474,7 +479,7 @@ def solve_sphere(p: SphericalProblem) -> SphericalLayout:
         kites, kite_edges = np.zeros((0, 4), dtype=complex), np.zeros(0, dtype=int)
     else:
         solve_result = solver.minimize(red.spec)
-        cert = find_coherent_angle_system(red.spec, solve_result.cas)
+        cert = find_coherent_angle_system(red.spec, solve_result.half_angles)
         if not cert.feasible:
             raise SphereConditionError(cert.message)
         if not solve_result.converged:
@@ -485,8 +490,8 @@ def solve_sphere(p: SphericalProblem) -> SphericalLayout:
         centers[faces], radii[faces] = reduced.centers, reduced.radii
         points[red.vertex_map[reduced.vertices]] = reduced.points
         kites, kite_edges = reduced.kites, red.edge_map[reduced.kite_edges]
-    line_residual = _chain_directions(p, circles, points)
-    _dropped_positions(p, circles, points)
+    line_residual = max(_chain_directions(p, circles, points),
+                        _dropped_positions(p, circles, points))
 
     faces = np.flatnonzero(~np.isnan(radii))
     vertices = np.flatnonzero(~np.isnan(points))

@@ -63,8 +63,7 @@ from scipy.integrate import quad
 from circlepatterns import specfun
 from circlepatterns.feasibility import (EQ_TOL, STRICT_TOL, FeasibilityCertificate, FlowNetwork,
                                        _half_demands)
-from circlepatterns.functional import (CoherentAngleSystem, PatternSpec, phi_of_rho,
-                                       radii_from_rho, validate_cas)
+from circlepatterns.functional import PatternSpec, phi_of_rho, radii_from_rho, validate_cas
 from circlepatterns.layout import _canonical_basis
 from circlepatterns.spherical import Reduction, SphereConditionError
 from circlepatterns.surface import (OPEN, DanglingEdgeError, DisconnectedSurfaceError,
@@ -354,11 +353,10 @@ def repair_angles_reference(spec, phi):
     a = B.T @ solve_grounded_reference(B @ B.T, 0.5 * r)
     phi[reps] += a
     phi[twins] -= a
-    cas = CoherentAngleSystem(phi=phi)
-    report = validate_cas(spec, cas)
+    report = validate_cas(spec, phi)
     if not (report.is_valid(1e-8) and report.min_phi > STRICT_TOL):
         return None
-    return cas
+    return phi
 
 
 # -- feasible flow ---------------------------------------------------------------
@@ -509,8 +507,8 @@ def euclidean_box_network(spec, eps):
 def check_conditions_bruteforce(spec):
     """Exact verdict by enumerating all nonempty face subsets.
 
-    Guarded to |F| <= 20.  Does not construct an angle system; ``cas`` is
-    None even when feasible.
+    Guarded to |F| <= 20.  Does not construct an angle system;
+    ``half_angles`` is None even when feasible.
     """
     srf = spec.surface
     F = srf.n_faces
@@ -781,8 +779,9 @@ class InvalidCASError(ValueError):
     """A coherent angle system failed its defining (in)equalities."""
 
 
-def hamiltonian_reduced(spec, cas, tol=1e-8):
-    """Value of the constrained angle functional on a coherent angle system.
+def hamiltonian_reduced(spec, phi, tol=1e-8):
+    """Value of the constrained angle functional on a coherent angle system,
+    its half-angles ``phi`` per oriented edge.
 
     Euclidean: sum over oriented edges of Cl(2 phi_e) + Cl(2 theta_e)/2.
     Hyperbolic: per unoriented edge,
@@ -790,11 +789,11 @@ def hamiltonian_reduced(spec, cas, tol=1e-8):
     with p = phi_e - phi_-e and s = -(phi_e + phi_-e).  Independent of any
     radii; equals S(rho*) at critical points.
     """
-    report = validate_cas(spec, cas)
+    report = validate_cas(spec, phi)
     if not report.is_valid(tol):
         raise InvalidCASError(f"not a coherent angle system: {report}")
     srf = spec.surface
-    phi = cas.phi
+    phi = np.asarray(phi, dtype=float)
     if not spec.is_hyperbolic:
         th_oe = spec.theta[srf.oe_edge]
         return float(np.sum(specfun.clausen(2.0 * phi)
@@ -808,8 +807,9 @@ def hamiltonian_reduced(spec, cas, tol=1e-8):
                         - 2.0 * specfun.clausen(2.0 * ts)))
 
 
-def rho_from_cas(spec, cas):
-    """Recover rho from a coherent angle system; returns (rho, residual).
+def rho_from_cas(spec, phi):
+    """Recover rho from the half-angles ``phi`` of a coherent angle system;
+    returns (rho, residual).
 
     Euclidean: integrates rho_k - rho_j = log(sin phi_e / sin(phi_e + theta))
     over a spanning tree of the dual graph and reports the largest cycle
@@ -818,11 +818,11 @@ def rho_from_cas(spec, cas):
     and reports the largest disagreement.  A large residual means the
     system is not the angle system of any critical point.
     """
-    report = validate_cas(spec, cas)
+    report = validate_cas(spec, phi)
     if report.min_phi <= 0.0:
         raise InvalidCASError("phi must be positive")
     srf = spec.surface
-    phi = cas.phi
+    phi = np.asarray(phi, dtype=float)
 
     if spec.is_hyperbolic:
         ts = spec.theta_star[srf.oe_edge]
@@ -1406,12 +1406,10 @@ def certificate_reference(cert):
     """Reference for the certificate document of ``check``, as plain dicts
     and lists, to be written by ``dumps_reference`` at indent 2."""
     if cert.feasible:
-        out = {"feasible": True}
-        if cert.cas is not None:
-            phi = cert.cas.phi
-            out["cas"] = {"min_phi": float(phi.min()), "max_phi": float(phi.max()),
-                          "phi": list(map(float, phi))}
-        return out
+        phi = cert.half_angles
+        return {"feasible": True,
+                "cas": {"min_phi": float(phi.min()), "max_phi": float(phi.max()),
+                        "phi": list(map(float, phi))}}
     return {"feasible": False, "kind": cert.kind, "message": cert.message,
             "violating_faces": list(cert.violating_faces),
             "violating_edges": list(cert.violating_edges),
@@ -1422,7 +1420,7 @@ def solve_report_reference(spec, result):
     """Reference for the report of ``solve``, as plain dicts and lists."""
     srf = spec.surface
     face_res = np.abs(spec.phi - 2.0 * np.bincount(
-        srf.oe_left, weights=result.cas.phi, minlength=srf.n_faces))
+        srf.oe_left, weights=result.half_angles, minlength=srf.n_faces))
     report = {
         "geometry": spec.geometry,
         "method": "newton",
@@ -1433,7 +1431,7 @@ def solve_report_reference(spec, result):
         "rho": list(map(float, result.rho)),
         "radii": list(map(float, radii_from_rho(spec.geometry, result.rho)))
         if (spec.geometry == "euclidean" or np.all(result.rho < 0)) else None,
-        "phi_half_angles": list(map(float, result.cas.phi)),
+        "phi_half_angles": list(map(float, result.half_angles)),
         "face_residuals": list(map(float, face_res)),
         "cas_valid": bool(result.cas_report.is_valid(1e-8)),
     }

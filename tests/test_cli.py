@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from circlepatterns import cli, meshes, solver, specfun
-from circlepatterns.feasibility import find_coherent_angle_system
+from circlepatterns.feasibility import FeasibilityCertificate, find_coherent_angle_system
 from circlepatterns.functional import PatternSpec, radii_from_rho
 from circlepatterns.spherical import SphericalProblem, reduce_to_plane
 from circlepatterns.surface import medial, surface_from_json_dict, surface_to_json_dict
@@ -418,16 +418,21 @@ def test_pack_octahedron(capsys, tmp_path):
     assert len(doc["vertex_circles"]) == 6 and len(doc["face_circles"]) == 8
 
 
-def test_pack_torus_is_repeatable(capsys, tmp_path):
+def _torus_pack_problem(tmp_path):
     path = tmp_path / "torus.json"
     path.write_text(json.dumps({"mesh": surface_to_json_dict(
         meshes.triangulated_torus(4, 4))}))
-    code, out = _run(capsys, "pack", str(path))
+    return str(path)
+
+
+def test_pack_torus_is_repeatable(capsys, tmp_path):
+    path = _torus_pack_problem(tmp_path)
+    code, out = _run(capsys, "pack", path)
     assert code == cli.EXIT_OK
     doc = json.loads(out)
     assert doc["kind"] == "euclidean" and doc["grad_norm"] <= 1e-10
     assert len(doc["vertex_circles"]) == 16 and len(doc["face_circles"]) == 32
-    assert _run(capsys, "pack", str(path)) == (code, out)
+    assert _run(capsys, "pack", path) == (code, out)
 
 
 def test_feasible_pack_runs_no_flow(capsys, tmp_path, monkeypatch, torus_problem):
@@ -450,6 +455,28 @@ def test_feasible_pack_runs_no_flow(capsys, tmp_path, monkeypatch, torus_problem
     # at the first floor on this torus
     assert _run(capsys, "solve", torus_problem)[0] == cli.EXIT_OK
     assert len(flows) == 1
+
+
+def test_pack_prints_an_infeasible_certificate(capsys, tmp_path, monkeypatch):
+    # pack's own data are always feasible, so the verdict is a stand-in
+    cert = FeasibilityCertificate(
+        feasible=False, violating_faces=(0,), violating_edges=(0, 1, 2), phi_sum=3 * np.pi,
+        theta_sum=3 * np.pi, kind="subset", message="flow cut yields a violating face subset")
+    monkeypatch.setattr(cli, "find_coherent_angle_system", lambda spec, half_angles=None: cert)
+    code, out = _run(capsys, "pack", _torus_pack_problem(tmp_path))
+    assert code == cli.EXIT_INFEASIBLE
+    assert out == _reference_text(certificate_reference(cert))
+
+
+def test_pack_reports_an_unconverged_solve(capsys, tmp_path, monkeypatch):
+    minimize = cli.solver.minimize
+    monkeypatch.setattr(cli.solver, "minimize",
+                        lambda spec: minimize(spec, solver.SolveOptions(max_iter=0)))
+    code, out = _run(capsys, "pack", _torus_pack_problem(tmp_path))
+    assert code == cli.EXIT_NO_CONVERGENCE
+    doc = json.loads(out)
+    assert doc["converged"] is False and doc["iterations"] == 0
+    assert doc["message"] == "no convergence in 0 Newton steps"
 
 
 def _golden(name):
@@ -558,7 +585,7 @@ def test_check_certificate_matches_reference(capsys, tmp_path, feasible):
     code, out = _run(capsys, "check", problem)
     assert code == (cli.EXIT_OK if feasible else cli.EXIT_INFEASIBLE)
     cert = find_coherent_angle_system(spec)
-    assert cert.feasible == feasible and (cert.cas is not None) == feasible
+    assert cert.feasible == feasible and (cert.half_angles is not None) == feasible
     assert out == _reference_text(certificate_reference(cert))
 
 

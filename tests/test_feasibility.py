@@ -6,8 +6,7 @@ from circlepatterns.feasibility import (
     EQ_TOL, STRICT_TOL, build_flow_network, find_coherent_angle_system, repair_angles,
     solve_feasible_flow,
 )
-from circlepatterns.functional import (EUCLIDEAN, HYPERBOLIC, CoherentAngleSystem, PatternSpec,
-                                      validate_cas)
+from circlepatterns.functional import EUCLIDEAN, HYPERBOLIC, PatternSpec, validate_cas
 from circlepatterns.solver import SolveOptions, minimize
 from circlepatterns.spherical import SphericalProblem, check_sphere_conditions
 from circlepatterns.surface import (euler_characteristic, medial, surface_from_walks,
@@ -28,7 +27,7 @@ def test_symmetric_torus_euclidean_feasible():
     assert cert.feasible
     cert = find_coherent_angle_system(torus_spec())
     assert cert.feasible
-    assert validate_cas(torus_spec(), cert.cas).is_valid(1e-9)
+    assert validate_cas(torus_spec(), cert.half_angles).is_valid(1e-9)
 
 
 def test_symmetric_torus_hyperbolic_infeasible_full_set():
@@ -57,7 +56,7 @@ def test_totals_within_eq_tol_give_a_flow():
             spec = PatternSpec(surface, EUCLIDEAN, theta_star, phi)
             cert = find_coherent_angle_system(spec)
             assert cert.feasible and cert.flow_solves == 1, (surface, rel)
-            assert validate_cas(spec, cert.cas).is_valid(1e-8)
+            assert validate_cas(spec, cert.half_angles).is_valid(1e-8)
 
 
 def _zero_deficit(spec, faces):
@@ -133,7 +132,7 @@ def test_network_structure():
     assert np.allclose(phi[twins], spec.theta_star - eps - x[:E], rtol=0, atol=1e-15)
     result = solve_feasible_flow(net)
     assert result.flows is not None and result.cut is None
-    assert validate_cas(spec, CoherentAngleSystem(net.half_angles(result.flows))).is_valid(1e-8)
+    assert validate_cas(spec, net.half_angles(result.flows)).is_valid(1e-8)
     # the eps = 0 network, whose residual the cut reads from the source, is
     # the dual form for Euclidean data too.  The deficit of a node set,
     # whether it holds the box or not, is the demand of the faces in it
@@ -188,8 +187,7 @@ def test_dual_and_box_floor_flows_agree():
         box = solve_feasible_flow(euclidean_box_network(spec, eps)).flows
         assert (flows is None) == (box is None), spec.surface
         if flows is not None:
-            cas = CoherentAngleSystem(dual.half_angles(flows))
-            assert validate_cas(spec, cas).is_valid(1e-8), spec.surface
+            assert validate_cas(spec, dual.half_angles(flows)).is_valid(1e-8), spec.surface
             feasible += 1
             continue
         infeasible += 1
@@ -223,7 +221,7 @@ def test_faces_sharing_many_edges(genus, full_round_bits, vertex_share):
     phi = 2 * theta.sum() * np.array([vertex_share, 1 - vertex_share])
     spec = PatternSpec(surf, EUCLIDEAN, theta, phi)
     cert = find_coherent_angle_system(spec)
-    assert cert.feasible and validate_cas(spec, cert.cas).is_valid(1e-8)
+    assert cert.feasible and validate_cas(spec, cert.half_angles).is_valid(1e-8)
     for eps in (_first_floor(spec), 1e-3):
         net = build_flow_network(spec, eps)
         assert net.n_nodes == surf.n_faces + 1
@@ -231,8 +229,7 @@ def test_faces_sharing_many_edges(genus, full_round_bits, vertex_share):
         assert (bits == _ROUND_BITS) == full_round_bits
         assert bits + (4 * genus - 1).bit_length() == 31 or full_round_bits
         result = solve_feasible_flow(net)
-        assert validate_cas(spec, CoherentAngleSystem(net.half_angles(result.flows))
-                            ).is_valid(1e-8)
+        assert validate_cas(spec, net.half_angles(result.flows)).is_valid(1e-8)
 
 
 def _own_theta_sum(spec, f):
@@ -284,7 +281,7 @@ def test_flow_agrees_with_bruteforce_randomized():
         brute = check_conditions_bruteforce(spec)
         assert flow.feasible == brute.feasible, (i, surf, geometry)
         if flow.feasible:
-            report = validate_cas(spec, flow.cas)
+            report = validate_cas(spec, flow.half_angles)
             assert report.is_valid(1e-8)
             assert report.min_phi > 0
             outcomes["feasible"] += 1
@@ -336,7 +333,7 @@ def test_near_tight_data_take_at_most_four_flows():
         assert flow.feasible == check_conditions_bruteforce(spec).feasible, (surf, geometry)
         assert flow.flow_solves <= 4 and flow.kind != "numeric", (surf, geometry)
         if flow.feasible:
-            report = validate_cas(spec, flow.cas)
+            report = validate_cas(spec, flow.half_angles)
             assert report.is_valid(1e-8) and report.min_phi > 0
             stepped += flow.flow_solves > 2
         else:
@@ -359,7 +356,7 @@ def test_a_complete_floor_flow_is_accepted_on_its_own_angles(monkeypatch, index)
     monkeypatch.setattr(feasibility, "repair_angles", spy)
     cert = find_coherent_angle_system(spec)
     assert cert.feasible and repaired and all(cas is None for cas in repaired)
-    report = validate_cas(spec, cert.cas)
+    report = validate_cas(spec, cert.half_angles)
     assert report.is_valid(1e-8) and 0.0 < report.min_phi <= STRICT_TOL
     if geometry == HYPERBOLIC:
         assert report.min_pair_slack > 0.0
@@ -386,7 +383,7 @@ def test_stopping_the_first_flow_keeps_every_verdict(monkeypatch):
         assert _verdict(cert) == _verdict(whole), (surf, geometry)
         assert cert.flow_solves == whole.flow_solves, (surf, geometry)
         if whole.feasible:
-            assert np.array_equal(cert.cas.phi, whole.cas.phi), (surf, geometry)
+            assert np.array_equal(cert.half_angles, whole.half_angles), (surf, geometry)
             assert cert.flow_rounds == whole.flow_rounds, (surf, geometry)
         else:
             assert cert.flow_rounds <= whole.flow_rounds, (surf, geometry)
@@ -409,7 +406,7 @@ def test_first_floor_at_most_strict_tol_reads_the_cut_first():
         want = check_conditions_bruteforce(spec)
         assert cert.feasible == want.feasible, small
         if cert.feasible:
-            assert validate_cas(spec, cert.cas).is_valid(1e-8)
+            assert validate_cas(spec, cert.half_angles).is_valid(1e-8)
         else:
             assert cert.kind == "subset" and cert.flow_solves == 1
             assert cert.violating_faces == want.violating_faces == (1, 2, 3)
@@ -429,7 +426,7 @@ def test_floor_steps_from_the_cut_of_an_accepted_flow():
         spec = PatternSpec(surf, HYPERBOLIC, spec.theta_star, phi)
         cert = find_coherent_angle_system(spec)
         if cert.feasible:
-            assert validate_cas(spec, cert.cas).is_valid(1e-8)
+            assert validate_cas(spec, cert.half_angles).is_valid(1e-8)
         else:
             assert cert.kind == "subset" and cert.flow_solves == 2
 
@@ -438,9 +435,9 @@ def _verdict(cert):
     return cert.feasible, cert.kind, cert.violating_faces, cert.violating_edges
 
 
-def _assert_certifies(spec, cas, where):
+def _assert_certifies(spec, half_angles, where):
     """The CAS validates at 1e-8 with every margin above STRICT_TOL."""
-    report = validate_cas(spec, cas)
+    report = validate_cas(spec, half_angles)
     assert report.is_valid(1e-8) and report.min_phi > STRICT_TOL, where
     if spec.is_hyperbolic:
         assert report.min_pair_slack > STRICT_TOL, where
@@ -453,13 +450,13 @@ def test_newton_certificate_never_accepts_infeasible_data():
     opts = SolveOptions(max_iter=40)
     feasible = certified = refused = 0
     for i, surf, geometry, spec in _randomized_fixtures():
-        angles = minimize(spec, opts).cas
+        angles = minimize(spec, opts).half_angles
         flow = find_coherent_angle_system(spec)
         decided = find_coherent_angle_system(spec, angles)
         # a certificate from either path holds a system that validates
         for cert in (flow, decided):
             if cert.feasible:
-                _assert_certifies(spec, cert.cas, (i, surf, geometry))
+                _assert_certifies(spec, cert.half_angles, (i, surf, geometry))
         # a certified verdict runs no flow; a refused one leaves it to the flow
         newton = decided.feasible and decided.flow_solves == 0
         if not newton:
@@ -505,7 +502,7 @@ def test_stopped_flow_gives_an_exact_cas():
     cases.append((torus, EUCLIDEAN, PatternSpec(torus, EUCLIDEAN, spec.theta_star, phi)))
     for surf, geometry, spec in cases:
         cert = find_coherent_angle_system(spec)
-        _assert_certifies(spec, cert.cas, (surf, geometry))
+        _assert_certifies(spec, cert.half_angles, (surf, geometry))
         if surf is torus:
             assert (cert.flow_solves, cert.flow_rounds) == (1, 1), geometry
 
@@ -517,7 +514,7 @@ def test_one_round_at_the_top_of_the_ladder():
     torus = medial(meshes.triangulated_torus(48, 48))
     spec = random_feasible_spec(torus, EUCLIDEAN, np.random.default_rng(1))
     cert = find_coherent_angle_system(spec)
-    _assert_certifies(spec, cert.cas, torus)
+    _assert_certifies(spec, cert.half_angles, torus)
     assert (cert.flow_solves, cert.flow_rounds) == (1, 1)
 
 
@@ -544,7 +541,7 @@ def test_repair_never_stops_an_infeasible_flow(monkeypatch):
         assert repaired
         if cert.feasible:
             # only the round that stopped the last flow was accepted
-            assert cert.flow_solves > 2 and cert.cas is repaired[-1]
+            assert cert.flow_solves > 2 and cert.half_angles is repaired[-1]
             repaired.pop()
         assert all(cas is None for cas in repaired)
     # the brute force cannot enumerate these 192 faces: the one triangle at
@@ -564,14 +561,14 @@ def test_newton_certificate_refuses_equality_failures_newton_converges_on():
     for spec in _full_size_infeasible_specs():
         result = minimize(spec)
         assert result.converged and result.cas_report.is_valid(1e-8)
-        assert repair_angles(spec, result.cas.phi) is None
+        assert repair_angles(spec, result.half_angles) is None
 
 
 def test_certificate_margin_is_compared_with_the_residual():
     spec = torus_spec()
-    phi = minimize(spec).cas.phi
-    cas = repair_angles(spec, phi)
-    assert cas is not None and np.abs(cas.phi - phi).max() <= 1e-12
+    phi = minimize(spec).half_angles
+    repaired = repair_angles(spec, phi)
+    assert repaired is not None and np.abs(repaired - phi).max() <= 1e-12
     # the exact angles are pi/4 each; raising one of them by s leaves a
     # face residual of 2 s, which must stay below the smallest angle pi/4
     # before any repair; the repair then keeps every angle near pi/4
@@ -588,7 +585,7 @@ def test_certificate_margin_is_compared_with_the_residual():
     # takes s/4 from each of the face's four angles, so the slack of the
     # raised angle's edge is 1/40 - 3 s/4, positive below s = 1/30
     spec = torus_spec(HYPERBOLIC, phi=2 * np.pi - 0.1)
-    phi = minimize(spec).cas.phi
+    phi = minimize(spec).half_angles
     assert np.allclose(phi, np.pi / 4 - 1 / 80, rtol=0, atol=1e-14)
     for shift, accepted in ((0.005, True), (0.01, True), (0.033, True), (0.034, False)):
         moved = phi.copy()
@@ -606,13 +603,13 @@ def test_repair_matches_the_incidence_reference_bit_for_bit():
     outcomes = set()
     for surf in surfaces:
         spec = random_feasible_spec(surf, EUCLIDEAN, rng)
-        phi = find_coherent_angle_system(spec).cas.phi
+        phi = find_coherent_angle_system(spec).half_angles
         for noise in (1e-12, 1e-6, 1e-3, 0.3):
             moved = phi + rng.normal(0.0, noise, len(phi))
             got, expected = repair_angles(spec, moved), repair_angles_reference(spec, moved)
             assert (got is None) == (expected is None)
             if got is not None:
-                assert np.array_equal(got.phi.view(np.int64), expected.phi.view(np.int64))
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
             outcomes.add(got is None)
     assert outcomes == {True, False}
 
@@ -908,7 +905,7 @@ def test_certificate_records_the_flow_search():
     equality = find_coherent_angle_system(torus_spec(EUCLIDEAN, phi=2 * np.pi + 0.1))
     assert (equality.flow_solves, equality.flow_rounds) == (0, 0)
     # certified angles are the verdict without a flow
-    certified = find_coherent_angle_system(torus_spec(), minimize(torus_spec()).cas)
+    certified = find_coherent_angle_system(torus_spec(), minimize(torus_spec()).half_angles)
     assert certified.feasible and (certified.flow_solves, certified.flow_rounds) == (0, 0)
     # the stats stay out of the deterministic report
     for cert in (feasible, infeasible):

@@ -3,7 +3,7 @@ import pytest
 
 from circlepatterns import meshes, specfun
 from circlepatterns.functional import (
-    EUCLIDEAN, HYPERBOLIC, CoherentAngleSystem, PatternSpec, cas_from_rho,
+    EUCLIDEAN, HYPERBOLIC, PatternSpec, cas_from_rho,
     face_residuals, gradient, hessian, phi_of_rho, radii_from_rho, value, value_and_phi,
 )
 from circlepatterns.surface import medial, surface_from_json_dict
@@ -220,15 +220,15 @@ def test_value_and_phi_matches_value_and_phi_of_rho(geometry):
 
 def test_cas_at_symmetric_critical_point():
     spec = symmetric_torus_spec()
-    cas, report = cas_from_rho(spec, np.zeros(16))
+    phi, report = cas_from_rho(spec, np.zeros(16))
     assert report.is_valid(1e-9)
-    assert np.abs(cas.phi - np.pi / 4).max() < 1e-15
+    assert np.abs(phi - np.pi / 4).max() < 1e-15
 
 
 def test_cas_reports_violations_off_critical():
     spec = symmetric_torus_spec()
     rng = np.random.default_rng(9)
-    cas, report = cas_from_rho(spec, rng.uniform(-1, 1, 16))
+    phi, report = cas_from_rho(spec, rng.uniform(-1, 1, 16))
     assert not report.is_valid(1e-9)
     assert report.max_face_residual > 1e-3
     # the pair identity holds even off critical points
@@ -238,23 +238,23 @@ def test_cas_reports_violations_off_critical():
 def test_hamiltonian_reduced_symmetric_torus():
     # 64 oriented edges, each contributing Cl(pi/2) + Cl(pi)/2 = Catalan
     spec = symmetric_torus_spec()
-    cas, _ = cas_from_rho(spec, np.zeros(16))
-    ham = hamiltonian_reduced(spec, cas)
+    phi, _ = cas_from_rho(spec, np.zeros(16))
+    ham = hamiltonian_reduced(spec, phi)
     assert abs(ham - 64 * CATALAN) < 1e-10
     assert abs(ham - value(spec, np.zeros(16))) < 1e-10
 
 
 def test_hamiltonian_rejects_invalid_cas():
     spec = symmetric_torus_spec()
-    bad = CoherentAngleSystem(phi=np.full(64, 0.3))
+    bad = np.full(64, 0.3)
     with pytest.raises(InvalidCASError):
         hamiltonian_reduced(spec, bad)
 
 
 def test_rho_from_cas_symmetric():
     spec = symmetric_torus_spec()
-    cas, _ = cas_from_rho(spec, np.zeros(16))
-    rho, residual = rho_from_cas(spec, cas)
+    phi, _ = cas_from_rho(spec, np.zeros(16))
+    rho, residual = rho_from_cas(spec, phi)
     assert np.abs(rho).max() < 1e-12
     assert residual < 1e-12
 
@@ -265,12 +265,12 @@ def test_rho_from_cas_round_trip_euclidean():
     spec = random_feasible_spec(meshes.cube(), EUCLIDEAN, rng)
     res = minimize(spec)
     assert res.converged
-    cas, report = cas_from_rho(spec, res.rho)
+    phi, report = cas_from_rho(spec, res.rho)
     assert report.is_valid(1e-8)
-    rho, residual = rho_from_cas(spec, cas)
+    rho, residual = rho_from_cas(spec, phi)
     assert residual < 1e-10
     assert np.abs(rho - res.rho).max() < 1e-10
-    assert abs(hamiltonian_reduced(spec, cas) - res.functional_value) < 1e-8
+    assert abs(hamiltonian_reduced(spec, phi) - res.functional_value) < 1e-8
 
 
 def test_rho_from_cas_round_trip_hyperbolic():
@@ -279,13 +279,13 @@ def test_rho_from_cas_round_trip_hyperbolic():
     spec = random_feasible_spec(meshes.torus_grid(2, 3), HYPERBOLIC, rng)
     res = minimize(spec)
     assert res.converged
-    cas, report = cas_from_rho(spec, res.rho)
+    phi, report = cas_from_rho(spec, res.rho)
     assert report.is_valid(1e-8)
     assert report.min_pair_slack > 0
-    rho, residual = rho_from_cas(spec, cas)
+    rho, residual = rho_from_cas(spec, phi)
     assert residual < 1e-9
     assert np.abs(rho - res.rho).max() < 1e-9
-    assert abs(hamiltonian_reduced(spec, cas) - res.functional_value) < 1e-8
+    assert abs(hamiltonian_reduced(spec, phi) - res.functional_value) < 1e-8
 
 
 def test_rho_from_cas_flags_non_critical_system():
@@ -295,7 +295,7 @@ def test_rho_from_cas_flags_non_critical_system():
     cert = find_coherent_angle_system(spec)
     assert cert.feasible
     # a generic flow solution is a valid angle system but not critical
-    _, residual = rho_from_cas(spec, cert.cas)
+    _, residual = rho_from_cas(spec, cert.half_angles)
     assert residual > 1e-6
 
 
@@ -306,7 +306,7 @@ def test_lower_bound_estimate():
         spec = random_feasible_spec(surf, EUCLIDEAN, rng)
         cert = find_coherent_angle_system(spec)
         assert cert.feasible
-        min_phi = cert.cas.phi.min()
+        min_phi = cert.half_angles.min()
         for _ in range(20):
             rho = rng.uniform(-3, 3, surf.n_faces)
             rho -= rho.mean()

@@ -1,16 +1,19 @@
 """The package's public names."""
 
 import dataclasses
+import inspect
 
 import circlepatterns
-from circlepatterns import functional, spherical
+from circlepatterns import feasibility, functional, solver, spherical
+from circlepatterns.feasibility import FeasibilityCertificate
 from circlepatterns.layout import LayoutResult
+from circlepatterns.solver import SolveResult
 from circlepatterns.spherical import Reduction
 
 PUBLIC = [
     "CellularSurface", "build_surface", "surface_from_walks", "medial",
     "euler_characteristic", "vertex_angle_sums", "SurfaceError", "OPEN",
-    "PatternSpec", "CoherentAngleSystem", "EUCLIDEAN", "HYPERBOLIC",
+    "PatternSpec", "EUCLIDEAN", "HYPERBOLIC",
     "phi_of_rho", "value", "gradient", "hessian", "cas_from_rho", "validate_cas",
     "radii_from_rho",
 ]
@@ -66,3 +69,25 @@ def test_removed_paths_and_record_fields_are_gone():
             if name in {f.name for f in dataclasses.fields(owner)}] == []
     assert [f.name for f in dataclasses.fields(Reduction)] == [
         "elementary", "spec", "face_map", "edge_map", "vertex_map"]
+
+
+def test_half_angles_travel_as_arrays():
+    # the one-field wrapper of the half-angles is gone, and the records
+    # that held it hold the array
+    assert "CoherentAngleSystem" not in PUBLIC
+    assert not hasattr(circlepatterns, "CoherentAngleSystem")
+    assert not hasattr(functional, "CoherentAngleSystem")
+    for record in (SolveResult, FeasibilityCertificate):
+        names = {f.name for f in dataclasses.fields(record)}
+        assert "cas" not in names and "half_angles" in names, record.__name__
+
+
+def test_the_existence_check_does_not_import_the_solver():
+    # feasibility reaches the grounded solve through functional, beside the
+    # plan it reads
+    assert [name for name, value in vars(feasibility).items()
+            if value is solver or (inspect.isfunction(value)
+                                   and value.__module__ == "circlepatterns.solver")] == []
+    assert functional.solve_grounded.__module__ == "circlepatterns.functional"
+    assert feasibility.solve_grounded is functional.solve_grounded
+    assert not hasattr(solver, "solve_grounded")

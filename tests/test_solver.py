@@ -33,11 +33,11 @@ def test_hyperbolic_torus():
     res = minimize(spec)
     assert res.converged
     assert np.all(res.rho < 0)
-    assert find_coherent_angle_system(spec, res.cas).feasible
+    assert find_coherent_angle_system(spec, res.half_angles).feasible
     assert "_solve_plan" not in vars(spec)     # CG steps and a direct repair
     srf = spec.surface
     face = np.zeros(srf.n_faces)
-    np.add.at(face, srf.oe_left, res.cas.phi)
+    np.add.at(face, srf.oe_left, res.half_angles)
     assert np.abs(spec.phi - 2 * face).max() <= 1e-8
 
 
@@ -53,7 +53,7 @@ def test_random_feasible_instances_converge():
         assert res.converged, res.message
         srf = spec.surface
         face = np.zeros(srf.n_faces)
-        np.add.at(face, srf.oe_left, res.cas.phi)
+        np.add.at(face, srf.oe_left, res.half_angles)
         assert np.abs(spec.phi - 2 * face).max() <= 1e-8
         if geometry == HYPERBOLIC:
             assert np.all(res.rho < 0)

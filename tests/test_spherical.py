@@ -137,8 +137,8 @@ def test_refused_certificate_reuses_the_reduction(monkeypatch):
         reductions.append(p)
         return reduce_to_plane(p)
 
-    def decide_spy(spec, angles=None):
-        verdicts.append(decide(spec, angles))
+    def decide_spy(spec, half_angles=None):
+        verdicts.append(decide(spec, half_angles))
         return verdicts[-1]
 
     monkeypatch.setattr(feasibility, "repair_angles", lambda spec, phi: None)
@@ -216,17 +216,16 @@ def test_tetrahedron_elementary_pattern():
     assert np.abs(angles - np.pi / 3).max() <= 1e-7
 
 
-# (problem, allowance): an elementary picture has no layout, so the line
-# pass measures every incidence that rounding moves; otherwise the reduced
-# layout places the kept points on the kept circles, and the intersections
-# the removed vertices, each within a few ulps that the pass does not count
-LINE_RESIDUAL_CASES = {**{f"tetrahedron v_inf={v}": (tetra_problem(v), 0.0) for v in range(4)},
-                       "cube": (cube_problem(), 1e-14), "octahedron": (octa_problem(), 1e-14)}
+# the line pass measures the lines' incidences, and the placement of the
+# removed vertices their distances from their circles and lines, so the
+# residual bounds every planar incidence with no allowance
+LINE_RESIDUAL_CASES = {**{f"tetrahedron v_inf={v}": tetra_problem(v) for v in range(4)},
+                       "cube": cube_problem(), "octahedron": octa_problem()}
 
 
 @pytest.mark.parametrize("case", sorted(LINE_RESIDUAL_CASES))
 def test_line_residual_bounds_every_planar_incidence(case):
-    p, allowance = LINE_RESIDUAL_CASES[case]
+    p = LINE_RESIDUAL_CASES[case]
     assert reduce_to_plane(p).elementary == case.startswith("tetrahedron")
     lay = solve_sphere(p)
     planar, s = lay.planar, p.surface
@@ -241,7 +240,7 @@ def test_line_residual_bounds_every_planar_incidence(case):
                    else abs(z - center) - radius)
             worst = max(worst, abs(off))
     assert lay.line_residual <= 1e-12
-    assert worst <= lay.line_residual + allowance
+    assert worst <= lay.line_residual
 
 
 def test_a_face_bordering_the_remaining_face_twice_leaves_no_theta():
