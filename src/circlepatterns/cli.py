@@ -22,8 +22,8 @@ from . import jsonio, solver, specfun
 from .feasibility import find_coherent_angle_system
 from .functional import EUCLIDEAN, HYPERBOLIC, PatternSpec, face_residuals, radii_from_rho
 from .layout import NotDevelopableError, export_json, export_svg, layout
-from .spherical import (SphereConditionError, SphericalProblem, solve_sphere,
-                        spherical_layout_to_dict)
+from .spherical import (SphereConditionError, SphereNoConvergenceError, SphericalProblem,
+                        solve_sphere, spherical_layout_to_dict)
 from .surface import (SurfaceError, euler_characteristic, is_integer, medial,
                       surface_from_json_dict)
 
@@ -276,8 +276,9 @@ def _numbered(key, n, template, *columns):
 def _spherical_pack_report(lay, n_f, n_v):
     """The caps of a packed sphere, the vertex caps (medial faces n_f + v)
     first."""
+    faces = lay.planar.faces
     row = np.empty(n_f + n_v, dtype=np.intp)
-    row[lay.faces] = np.arange(len(lay.faces))
+    row[faces] = np.arange(len(faces))
     cap = {"axis": [jsonio.FLOAT] * 3, "angular_radius": jsonio.FLOAT}
     vertex, face = row[n_f:], row[:n_f]
     return {"kind": "spherical",
@@ -412,6 +413,9 @@ def main(argv=None):
     except SphereConditionError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except SphereNoConvergenceError as exc:
+        print(f"no convergence: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except NotDevelopableError as exc:
         print(f"not developable: {exc}", file=sys.stderr)
         return EXIT_NOT_DEVELOPABLE

@@ -200,7 +200,7 @@ class FlowResult:
     that round's unmet demand as ``shortfall``.
     """
     flows: np.ndarray | None  # per branch; None if the unmet demand is above rounding
-    cut: set | None           # min cut, if any demand is unmet and no round stopped the flow
+    cut: np.ndarray | None    # min cut as a node mask, if demand is unmet and no round stopped
     rounds: int = 0           # integer max-flow rounds run
     pushed: float = 0.0       # flow sent from the excess nodes
     shortfall: float = 0.0    # demand left unmet
@@ -278,11 +278,6 @@ class _ResidualNetwork:
                                       0.0, sorted_units)
         return (taken[self.m:] - taken[:self.m]) * unit
 
-    def reachable(self, residual, s, tol):
-        """Nodes reachable from s through residual capacities above tol."""
-        graph = _open_arcs(self.tails, self.heads, residual, tol, self.n)
-        return breadth_first_order(graph, s, return_predecessors=False)
-
 
 def _open_arcs(tails, heads, residual, tol, n):
     """Adjacency matrix of the residual arcs whose capacity exceeds tol."""
@@ -337,15 +332,16 @@ def solve_feasible_flow(net: FlowNetwork, accept=None, *, need_cut=True) -> Flow
 
     The result holds the flows per branch, None if the unmet demand is
     above rounding level; the cut, if any demand is unmet and no round
-    stopped the flow, the min cut of the nodes reachable from the source
-    through residual capacities above the tolerance; and the rounds run,
-    the flow pushed, the shortfall and the final residual network.
+    stopped the flow, the min cut as a boolean mask over the nodes, those
+    reachable from the source through residual capacities above the
+    tolerance; and the rounds run, the flow pushed, the shortfall and the
+    final residual network.
     """
     n = net.n_nodes
     s, t = n, n + 1
     cap = net.upper - net.lower
     if np.any(cap < 0):
-        return FlowResult(None, set(range(n)), shortfall=np.inf)
+        return FlowResult(None, np.ones(n, dtype=bool), shortfall=np.inf)
     excess = (np.bincount(net.head, net.lower, minlength=n)
               - np.bincount(net.tail, net.lower, minlength=n))
     sources = np.flatnonzero(excess > 0)
@@ -391,8 +387,12 @@ def solve_feasible_flow(net: FlowNetwork, accept=None, *, need_cut=True) -> Flow
             stopped = True
             break
     residual = np.concatenate([flow, cap - flow])
-    cut = ({int(v) for v in residual_net.reachable(residual, s, tol) if v < n}
-           if unmet > tol and accepted is None and not stopped else None)
+    cut = None
+    if unmet > tol and accepted is None and not stopped:
+        graph = _open_arcs(residual_net.tails, residual_net.heads, residual, tol, n + 2)
+        cut = np.zeros(n + 2, dtype=bool)
+        cut[breadth_first_order(graph, s, return_predecessors=False)] = True
+        cut = cut[:n]
     feasible = accepted is None and unmet <= accept_tol
     return FlowResult(net.lower + flow[:n_branches] if feasible else None, cut,
                       rounds=rounds, pushed=demand - unmet, shortfall=unmet,
@@ -609,9 +609,9 @@ def find_coherent_angle_system(spec: PatternSpec, half_angles=None) -> Feasibili
     return cert
 
 
-def _deficit(net: FlowNetwork, nodes) -> float:
-    """Lower bounds of the branches into a node set less uppers out of it."""
-    inside = np.isin(np.arange(net.n_nodes), list(nodes))
+def _deficit(net: FlowNetwork, inside: np.ndarray) -> float:
+    """Lower bounds of the branches into a node set, a mask over the
+    nodes, less uppers out of it."""
     return float(net.lower[inside[net.head] & ~inside[net.tail]].sum()
                  - net.upper[inside[net.tail] & ~inside[net.head]].sum())
 

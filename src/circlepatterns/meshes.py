@@ -23,11 +23,6 @@ def octahedron() -> CellularSurface:
     ])
 
 
-def double_triangle() -> CellularSurface:
-    """Two triangles glued along their three edges (a sphere)."""
-    return build_surface(faces=[[0, 1, 2], [2, 1, 0]])
-
-
 def torus_grid(m: int, n: int) -> CellularSurface:
     """m-by-n quadrilateral grid with opposite sides identified (genus 1).
 
@@ -71,22 +66,3 @@ def triangulated_torus(m: int, n: int) -> CellularSurface:
             faces.append([v(i, j), v(i + 1, j), v(i + 1, j + 1)])
             faces.append([v(i, j), v(i + 1, j + 1), v(i, j + 1)])
     return build_surface(faces=faces)
-
-
-def hexagonal_torus() -> CellularSurface:
-    """One hexagon with opposite sides identified: F=1, E=3, V=2, genus 1.
-
-    Both vertices are 3-valent.
-    """
-    u, w = 0, 1
-    tokens = [(u, "a", 1), (w, "b", 1), (u, "c", 1),
-              (w, "a", -1), (u, "b", -1), (w, "c", -1)]
-    return surface_from_walks([(tokens, True)], edge_order=["a", "b", "c"])
-
-
-def genus2_octagon() -> CellularSurface:
-    """Octagon with the identification a b a' b' c d c' d': genus 2."""
-    v = 0
-    tokens = [(v, "a", 1), (v, "b", 1), (v, "a", -1), (v, "b", -1),
-              (v, "c", 1), (v, "d", 1), (v, "c", -1), (v, "d", -1)]
-    return surface_from_walks([(tokens, True)], edge_order=["a", "b", "c", "d"])

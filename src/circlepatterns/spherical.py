@@ -15,9 +15,10 @@ image plane z = 0; a point (X, Y, Z) maps to (X + iY)/(1 - Z).  Spherical
 circles are stored as an oriented cap (unit axis, angular radius in
 (0, pi)) whose interior is the face's disk.
 
-A ``SphericalLayout`` holds the caps and the points on the sphere as
-arrays, rows in ascending id order, and the planar picture as a
-``layout.LayoutResult`` whose re-inserted faces are lines.
+A ``SphericalLayout`` holds the planar picture as a
+``layout.LayoutResult`` whose re-inserted faces are lines, and the caps
+and the points on the sphere as arrays: a cap per row of
+``planar.faces``, a point per vertex in ascending id order.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ TWO_PI = 2.0 * math.pi
 
 class SphereConditionError(ValueError):
     """The data do not admit a spherical pattern."""
+
+
+class SphereNoConvergenceError(RuntimeError):
+    """The Newton solve of a feasible reduction did not converge."""
 
 
 _DISCONNECTED = ("removing the faces around v_infinity disconnects the "
@@ -86,7 +91,6 @@ class Reduction:
     reduction: one kept face and no kept edge.  The maps take reduced
     face, edge and vertex ids to those of p, as read-only intp arrays; an
     elementary reduction maps its one face and no edge or vertex."""
-    elementary: bool
     spec: PatternSpec | None
     face_map: np.ndarray
     edge_map: np.ndarray
@@ -129,7 +133,7 @@ def reduce_to_plane(p: SphericalProblem) -> Reduction:
     if not len(kept_edges):
         if len(kept_faces) != 1:
             raise SphereConditionError(_DISCONNECTED)
-        return Reduction(True, None, kept_faces, kept_edges, kept_vertices)
+        return Reduction(None, kept_faces, kept_edges, kept_vertices)
 
     # every position of every face walk: its face, its place in the walk
     # and whether its edge is kept
@@ -188,36 +192,29 @@ def reduce_to_plane(p: SphericalProblem) -> Reduction:
             f"boundary face {f} would get nonpositive cone angle "
             f"{phi.min():.12g}; the subset conditions fail")
     spec = PatternSpec(reduced, EUCLIDEAN, theta_star[kept_edges], phi)
-    return Reduction(False, spec, kept_faces, kept_edges, kept_vertices)
+    return Reduction(spec, kept_faces, kept_edges, kept_vertices)
 
 
-@dataclass
-class SphereVerdict:
-    ok: bool
-    message: str = ""
-    certificate: FeasibilityCertificate | None = None
-
-
-def check_sphere_conditions(p: SphericalProblem) -> SphereVerdict:
+def check_sphere_conditions(p: SphericalProblem) -> FeasibilityCertificate:
     """Decide whether the reduction of p admits a Euclidean pattern.
 
     Runs :func:`reduce_to_plane`, whose failures (every face around
     v_inf, a disconnected dual 1-skeleton, a nonpositive boundary cone
-    angle) are failing verdicts; an elementary reduction passes; otherwise
-    the flow check of the reduced problem decides the total-angle equality
-    and the strict subset inequalities.  A violating subset is reported in
-    the faces and edges of p.
+    angle) are refused with ``kind="reduction"`` and the failure's text as
+    ``message``; an elementary reduction is feasible with no half-angles;
+    otherwise the flow check of the reduced problem decides the
+    total-angle equality and the strict subset inequalities.  A feasible
+    verdict holds the reduced problem's half-angles; a violating subset is
+    reported in the faces and edges of p.
     """
     try:
         red = reduce_to_plane(p)
     except SphereConditionError as exc:
-        return SphereVerdict(False, str(exc))
-    if red.elementary:
-        return SphereVerdict(True)
+        return FeasibilityCertificate(feasible=False, kind="reduction", message=str(exc))
+    if red.spec is None:
+        return FeasibilityCertificate(feasible=True)
     cert = find_coherent_angle_system(red.spec)
-    if cert.feasible:
-        return SphereVerdict(True, certificate=cert)
-    return SphereVerdict(False, cert.message, _original_certificate(p, red, cert))
+    return cert if cert.feasible else _original_certificate(p, red, cert)
 
 
 def _original_certificate(p, red, cert):
@@ -345,15 +342,15 @@ def _incidence_error(circle, z):
 
 @dataclass
 class SphericalLayout:
-    """A spherical pattern as arrays, rows in ascending id order.
+    """A spherical pattern as arrays.
 
-    ``faces`` with their caps (unit ``axes`` and ``angular_radii``),
-    ``vertices`` with their ``points`` on the unit sphere, v_inf at the
-    north pole.  ``planar`` is the picture in the image plane in the
-    numbering of p: the reduced pattern's circles and kites, the removed
-    faces as lines and every vertex but v_inf."""
-    faces: np.ndarray                # (F,) original faces with a cap
-    axes: np.ndarray                 # (F, 3) unit cap axes
+    ``planar`` is the picture in the image plane in the numbering of p:
+    the reduced pattern's circles and kites, the removed faces as lines
+    and every vertex but v_inf.  The caps (unit ``axes`` and
+    ``angular_radii``) have a row per face of ``planar.faces``;
+    ``vertices``, in ascending id order, have their ``points`` on the unit
+    sphere, v_inf at the north pole."""
+    axes: np.ndarray                 # (F, 3) unit cap axes, rows of planar.faces
     angular_radii: np.ndarray        # (F,)
     vertices: np.ndarray             # (V,) original vertices
     points: np.ndarray               # (V, 3) on the unit sphere
@@ -463,14 +460,15 @@ def solve_sphere(p: SphericalProblem) -> SphericalLayout:
     Existence is decided by ``find_coherent_angle_system`` on the reduced
     problem with the angles of its solve, which runs the flow only when
     they prove nothing; a failing verdict raises SphereConditionError
-    with the flow's message."""
+    with the flow's message, and a feasible reduction whose solve does not
+    converge raises SphereNoConvergenceError."""
     red = reduce_to_plane(p)
     s = p.surface
     circles = (np.zeros(s.n_faces, dtype=complex), np.full(s.n_faces, np.nan),
                np.zeros(s.n_faces, dtype=complex))
     centers, radii, normals = circles
     points = np.full(s.n_vertices, np.nan, dtype=complex)
-    if red.elementary:
+    if red.spec is None:
         f0 = red.face_map[0]
         walk = s.walk_edges[s.walk_offsets[f0]:s.walk_offsets[f0 + 1]]
         arcs = 2.0 * p.theta_star[s.oe_edge[walk]]
@@ -483,8 +481,7 @@ def solve_sphere(p: SphericalProblem) -> SphericalLayout:
         if not cert.feasible:
             raise SphereConditionError(cert.message)
         if not solve_result.converged:
-            raise SphereConditionError(
-                f"reduced solve did not converge: {solve_result.message}")
+            raise SphereNoConvergenceError(f"reduced solve: {solve_result.message}")
         reduced = layout(red.spec, solve_result.rho)
         faces = red.face_map[reduced.faces]
         centers[faces], radii[faces] = reduced.centers, reduced.radii
@@ -499,12 +496,12 @@ def solve_sphere(p: SphericalProblem) -> SphericalLayout:
         geometry=EUCLIDEAN, faces=faces, centers=centers[faces], radii=radii[faces],
         normals=normals[faces], vertices=vertices, points=points[vertices],
         kites=kites, kite_edges=kite_edges,
-        closure_residual=line_residual if red.elementary else reduced.closure_residual)
+        closure_residual=line_residual if red.spec is None else reduced.closure_residual)
     axes, angular_radii = sphere_caps(planar.centers, planar.radii, planar.normals)
     # v_inf has no planar point; the nan maps to the north pole
     vertices = np.union1d(vertices, [p.v_infinity])
     return SphericalLayout(
-        faces=faces, axes=axes, angular_radii=angular_radii,
+        axes=axes, angular_radii=angular_radii,
         vertices=vertices, points=_sphere_points(points[vertices]),
         planar=planar, line_residual=line_residual)
 
@@ -515,8 +512,9 @@ def spherical_layout_to_dict(p: SphericalProblem, lay: SphericalLayout) -> dict:
     cap = {"face": jsonio.INT, "axis": [jsonio.FLOAT] * 3, "angular_radius": jsonio.FLOAT}
     point = {"vertex": jsonio.INT, "point": [jsonio.FLOAT] * 3}
     return {
-        "circles": jsonio.Rows([cap] * len(lay.faces),
-                               np.column_stack([lay.faces, lay.axes, lay.angular_radii])),
+        "circles": jsonio.Rows([cap] * len(lay.axes),
+                               np.column_stack([lay.planar.faces, lay.axes,
+                                                lay.angular_radii])),
         "vertices": jsonio.Rows([point] * len(lay.vertices),
                                 np.column_stack([lay.vertices, lay.points])),
         "v_infinity": p.v_infinity,

@@ -9,7 +9,31 @@ from circlepatterns import meshes
 from circlepatterns.functional import EUCLIDEAN, HYPERBOLIC, PatternSpec
 from circlepatterns.spherical import _sphere_points, sphere_caps
 from circlepatterns.surface import (OPEN, SurfaceError, UnsupportedSurfaceError,
-                                   surface_from_walks)
+                                   build_surface, surface_from_walks, vertex_angle_sums)
+
+
+def double_triangle():
+    """Two triangles glued along their three edges (a sphere)."""
+    return build_surface(faces=[[0, 1, 2], [2, 1, 0]])
+
+
+def hexagonal_torus():
+    """One hexagon with opposite sides identified: F=1, E=3, V=2, genus 1.
+
+    Both vertices are 3-valent.
+    """
+    u, w = 0, 1
+    tokens = [(u, "a", 1), (w, "b", 1), (u, "c", 1),
+              (w, "a", -1), (u, "b", -1), (w, "c", -1)]
+    return surface_from_walks([(tokens, True)], edge_order=["a", "b", "c"])
+
+
+def genus2_octagon():
+    """Octagon with the identification a b a' b' c d c' d': genus 2."""
+    v = 0
+    tokens = [(v, "a", 1), (v, "b", 1), (v, "a", -1), (v, "b", -1),
+              (v, "c", 1), (v, "d", 1), (v, "c", -1), (v, "d", -1)]
+    return surface_from_walks([(tokens, True)], edge_order=["a", "b", "c", "d"])
 
 
 def surface_pool(max_faces=None):
@@ -17,14 +41,14 @@ def surface_pool(max_faces=None):
         meshes.tetrahedron(),
         meshes.cube(),
         meshes.octahedron(),
-        meshes.double_triangle(),
+        double_triangle(),
         meshes.torus_grid(2, 2),
         meshes.torus_grid(2, 3),
         meshes.torus_grid(2, 4),
         meshes.torus_grid(3, 3),
         meshes.torus_grid(1, 1),
-        meshes.hexagonal_torus(),
-        meshes.genus2_octagon(),
+        hexagonal_torus(),
+        genus2_octagon(),
     ]
     if max_faces is not None:
         pool = [s for s in pool if s.n_faces <= max_faces]
@@ -50,6 +74,18 @@ def random_feasible_spec(surface, geometry, rng):
     face = np.zeros(surface.n_faces)
     np.add.at(face, surface.oe_left, phi)
     return PatternSpec(surface, geometry, theta_star, 2.0 * face)
+
+
+def cube_cocycle_theta(vertical):
+    """Cube exterior angles: `vertical` on the four edges between the top
+    and bottom squares, the rest so that every vertex sums to 2*pi; the
+    equatorial cocycle is short when `vertical` is small."""
+    s = meshes.cube()
+    h = s.edge_reps
+    upright = (s.oe_origin[h] < 4) != (s.oe_origin[s.oe_twin[h]] < 4)
+    theta = np.where(upright, vertical, 0.5 * (2 * np.pi - vertical))
+    assert np.abs(vertex_angle_sums(s, theta) - 2 * np.pi).max() < 1e-12
+    return theta
 
 
 def random_flat_theta(surface, rng, spread=0.3):
@@ -331,8 +367,9 @@ def circle_to_sphere(center, radius, normal=0j):
 
 def sphere_cap(lay, f):
     """Face f's cap in a ``SphericalLayout``."""
-    i = int(np.searchsorted(lay.faces, f))
-    assert lay.faces[i] == f
+    faces = lay.planar.faces
+    i = int(np.searchsorted(faces, f))
+    assert faces[i] == f
     return SphericalCircle(lay.axes[i], lay.angular_radii[i])
 
 

@@ -435,7 +435,7 @@ def feasible_flow_dinic(net, shortfall_tol=None):
     Infinite upper bounds are clamped to the sum of all finite bounds plus
     one, which any feasible flow can be rerouted below.  Returns
     (flows, cut, pushed, demand) with the contract of the function under
-    test for the first two.
+    test for the first two, but the cut as a set of nodes.
     """
     branches = list(zip(net.tail.tolist(), net.head.tolist(),
                         net.lower.tolist(), net.upper.tolist()))
@@ -1048,7 +1048,7 @@ def reduce_to_plane_reference(p):
     if not kept_edges:
         if len(kept_faces) != 1:
             raise SphereConditionError(disconnected)
-        return Reduction(True, None, kept_faces, kept_edges, kept_vertices)
+        return Reduction(None, kept_faces, kept_edges, kept_vertices)
     edge_index = {e: i for i, e in enumerate(kept_edges)}
     vertex_index = {v: i for i, v in enumerate(kept_vertices)}
     walks, phi = [], []
@@ -1081,7 +1081,7 @@ def reduce_to_plane_reference(p):
         raise SphereConditionError(
             f"boundary face {f} would get nonpositive cone angle "
             f"{phi.min():.12g}; the subset conditions fail")
-    return Reduction(False, PatternSpec(reduced, "euclidean", p.theta_star[kept_edges], phi),
+    return Reduction(PatternSpec(reduced, "euclidean", p.theta_star[kept_edges], phi),
                      kept_faces, kept_edges, kept_vertices)
 
 

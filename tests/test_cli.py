@@ -12,8 +12,9 @@ from circlepatterns.feasibility import FeasibilityCertificate, find_coherent_ang
 from circlepatterns.functional import PatternSpec, radii_from_rho
 from circlepatterns.spherical import SphericalProblem, reduce_to_plane
 from circlepatterns.surface import medial, surface_from_json_dict, surface_to_json_dict
-from helpers import (face_lists, genus2_faces, pinched_sphere, random_feasible_spec,
-                     random_flat_theta, subdivided_faces)
+from helpers import (cube_cocycle_theta, face_lists, genus2_faces, genus2_octagon,
+                     pinched_sphere, random_feasible_spec, random_flat_theta,
+                     subdivided_faces)
 from oracles import (certificate_reference, dumps_reference, pack_report_reference,
                      solve_report_reference)
 
@@ -220,7 +221,7 @@ def test_solve_keeps_the_mesh_edge_numbering(capsys, tmp_path):
 
 
 def test_layout_of_closed_hyperbolic_problem(capsys, tmp_path):
-    s = meshes.genus2_octagon()
+    s = genus2_octagon()
     problem = _write_problem(tmp_path / "genus2.json", s, "hyperbolic",
                              np.full(s.n_edges, 0.75 * np.pi), np.full(s.n_faces, 2 * np.pi))
     report = str(tmp_path / "report.json")
@@ -477,6 +478,30 @@ def test_pack_reports_an_unconverged_solve(capsys, tmp_path, monkeypatch):
     doc = json.loads(out)
     assert doc["converged"] is False and doc["iterations"] == 0
     assert doc["message"] == "no convergence in 0 Newton steps"
+
+
+def test_an_unconverged_reduced_solve_exits_as_no_convergence(capsys, tmp_path, monkeypatch):
+    # the reduced solves of pack on the octahedron and of sphere on a cube
+    # whose vertical edges differ from the rest start off their minimisers
+    # and stop at the cap, which exits 3 as a torus pack does, not 2; the
+    # cube with cheap vertical edges is still refused by the flow
+    minimize = cli.solver.minimize
+    monkeypatch.setattr(cli.solver, "minimize",
+                        lambda spec: minimize(spec, solver.SolveOptions(max_iter=0)))
+    octahedron = tmp_path / "octahedron.json"
+    octahedron.write_text(json.dumps({"mesh": surface_to_json_dict(meshes.octahedron())}))
+    mesh = surface_to_json_dict(meshes.cube())
+    for vertical in (1.7, 0.3):
+        (tmp_path / f"cube{vertical}.json").write_text(json.dumps(
+            {"mesh": mesh, "theta": cube_cocycle_theta(vertical).tolist()}))
+    unconverged = "no convergence: reduced solve: no convergence in 0 Newton steps\n"
+    for argv, code, err in (
+            (["pack", str(octahedron)], cli.EXIT_NO_CONVERGENCE, unconverged),
+            (["sphere", str(tmp_path / "cube1.7.json")], cli.EXIT_NO_CONVERGENCE, unconverged),
+            (["sphere", str(tmp_path / "cube0.3.json")], cli.EXIT_INFEASIBLE,
+             "infeasible: flow cut yields a violating face subset\n")):
+        assert cli.main(argv) == code, argv
+        assert capsys.readouterr() == ("", err), argv
 
 
 def _golden(name):

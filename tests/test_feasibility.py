@@ -11,7 +11,9 @@ from circlepatterns.solver import SolveOptions, minimize
 from circlepatterns.spherical import SphericalProblem, check_sphere_conditions
 from circlepatterns.surface import (euler_characteristic, medial, surface_from_walks,
                                    vertex_angle_sums)
-from helpers import dual, random_feasible_spec, random_flat_theta, random_spec, surface_pool
+from helpers import (cube_cocycle_theta, double_triangle, dual, genus2_octagon,
+                     hexagonal_torus, random_feasible_spec, random_flat_theta, random_spec,
+                     surface_pool)
 from oracles import (check_conditions_bruteforce, check_higher_genus_condition,
                      check_rivin_condition, euclidean_box_network, region_decomposition,
                      repair_angles_reference)
@@ -142,9 +144,9 @@ def test_network_structure():
     assert (zero.n_nodes, len(zero.tail)) == (F + 1, E + F)
     assert np.array_equal(zero.upper[:E], spec.theta_star)
     for _ in range(20):
-        nodes = set(np.flatnonzero(rng.random(F + 1) < rng.random()).tolist())
-        assert _deficit(zero, nodes) == pytest.approx(
-            _zero_deficit(spec, [v for v in nodes if v < F]), abs=1e-12)
+        inside = rng.random(F + 1) < rng.random()
+        assert _deficit(zero, inside) == pytest.approx(
+            _zero_deficit(spec, np.flatnonzero(inside[:F])), abs=1e-12)
     # hyperbolic data keep the box form at eps = 0, where a face set with
     # its incident edges has the same deficit
     spec = PatternSpec(srf, HYPERBOLIC, np.full(E, np.pi / 2), rng.uniform(0.5, 6.0, F))
@@ -157,9 +159,10 @@ def test_network_structure():
     for _ in range(20):
         faces = np.flatnonzero(rng.random(F) < rng.random())
         edges = np.unique(srf.oe_edge[np.isin(srf.oe_left, faces)])
-        nodes = set(faces.tolist()) | set((F + edges).tolist())
-        assert _deficit(zero, nodes) == pytest.approx(_zero_deficit(spec, faces),
-                                                      abs=1e-12)
+        inside = np.zeros(zero.n_nodes, dtype=bool)
+        inside[faces] = inside[F + edges] = True
+        assert _deficit(zero, inside) == pytest.approx(_zero_deficit(spec, faces),
+                                                       abs=1e-12)
 
 
 def _floor_flow_specs():
@@ -700,21 +703,14 @@ def test_rivin_cube_satisfied():
 
 def test_rivin_two_valent_vertex_rejected():
     # a 2-valent vertex cannot carry theta < pi summing to 2*pi
-    s = meshes.double_triangle()
+    s = double_triangle()
     with pytest.raises(ValueError, match="vertex"):
         check_rivin_condition(s, np.full(3, 0.9 * np.pi))
 
 
-def cheap_vertical_cube_theta():
-    # cube with cheap vertical edges: the equatorial 4-cocycle sums below 2*pi
-    s = meshes.cube()
-    h = s.edge_reps
-    vertical = (s.oe_origin[h] < 4) != (s.oe_origin[s.oe_twin[h]] < 4)
-    return s, np.where(vertical, 0.3, 0.5 * (2 * np.pi - 0.3))
-
-
 def test_rivin_short_cocycle_violation():
-    s, theta = cheap_vertical_cube_theta()
+    # cube with cheap vertical edges: the equatorial 4-cocycle sums below 2*pi
+    s, theta = meshes.cube(), cube_cocycle_theta(0.3)
     assert np.abs(vertex_angle_sums(s, theta) - 2 * np.pi).max() < 1e-12
     verdict = check_rivin_condition(s, theta)
     assert not verdict.satisfied
@@ -726,12 +722,12 @@ def test_rivin_agrees_with_sphere_conditions_on_cube():
     theta = np.full(12, 2 * np.pi / 3)
     cocycles = check_rivin_condition(meshes.cube(), theta)
     flow = check_sphere_conditions(SphericalProblem(meshes.cube(), theta, 0))
-    assert cocycles.satisfied == flow.ok is True
+    assert cocycles.satisfied == flow.feasible is True
     # and on the equatorial violation, from every projection vertex
-    s, theta = cheap_vertical_cube_theta()
+    s, theta = meshes.cube(), cube_cocycle_theta(0.3)
     assert not check_rivin_condition(s, theta).satisfied
     for v in range(s.n_vertices):
-        assert not check_sphere_conditions(SphericalProblem(s, theta, v)).ok
+        assert not check_sphere_conditions(SphericalProblem(s, theta, v)).feasible
 
 
 def test_rivin_requires_genus_zero():
@@ -750,7 +746,7 @@ def test_higher_genus_torus_grid_satisfied():
 def test_higher_genus_agrees_with_feasibility():
     rng = np.random.default_rng(102)
     for surf in (meshes.torus_grid(1, 1), meshes.torus_grid(1, 2),
-                 meshes.hexagonal_torus(), meshes.torus_grid(2, 2)):
+                 hexagonal_torus(), meshes.torus_grid(2, 2)):
         for _ in range(6):
             theta = random_flat_theta(surf, rng)
             verdict = check_higher_genus_condition(surf, theta)
@@ -789,7 +785,7 @@ def test_higher_genus_equality_cut_violated():
 
 
 def test_higher_genus_genus_two():
-    s = meshes.genus2_octagon()
+    s = genus2_octagon()
     rng = np.random.default_rng(103)
     for _ in range(5):
         theta = random_flat_theta(s, rng)
@@ -867,7 +863,7 @@ def test_region_decomposition_sphere_cycle_rank():
 def test_region_decomposition_identity_random_cuts():
     rng = np.random.default_rng(105)
     for surf in (meshes.torus_grid(2, 2), meshes.torus_grid(2, 3),
-                 meshes.hexagonal_torus(), meshes.genus2_octagon()):
+                 hexagonal_torus(), genus2_octagon()):
         d = dual(surf)
         for _ in range(25):
             k = int(rng.integers(1, d.n_edges + 1))

@@ -60,6 +60,15 @@ def random_integer_network(rng):
     return _network(n, tail, head, lower, upper)
 
 
+def _nodes(cut):
+    """The node set of a cut mask, as the oracle gives it."""
+    return set(np.flatnonzero(cut).tolist())
+
+
+def _same_cut(a, b):
+    return (a is None) == (b is None) and (a is None or np.array_equal(a, b))
+
+
 def _check_against_oracle(net):
     result = solve_feasible_flow(net)
     flows, cut = result.flows, result.cut
@@ -70,7 +79,7 @@ def _check_against_oracle(net):
     assert abs(result.pushed - ref_pushed) <= 4 * len(net.tail) * tol
     assert result.pushed + result.shortfall == pytest.approx(demand, rel=1e-12, abs=tol)
     if flows is None:
-        assert cut is not None
+        assert cut.dtype == bool and cut.shape == (net.n_nodes,)
         return result, ref_cut
     slack = 1e-10 * max(1.0, demand) + tol
     assert np.all(flows >= net.lower - slack)
@@ -98,7 +107,7 @@ def test_cut_matches_oracle_on_infeasible_integer_networks():
         if result.cut is not None:
             # the source side of the residual graph is the same for every
             # maximum flow
-            assert result.cut == ref_cut
+            assert _nodes(result.cut) == ref_cut
             infeasible += 1
     assert infeasible > 30
 
@@ -113,7 +122,7 @@ def test_capacities_beyond_int32(demand, feasible):
     result, ref_cut = _check_against_oracle(net)
     assert (result.cut is None) == feasible
     if not feasible:
-        assert result.cut == ref_cut == {1}
+        assert _nodes(result.cut) == ref_cut == {1}
         assert result.shortfall == pytest.approx(demand - 7e9)
 
 
@@ -150,8 +159,9 @@ def test_accept_hook_stops_the_rounds():
         plain = solve_feasible_flow(net)
         rounds_seen = []
         never = solve_feasible_flow(net, accept=lambda flows: rounds_seen.append(flows.copy()))
-        assert (never.rounds, never.cut, never.shortfall, never.accepted) == \
-            (plain.rounds, plain.cut, plain.shortfall, None)
+        assert (never.rounds, never.shortfall, never.accepted) == \
+            (plain.rounds, plain.shortfall, None)
+        assert _same_cut(never.cut, plain.cut)
         assert (never.flows is None) == (plain.flows is None)
         if plain.flows is not None:
             assert np.array_equal(never.flows, plain.flows)
@@ -199,8 +209,9 @@ def test_a_flow_stops_only_short_of_its_demand():
                     stopped[kind] += 1
                     stopped["accepted after the stop"] += whole.accepted is not None
                     continue
-                assert (first.rounds, first.pushed, first.shortfall, first.cut) == \
-                    (whole.rounds, whole.pushed, whole.shortfall, whole.cut)
+                assert (first.rounds, first.pushed, first.shortfall) == \
+                    (whole.rounds, whole.pushed, whole.shortfall)
+                assert _same_cut(first.cut, whole.cut)
                 for a, b in ((first.flows, whole.flows), (first.accepted, whole.accepted)):
                     assert (a is None) == (b is None)
                     assert a is None or np.array_equal(a, b)

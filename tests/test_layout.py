@@ -14,7 +14,8 @@ from circlepatterns.layout import (LayoutResult, NotDevelopableError, _extract_p
 from circlepatterns.solver import minimize
 from circlepatterns.spherical import SphericalProblem, reduce_to_plane, solve_sphere
 from circlepatterns.surface import medial
-from helpers import flagged, layout_scale, random_feasible_spec, random_flat_theta
+from helpers import (flagged, hexagonal_torus, layout_scale, random_feasible_spec,
+                     random_flat_theta)
 from oracles import (develop_scalar, dumps_reference, extract_periods_scalar,
                      hyperbolic_circle_to_euclidean, layout_to_dict_reference,
                      scalar_layout)
@@ -255,7 +256,7 @@ def _assert_same_layout(lay, ref):
 def test_array_map_matches_scalar_map_on_random_tori():
     rng = np.random.default_rng(34)
     for s in (medial(meshes.triangulated_torus(3, 3)), medial(meshes.triangulated_torus(3, 4)),
-              meshes.torus_grid(4, 5), meshes.hexagonal_torus()):
+              meshes.torus_grid(4, 5), hexagonal_torus()):
         theta = random_flat_theta(s, rng, spread=0.5)
         spec = PatternSpec(s, EUCLIDEAN, np.pi - theta, np.full(s.n_faces, 2 * np.pi))
         res = minimize(spec)

@@ -11,7 +11,8 @@ from circlepatterns.functional import (EUCLIDEAN, HYPERBOLIC, PatternSpec,
 from circlepatterns.solver import _FORCING, SolveOptions, _newton_direction, minimize
 from circlepatterns.spherical import SphericalProblem, reduce_to_plane
 from circlepatterns.surface import build_surface, medial
-from helpers import face_lists, random_feasible_spec, random_spec, subdivided_faces, surface_pool
+from helpers import (face_lists, hexagonal_torus, random_feasible_spec, random_spec,
+                     subdivided_faces, surface_pool)
 from oracles import coordinate_descent, coordinate_step, solve_grounded_reference
 
 
@@ -473,7 +474,7 @@ def test_constant_residual_inside_the_rounding_floor_is_not_blamed_on_the_data()
     # one face with Phi = 2 sum(theta*): the residual is a rounding constant,
     # which no step on the zero-sum subspace lowers, and the total equality holds
     theta_star = [1.5807564793416093, 0.5070830129288783, 1.2528792685202423]
-    spec = PatternSpec(meshes.hexagonal_torus(), EUCLIDEAN, theta_star, [2 * sum(theta_star)])
+    spec = PatternSpec(hexagonal_torus(), EUCLIDEAN, theta_star, [2 * sum(theta_star)])
     result = minimize(spec, SolveOptions(grad_tol=1e-16))
     assert (result.converged, result.iterations) == (False, 0)
     assert 0.0 < result.grad_norm < 1e-15

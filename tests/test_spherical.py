@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from circlepatterns import meshes
-from circlepatterns.feasibility import STRICT_TOL
+from circlepatterns.feasibility import STRICT_TOL, FeasibilityCertificate
 from circlepatterns import feasibility, spherical
 from circlepatterns.layout import export_json, export_svg
 from circlepatterns.spherical import (
     SphereConditionError, SphericalProblem, check_sphere_conditions, reduce_to_plane,
     solve_sphere, sphere_caps,
 )
-from circlepatterns.surface import build_surface, medial, vertex_angle_sums
-from helpers import (SphericalCircle, cap_contains, circle_to_sphere, edge_cross_ratios,
-                     face_lists, pattern_angles, pinched_sphere, random_flat_theta, sphere_cap,
+from circlepatterns.surface import build_surface, medial
+from helpers import (SphericalCircle, cap_contains, circle_to_sphere, cube_cocycle_theta,
+                     edge_cross_ratios, face_lists, pattern_angles, pinched_sphere, random_flat_theta, sphere_cap,
                      sphere_intersection_angle, sphere_point, stereographic,
                      stereographic_inverse, subdivided_faces)
 from oracles import (Circle, Line, cap_reference, check_conditions_bruteforce,
@@ -49,7 +49,6 @@ def test_problem_rejects_non_finite_theta(bad):
 
 def test_reduce_cube():
     red = reduce_to_plane(cube_problem())
-    assert not red.elementary
     assert len(red.face_map) == 3
     assert red.spec.surface.n_edges == 3
     assert np.abs(red.spec.phi - 2 * np.pi / 3).max() < 1e-12
@@ -66,7 +65,7 @@ def test_reduce_octahedron():
 
 def test_reduce_tetrahedron_elementary():
     red = reduce_to_plane(tetra_problem())
-    assert red.elementary and red.spec is None
+    assert red.spec is None
     # face 3 is the one off vertex 0; no edge or vertex is kept
     assert red.face_map.tolist() == [3]
     assert red.edge_map.tolist() == [] and red.vertex_map.tolist() == []
@@ -79,21 +78,13 @@ def test_reduction_maps_are_read_only_intp_arrays():
 
 
 def test_conditions_cube_and_octa():
-    assert check_sphere_conditions(cube_problem()).ok
-    assert check_sphere_conditions(octa_problem()).ok
-    assert check_sphere_conditions(tetra_problem()).ok
-
-
-def cube_cocycle_theta(vertical):
-    """Cube exterior angles: `vertical` on the four edges between the top
-    and bottom squares, the rest so that every vertex sums to 2*pi; the
-    equatorial cocycle is short when `vertical` is small."""
-    s = meshes.cube()
-    h = s.edge_reps
-    upright = (s.oe_origin[h] < 4) != (s.oe_origin[s.oe_twin[h]] < 4)
-    theta = np.where(upright, vertical, 0.5 * (2 * np.pi - vertical))
-    assert np.abs(vertex_angle_sums(s, theta) - 2 * np.pi).max() < 1e-12
-    return theta
+    # a feasible verdict holds the half-angles of the reduced problem, and
+    # an elementary reduction has none
+    for p in (cube_problem(), octa_problem()):
+        cert = check_sphere_conditions(p)
+        assert isinstance(cert, FeasibilityCertificate) and cert.feasible
+        assert len(cert.half_angles) == reduce_to_plane(p).spec.surface.n_oriented_edges
+    assert check_sphere_conditions(tetra_problem()) == FeasibilityCertificate(feasible=True)
 
 
 def assert_certificate_violates(p, cert):
@@ -116,14 +107,14 @@ def test_conditions_detect_short_cocycle():
     # project from a vertex: the cheap equatorial cocycle violates the
     # subset conditions of the reduction
     p = SphericalProblem(meshes.cube(), cube_cocycle_theta(0.3), 0)
-    verdict = check_sphere_conditions(p)
-    assert not verdict.ok
+    cert = check_sphere_conditions(p)
+    assert not cert.feasible and cert.kind == "subset"
     # the top square, in the cube's own numbering, not the reduced one
-    assert verdict.certificate.violating_faces == (1,)
-    assert verdict.certificate.violating_edges == (4, 5, 6, 7)
-    assert_certificate_violates(p, verdict.certificate)
+    assert cert.violating_faces == (1,)
+    assert cert.violating_edges == (4, 5, 6, 7)
+    assert_certificate_violates(p, cert)
     # the reduced solve proves nothing, and the flow's verdict is reported
-    with pytest.raises(SphereConditionError, match=verdict.message):
+    with pytest.raises(SphereConditionError, match=cert.message):
         solve_sphere(p)
 
 
@@ -164,13 +155,13 @@ def test_conditions_agree_with_bruteforce_on_the_reduction():
     for surface, theta in cases:
         for v in range(surface.n_vertices):
             p = SphericalProblem(surface, theta, v)
-            verdict = check_sphere_conditions(p)
+            cert = check_sphere_conditions(p)
             red = reduce_to_plane(p)
-            expected = red.elementary or check_conditions_bruteforce(red.spec).feasible
-            assert verdict.ok == expected
-            if not verdict.ok:
-                assert_certificate_violates(p, verdict.certificate)
-            outcomes.add(verdict.ok)
+            expected = red.spec is None or check_conditions_bruteforce(red.spec).feasible
+            assert cert.feasible == expected
+            if not cert.feasible:
+                assert_certificate_violates(p, cert)
+            outcomes.add(cert.feasible)
     assert outcomes == {True, False}
 
 
@@ -179,9 +170,10 @@ def test_disconnecting_reduction_is_a_failing_verdict():
         s = pinched_sphere(isolated)
         theta = random_flat_theta(s, np.random.default_rng(43), spread=0.0)
         p = SphericalProblem(s, theta, 0)
-        verdict = check_sphere_conditions(p)
-        assert not verdict.ok
-        assert "disconnects the dual 1-skeleton" in verdict.message
+        cert = check_sphere_conditions(p)
+        assert not cert.feasible and cert.kind == "reduction"
+        assert cert.violating_faces == () and cert.violating_edges == ()
+        assert "disconnects the dual 1-skeleton" in cert.message
         with pytest.raises(SphereConditionError, match="disconnects"):
             reduce_to_plane(p)
 
@@ -226,7 +218,7 @@ LINE_RESIDUAL_CASES = {**{f"tetrahedron v_inf={v}": tetra_problem(v) for v in ra
 @pytest.mark.parametrize("case", sorted(LINE_RESIDUAL_CASES))
 def test_line_residual_bounds_every_planar_incidence(case):
     p = LINE_RESIDUAL_CASES[case]
-    assert reduce_to_plane(p).elementary == case.startswith("tetrahedron")
+    assert (reduce_to_plane(p).spec is None) == case.startswith("tetrahedron")
     lay = solve_sphere(p)
     planar, s = lay.planar, p.surface
     circles = dict(zip(planar.faces.tolist(), zip(planar.centers.tolist(),
@@ -318,7 +310,7 @@ def _reduction_record(run, p):
         red = run(p)
     except SphereConditionError as exc:
         return str(exc)
-    record = [red.elementary, red.face_map.tolist(), red.edge_map.tolist(),
+    record = [red.spec is None, red.face_map.tolist(), red.edge_map.tolist(),
               red.vertex_map.tolist()]
     if red.spec is not None:
         t = red.spec.surface

@@ -9,8 +9,9 @@ from circlepatterns.surface import (
     TwinError, UnsupportedSurfaceError, build_surface, euler_characteristic, medial,
     surface_from_json_dict, surface_from_walks, surface_to_json_dict, vertex_angle_sums,
 )
-from helpers import (dual, face_lists, isomorphic, pinched_sphere, quad_graph,
-                     subdivide_edge, subdivided_faces, surface_pool)
+from helpers import (dual, face_lists, genus2_octagon, hexagonal_torus, isomorphic,
+                     pinched_sphere, quad_graph, subdivide_edge, subdivided_faces,
+                     surface_pool)
 from oracles import medial_reference, surface_tables_reference
 
 
@@ -136,7 +137,7 @@ def test_medial_cube_is_cuboctahedron():
 
 def test_medial_always_four_valent():
     for s in (meshes.tetrahedron(), meshes.cube(), meshes.torus_grid(2, 3),
-              meshes.hexagonal_torus(), meshes.genus2_octagon()):
+              hexagonal_torus(), genus2_octagon()):
         m = medial(s)
         assert np.all(np.diff(m.fan_offsets) == 4)
         assert m.n_faces == s.n_faces + s.n_vertices
@@ -181,7 +182,7 @@ def test_euler_characteristic_disc():
 
 def test_euler_characteristic_invariant_under_subdivision():
     for s in (meshes.tetrahedron(), meshes.torus_grid(2, 2),
-              meshes.genus2_octagon()):
+              genus2_octagon()):
         chi, genus = euler_characteristic(s)
         s2 = subdivide_edge(s, 0)
         assert euler_characteristic(s2) == (chi, genus)
