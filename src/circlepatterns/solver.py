@@ -39,6 +39,9 @@ so its minimum degree order (J. W. H. Liu, ACM TOMS 11, 1985) is computed
 once per pattern, together with that Laplacian's factor, which the
 Euclidean angle repair of ``feasibility.repair_angles`` solves with
 (``functional.solve_grounded``).  Each step factorises its own Hessian.
+Every factor is made in SuperLU's symmetric mode, whose postorder of the
+elimination tree of the symmetric system keeps a mesh numbered at random
+as fast to factorise as a regularly numbered one.
 
 The hyperbolic Hessian is positive definite and well conditioned, so its
 Newton system is solved inexactly, by conjugate gradients with the Jacobi

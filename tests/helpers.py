@@ -162,6 +162,20 @@ def face_lists(surface):
     return [[surface.origin(h) for h in surface.face_walk(f)] for f in range(surface.n_faces)]
 
 
+def renumbered(surface, rng):
+    """The same closed surface from its face lists with the vertex ids
+    permuted, the faces shuffled and each face's cycle rotated, as a mesh
+    read from a file may number it."""
+    faces = face_lists(surface)
+    perm = rng.permutation(1 + max(v for face in faces for v in face))
+    out = []
+    for f in rng.permutation(len(faces)):
+        face = [int(perm[v]) for v in faces[f]]
+        k = int(rng.integers(len(face)))
+        out.append(face[k:] + face[:k])
+    return build_surface(faces=out)
+
+
 def genus2_faces():
     """The connected sum of two triangulated 4x4 tori as face lists: face 0
     of each copy is dropped and the second copy's face 0 is glued onto the

@@ -52,7 +52,6 @@ Clausen function.
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -324,11 +323,15 @@ def hessian_coo_reference(spec, rho):
 def solve_grounded_reference(L, rhs):
     """The zero-sum x with L x = rhs for a dual-graph Laplacian L, grounded
     at face 0 and solved in the minimum degree order of the grounded system
-    itself, computed anew for every call."""
+    itself, computed anew for every call, by SuperLU in its symmetric mode;
+    an exactly singular system gives NaN."""
     x = np.zeros(len(rhs))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", spla.MatrixRankWarning)
-        x[1:] = spla.spsolve(L.tocsc()[1:, 1:], rhs[1:], permc_spec="MMD_AT_PLUS_A")
+    try:
+        lu = spla.splu(L.tocsc()[1:, 1:], permc_spec="MMD_AT_PLUS_A",
+                       options=dict(SymmetricMode=True))
+    except RuntimeError:   # exactly singular
+        return np.full(len(rhs), np.nan)
+    x[1:] = lu.solve(rhs[1:])
     return x - x.mean()
 
 

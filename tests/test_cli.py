@@ -817,6 +817,19 @@ MALFORMED = {
         "check", _tetrahedron_doc(edge_ids="garbage"), None, "invalid mesh: edge_ids"),
     "edge ids differ between twins": (
         "solve", _with_edge_id(_torus_doc(), 0, 5), None, "edge_id differs between twins"),
+    "mesh is a list": (
+        "check", dict(_torus_doc(), mesh=[]), None, "invalid mesh: mesh must be an object"),
+    "faces is an object": (
+        "check", _tetrahedron_doc(faces={}), None, "invalid mesh: 'faces' must be a list"),
+    "mesh without faces or table": (
+        "check", dict(_torus_doc(), mesh={}), None,
+        "invalid mesh: mesh must contain 'faces' or 'oriented_edges'"),
+    "table row is not an object": (
+        "check", dict(_torus_doc(), mesh={"oriented_edges": [0]}), None,
+        "invalid mesh: oriented edge 0 is not an object"),
+    "one-vertex face": (
+        "check", _tetrahedron_doc(faces=[[0]]), None,
+        "invalid mesh: faces need at least two vertices"),
 }
 
 

@@ -13,7 +13,7 @@ from circlepatterns.surface import (euler_characteristic, medial, surface_from_w
                                    vertex_angle_sums)
 from helpers import (cube_cocycle_theta, double_triangle, dual, genus2_octagon,
                      hexagonal_torus, random_feasible_spec, random_flat_theta, random_spec,
-                     surface_pool)
+                     renumbered, surface_pool)
 from oracles import (check_conditions_bruteforce, check_higher_genus_condition,
                      check_rivin_condition, euclidean_box_network, region_decomposition,
                      repair_angles_reference)
@@ -602,6 +602,8 @@ def test_repair_matches_the_incidence_reference_bit_for_bit():
     # B B^T built and solved anew, on accepted and refused half-angles
     rng = np.random.default_rng(32)
     surfaces = surface_pool() + [medial(meshes.triangulated_torus(n, n)) for n in (3, 4, 8)]
+    # renumbered tori, where SuperLU's default mode would order the columns otherwise
+    surfaces += [renumbered(medial(meshes.triangulated_torus(n, n)), rng) for n in (8, 16)]
     assert any(s.n_faces == 1 for s in surfaces)
     outcomes = set()
     for surf in surfaces:

@@ -12,7 +12,7 @@ from circlepatterns.solver import _FORCING, SolveOptions, _newton_direction, min
 from circlepatterns.spherical import SphericalProblem, reduce_to_plane
 from circlepatterns.surface import build_surface, medial
 from helpers import (face_lists, hexagonal_torus, random_feasible_spec, random_spec,
-                     subdivided_faces, surface_pool)
+                     renumbered, subdivided_faces, surface_pool)
 from oracles import coordinate_descent, coordinate_step, solve_grounded_reference
 
 
@@ -228,6 +228,8 @@ def test_newton_direction_is_the_minimum_degree_solve_bit_for_bit():
     # grounded system ordered anew on every call
     rng = np.random.default_rng(31)
     surfaces = surface_pool() + [medial(meshes.triangulated_torus(n, n)) for n in (3, 4, 8)]
+    # renumbered tori, where SuperLU's default mode would order the columns otherwise
+    surfaces += [renumbered(medial(meshes.triangulated_torus(n, n)), rng) for n in (8, 16)]
     assert any(s.n_faces == 1 for s in surfaces)
     for surf in surfaces:
         spec = random_feasible_spec(surf, EUCLIDEAN, rng)
@@ -238,32 +240,40 @@ def test_newton_direction_is_the_minimum_degree_solve_bit_for_bit():
             assert np.array_equal(_bits(_newton_direction(spec, rho, g)), _bits(expected))
 
 
-def test_newton_directions_where_pivots_tie_keep_the_reference_bits(monkeypatch):
-    # one face 1.3 times over its bound: rho runs off to infinity, the edge
-    # weights of a column drift more than 2**53 apart, and a diagonal that
-    # rounds to its largest off-diagonal entry ties with it.  SuperLU then
-    # prefers the diagonal of the order it computed, which the laid-out
-    # system does not know, so such a step is solved in its own order
+def _one_face_over_bound_spec():
+    """Euclidean data on medial(3x3) with face 0 1.3 times over its bound."""
     med = medial(meshes.triangulated_torus(3, 3))
     theta_star = np.full(med.n_edges, np.pi / 2)
     bound = np.bincount(med.oe_left, weights=2 * theta_star[med.oe_edge])
     phi = np.empty(med.n_faces)
     phi[0] = 1.3 * bound[0]
     phi[1:] = (2 * theta_star.sum() - phi[0]) / (med.n_faces - 1)
-    spec = PatternSpec(med, EUCLIDEAN, theta_star, phi)
+    return PatternSpec(med, EUCLIDEAN, theta_star, phi)
+
+
+def test_newton_directions_where_pivots_tie_keep_the_reference_bits(monkeypatch):
+    # one face 1.3 times over its bound: rho runs off to infinity, the edge
+    # weights of a column drift more than 2**53 apart, and a diagonal that
+    # rounds to its largest off-diagonal entry ties with it.  SuperLU then
+    # prefers the diagonal of the order it computed, which the laid-out
+    # system does not know, so such a step is solved in its own order
+    spec = _one_face_over_bound_spec()
     steps, orders = [], []
 
     def record(spec, rho, grad):
         steps.append((rho, grad))
         return newton_direction(spec, rho, grad)
 
-    def spsolve(*args, permc_spec=None, **kwargs):
+    def splu(*args, permc_spec=None, **kwargs):
         orders.append(permc_spec)
-        return solve(*args, permc_spec=permc_spec, **kwargs)
+        return factor(*args, permc_spec=permc_spec, **kwargs)
 
-    newton_direction, solve = solver._newton_direction, spla.spsolve
+    # the plan's own minimum degree factor is made before the spy, so an
+    # order recorded below is a step's fresh one
+    spec._solve_plan
+    newton_direction, factor = solver._newton_direction, spla.splu
     monkeypatch.setattr(solver, "_newton_direction", record)
-    monkeypatch.setattr(spla, "spsolve", spsolve)
+    monkeypatch.setattr(spla, "splu", splu)
     assert not minimize(spec, SolveOptions(max_iter=120)).converged
     monkeypatch.undo()
     assert "MMD_AT_PLUS_A" in orders
@@ -302,6 +312,15 @@ def test_hyperbolic_newton_emits_no_warnings():
         results = [minimize(spec, opts) for spec, opts in runs]
     assert [(r.converged, r.message) for r in results] == (
         [(True, "")] * 3 + [(False, "no convergence in 40 Newton steps")])
+
+
+def test_euclidean_newton_where_pivots_tie_emits_no_warnings():
+    # the drifted steps of the tie data are factorised anew, and nothing
+    # they solve warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = minimize(_one_face_over_bound_spec(), SolveOptions(max_iter=120))
+    assert (result.converged, result.message) == (False, "no convergence in 120 Newton steps")
 
 
 @pytest.mark.parametrize("geometry, terms", [(EUCLIDEAN, 1), (HYPERBOLIC, 2)])
