@@ -52,13 +52,18 @@ scipy's compiled Dinic, which takes int32 capacities only, so the float
 problem is solved in a few refinement rounds: each round caps the residual
 capacities at a bound on the flow still to be sent, scales them to so few
 units that the residual arcs of any node pair sum within int32, and adds
-the integer flow back onto the float network.
+the integer flow back onto the float network.  One stable sort of the
+node-pair keys lays out the residual network of a flow, and its rounds
+and cut readings reuse that layout.  A failing flow's min cut is read
+off the residual graph only when a verdict uses it: the eps = 0 flow is
+read by the face sets it certifies, a floor flow's cut only when the
+floor steps down.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -197,18 +202,36 @@ class FlowResult:
     the hook's value in ``accepted`` and the demand its last round left
     unmet as ``shortfall``.  A flow ``stopped`` once a round proved its
     demand out of reach has ``flows``, ``cut`` and ``accepted`` None and
-    that round's unmet demand as ``shortfall``.
+    that round's unmet demand as ``shortfall``.  The min cut is read off
+    the final residual network when ``cut`` is first read, so a caller
+    that never reads it pays for no graph search.
     """
     flows: np.ndarray | None  # per branch; None if the unmet demand is above rounding
-    cut: np.ndarray | None    # min cut as a node mask, if demand is unmet and no round stopped
     rounds: int = 0           # integer max-flow rounds run
     pushed: float = 0.0       # flow sent from the excess nodes
     shortfall: float = 0.0    # demand left unmet
     accepted: object = None   # what ``accept`` returned for the round that stopped the flow
-    # the final residual network as (tails, heads, capacities); nodes
-    # n_nodes and n_nodes + 1 are the super source and the super sink
-    residual: tuple | None = None
     stopped: bool = False     # the rounds stopped once the demand proved out of reach
+    # the final residual network: the layout of its arcs, whose nodes
+    # n_nodes and n_nodes + 1 are the super source and the super sink, and
+    # their capacities; None where an upper bound is below its lower bound
+    network: _ResidualNetwork | None = None
+    residual: np.ndarray | None = None
+    # residual capacities above this are open to the min cut; None if the
+    # flow has no cut (its demand met or its rounds stopped)
+    cut_tol: float | None = None
+    _cut: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def cut(self) -> np.ndarray | None:
+        """The min cut as a node mask, if demand is unmet and no round
+        stopped the flow: the nodes reachable from the source through
+        residual capacities above ``cut_tol``, searched for on the first
+        read; all nodes where bounds cross."""
+        if self._cut is None and self.cut_tol is not None:
+            s = self.network.n - 2
+            self._cut = _reached(self.network.open_graph(self.residual, self.cut_tol), s)[:s]
+        return self._cut
 
 
 # A round scales its capacity cap to fewer than 2**28 units, fewer on a
@@ -226,24 +249,38 @@ class _ResidualNetwork:
     share one entry of the CSR matrix that scipy's max-flow reads: the k
     arcs of the most crowded pair, fewer than 2**round_bits units each,
     with round_bits + bit_length(k - 1) <= 31, sum below 2**31.
+
+    The layout comes from one stable sort of the pair keys tail * n +
+    head: ``by_pair`` lists the arcs pair by pair, those of one pair in
+    arc order, so reverse arcs come first and net flow cancels flow
+    already sent before it sends more.  The runs of equal keys in that
+    order are the pairs, ``keys`` their keys in ascending order, which is
+    the CSR order, ``pair`` the pair of each arc, ``sorted_pair`` that of
+    each arc in sorted order and ``group_first`` the sorted position of
+    the first arc of its pair; the longest run bounds ``round_bits``.  A
+    bincount of the rows of the keys gives ``indptr``.
     """
 
     def __init__(self, tail, head, n_nodes):
         self.n = n_nodes
         self.m = len(tail)
-        self.tails = np.concatenate([head, tail])
-        self.heads = np.concatenate([tail, head])
-        self.keys, self.pair = np.unique(self.tails * n_nodes + self.heads,
-                                         return_inverse=True)
-        self.indices = (self.keys % n_nodes).astype(np.int32)
-        self.indptr = np.searchsorted(self.keys, np.arange(n_nodes + 1) * n_nodes
-                                      ).astype(np.int32)
-        # the arcs of one pair in arc order, so reverse arcs come first and
-        # net flow cancels flow already sent before it sends more
-        self.by_pair = np.argsort(self.pair, kind="stable")
-        sorted_pair = self.pair[self.by_pair]
-        self.group_first = np.searchsorted(sorted_pair, sorted_pair)
-        most_arcs = int(np.bincount(self.pair).max())
+        codes = np.concatenate([head * n_nodes + tail, tail * n_nodes + head])
+        self.by_pair = np.argsort(codes, kind="stable")
+        sorted_codes = codes[self.by_pair]
+        starts = np.empty(len(codes), dtype=bool)
+        starts[:1] = True
+        np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=starts[1:])
+        first = np.flatnonzero(starts)
+        self.sorted_pair = np.cumsum(starts, dtype=np.intp) - 1
+        self.group_first = first[self.sorted_pair]
+        self.pair = np.empty_like(self.sorted_pair)
+        self.pair[self.by_pair] = self.sorted_pair
+        self.keys = sorted_codes[first]
+        rows = self.keys // n_nodes
+        self.indices = (self.keys - rows * n_nodes).astype(np.int32)
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(rows, minlength=n_nodes))]).astype(np.int32)
+        most_arcs = int(np.diff(first, append=len(codes)).max())
         self.round_bits = min(_ROUND_BITS, 31 - (most_arcs - 1).bit_length())
 
     def augment(self, residual, s, t, level, unit):
@@ -274,16 +311,31 @@ class _ResidualNetwork:
         before = np.cumsum(sorted_units) - sorted_units
         before -= before[self.group_first]
         taken = np.empty_like(units)
-        taken[self.by_pair] = np.clip(wanted[self.pair[self.by_pair]] - before,
-                                      0.0, sorted_units)
+        taken[self.by_pair] = np.clip(wanted[self.sorted_pair] - before, 0.0, sorted_units)
         return (taken[self.m:] - taken[:self.m]) * unit
 
+    def open_graph(self, residual, tol, reverse=False):
+        """Adjacency matrix of the node pairs with a residual arc whose
+        capacity exceeds tol, or, with ``reverse``, of their reverses.
 
-def _open_arcs(tails, heads, residual, tol, n):
-    """Adjacency matrix of the residual arcs whose capacity exceeds tol."""
-    open_ = residual > tol
-    return sp.csr_array((np.ones(int(open_.sum())), (tails[open_], heads[open_])),
-                        shape=(n, n))
+        It keeps the CSR layout of the pairs and drops the closed ones,
+        since csgraph follows an explicit zero as an arc.  The reverse of
+        residual arc j is arc (j + m) mod 2m.
+        """
+        pair = np.roll(self.pair, -self.m) if reverse else self.pair
+        is_open = np.zeros(len(self.keys), dtype=bool)
+        is_open[pair[residual > tol]] = True
+        kept = np.flatnonzero(is_open)
+        return sp.csr_array((np.ones(len(kept)), self.indices[kept],
+                             np.searchsorted(kept, self.indptr).astype(np.int32)),
+                            shape=(self.n, self.n))
+
+
+def _reached(graph, start) -> np.ndarray:
+    """The nodes reachable from ``start`` in a csgraph adjacency, as a mask."""
+    mask = np.zeros(graph.shape[0], dtype=bool)
+    mask[breadth_first_order(graph, start, return_predecessors=False)] = True
+    return mask
 
 
 def solve_feasible_flow(net: FlowNetwork, accept=None, *, need_cut=True) -> FlowResult:
@@ -331,17 +383,18 @@ def solve_feasible_flow(net: FlowNetwork, accept=None, *, need_cut=True) -> Flow
     bit before it goes on to the cut.
 
     The result holds the flows per branch, None if the unmet demand is
-    above rounding level; the cut, if any demand is unmet and no round
-    stopped the flow, the min cut as a boolean mask over the nodes, those
-    reachable from the source through residual capacities above the
-    tolerance; and the rounds run, the flow pushed, the shortfall and the
-    final residual network.
+    above rounding level; the rounds run, the flow pushed, the shortfall
+    and the final residual network.  If any demand is unmet and no round
+    stopped the flow, its ``cut`` is the min cut as a boolean mask over
+    the nodes, those reachable from the source through residual
+    capacities above the tolerance, read when first asked for; bounds that
+    cross give no flows and the cut of all nodes.
     """
     n = net.n_nodes
     s, t = n, n + 1
     cap = net.upper - net.lower
     if np.any(cap < 0):
-        return FlowResult(None, np.ones(n, dtype=bool), shortfall=np.inf)
+        return FlowResult(None, shortfall=np.inf, _cut=np.ones(n, dtype=bool))
     excess = (np.bincount(net.head, net.lower, minlength=n)
               - np.bincount(net.tail, net.lower, minlength=n))
     sources = np.flatnonzero(excess > 0)
@@ -386,18 +439,13 @@ def solve_feasible_flow(net: FlowNetwork, accept=None, *, need_cut=True) -> Flow
         if not need_cut and unmet - sendable > accept_tol:
             stopped = True
             break
-    residual = np.concatenate([flow, cap - flow])
-    cut = None
-    if unmet > tol and accepted is None and not stopped:
-        graph = _open_arcs(residual_net.tails, residual_net.heads, residual, tol, n + 2)
-        cut = np.zeros(n + 2, dtype=bool)
-        cut[breadth_first_order(graph, s, return_predecessors=False)] = True
-        cut = cut[:n]
     feasible = accepted is None and unmet <= accept_tol
-    return FlowResult(net.lower + flow[:n_branches] if feasible else None, cut,
+    has_cut = unmet > tol and accepted is None and not stopped
+    return FlowResult(net.lower + flow[:n_branches] if feasible else None,
                       rounds=rounds, pushed=demand - unmet, shortfall=unmet,
-                      residual=(residual_net.tails, residual_net.heads, residual),
-                      accepted=accepted, stopped=stopped)
+                      accepted=accepted, stopped=stopped, network=residual_net,
+                      residual=np.concatenate([flow, cap - flow]),
+                      cut_tol=tol if has_cut else None)
 
 
 # -- certificates and the theorem-level checks --------------------------------
@@ -573,33 +621,34 @@ def find_coherent_angle_system(spec: PatternSpec, half_angles=None) -> Feasibili
             # face residual over 1e-8 steps from its cut
             cas = net.half_angles(result.flows)
             cas = cas if validate_cas(spec, cas).is_valid(1e-8) else None
-        return cas, result.cut
+        return cas, result
 
     net = build_flow_network(spec, eps)
-    cas = cut = None
+    cas = floor = None
     if eps > STRICT_TOL:
         # stops once a round proves it short: its cut is read only if the
         # eps = 0 cut finds no set
-        cas, cut = flow(net, need_cut=False)
+        cas, floor = flow(net, need_cut=False)
     if cas is None:
-        # the eps = 0 flow runs to its min cut, which the verdict reads
+        # the eps = 0 flow runs to its min cut, which the verdict reads off
+        # its residual graph
         zero = build_flow_network(spec, 0.0)
         results.append(solve_feasible_flow(zero))
-        cert = _certificate_from_residual(spec, zero, results[-1])
-        if cert is None and cut is None:
-            cas, cut = flow(net)
+        cert = _certificate_from_residual(spec, results[-1])
+        if cert is None and (floor is None or floor.cut is None):
+            cas, floor = flow(net)
             if eps > STRICT_TOL:
                 # the stopped flow run again to its cut: the same solve
                 results[0] = results.pop()
     for _ in range(srf.n_oriented_edges + 2 * srf.n_edges):
-        if cas is not None or cert is not None or cut is None:
+        if cas is not None or cert is not None or floor.cut is None:
             break
-        d_zero, d_eps = _deficit(zero, cut), _deficit(net, cut)
+        d_zero, d_eps = _deficit(zero, floor.cut), _deficit(net, floor.cut)
         if not d_zero < 0.0 < d_eps:
             break
         eps *= d_zero / (d_zero - d_eps)
         net = build_flow_network(spec, eps)
-        cas, cut = flow(net)
+        cas, floor = flow(net)
     if cas is not None:
         cert = FeasibilityCertificate(feasible=True, half_angles=cas)
     elif cert is None:
@@ -621,7 +670,7 @@ def _deficit(net: FlowNetwork, inside: np.ndarray) -> float:
 _CUT_TOL = 1e-10
 
 
-def _certificate_from_residual(spec: PatternSpec, net: FlowNetwork,
+def _certificate_from_residual(spec: PatternSpec,
                               zero: FlowResult) -> FeasibilityCertificate | None:
     """Violating face set from the residual of the eps = 0 max flow, or None.
 
@@ -646,24 +695,20 @@ def _certificate_from_residual(spec: PatternSpec, net: FlowNetwork,
     is -1/2 the margin of the faces in S (:func:`_dual_network`).
     """
     F = spec.surface.n_faces
-    n = net.n_nodes + 2
-    s, t = n - 2, n - 1
-    tails, heads, residual = zero.residual
+    network, residual = zero.network, zero.residual
+    s, t = network.n - 2, network.n - 1
     tol = _CUT_TOL * max(1.0, zero.pushed + zero.shortfall)
-    graph = _open_arcs(tails, heads, residual, tol, n)
-    blocked = np.zeros(n, dtype=bool)
-    blocked[breadth_first_order(graph.T.tocsr(), t, return_predecessors=False)] = True
+    blocked = _reached(network.open_graph(residual, tol, reverse=True), t)
     if blocked[s]:
         return None
-    from_source = breadth_first_order(graph, s, return_predecessors=False)
+    graph = network.open_graph(residual, tol)
+    from_source = _reached(graph, s)[:F]
     _, labels = connected_components(graph, directed=True, connection="strong")
     free = np.flatnonzero(~blocked[:F])
     _, first = np.unique(labels[free], return_index=True)
     for f in np.sort(free[first]):
-        reach = np.union1d(from_source, breadth_first_order(
-            graph, f, return_predecessors=False))
-        faces = reach[reach < F]
-        if spec.is_hyperbolic or len(faces) < F:
+        faces = from_source | _reached(graph, f)[:F]
+        if spec.is_hyperbolic or not faces.all():
             cert = _subset_certificate(spec, faces)
             if cert is not None:
                 return cert
@@ -671,15 +716,15 @@ def _certificate_from_residual(spec: PatternSpec, net: FlowNetwork,
 
 
 def _subset_certificate(spec: PatternSpec, faces) -> FeasibilityCertificate | None:
-    """The certificate of a sorted face set if exact sums show it violates."""
-    srf = spec.surface
-    edges = np.unique(srf.oe_edge[np.isin(srf.oe_left, faces)])
+    """The certificate of a face set, a mask over the faces, if exact sums
+    show it violates."""
+    edges = spec.surface.incident_edges(faces)
     phi_sum = float(spec.phi[faces].sum())
     theta_sum = float(2.0 * spec.theta_star[edges].sum())
     if theta_sum - phi_sum > STRICT_TOL:
         return None
     return FeasibilityCertificate(
-        feasible=False, violating_faces=tuple(map(int, faces)),
-        violating_edges=tuple(map(int, edges)), phi_sum=phi_sum,
+        feasible=False, violating_faces=tuple(np.flatnonzero(faces).tolist()),
+        violating_edges=tuple(np.flatnonzero(edges).tolist()), phi_sum=phi_sum,
         theta_sum=theta_sum, kind="subset",
         message="flow cut yields a violating face subset")

@@ -223,12 +223,14 @@ def _original_certificate(p, red, cert):
     Each kept face has Phi = 2*pi less 2 theta* over its removed edges, so
     the inequality over the original incident edges has the same margin.
     """
-    s = p.surface
-    faces = np.sort(red.face_map[list(cert.violating_faces)])
-    edges = np.unique(s.oe_edge[np.isin(s.oe_left, faces)])
+    faces = np.zeros(p.surface.n_faces, dtype=bool)
+    faces[red.face_map[list(cert.violating_faces)]] = True
+    edges = p.surface.incident_edges(faces)
     return replace(
-        cert, violating_faces=tuple(faces.tolist()), violating_edges=tuple(edges.tolist()),
-        phi_sum=TWO_PI * len(faces), theta_sum=float(2.0 * p.theta_star[edges].sum()))
+        cert, violating_faces=tuple(np.flatnonzero(faces).tolist()),
+        violating_edges=tuple(np.flatnonzero(edges).tolist()),
+        phi_sum=TWO_PI * len(cert.violating_faces),
+        theta_sum=float(2.0 * p.theta_star[edges].sum()))
 
 
 # -- stereographic projection --------------------------------------------------

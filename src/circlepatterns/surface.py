@@ -275,6 +275,13 @@ class CellularSurface:
         f = range(self.n_faces)[f]      # a negative or out-of-range id as a list reads it
         return tuple(self.walk_edges[self.walk_offsets[f]:self.walk_offsets[f + 1]].tolist())
 
+    def incident_edges(self, faces):
+        """Mask over the edges incident with a face set, itself a mask
+        over the faces."""
+        edges = np.zeros(self.n_edges, dtype=bool)
+        edges[self.oe_edge[faces[self.oe_left]]] = True
+        return edges
+
     # -- derived arrays ------------------------------------------------------
 
     @cached_property

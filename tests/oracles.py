@@ -16,7 +16,9 @@ COO to CSR conversion, and of the grounded solves: the Newton system
 ordered anew on every call, and the Euclidean repair through the
 face-edge incidence B and B B^T.  The feasible-flow oracle
 runs the excess-node transformation on a pure-Python Dinic over float
-capacities, augmenting each path by its full bottleneck.  The Euclidean
+capacities, augmenting each path by its full bottleneck, and the layout
+reference builds the residual network's CSR layout with ``np.unique`` and
+``searchsorted``, as the flow first did.  The Euclidean
 box network is the reference for the dual form the package builds for
 Euclidean data: faces, edges and the box, each half-angle a branch of
 its own.  The existence oracle
@@ -60,8 +62,8 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 
 from circlepatterns import specfun
-from circlepatterns.feasibility import (EQ_TOL, STRICT_TOL, FeasibilityCertificate, FlowNetwork,
-                                       _half_demands)
+from circlepatterns.feasibility import (_ROUND_BITS, EQ_TOL, STRICT_TOL, FeasibilityCertificate,
+                                       FlowNetwork, _half_demands)
 from circlepatterns.functional import PatternSpec, phi_of_rho, radii_from_rho, validate_cas
 from circlepatterns.layout import _canonical_basis
 from circlepatterns.spherical import Reduction, SphereConditionError
@@ -474,6 +476,27 @@ def feasible_flow_dinic(net, shortfall_tol=None):
     flows = np.array([branches[i][2] + dinic.cap[arcs[i] ^ 1]
                       for i in range(len(branches))])
     return flows, None, pushed, demand
+
+
+def residual_layout_reference(tail, head, n_nodes):
+    """The CSR layout of ``feasibility._ResidualNetwork`` as it was first
+    built: ``np.unique`` numbers the node pairs, a second, stable argsort
+    groups the arcs by pair and ``searchsorted`` finds the row starts and
+    the first arc of every pair.  Returns the fields by name."""
+    tails = np.concatenate([head, tail])
+    heads = np.concatenate([tail, head])
+    keys, pair = np.unique(tails * n_nodes + heads, return_inverse=True)
+    by_pair = np.argsort(pair, kind="stable")
+    sorted_pair = pair[by_pair]
+    most_arcs = int(np.bincount(pair).max())
+    return {
+        "keys": keys, "pair": pair,
+        "indices": (keys % n_nodes).astype(np.int32),
+        "indptr": np.searchsorted(keys, np.arange(n_nodes + 1) * n_nodes).astype(np.int32),
+        "by_pair": by_pair,
+        "group_first": np.searchsorted(sorted_pair, sorted_pair),
+        "round_bits": min(_ROUND_BITS, 31 - (most_arcs - 1).bit_length()),
+    }
 
 
 def euclidean_box_network(spec, eps):

@@ -196,7 +196,7 @@ def test_dual_and_box_floor_flows_agree():
         infeasible += 1
         faces = []
         for zero in (build_flow_network(spec, 0.0), euclidean_box_network(spec, 0.0)):
-            cert = _certificate_from_residual(spec, zero, solve_feasible_flow(zero))
+            cert = _certificate_from_residual(spec, solve_feasible_flow(zero))
             faces.append(None if cert is None else cert.violating_faces)
         assert faces[0] == faces[1], spec.surface
         subsets += faces[0] is not None
@@ -642,6 +642,8 @@ def test_full_size_certificates_from_one_cut(monkeypatch):
         cert = certs[-1]
         assert cert.kind == "subset" and cert.flow_solves == len(flows) == 2
         assert flows[0].stopped and flows[0].rounds == 1
+        # the verdict reads the eps = 0 residual graph, not a min cut
+        assert [flow._cut for flow in flows] == [None, None]
         assert cert.shortfall == flows[0].shortfall
         assert cert.flow_rounds < rounds_to_cut
         if spec is single_face:

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from circlepatterns.feasibility import FlowNetwork, _ResidualNetwork, solve_feasible_flow
-from oracles import feasible_flow_dinic
+from circlepatterns import feasibility, meshes
+from circlepatterns.feasibility import (FlowNetwork, _ResidualNetwork, build_flow_network,
+                                        solve_feasible_flow)
+from circlepatterns.functional import EUCLIDEAN, HYPERBOLIC
+from circlepatterns.surface import medial
+from helpers import random_feasible_spec
+from oracles import feasible_flow_dinic, residual_layout_reference
 
 
 def _network(n, tail, head, lower, upper):
@@ -215,7 +220,7 @@ def test_a_flow_stops_only_short_of_its_demand():
                 for a, b in ((first.flows, whole.flows), (first.accepted, whole.accepted)):
                     assert (a is None) == (b is None)
                     assert a is None or np.array_equal(a, b)
-                assert np.array_equal(first.residual[2], whole.residual[2])
+                assert np.array_equal(first.residual, whole.residual)
     assert min(stopped.values()) >= 20, stopped
 
 
@@ -240,3 +245,73 @@ def test_first_round_level(monkeypatch, bounded):
     result, _ = _check_against_oracle(net)
     assert result.flows is not None
     assert levels[0] == (1.5 if bounded else 3.0)
+
+
+def _torus_networks():
+    """The dual and the box network of medial(triangulated_torus(4, 4)),
+    at eps = 0 and at the first floor."""
+    rng = np.random.default_rng(203)
+    surf = medial(meshes.triangulated_torus(4, 4))
+    for geometry in (EUCLIDEAN, HYPERBOLIC):
+        spec = random_feasible_spec(surf, geometry, rng)
+        max_deg = int(np.diff(surf.walk_offsets).max())
+        first_floor = min(spec.phi.min() / (4.0 * max_deg), spec.theta_star.min() / 4.0)
+        for eps in (0.0, first_floor):
+            yield build_flow_network(spec, eps)
+
+
+def test_residual_layout_matches_reference(monkeypatch):
+    # one stable sort lays out every residual network as np.unique and
+    # searchsorted did, field by field: the networks the flow builds for
+    # seeded float and integer networks, with their parallel and
+    # antiparallel copies, and for the torus's dual and box networks
+    built = []
+    init = _ResidualNetwork.__init__
+
+    def spy(self, tail, head, n_nodes):
+        init(self, tail, head, n_nodes)
+        built.append((self, tail, head, n_nodes))
+
+    monkeypatch.setattr(_ResidualNetwork, "__init__", spy)
+    rng = np.random.default_rng(204)
+    nets = [random_float_network(rng) for _ in range(40)]
+    nets += [random_integer_network(rng) for _ in range(40)]
+    nets += list(_torus_networks())
+    for net in nets:
+        solve_feasible_flow(net)
+    assert len(built) == len(nets)
+    crowded = 0
+    for layout, tail, head, n_nodes in built:
+        ref = residual_layout_reference(tail, head, n_nodes)
+        for name, value in ref.items():
+            assert np.array_equal(getattr(layout, name), value), name
+        assert layout.indices.dtype == layout.indptr.dtype == np.int32
+        crowded += np.bincount(layout.pair).max() > 1
+    # networks with one residual arc per node pair, and with several
+    assert 20 < crowded < len(built)
+
+
+def test_crossing_bounds_give_the_all_nodes_cut():
+    # branch 1 must carry at least 2 and at most 1: no flow, and the cut
+    # holds every node, with or without need_cut
+    net = _network(3, [0, 1, 2], [1, 2, 0], [0.0, 2.0, 0.0], [np.inf, 1.0, np.inf])
+    ref_flows, ref_cut, _, _ = feasible_flow_dinic(net)
+    assert ref_flows is None and ref_cut == {0, 1, 2}
+    for need_cut in (True, False):
+        result = solve_feasible_flow(net, need_cut=need_cut)
+        assert result.flows is None and result.shortfall == np.inf
+        assert result.cut.dtype == bool and _nodes(result.cut) == ref_cut
+
+
+def test_the_cut_is_read_on_demand(monkeypatch):
+    # a failing flow searches its residual graph only when its cut is read,
+    # and once
+    searches = []
+    bfs = feasibility.breadth_first_order
+    monkeypatch.setattr(feasibility, "breadth_first_order",
+                        lambda *args, **kwargs: searches.append(args) or bfs(*args, **kwargs))
+    net = _network(3, [0, 1, 2], [1, 2, 0], [0.0, 2.0, 0.0], [np.inf, 3.0, 1.0])
+    result = solve_feasible_flow(net)
+    assert result.flows is None and searches == []
+    assert _nodes(result.cut) == feasible_flow_dinic(net)[1]
+    assert _nodes(result.cut) and len(searches) == 1

@@ -52,7 +52,7 @@ def test_test_only_names_left_the_package():
 
 # one line pass serves every spherical reduction, elementary or not; the
 # sphere's verdict is a FeasibilityCertificate; the cut is a node mask
-# read where the flow ends
+# that FlowResult reads off its residual network
 REMOVED_PATHS = [
     (spherical, "_elementary_planar"),
     (spherical, "SphereVerdict"),

@@ -428,3 +428,16 @@ def test_medial_matches_token_walks():
         m, ref = medial(s), medial_reference(s)
         assert _table(m) == _table(ref)
         assert m.oe_edge.tolist() == ref.oe_edge.tolist()
+
+
+def test_incident_edges_of_face_sets():
+    # the edges with a face of the set on either side
+    rng = np.random.default_rng(5)
+    for s in surface_pool():
+        for _ in range(4):
+            faces = rng.random(s.n_faces) < 0.4
+            edges = s.incident_edges(faces)
+            expected = np.unique(s.oe_edge[np.isin(s.oe_left, np.flatnonzero(faces))])
+            assert edges.dtype == bool and np.flatnonzero(edges).tolist() == expected.tolist()
+        assert s.incident_edges(np.ones(s.n_faces, dtype=bool)).all()
+        assert not s.incident_edges(np.zeros(s.n_faces, dtype=bool)).any()
