@@ -469,14 +469,18 @@ def _faces_to_walks(faces):
     if n == 0:
         return []
     lo, hi = np.minimum(u, w), np.maximum(u, w)
-    pairs, first, pair_id, count = np.unique(np.stack((lo, hi), axis=1), axis=0,
-                                             return_index=True, return_inverse=True,
-                                             return_counts=True)
-    pair_id = pair_id.reshape(-1)
+    # the pairs (lo, hi) in lexicographic order, numbered through the
+    # vertex ranks: rank order is id order, and the keys stay below n**2
+    # whatever the ids
+    ids, rank = np.unique(u, return_inverse=True)
+    rank_w = rank[succ]
+    keys = np.minimum(rank, rank_w) * len(ids) + np.maximum(rank, rank_w)
+    _, first, pair_id, count = np.unique(keys, return_index=True, return_inverse=True,
+                                         return_counts=True)
     bad = np.flatnonzero(count != 2)
     if len(bad):
         p = bad[np.argmin(first[bad])]
-        pair = (int(pairs[p, 0]), int(pairs[p, 1]))
+        pair = (int(lo[first[p]]), int(hi[first[p]]))
         if count[p] == 1:
             raise DanglingEdgeError(f"edge {pair} appears on one side only")
         raise AmbiguousInputError(f"double edge {pair}; use the oriented-edge table form")

@@ -40,7 +40,10 @@ dicts and lists it writes, one of each per row; the certificate, solve and
 array written out as a list of floats.  The surface-table oracle is the
 constructor's first, pure-Python version: it follows next and the vertex
 rotation one oriented edge at a time, finds connectivity by a depth-first
-search and numbers edges in a scalar pass.  The medial and reduction
+search and numbers edges in a scalar pass.  The face-list reference is
+the reader's first version, which numbers the vertex pairs with one
+``np.unique`` over the rows (lo, hi); it reads the lists with the
+package's ``_face_lists``.  The medial and reduction
 oracles build the medial decomposition and the sphere's reduction to the
 plane from token walks, one face at a time, and the cap oracle projects
 one generalized circle at a time with scalar NumPy calls.  None shares
@@ -67,9 +70,10 @@ from circlepatterns.feasibility import (_ROUND_BITS, EQ_TOL, STRICT_TOL, Feasibi
 from circlepatterns.functional import PatternSpec, phi_of_rho, radii_from_rho, validate_cas
 from circlepatterns.layout import _canonical_basis
 from circlepatterns.spherical import Reduction, SphereConditionError
-from circlepatterns.surface import (OPEN, DanglingEdgeError, DisconnectedSurfaceError,
-                                   NonManifoldError, SurfaceError, TwinError,
-                                   euler_characteristic, surface_from_walks,
+from circlepatterns.surface import (OPEN, AmbiguousInputError, DanglingEdgeError,
+                                   DisconnectedSurfaceError, NonManifoldError,
+                                   NonOrientableError, SurfaceError, TwinError, _face_lists,
+                                   _first, euler_characteristic, surface_from_walks,
                                    vertex_angle_sums)
 from helpers import dual
 
@@ -889,6 +893,54 @@ def rho_from_cas(spec, phi):
 
 
 # -- surface tables, one oriented edge at a time --------------------------------
+
+def faces_to_walks_reference(faces):
+    """``surface._faces_to_walks`` as it was first written: one
+    ``np.unique`` over the rows (lo, hi) numbers the vertex pairs."""
+    u, sizes = _face_lists(faces)
+    n = len(u)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    succ = np.arange(1, n + 1)
+    succ[ends[sizes > 0] - 1] = starts[sizes > 0]
+    w = u[succ]
+    face = np.repeat(np.arange(len(sizes)), sizes)
+    short = sizes < 2
+    loop = np.zeros(len(sizes), dtype=bool)
+    loop[face[u == w]] = True
+    f = _first(short | loop)
+    if f is not None:
+        if short[f]:
+            raise AmbiguousInputError("faces need at least two vertices")
+        h = starts[f] + _first(u[starts[f]:ends[f]] == w[starts[f]:ends[f]])
+        raise AmbiguousInputError(
+            f"loop edge at vertex {u[h]}; use the oriented-edge table form")
+    if n == 0:
+        return []
+    lo, hi = np.minimum(u, w), np.maximum(u, w)
+    pairs, first, pair_id, count = np.unique(np.stack((lo, hi), axis=1), axis=0,
+                                             return_index=True, return_inverse=True,
+                                             return_counts=True)
+    pair_id = pair_id.reshape(-1)
+    bad = np.flatnonzero(count != 2)
+    if len(bad):
+        p = bad[np.argmin(first[bad])]
+        pair = (int(pairs[p, 0]), int(pairs[p, 1]))
+        if count[p] == 1:
+            raise DanglingEdgeError(f"edge {pair} appears on one side only")
+        raise AmbiguousInputError(f"double edge {pair}; use the oriented-edge table form")
+    forward = u < w
+    same = forward == forward[first][pair_id]
+    same[first] = False
+    h = _first(same)
+    if h is not None:
+        raise NonOrientableError(
+            f"directed edge {(int(u[h]), int(w[h]))} induced twice; faces are not "
+            f"consistently oriented")
+    tokens = list(zip(u.tolist(), pair_id.tolist(), np.where(forward, 1, -1).tolist()))
+    offsets = np.concatenate(([0], ends)).tolist()
+    return [(tokens[a:b], True) for a, b in zip(offsets[:-1], offsets[1:])]
+
 
 def surface_tables_reference(origin, left_face, twin, next_in_face, edge_id=None):
     """prev, the face walks and vertex fans with their boundary flags, the

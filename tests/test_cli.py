@@ -193,6 +193,46 @@ def test_usage_errors_are_input_errors(capsys, argv):
     assert "cannot read" not in err    # refused before the file is opened
 
 
+def test_one_parser_serves_every_call(capsys, monkeypatch, torus_problem):
+    built, tols = [], []
+    init, minimize = cli._Parser.__init__, cli.solver.minimize
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def recording_minimize(spec, opts=None):
+        tols.append(opts.grad_tol)
+        return minimize(spec, opts)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    monkeypatch.setattr(cli.solver, "minimize", recording_minimize)
+    cli._build_parser.cache_clear()
+    assert _run(capsys, "check", torus_problem)[0] == cli.EXIT_OK
+    assert len(built) == 7    # the main parser and one per subcommand
+    assert _run(capsys, "solve", torus_problem, "--tol", "1e-3")[0] == cli.EXIT_OK
+    assert cli.main(["solve", torus_problem, "--method", "newton"]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert _run(capsys, "solve", torus_problem)[0] == cli.EXIT_OK
+    assert len(built) == 7
+    assert tols == [1e-3, solver.SolveOptions().grad_tol]
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["--help"], ["check", "solve", "layout", "sphere", "pack", "specfun"]),
+    (["solve", "--help"], ["--geometry", "--tol", "--max-iter", "--report", "--output"])])
+def test_help_exits_zero(capsys, torus_problem, argv, names):
+    with pytest.raises(SystemExit) as exited:
+        cli.main(argv)
+    assert exited.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: circlepatterns") and err == ""
+    assert all(name in out for name in names)
+    code, out = _run(capsys, "check", torus_problem)
+    assert code == cli.EXIT_OK and json.loads(out)["feasible"] is True
+
+
 def test_solve_geometry_flag_overrides_the_file(capsys, tmp_path):
     spec = random_feasible_spec(medial(meshes.triangulated_torus(4, 4)), "hyperbolic",
                                 np.random.default_rng(12))

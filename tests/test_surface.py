@@ -7,12 +7,13 @@ from circlepatterns.surface import (
     OPEN, AmbiguousInputError, CellularSurface, DanglingEdgeError,
     DisconnectedSurfaceError, NonManifoldError, NonOrientableError, SurfaceError,
     TwinError, UnsupportedSurfaceError, build_surface, euler_characteristic, medial,
-    surface_from_json_dict, surface_from_walks, surface_to_json_dict, vertex_angle_sums,
+    _faces_to_walks, surface_from_json_dict, surface_from_walks, surface_to_json_dict,
+    vertex_angle_sums,
 )
 from helpers import (dual, face_lists, genus2_octagon, hexagonal_torus, isomorphic,
                      pinched_sphere, quad_graph, subdivide_edge, subdivided_faces,
                      surface_pool)
-from oracles import medial_reference, surface_tables_reference
+from oracles import faces_to_walks_reference, medial_reference, surface_tables_reference
 
 
 def test_tetrahedron_counts():
@@ -318,6 +319,50 @@ def _assert_tables_match(s, ref):
     # end, and plain Python values that json can write
     assert s.face_walk(-1) == ref["face_walks"][-1]
     assert {type(s.origin(0)), type(s.face_walk(0)[0])} == {int}
+
+
+def _walks_or_error(read, faces):
+    try:
+        return read(faces)
+    except SurfaceError as exc:
+        return type(exc), str(exc)
+
+
+def _face_list_cases(rng):
+    """Face lists of closed surfaces renumbered at random, then with ids
+    spread over the whole intp range, each as read and broken by a
+    dropped, reversed, repeated or edited face; then random short lists
+    of few vertex ids."""
+    big = np.iinfo(np.intp)
+    for surface in _table_surfaces():
+        if not surface.is_closed:
+            continue
+        faces = face_lists(surface)
+        n_v = 1 + max(map(max, faces))
+        spread = rng.integers(big.min, big.max, n_v, endpoint=True)
+        spread[0], spread[-1] = big.min, big.max
+        assert len(set(spread.tolist())) == n_v
+        for ids in (rng.permutation(n_v), spread):
+            read = [[int(ids[v]) for v in faces[f]] for f in rng.permutation(len(faces))]
+            read = [face[k:] + face[:k] for face in read
+                    for k in [int(rng.integers(len(face)))]]
+            f = int(rng.integers(len(read)))
+            edited = [list(face) for face in read]
+            edited[f][0] = edited[-1 - f][-1]
+            yield from (read, read[:f] + read[f + 1:],
+                        read[:f] + [read[f][::-1]] + read[f + 1:], read + [read[f]], edited)
+    for _ in range(300):
+        yield [rng.integers(5, size=rng.integers(2, 5)).tolist()
+               for _ in range(rng.integers(1, 7))]
+
+
+def test_face_lists_read_as_the_reference():
+    kinds = set()
+    for faces in _face_list_cases(np.random.default_rng(23)):
+        ours = _walks_or_error(_faces_to_walks, faces)
+        assert ours == _walks_or_error(faces_to_walks_reference, faces)
+        kinds.add(ours[0] if isinstance(ours, tuple) else list)
+    assert kinds == {list, AmbiguousInputError, DanglingEdgeError, NonOrientableError}
 
 
 def test_tables_match_the_pure_python_reference():
