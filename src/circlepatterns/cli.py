@@ -5,9 +5,12 @@ JSON; reports are emitted with fixed float formatting so repeated runs
 are byte-identical.  Exit codes: 0 ok (``--help`` included), 1 input or
 usage error, 2 infeasible, 3 non-convergence, 4 not developable.
 
-The argument parser is built once per process, at the first ``main``
-call, and reused by every later call: building it costs about 1 ms, a
-tenth of a small ``check``.  Importing the module does not build it.
+The argument parser is built at the first ``main`` call, not at import,
+and kept for the rest of the process.  That saves its build (about 1 ms)
+only where one process calls ``main(argv)`` more than once: the
+benchmark harness ``perfbench/run.py``, the test suite, or a Python
+program driving the CLI.  The console script calls ``main`` once per
+process and builds the parser once either way.
 """
 
 from __future__ import annotations
@@ -346,10 +349,10 @@ def cmd_specfun(args):
 @functools.cache
 def _build_parser():
     """The parser of every subcommand, built at the first call and shared
-    by all later ones.  Sharing is safe: ``parse_args`` returns a fresh
-    namespace each call and ``_Parser.error`` raises without keeping
-    state.  Each subcommand is bound to its ``cmd_*`` function at that
-    first call, so replace what a ``cmd_*`` calls, not the ``cmd_*``."""
+    by later ``main`` calls in the same process.  Sharing is safe:
+    ``parse_args`` returns a fresh namespace each call and
+    ``_Parser.error`` raises without keeping state.  The ``cmd_*``
+    functions are bound at that first call."""
     parser = _Parser(
         prog="circlepatterns",
         description="construct circle patterns with prescribed intersection "
